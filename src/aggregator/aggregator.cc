@@ -5,6 +5,7 @@
 #include <exception>
 #include <iterator>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "common/histogram.h"
@@ -138,9 +139,9 @@ void Aggregator::RegisterQuery(const core::Query& query,
     Shard* sp = shard.get();
     sp->joiner = std::make_unique<engine::MidJoiner>(
         config_.num_proxies, config_.join_timeout_ms,
-        [this, lane, sp](uint64_t mid, std::vector<uint8_t> plaintext,
+        [this, lane, sp](uint64_t, engine::JoinedPlaintext plaintext,
                          int64_t ts) {
-          OnJoinedShard(*lane, *sp, mid, std::move(plaintext), ts);
+          OnJoinedShard(*lane, *sp, plaintext.bytes(), ts);
         });
     if (config_.track_fault_losses) {
       // Attribute every watermark-expired join group to its window for CI
@@ -358,11 +359,15 @@ void Aggregator::MergeShardDeltas(Lane& lane) {
     if (!lane.shard_shares_total.empty() && shard.shares_fed > 0) {
       lane.shard_shares_total[s]->Increment(shard.shares_fed);
     }
-    const uint64_t joined = shard.joiner->stats().joined;
-    if (!lane.shard_joined_total.empty() && joined > shard.last_joined) {
-      lane.shard_joined_total[s]->Increment(joined - shard.last_joined);
+    const engine::JoinStats& join = shard.joiner->stats();
+    if (!lane.shard_joined_total.empty() && join.joined > shard.last_joined) {
+      lane.shard_joined_total[s]->Increment(join.joined - shard.last_joined);
     }
-    shard.last_joined = joined;
+    shard.last_joined = join.joined;
+    // Join groups dropped for disagreeing share lengths count as malformed,
+    // like plaintexts that fail to parse.
+    NoteMalformed(join.malformed_dropped - shard.last_join_malformed);
+    shard.last_join_malformed = join.malformed_dropped;
     shard.routed_total += shard.shares_fed;
     shard.shares_fed = 0;
     routed_max = std::max(routed_max, shard.routed_total);
@@ -482,27 +487,31 @@ void Aggregator::FinishStream() {
   }
 }
 
-void Aggregator::OnJoinedShard(Lane& lane, Shard& shard, uint64_t /*mid*/,
-                               std::vector<uint8_t> plaintext,
+void Aggregator::OnJoinedShard(Lane& lane, Shard& shard,
+                               std::span<const uint8_t> plaintext,
                                int64_t timestamp_ms) {
-  crypto::AnswerMessage message;
-  try {
-    message = crypto::AnswerMessage::Deserialize(plaintext);
-  } catch (const std::invalid_argument&) {
+  // Only the 12-byte header is parsed; the answer bits are folded straight
+  // from the joiner's plaintext scratch into the window accumulators.
+  const std::optional<crypto::AnswerMessageView> message =
+      crypto::AnswerMessageView::Parse(plaintext);
+  if (!message.has_value()) {
     ++shard.malformed;
     return;
   }
-  if (message.query_id != lane.query.query_id ||
-      message.answer.size() != lane.query.answer_format.num_buckets()) {
+  const size_t num_buckets = lane.query.answer_format.num_buckets();
+  if (message->query_id != lane.query.query_id ||
+      message->answer_bits != num_buckets) {
     ++shard.wrong_query;
     return;
   }
   shard.max_event_ms = std::max(shard.max_event_ms, timestamp_ms);
-  shard.windows.Fold(timestamp_ms, message.answer, [&lane] {
-    return core::AnswerAccumulator(lane.query.answer_format.num_buckets());
+  shard.windows.Fold(timestamp_ms, message->answer_bytes, [num_buckets] {
+    return core::AnswerAccumulator(num_buckets);
   });
   if (answer_tap_) {
-    shard.tap.emplace_back(timestamp_ms, std::move(message.answer));
+    shard.tap.emplace_back(timestamp_ms,
+                           BitVector::FromBytes(message->answer_bytes,
+                                                message->answer_bits));
   }
 }
 
@@ -612,6 +621,7 @@ const engine::JoinStats& Aggregator::join_stats() const {
       merged_join_stats_.duplicates_dropped += s.duplicates_dropped;
       merged_join_stats_.evicted_partial += s.evicted_partial;
       merged_join_stats_.late_dropped += s.late_dropped;
+      merged_join_stats_.malformed_dropped += s.malformed_dropped;
     }
   }
   return merged_join_stats_;

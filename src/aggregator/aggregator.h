@@ -261,6 +261,7 @@ class Aggregator {
     std::vector<std::pair<int64_t, BitVector>> tap;  // buffered answer tap
     // Lifetime counters for metrics deltas / imbalance:
     uint64_t last_joined = 0;    // joiner stats().joined at last merge
+    uint64_t last_join_malformed = 0;  // ... and stats().malformed_dropped
     uint64_t routed_total = 0;   // lifetime shares routed
   };
 
@@ -327,8 +328,8 @@ class Aggregator {
   // accumulators per window, then emits results in ascending window order.
   void FireWindows(Lane& lane, int64_t watermark_ms, bool flush);
   void AdvanceLaneWatermark(Lane& lane, int64_t watermark_ms);
-  void OnJoinedShard(Lane& lane, Shard& shard, uint64_t mid,
-                     std::vector<uint8_t> plaintext, int64_t timestamp_ms);
+  void OnJoinedShard(Lane& lane, Shard& shard,
+                     std::span<const uint8_t> plaintext, int64_t timestamp_ms);
   void OnWindowFired(Lane& lane, const engine::Window& window,
                      const core::AnswerAccumulator& acc);
   void NoteMalformed(uint64_t n);

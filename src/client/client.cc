@@ -38,6 +38,7 @@ void Client::Subscribe(const core::Query& query,
     // Parameter/plan update for a live query: keep the RNG streams running.
     it->second.query = query;
     it->second.params = params;
+    it->second.plan = Compile(query.sql);
     return;
   }
   SplitMix64 mixer =
@@ -50,7 +51,16 @@ void Client::Subscribe(const core::Query& query,
                    crypto::XorSplitter(
                        config_.num_proxies,
                        crypto::ChaCha20Rng::FromSeed(pad_seed,
-                                                     query.query_id))});
+                                                     query.query_id)),
+                   Compile(query.sql)});
+}
+
+std::optional<localdb::QueryPlan> Client::Compile(const std::string& sql) {
+  try {
+    return localdb::QueryPlan(sql);
+  } catch (const localdb::SqlError&) {
+    return std::nullopt;
+  }
 }
 
 void Client::OnAnnouncement(const std::vector<uint8_t>& announcement) {
@@ -89,56 +99,66 @@ const core::Query& Client::query() const {
 }
 
 const core::Query& Client::query(uint64_t query_id) const {
-  const auto it = subs_.find(query_id);
-  if (it == subs_.end()) {
-    throw std::logic_error("Client::query: not subscribed to query " +
-                           std::to_string(query_id));
-  }
-  return it->second.query;
+  return Sub(query_id, "Client::query").query;
 }
 
-BitVector Client::ComputeTruthful(const core::Query& query, int64_t now_ms) {
-  const int64_t from_ms = now_ms - query.window_length_ms;
-  std::vector<localdb::Value> values;
-  try {
-    values = db_.Execute(query.sql, from_ms, now_ms);
-  } catch (const localdb::SqlError&) {
-    // A query this client cannot answer (missing table/column) yields the
-    // all-zero vector; participation still looks normal from outside.
-    return core::EmptyAnswer(query.answer_format);
+const Client::Subscription& Client::Sub(uint64_t query_id,
+                                        const char* caller) const {
+  const auto it = subs_.find(query_id);
+  if (it == subs_.end()) {
+    throw std::logic_error(std::string(caller) +
+                           ": not subscribed to query " +
+                           std::to_string(query_id));
   }
-  if (values.empty()) {
-    return core::EmptyAnswer(query.answer_format);
+  return it->second;
+}
+
+BitVector Client::ComputeTruthful(const Subscription& sub,
+                                  int64_t now_ms) const {
+  const core::AnswerFormat& format = sub.query.answer_format;
+  std::optional<BitVector> truthful;
+  if (sub.plan.has_value()) {
+    try {
+      // Bucketize the first result value; aggregates yield exactly one.
+      db_.Scan(*sub.plan, now_ms - sub.query.window_length_ms, now_ms,
+               [&](const localdb::Value& value) {
+                 truthful = value.IsNumeric()
+                                ? core::EncodeAnswer(format, value.AsDouble())
+                                : core::EncodeAnswer(format, value.AsString());
+                 return false;
+               });
+    } catch (const localdb::SqlError&) {
+      // A query this client cannot answer (missing table/column) yields the
+      // all-zero vector below; participation still looks normal from
+      // outside.
+    }
   }
-  // Bucketize the (first) result value; aggregates return exactly one.
-  const localdb::Value& value = values.front();
-  BitVector truthful =
-      value.IsNumeric()
-          ? core::EncodeAnswer(query.answer_format, value.AsDouble())
-          : core::EncodeAnswer(query.answer_format, value.AsString());
+  if (!truthful.has_value()) {
+    return core::EmptyAnswer(format);
+  }
   if (config_.invert_answers) {
-    truthful = core::InvertAnswer(truthful);
+    return core::InvertAnswer(*truthful);
   }
-  return truthful;
+  return *truthful;
 }
 
 BitVector Client::TruthfulAnswer(int64_t now_ms) {
-  return ComputeTruthful(SingleSub("Client::TruthfulAnswer").query, now_ms);
+  return ComputeTruthful(SingleSub("Client::TruthfulAnswer"), now_ms);
 }
 
 BitVector Client::TruthfulAnswer(uint64_t query_id, int64_t now_ms) {
-  return ComputeTruthful(query(query_id), now_ms);
+  return ComputeTruthful(Sub(query_id, "Client::TruthfulAnswer"), now_ms);
 }
 
 void Client::EncodeAnswerInto(Subscription& sub, int64_t now_ms,
                               EpochArena& arena,
                               std::span<crypto::ShareView> out) {
   // Step II: local execution + randomized response (per-query coin stream).
-  const BitVector truthful = ComputeTruthful(sub.query, now_ms);
+  const BitVector truthful = ComputeTruthful(sub, now_ms);
   const core::RandomizedResponse rr(sub.params.randomization);
-  const BitVector randomized = rr.RandomizeAnswer(truthful, sub.rr_rng);
   // Step III: frame and split.
-  const crypto::AnswerMessage message{sub.query.query_id, randomized};
+  const crypto::AnswerMessage message{sub.query.query_id,
+                                      rr.RandomizeAnswer(truthful, sub.rr_rng)};
   sub.splitter.SplitMessageInto(message, arena, out);
 }
 
@@ -158,10 +178,10 @@ std::optional<EpochAnswer> Client::AnswerQuery(int64_t now_ms) {
   if (config_.answers_total != nullptr) {
     config_.answers_total->Increment();
   }
-  const BitVector truthful = ComputeTruthful(sub.query, now_ms);
+  const BitVector truthful = ComputeTruthful(sub, now_ms);
   const core::RandomizedResponse rr(sub.params.randomization);
-  const BitVector randomized = rr.RandomizeAnswer(truthful, sub.rr_rng);
-  const crypto::AnswerMessage message{sub.query.query_id, randomized};
+  const crypto::AnswerMessage message{sub.query.query_id,
+                                      rr.RandomizeAnswer(truthful, sub.rr_rng)};
   EpochAnswer answer;
   answer.timestamp_ms = now_ms;
   answer.shares = sub.splitter.Split(message.Serialize());

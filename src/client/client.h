@@ -25,6 +25,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/arena.h"
@@ -134,11 +135,19 @@ class Client {
     core::ExecutionParams params;
     Xoshiro256 rr_rng;             // randomized-response coins, per query
     crypto::XorSplitter splitter;  // MID + pad material, per query
+    // query.sql, parsed at subscribe/update time; nullopt when it does not
+    // parse (the client then answers all-zero, as for a missing table).
+    std::optional<localdb::QueryPlan> plan;
   };
 
+  static std::optional<localdb::QueryPlan> Compile(const std::string& sql);
   const Subscription& SingleSub(const char* caller) const;
   Subscription& SingleSub(const char* caller);
-  BitVector ComputeTruthful(const core::Query& query, int64_t now_ms);
+  const Subscription& Sub(uint64_t query_id, const char* caller) const;
+  // Bucketizes the first value the subscription's plan yields over its
+  // window ending at `now_ms` — a scan that stops at the first matching row
+  // and builds no vectors.
+  BitVector ComputeTruthful(const Subscription& sub, int64_t now_ms) const;
   // Steps II-III for one participating subscription (the caller has already
   // spent the sampling coin).
   void EncodeAnswerInto(Subscription& sub, int64_t now_ms, EpochArena& arena,

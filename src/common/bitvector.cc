@@ -8,18 +8,77 @@
 
 namespace privapprox {
 
-BitVector::BitVector(size_t num_bits)
-    : num_bits_(num_bits), bytes_((num_bits + 7) / 8, 0) {}
+BitVector::BitVector(size_t num_bits) { Init(num_bits); }
 
-BitVector BitVector::FromBytes(std::vector<uint8_t> bytes, size_t num_bits) {
+BitVector::BitVector(const BitVector& other) {
+  Init(other.num_bits_);
+  std::memcpy(data(), other.data(), ByteSize());
+}
+
+BitVector::BitVector(BitVector&& other) noexcept : num_bits_(other.num_bits_) {
+  if (is_inline()) {
+    std::memcpy(inline_, other.inline_, kInlineBytes);
+  } else {
+    heap_ = other.heap_;
+  }
+  // The moved-from vector is empty, as a moved-from std::vector is.
+  other.num_bits_ = 0;
+}
+
+BitVector& BitVector::operator=(const BitVector& other) {
+  if (this != &other) {
+    if (ByteSize() != other.ByteSize()) {
+      Release();
+      Init(other.num_bits_);
+    }
+    num_bits_ = other.num_bits_;
+    std::memcpy(data(), other.data(), ByteSize());
+  }
+  return *this;
+}
+
+BitVector& BitVector::operator=(BitVector&& other) noexcept {
+  if (this != &other) {
+    Release();
+    num_bits_ = other.num_bits_;
+    if (is_inline()) {
+      std::memcpy(inline_, other.inline_, kInlineBytes);
+    } else {
+      heap_ = other.heap_;
+    }
+    other.num_bits_ = 0;
+  }
+  return *this;
+}
+
+BitVector::~BitVector() { Release(); }
+
+void BitVector::Init(size_t num_bits) {
+  num_bits_ = num_bits;
+  if (is_inline()) {
+    std::memset(inline_, 0, kInlineBytes);
+  } else {
+    heap_ = new uint8_t[ByteSize()]();
+  }
+}
+
+void BitVector::Release() {
+  if (!is_inline()) {
+    delete[] heap_;
+  }
+  num_bits_ = 0;
+}
+
+BitVector BitVector::FromBytes(std::span<const uint8_t> bytes,
+                               size_t num_bits) {
   if (num_bits > bytes.size() * 8) {
     throw std::invalid_argument("BitVector::FromBytes: num_bits too large");
   }
-  BitVector bv;
-  bv.num_bits_ = num_bits;
-  bytes.resize((num_bits + 7) / 8);
-  bv.bytes_ = std::move(bytes);
-  bv.MaskTail();
+  BitVector bv(num_bits);
+  if (num_bits != 0) {
+    std::memcpy(bv.data(), bytes.data(), bv.ByteSize());
+    bv.MaskTail();
+  }
   return bv;
 }
 
@@ -27,7 +86,7 @@ bool BitVector::Get(size_t index) const {
   if (index >= num_bits_) {
     throw std::out_of_range("BitVector::Get: index out of range");
   }
-  return (bytes_[index / 8] >> (index % 8)) & 1u;
+  return (data()[index / 8] >> (index % 8)) & 1u;
 }
 
 void BitVector::Set(size_t index, bool value) {
@@ -36,25 +95,26 @@ void BitVector::Set(size_t index, bool value) {
   }
   const uint8_t mask = static_cast<uint8_t>(1u << (index % 8));
   if (value) {
-    bytes_[index / 8] |= mask;
+    data()[index / 8] |= mask;
   } else {
-    bytes_[index / 8] &= static_cast<uint8_t>(~mask);
+    data()[index / 8] &= static_cast<uint8_t>(~mask);
   }
 }
 
 void BitVector::Flip(size_t index) { Set(index, !Get(index)); }
 
 size_t BitVector::PopCount() const {
+  const uint8_t* bytes = data();
+  const size_t n = ByteSize();
   size_t count = 0;
   size_t i = 0;
-  const size_t n = bytes_.size();
   for (; i + 8 <= n; i += 8) {
     uint64_t word;
-    std::memcpy(&word, bytes_.data() + i, 8);
+    std::memcpy(&word, bytes + i, 8);
     count += static_cast<size_t>(std::popcount(word));
   }
   for (; i < n; ++i) {
-    count += static_cast<size_t>(std::popcount(bytes_[i]));
+    count += static_cast<size_t>(std::popcount(bytes[i]));
   }
   return count;
 }
@@ -63,7 +123,7 @@ BitVector& BitVector::operator^=(const BitVector& other) {
   if (num_bits_ != other.num_bits_) {
     throw std::invalid_argument("BitVector::operator^=: size mismatch");
   }
-  XorBytesInPlace(bytes_.data(), other.bytes_.data(), bytes_.size());
+  XorBytesInPlace(data(), other.data(), ByteSize());
   return *this;
 }
 
@@ -72,16 +132,16 @@ BitVector operator^(const BitVector& lhs, const BitVector& rhs) {
     throw std::invalid_argument("BitVector::operator^: size mismatch");
   }
   BitVector out(lhs.num_bits_);
-  XorBytesInto(out.bytes_.data(), lhs.bytes_.data(), rhs.bytes_.data(),
-               out.bytes_.size());
+  XorBytesInto(out.data(), lhs.data(), rhs.data(), out.ByteSize());
   return out;
 }
 
 bool BitVector::operator==(const BitVector& other) const {
-  return num_bits_ == other.num_bits_ && bytes_ == other.bytes_;
+  return num_bits_ == other.num_bits_ &&
+         std::memcmp(data(), other.data(), ByteSize()) == 0;
 }
 
-void BitVector::Clear() { std::fill(bytes_.begin(), bytes_.end(), 0); }
+void BitVector::Clear() { std::memset(data(), 0, ByteSize()); }
 
 std::string BitVector::ToString() const {
   std::string out;
@@ -94,8 +154,8 @@ std::string BitVector::ToString() const {
 
 void BitVector::MaskTail() {
   const size_t tail_bits = num_bits_ % 8;
-  if (tail_bits != 0 && !bytes_.empty()) {
-    bytes_.back() &= static_cast<uint8_t>((1u << tail_bits) - 1);
+  if (tail_bits != 0) {
+    data()[ByteSize() - 1] &= static_cast<uint8_t>((1u << tail_bits) - 1);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "core/answer.h"
 
+#include <bit>
 #include <stdexcept>
 
 namespace privapprox::core {
@@ -28,9 +29,23 @@ void AnswerAccumulator::Add(const BitVector& answer) {
   if (answer.size() != histogram_.num_buckets()) {
     throw std::invalid_argument("AnswerAccumulator::Add: width mismatch");
   }
-  for (size_t i = 0; i < answer.size(); ++i) {
-    if (answer.Get(i)) {
-      histogram_.Add(i);
+  Add(answer.bytes());
+}
+
+void AnswerAccumulator::Add(std::span<const uint8_t> answer_bytes) {
+  const size_t num_buckets = histogram_.num_buckets();
+  if (answer_bytes.size() != (num_buckets + 7) / 8) {
+    throw std::invalid_argument("AnswerAccumulator::Add: width mismatch");
+  }
+  for (size_t byte = 0; byte < answer_bytes.size(); ++byte) {
+    // Set bits in ascending order; a bit past the last bucket is padding.
+    for (unsigned bits = answer_bytes[byte]; bits != 0; bits &= bits - 1) {
+      const size_t bucket =
+          byte * 8 + static_cast<size_t>(std::countr_zero(bits));
+      if (bucket >= num_buckets) {
+        break;
+      }
+      histogram_.Add(bucket);
     }
   }
   ++num_answers_;

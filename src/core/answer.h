@@ -7,7 +7,9 @@
 #ifndef PRIVAPPROX_CORE_ANSWER_H_
 #define PRIVAPPROX_CORE_ANSWER_H_
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "common/bitvector.h"
@@ -34,6 +36,10 @@ class AnswerAccumulator {
       : histogram_(num_buckets) {}
 
   void Add(const BitVector& answer);
+  // Folds one answer given in BitVector::bytes() layout: ceil(num_buckets /
+  // 8) bytes, pad bits ignored. The aggregator feeds joined plaintexts
+  // through this overload without materializing a BitVector.
+  void Add(std::span<const uint8_t> answer_bytes);
   void Merge(const AnswerAccumulator& other);
 
   size_t num_answers() const { return num_answers_; }

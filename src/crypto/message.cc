@@ -19,33 +19,42 @@ void AnswerMessage::SerializeInto(uint8_t* out) const {
   for (int i = 0; i < 4; ++i) {
     out[8 + i] = static_cast<uint8_t>(bits >> (8 * i));
   }
-  const auto& bytes = answer.bytes();
+  const std::span<const uint8_t> bytes = answer.bytes();
   if (!bytes.empty()) {
     std::memcpy(out + 12, bytes.data(), bytes.size());
   }
 }
 
-AnswerMessage AnswerMessage::Deserialize(std::span<const uint8_t> bytes) {
+std::optional<AnswerMessageView> AnswerMessageView::Parse(
+    std::span<const uint8_t> bytes) {
   if (bytes.size() < 12) {
-    throw std::invalid_argument("AnswerMessage::Deserialize: truncated header");
+    return std::nullopt;
   }
-  AnswerMessage msg;
+  AnswerMessageView view;
   for (int i = 0; i < 8; ++i) {
-    msg.query_id |= static_cast<uint64_t>(bytes[i]) << (8 * i);
+    view.query_id |= static_cast<uint64_t>(bytes[i]) << (8 * i);
   }
-  uint32_t bits = 0;
   for (int i = 0; i < 4; ++i) {
-    bits |= static_cast<uint32_t>(bytes[8 + i]) << (8 * i);
+    view.answer_bits |= static_cast<uint32_t>(bytes[8 + i]) << (8 * i);
   }
-  const size_t answer_bytes = (static_cast<size_t>(bits) + 7) / 8;
-  if (bytes.size() < 12 + answer_bytes) {
-    throw std::invalid_argument("AnswerMessage::Deserialize: truncated answer");
+  const size_t answer_bytes = (static_cast<size_t>(view.answer_bits) + 7) / 8;
+  if (bytes.size() - 12 < answer_bytes) {
+    return std::nullopt;
   }
-  msg.answer = BitVector::FromBytes(
-      std::vector<uint8_t>(bytes.begin() + 12,
-                           bytes.begin() + 12 + static_cast<long>(answer_bytes)),
-      bits);
-  return msg;
+  view.answer_bytes = bytes.subspan(12, answer_bytes);
+  return view;
+}
+
+AnswerMessage AnswerMessage::Deserialize(std::span<const uint8_t> bytes) {
+  const std::optional<AnswerMessageView> view = AnswerMessageView::Parse(bytes);
+  if (!view.has_value()) {
+    throw std::invalid_argument(
+        bytes.size() < 12 ? "AnswerMessage::Deserialize: truncated header"
+                          : "AnswerMessage::Deserialize: truncated answer");
+  }
+  return AnswerMessage{view->query_id,
+                       BitVector::FromBytes(view->answer_bytes,
+                                            view->answer_bits)};
 }
 
 size_t AnswerMessage::WireSize(size_t answer_bits) {

@@ -12,12 +12,30 @@
 #define PRIVAPPROX_CRYPTO_MESSAGE_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/bitvector.h"
 
 namespace privapprox::crypto {
+
+// A parsed, non-owning view of one serialized AnswerMessage: the header
+// fields plus the answer bytes inside the caller's buffer. The aggregator
+// folds joined answers through this view, so a share's bits go from the join
+// scratch into the window counts without an AnswerMessage or BitVector in
+// between.
+struct AnswerMessageView {
+  uint64_t query_id = 0;
+  uint32_t answer_bits = 0;
+  // ceil(answer_bits / 8) bytes; pad bits past answer_bits are as received.
+  std::span<const uint8_t> answer_bytes;
+
+  // Reads the 12-byte header. Returns nullopt when `bytes` is shorter than
+  // the header or than the answer bits it declares; trailing bytes past the
+  // answer are ignored.
+  static std::optional<AnswerMessageView> Parse(std::span<const uint8_t> bytes);
+};
 
 // The plaintext message M = <QID, RandomizedAnswer> (Eq 9).
 struct AnswerMessage {
@@ -26,7 +44,9 @@ struct AnswerMessage {
 
   // Wire format: QID (8 bytes LE) | answer bit count (4 bytes LE) | answer
   // bytes. Deserialize takes a non-owning view so callers can parse
-  // sub-ranges of larger buffers without materializing a temporary vector.
+  // sub-ranges of larger buffers without materializing a temporary vector;
+  // it throws std::invalid_argument wherever AnswerMessageView::Parse
+  // returns nullopt.
   std::vector<uint8_t> Serialize() const;
   // Writes the wire format into caller-provided storage of at least
   // WireSize(answer.size()) bytes — the arena-backed encode path uses this

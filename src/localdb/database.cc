@@ -37,17 +37,19 @@ const Table& Database::GetTable(const std::string& name) const {
 
 std::vector<Value> Database::Execute(const std::string& sql, int64_t from_ms,
                                      int64_t to_ms) {
-  if (!cached_stmt_.has_value() || sql != cached_sql_) {
-    SelectStatement stmt = ParseSql(sql);  // may throw; cache stays intact
-    cached_stmt_ = std::move(stmt);
-    cached_sql_ = sql;
+  if (cached_ == nullptr || sql != cached_->sql) {
+    QueryPlan plan(sql);  // may throw; the cache stays intact
+    cached_ = std::make_unique<CachedPlan>(CachedPlan{sql, std::move(plan)});
   }
-  const SelectStatement& stmt = *cached_stmt_;
-  const auto it = tables_.find(stmt.table);
+  return ExecuteSelect(cached_->plan, TableFor(cached_->plan), from_ms, to_ms);
+}
+
+const Table& Database::TableFor(const QueryPlan& plan) const {
+  const auto it = tables_.find(plan.table());
   if (it == tables_.end()) {
-    throw SqlError("unknown table '" + stmt.table + "'");
+    throw SqlError("unknown table '" + plan.table() + "'");
   }
-  return ExecuteSelect(stmt, it->second, from_ms, to_ms);
+  return it->second;
 }
 
 void Database::EvictBefore(int64_t cutoff_ms) {

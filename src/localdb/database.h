@@ -9,8 +9,9 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <optional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "localdb/executor.h"
@@ -28,21 +29,37 @@ class Database {
   Table& GetTable(const std::string& name);
   const Table& GetTable(const std::string& name) const;
 
-  // Parses and executes `sql` over rows in [from_ms, to_ms). The parse of
-  // the most recent statement text is cached, so re-answering the same
-  // subscribed query each epoch (the client hot path) skips the parser.
+  // Parses and executes `sql` over rows in [from_ms, to_ms), returning
+  // every value Scan yields. The plan of the most recent statement text is
+  // cached, so repeating one statement skips the parser.
   std::vector<Value> Execute(const std::string& sql,
                              int64_t from_ms = std::numeric_limits<int64_t>::min(),
                              int64_t to_ms = std::numeric_limits<int64_t>::max());
+
+  // Runs a compiled plan over its table's rows in [from_ms, to_ms):
+  // QueryPlan::Scan on the named table, the loop Execute runs too. Throws
+  // SqlError for an unknown table.
+  template <typename Fn>
+  void Scan(const QueryPlan& plan, int64_t from_ms, int64_t to_ms,
+            Fn&& fn) const {
+    plan.Scan(TableFor(plan), from_ms, to_ms, std::forward<Fn>(fn));
+  }
 
   // Evicts rows older than `cutoff_ms` from all tables (retention policy).
   void EvictBefore(int64_t cutoff_ms);
 
  private:
+  struct CachedPlan {
+    std::string sql;
+    QueryPlan plan;
+  };
+
+  const Table& TableFor(const QueryPlan& plan) const;
+
   std::map<std::string, Table> tables_;
-  // Single-entry parse cache (clients answer one subscribed query).
-  std::string cached_sql_;
-  std::optional<SelectStatement> cached_stmt_;
+  // Single-entry plan cache for Execute; clients run their subscriptions'
+  // own plans through Scan, so theirs stays empty.
+  std::unique_ptr<CachedPlan> cached_;
 };
 
 }  // namespace privapprox::localdb

@@ -36,15 +36,4 @@ void Table::EvictBefore(int64_t cutoff_ms) {
   }
 }
 
-std::vector<const TimestampedRow*> Table::RowsInRange(int64_t from_ms,
-                                                      int64_t to_ms) const {
-  std::vector<const TimestampedRow*> out;
-  for (const auto& row : rows_) {
-    if (row.timestamp_ms >= from_ms && row.timestamp_ms < to_ms) {
-      out.push_back(&row);
-    }
-  }
-  return out;
-}
-
 }  // namespace privapprox::localdb

@@ -38,10 +38,6 @@ class Table {
   // order, which client streams guarantee to be time order.
   void EvictBefore(int64_t cutoff_ms);
 
-  // Rows with timestamp in [from_ms, to_ms).
-  std::vector<const TimestampedRow*> RowsInRange(int64_t from_ms,
-                                                 int64_t to_ms) const;
-
   const std::deque<TimestampedRow>& rows() const { return rows_; }
 
  private:

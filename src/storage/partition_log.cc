@@ -60,16 +60,19 @@ uint64_t GetU64(const uint8_t* p) {
   return v;
 }
 
+// `directory` / `name` names the file in the error; the path is built only
+// when a write fails, so appends allocate nothing.
 void WriteAll(int fd, const uint8_t* data, size_t len,
-              const std::filesystem::path& path) {
+              const std::filesystem::path& directory,
+              const std::string& name) {
   while (len > 0) {
     const ssize_t n = ::write(fd, data, len);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
       }
-      throw SegmentLogError("write failed on " + path.string() + ": " +
-                            std::strerror(errno));
+      throw SegmentLogError("write failed on " + (directory / name).string() +
+                            ": " + std::strerror(errno));
     }
     data += n;
     len -= static_cast<size_t>(n);
@@ -314,8 +317,8 @@ uint64_t PartitionLog::Append(uint64_t key, int64_t timestamp_ms,
   for (int i = 0; i < 4; ++i) {
     scratch_[4 + i] = static_cast<uint8_t>(crc >> (8 * i));
   }
-  WriteAll(fd_, scratch_.data(), scratch_.size(),
-           directory_ / segments_.back().name);
+  WriteAll(fd_, scratch_.data(), scratch_.size(), directory_,
+           segments_.back().name);
 
   Segment& active = segments_.back();
   active.bytes += scratch_.size();

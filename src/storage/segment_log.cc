@@ -122,7 +122,8 @@ void SegmentedAnswerLog::Append(int64_t timestamp_ms,
   body.reserve(12 + answer.ByteSize());
   PutU64(body, static_cast<uint64_t>(timestamp_ms));
   PutU32(body, static_cast<uint32_t>(answer.size()));
-  body.insert(body.end(), answer.bytes().begin(), answer.bytes().end());
+  const std::span<const uint8_t> bits = answer.bytes();
+  body.insert(body.end(), bits.begin(), bits.end());
 
   std::vector<uint8_t> record;
   record.reserve(8 + body.size());
@@ -188,8 +189,7 @@ uint64_t SegmentedAnswerLog::ScanSegment(const std::filesystem::path& path,
     if (store != nullptr && timestamp >= from_ms && timestamp < to_ms) {
       store->Append(timestamp,
                     BitVector::FromBytes(
-                        std::vector<uint8_t>(body.begin() + 12, body.end()),
-                        num_bits));
+                        std::span<const uint8_t>(body).subspan(12), num_bits));
     }
     offset += 8 + len;
   }

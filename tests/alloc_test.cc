@@ -10,14 +10,15 @@
 //   2. Relative: the view path allocates >= 90% less than the owning
 //      (vector-per-payload) path it replaced, measured in the same binary.
 //
-// The streaming pipeline's per-epoch machinery (channels, stage threads,
-// join hash tables) allocates by design; what must not allocate is the
-// per-share work these tests drive directly.
+// The streaming pipeline's per-epoch machinery (channels, stage tasks, fired
+// results) allocates by design, but only per epoch: the whole-system tests
+// at the end bound a warm epoch at fewer than 0.5 allocations per share.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <string>
 #include <vector>
 
 #include "broker/broker.h"
@@ -229,12 +230,27 @@ TEST(AllocRegressionTest, ViewPathAllocatesAtLeast90PercentLess) {
       << "owned=" << owned_allocs << " view=" << view_allocs;
 }
 
-// Whole-system sanity: in streaming mode the warm per-epoch allocation
-// bill is flat — arenas, slabs, and stage scratch are reused, so epoch N
-// and epoch N+1 cost the same. What remains per epoch (localdb query
-// execution per client, join groups, stage threads) is bounded work, not
-// growth; a reintroduced per-share copy or a leaked warm structure shows
-// up here as a rising count. Runs at a given aggregator shard count so the
+core::Query AllocTestQuery(uint64_t id, const std::string& sql,
+                           size_t buckets) {
+  return core::QueryBuilder()
+      .WithId(id)
+      .WithSql(sql)
+      .WithAnswerFormat(
+          core::AnswerFormat::UniformNumeric(0, 100, buckets, true))
+      .WithFrequencyMs(1000)
+      .WithWindowMs(2000)
+      .WithSlideMs(1000)
+      .Build();
+}
+
+// Whole-system gate: in streaming mode a warm epoch — RunEpoch plus the
+// watermark advance that fires its windows — allocates fewer than 0.5 times
+// per share sent, and the per-epoch bill is flat: arenas, slabs, stage
+// scratch, join tables and window accumulators are reused, so epoch N and
+// epoch N+1 cost the same. What remains per epoch (stage tasks, one
+// accumulator per new window, the fired results) is bounded work, not
+// per-share; a reintroduced per-share copy or allocation, or a leaked warm
+// structure, shows up here. Runs at a given aggregator shard count so the
 // sharded feed path proves its scratch (per-shard joiners, window
 // accumulators, merge buffers) is reused across epochs too.
 void ExpectStreamingEpochAllocationsFlat(size_t agg_shards,
@@ -254,37 +270,30 @@ void ExpectStreamingEpochAllocationsFlat(size_t agg_shards,
         500, {localdb::Value(static_cast<double>((i * 13) % 100)),
               localdb::Value(static_cast<double>((i * 7) % 100))});
   }
-  core::Query query =
-      core::QueryBuilder()
-          .WithId(1)
-          .WithSql("SELECT speed FROM vehicle")
-          .WithAnswerFormat(core::AnswerFormat::UniformNumeric(0, 100, 10, true))
-          .WithFrequencyMs(1000)
-          .WithWindowMs(2000)
-          .WithSlideMs(1000)
-          .Build();
   core::ExecutionParams params;
   params.sampling_fraction = 1.0;
   params.randomization = {0.9, 0.6};
-  system.SubmitQuery(query, params);
-  if (num_queries == 2) {
+  system.SubmitQuery(AllocTestQuery(1, "SELECT speed FROM vehicle", 10),
+                     params);
+  if (num_queries >= 2) {
     // A second concurrent lane: per-query splitters, lane topics, and
     // aggregator lane state must reuse their warm structures just like the
-    // first query's.
-    core::Query second =
-        core::QueryBuilder()
-            .WithId(2)
-            .WithSql("SELECT temperature FROM vehicle")
-            .WithAnswerFormat(
-                core::AnswerFormat::UniformNumeric(0, 100, 10, true))
-            .WithFrequencyMs(1000)
-            .WithWindowMs(2000)
-            .WithSlideMs(1000)
-            .Build();
+    // first query's. With three queries it is 81 buckets wide — answers
+    // past 64 bits — and the third filters on another column, so each
+    // client runs three distinct SQL texts every epoch.
     core::ExecutionParams second_params;
     second_params.sampling_fraction = 0.8;
     second_params.randomization = {0.85, 0.5};
-    system.SubmitQuery(second, second_params);
+    system.SubmitQuery(
+        AllocTestQuery(2, "SELECT temperature FROM vehicle",
+                       num_queries >= 3 ? 80 : 10),
+        second_params);
+  }
+  if (num_queries >= 3) {
+    system.SubmitQuery(
+        AllocTestQuery(3, "SELECT speed FROM vehicle WHERE temperature >= 50",
+                       10),
+        params);
   }
 
   int64_t now = 1000;
@@ -294,12 +303,14 @@ void ExpectStreamingEpochAllocationsFlat(size_t agg_shards,
     now += 1000;
   }
   std::vector<uint64_t> per_epoch;
+  uint64_t shares = 0;
   for (int e = 0; e < 4; ++e) {
     const uint64_t before = AllocCounter::Count();
     system::EpochStats stats = system.RunEpoch(now);
+    system.AdvanceWatermark(now);
     per_epoch.push_back(AllocCounter::Count() - before);
     ASSERT_GT(stats.shares_sent, 0u);
-    system.AdvanceWatermark(now);
+    shares += stats.shares_sent;
     now += 1000;
   }
   const uint64_t lo = *std::min_element(per_epoch.begin(), per_epoch.end());
@@ -309,6 +320,14 @@ void ExpectStreamingEpochAllocationsFlat(size_t agg_shards,
   // and reallocated (or a per-share copy crept back in).
   EXPECT_LE(hi - lo, lo / 20 + 64)
       << "per-epoch allocations drifted: min=" << lo << " max=" << hi;
+  uint64_t total = 0;
+  for (const uint64_t n : per_epoch) {
+    total += n;
+  }
+  const double per_share =
+      static_cast<double>(total) / static_cast<double>(shares);
+  EXPECT_LT(per_share, 0.5) << total << " allocations for " << shares
+                            << " shares";
 }
 
 TEST(AllocRegressionTest, StreamingEpochAllocationsStayFlat) {
@@ -321,6 +340,10 @@ TEST(AllocRegressionTest, ShardedStreamingEpochAllocationsStayFlat) {
 
 TEST(AllocRegressionTest, TwoQueryStreamingEpochAllocationsStayFlat) {
   ExpectStreamingEpochAllocationsFlat(1, /*num_queries=*/2);
+}
+
+TEST(AllocRegressionTest, WideThreeSqlStreamingEpochAllocationsStayFlat) {
+  ExpectStreamingEpochAllocationsFlat(1, /*num_queries=*/3);
 }
 
 }  // namespace

@@ -65,6 +65,57 @@ TEST(ClientTest, MissingTableYieldsAllZeroAnswer) {
   EXPECT_TRUE(client.AnswerQuery(2000).has_value());
 }
 
+core::Query FilteredSpeedQuery() {
+  return core::QueryBuilder()
+      .WithId(1)
+      .WithSql("SELECT speed FROM vehicle WHERE speed >= 50")
+      .WithAnswerFormat(core::AnswerFormat::UniformNumeric(0, 100, 10, true))
+      .WithFrequencyMs(1000)
+      .WithWindowMs(60000)
+      .WithSlideMs(1000)
+      .Build();
+}
+
+TEST(ClientTest, WhereTypeMismatchSkipsTheRow) {
+  // A cell holding a string where the WHERE compares a number makes that
+  // row not match, instead of aborting the answer (and with it the epoch of
+  // every client): the next row still answers.
+  Client client(ClientConfig{0, 2, 7});
+  auto& table = client.database().CreateTable("vehicle", {"speed"});
+  table.Insert(1000, {localdb::Value("n/a")});
+  table.Insert(1500, {localdb::Value(60.0)});
+  client.Subscribe(FilteredSpeedQuery(), MakeParams());
+  const BitVector truthful = client.TruthfulAnswer(2000);
+  EXPECT_EQ(truthful.PopCount(), 1u);
+  EXPECT_TRUE(truthful.Get(6));  // 60.0 in [60, 70)
+  EXPECT_TRUE(client.AnswerQuery(2000).has_value());
+}
+
+TEST(ClientTest, WhereTypeMismatchOnlyRowAnswersAllZero) {
+  Client client(ClientConfig{0, 2, 7});
+  client.database().CreateTable("vehicle", {"speed"}).Insert(
+      1000, {localdb::Value("n/a")});
+  client.Subscribe(FilteredSpeedQuery(), MakeParams());
+  EXPECT_EQ(client.TruthfulAnswer(2000).PopCount(), 0u);
+  EXPECT_EQ(client.TruthfulAnswer(2000).size(), 11u);
+  EXPECT_TRUE(client.AnswerQuery(2000).has_value());
+}
+
+TEST(ClientTest, UnparsableSqlAnswersAllZero) {
+  // The SQL is parsed once at subscribe time; a statement the client cannot
+  // parse still subscribes and answers all-zero, like a missing table.
+  core::Query query = MakeQuery();
+  query.sql = "SELECT FROM vehicle";
+  query.Sign();
+  Client client = MakeClientWithData(15.0);
+  client.Subscribe(query, MakeParams());
+  EXPECT_EQ(client.TruthfulAnswer(2000).PopCount(), 0u);
+  EXPECT_TRUE(client.AnswerQuery(2000).has_value());
+  // Re-subscribing with the fixed statement re-parses it.
+  client.Subscribe(MakeQuery(), MakeParams());
+  EXPECT_TRUE(client.TruthfulAnswer(2000).Get(1));  // 15.0 in [10, 20)
+}
+
 TEST(ClientTest, DataOutsideWindowIsIgnored) {
   Client client = MakeClientWithData(15.0);
   client.Subscribe(MakeQuery(), MakeParams());

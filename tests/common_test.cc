@@ -248,7 +248,7 @@ TEST(BitVectorTest, FromBytesRoundTrip) {
 
 TEST(BitVectorTest, FromBytesMasksTailBits) {
   // Bits beyond num_bits must be cleared so equality is well-defined.
-  const BitVector a = BitVector::FromBytes({0xFF}, 4);
+  const BitVector a = BitVector::FromBytes(std::vector<uint8_t>{0xFF}, 4);
   BitVector b(4);
   for (size_t i = 0; i < 4; ++i) {
     b.Set(i, true);
@@ -258,7 +258,8 @@ TEST(BitVectorTest, FromBytesMasksTailBits) {
 }
 
 TEST(BitVectorTest, FromBytesTooFewBytesThrows) {
-  EXPECT_THROW(BitVector::FromBytes({0xFF}, 9), std::invalid_argument);
+  EXPECT_THROW(BitVector::FromBytes(std::vector<uint8_t>{0xFF}, 9),
+               std::invalid_argument);
 }
 
 TEST(BitVectorTest, ToStringRendersBits) {

@@ -6,8 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <limits>
 #include <map>
+#include <optional>
+#include <random>
+#include <span>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "crypto/xor_cipher.h"
 #include "engine/join.h"
@@ -408,9 +416,9 @@ TEST(MidJoinerTest, DuplicateShareAfterExpiryIsLateDropped) {
 }
 
 TEST(MidJoinerTest, RememberedMidSetsStayBoundedOverManyEpochs) {
-  // Regression: completed_mids_/expired_mids_ used to grow for the life of
-  // the run — one entry per MID ever seen. EvictStale now prunes both
-  // behind its cutoff, so across many epochs the remembered set stays
+  // Regression: the remembered completed/expired MIDs used to grow for the
+  // life of the run — one entry per MID ever seen. EvictStale now prunes
+  // both behind its cutoff, so across many epochs the remembered set stays
   // bounded by the MIDs seen within the last join timeout, while replay
   // and straggler defense still hold inside that horizon.
   int emitted = 0;
@@ -529,6 +537,305 @@ TEST(MidJoinerTest, ManyInterleavedGroups) {
     joiner.Add(shares[1], 1, 1);
   }
   EXPECT_EQ(emitted, 100u);
+}
+
+TEST(MidJoinerTest, LengthMismatchIsDroppedAndRemembered) {
+  // A client that splits one answer into shares of different lengths cannot
+  // abort the join: the group is counted as malformed, never emitted, and
+  // its MID stays remembered so replays of it are dropped too.
+  std::vector<uint64_t> emitted;
+  MidJoiner joiner(2, 100,
+                   [&](uint64_t mid, std::vector<uint8_t>, int64_t) {
+                     emitted.push_back(mid);
+                   });
+  joiner.Add(Share(1, std::vector<uint8_t>(14, 0xAB)), 10, 0);
+  joiner.Add(Share(1, std::vector<uint8_t>(13, 0xCD)), 11, 1);
+  EXPECT_TRUE(emitted.empty());
+  EXPECT_EQ(joiner.stats().malformed_dropped, 1u);
+  EXPECT_EQ(joiner.stats().joined, 0u);
+  EXPECT_EQ(joiner.pending_groups(), 0u);
+  EXPECT_EQ(joiner.remembered_mids(), 1u);
+  // A replay of the broken MID is a duplicate; an honest neighbour joins.
+  joiner.Add(Share(1, std::vector<uint8_t>(14, 0xAB)), 12, 0);
+  EXPECT_EQ(joiner.stats().duplicates_dropped, 1u);
+  joiner.Add(Share(2, {0x0F}), 12, 0);
+  joiner.Add(Share(2, {0xF0}), 13, 1);
+  EXPECT_EQ(emitted, std::vector<uint64_t>{2});
+  EXPECT_EQ(joiner.stats().malformed_dropped, 1u);
+}
+
+// Test-local model of the join's reference semantics, kept on one node map
+// per state exactly as join.h specifies them: replays of completed MIDs are
+// duplicates, stragglers of expired groups are late, eviction is strict
+// (first_seen < now - timeout), and remembered MIDs are pruned behind the
+// same cutoff — a completed MID one timeout after its completing share, an
+// expired one one timeout after its eviction.
+class ReferenceJoiner {
+ public:
+  struct Emitted {
+    uint64_t mid = 0;
+    std::vector<uint8_t> plaintext;
+    int64_t first_seen = 0;
+    bool operator==(const Emitted&) const = default;
+  };
+
+  ReferenceJoiner(size_t sources, int64_t timeout)
+      : sources_(sources), timeout_(timeout) {}
+
+  void Add(uint64_t mid, std::span<const uint8_t> payload, int64_t ts,
+           size_t source) {
+    if (completed_.contains(mid)) {
+      ++stats_.duplicates_dropped;
+      return;
+    }
+    if (expired_.contains(mid)) {
+      ++stats_.late_dropped;
+      return;
+    }
+    Group& group = pending_[mid];
+    if (group.slots.empty()) {
+      group.slots.resize(sources_);
+      group.first_seen = ts;
+    }
+    if (group.slots[source].has_value()) {
+      ++stats_.duplicates_dropped;
+      return;
+    }
+    group.slots[source].emplace(payload.begin(), payload.end());
+    for (const auto& slot : group.slots) {
+      if (!slot.has_value()) {
+        return;
+      }
+    }
+    std::vector<uint8_t> plaintext = *group.slots[0];
+    bool same_length = true;
+    for (size_t i = 1; i < sources_; ++i) {
+      const std::vector<uint8_t>& other = *group.slots[i];
+      if (other.size() != plaintext.size()) {
+        same_length = false;
+        break;
+      }
+      for (size_t b = 0; b < other.size(); ++b) {
+        plaintext[b] ^= other[b];
+      }
+    }
+    const int64_t first_seen = group.first_seen;
+    pending_.erase(mid);
+    completed_[mid] = ts;
+    if (!same_length) {
+      ++stats_.malformed_dropped;
+      return;
+    }
+    ++stats_.joined;
+    emitted.push_back(Emitted{mid, std::move(plaintext), first_seen});
+  }
+
+  // Returns the evicted (MID, first_seen) pairs, sorted.
+  std::vector<std::pair<uint64_t, int64_t>> EvictStale(int64_t now) {
+    // Exact arithmetic: now - timeout may lie below INT64_MIN.
+    const __int128 cutoff = static_cast<__int128>(now) - timeout_;
+    std::vector<std::pair<uint64_t, int64_t>> evicted;
+    for (auto it = pending_.begin(); it != pending_.end();) {
+      if (it->second.first_seen < cutoff) {
+        ++stats_.evicted_partial;
+        evicted.emplace_back(it->first, it->second.first_seen);
+        expired_[it->first] = now;
+        it = pending_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    std::erase_if(completed_,
+                  [&](const auto& entry) { return entry.second < cutoff; });
+    std::erase_if(expired_,
+                  [&](const auto& entry) { return entry.second < cutoff; });
+    std::sort(evicted.begin(), evicted.end());
+    return evicted;
+  }
+
+  const JoinStats& stats() const { return stats_; }
+  size_t pending_groups() const { return pending_.size(); }
+  size_t remembered_mids() const {
+    return completed_.size() + expired_.size();
+  }
+
+  std::vector<Emitted> emitted;
+
+ private:
+  struct Group {
+    std::vector<std::optional<std::vector<uint8_t>>> slots;
+    int64_t first_seen = 0;
+  };
+  size_t sources_;
+  int64_t timeout_;
+  std::unordered_map<uint64_t, Group> pending_;
+  std::unordered_map<uint64_t, int64_t> completed_;
+  std::unordered_map<uint64_t, int64_t> expired_;
+  JoinStats stats_;
+};
+
+bool SameStats(const JoinStats& a, const JoinStats& b) {
+  return a.joined == b.joined && a.duplicates_dropped == b.duplicates_dropped &&
+         a.evicted_partial == b.evicted_partial &&
+         a.late_dropped == b.late_dropped &&
+         a.malformed_dropped == b.malformed_dropped;
+}
+
+// `count` MIDs whose slot hashes agree in their low `bits` bits with that
+// of `anchor`, so they share one home slot in every table of up to 2^bits
+// entries.
+std::vector<uint64_t> HomeSlotCollisions(uint64_t anchor, int bits,
+                                         size_t count) {
+  const uint64_t mask = (uint64_t{1} << bits) - 1;
+  const uint64_t home = MidJoiner::SlotHash(anchor) & mask;
+  std::vector<uint64_t> mids;
+  for (uint64_t candidate = anchor + 1; mids.size() < count; ++candidate) {
+    if ((MidJoiner::SlotHash(candidate) & mask) == home) {
+      mids.push_back(candidate);
+    }
+  }
+  return mids;
+}
+
+TEST(MidJoinerDifferentialTest, MatchesReferenceOnSeededShareSequences) {
+  constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+  JoinStats totals;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const auto uniform = [&rng](uint64_t n) { return rng() % n; };
+    const size_t sources = 2 + uniform(2);
+    const int64_t timeout = 1 + static_cast<int64_t>(uniform(40));
+
+    // MIDs: 0 and UINT64_MAX, a cluster sharing one home slot (with its
+    // anchor) and a few recurring ones, besides fresh random MIDs that grow
+    // the table through several doublings.
+    std::vector<uint64_t> hot = {0, std::numeric_limits<uint64_t>::max()};
+    const uint64_t anchor = rng();
+    hot.push_back(anchor);
+    for (const uint64_t mid : HomeSlotCollisions(anchor, 12, 24)) {
+      hot.push_back(mid);
+    }
+    for (int i = 0; i < 8; ++i) {
+      hot.push_back(rng());
+    }
+    std::vector<uint64_t> seen = hot;
+
+    ReferenceJoiner reference(sources, timeout);
+    std::vector<ReferenceJoiner::Emitted> emitted;
+    MidJoiner joiner(sources, timeout,
+                     [&](uint64_t mid, JoinedPlaintext plaintext, int64_t ts) {
+                       emitted.push_back(
+                           {mid, std::vector<uint8_t>(plaintext), ts});
+                     });
+    std::vector<std::pair<uint64_t, int64_t>> evicted;
+    joiner.set_evict_fn([&](uint64_t mid, int64_t first_seen) {
+      evicted.emplace_back(mid, first_seen);
+    });
+    // Payloads handed to the zero-copy Add must outlive their groups.
+    std::deque<std::vector<uint8_t>> payloads;
+    struct Planned {
+      uint64_t mid;
+      size_t source;
+      size_t len;
+    };
+    std::vector<Planned> planned;  // shares of answers still in flight
+    std::vector<int64_t> first_seen_samples;
+    int64_t clock = static_cast<int64_t>(uniform(1000));
+
+    for (int step = 0; step < 4000; ++step) {
+      const uint64_t op = uniform(100);
+      if (op < 20) {
+        // A client answers: one share per source, in random order, each
+        // lost now and then, one of them a byte long now and then.
+        const uint64_t mid = uniform(5) == 0 ? hot[uniform(hot.size())] : rng();
+        seen.push_back(mid);
+        const size_t odd = uniform(20) == 0 ? uniform(sources) : sources;
+        for (size_t source = 0; source < sources; ++source) {
+          if (uniform(12) != 0) {
+            planned.push_back({mid, source, source == odd ? 13u : 12u});
+          }
+        }
+        std::shuffle(planned.end() - static_cast<long>(std::min<size_t>(
+                                         planned.size(), sources)),
+                     planned.end(), rng);
+        continue;
+      }
+      if (op < 88) {
+        Planned share;
+        if (!planned.empty() && uniform(5) != 0) {
+          // Interleave: any of the oldest few in-flight shares goes next.
+          const size_t pick = uniform(std::min<size_t>(planned.size(), 6));
+          share = planned[pick];
+          planned.erase(planned.begin() + static_cast<long>(pick));
+        } else {
+          // Redelivery, replay, or straggler of an earlier MID.
+          share = {seen[uniform(seen.size())], uniform(sources), 12};
+        }
+        int64_t ts = clock + static_cast<int64_t>(uniform(timeout + 1));
+        if (uniform(300) == 0) {
+          ts = uniform(2) == 0 ? kInt64Min : kInt64Max;
+        }
+        std::vector<uint8_t>& payload = payloads.emplace_back(share.len);
+        for (uint8_t& byte : payload) {
+          byte = static_cast<uint8_t>(rng());
+        }
+        reference.Add(share.mid, payload, ts, share.source);
+        if (uniform(2) == 0) {
+          joiner.Add(share.mid, payload, ts, share.source);
+        } else {
+          joiner.Add(crypto::MessageShare{share.mid, payload}, ts,
+                     share.source);
+        }
+        if (first_seen_samples.size() < 64) {
+          first_seen_samples.push_back(ts);
+        } else {
+          first_seen_samples[uniform(64)] = ts;
+        }
+        clock += static_cast<int64_t>(uniform(2));
+      } else {
+        int64_t now = clock + static_cast<int64_t>(uniform(2 * timeout));
+        const uint64_t kind = uniform(40);
+        if (kind < 8 && !first_seen_samples.empty()) {
+          // Exactly at the cutoff of a recent share: its group survives.
+          const int64_t first_seen =
+              first_seen_samples[uniform(first_seen_samples.size())];
+          if (first_seen <= kInt64Max - timeout) {
+            now = first_seen + timeout;
+          }
+        } else if (kind < 16) {
+          now = clock - static_cast<int64_t>(uniform(4 * timeout));  // back
+        } else if (kind == 16) {
+          now = kInt64Min;
+        } else if (kind == 17 && uniform(8) == 0) {
+          now = kInt64Max;
+        }
+        evicted.clear();
+        joiner.EvictStale(now);
+        std::sort(evicted.begin(), evicted.end());
+        ASSERT_EQ(evicted, reference.EvictStale(now)) << "step " << step;
+      }
+      ASSERT_EQ(emitted, reference.emitted) << "step " << step;
+      ASSERT_TRUE(SameStats(joiner.stats(), reference.stats()))
+          << "step " << step;
+      ASSERT_EQ(joiner.pending_groups(), reference.pending_groups())
+          << "step " << step;
+      ASSERT_EQ(joiner.remembered_mids(), reference.remembered_mids())
+          << "step " << step;
+    }
+    totals.joined += reference.stats().joined;
+    totals.duplicates_dropped += reference.stats().duplicates_dropped;
+    totals.evicted_partial += reference.stats().evicted_partial;
+    totals.late_dropped += reference.stats().late_dropped;
+    totals.malformed_dropped += reference.stats().malformed_dropped;
+  }
+  // The sequences reach every outcome the join distinguishes.
+  EXPECT_GT(totals.joined, 1000u);
+  EXPECT_GT(totals.duplicates_dropped, 100u);
+  EXPECT_GT(totals.evicted_partial, 100u);
+  EXPECT_GT(totals.late_dropped, 100u);
+  EXPECT_GT(totals.malformed_dropped, 10u);
 }
 
 // ----------------------------------------------------------------- pipeline

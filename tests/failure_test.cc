@@ -197,6 +197,63 @@ TEST(FailureTest, MalformedRecordsSurfaceInEpochStats) {
   }
 }
 
+TEST(FailureTest, ShareLengthMismatchIsMalformedNotFatal) {
+  // One client splits its answer into shares of different lengths: 14
+  // bytes to proxy 0, 13 to proxy 1. The join drops that MID as malformed
+  // and keeps feeding, so every honest answer of the batch still counts —
+  // in both epoch pipeline modes — and a replay of the MID is a duplicate.
+  constexpr uint64_t kMid = 0xBADC0FFEEULL;
+  const auto record = [](size_t payload_len) {
+    std::vector<uint8_t> bytes(8 + payload_len, 0x5A);
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<uint8_t>(kMid >> (8 * i));
+    }
+    return bytes;
+  };
+  for (const auto mode : {system::EpochPipelineMode::kBarrier,
+                          system::EpochPipelineMode::kStreaming}) {
+    SCOPED_TRACE(mode == system::EpochPipelineMode::kBarrier ? "barrier"
+                                                             : "streaming");
+    system::SystemConfig config;
+    config.num_clients = 20;
+    config.num_proxies = 2;
+    config.seed = 7;
+    config.pipeline.mode = mode;
+    config.pipeline.depth = 2;
+    config.pipeline.shard_size = 7;  // 20 clients -> 3 shards
+    system::PrivApproxSystem sys(config);
+    for (size_t i = 0; i < config.num_clients; ++i) {
+      auto& db = sys.client(i).database();
+      db.CreateTable("vehicle", {"speed"});
+      db.GetTable("vehicle").Insert(500, {localdb::Value(25.0)});
+    }
+    sys.SubmitQuery(MakeQuery(), ExactParams());
+    sys.broker().Produce("proxy0.q1.in", kMid, record(14), 900);
+    sys.broker().Produce("proxy1.q1.in", kMid, record(13), 900);
+    const system::EpochStats stats = sys.RunEpoch(1000);
+    EXPECT_EQ(stats.malformed_dropped, 1u);
+    EXPECT_EQ(stats.participants, config.num_clients);
+    EXPECT_EQ(stats.shares_consumed,
+              config.num_clients * config.num_proxies + 2);
+    EXPECT_EQ(sys.aggregator().join_stats().malformed_dropped, 1u);
+    EXPECT_EQ(sys.aggregator().join_stats().joined, config.num_clients);
+
+    for (size_t i = 0; i < config.num_clients; ++i) {
+      sys.client(i).database().GetTable("vehicle").Insert(
+          1500, {localdb::Value(25.0)});
+    }
+    sys.broker().Produce("proxy0.q1.in", kMid, record(14), 1900);
+    sys.broker().Produce("proxy1.q1.in", kMid, record(13), 1900);
+    EXPECT_EQ(sys.RunEpoch(2000).malformed_dropped, 0u);
+    EXPECT_EQ(sys.aggregator().join_stats().duplicates_dropped, 2u);
+
+    sys.Flush();
+    const std::vector<aggregator::WindowedResult> results = sys.TakeResults();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].result.participants, 2 * config.num_clients);
+  }
+}
+
 // ------------------------------------------------------ out-of-order time
 
 TEST(WatermarkTest, BoundedOutOfOrderness) {

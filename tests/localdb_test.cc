@@ -50,9 +50,11 @@ TEST(TableTest, InsertAndRange) {
   table.Insert(200, {Value(int64_t{2}), Value("y")});
   table.Insert(300, {Value(int64_t{3}), Value("z")});
   EXPECT_EQ(table.num_rows(), 3u);
-  const auto rows = table.RowsInRange(150, 300);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0]->values[0].AsInt(), 2);
+  // The time range is half-open: [150, 300) holds only the row at 200.
+  const auto values = ExecuteSelect(ParseSql("SELECT a FROM t"), table, 150,
+                                    300);
+  ASSERT_EQ(values.size(), 1u);
+  EXPECT_EQ(values[0].AsInt(), 2);
 }
 
 TEST(TableTest, EvictBeforeDropsOldRows) {
@@ -327,6 +329,42 @@ TEST_F(ExecutorTest, CombinedExtensions) {
                "AND NOT borough IN ('brooklyn')"),
       *table_, INT64_MIN, INT64_MAX);
   ASSERT_EQ(values.size(), 2u);  // manhattan rides at 0.5 and 7.0
+}
+
+TEST(ExecutorTypeMismatchTest, StringNumberComparisonIsUnknown) {
+  // SQL compares a string with a number as it does NULL: unknown, so the
+  // row does not match, NOT keeps it unknown, and OR/AND follow Kleene
+  // logic — the same result whichever operand comes first.
+  Table table("t", {"a", "b"});
+  table.Insert(10, {Value("n/a"), Value(int64_t{1})});
+  table.Insert(20, {Value(5.0), Value(int64_t{2})});
+  const auto count = [&](const std::string& sql) {
+    return ExecuteSelect(ParseSql(sql), table, INT64_MIN, INT64_MAX).size();
+  };
+  EXPECT_EQ(count("SELECT b FROM t WHERE a >= 1"), 1u);
+  EXPECT_EQ(count("SELECT b FROM t WHERE NOT a >= 1"), 0u);
+  EXPECT_EQ(count("SELECT b FROM t WHERE a >= 1 OR b = 1"), 2u);
+  EXPECT_EQ(count("SELECT b FROM t WHERE b = 1 OR a >= 1"), 2u);
+  EXPECT_EQ(count("SELECT b FROM t WHERE a >= 1 AND b = 1"), 0u);
+  EXPECT_EQ(count("SELECT b FROM t WHERE a IN (5, 'n/a')"), 2u);
+  EXPECT_EQ(count("SELECT b FROM t WHERE a BETWEEN 1 AND 10"), 1u);
+  EXPECT_EQ(count("SELECT b FROM t WHERE NOT a BETWEEN 1 AND 10"), 0u);
+}
+
+TEST(QueryPlanTest, ScanStopsAtTheFirstValueWhenAsked) {
+  Table table("t", {"a"});
+  for (int64_t i = 0; i < 5; ++i) {
+    table.Insert(i, {Value(i)});
+  }
+  const QueryPlan plan("SELECT a FROM t WHERE a >= 2");
+  std::vector<int64_t> seen;
+  plan.Scan(table, INT64_MIN, INT64_MAX, [&](const Value& value) {
+    seen.push_back(value.AsInt());
+    return false;
+  });
+  EXPECT_EQ(seen, std::vector<int64_t>{2});
+  EXPECT_EQ(ExecuteSelect(plan, table, INT64_MIN, INT64_MAX).size(), 3u);
+  EXPECT_THROW(QueryPlan("SELECT a FROM"), SqlError);
 }
 
 // ------------------------------------------------------------------ database
