@@ -15,7 +15,6 @@
 
 #include "aggregator/aggregator.h"
 #include "broker/broker.h"
-#include "common/thread_pool.h"
 #include "crypto/xor_cipher.h"
 #include "net/topology.h"
 #include "proxy/proxy.h"
@@ -26,23 +25,20 @@ namespace {
 
 constexpr size_t kRecords = 200000;
 
-// Builds a proxy preloaded with `count` shares of an answer with
-// `answer_bits` buckets; returns forwarding throughput (records/sec) using
-// `cores` workers.
-double MeasureProxyThroughput(size_t answer_bits, size_t cores) {
+// Builds a proxy preloaded with kRecords shares of an answer with
+// `answer_bits` buckets; returns the single-threaded Forward() throughput
+// (records/sec).
+double MeasureProxyThroughput(size_t answer_bits) {
   broker::Broker b;
-  // Plenty of partitions so parallel workers do not serialize on partition
-  // locks (Kafka deployments over-partition for the same reason).
-  proxy::Proxy proxy(proxy::ProxyConfig{0, 64}, b);
+  proxy::Proxy proxy(proxy::ProxyConfig{0, 8}, b);
   crypto::XorSplitter splitter(2, crypto::ChaCha20Rng::FromSeed(1, 0));
   const std::vector<uint8_t> payload(
       crypto::AnswerMessage::WireSize(answer_bits), 0x77);
   for (size_t i = 0; i < kRecords; ++i) {
     proxy.Receive(splitter.Split(payload)[0], 0);
   }
-  ThreadPool pool(cores);
   const auto start = std::chrono::steady_clock::now();
-  const uint64_t moved = proxy.ForwardParallel(pool);
+  const uint64_t moved = proxy.Forward();
   const auto end = std::chrono::steady_clock::now();
   const double sec = std::chrono::duration<double>(end - start).count();
   return static_cast<double>(moved) / sec;
@@ -125,8 +121,8 @@ int main() {
       "hardware).\n\n");
 
   // Calibration: real single-threaded rates on this host.
-  const double proxy_taxi = MeasureProxyThroughput(11, 1);
-  const double proxy_elec = MeasureProxyThroughput(6, 1);
+  const double proxy_taxi = MeasureProxyThroughput(11);
+  const double proxy_elec = MeasureProxyThroughput(6);
   const double agg_taxi = MeasureAggregatorThroughput(11, 1);
   const double agg_elec = MeasureAggregatorThroughput(6, 1);
   std::printf("Measured single-core rates (K records/sec): proxy %0.f/%0.f, "

@@ -171,21 +171,6 @@ Aggregator::Lane& Aggregator::GetLane(uint64_t query_id, const char* caller) {
   return *it->second;
 }
 
-const Aggregator::Lane& Aggregator::SingleLane(const char* caller) const {
-  if (lanes_.size() != 1) {
-    throw std::logic_error(std::string(caller) +
-                           ": requires exactly one registered query (have " +
-                           std::to_string(lanes_.size()) +
-                           "); pass a query id");
-  }
-  return *lanes_.begin()->second;
-}
-
-Aggregator::Lane& Aggregator::SingleLane(const char* caller) {
-  return const_cast<Lane&>(
-      static_cast<const Aggregator*>(this)->SingleLane(caller));
-}
-
 void Aggregator::UpdateParams(uint64_t query_id,
                               const core::ExecutionParams& params) {
   params.Validate();
@@ -193,10 +178,6 @@ void Aggregator::UpdateParams(uint64_t query_id,
   lane.params = params;
   lane.estimator =
       core::ErrorEstimator(params, config_.population, config_.confidence);
-}
-
-void Aggregator::UpdateParams(const core::ExecutionParams& params) {
-  UpdateParams(SingleLane("Aggregator::UpdateParams").query.query_id, params);
 }
 
 size_t Aggregator::ShardOf(uint64_t mid) const {
@@ -411,12 +392,6 @@ void Aggregator::NoteFaultLostMids(uint64_t query_id,
   }
 }
 
-void Aggregator::NoteFaultLostMids(std::span<const uint64_t> mids,
-                                   int64_t now_ms) {
-  NoteFaultLostMids(SingleLane("Aggregator::NoteFaultLostMids").query.query_id,
-                    mids, now_ms);
-}
-
 void Aggregator::NoteMalformed(uint64_t n) {
   if (n == 0) {
     return;
@@ -464,14 +439,6 @@ uint64_t Aggregator::ConsumeShardBatch(
     ++lane.stream_next_seq;
   }
   return consumed;
-}
-
-uint64_t Aggregator::ConsumeShardBatch(
-    size_t source, uint64_t shard_seq,
-    const std::vector<uint32_t>& partition_counts) {
-  return ConsumeShardBatch(
-      SingleLane("Aggregator::ConsumeShardBatch").query.query_id, source,
-      shard_seq, partition_counts);
 }
 
 void Aggregator::FinishStream() {
@@ -599,11 +566,6 @@ void Aggregator::AdvanceWatermarkToStream() {
       AdvanceLaneWatermark(*lane, watermark);
     }
   }
-}
-
-int64_t Aggregator::StreamWatermark() const {
-  return SingleLane("Aggregator::StreamWatermark")
-      .stream_watermark.Current();
 }
 
 void Aggregator::Flush() {

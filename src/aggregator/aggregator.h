@@ -156,9 +156,7 @@ class Aggregator {
   // windows de-bias and error-estimate with the new (s, p, q). Windows
   // already buffered keep their answers; their estimates use the new
   // parameters, which is the correct choice once clients have switched.
-  // The QID-less overload is the single-lane shim.
   void UpdateParams(uint64_t query_id, const core::ExecutionParams& params);
-  void UpdateParams(const core::ExecutionParams& params);
 
   // Drains every lane's source topics through join -> decrypt -> window,
   // lanes in ascending-QID order. Returns the number of shares consumed.
@@ -194,12 +192,9 @@ class Aggregator {
   //
   // Not thread-safe; not to be interleaved with Drain() mid-epoch. (The
   // internal fan-out to join shards may borrow the pool, but callers see a
-  // single-threaded surface.) The QID-less overload is the single-lane
-  // shim.
+  // single-threaded surface.)
   uint64_t ConsumeShardBatch(uint64_t query_id, size_t source,
                              uint64_t shard_seq,
-                             const std::vector<uint32_t>& partition_counts);
-  uint64_t ConsumeShardBatch(size_t source, uint64_t shard_seq,
                              const std::vector<uint32_t>& partition_counts);
 
   // Ends one streaming epoch: resets every lane's shard sequence
@@ -213,11 +208,9 @@ class Aggregator {
   // the MIDs its injector knows can never join (dropped or corrupted
   // shares, failed failovers) at the end of each epoch, per query. Each
   // (query, MID) is counted once — a later join-group expiry of the same
-  // MID does not double-widen. The QID-less overload is the single-lane
-  // shim.
+  // MID does not double-widen.
   void NoteFaultLostMids(uint64_t query_id, std::span<const uint64_t> mids,
                          int64_t now_ms);
-  void NoteFaultLostMids(std::span<const uint64_t> mids, int64_t now_ms);
 
   // Advances the event-time watermark on every lane: evicts stale join
   // groups and fires complete windows, shard by shard in shard order,
@@ -231,7 +224,6 @@ class Aggregator {
   // lane has seen so far (engine/watermark.h). Lanes run independent
   // watermarks, so a stalled query never holds back another's windows.
   void AdvanceWatermarkToStream();
-  int64_t StreamWatermark() const;  // single-lane shim
 
   // Fires everything left (end of stream), all lanes.
   void Flush();
@@ -311,8 +303,6 @@ class Aggregator {
           stream_watermark(config.watermark_out_of_orderness_ms) {}
   };
 
-  Lane& SingleLane(const char* caller);
-  const Lane& SingleLane(const char* caller) const;
   Lane& GetLane(uint64_t query_id, const char* caller);
   size_t ShardOf(uint64_t mid) const;
   uint64_t DrainLane(Lane& lane);

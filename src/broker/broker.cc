@@ -22,6 +22,13 @@ bool Broker::durable() const {
 
 std::unique_ptr<Topic> Broker::MakeTopic(const std::string& name,
                                          size_t num_partitions) const {
+  // A durable topic's name becomes the directory data_dir / name: a path
+  // separator, "..", or an absolute name would write outside data_dir.
+  if (name.empty() || name == "." || name == ".." ||
+      name.find('/') != std::string::npos ||
+      name.find('\0') != std::string::npos) {
+    throw std::invalid_argument("Broker: invalid topic name '" + name + "'");
+  }
   if (!durability_.has_value()) {
     return std::make_unique<Topic>(name, num_partitions);
   }
@@ -128,11 +135,6 @@ const Topic& Broker::GetTopic(const std::string& name) const {
   return *it->second;
 }
 
-void Broker::Produce(const std::string& topic, uint64_t key,
-                     std::vector<uint8_t> payload, int64_t timestamp_ms) {
-  GetTopic(topic).Append(key, std::move(payload), timestamp_ms);
-}
-
 std::vector<std::string> Broker::TopicNames() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
@@ -141,32 +143,6 @@ std::vector<std::string> Broker::TopicNames() const {
     names.push_back(name);
   }
   return names;
-}
-
-Consumer::Consumer(Topic& topic)
-    : topic_(topic), offsets_(topic.num_partitions(), 0) {}
-
-std::vector<Record> Consumer::Poll(size_t max_records) {
-  std::vector<Record> out;
-  for (size_t p = 0; p < offsets_.size() && out.size() < max_records; ++p) {
-    // ReadInto appends straight into `out` — no per-partition staging
-    // vector and no Record moves.
-    const size_t before = out.size();
-    topic_.ReadInto(p, offsets_[p], max_records - out.size(), out);
-    const size_t pulled = out.size() - before;
-    offsets_[p] += pulled;
-    consumed_ += pulled;
-  }
-  return out;
-}
-
-bool Consumer::CaughtUp() const {
-  for (size_t p = 0; p < offsets_.size(); ++p) {
-    if (offsets_[p] < topic_.EndOffset(p)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace privapprox::broker

@@ -1,10 +1,7 @@
 // The broker: topic management. Producing and consuming go through the
 // span-first transport::MessageBus contract (transport/message_bus.h) —
 // InProcessBus wraps a Broker directly; TcpBusClient reaches one in another
-// process. The produce/poll method families that used to live here
-// (owning, batched, and view-based triplets) collapsed into that single
-// contract; what remains below are the topic registry and two thin owning
-// adapters kept for one release.
+// process.
 
 #ifndef PRIVAPPROX_BROKER_BROKER_H_
 #define PRIVAPPROX_BROKER_BROKER_H_
@@ -49,7 +46,9 @@ class Broker {
   // when durability is off). Collection-time only.
   DurableStats durable_stats() const;
 
-  // Creates a topic; throws if it exists.
+  // Creates a topic; throws if it exists. Every way of making a topic
+  // rejects (std::invalid_argument) a name that could not be a single
+  // directory under data_dir: empty, "." or "..", or containing '/' or NUL.
   Topic& CreateTopic(const std::string& name, size_t num_partitions);
 
   // Returns the topic, creating it if absent. An existing topic must have
@@ -63,11 +62,6 @@ class Broker {
   Topic& GetTopic(const std::string& name);
   const Topic& GetTopic(const std::string& name) const;
 
-  // DEPRECATED one-release adapter: produce one owning record. New code
-  // produces through transport::MessageBus::Produce (span-first, batched).
-  void Produce(const std::string& topic, uint64_t key,
-               std::vector<uint8_t> payload, int64_t timestamp_ms);
-
   std::vector<std::string> TopicNames() const;
 
  private:
@@ -78,31 +72,6 @@ class Broker {
   mutable std::mutex mu_;
   std::optional<BrokerDurability> durability_;
   std::map<std::string, std::unique_ptr<Topic>> topics_;
-};
-
-// DEPRECATED one-release adapter: an owning polling consumer over one
-// topic, reading all partitions round-robin and remembering its offsets.
-// New code consumes through transport::BusConsumer, whose view-based
-// PollInto/PollExactInto replace the copy- and view-poll families that
-// previously lived here.
-class Consumer {
- public:
-  explicit Consumer(Topic& topic);
-
-  // Pulls up to `max_records` available records across partitions, copying
-  // payloads.
-  std::vector<Record> Poll(size_t max_records);
-
-  // Total records consumed so far.
-  uint64_t consumed() const { return consumed_; }
-
-  // True when the consumer has caught up with every partition.
-  bool CaughtUp() const;
-
- private:
-  Topic& topic_;
-  std::vector<uint64_t> offsets_;
-  uint64_t consumed_ = 0;
 };
 
 }  // namespace privapprox::broker

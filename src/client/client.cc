@@ -188,26 +188,6 @@ std::optional<EpochAnswer> Client::AnswerQuery(int64_t now_ms) {
   return answer;
 }
 
-bool Client::AnswerQueryInto(int64_t now_ms, EpochArena& arena,
-                             std::span<crypto::ShareView> out) {
-  if (subs_.empty()) {
-    return false;
-  }
-  Subscription& sub = SingleSub("Client::AnswerQueryInto");
-  const double u = coin_rng_.NextDouble();
-  if (!(u < sub.params.sampling_fraction)) {
-    if (config_.skips_total != nullptr) {
-      config_.skips_total->Increment();
-    }
-    return false;
-  }
-  if (config_.answers_total != nullptr) {
-    config_.answers_total->Increment();
-  }
-  EncodeAnswerInto(sub, now_ms, arena, out);
-  return true;
-}
-
 void Client::AnswerSubscribedInto(int64_t now_ms, EpochArena& arena,
                                   std::span<crypto::ShareView> out,
                                   std::vector<uint64_t>& answered) {

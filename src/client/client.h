@@ -101,17 +101,6 @@ class Client {
   // (its non-participation must not be visible).
   std::optional<EpochAnswer> AnswerQuery(int64_t now_ms);
 
-  // Zero-copy variant of AnswerQuery: identical sampling/randomization/split
-  // decisions (it consumes the client's RNG streams in exactly the same
-  // order), but the n share records are encoded contiguously into `arena`
-  // and returned as views in `out` (out.size() must be num_proxies). Returns
-  // false when the client does not participate this epoch — `out` and
-  // `arena` are then untouched. out[i].bytes() is the full wire record for
-  // proxy i, valid until the arena is reset. Single-subscription shim like
-  // AnswerQuery.
-  bool AnswerQueryInto(int64_t now_ms, EpochArena& arena,
-                       std::span<crypto::ShareView> out);
-
   // Multi-query epoch pass: answers every subscribed query with one shared
   // sampling draw. `out` must hold num_subscriptions() * num_proxies slots;
   // the shares for the k-th subscription (QIDs ascending) land in

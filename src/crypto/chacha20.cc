@@ -77,6 +77,9 @@ uint64_t ChaCha20Rng::NextUint64() {
 }
 
 void ChaCha20Rng::FillBytes(uint8_t* out, size_t len) {
+  if (len == 0) {
+    return;  // `out` may be null (an empty vector's data()).
+  }
   // Drain whatever the staging block still holds from an earlier call.
   if (offset_ < block_.size()) {
     const size_t take = std::min(len, block_.size() - offset_);

@@ -202,15 +202,6 @@ uint64_t Proxy::ForwardLanes() {
 }
 
 std::vector<uint32_t> Proxy::ReceiveAndForwardShard(
-    std::span<const broker::ProduceView> records) {
-  bus_->Produce(in_topic_, records);
-  NoteReceived(records.size());
-  std::vector<uint32_t> counts(config_.num_partitions, 0);
-  ForwardPendingViews(*consumer_, out_topic_, &counts);
-  return counts;
-}
-
-std::vector<uint32_t> Proxy::ReceiveAndForwardShard(
     uint64_t query_id, std::span<const broker::ProduceView> records) {
   Lane& lane = GetLane(query_id, "Proxy::ReceiveAndForwardShard");
   bus_->Produce(lane.in_topic, records);
@@ -218,28 +209,6 @@ std::vector<uint32_t> Proxy::ReceiveAndForwardShard(
   std::vector<uint32_t> counts(config_.num_partitions, 0);
   ForwardPendingViews(*lane.consumer, lane.out_topic, &counts);
   return counts;
-}
-
-uint64_t Proxy::ForwardParallel(ThreadPool& pool) {
-  uint64_t count = 0;
-  std::vector<broker::RecordView> batch;
-  for (;;) {
-    batch.clear();
-    if (consumer_->PollInto(8192, batch) == 0) {
-      break;
-    }
-    count += batch.size();
-    pool.ParallelFor(batch.size(), [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const broker::ProduceView view{batch[i].key, batch[i].bytes(),
-                                       batch[i].timestamp_ms};
-        bus_->Produce(out_topic_,
-                     std::span<const broker::ProduceView>(&view, 1));
-      }
-    });
-  }
-  NoteForwarded(count);
-  return count;
 }
 
 void Proxy::AnnounceQuery(const std::vector<uint8_t>& announcement,

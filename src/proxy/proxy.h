@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "broker/broker.h"
-#include "common/thread_pool.h"
 #include "crypto/message.h"
 #include "metrics/metrics.h"
 #include "transport/inproc_bus.h"
@@ -129,18 +128,16 @@ class Proxy {
   uint64_t ForwardLanes();
 
   // Streaming-mode entry (system/system.cc): appends one shard batch to the
-  // inbound topic, immediately forwards everything pending (the batch plus
-  // any records produced out of band), and returns the number of records
-  // forwarded per *outbound* partition. The streaming aggregator consumes
-  // exactly these counts (transport::BusConsumer::PollExactInto), which is
-  // what makes the downstream read deterministic while later shards are
-  // still in flight. Must be called from a single thread per proxy — the
-  // proxy stage owns this proxy's consumer offsets. The inbound -> outbound
-  // hop runs over slab-backed views with reused member scratch, so a
-  // warmed-up proxy forwards without heap allocation. The QID overload runs
-  // the same hop over that query's lane.
-  std::vector<uint32_t> ReceiveAndForwardShard(
-      std::span<const broker::ProduceView> records);
+  // query's lane inbound topic, immediately forwards everything pending on
+  // that lane (the batch plus any records produced out of band), and
+  // returns the number of records forwarded per *outbound* partition. The
+  // streaming aggregator consumes exactly these counts
+  // (transport::BusConsumer::PollExactInto), which is what makes the
+  // downstream read deterministic while later shards are still in flight.
+  // Must be called from a single thread per proxy — the proxy stage owns
+  // this proxy's consumer offsets. The inbound -> outbound hop runs over
+  // slab-backed views with reused member scratch, so a warmed-up proxy
+  // forwards without heap allocation.
   std::vector<uint32_t> ReceiveAndForwardShard(
       uint64_t query_id, std::span<const broker::ProduceView> records);
 
@@ -151,10 +148,6 @@ class Proxy {
   void AnnounceQuery(const std::vector<uint8_t>& announcement,
                      int64_t timestamp_ms);
   uint64_t ForwardQueries();
-
-  // Parallel variant used by the scalability bench: forwarding fans out over
-  // the pool in record batches.
-  uint64_t ForwardParallel(ThreadPool& pool);
 
   // Serialization helpers shared with the aggregator side. DecodeShare is
   // the owning single-record adapter: it parses the 8-byte MID header and

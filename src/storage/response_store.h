@@ -1,6 +1,9 @@
 // In-memory time-ordered store of joined randomized answers — the working
-// set of historical analytics (§3.3.1). The durable SegmentedAnswerLog
-// loads ranges of itself into one of these for batch processing.
+// set of historical analytics (§3.3.1) — and its durable form: a
+// PartitionLog holding one record per answer (timestamp = event time,
+// payload = u32 little-endian bit count + answer bytes). A durable
+// historical store replays the requested range into a ResponseStore for
+// batch processing.
 
 #ifndef PRIVAPPROX_STORAGE_RESPONSE_STORE_H_
 #define PRIVAPPROX_STORAGE_RESPONSE_STORE_H_
@@ -9,6 +12,7 @@
 #include <vector>
 
 #include "common/bitvector.h"
+#include "storage/partition_log.h"
 
 namespace privapprox::storage {
 
@@ -28,6 +32,15 @@ class ResponseStore {
  private:
   std::vector<Entry> entries_;  // append order == time order
 };
+
+// Appends one answer to `log` as one record (key 0).
+void AppendAnswer(PartitionLog& log, int64_t timestamp_ms,
+                  const BitVector& answer);
+
+// Replays every answer record in `log` with timestamp in [from_ms, to_ms).
+// Throws SegmentLogError on a record too short to hold its bit count.
+ResponseStore LoadAnswers(const PartitionLog& log, int64_t from_ms,
+                          int64_t to_ms);
 
 }  // namespace privapprox::storage
 

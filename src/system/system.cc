@@ -15,39 +15,6 @@
 
 namespace privapprox::system {
 
-SystemConfig SystemConfig::Resolved() const {
-  SystemConfig resolved = *this;
-  // Fold each legacy alias into its nested field unless the nested field
-  // was itself changed from its default (nested wins over legacy).
-  if (enable_historical && !resolved.historical.enabled) {
-    resolved.historical.enabled = true;
-  }
-  if (!historical_dir.empty() && resolved.historical.dir.empty()) {
-    resolved.historical.dir = historical_dir;
-  }
-  if (num_worker_threads != 0 && resolved.pipeline.num_worker_threads == 0) {
-    resolved.pipeline.num_worker_threads = num_worker_threads;
-  }
-  if (pipeline_mode != EpochPipelineMode::kStreaming &&
-      resolved.pipeline.mode == EpochPipelineMode::kStreaming) {
-    resolved.pipeline.mode = pipeline_mode;
-  }
-  if (pipeline_depth != 8 && resolved.pipeline.depth == 8) {
-    resolved.pipeline.depth = pipeline_depth;
-  }
-  if (stream_shard_size != 0 && resolved.pipeline.shard_size == 0) {
-    resolved.pipeline.shard_size = stream_shard_size;
-  }
-  // Mirror back so code reading either name sees the resolved value.
-  resolved.enable_historical = resolved.historical.enabled;
-  resolved.historical_dir = resolved.historical.dir;
-  resolved.num_worker_threads = resolved.pipeline.num_worker_threads;
-  resolved.pipeline_mode = resolved.pipeline.mode;
-  resolved.pipeline_depth = resolved.pipeline.depth;
-  resolved.stream_shard_size = resolved.pipeline.shard_size;
-  return resolved;
-}
-
 namespace {
 
 // Times one pipeline stage into an optional histogram and, when tracing is
@@ -89,12 +56,12 @@ class StageScope {
 }  // namespace
 
 PrivApproxSystem::PrivApproxSystem(SystemConfig config)
-    : config_(config.Resolved()),
+    : config_(std::move(config)),
       timeline_(config_.metrics.timeline),
       budget_manager_(core::BudgetManagerConfig{
           config_.budget.max_epsilon_zk, config_.budget.downsample_to_fit,
           config_.budget.min_sampling_fraction}),
-      historical_rng_(config.seed ^ 0xA5A5A5A5ULL) {
+      historical_rng_(config_.seed ^ 0xA5A5A5A5ULL) {
   if (config_.num_clients == 0) {
     throw std::invalid_argument("PrivApproxSystem: need >= 1 client");
   }
@@ -304,13 +271,13 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
       });
   if (config_.historical.enabled) {
     if (!config_.historical.dir.empty()) {
-      historical_log_ = std::make_unique<storage::SegmentedAnswerLog>(
-          std::filesystem::path(config_.historical.dir));
+      historical_log_ = std::make_unique<storage::PartitionLog>(
+          config_.historical.dir, storage::PartitionLogOptions{});
     }
     aggregator_->set_answer_tap(
         [this](int64_t timestamp_ms, const BitVector& answer) {
           if (historical_log_ != nullptr) {
-            historical_log_->Append(timestamp_ms, answer);
+            storage::AppendAnswer(*historical_log_, timestamp_ms, answer);
           } else {
             historical_store_.Append(timestamp_ms, answer);
           }
@@ -484,11 +451,6 @@ core::ExecutionParams PrivApproxSystem::UpdateParams(
   aggregator_->UpdateParams(query_id, admission.params);
   active.params = admission.params;
   return admission.params;
-}
-
-core::ExecutionParams PrivApproxSystem::UpdateParams(
-    const core::ExecutionParams& params) {
-  return UpdateParams(SingleActive("UpdateParams").query.query_id, params);
 }
 
 std::vector<uint64_t> PrivApproxSystem::query_ids() const {
@@ -1145,9 +1107,9 @@ core::QueryResult PrivApproxSystem::RunHistorical(
   // batch analytics only has well-defined semantics for a single query.
   const ActiveQuery& active = SingleActive("RunHistorical");
   if (historical_log_ != nullptr) {
-    // Durable path: read back from the segmented log on disk.
+    // Durable path: replay the requested range from disk.
     const aggregator::ResponseStore store =
-        historical_log_->LoadRange(from_ms, to_ms);
+        storage::LoadAnswers(*historical_log_, from_ms, to_ms);
     const aggregator::HistoricalAnalytics analytics(
         store, active.params, clients_.size(), config_.confidence);
     return analytics.Run(from_ms, to_ms, budget, historical_rng_,

@@ -52,7 +52,6 @@
 #include "metrics/timeline.h"
 #include "proxy/proxy.h"
 #include "storage/partition_log.h"
-#include "storage/segment_log.h"
 #include "transport/inproc_bus.h"
 
 namespace privapprox::system {
@@ -109,9 +108,9 @@ struct HistoricalOptions {
   // Tee joined answers into the historical store.
   bool enabled = false;
   // When non-empty (and the store is enabled), persist the historical store
-  // to a durable segmented log under this directory — the HDFS stand-in —
-  // instead of keeping it only in memory. RunHistorical then reads back
-  // from disk.
+  // to a storage::PartitionLog under this directory — the HDFS stand-in —
+  // instead of keeping it only in memory (record format:
+  // storage/response_store.h). RunHistorical then reads back from disk.
   std::string dir;
 };
 
@@ -178,24 +177,6 @@ struct SystemConfig {
   // hashes, so both pipeline modes see identical faults at any worker
   // count and every query gets an independent replayable fault sequence.
   std::optional<fault::FaultPlan> fault;
-
-  // --- Deprecated aliases (pre-observability flat names) ----------------
-  // Kept for one release so existing call sites keep compiling; a value
-  // set here is folded into the nested struct by Resolved() unless the
-  // nested field was itself changed from its default (nested wins). Use
-  // `historical.*`, `pipeline.*` instead.
-  bool enable_historical = false;            // -> historical.enabled
-  std::string historical_dir;                // -> historical.dir
-  size_t num_worker_threads = 0;             // -> pipeline.num_worker_threads
-  EpochPipelineMode pipeline_mode =
-      EpochPipelineMode::kStreaming;         // -> pipeline.mode
-  size_t pipeline_depth = 8;                 // -> pipeline.depth
-  size_t stream_shard_size = 0;              // -> pipeline.shard_size
-
-  // Returns a copy with every legacy alias folded into its nested field.
-  // PrivApproxSystem resolves its config on construction; call this
-  // directly when reading a config that may still use the flat names.
-  SystemConfig Resolved() const;
 };
 
 struct EpochStats {
@@ -251,11 +232,9 @@ class PrivApproxSystem {
   // feedback loop) without disturbing in-flight window state: the budget
   // manager re-prices the query, a fresh announcement reaches every
   // client, and the query's estimator switches to the admitted (s, p, q).
-  // Returns the admitted parameters. The QID-less overload is the
-  // single-query shim.
+  // Returns the admitted parameters.
   core::ExecutionParams UpdateParams(uint64_t query_id,
                                      const core::ExecutionParams& params);
-  core::ExecutionParams UpdateParams(const core::ExecutionParams& params);
 
   size_t num_queries() const { return active_.size(); }
   // Registered QIDs in ascending order.
@@ -377,7 +356,7 @@ class PrivApproxSystem {
   std::map<uint64_t, ActiveQuery> active_;  // QID -> query, ascending
   std::vector<aggregator::WindowedResult> results_;
   aggregator::ResponseStore historical_store_;
-  std::unique_ptr<storage::SegmentedAnswerLog> historical_log_;
+  std::unique_ptr<storage::PartitionLog> historical_log_;
   Xoshiro256 historical_rng_;
 };
 

@@ -80,7 +80,7 @@ size_t PartitionForKey(uint64_t key, size_t num_partitions);
 
 // A polling consumer over one topic of a MessageBus: owns its per-partition
 // offsets (the explicit commit state of the contract) and reads partitions
-// round-robin. Replaces the broker::Consumer poll surface.
+// round-robin.
 class BusConsumer {
  public:
   BusConsumer(MessageBus& bus, std::string topic);

@@ -146,6 +146,13 @@ void ServeProduce(broker::Broker& broker, WireReader& reader,
                   std::vector<uint8_t>& response) {
   const std::string topic = reader.TakeString();
   const uint32_t count = reader.TakeU32();
+  // A record is at least its key, timestamp and payload length (20 bytes):
+  // reject a count the frame cannot hold before reserving for it.
+  if (count > reader.remaining() / 20) {
+    throw std::invalid_argument("wire: produce count " +
+                                std::to_string(count) +
+                                " exceeds the request body");
+  }
   // Decode into views over the request buffer — the append below copies
   // payloads once into topic slabs, exactly like an in-process produce.
   thread_local std::vector<broker::ProduceView> views;
@@ -207,7 +214,12 @@ uint8_t HandleRequest(broker::Broker& broker, const ControlHandler& control,
     switch (static_cast<WireOp>(op)) {
       case WireOp::kEnsureTopic: {
         const std::string topic = reader.TakeString();
-        const size_t partitions = reader.TakeU32();
+        const uint32_t partitions = reader.TakeU32();
+        if (partitions > kMaxWirePartitions) {
+          throw std::invalid_argument(
+              "wire: partition count " + std::to_string(partitions) +
+              " above the limit of " + std::to_string(kMaxWirePartitions));
+        }
         broker.EnsureTopic(topic, partitions);
         PutU8(kWireOk, response);
         break;

@@ -48,6 +48,11 @@ inline constexpr uint8_t kWireError = 1;
 // Default poll response byte budget (payload bytes per round-trip).
 inline constexpr uint32_t kDefaultPollByteBudget = 1 << 20;
 
+// Largest partition count an EnsureTopic request may ask for. The server
+// builds every partition up front (plus a log directory each when durable),
+// so a peer's count is capped; the largest in-tree topic has 64.
+inline constexpr uint32_t kMaxWirePartitions = 1024;
+
 // --- primitive writers/readers -----------------------------------------
 
 void PutU8(uint8_t v, std::vector<uint8_t>& out);
@@ -72,6 +77,7 @@ class WireReader {
   std::span<const uint8_t> TakeBytes();
   std::span<const uint8_t> TakeRaw(size_t len);
   bool AtEnd() const { return pos_ == data_.size(); }
+  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   std::span<const uint8_t> data_;

@@ -233,6 +233,29 @@ TEST(DurableBrokerTest, RecoverOnEmptyDirIsEmpty) {
   EXPECT_TRUE(broker.RecoverTopics().empty());
 }
 
+TEST(DurableBrokerTest, TopicNamesCannotEscapeDataDir) {
+  // A durable topic's name becomes a directory under data_dir, and a peer
+  // can name topics over the wire: nothing may resolve outside data_dir.
+  TempDir dir;
+  const fs::path data_dir = dir.path() / "data";
+  Broker broker;
+  broker.EnableDurability({data_dir, {}});
+  const std::vector<std::string> hostile = {
+      "", ".", "..", "../escaped", "a/b", (dir.path() / "absolute").string(),
+      std::string("nul\0byte", 8)};
+  for (const std::string& name : hostile) {
+    EXPECT_THROW(broker.EnsureTopic(name, 1), std::invalid_argument) << name;
+    EXPECT_THROW(broker.CreateTopic(name, 1), std::invalid_argument) << name;
+  }
+  EXPECT_TRUE(broker.TopicNames().empty());
+  EXPECT_FALSE(fs::exists(dir.path() / "escaped"));
+  EXPECT_FALSE(fs::exists(dir.path() / "absolute"));
+  // The names the system itself uses still work.
+  broker.EnsureTopic("proxy0.q7.in", 2);
+  broker.EnsureTopic("standby1.query.out", 1);
+  EXPECT_TRUE(fs::is_directory(data_dir / "proxy0.q7.in"));
+}
+
 // ----------------------------------------------------------------- system
 
 core::Query SpeedQuery() {

@@ -1,7 +1,6 @@
 // Tests for the dataflow engine: sliding-window assignment, the windowed
-// buffer with watermarks and late data, the MID share join (including
-// replay/duplicate defense and partial-group eviction), and the pull
-// pipeline.
+// buffer with watermarks and late data, and the MID share join (including
+// replay/duplicate defense and partial-group eviction).
 
 #include <gtest/gtest.h>
 
@@ -19,7 +18,6 @@
 
 #include "crypto/xor_cipher.h"
 #include "engine/join.h"
-#include "engine/pipeline.h"
 #include "engine/window.h"
 
 namespace privapprox::engine {
@@ -836,40 +834,6 @@ TEST(MidJoinerDifferentialTest, MatchesReferenceOnSeededShareSequences) {
   EXPECT_GT(totals.evicted_partial, 100u);
   EXPECT_GT(totals.late_dropped, 100u);
   EXPECT_GT(totals.malformed_dropped, 10u);
-}
-
-// ----------------------------------------------------------------- pipeline
-
-TEST(PullPipelineTest, SequentialDrainSeesEveryRecord) {
-  broker::Broker b;
-  broker::Topic& topic = b.CreateTopic("t", 2);
-  for (uint64_t key = 0; key < 1000; ++key) {
-    topic.Append(key, {1}, 0);
-  }
-  broker::Consumer consumer(topic);
-  size_t seen = 0;
-  const auto stats = PullPipeline::DrainSequential(
-      consumer,
-      [&](std::vector<broker::Record>&& batch) { seen += batch.size(); },
-      128);
-  EXPECT_EQ(seen, 1000u);
-  EXPECT_EQ(stats.records, 1000u);
-  EXPECT_GT(stats.batches, 1u);
-}
-
-TEST(PullPipelineTest, ParallelDrainCountsMatch) {
-  broker::Broker b;
-  broker::Topic& topic = b.CreateTopic("t", 4);
-  for (uint64_t key = 0; key < 5000; ++key) {
-    topic.Append(key, {1}, 0);
-  }
-  broker::Consumer consumer(topic);
-  ThreadPool pool(4);
-  std::atomic<size_t> seen{0};
-  const auto stats = PullPipeline::DrainParallel(
-      consumer, pool, [&](const broker::Record&) { seen++; }, 512);
-  EXPECT_EQ(seen.load(), 5000u);
-  EXPECT_EQ(stats.records, 5000u);
 }
 
 }  // namespace

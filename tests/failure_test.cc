@@ -43,6 +43,15 @@ client::Client MakeClient(uint64_t id, double speed) {
   return c;
 }
 
+// Produces one record out of band onto a system's bus, as a faulty or
+// hostile client would.
+void ProduceRaw(system::PrivApproxSystem& sys, const std::string& topic,
+                uint64_t key, const std::vector<uint8_t>& payload,
+                int64_t timestamp_ms) {
+  const broker::ProduceView view{key, payload, timestamp_ms};
+  sys.bus().Produce(topic, std::span<const broker::ProduceView>(&view, 1));
+}
+
 struct Harness {
   explicit Harness(size_t population)
       : query(MakeQuery()),
@@ -168,8 +177,8 @@ TEST(FailureTest, MalformedRecordsSurfaceInEpochStats) {
     sys.SubmitQuery(MakeQuery(), ExactParams());
     // Shares travel on per-query lane topics; the garbage lands on query
     // 1's lane at proxy 0 so the forward path carries it.
-    sys.broker().Produce("proxy0.q1.in", /*key=*/12345,
-                         std::vector<uint8_t>{0xBA, 0xD0, 0x01}, 900);
+    ProduceRaw(sys, "proxy0.q1.in", /*key=*/12345,
+               std::vector<uint8_t>{0xBA, 0xD0, 0x01}, 900);
     const system::EpochStats stats = sys.RunEpoch(1000);
     EXPECT_EQ(stats.malformed_dropped, 1u);
     EXPECT_EQ(stats.participants, config.num_clients);
@@ -228,8 +237,8 @@ TEST(FailureTest, ShareLengthMismatchIsMalformedNotFatal) {
       db.GetTable("vehicle").Insert(500, {localdb::Value(25.0)});
     }
     sys.SubmitQuery(MakeQuery(), ExactParams());
-    sys.broker().Produce("proxy0.q1.in", kMid, record(14), 900);
-    sys.broker().Produce("proxy1.q1.in", kMid, record(13), 900);
+    ProduceRaw(sys, "proxy0.q1.in", kMid, record(14), 900);
+    ProduceRaw(sys, "proxy1.q1.in", kMid, record(13), 900);
     const system::EpochStats stats = sys.RunEpoch(1000);
     EXPECT_EQ(stats.malformed_dropped, 1u);
     EXPECT_EQ(stats.participants, config.num_clients);
@@ -242,8 +251,8 @@ TEST(FailureTest, ShareLengthMismatchIsMalformedNotFatal) {
       sys.client(i).database().GetTable("vehicle").Insert(
           1500, {localdb::Value(25.0)});
     }
-    sys.broker().Produce("proxy0.q1.in", kMid, record(14), 1900);
-    sys.broker().Produce("proxy1.q1.in", kMid, record(13), 1900);
+    ProduceRaw(sys, "proxy0.q1.in", kMid, record(14), 1900);
+    ProduceRaw(sys, "proxy1.q1.in", kMid, record(13), 1900);
     EXPECT_EQ(sys.RunEpoch(2000).malformed_dropped, 0u);
     EXPECT_EQ(sys.aggregator().join_stats().duplicates_dropped, 2u);
 
@@ -309,29 +318,54 @@ TEST(FailureTest, DurableHistoricalSurvivesSystemRestart) {
   config.num_clients = 40;
   config.historical.enabled = true;
   config.historical.dir = dir.string();
+  // Two epochs ten seconds apart: every client reports 25 (bucket 2) in the
+  // first and 55 (bucket 5) in the second. Each sub-range must read only
+  // its own epoch, before and after the restart.
+  const std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {0, 10000}, {10000, 20000}, {0, 20000}};
+  const aggregator::BatchQueryBudget full{1.0};
+  std::vector<core::QueryResult> live;
   {
     system::PrivApproxSystem sys(config);
     for (size_t i = 0; i < 40; ++i) {
       auto& db = sys.client(i).database();
       db.CreateTable("vehicle", {"speed"});
       db.GetTable("vehicle").Insert(500, {localdb::Value(25.0)});
+      db.GetTable("vehicle").Insert(14500, {localdb::Value(55.0)});
     }
     sys.SubmitQuery(MakeQuery(), ExactParams());
     sys.RunEpoch(5000);
+    sys.RunEpoch(15000);
     sys.Flush();
-    const core::QueryResult live =
-        sys.RunHistorical(0, 10000, aggregator::BatchQueryBudget{1.0});
-    EXPECT_EQ(live.participants, 40u);
+    for (const auto& [from, to] : ranges) {
+      live.push_back(sys.RunHistorical(from, to, full));
+    }
+    EXPECT_EQ(live[0].participants, 40u);
+    EXPECT_NEAR(live[0].buckets[2].estimate.value, 40.0, 1e-9);
+    EXPECT_NEAR(live[0].buckets[5].estimate.value, 0.0, 1e-9);
+    EXPECT_EQ(live[1].participants, 40u);
+    EXPECT_NEAR(live[1].buckets[2].estimate.value, 0.0, 1e-9);
+    EXPECT_NEAR(live[1].buckets[5].estimate.value, 40.0, 1e-9);
+    EXPECT_EQ(live[2].participants, 80u);
   }  // "crash": the system object is gone; only the log directory remains
 
-  // A fresh system over the same directory reads the persisted answers.
+  // A fresh system over the same directory returns the same results.
   {
     system::PrivApproxSystem sys(config);
     sys.SubmitQuery(MakeQuery(), ExactParams());
-    const core::QueryResult recovered =
-        sys.RunHistorical(0, 10000, aggregator::BatchQueryBudget{1.0});
-    EXPECT_EQ(recovered.participants, 40u);
-    EXPECT_NEAR(recovered.buckets[2].estimate.value, 40.0, 1e-9);
+    for (size_t r = 0; r < ranges.size(); ++r) {
+      SCOPED_TRACE(r);
+      const core::QueryResult recovered =
+          sys.RunHistorical(ranges[r].first, ranges[r].second, full);
+      EXPECT_EQ(recovered.participants, live[r].participants);
+      ASSERT_EQ(recovered.buckets.size(), live[r].buckets.size());
+      for (size_t b = 0; b < recovered.buckets.size(); ++b) {
+        EXPECT_EQ(recovered.buckets[b].estimate.value,
+                  live[r].buckets[b].estimate.value);
+        EXPECT_EQ(recovered.buckets[b].randomized_count,
+                  live[r].buckets[b].randomized_count);
+      }
+    }
   }
   fs::remove_all(dir);
 }

@@ -203,14 +203,6 @@ TEST(ParallelEpochTest, WorkerThreadKnobIsHonored) {
   EXPECT_EQ(sys.num_worker_threads(), 3u);
 }
 
-TEST(ParallelEpochTest, DeprecatedWorkerThreadAliasStillHonored) {
-  SystemConfig config;
-  config.num_clients = 2;
-  config.num_worker_threads = 3;  // legacy flat name
-  PrivApproxSystem sys(config);
-  EXPECT_EQ(sys.num_worker_threads(), 3u);
-}
-
 TEST(ParallelEpochTest, DefaultUsesHardwareConcurrency) {
   SystemConfig config;
   config.num_clients = 2;
@@ -473,7 +465,7 @@ TEST(MultiQueryTest, EachQueryMatchesItsIsolatedRun) {
 }
 
 // Admission control at the system surface: a duplicate QID is rejected, and
-// the single-query UpdateParams shim refuses to guess between two queries.
+// UpdateParams must name a registered query.
 TEST(MultiQueryTest, DuplicateSubmitAndAmbiguousShimAreRejected) {
   SystemConfig config;
   config.num_clients = 4;
@@ -483,7 +475,7 @@ TEST(MultiQueryTest, DuplicateSubmitAndAmbiguousShimAreRejected) {
                std::invalid_argument);
   sys.SubmitQuery(TempQuery(), TempParams());
   EXPECT_EQ(sys.num_queries(), 2u);
-  EXPECT_THROW(sys.UpdateParams(SpeedParams()), std::logic_error);
+  EXPECT_THROW(sys.UpdateParams(99, SpeedParams()), std::logic_error);
   EXPECT_NO_THROW(sys.UpdateParams(1, SpeedParams()));
 }
 

@@ -1,10 +1,11 @@
-// Tests for the proxy runtime: share encode/decode, transmission-only
-// forwarding, and the parallel forwarding path.
+// Tests for the proxy runtime: share encode/decode and transmission-only
+// forwarding.
 
 #include <gtest/gtest.h>
 
 #include "broker/broker.h"
 #include "proxy/proxy.h"
+#include "transport/inproc_bus.h"
 
 namespace privapprox::proxy {
 namespace {
@@ -43,11 +44,15 @@ TEST(ProxyTest, ForwardMovesEverythingInToOut) {
   }
   EXPECT_EQ(proxy.Forward(), 100u);
   EXPECT_EQ(proxy.forwarded(), 100u);
-  broker::Consumer consumer(b.GetTopic("proxy1.out"));
+  transport::InProcessBus bus(b);
+  transport::BusConsumer consumer(bus, "proxy1.out");
+  std::vector<broker::RecordView> batch;
   size_t count = 0;
   while (!consumer.CaughtUp()) {
-    for (const auto& record : consumer.Poll(32)) {
-      const auto share = Proxy::DecodeShare(record.payload);
+    batch.clear();
+    consumer.PollInto(32, batch);
+    for (const auto& record : batch) {
+      const auto share = Proxy::DecodeShare(record.bytes());
       EXPECT_EQ(share.payload.size(), 1u);
       ++count;
     }
@@ -60,9 +65,10 @@ TEST(ProxyTest, ForwardPreservesTimestamps) {
   Proxy proxy(ProxyConfig{0, 1}, b);
   proxy.Receive(crypto::MessageShare{1, {9}}, 12345);
   proxy.Forward();
-  broker::Consumer consumer(b.GetTopic("proxy0.out"));
-  const auto records = consumer.Poll(10);
-  ASSERT_EQ(records.size(), 1u);
+  transport::InProcessBus bus(b);
+  transport::BusConsumer consumer(bus, "proxy0.out");
+  std::vector<broker::RecordView> records;
+  ASSERT_EQ(consumer.PollInto(10, records), 1u);
   EXPECT_EQ(records[0].timestamp_ms, 12345);
 }
 
@@ -81,22 +87,6 @@ TEST(ProxyTest, RepeatedForwardOnlyMovesNewRecords) {
   proxy.Receive(crypto::MessageShare{2, {2}}, 0);
   EXPECT_EQ(proxy.Forward(), 1u);
   EXPECT_EQ(proxy.forwarded(), 2u);
-}
-
-TEST(ProxyTest, ParallelForwardMovesEverything) {
-  broker::Broker b;
-  Proxy proxy(ProxyConfig{0, 4}, b);
-  for (uint64_t mid = 0; mid < 5000; ++mid) {
-    proxy.Receive(crypto::MessageShare{mid, {0, 1, 2}}, 0);
-  }
-  ThreadPool pool(4);
-  EXPECT_EQ(proxy.ForwardParallel(pool), 5000u);
-  broker::Consumer consumer(b.GetTopic("proxy0.out"));
-  size_t count = 0;
-  while (!consumer.CaughtUp()) {
-    count += consumer.Poll(512).size();
-  }
-  EXPECT_EQ(count, 5000u);
 }
 
 TEST(ProxyTest, TwoProxiesAreIndependent) {

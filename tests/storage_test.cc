@@ -1,6 +1,7 @@
-// Tests for the durable segmented answer log: CRC32 vectors, round-trips,
-// segment rotation, time-range loads, torn-tail recovery, and corruption
-// detection.
+// Tests for the durable historical answer log — answer records
+// (AppendAnswer / LoadAnswers) on a segmented PartitionLog: CRC32 vectors,
+// round-trips, segment rotation, time-range loads, torn-tail recovery, and
+// corruption detection.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,8 @@
 
 #include "storage/crc32.h"
 #include "aggregator/historical.h"
-#include "storage/segment_log.h"
+#include "storage/partition_log.h"
+#include "storage/response_store.h"
 
 namespace privapprox::storage {
 namespace {
@@ -77,12 +79,12 @@ TEST(Crc32Test, DetectsBitFlips) {
 
 TEST(SegmentLogTest, AppendAndLoadRoundTrip) {
   TempDir dir;
-  SegmentedAnswerLog log(dir.path());
+  PartitionLog log(dir.path(), PartitionLogOptions{});
   for (int64_t ts = 0; ts < 100; ++ts) {
-    log.Append(ts, MakeAnswer(11, static_cast<size_t>(ts % 11)));
+    AppendAnswer(log, ts, MakeAnswer(11, static_cast<size_t>(ts % 11)));
   }
-  EXPECT_EQ(log.num_records(), 100u);
-  const ResponseStore store = log.LoadRange(INT64_MIN, INT64_MAX);
+  EXPECT_EQ(log.end_offset(), 100u);
+  const ResponseStore store = LoadAnswers(log, INT64_MIN, INT64_MAX);
   ASSERT_EQ(store.size(), 100u);
   const auto range = store.Range(0, 100);
   EXPECT_TRUE(range[42]->answer.Get(42 % 11));
@@ -91,41 +93,41 @@ TEST(SegmentLogTest, AppendAndLoadRoundTrip) {
 
 TEST(SegmentLogTest, TimeRangeFilter) {
   TempDir dir;
-  SegmentedAnswerLog log(dir.path());
+  PartitionLog log(dir.path(), PartitionLogOptions{});
   for (int64_t ts = 0; ts < 50; ++ts) {
-    log.Append(ts * 10, MakeAnswer(4, 0));
+    AppendAnswer(log, ts * 10, MakeAnswer(4, 0));
   }
-  EXPECT_EQ(log.LoadRange(100, 200).size(), 10u);
-  EXPECT_EQ(log.LoadRange(1000, 2000).size(), 0u);
+  EXPECT_EQ(LoadAnswers(log, 100, 200).size(), 10u);
+  EXPECT_EQ(LoadAnswers(log, 1000, 2000).size(), 0u);
 }
 
 TEST(SegmentLogTest, RotatesSegments) {
   TempDir dir;
-  SegmentedAnswerLog::Options options;
+  PartitionLogOptions options;
   options.max_segment_bytes = 512;  // tiny: force rotation
-  SegmentedAnswerLog log(dir.path(), options);
+  PartitionLog log(dir.path(), options);
   for (int64_t ts = 0; ts < 200; ++ts) {
-    log.Append(ts, MakeAnswer(64, 1));
+    AppendAnswer(log, ts, MakeAnswer(64, 1));
   }
   EXPECT_GT(log.num_segments(), 3u);
-  EXPECT_EQ(log.LoadRange(INT64_MIN, INT64_MAX).size(), 200u);
+  EXPECT_EQ(LoadAnswers(log, INT64_MIN, INT64_MAX).size(), 200u);
 }
 
 TEST(SegmentLogTest, ReopenResumesAppending) {
   TempDir dir;
   {
-    SegmentedAnswerLog log(dir.path());
+    PartitionLog log(dir.path(), PartitionLogOptions{});
     for (int64_t ts = 0; ts < 30; ++ts) {
-      log.Append(ts, MakeAnswer(8, 2));
+      AppendAnswer(log, ts, MakeAnswer(8, 2));
     }
   }
   {
-    SegmentedAnswerLog log(dir.path());
-    EXPECT_EQ(log.num_records(), 30u);
+    PartitionLog log(dir.path(), PartitionLogOptions{});
+    EXPECT_EQ(log.end_offset(), 30u);
     for (int64_t ts = 30; ts < 60; ++ts) {
-      log.Append(ts, MakeAnswer(8, 2));
+      AppendAnswer(log, ts, MakeAnswer(8, 2));
     }
-    EXPECT_EQ(log.LoadRange(INT64_MIN, INT64_MAX).size(), 60u);
+    EXPECT_EQ(LoadAnswers(log, INT64_MIN, INT64_MAX).size(), 60u);
   }
 }
 
@@ -133,31 +135,31 @@ TEST(SegmentLogTest, RecoversFromTornTail) {
   TempDir dir;
   fs::path segment;
   {
-    SegmentedAnswerLog log(dir.path());
+    PartitionLog log(dir.path(), PartitionLogOptions{});
     for (int64_t ts = 0; ts < 10; ++ts) {
-      log.Append(ts, MakeAnswer(16, 3));
+      AppendAnswer(log, ts, MakeAnswer(16, 3));
     }
-    segment = dir.path() / "answers-000000.log";
+    segment = dir.path() / "seg-00000000000000000000.log";
   }
   // Simulate a crash mid-append: chop the last 5 bytes.
   const auto size = fs::file_size(segment);
   fs::resize_file(segment, size - 5);
-  SegmentedAnswerLog log(dir.path());
-  EXPECT_EQ(log.num_records(), 9u);  // last record truncated away
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  EXPECT_EQ(log.end_offset(), 9u);  // last record truncated away
   // And the log is writable again.
-  log.Append(100, MakeAnswer(16, 3));
-  EXPECT_EQ(log.LoadRange(INT64_MIN, INT64_MAX).size(), 10u);
+  AppendAnswer(log, 100, MakeAnswer(16, 3));
+  EXPECT_EQ(LoadAnswers(log, INT64_MIN, INT64_MAX).size(), 10u);
 }
 
 TEST(SegmentLogTest, DetectsCorruptionInTornTailByCrc) {
   TempDir dir;
   fs::path segment;
   {
-    SegmentedAnswerLog log(dir.path());
+    PartitionLog log(dir.path(), PartitionLogOptions{});
     for (int64_t ts = 0; ts < 5; ++ts) {
-      log.Append(ts, MakeAnswer(16, 1));
+      AppendAnswer(log, ts, MakeAnswer(16, 1));
     }
-    segment = dir.path() / "answers-000000.log";
+    segment = dir.path() / "seg-00000000000000000000.log";
   }
   // Flip a byte inside the LAST record's body.
   {
@@ -171,53 +173,54 @@ TEST(SegmentLogTest, DetectsCorruptionInTornTailByCrc) {
     byte = static_cast<char>(byte ^ 0xFF);
     f.put(byte);
   }
-  SegmentedAnswerLog log(dir.path());
-  EXPECT_EQ(log.num_records(), 4u);  // corrupt tail record dropped
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  EXPECT_EQ(log.end_offset(), 4u);  // corrupt tail record dropped
 }
 
 TEST(SegmentLogTest, RejectsCorruptionInSealedSegment) {
   TempDir dir;
   {
-    SegmentedAnswerLog::Options options;
+    PartitionLogOptions options;
     options.max_segment_bytes = 256;
-    SegmentedAnswerLog log(dir.path(), options);
+    PartitionLog log(dir.path(), options);
     for (int64_t ts = 0; ts < 100; ++ts) {
-      log.Append(ts, MakeAnswer(64, 5));
+      AppendAnswer(log, ts, MakeAnswer(64, 5));
     }
     ASSERT_GT(log.num_segments(), 1u);
   }
   // Corrupt the FIRST (sealed) segment: unrecoverable.
   {
-    std::fstream f(dir.path() / "answers-000000.log",
+    std::fstream f(dir.path() / "seg-00000000000000000000.log",
                    std::ios::binary | std::ios::in | std::ios::out);
     f.seekp(12);
     f.put('\xFF');
     f.put('\xFF');
   }
-  EXPECT_THROW(SegmentedAnswerLog{dir.path()}, SegmentLogError);
+  EXPECT_THROW((PartitionLog{dir.path(), PartitionLogOptions{}}),
+               SegmentLogError);
 }
 
 TEST(SegmentLogTest, EmptyDirectoryIsValid) {
   TempDir dir;
-  SegmentedAnswerLog log(dir.path());
-  EXPECT_EQ(log.num_records(), 0u);
-  EXPECT_EQ(log.LoadRange(INT64_MIN, INT64_MAX).size(), 0u);
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  EXPECT_EQ(log.end_offset(), 0u);
+  EXPECT_EQ(LoadAnswers(log, INT64_MIN, INT64_MAX).size(), 0u);
 }
 
 TEST(SegmentLogTest, BatchAnalyticsOverLoadedStore) {
   // End-to-end: durable log -> LoadRange -> HistoricalAnalytics.
   TempDir dir;
-  SegmentedAnswerLog log(dir.path());
+  PartitionLog log(dir.path(), PartitionLogOptions{});
   BitVector yes(2), no(2);
   yes.Set(0, true);
   no.Set(1, true);
   for (int i = 0; i < 70; ++i) {
-    log.Append(i, yes);
+    AppendAnswer(log, i, yes);
   }
   for (int i = 70; i < 100; ++i) {
-    log.Append(i, no);
+    AppendAnswer(log, i, no);
   }
-  const ResponseStore store = log.LoadRange(0, 100);
+  const ResponseStore store = LoadAnswers(log, 0, 100);
   core::ExecutionParams params;
   params.randomization = {1.0, 0.5};
   const aggregator::HistoricalAnalytics analytics(store, params, 100);

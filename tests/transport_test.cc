@@ -224,6 +224,50 @@ TEST_F(WireProtocolTest, ErrorsComeBackAsWireErrors) {
   EXPECT_THROW(Call(request), std::runtime_error);
 }
 
+TEST_F(WireProtocolTest, ProduceCountBeyondTheBodyIsRejected) {
+  std::vector<uint8_t> request;
+  BuildEnsureTopicRequest("t", 1, request);
+  Call(request);
+  // One record on the wire, but the count claims 2^32 - 1 of them: the
+  // server must refuse before sizing anything by that count.
+  const std::vector<uint8_t> a = Bytes("aa");
+  const std::vector<broker::ProduceView> records = {View(a, 1, 10)};
+  request.clear();
+  BuildProduceRequest("t", records, request);
+  const size_t count_pos = 1 + 2 + 1;  // opcode, u16 length, "t"
+  for (size_t i = 0; i < 4; ++i) {
+    request[count_pos + i] = 0xFF;
+  }
+  try {
+    Call(request);
+    FAIL() << "expected a wire error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("produce count 4294967295"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(broker_.GetTopic("t").EndOffset(0), 0u);
+}
+
+TEST_F(WireProtocolTest, PartitionCountAboveTheCapIsRejected) {
+  std::vector<uint8_t> request;
+  BuildEnsureTopicRequest("t", 1025, request);  // cap is 1024
+  try {
+    Call(request);
+    FAIL() << "expected a wire error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("partition count 1025"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(broker_.HasTopic("t"));
+  // The cap itself is still served.
+  request.clear();
+  BuildEnsureTopicRequest("t", 1024, request);
+  Call(request);
+  EXPECT_EQ(broker_.GetTopic("t").num_partitions(), 1024u);
+}
+
 TEST_F(WireProtocolTest, ControlVerbDispatches) {
   control_ = [](const std::string& verb, std::span<const uint8_t> payload) {
     std::vector<uint8_t> reply;
