@@ -258,8 +258,9 @@ class Aggregator {
   };
 
   // One shard's decoded batches, one slot per source stream. Decoded share
-  // payloads point into broker slab storage (valid for the topic's
-  // lifetime), so parking them here costs no payload copies.
+  // payloads point into broker slab storage, which the epoch's release
+  // leaves alone until FinishStream has emptied this buffer, so parking
+  // them here costs no payload copies.
   struct StreamSlot {
     std::vector<proxy::Proxy::DecodedShares> per_source;
     size_t filled = 0;

@@ -145,4 +145,49 @@ std::vector<std::string> Broker::TopicNames() const {
   return names;
 }
 
+void AddBrokerCollector(metrics::Registry& registry, const Broker& broker) {
+  registry.AddCollector([&registry, &broker] {
+    const auto set = [&registry](const char* name, const char* help,
+                                 const metrics::Labels& labels,
+                                 uint64_t value) {
+      registry.GetGauge(name, help, labels).Set(static_cast<int64_t>(value));
+    };
+    for (const std::string& name : broker.TopicNames()) {
+      const Topic& topic = broker.GetTopic(name);
+      const metrics::Labels labels{{"topic", name}};
+      const TopicMetrics m = topic.metrics();
+      const SlabStats slabs = topic.slab_stats();
+      set("privapprox_topic_records_in", "Records appended to the topic",
+          labels, m.records_in);
+      set("privapprox_topic_records_out", "Records read from the topic",
+          labels, m.records_out);
+      set("privapprox_topic_bytes_in", "Payload bytes appended to the topic",
+          labels, m.bytes_in);
+      set("privapprox_topic_bytes_out", "Payload bytes read from the topic",
+          labels, m.bytes_out);
+      set("privapprox_topic_slab_allocated_bytes",
+          "Slab bytes allocated for the topic's payloads", labels,
+          slabs.allocated_bytes);
+      set("privapprox_topic_slab_used_bytes", "Slab bytes holding payload data",
+          labels, slabs.used_bytes);
+      set("privapprox_topic_retained_records",
+          "Records the topic still holds in memory (not yet released)", labels,
+          slabs.retained_records);
+    }
+    if (broker.durable()) {
+      const DurableStats s = broker.durable_stats();
+      set("privapprox_storage_segments",
+          "Live log segments, all durable topics", {}, s.segments);
+      set("privapprox_storage_bytes", "Bytes held in live log segments", {},
+          s.bytes);
+      set("privapprox_storage_fsyncs", "fsync calls issued by partition logs",
+          {}, s.fsyncs);
+      set("privapprox_storage_recovered_records",
+          "Records replayed from disk at startup", {}, s.recovered_records);
+      set("privapprox_storage_truncated_tails",
+          "Torn record tails truncated during recovery", {}, s.truncated_tails);
+    }
+  });
+}
+
 }  // namespace privapprox::broker

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "broker/topic.h"
+#include "metrics/metrics.h"
 
 namespace privapprox::broker {
 
@@ -73,6 +74,13 @@ class Broker {
   std::optional<BrokerDurability> durability_;
   std::map<std::string, std::unique_ptr<Topic>> topics_;
 };
+
+// Registers an exposition-time collector on `registry` that pulls every
+// topic's counters, slab occupancy and retained records into
+// privapprox_topic_* gauges, plus the privapprox_storage_* gauges of a
+// durable broker — so the broker hot path never touches the registry.
+// `broker` must outlive every render of `registry`.
+void AddBrokerCollector(metrics::Registry& registry, const Broker& broker);
 
 }  // namespace privapprox::broker
 

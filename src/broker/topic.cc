@@ -53,12 +53,29 @@ size_t Topic::PartitionOf(uint64_t key) const {
   return static_cast<size_t>(Mix64(key) % partitions_.size());
 }
 
+void Topic::OpenSlab(Partition& partition, size_t min_cap) {
+  const uint64_t end = partition.base + partition.index.size();
+  if (!partition.slabs.empty()) {
+    partition.slabs.back().end = end;
+  }
+  std::vector<Slab>& spares = partition.spares;
+  for (size_t i = spares.size(); i-- > 0;) {
+    if (spares[i].cap >= min_cap) {
+      Slab slab = std::move(spares[i]);
+      spares.erase(spares.begin() + static_cast<ptrdiff_t>(i));
+      slab.used = 0;
+      partition.slabs.push_back(std::move(slab));
+      return;
+    }
+  }
+  const size_t cap = std::max(min_cap, kSlabChunkBytes);
+  partition.slabs.push_back(Slab{std::make_unique<uint8_t[]>(cap), 0, cap});
+}
+
 uint8_t* Topic::SlabAlloc(Partition& partition, size_t len) {
   if (partition.slabs.empty() ||
       partition.slabs.back().cap - partition.slabs.back().used < len) {
-    const size_t cap = len > kSlabChunkBytes ? len : kSlabChunkBytes;
-    partition.slabs.push_back(
-        Slab{std::make_unique<uint8_t[]>(cap), 0, cap});
+    OpenSlab(partition, len);
   }
   Slab& slab = partition.slabs.back();
   uint8_t* out = slab.data.get() + slab.used;
@@ -169,15 +186,14 @@ void Topic::AppendViews(std::span<const ProduceView> records) {
     }
   } else {
     // Route once into a reused thread-local scratch (amortized
-    // allocation-free), then take each partition lock once. Partition count
-    // is bounded by the scratch element type.
-    static thread_local std::vector<uint8_t> routes;
+    // allocation-free), then take each partition lock once.
+    static thread_local std::vector<uint32_t> routes;
     static thread_local std::vector<uint32_t> counts;
     routes.clear();
     routes.reserve(records.size());
     counts.assign(partitions_.size(), 0);
     for (const auto& record : records) {
-      const uint8_t p = static_cast<uint8_t>(PartitionOf(record.key));
+      const uint32_t p = static_cast<uint32_t>(PartitionOf(record.key));
       routes.push_back(p);
       ++counts[p];
     }
@@ -212,9 +228,7 @@ void Topic::Reserve(size_t partition_index, size_t records,
       (partition.slabs.empty() ||
        partition.slabs.back().cap - partition.slabs.back().used <
            payload_bytes)) {
-    const size_t cap =
-        payload_bytes > kSlabChunkBytes ? payload_bytes : kSlabChunkBytes;
-    partition.slabs.push_back(Slab{std::make_unique<uint8_t[]>(cap), 0, cap});
+    OpenSlab(partition, payload_bytes);
   }
 }
 
@@ -279,6 +293,43 @@ uint64_t Topic::EndOffset(size_t partition_index) const {
   return partition.base + partition.index.size();
 }
 
+void Topic::Release(size_t partition_index, uint64_t offset) {
+  if (partition_index >= partitions_.size()) {
+    throw std::out_of_range("Topic::Release: bad partition");
+  }
+  Partition& partition = partitions_[partition_index];
+  std::lock_guard<std::mutex> lock(partition.mu);
+  const uint64_t end = partition.base + partition.index.size();
+  offset = std::min(offset, end);
+  if (offset <= partition.base) {
+    return;
+  }
+  const auto released_records =
+      static_cast<ptrdiff_t>(offset - partition.base);
+  partition.index.erase(partition.index.begin(),
+                        partition.index.begin() + released_records);
+  partition.base = offset;
+  // Slabs fill in offset order, so the fully released ones are a prefix.
+  // The most recently released become the spares.
+  if (!partition.slabs.empty()) {
+    partition.slabs.back().end = end;
+  }
+  size_t released = 0;
+  while (released < partition.slabs.size() &&
+         partition.slabs[released].end <= offset) {
+    partition.spares.push_back(std::move(partition.slabs[released]));
+    ++released;
+  }
+  partition.slabs.erase(
+      partition.slabs.begin(),
+      partition.slabs.begin() + static_cast<ptrdiff_t>(released));
+  if (partition.spares.size() > kSpareSlabs) {
+    partition.spares.erase(
+        partition.spares.begin(),
+        partition.spares.end() - static_cast<ptrdiff_t>(kSpareSlabs));
+  }
+}
+
 size_t Topic::AdvanceWatermark(size_t partition_index, uint64_t offset) {
   if (partition_index >= partitions_.size()) {
     throw std::out_of_range("Topic::AdvanceWatermark: bad partition");
@@ -333,11 +384,15 @@ SlabStats Topic::slab_stats() const {
   SlabStats stats;
   for (const Partition& partition : partitions_) {
     std::lock_guard<std::mutex> lock(partition.mu);
-    stats.slabs += partition.slabs.size();
+    stats.slabs += partition.slabs.size() + partition.spares.size();
     for (const Slab& slab : partition.slabs) {
       stats.allocated_bytes += slab.cap;
       stats.used_bytes += slab.used;
     }
+    for (const Slab& slab : partition.spares) {
+      stats.allocated_bytes += slab.cap;
+    }
+    stats.retained_records += partition.index.size();
   }
   return stats;
 }

@@ -7,14 +7,16 @@
 // in the same partition of each topic.
 //
 // Storage layout (zero-copy share path): each partition stores payload
-// bytes in append-only slabs — large heap chunks that are never moved or
-// freed — plus a record index of {payload pointer, length, key, timestamp}
-// entries. Producing copies the payload once into the slab; consuming via
-// the view API (ReadViews / transport::BusConsumer) returns pointers into the
-// slabs, so consumers decode records in place with no per-record vector.
-// Slab bytes are immutable once their index entry is published under the
-// partition lock, and slabs live as long as the topic, so a RecordView
-// stays valid for the topic's lifetime even while producers keep appending.
+// bytes in append-only slabs — large heap chunks that are never moved —
+// plus a record index of {payload pointer, length, key, timestamp} entries.
+// Producing copies the payload once into the slab; consuming via the view
+// API (ReadViews / transport::BusConsumer) returns pointers into the slabs,
+// so consumers decode records in place with no per-record vector. Slab
+// bytes are immutable once their index entry is published under the
+// partition lock, so a RecordView stays valid while producers keep
+// appending — until the topic's owner releases its offset (Release), which
+// recycles the slabs below it. Only the process that owns a partition's
+// consumers may release, and only what every one of them has finished.
 
 #ifndef PRIVAPPROX_BROKER_TOPIC_H_
 #define PRIVAPPROX_BROKER_TOPIC_H_
@@ -41,7 +43,7 @@ struct Record {
 };
 
 // A non-owning view of one stored record: `payload` points into a partition
-// slab and is valid for the topic's lifetime.
+// slab and is valid until the record's offset is released (Topic::Release).
 struct RecordView {
   uint64_t offset = 0;
   int64_t timestamp_ms = 0;
@@ -79,12 +81,14 @@ struct TopicMetrics {
 };
 
 // Slab-storage occupancy across all partitions of a topic: how much payload
-// memory the topic holds and how full the allocated slabs are. Feeds the
+// memory the topic holds (spare slabs kept for reuse included), how full the
+// live slabs are, and how many records are still in memory. Feeds the
 // metrics registry's broker collector.
 struct SlabStats {
   uint64_t slabs = 0;
   uint64_t allocated_bytes = 0;
   uint64_t used_bytes = 0;
+  uint64_t retained_records = 0;  // index entries not yet released
 };
 
 // Opt-in durable spill: every append additionally lands in a
@@ -121,6 +125,8 @@ class Topic {
   // chunk of payload bytes; records larger than a chunk get a dedicated
   // slab so payloads are always contiguous.
   static constexpr size_t kSlabChunkBytes = 256 * 1024;
+  // Released slabs each partition keeps for reuse; Release frees the rest.
+  static constexpr size_t kSpareSlabs = 2;
 
   Topic(std::string name, size_t num_partitions);
   // Durable topic: appends spill through per-partition logs under
@@ -167,7 +173,7 @@ class Topic {
   std::vector<Record> Read(size_t partition, uint64_t offset,
                            size_t max_records) const;
   // Zero-copy read: appends slab-backed views into `out`. Views stay valid
-  // for the topic's lifetime.
+  // until their offsets are released.
   void ReadViews(size_t partition, uint64_t offset, size_t max_records,
                  std::vector<RecordView>& out) const;
 
@@ -180,12 +186,21 @@ class Topic {
   // time, not the hot path.
   SlabStats slab_stats() const;
 
+  // In-memory retention, the counterpart of AdvanceWatermark: drops the
+  // index entries of `partition` below `offset` (clamped to the end) and
+  // recycles every slab whose records all lie below it, keeping up to
+  // kSpareSlabs for later appends. Every view into the released records
+  // dangles from here on, so the caller must own every consumer of the
+  // partition and pass their low watermark. Offsets, EndOffset, metrics()
+  // and the durable log are unchanged; a read below the released offset
+  // starts at it.
+  void Release(size_t partition, uint64_t offset);
+
   // --- Durable-spill surface (no-ops on a non-durable topic) -------------
 
   // Retention by consumer low-watermark: deletes whole on-disk segments of
-  // `partition` whose records all sit below `offset`. Disk only — the
-  // in-memory slabs keep every record, preserving the RecordView lifetime
-  // guarantee for live consumers. Returns segments deleted.
+  // `partition` whose records all sit below `offset`. Disk only — memory is
+  // Release's. Returns segments deleted.
   size_t AdvanceWatermark(size_t partition, uint64_t offset);
 
   // Forces every partition log to disk regardless of fsync policy.
@@ -199,6 +214,9 @@ class Topic {
     std::unique_ptr<uint8_t[]> data;
     size_t used = 0;
     size_t cap = 0;
+    // One past the offset of the last record stored here. Set when the
+    // next slab opens; Release sets the back slab's before reading it.
+    uint64_t end = 0;
   };
   struct IndexEntry {
     const uint8_t* payload = nullptr;
@@ -208,12 +226,13 @@ class Topic {
   };
   struct Partition {
     mutable std::mutex mu;
-    std::vector<Slab> slabs;
+    std::vector<Slab> slabs;  // in record order; back() takes appends
+    std::vector<Slab> spares;  // released slabs kept for reuse
     std::vector<IndexEntry> index;
     // Durable spill; null on a memory-only topic. `base` is the offset of
-    // index[0]: fixed at recovery time to the log's base offset (non-zero
-    // when earlier segments were retention-trimmed before the restart), so
-    // EndOffset == base + index.size() continues the pre-crash numbering.
+    // index[0]: the log's base offset at recovery (non-zero when earlier
+    // segments were retention-trimmed before the restart), advanced by
+    // Release, so EndOffset == base + index.size() continues the numbering.
     std::unique_ptr<storage::PartitionLog> log;
     uint64_t base = 0;
   };
@@ -221,6 +240,9 @@ class Topic {
   // All helpers require the partition lock to be held. AppendToMemory is
   // the slab+index half (also the recovery replay path); AppendLocked
   // additionally spills to the partition log when one is attached.
+  // OpenSlab appends a slab of at least `min_cap` bytes, reusing a spare
+  // when one is large enough.
+  static void OpenSlab(Partition& partition, size_t min_cap);
   static uint8_t* SlabAlloc(Partition& partition, size_t len);
   static void EnsureIndexCapacity(Partition& partition, size_t additional);
   static void AppendToMemory(Partition& partition, uint64_t key,

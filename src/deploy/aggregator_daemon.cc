@@ -151,6 +151,11 @@ std::vector<uint8_t> AggregatorDaemon::HandleControl(
   }
   if (verb == "drain") {
     transport::PutU64(aggregator_->Drain(), response);
+    // The join keeps copies of the shares it parks, so no polled view
+    // outlives Drain: the proxy buses may overwrite their payload slabs.
+    for (const auto& bus : proxy_buses_) {
+      bus->ReleasePolled();
+    }
     return response;
   }
   if (verb == "advance_watermark") {

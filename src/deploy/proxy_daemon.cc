@@ -30,29 +30,8 @@ ProxyDaemon::ProxyDaemon(ProxyDaemonConfig config) : config_(std::move(config)) 
 
   if (!config_.data_dir.empty()) {
     RecoverLanes(recovered_topics);
-
-    auto* segments = &registry_.GetGauge(
-        "privapprox_storage_segments", "Live log segments, all durable topics");
-    auto* bytes = &registry_.GetGauge("privapprox_storage_bytes",
-                                      "Bytes held in live log segments");
-    auto* fsyncs = &registry_.GetGauge("privapprox_storage_fsyncs",
-                                       "fsync calls issued by partition logs");
-    auto* recovered = &registry_.GetGauge(
-        "privapprox_storage_recovered_records",
-        "Records replayed from disk at startup");
-    auto* truncated = &registry_.GetGauge(
-        "privapprox_storage_truncated_tails",
-        "Torn record tails truncated during recovery");
-    registry_.AddCollector(
-        [this, segments, bytes, fsyncs, recovered, truncated] {
-          const broker::DurableStats s = broker_.durable_stats();
-          segments->Set(static_cast<int64_t>(s.segments));
-          bytes->Set(static_cast<int64_t>(s.bytes));
-          fsyncs->Set(static_cast<int64_t>(s.fsyncs));
-          recovered->Set(static_cast<int64_t>(s.recovered_records));
-          truncated->Set(static_cast<int64_t>(s.truncated_tails));
-        });
   }
+  broker::AddBrokerCollector(registry_, broker_);
 
   transport::TcpBusServerConfig server_config;
   server_config.bind_host = config_.bind_host;
@@ -133,6 +112,19 @@ std::string ProxyDaemon::SnapshotOffsetsText() const {
   return out.str();
 }
 
+void ProxyDaemon::ForEachLaneInWatermark(
+    const std::function<void(broker::Topic&, size_t, uint64_t)>& fn) {
+  // Lane inbound topics have exactly one consumer — this proxy — so its
+  // forward offsets are their low-watermark.
+  for (const uint64_t qid : proxy_->lane_ids()) {
+    broker::Topic& in = broker_.GetTopic(proxy_->lane_in_topic(qid));
+    const std::vector<uint64_t> offsets = proxy_->LaneInOffsets(qid);
+    for (size_t p = 0; p < offsets.size(); ++p) {
+      fn(in, p, offsets[p]);
+    }
+  }
+}
+
 ProxyDaemon::~ProxyDaemon() { Stop(); }
 
 void ProxyDaemon::Start() { server_->Start(); }
@@ -154,6 +146,9 @@ std::vector<uint8_t> ProxyDaemon::HandleControl(
   }
   if (verb == "forward_lanes") {
     transport::PutU64(proxy_->ForwardLanes(), response);
+    ForEachLaneInWatermark([](broker::Topic& in, size_t p, uint64_t offset) {
+      in.Release(p, offset);
+    });
     return response;
   }
   if (verb == "forward_queries") {
@@ -176,15 +171,10 @@ std::vector<uint8_t> ProxyDaemon::HandleControl(
         }
       }
     }
-    // Lane inbound topics have exactly one consumer — this proxy — so its
-    // forward offsets are their low-watermark.
-    for (const uint64_t qid : proxy_->lane_ids()) {
-      broker::Topic& in = broker_.GetTopic(proxy_->lane_in_topic(qid));
-      const std::vector<uint64_t> offsets = proxy_->LaneInOffsets(qid);
-      for (size_t p = 0; p < offsets.size(); ++p) {
-        deleted += in.AdvanceWatermark(p, offsets[p]);
-      }
-    }
+    ForEachLaneInWatermark(
+        [&deleted](broker::Topic& in, size_t p, uint64_t offset) {
+          deleted += in.AdvanceWatermark(p, offset);
+        });
     transport::PutU64(deleted, response);
     return response;
   }

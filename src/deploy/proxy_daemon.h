@@ -27,6 +27,11 @@
 // those out-topic segments and each lane's in-topic segments below the
 // proxy's own forward offsets.
 //
+// Memory: this proxy is the only consumer of its lane inbound topics, so
+// forward_lanes releases their in-memory records below the forward offsets
+// (broker::Topic::Release). Lane outbound topics keep every record in
+// memory: a restarted aggregator daemon re-drains them from offset zero.
+//
 // privapprox_proxyd (deploy/proxyd_main.cc) is this class plus flag parsing
 // and signal handling.
 
@@ -34,6 +39,7 @@
 #define PRIVAPPROX_DEPLOY_PROXY_DAEMON_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -79,6 +85,10 @@ class ProxyDaemon {
   // Re-creates the lanes a previous incarnation had, from the recovered
   // topic names, then repositions every consumer. Constructor-only.
   void RecoverLanes(const std::vector<std::string>& recovered_topics);
+  // Calls fn(topic, partition, offset) for every lane inbound partition at
+  // the proxy's forward offset, the partition's low watermark.
+  void ForEachLaneInWatermark(
+      const std::function<void(broker::Topic&, size_t, uint64_t)>& fn);
   std::string SnapshotOffsetsText() const;
 
   ProxyDaemonConfig config_;

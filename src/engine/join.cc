@@ -130,24 +130,18 @@ uint32_t MidJoiner::AcquireGroup() {
 void MidJoiner::ReleaseGroup(uint32_t group) {
   Slot* slots = &pool_[group * expected_shares_];
   for (size_t s = 0; s < expected_shares_; ++s) {
-    slots[s] = Slot{};
+    slots[s].filled = false;
   }
   free_groups_.push_back(group);
 }
 
 void MidJoiner::Add(const crypto::MessageShare& share, int64_t timestamp_ms,
                     size_t source) {
-  AddImpl(share.message_id, share.payload, timestamp_ms, source,
-          /*copy=*/true);
+  Add(share.message_id, share.payload, timestamp_ms, source);
 }
 
 void MidJoiner::Add(uint64_t message_id, std::span<const uint8_t> payload,
                     int64_t timestamp_ms, size_t source) {
-  AddImpl(message_id, payload, timestamp_ms, source, /*copy=*/false);
-}
-
-void MidJoiner::AddImpl(uint64_t message_id, std::span<const uint8_t> payload,
-                        int64_t timestamp_ms, size_t source, bool copy) {
   if (source >= expected_shares_) {
     throw std::out_of_range("MidJoiner::Add: bad source index");
   }
@@ -181,46 +175,46 @@ void MidJoiner::AddImpl(uint64_t message_id, std::span<const uint8_t> payload,
       break;
   }
   Entry& entry = table_[index];
-  const size_t base = entry.group * expected_shares_;
-  Slot& slot = pool_[base + source];
-  if (slot.filled) {
+  const std::span<Slot> slots(&pool_[entry.group * expected_shares_],
+                              expected_shares_);
+  if (slots[source].filled) {
     // Redelivery on the same stream (or a replay through it).
     ++stats_.duplicates_dropped;
     return;
   }
-  if (copy) {
-    if (owned_.size() < pool_.size()) {
-      owned_.resize(pool_.size());
-    }
-    owned_[base + source].assign(payload.begin(), payload.end());
-    slot.view = owned_[base + source];
-  } else {
-    slot.view = payload;
-  }
-  slot.filled = true;
-  const std::span<const Slot> slots(&pool_[base], expected_shares_);
   bool same_length = true;
-  for (const Slot& s : slots) {
-    if (!s.filled) {
+  for (size_t s = 0; s < expected_shares_; ++s) {
+    if (s == source) {
+      continue;
+    }
+    if (!slots[s].filled) {
+      // The group stays open: park a copy, so the caller's bytes are free
+      // to go the moment this call returns.
+      slots[source].bytes.assign(payload.begin(), payload.end());
+      slots[source].filled = true;
       return;
     }
-    same_length = same_length && s.view.size() == slots[0].view.size();
+    same_length = same_length && slots[s].bytes.size() == payload.size();
   }
   // Complete: remember the MID (a replay within one timeout of this share is
-  // still detected) and XOR-combine all source views (Eq 12: M = ME xor MK_2
+  // still detected) and XOR-combine every share (Eq 12: M = ME xor MK_2
   // xor ... xor MK_n). The first pair goes through the three-operand
-  // XorBytesInto, straight from the two slab spans into the scratch.
+  // XorBytesInto, straight from the caller's span and one parked copy into
+  // the scratch.
   const int64_t first_seen = entry.stamp;
   entry.state = State::kCompleted;
   entry.stamp = timestamp_ms;
   --pending_;
   if (same_length) {
-    const size_t len = slots[0].view.size();
+    const size_t len = payload.size();
     scratch_.resize(len);
-    XorBytesInto(scratch_.data(), slots[0].view.data(), slots[1].view.data(),
+    const size_t first = source == 0 ? 1 : 0;
+    XorBytesInto(scratch_.data(), payload.data(), slots[first].bytes.data(),
                  len);
-    for (size_t i = 2; i < expected_shares_; ++i) {
-      XorBytesInPlace(scratch_.data(), slots[i].view.data(), len);
+    for (size_t s = first + 1; s < expected_shares_; ++s) {
+      if (s != source) {
+        XorBytesInPlace(scratch_.data(), slots[s].bytes.data(), len);
+      }
     }
   }
   ReleaseGroup(entry.group);

@@ -12,9 +12,10 @@
 //
 // Every MID the joiner knows — open groups and the remembered completed and
 // expired MIDs alike — lives in one open-addressing table of 24-byte entries
-// (linear probing, backward-shift erase, no tombstones), and open groups park
-// their share spans in one reused slot pool, so a warm joiner adds, joins
-// and prunes without touching the heap.
+// (linear probing, backward-shift erase, no tombstones), and open groups copy
+// their parked shares into one reused slot pool whose buffers keep their
+// capacity, so a warm joiner adds, joins and prunes without touching the
+// heap, and never holds on to a caller's bytes.
 
 #ifndef PRIVAPPROX_ENGINE_JOIN_H_
 #define PRIVAPPROX_ENGINE_JOIN_H_
@@ -83,11 +84,11 @@ class MidJoiner {
   // its MID is remembered like a joined one, so its replays are dropped.
   void Add(const crypto::MessageShare& share, int64_t timestamp_ms,
            size_t source);
-  // Zero-copy variant: `payload` must point into storage that outlives the
-  // pending group — the aggregator feeds broker slab views, which live as
-  // long as the topic, so partial groups may safely park a span across
-  // epochs. No payload bytes are copied until the group completes and is
-  // XOR-combined into the joiner's plaintext scratch.
+  // Span variant: `payload` only needs to stay valid for the call. A share
+  // that leaves its group open is copied into joiner-owned storage; the
+  // share that completes a group is XOR-combined straight from `payload`
+  // into the joiner's plaintext scratch, so callers may recycle the bytes
+  // (broker slabs, TCP client slabs) as soon as Add returns.
   void Add(uint64_t message_id, std::span<const uint8_t> payload,
            int64_t timestamp_ms, size_t source);
 
@@ -126,9 +127,9 @@ class MidJoiner {
     uint32_t group = 0;  // pending only: block index into pool_
     State state = State::kEmpty;
   };
-  // One parked share. The copying Add points `view` at owned_[slot].
+  // One parked share: a copy whose buffer keeps its capacity across groups.
   struct Slot {
-    std::span<const uint8_t> view;
+    std::vector<uint8_t> bytes;
     bool filled = false;
   };
   // Returns the table's pages to the OS (see Grow).
@@ -137,8 +138,6 @@ class MidJoiner {
     void operator()(Entry* entries) const;
   };
 
-  void AddImpl(uint64_t message_id, std::span<const uint8_t> payload,
-               int64_t timestamp_ms, size_t source, bool copy);
   // Index of `mid`'s entry, or of the empty slot where it would go.
   size_t Probe(uint64_t mid) const;
   void Grow();
@@ -159,9 +158,6 @@ class MidJoiner {
   // expected_shares_ slots per open group, blocks recycled via free_groups_.
   std::vector<Slot> pool_;
   std::vector<uint32_t> free_groups_;
-  // Payload copies of the copying Add, indexed like pool_; grown only when
-  // that overload is used, and reused (capacity kept) across groups.
-  std::vector<std::vector<uint8_t>> owned_;
   std::vector<uint8_t> scratch_;  // the plaintext handed to emit_
   JoinStats stats_;
 };

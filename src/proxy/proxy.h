@@ -157,10 +157,11 @@ class Proxy {
 
   // Span-first batch decode, shared by the aggregator's parallel drain and
   // streaming shard consumption so malformed accounting stays in one place.
-  // A decoded share's payload is a span into the broker's slab storage
-  // (valid for the topic's lifetime), so decoding is just header parsing —
-  // no per-share vector. Records shorter than the 8-byte MID header count
-  // as malformed.
+  // A decoded share's payload is a span into the record's slab storage,
+  // valid as long as the RecordView it came from (until the topic's owner
+  // releases it, at the end of the epoch), so decoding is just header
+  // parsing — no per-share vector. Records shorter than the 8-byte MID
+  // header count as malformed.
   struct DecodedShare {
     uint64_t message_id = 0;
     std::span<const uint8_t> payload;

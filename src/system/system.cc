@@ -285,65 +285,7 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
   }
 
   if (config_.metrics.enabled) {
-    // Exposition-time collector: pulls broker topic counters and slab
-    // occupancy into gauges, so the broker hot path never touches the
-    // registry.
-    registry_.AddCollector([this] {
-      for (const std::string& name : broker_.TopicNames()) {
-        const broker::Topic& topic =
-            static_cast<const broker::Broker&>(broker_).GetTopic(name);
-        const metrics::Labels labels{{"topic", name}};
-        const broker::TopicMetrics m = topic.metrics();
-        registry_
-            .GetGauge("privapprox_topic_records_in",
-                      "Records appended to the topic", labels)
-            .Set(static_cast<int64_t>(m.records_in));
-        registry_
-            .GetGauge("privapprox_topic_records_out",
-                      "Records read from the topic", labels)
-            .Set(static_cast<int64_t>(m.records_out));
-        registry_
-            .GetGauge("privapprox_topic_bytes_in",
-                      "Payload bytes appended to the topic", labels)
-            .Set(static_cast<int64_t>(m.bytes_in));
-        registry_
-            .GetGauge("privapprox_topic_bytes_out",
-                      "Payload bytes read from the topic", labels)
-            .Set(static_cast<int64_t>(m.bytes_out));
-        const broker::SlabStats slabs = topic.slab_stats();
-        registry_
-            .GetGauge("privapprox_topic_slab_allocated_bytes",
-                      "Slab bytes allocated for the topic's payloads", labels)
-            .Set(static_cast<int64_t>(slabs.allocated_bytes));
-        registry_
-            .GetGauge("privapprox_topic_slab_used_bytes",
-                      "Slab bytes holding payload data", labels)
-            .Set(static_cast<int64_t>(slabs.used_bytes));
-      }
-      if (broker_.durable()) {
-        const broker::DurableStats s = broker_.durable_stats();
-        registry_
-            .GetGauge("privapprox_storage_segments",
-                      "Live log segments, all durable topics")
-            .Set(static_cast<int64_t>(s.segments));
-        registry_
-            .GetGauge("privapprox_storage_bytes",
-                      "Bytes held in live log segments")
-            .Set(static_cast<int64_t>(s.bytes));
-        registry_
-            .GetGauge("privapprox_storage_fsyncs",
-                      "fsync calls issued by partition logs")
-            .Set(static_cast<int64_t>(s.fsyncs));
-        registry_
-            .GetGauge("privapprox_storage_recovered_records",
-                      "Records replayed from disk at startup")
-            .Set(static_cast<int64_t>(s.recovered_records));
-        registry_
-            .GetGauge("privapprox_storage_truncated_tails",
-                      "Torn record tails truncated during recovery")
-            .Set(static_cast<int64_t>(s.truncated_tails));
-      }
-    });
+    broker::AddBrokerCollector(registry_, broker_);
   }
 
   for (const SystemConfig::QuerySpec& spec : config_.queries) {
@@ -571,6 +513,7 @@ EpochStats PrivApproxSystem::RunEpoch(int64_t now_ms) {
     } else {
       RunEpochBarrier(now_ms);
     }
+    ReleaseConsumed();
   }
   if (injector_ != nullptr) {
     // Hand the epoch's unjoinable (query, MID) pairs to each query's lane
@@ -613,6 +556,26 @@ EpochStats PrivApproxSystem::RunEpoch(int64_t now_ms) {
     stats.recovery_late_delivered = after.late - fault_before.late;
   }
   return stats;
+}
+
+void PrivApproxSystem::ReleaseConsumed() {
+  const auto release = [this](const std::string& name,
+                              const std::vector<uint64_t>& offsets) {
+    broker::Topic& topic = broker_.GetTopic(name);
+    for (size_t p = 0; p < offsets.size(); ++p) {
+      topic.Release(p, offsets[p]);
+    }
+  };
+  for (const auto& [qid, active] : active_) {
+    for (const auto* tier : {&proxies_, &standby_proxies_}) {
+      for (const auto& proxy : *tier) {
+        release(proxy->lane_in_topic(qid), proxy->LaneInOffsets(qid));
+      }
+    }
+  }
+  for (const auto& [topic, offsets] : aggregator_->SourceOffsets()) {
+    release(topic, offsets);
+  }
 }
 
 // Delivers the shares the degraded link held back, at the start of the next

@@ -301,6 +301,11 @@ class PrivApproxSystem {
   void RunEpochBarrier(int64_t now_ms);
   void RunEpochStreaming(int64_t now_ms);
   void ReplayDeferredShares();
+  // Releases every lane topic's records below its consumers' offsets: the
+  // system owns each lane's only consumer — its proxy (primary or standby)
+  // for an in-topic, the aggregator for an out-topic — so once an epoch is
+  // done nothing below those offsets is ever read again.
+  void ReleaseConsumed();
   void DistributeAnnouncement(const core::Query& query,
                               const core::ExecutionParams& params,
                               const char* failure_what);

@@ -19,11 +19,13 @@
 // keeps consumption idempotent across reconnects and makes the promised-
 // count streaming reads (PollExactInto) deterministic on both backends.
 //
-// View lifetime: polled RecordViews stay valid for the lifetime of the bus
-// they came from. InProcessBus hands out broker-slab pointers; TcpBusClient
-// copies fetched payloads into its own append-only slabs. Downstream code
-// (the aggregator's MidJoiner parks share spans across calls) relies on
-// this.
+// View lifetime: a polled RecordView stays valid until the process that
+// owns its consumers releases it. InProcessBus hands out broker-slab
+// pointers, which live until broker::Topic::Release passes their offset;
+// TcpBusClient copies fetched payloads into its own slabs, which live until
+// TcpBusClient::ReleasePolled. The owners release between epochs, so no
+// downstream code may keep a view past the call that consumed it (the
+// aggregator's MidJoiner copies the shares it parks).
 
 #ifndef PRIVAPPROX_TRANSPORT_MESSAGE_BUS_H_
 #define PRIVAPPROX_TRANSPORT_MESSAGE_BUS_H_
@@ -63,7 +65,7 @@ class MessageBus {
   // calls) and returning the number appended. A backend may return fewer
   // than are available (the TCP backend budgets response bytes per
   // round-trip); 0 means nothing exists at or after `offset` yet. Views
-  // stay valid for the bus's lifetime.
+  // stay valid until their owner releases them (see the header comment).
   virtual size_t Poll(const std::string& topic, size_t partition,
                       uint64_t offset, size_t max_records,
                       std::vector<broker::RecordView>& out) = 0;

@@ -383,19 +383,33 @@ void TcpBusClient::EnsureConnectedLocked() {
 }
 
 const uint8_t* TcpBusClient::StorePayload(std::span<const uint8_t> payload) {
-  if (slabs_.empty() ||
-      slabs_.back().cap - slabs_.back().used < payload.size()) {
+  // Fill the kept slabs in order, then grow.
+  while (active_slab_ < slabs_.size() &&
+         slabs_[active_slab_].cap - slabs_[active_slab_].used <
+             payload.size()) {
+    ++active_slab_;
+  }
+  if (active_slab_ == slabs_.size()) {
     const size_t cap =
         payload.size() > kClientSlabChunk ? payload.size() : kClientSlabChunk;
     slabs_.push_back(Slab{std::make_unique<uint8_t[]>(cap), 0, cap});
   }
-  Slab& slab = slabs_.back();
+  Slab& slab = slabs_[active_slab_];
   uint8_t* dst = slab.data.get() + slab.used;
   if (!payload.empty()) {
     std::memcpy(dst, payload.data(), payload.size());
   }
   slab.used += payload.size();
   return dst;
+}
+
+void TcpBusClient::ReleasePolled() {
+  std::lock_guard<std::mutex> lock(mu_);
+  slabs_.resize(std::min(slabs_.size(), active_slab_ + 1));
+  for (Slab& slab : slabs_) {
+    slab.used = 0;
+  }
+  active_slab_ = 0;
 }
 
 std::span<const uint8_t> TcpBusClient::Rpc() {

@@ -17,10 +17,9 @@
 // BusConsumer's offset-explicit polls need. Connecting is non-blocking with
 // a timeout and bounded retry/backoff (counted in reconnects); an I/O error
 // poisons the connection, throws, and the next call re-dials. Polled
-// payload bytes are copied into client-owned append-only slabs so
-// RecordViews stay valid for the bus's lifetime — the same guarantee the
-// in-process slabs give, which the aggregator's join relies on when it
-// parks share spans across calls.
+// payload bytes are copied into client-owned slabs, so RecordViews stay
+// valid until the owner calls ReleasePolled — the counterpart of
+// broker::Topic::Release on the far side of the wire.
 
 #ifndef PRIVAPPROX_TRANSPORT_TCP_BUS_H_
 #define PRIVAPPROX_TRANSPORT_TCP_BUS_H_
@@ -154,6 +153,12 @@ class TcpBusClient final : public MessageBus {
   std::vector<uint8_t> Control(const std::string& verb,
                                std::span<const uint8_t> payload = {});
 
+  // Ends the life of every RecordView polled so far: later polls overwrite
+  // the payload slabs from the start. Keeps the slabs the finished round
+  // reached and frees the rest, so memory follows the last round, not the
+  // total ever polled. Call only once no polled view is in use.
+  void ReleasePolled();
+
  private:
   // One request/response round-trip; `mu_` must be held. Returns the
   // response body (status byte already checked and stripped... see .cc).
@@ -171,14 +176,15 @@ class TcpBusClient final : public MessageBus {
   std::vector<uint8_t> frame_;     // framed request bytes
   std::vector<uint8_t> recv_;      // response accumulation
   std::vector<uint8_t> body_;      // decoded response body copy
-  // Append-only payload slabs backing polled RecordViews for the bus's
-  // lifetime (mirrors broker::Topic's slab guarantee across the wire).
+  // Payload slabs backing polled RecordViews until ReleasePolled; polls
+  // fill slabs_[0..active_slab_] in order.
   struct Slab {
     std::unique_ptr<uint8_t[]> data;
     size_t used = 0;
     size_t cap = 0;
   };
   std::vector<Slab> slabs_;
+  size_t active_slab_ = 0;
 };
 
 }  // namespace privapprox::transport

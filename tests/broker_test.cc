@@ -275,9 +275,10 @@ TEST(TopicTest, ReadViewsMatchesRead) {
 }
 
 TEST(TopicTest, ViewsStayValidAcrossLaterAppends) {
-  // RecordViews point into append-only slabs that are never moved or freed,
-  // so a view taken early must still read the same bytes after enough
-  // appends to force many new slabs and index reallocations.
+  // RecordViews point into append-only slabs that are never moved, and
+  // freed only by Release, so a view taken early must still read the same
+  // bytes after enough appends to force many new slabs and index
+  // reallocations.
   Topic topic("t", 1);
   topic.Append(7, Payload({0xDE, 0xAD, 0xBE, 0xEF}), 1);
   std::vector<RecordView> early;
@@ -353,6 +354,136 @@ TEST(TopicTest, PartitionForKeyMatchesTopicPartitionOf) {
     EXPECT_EQ(PartitionForKey(key * 7919, 4), topic.PartitionOf(key * 7919));
   }
   EXPECT_EQ(PartitionForKey(123, 0), 0u);  // degenerate: clamps to 1
+}
+
+TEST(TopicTest, WideTopicRoutesEveryRecordToItsPartition) {
+  // More partitions than a byte can index: every record must land in the
+  // partition its key hashes to, on both append paths.
+  constexpr size_t kPartitions = 300;
+  Topic views_topic("views", kPartitions);
+  Topic batch_topic("batch", kPartitions);
+  std::vector<ProduceView> views;
+  std::vector<ProduceRecord> records;
+  const std::vector<uint8_t> payload = Payload({1, 2, 3});
+  for (uint64_t key = 0; key < 5000; ++key) {
+    views.push_back(ProduceView{key, payload, 0});
+    records.push_back(ProduceRecord{key, payload, 0});
+  }
+  views_topic.AppendViews(views);
+  batch_topic.AppendBatch(records);
+  for (const Topic* topic : {&views_topic, &batch_topic}) {
+    size_t total = 0;
+    for (size_t p = 0; p < kPartitions; ++p) {
+      for (const Record& record : topic->Read(p, 0, 5000)) {
+        EXPECT_EQ(PartitionForKey(record.key, kPartitions), p)
+            << topic->name() << " key " << record.key;
+        ++total;
+      }
+    }
+    EXPECT_EQ(total, 5000u) << topic->name();
+  }
+}
+
+// Appends `count` records with distinct payloads to a one-partition topic.
+void AppendNumbered(Topic& topic, uint64_t first, uint64_t count) {
+  for (uint64_t i = first; i < first + count; ++i) {
+    topic.Append(
+        i, Payload({static_cast<uint8_t>(i), static_cast<uint8_t>(i >> 8)}),
+        static_cast<int64_t>(i));
+  }
+}
+
+TEST(TopicTest, ReleaseBelowAtAndBeyondTheEnd) {
+  Topic topic("t", 1);
+  AppendNumbered(topic, 0, 10);
+  topic.Release(0, 4);
+  EXPECT_EQ(topic.slab_stats().retained_records, 6u);
+  topic.Release(0, 2);  // below what is already released: no-op
+  EXPECT_EQ(topic.slab_stats().retained_records, 6u);
+  topic.Release(0, 10);  // exactly the end
+  EXPECT_EQ(topic.slab_stats().retained_records, 0u);
+  EXPECT_TRUE(topic.Read(0, 0, 100).empty());
+  topic.Release(0, 1000);  // beyond the end clamps: later appends survive
+  AppendNumbered(topic, 10, 3);
+  EXPECT_EQ(topic.EndOffset(0), 13u);
+  const auto tail = topic.Read(0, 10, 100);
+  ASSERT_EQ(tail.size(), 3u);
+  EXPECT_EQ(tail[0].offset, 10u);
+  EXPECT_EQ(tail[0].key, 10u);
+  EXPECT_THROW(topic.Release(1, 0), std::out_of_range);
+}
+
+TEST(TopicTest, ReleaseKeepsOffsetsCountersAndUnreleasedBytes) {
+  Topic topic("t", 2);
+  for (uint64_t key = 0; key < 400; ++key) {
+    topic.Append(key, Payload({static_cast<uint8_t>(key), 0x5A}),
+                 static_cast<int64_t>(key));
+  }
+  std::vector<std::vector<Record>> before(2);
+  std::vector<uint64_t> release_at(2);
+  for (size_t p = 0; p < 2; ++p) {
+    before[p] = topic.Read(p, 0, 1000);
+    release_at[p] = topic.EndOffset(p) / 2;
+  }
+  const TopicMetrics counters = topic.metrics();
+  for (size_t p = 0; p < 2; ++p) {
+    topic.Release(p, release_at[p]);
+  }
+  EXPECT_EQ(topic.metrics().records_in, counters.records_in);
+  EXPECT_EQ(topic.metrics().records_out, counters.records_out);
+  EXPECT_EQ(topic.metrics().bytes_in, counters.bytes_in);
+  EXPECT_EQ(topic.metrics().bytes_out, counters.bytes_out);
+  for (size_t p = 0; p < 2; ++p) {
+    EXPECT_EQ(topic.EndOffset(p), before[p].size());
+    // Reads at the released offset, after it, and (clamped) below it all
+    // return the retained records' bytes exactly as before the release.
+    for (const uint64_t from :
+         {release_at[p], release_at[p] + 3, uint64_t{0}}) {
+      const auto after = topic.Read(p, from, 1000);
+      const uint64_t first = std::max(from, release_at[p]);
+      ASSERT_EQ(after.size(), before[p].size() - first);
+      for (size_t i = 0; i < after.size(); ++i) {
+        const Record& expected = before[p][first + i];
+        EXPECT_EQ(after[i].offset, expected.offset);
+        EXPECT_EQ(after[i].key, expected.key);
+        EXPECT_EQ(after[i].timestamp_ms, expected.timestamp_ms);
+        EXPECT_EQ(after[i].payload, expected.payload);
+      }
+    }
+    std::vector<RecordView> views;
+    topic.ReadViews(p, release_at[p], 1000, views);
+    ASSERT_EQ(views.size(), before[p].size() - release_at[p]);
+    EXPECT_EQ(views[0].offset, release_at[p]);
+    EXPECT_TRUE(std::equal(views[0].bytes().begin(), views[0].bytes().end(),
+                           before[p][release_at[p]].payload.begin()));
+  }
+}
+
+TEST(TopicTest, SlabBytesStayFlatOverAppendReleaseCycles) {
+  // Each cycle appends about a third of a slab chunk and releases it, so
+  // without reuse the topic would grow by hundreds of chunks.
+  Topic topic("t", 1);
+  const std::vector<uint8_t> payload(1000, 0x33);
+  uint64_t allocated_after_warmup = 0;
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    for (int i = 0; i < 90; ++i) {
+      topic.Append(static_cast<uint64_t>(i), payload, cycle);
+    }
+    topic.Release(0, topic.EndOffset(0));
+    const SlabStats stats = topic.slab_stats();
+    EXPECT_EQ(stats.retained_records, 0u);
+    EXPECT_LE(stats.slabs, 1 + Topic::kSpareSlabs);
+    if (cycle == 10) {
+      allocated_after_warmup = stats.allocated_bytes;
+    }
+    if (cycle > 10) {
+      ASSERT_EQ(stats.allocated_bytes, allocated_after_warmup)
+          << "cycle " << cycle;
+    }
+  }
+  EXPECT_EQ(topic.EndOffset(0), 90000u);
+  EXPECT_LE(allocated_after_warmup,
+            (1 + Topic::kSpareSlabs) * Topic::kSlabChunkBytes);
 }
 
 }  // namespace

@@ -158,7 +158,7 @@ TEST(DurableTopicTest, WatermarkTrimsDiskKeepsMemory) {
     ASSERT_GT(topic.durable_stats().segments, 2u);
 
     // Consumers are fully caught up: trimming deletes every sealed segment
-    // but the in-memory records stay readable (RecordView lifetime).
+    // but the in-memory records stay readable (memory is Release's).
     EXPECT_GT(topic.AdvanceWatermark(0, end), 0u);
     EXPECT_EQ(topic.durable_stats().segments, 1u);
     EXPECT_EQ(DumpTopic(topic).size(), 30u);
@@ -176,6 +176,35 @@ TEST(DurableTopicTest, WatermarkTrimsDiskKeepsMemory) {
   EXPECT_EQ(tail.back().offset, end - 1);
   for (const Record& r : tail) {
     EXPECT_EQ(r.payload, Payload(r.key, 40));
+  }
+}
+
+TEST(DurableTopicTest, ReopenAfterReleaseReplaysEveryRecord) {
+  // Release trims memory only: the log keeps every record, so a restarted
+  // topic serves the released records again, at their original offsets.
+  TempDir dir;
+  const TopicDurability durability{dir.path(), {}};
+  std::vector<Record> written;
+  {
+    Topic topic("t", 3, durability);
+    for (uint64_t key = 0; key < 60; ++key) {
+      topic.Append(key, Payload(key, 12), static_cast<int64_t>(key));
+    }
+    written = DumpTopic(topic);
+    for (size_t p = 0; p < topic.num_partitions(); ++p) {
+      topic.Release(p, topic.EndOffset(p));
+    }
+    EXPECT_TRUE(DumpTopic(topic).empty());
+    EXPECT_EQ(topic.slab_stats().retained_records, 0u);
+  }
+  Topic topic("t", 3, durability);
+  const std::vector<Record> replayed = DumpTopic(topic);
+  ASSERT_EQ(replayed.size(), written.size());
+  for (size_t i = 0; i < written.size(); ++i) {
+    EXPECT_EQ(replayed[i].offset, written[i].offset);
+    EXPECT_EQ(replayed[i].key, written[i].key);
+    EXPECT_EQ(replayed[i].timestamp_ms, written[i].timestamp_ms);
+    EXPECT_EQ(replayed[i].payload, written[i].payload);
   }
 }
 

@@ -316,6 +316,36 @@ TEST(MidJoinerTest, JoinsWhenAllSharesArrive) {
   EXPECT_EQ(joiner.stats().joined, 1u);
 }
 
+TEST(MidJoinerTest, ParkedShareSurvivesCallerOverwritingItsBytes) {
+  // The span Add copies every share that leaves its group open, so a caller
+  // may recycle the bytes — a released broker slab, a reused TCP client
+  // slab — the moment Add returns. One buffer carries all three shares of
+  // each group here, rewritten between calls.
+  std::vector<std::vector<uint8_t>> emitted;
+  MidJoiner joiner(3, 1000,
+                   [&](uint64_t, JoinedPlaintext plaintext, int64_t) {
+                     emitted.emplace_back(plaintext.bytes().begin(),
+                                          plaintext.bytes().end());
+                   });
+  const std::vector<std::vector<uint8_t>> shares = {{0x12, 0x34, 0x56, 0x78},
+                                                    {0xF0, 0x0F, 0xAA, 0x55},
+                                                    {0x01, 0x02, 0x04, 0x08}};
+  std::vector<uint8_t> buffer(4);
+  for (uint64_t mid = 1; mid <= 2; ++mid) {
+    for (size_t source : {size_t{2}, size_t{0}, size_t{1}}) {
+      buffer = shares[source];
+      joiner.Add(mid, buffer, 10, source);
+      std::fill(buffer.begin(), buffer.end(), 0xEE);
+    }
+  }
+  const std::vector<uint8_t> expected = {
+      0x12 ^ 0xF0 ^ 0x01, 0x34 ^ 0x0F ^ 0x02, 0x56 ^ 0xAA ^ 0x04,
+      0x78 ^ 0x55 ^ 0x08};
+  ASSERT_EQ(emitted.size(), 2u);
+  EXPECT_EQ(emitted[0], expected);
+  EXPECT_EQ(emitted[1], expected);
+}
+
 TEST(MidJoinerTest, EmitsWithFirstSeenTimestamp) {
   int64_t emitted_ts = -1;
   MidJoiner joiner(2, 1000,

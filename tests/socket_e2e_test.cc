@@ -38,6 +38,8 @@
 #include "localdb/database.h"
 #include "storage/partition_log.h"
 #include "system/system.h"
+#include "transport/tcp_bus.h"
+#include "transport/wire.h"
 
 namespace privapprox::deploy {
 namespace {
@@ -288,6 +290,45 @@ TEST(SocketDeploymentTest, MultiQueryMatchesInProcessPerQuery) {
     EXPECT_EQ(SerializeResults(socket_lane), SerializeResults(inproc_lane))
         << "query " << qid;
   }
+}
+
+// An operator sees what a proxy daemon holds in memory straight off its
+// /metrics: slab and retained-record gauges for every lane topic. After
+// forward_lanes the inbound lane retains nothing; the outbound lane keeps
+// what it forwarded for the aggregator daemon.
+TEST(SocketDeploymentTest, ProxydMetricsExportLaneTopicGauges) {
+  ProxyDaemon proxyd(ProxyDaemonConfig{});
+  proxyd.Start();
+  transport::TcpBusClientConfig client_config;
+  client_config.port = proxyd.port();
+  transport::TcpBusClient bus(client_config);
+  std::vector<uint8_t> qid;
+  transport::PutU64(7, qid);
+  bus.Control("ensure_lane", qid);
+  const std::vector<uint8_t> payload(24, 0x5A);
+  std::vector<broker::ProduceView> records;
+  for (uint64_t mid = 0; mid < 50; ++mid) {
+    records.push_back(broker::ProduceView{mid, payload, 1000});
+  }
+  bus.Produce("proxy0.q7.in", records);
+  bus.Control("forward_lanes");
+
+  const std::string text = proxyd.MetricsText();
+  for (const std::string topic : {"proxy0.q7.in", "proxy0.q7.out"}) {
+    for (const std::string family :
+         {"privapprox_topic_slab_allocated_bytes",
+          "privapprox_topic_slab_used_bytes",
+          "privapprox_topic_retained_records"}) {
+      EXPECT_NE(text.find(family + "{topic=\"" + topic + "\"} "),
+                std::string::npos)
+          << family << " missing for " << topic;
+    }
+  }
+  const std::string retained = "privapprox_topic_retained_records{topic=";
+  EXPECT_NE(text.find(retained + "\"proxy0.q7.in\"} 0\n"), std::string::npos);
+  EXPECT_NE(text.find(retained + "\"proxy0.q7.out\"} 50\n"),
+            std::string::npos);
+  proxyd.Stop();
 }
 
 TEST(SocketDeploymentTest, RerunningTheSocketDeploymentIsDeterministic) {

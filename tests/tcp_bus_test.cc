@@ -163,7 +163,7 @@ TEST_F(TcpBusTest, ProduceAndPollRoundTrip) {
     total += n;
   }
   EXPECT_EQ(total, 50u);
-  // Views remain valid for the bus lifetime (client-owned slabs): check one
+  // Views remain valid until ReleasePolled (client-owned slabs): check one
   // record's bytes after further RPCs recycled the receive buffers.
   client->EndOffset("t", 0);
   bool found = false;
@@ -176,6 +176,38 @@ TEST_F(TcpBusTest, ProduceAndPollRoundTrip) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST_F(TcpBusTest, ReleasePolledRecyclesPayloadSlabs) {
+  // After ReleasePolled the next round's payloads land in the same slab
+  // memory, so a client that polls forever stays the size of one round.
+  StartServer();
+  auto client = Dial();
+  client->EnsureTopic("t", 1);
+  BusConsumer consumer(*client, "t");
+  std::vector<const uint8_t*> first_round;
+  for (uint8_t round = 1; round <= 3; ++round) {
+    // ~600 KB per round: more than two client slab chunks.
+    const std::vector<uint8_t> payload(1000, round);
+    const std::vector<broker::ProduceView> records(
+        600, broker::ProduceView{round, payload, 0});
+    client->Produce("t", records);
+    std::vector<broker::RecordView> out;
+    while (consumer.PollInto(1000, out) != 0) {
+    }
+    ASSERT_EQ(out.size(), records.size());
+    for (size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(out[i].payload_len, payload.size());
+      EXPECT_EQ(out[i].payload[0], round);
+      EXPECT_EQ(out[i].payload[payload.size() - 1], round);
+      if (round == 1) {
+        first_round.push_back(out[i].payload);
+      } else {
+        EXPECT_EQ(out[i].payload, first_round[i]) << "record " << i;
+      }
+    }
+    client->ReleasePolled();
+  }
 }
 
 TEST_F(TcpBusTest, LargePayloadsSurvivePartialSocketWrites) {
