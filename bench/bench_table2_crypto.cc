@@ -12,10 +12,13 @@
 // The SIMD section benchmarks the two primitives under the XOR scheme —
 // ChaCha20 keystream generation and the bulk XOR — once per compiled-in
 // dispatch tier (keystream_<isa> / xor_<isa> rows, bytes/sec) plus the
-// dispatched default. A JSON row with per-ISA GB/s and the best-ISA/scalar
-// speedup ratios is printed last and appended to a trajectory file
-// (--json-out=PATH, default BENCH_crypto.json, empty disables), so CI can
-// assert the vector kernels actually pay off on the host they ran on.
+// dispatched default, and the CRC-32 that guards every TCP bus frame and
+// durable log record once per compiled-in kernel (BM_Crc32/<kernel> rows).
+// A JSON row with per-ISA GB/s, per-kernel CRC-32 GB/s and the
+// best-ISA/scalar speedup ratios is printed last and appended to a
+// trajectory file (--json-out=PATH, default BENCH_crypto.json, empty
+// disables), so CI can assert the vector kernels actually pay off on the
+// host they ran on.
 
 #include <benchmark/benchmark.h>
 
@@ -36,6 +39,7 @@
 #include "crypto/paillier.h"
 #include "crypto/rsa.h"
 #include "crypto/xor_cipher.h"
+#include "storage/crc32.h"
 
 using namespace privapprox;
 
@@ -49,6 +53,7 @@ constexpr size_t kMessageBytes = 128;  // one 1024-bit block
 // the rows measure compute, not memory bandwidth.
 constexpr size_t kKeystreamBlocks = 256;  // 16 KiB per call
 constexpr size_t kXorBytes = 16384;
+constexpr size_t kCrcBytes = 16384;
 
 Xoshiro256& Rng() {
   static Xoshiro256 rng(7);
@@ -200,6 +205,25 @@ void XorBody(benchmark::State& state, simd::Isa isa, bool dispatched) {
                           static_cast<int64_t>(kXorBytes));
 }
 
+std::vector<uint8_t> CrcInput() {
+  std::vector<uint8_t> data(kCrcBytes);
+  for (size_t i = 0; i < kCrcBytes; ++i) {
+    data[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  return data;
+}
+
+void Crc32Body(benchmark::State& state, storage::Crc32Kernel kernel) {
+  const std::vector<uint8_t> data = CrcInput();
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = storage::Crc32UpdateWith(kernel, crc, data.data(), data.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kCrcBytes));
+}
+
 void RegisterSimdBenchmarks() {
   for (const simd::Isa isa : simd::AvailableIsas()) {
     benchmark::RegisterBenchmark(
@@ -219,6 +243,11 @@ void RegisterSimdBenchmarks() {
       "BM_XorInPlace/dispatched", [](benchmark::State& state) {
         XorBody(state, simd::Isa::kScalar, true);
       });
+  for (const storage::Crc32Kernel kernel : storage::AvailableCrc32Kernels()) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_Crc32/") + storage::Crc32KernelName(kernel)).c_str(),
+        [kernel](benchmark::State& state) { Crc32Body(state, kernel); });
+  }
 }
 
 // Self-timed bytes/sec for the JSON artifact: repeat the 16 KiB primitive
@@ -279,6 +308,25 @@ double MeasureXorBytesPerSec(simd::Isa isa) {
   return static_cast<double>(bytes) / seconds;
 }
 
+double MeasureCrc32BytesPerSec(storage::Crc32Kernel kernel) {
+  const std::vector<uint8_t> data = CrcInput();
+  uint32_t crc = storage::Crc32UpdateWith(kernel, 0, data.data(), data.size());
+  size_t bytes = 0;
+  const auto start = std::chrono::steady_clock::now();
+  double seconds = 0.0;
+  do {
+    for (int rep = 0; rep < 64; ++rep) {
+      crc = storage::Crc32UpdateWith(kernel, crc, data.data(), data.size());
+      bytes += kCrcBytes;
+    }
+    seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start)
+                  .count();
+  } while (seconds < 0.2);
+  benchmark::DoNotOptimize(crc);
+  return static_cast<double>(bytes) / seconds;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -334,10 +382,19 @@ int main(int argc, char** argv) {
                   simd::IsaName(isas[i]), xr / 1e9);
     xor_json += buf;
   }
+  std::string crc_json;
+  const auto kernels = storage::AvailableCrc32Kernels();
+  for (size_t i = 0; i < kernels.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "%s\"%s\":%.3f", i == 0 ? "" : ",",
+                  storage::Crc32KernelName(kernels[i]),
+                  MeasureCrc32BytesPerSec(kernels[i]) / 1e9);
+    crc_json += buf;
+  }
   std::string json = "{\"bench\":\"table2_crypto\",\"active\":\"";
   json += simd::IsaName(simd::ActiveIsa());
   json += "\",\"keystream_gbps\":{" + keystream_json + "}";
   json += ",\"xor_gbps\":{" + xor_json + "}";
+  json += ",\"crc32_gbps\":{" + crc_json + "}";
   std::snprintf(buf, sizeof(buf),
                 ",\"keystream_best_ratio\":%.3f,\"xor_best_ratio\":%.3f}",
                 keystream_scalar > 0.0 ? keystream_best / keystream_scalar

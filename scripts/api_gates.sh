@@ -1,0 +1,170 @@
+#!/usr/bin/env bash
+# Grep gates: API names and call shapes that were removed from the tree and
+# must stay removed.
+#
+#   api_gates.sh [ROOT]     run every gate over ROOT (default: the repo root)
+#   api_gates.sh --self-test
+#
+# A gate passes only when grep finds nothing (exit 1). A match (exit 0) and
+# a grep error (exit 2: bad pattern, bad option, missing path) both fail it,
+# so a gate cannot pass by accident. --self-test copies the tree to a
+# temporary directory, checks that every gate passes on the clean copy,
+# then plants one violation per gate and checks that exactly that gate
+# fires; it also checks that a gate whose paths are missing fails.
+set -uo pipefail
+
+here="$(cd "$(dirname "$0")" && pwd)"
+repo="$(dirname "$here")"
+
+GATES=(pre_span_first qid_less chacha_block flat_config compat_layer
+       ofstream bus_triplets)
+
+# Each gate_<name> runs its grep from the tree root; plant_<name> is
+# "<file>|<line>", a violation the self-test appends to that file.
+
+# These owning/view API duplicates were collapsed into the span-first
+# surface (proxy::Proxy::Receive/DecodeShares); any reappearance in code is
+# a regression. Docs (CHANGES.md history) may mention them.
+gate_pre_span_first() {
+  grep -rnE \
+    "ReceiveViews|ReceiveBatch|ReceiveAndForwardShardViews|DecodeShareViews|DecodeShareBatch|DecodedViewBatch" \
+    src tests bench examples
+}
+plant_pre_span_first="src/planted.cc|auto v = proxy.ReceiveViews(batch);"
+
+# Every share hop in the multi-query runtime is keyed by QID. System-layer
+# call sites must pass the QID as the first argument (or break the line
+# right after the opening parenthesis with the QID leading the next one —
+# the lookahead accepts an open paren at end of line). The pattern starts
+# with "->", so it must follow -e or grep reads it as options.
+gate_qid_less() {
+  grep -rnP \
+    -e "->(Receive|ReceiveAndForwardShard|ConsumeShardBatch|NoteFaultLostMids|RouteShare|Defer)\((?!\s*($|qid|query_id|qids\[|notice\.query_id))" \
+    src/system
+}
+plant_qid_less="src/system/planted.cc|proxy->Receive(shares);"
+
+# ChaCha20BlockInto is the crypto module's internal single-block primitive;
+# everything else goes through the multi-block SIMD engine
+# (ChaCha20BlocksInto) or ChaCha20Rng so the hot path always gets the
+# dispatched kernel. ChaCha20Block (the array-returning test helper) stays
+# public.
+gate_chacha_block() {
+  grep -rn --exclude-dir=crypto "ChaCha20BlockInto" src tests bench examples
+}
+plant_chacha_block="src/common/planted.cc|ChaCha20BlockInto(out, key, nonce, 0);"
+
+# The pre-observability flat knobs and SystemConfig::Resolved() are gone;
+# configs use the nested pipeline.*/historical.* fields.
+gate_flat_config() {
+  grep -rnE \
+    "(\.|->)(enable_historical|historical_dir|pipeline_mode|pipeline_depth|stream_shard_size)\b" \
+    src tests bench examples
+}
+plant_flat_config="tests/planted.cc|config.pipeline_mode = 1;"
+
+# Each of these had a replacement in the tree and was deleted: the
+# SegmentedAnswerLog (historical answers live in a PartitionLog),
+# engine::PullPipeline and the owning broker::Consumer
+# (transport::BusConsumer), SystemConfig::Resolved(), Proxy::ForwardParallel
+# (Forward) and Client::AnswerQueryInto (AnswerSubscribedInto).
+gate_compat_layer() {
+  grep -rnE \
+    "SegmentedAnswerLog|PullPipeline|Resolved\(|ForwardParallel|AnswerQueryInto|broker::Consumer\b|class Consumer\b|\bConsumer [a-z_]+\(" \
+    src tests bench examples
+}
+plant_compat_layer="bench/planted.cc|storage::SegmentedAnswerLog log;"
+
+# Durability has exactly one on-disk format: storage::PartitionLog (topics,
+# the query journal, and the historical answer store). Topic/share data
+# written through a raw std::ofstream anywhere in the data plane would
+# bypass CRC framing, crash recovery, and the directory lock — if a layer
+# needs bytes on disk, it goes through src/storage.
+gate_ofstream() {
+  grep -rn "std::ofstream" \
+    src/broker src/transport src/proxy src/aggregator src/engine \
+    src/client src/system
+}
+plant_ofstream="src/transport/planted.cc|std::ofstream out(path);"
+
+# The Broker/Consumer owning+batch+view API triplets collapsed into the
+# single span-first MessageBus contract (transport/message_bus.h:
+# Produce(topic, span) / Poll(..., out) / BusConsumer). Broker keeps no
+# produce/poll surface of its own; the Batch/Views families must not come
+# back anywhere.
+gate_bus_triplets() {
+  grep -rnE "ProduceBatch|ProduceViews|PollViews|PollPartitions" \
+    src tests bench examples
+}
+plant_bus_triplets="examples/planted.cc|bus.ProduceBatch(topic, records);"
+
+# Runs one gate in directory $2; returns 0 on pass. Prints why it failed.
+run_gate() {
+  local name="$1" root="$2" status
+  (cd "$root" && "gate_$name")
+  status=$?
+  case "$status" in
+    1) return 0 ;;
+    0) echo "gate $name: found a removed name (matches above)" ;;
+    *) echo "gate $name: grep failed with exit $status" ;;
+  esac
+  return 1
+}
+
+run_all() {
+  local root="$1" failed=0 name
+  for name in "${GATES[@]}"; do
+    run_gate "$name" "$root" || failed=1
+  done
+  return "$failed"
+}
+
+self_test() {
+  local failed=0 name other plant file line
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' EXIT
+  cp -r "$repo/src" "$repo/tests" "$repo/bench" "$repo/examples" "$tmp/"
+  if ! run_all "$tmp" > /dev/null; then
+    echo "self-test: a gate fails on the clean tree"
+    run_all "$tmp"
+    return 1
+  fi
+  for name in "${GATES[@]}"; do
+    plant="plant_$name"
+    file="${!plant%%|*}"
+    line="${!plant#*|}"
+    mkdir -p "$tmp/$(dirname "$file")"
+    echo "$line" >> "$tmp/$file"
+    for other in "${GATES[@]}"; do
+      if run_gate "$other" "$tmp" > /dev/null; then
+        if [ "$other" = "$name" ]; then
+          echo "self-test: gate $name missed its planted violation in $file"
+          failed=1
+        fi
+      elif [ "$other" != "$name" ]; then
+        echo "self-test: gate $other fired on the violation planted for $name"
+        failed=1
+      fi
+    done
+    rm -f "$tmp/$file"
+  done
+  # A grep error must fail the gate, not pass it: run every gate where its
+  # paths do not exist.
+  mkdir -p "$tmp/empty"
+  for name in "${GATES[@]}"; do
+    if run_gate "$name" "$tmp/empty" > /dev/null 2>&1; then
+      echo "self-test: gate $name passed although grep failed"
+      failed=1
+    fi
+  done
+  if [ "$failed" -eq 0 ]; then
+    echo "self-test: all ${#GATES[@]} gates fire on their planted violation"
+  fi
+  return "$failed"
+}
+
+if [ "${1:-}" = "--self-test" ]; then
+  self_test
+else
+  run_all "${1:-$repo}"
+fi

@@ -261,7 +261,8 @@ std::vector<Record> Topic::Read(size_t partition_index, uint64_t offset,
 }
 
 void Topic::ReadViews(size_t partition_index, uint64_t offset,
-                      size_t max_records, std::vector<RecordView>& out) const {
+                      size_t max_records, std::vector<RecordView>& out,
+                      size_t max_bytes) const {
   if (partition_index >= partitions_.size()) {
     throw std::out_of_range("Topic::ReadViews: bad partition");
   }
@@ -275,6 +276,9 @@ void Topic::ReadViews(size_t partition_index, uint64_t offset,
          i < end && count < max_records; ++i, ++count) {
       const IndexEntry& entry =
           partition.index[static_cast<size_t>(i - partition.base)];
+      if (count > 0 && bytes + entry.payload_len > max_bytes) {
+        break;
+      }
       out.push_back(RecordView{i, entry.timestamp_ms, entry.key,
                                entry.payload, entry.payload_len});
       bytes += entry.payload_len;

@@ -173,9 +173,12 @@ class Topic {
   std::vector<Record> Read(size_t partition, uint64_t offset,
                            size_t max_records) const;
   // Zero-copy read: appends slab-backed views into `out`. Views stay valid
-  // until their offsets are released.
+  // until their offsets are released. Stops before the record that would
+  // take the payload bytes read past `max_bytes`, but always reads at least
+  // one record; metrics() counts only what was read.
   void ReadViews(size_t partition, uint64_t offset, size_t max_records,
-                 std::vector<RecordView>& out) const;
+                 std::vector<RecordView>& out,
+                 size_t max_bytes = SIZE_MAX) const;
 
   // Next offset to be assigned in `partition` (== current log length).
   uint64_t EndOffset(size_t partition) const;

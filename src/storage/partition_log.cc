@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/byte_order.h"
 #include "storage/crc32.h"
 
 namespace privapprox::storage {
@@ -30,34 +31,6 @@ std::string SegmentName(uint64_t base_offset) {
   std::snprintf(buffer, sizeof(buffer), "%s%020llu%s", kSegmentPrefix,
                 static_cast<unsigned long long>(base_offset), kSegmentSuffix);
   return buffer;
-}
-
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
 }
 
 // `directory` / `name` names the file in the error; the path is built only
@@ -105,8 +78,8 @@ ScanResult ScanSegment(const std::filesystem::path& path,
     if (in.gcount() < static_cast<std::streamsize>(sizeof(header))) {
       break;  // torn header
     }
-    const uint32_t len = GetU32(header);
-    const uint32_t crc = GetU32(header + 4);
+    const uint32_t len = LoadLe<uint32_t>(header);
+    const uint32_t crc = LoadLe<uint32_t>(header + 4);
     if (len < kMinBodyBytes || len > kMaxBodyBytes) {
       break;  // implausible length: treat as torn/corrupt
     }
@@ -119,8 +92,8 @@ ScanResult ScanSegment(const std::filesystem::path& path,
       break;  // corrupt body
     }
     if (fn != nullptr) {
-      (*fn)(base_offset + result.records, GetU64(body.data()),
-            static_cast<int64_t>(GetU64(body.data() + 8)),
+      (*fn)(base_offset + result.records, LoadLe<uint64_t>(body.data()),
+            static_cast<int64_t>(LoadLe<uint64_t>(body.data() + 8)),
             std::span<const uint8_t>(body.data() + 16, body.size() - 16));
     }
     ++result.records;
@@ -306,17 +279,15 @@ void PartitionLog::RotateIfNeeded() {
 uint64_t PartitionLog::Append(uint64_t key, int64_t timestamp_ms,
                               std::span<const uint8_t> payload) {
   RotateIfNeeded();
-  scratch_.clear();
-  scratch_.reserve(24 + payload.size());
-  PutU32(scratch_, static_cast<uint32_t>(16 + payload.size()));
-  PutU32(scratch_, 0);  // crc patched below
-  PutU64(scratch_, key);
-  PutU64(scratch_, static_cast<uint64_t>(timestamp_ms));
-  scratch_.insert(scratch_.end(), payload.begin(), payload.end());
-  const uint32_t crc = Crc32(scratch_.data() + 8, scratch_.size() - 8);
-  for (int i = 0; i < 4; ++i) {
-    scratch_[4 + i] = static_cast<uint8_t>(crc >> (8 * i));
+  scratch_.resize(24 + payload.size());
+  uint8_t* record = scratch_.data();
+  StoreLe<uint32_t>(record, static_cast<uint32_t>(16 + payload.size()));
+  StoreLe<uint64_t>(record + 8, key);
+  StoreLe<uint64_t>(record + 16, static_cast<uint64_t>(timestamp_ms));
+  if (!payload.empty()) {
+    std::memcpy(record + 24, payload.data(), payload.size());
   }
+  StoreLe<uint32_t>(record + 4, Crc32(record + 8, scratch_.size() - 8));
   WriteAll(fd_, scratch_.data(), scratch_.size(), directory_,
            segments_.back().name);
 

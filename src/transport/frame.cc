@@ -1,37 +1,28 @@
 #include "transport/frame.h"
 
+#include "common/byte_order.h"
 #include "storage/crc32.h"
 
 namespace privapprox::transport {
 
-namespace {
-
-void PutU32(uint32_t value, std::vector<uint8_t>& out) {
-  out.push_back(static_cast<uint8_t>(value));
-  out.push_back(static_cast<uint8_t>(value >> 8));
-  out.push_back(static_cast<uint8_t>(value >> 16));
-  out.push_back(static_cast<uint8_t>(value >> 24));
+size_t BeginFrame(std::vector<uint8_t>& out) {
+  const size_t frame_start = out.size();
+  out.resize(frame_start + kFrameHeaderBytes);
+  return frame_start;
 }
 
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
+void SealFrame(std::vector<uint8_t>& out, size_t frame_start) {
+  uint8_t* header = out.data() + frame_start;
+  const size_t payload_len = out.size() - frame_start - kFrameHeaderBytes;
+  StoreLe<uint32_t>(header, static_cast<uint32_t>(payload_len));
+  StoreLe<uint32_t>(header + 4, storage::Crc32(header + kFrameHeaderBytes,
+                                               payload_len));
 }
-
-// An empty span's data() may be null; the CRC of zero bytes never reads it,
-// but keep the pointer arithmetic defined for the sanitizer builds.
-uint32_t CrcOf(const uint8_t* data, size_t len) {
-  static constexpr uint8_t kNone = 0;
-  return storage::Crc32(len == 0 ? &kNone : data, len);
-}
-
-}  // namespace
 
 void EncodeFrame(std::span<const uint8_t> payload, std::vector<uint8_t>& out) {
-  PutU32(static_cast<uint32_t>(payload.size()), out);
-  PutU32(CrcOf(payload.data(), payload.size()), out);
+  const size_t frame_start = BeginFrame(out);
   out.insert(out.end(), payload.begin(), payload.end());
+  SealFrame(out, frame_start);
 }
 
 FrameDecodeResult TryDecodeFrame(std::span<const uint8_t> buffer,
@@ -39,20 +30,22 @@ FrameDecodeResult TryDecodeFrame(std::span<const uint8_t> buffer,
   FrameDecodeResult result;
   if (buffer.size() < kFrameHeaderBytes) {
     result.status = FrameStatus::kNeedMore;
+    result.need = kFrameHeaderBytes;
     return result;
   }
-  const uint32_t payload_len = GetU32(buffer.data());
+  const uint32_t payload_len = LoadLe<uint32_t>(buffer.data());
   if (payload_len > max_frame_bytes) {
     result.status = FrameStatus::kTooLarge;
     return result;
   }
   if (buffer.size() < kFrameHeaderBytes + payload_len) {
     result.status = FrameStatus::kNeedMore;
+    result.need = kFrameHeaderBytes + payload_len;
     return result;
   }
-  const uint32_t want_crc = GetU32(buffer.data() + 4);
+  const uint32_t want_crc = LoadLe<uint32_t>(buffer.data() + 4);
   const uint8_t* payload = buffer.data() + kFrameHeaderBytes;
-  if (CrcOf(payload, payload_len) != want_crc) {
+  if (storage::Crc32(payload, payload_len) != want_crc) {
     result.status = FrameStatus::kCrcMismatch;
     return result;
   }

@@ -12,6 +12,11 @@
 // complete frame, asks for more bytes, or reports a protocol error
 // (oversized length or CRC mismatch) after which the connection must be
 // quarantined — framing cannot resynchronize mid-stream.
+//
+// Encoding is in place: BeginFrame appends a header placeholder to the
+// buffer that will cross the socket, the caller appends the payload right
+// behind it, and SealFrame writes the header over the placeholder. The
+// payload is never copied to be framed.
 
 #ifndef PRIVAPPROX_TRANSPORT_FRAME_H_
 #define PRIVAPPROX_TRANSPORT_FRAME_H_
@@ -30,7 +35,16 @@ namespace privapprox::transport {
 inline constexpr size_t kMaxFrameBytes = 64 * 1024 * 1024;
 inline constexpr size_t kFrameHeaderBytes = 8;
 
-// Appends one encoded frame (header + payload) to `out`.
+// Appends the header placeholder of a new frame to `out` and returns the
+// frame's start offset, to be passed to SealFrame once the payload follows.
+size_t BeginFrame(std::vector<uint8_t>& out);
+
+// Writes the header of the frame begun at `frame_start`: its payload is
+// every byte appended to `out` since BeginFrame.
+void SealFrame(std::vector<uint8_t>& out, size_t frame_start);
+
+// Appends one encoded frame (header + payload) to `out`: BeginFrame, the
+// payload, SealFrame.
 void EncodeFrame(std::span<const uint8_t> payload, std::vector<uint8_t>& out);
 
 enum class FrameStatus {
@@ -46,6 +60,9 @@ struct FrameDecodeResult {
   // encoded size (header + payload) to consume from the buffer's front.
   std::span<const uint8_t> payload;
   size_t consumed = 0;
+  // On kNeedMore: the buffer size the next attempt needs — the header size
+  // until the header is in, then the whole frame's encoded size.
+  size_t need = 0;
 };
 
 // Attempts to decode one frame from the front of `buffer`. Never consumes

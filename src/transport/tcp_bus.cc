@@ -20,6 +20,7 @@ namespace privapprox::transport {
 
 namespace {
 
+// Room a receive buffer has free before each recv() (the buffers only grow).
 constexpr size_t kReadChunk = 64 * 1024;
 constexpr size_t kClientSlabChunk = 256 * 1024;
 
@@ -201,12 +202,17 @@ bool TcpBusServer::FlushPeer(Peer& peer) {
 }
 
 bool TcpBusServer::ReadPeer(Peer& peer) {
-  uint8_t chunk[kReadChunk];
   bool eof = false;
   for (;;) {
-    const ssize_t n = recv(peer.fd, chunk, sizeof(chunk), 0);
+    // The buffer only grows, so the resize zero-fills new room once, not
+    // on every read.
+    if (peer.recv.size() - peer.recv_len < kReadChunk) {
+      peer.recv.resize(peer.recv_len + kReadChunk);
+    }
+    const ssize_t n = recv(peer.fd, peer.recv.data() + peer.recv_len,
+                           peer.recv.size() - peer.recv_len, 0);
     if (n > 0) {
-      peer.recv.insert(peer.recv.end(), chunk, chunk + n);
+      peer.recv_len += static_cast<size_t>(n);
       Bump(config_.counters.bytes_in, static_cast<uint64_t>(n));
       continue;
     }
@@ -216,12 +222,13 @@ bool TcpBusServer::ReadPeer(Peer& peer) {
     eof = true;  // orderly shutdown (0) or hard error — either way, gone
     break;
   }
-  // Serve every complete frame accumulated so far.
+  // Serve every complete frame accumulated so far, each response written
+  // in place at the end of the send queue.
   size_t consumed = 0;
   for (;;) {
     const auto decoded = TryDecodeFrame(
         std::span<const uint8_t>(peer.recv.data() + consumed,
-                                 peer.recv.size() - consumed),
+                                 peer.recv_len - consumed),
         config_.max_frame_bytes);
     if (decoded.status == FrameStatus::kNeedMore) {
       break;
@@ -234,14 +241,16 @@ bool TcpBusServer::ReadPeer(Peer& peer) {
       return false;
     }
     Bump(config_.counters.frames_in);
-    HandleRequest(broker_, control_, decoded.payload, response_);
-    EncodeFrame(response_, peer.send);
+    const size_t frame_start = BeginFrame(peer.send);
+    HandleRequest(broker_, control_, decoded.payload, peer.send);
+    SealFrame(peer.send, frame_start);
     Bump(config_.counters.frames_out);
     consumed += decoded.consumed;
   }
   if (consumed > 0) {
-    peer.recv.erase(peer.recv.begin(),
-                    peer.recv.begin() + static_cast<ptrdiff_t>(consumed));
+    peer.recv_len -= consumed;
+    std::memmove(peer.recv.data(), peer.recv.data() + consumed,
+                 peer.recv_len);
   }
   if (!FlushPeer(peer)) {
     return false;
@@ -412,14 +421,19 @@ void TcpBusClient::ReleasePolled() {
   active_slab_ = 0;
 }
 
+std::vector<uint8_t>& TcpBusClient::NewRequest() {
+  request_.clear();
+  BeginFrame(request_);
+  return request_;
+}
+
 std::span<const uint8_t> TcpBusClient::Rpc() {
   EnsureConnectedLocked();
-  frame_.clear();
-  EncodeFrame(request_, frame_);
+  SealFrame(request_, 0);
   size_t sent = 0;
-  while (sent < frame_.size()) {
-    const ssize_t n =
-        send(fd_, frame_.data() + sent, frame_.size() - sent, MSG_NOSIGNAL);
+  while (sent < request_.size()) {
+    const ssize_t n = send(fd_, request_.data() + sent,
+                           request_.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) {
         continue;
@@ -429,25 +443,30 @@ std::span<const uint8_t> TcpBusClient::Rpc() {
     }
     sent += static_cast<size_t>(n);
   }
-  Bump(config_.counters.bytes_out, frame_.size());
+  Bump(config_.counters.bytes_out, request_.size());
   Bump(config_.counters.frames_out);
-  recv_.clear();
+  // One request in flight, so the response is the only frame on the way:
+  // read whatever arrives until the header is in, then up to its end.
+  size_t have = 0;
   for (;;) {
-    const auto decoded = TryDecodeFrame(recv_, config_.max_frame_bytes);
+    const auto decoded = TryDecodeFrame(
+        std::span<const uint8_t>(recv_.data(), have),
+        config_.max_frame_bytes);
     if (decoded.status == FrameStatus::kFrame) {
       Bump(config_.counters.frames_in);
-      // Copy out of the accumulation buffer: body_ survives until the next
-      // RPC, recv_ is reused immediately.
-      body_.assign(decoded.payload.begin(), decoded.payload.end());
-      return body_;
+      return decoded.payload;
     }
     if (decoded.status != FrameStatus::kNeedMore) {
       Bump(config_.counters.protocol_errors);
       Disconnect();
       throw std::runtime_error("TcpBusClient: corrupt response frame");
     }
-    uint8_t chunk[kReadChunk];
-    const ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
+    if (recv_.size() < std::max(decoded.need, kReadChunk)) {
+      recv_.resize(std::max(decoded.need, kReadChunk));
+    }
+    const size_t limit =
+        have < kFrameHeaderBytes ? recv_.size() : decoded.need;
+    const ssize_t n = recv(fd_, recv_.data() + have, limit - have, 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) {
         continue;
@@ -456,7 +475,7 @@ std::span<const uint8_t> TcpBusClient::Rpc() {
       throw std::runtime_error(
           "TcpBusClient: connection lost awaiting response");
     }
-    recv_.insert(recv_.end(), chunk, chunk + n);
+    have += static_cast<size_t>(n);
     Bump(config_.counters.bytes_in, static_cast<uint64_t>(n));
   }
 }
@@ -480,15 +499,13 @@ WireReader CheckOk(std::span<const uint8_t> body) {
 void TcpBusClient::EnsureTopic(const std::string& topic,
                                size_t num_partitions) {
   std::lock_guard<std::mutex> lock(mu_);
-  request_.clear();
-  BuildEnsureTopicRequest(topic, num_partitions, request_);
+  BuildEnsureTopicRequest(topic, num_partitions, NewRequest());
   CheckOk(Rpc());
 }
 
 size_t TcpBusClient::NumPartitions(const std::string& topic) {
   std::lock_guard<std::mutex> lock(mu_);
-  request_.clear();
-  BuildTopicMetaRequest(topic, request_);
+  BuildTopicMetaRequest(topic, NewRequest());
   WireReader reader = CheckOk(Rpc());
   return reader.TakeU32();
 }
@@ -496,8 +513,7 @@ size_t TcpBusClient::NumPartitions(const std::string& topic) {
 void TcpBusClient::Produce(const std::string& topic,
                            std::span<const broker::ProduceView> records) {
   std::lock_guard<std::mutex> lock(mu_);
-  request_.clear();
-  BuildProduceRequest(topic, records, request_);
+  BuildProduceRequest(topic, records, NewRequest());
   CheckOk(Rpc());
 }
 
@@ -505,9 +521,8 @@ size_t TcpBusClient::Poll(const std::string& topic, size_t partition,
                           uint64_t offset, size_t max_records,
                           std::vector<broker::RecordView>& out) {
   std::lock_guard<std::mutex> lock(mu_);
-  request_.clear();
   BuildPollRequest(topic, partition, offset, max_records,
-                   config_.poll_byte_budget, request_);
+                   config_.poll_byte_budget, NewRequest());
   WireReader reader = CheckOk(Rpc());
   const uint32_t count = reader.TakeU32();
   for (uint32_t i = 0; i < count; ++i) {
@@ -525,8 +540,7 @@ size_t TcpBusClient::Poll(const std::string& topic, size_t partition,
 
 uint64_t TcpBusClient::EndOffset(const std::string& topic, size_t partition) {
   std::lock_guard<std::mutex> lock(mu_);
-  request_.clear();
-  BuildEndOffsetRequest(topic, partition, request_);
+  BuildEndOffsetRequest(topic, partition, NewRequest());
   WireReader reader = CheckOk(Rpc());
   return reader.TakeU64();
 }
@@ -534,8 +548,7 @@ uint64_t TcpBusClient::EndOffset(const std::string& topic, size_t partition) {
 std::vector<uint8_t> TcpBusClient::Control(const std::string& verb,
                                            std::span<const uint8_t> payload) {
   std::lock_guard<std::mutex> lock(mu_);
-  request_.clear();
-  BuildControlRequest(verb, payload, request_);
+  BuildControlRequest(verb, payload, NewRequest());
   WireReader reader = CheckOk(Rpc());
   const auto reply = reader.TakeBytes();
   return std::vector<uint8_t>(reply.begin(), reply.end());

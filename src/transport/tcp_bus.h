@@ -20,6 +20,11 @@
 // payload bytes are copied into client-owned slabs, so RecordViews stay
 // valid until the owner calls ReleasePolled — the counterpart of
 // broker::Topic::Release on the far side of the wire.
+//
+// Both ends frame in place (frame.h): a request or response is written
+// behind a header placeholder in the very buffer that is sent and sealed
+// there, and bytes are received straight into the buffer they are decoded
+// from. No payload is copied to be framed or unframed.
 
 #ifndef PRIVAPPROX_TRANSPORT_TCP_BUS_H_
 #define PRIVAPPROX_TRANSPORT_TCP_BUS_H_
@@ -87,7 +92,10 @@ class TcpBusServer {
  private:
   struct Peer {
     int fd = -1;
+    // recv[0, recv_len) holds received bytes not yet served; the rest is
+    // spare room the next recv() writes into.
     std::vector<uint8_t> recv;
+    size_t recv_len = 0;
     std::vector<uint8_t> send;
     size_t send_off = 0;  // bytes of `send` already written
     bool want_write = false;
@@ -113,7 +121,6 @@ class TcpBusServer {
   std::atomic<bool> stop_{false};
   std::thread thread_;
   std::map<int, Peer> peers_;
-  std::vector<uint8_t> response_;  // HandleRequest scratch
 };
 
 struct TcpBusClientConfig {
@@ -160,8 +167,11 @@ class TcpBusClient final : public MessageBus {
   void ReleasePolled();
 
  private:
-  // One request/response round-trip; `mu_` must be held. Returns the
-  // response body (status byte already checked and stripped... see .cc).
+  // Starts the next request in request_: clears it and appends the frame
+  // header placeholder, behind which a Build*Request call appends the body.
+  std::vector<uint8_t>& NewRequest();
+  // One request/response round-trip over request_; `mu_` must be held.
+  // Returns the response body, a view into recv_ valid until the next RPC.
   std::span<const uint8_t> Rpc();
   void EnsureConnectedLocked();
   void Disconnect();
@@ -172,10 +182,8 @@ class TcpBusClient final : public MessageBus {
   std::mutex mu_;
   int fd_ = -1;
   bool ever_connected_ = false;
-  std::vector<uint8_t> request_;   // wire body being built
-  std::vector<uint8_t> frame_;     // framed request bytes
-  std::vector<uint8_t> recv_;      // response accumulation
-  std::vector<uint8_t> body_;      // decoded response body copy
+  std::vector<uint8_t> request_;  // the request frame, built in place
+  std::vector<uint8_t> recv_;     // the response frame, received in place
   // Payload slabs backing polled RecordViews until ReleasePolled; polls
   // fill slabs_[0..active_slab_] in order.
   struct Slab {

@@ -1,27 +1,43 @@
 #include "transport/wire.h"
 
+#include <algorithm>
+#include <cstring>
 #include <exception>
 #include <stdexcept>
 
+#include "common/byte_order.h"
+
 namespace privapprox::transport {
+
+namespace {
+
+// Fixed part of one record in a Produce request ([u64 key][u64 ts][u32 len])
+// and in a Poll response (the same, after a u64 offset).
+constexpr size_t kProduceRecordHeaderBytes = 20;
+constexpr size_t kPollRecordHeaderBytes = 28;
+
+// Grows `out` by `n` bytes and returns where they start, for fixed-width
+// stores straight into the buffer.
+uint8_t* Extend(std::vector<uint8_t>& out, size_t n) {
+  const size_t at = out.size();
+  out.resize(at + n);
+  return out.data() + at;
+}
+
+}  // namespace
 
 void PutU8(uint8_t v, std::vector<uint8_t>& out) { out.push_back(v); }
 
 void PutU16(uint16_t v, std::vector<uint8_t>& out) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
+  StoreLe<uint16_t>(Extend(out, 2), v);
 }
 
 void PutU32(uint32_t v, std::vector<uint8_t>& out) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  StoreLe<uint32_t>(Extend(out, 4), v);
 }
 
 void PutU64(uint64_t v, std::vector<uint8_t>& out) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  StoreLe<uint64_t>(Extend(out, 8), v);
 }
 
 void PutString(const std::string& s, std::vector<uint8_t>& out) {
@@ -48,28 +64,11 @@ std::span<const uint8_t> WireReader::TakeRaw(size_t len) {
 
 uint8_t WireReader::TakeU8() { return TakeRaw(1)[0]; }
 
-uint16_t WireReader::TakeU16() {
-  const auto b = TakeRaw(2);
-  return static_cast<uint16_t>(b[0] | (b[1] << 8));
-}
+uint16_t WireReader::TakeU16() { return LoadLe<uint16_t>(TakeRaw(2).data()); }
 
-uint32_t WireReader::TakeU32() {
-  const auto b = TakeRaw(4);
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(b[i]) << (8 * i);
-  }
-  return v;
-}
+uint32_t WireReader::TakeU32() { return LoadLe<uint32_t>(TakeRaw(4).data()); }
 
-uint64_t WireReader::TakeU64() {
-  const auto b = TakeRaw(8);
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(b[i]) << (8 * i);
-  }
-  return v;
-}
+uint64_t WireReader::TakeU64() { return LoadLe<uint64_t>(TakeRaw(8).data()); }
 
 std::string WireReader::TakeString() {
   const uint16_t len = TakeU16();
@@ -95,10 +94,23 @@ void BuildProduceRequest(const std::string& topic,
   PutU8(static_cast<uint8_t>(WireOp::kProduce), out);
   PutString(topic, out);
   PutU32(static_cast<uint32_t>(records.size()), out);
+  // Each record is [u64 key][u64 ts][u32 len][payload]: size the block once,
+  // then store straight into it.
+  size_t block = 0;
   for (const auto& record : records) {
-    PutU64(record.key, out);
-    PutU64(static_cast<uint64_t>(record.timestamp_ms), out);
-    PutBytes(record.payload, out);
+    block += kProduceRecordHeaderBytes + record.payload.size();
+  }
+  uint8_t* p = Extend(out, block);
+  for (const auto& record : records) {
+    const size_t len = record.payload.size();
+    StoreLe<uint64_t>(p, record.key);
+    StoreLe<uint64_t>(p + 8, static_cast<uint64_t>(record.timestamp_ms));
+    StoreLe<uint32_t>(p + 16, static_cast<uint32_t>(len));
+    p += kProduceRecordHeaderBytes;
+    if (len > 0) {
+      std::memcpy(p, record.payload.data(), len);
+    }
+    p += len;
   }
 }
 
@@ -136,19 +148,22 @@ void BuildControlRequest(const std::string& verb,
 
 namespace {
 
-void PutError(const char* what, std::vector<uint8_t>& out) {
-  out.clear();
+// Replaces whatever this request appended after `start` with an error
+// response; bytes before `start` (earlier responses) are left alone.
+void PutError(const char* what, size_t start, std::vector<uint8_t>& out) {
+  out.resize(start);
   PutU8(kWireError, out);
-  PutString(std::string(what), out);
+  std::string message(what);
+  message.resize(std::min<size_t>(message.size(), UINT16_MAX));
+  PutString(message, out);
 }
 
 void ServeProduce(broker::Broker& broker, WireReader& reader,
                   std::vector<uint8_t>& response) {
   const std::string topic = reader.TakeString();
   const uint32_t count = reader.TakeU32();
-  // A record is at least its key, timestamp and payload length (20 bytes):
-  // reject a count the frame cannot hold before reserving for it.
-  if (count > reader.remaining() / 20) {
+  // Reject a count the frame cannot hold before reserving for it.
+  if (count > reader.remaining() / kProduceRecordHeaderBytes) {
     throw std::invalid_argument("wire: produce count " +
                                 std::to_string(count) +
                                 " exceeds the request body");
@@ -175,29 +190,32 @@ void ServePoll(broker::Broker& broker, WireReader& reader,
   const uint64_t offset = reader.TakeU64();
   const size_t max_records = reader.TakeU32();
   const uint32_t max_bytes = reader.TakeU32();
+  // The topic stops at the byte budget (always reading at least one record,
+  // so progress is guaranteed): every view read is packed.
   thread_local std::vector<broker::RecordView> views;
   views.clear();
-  broker.GetTopic(topic).ReadViews(partition, offset, max_records, views);
-  PutU8(kWireOk, response);
-  const size_t count_pos = response.size();
-  PutU32(0, response);  // patched below
-  uint32_t packed = 0;
-  size_t body_bytes = 0;
+  broker.GetTopic(topic).ReadViews(partition, offset, max_records, views,
+                                   max_bytes);
+  // [u8 ok][u32 count], then per record [u64 offset][u64 key][u64 ts]
+  // [u32 len][payload]: size the block once, then store straight into it.
+  size_t block = 1 + 4;
   for (const auto& view : views) {
-    // Byte-budgeted: always pack at least one record so progress is
-    // guaranteed, stop before exceeding the requested response budget.
-    if (packed > 0 && body_bytes + view.payload_len > max_bytes) {
-      break;
-    }
-    PutU64(view.offset, response);
-    PutU64(view.key, response);
-    PutU64(static_cast<uint64_t>(view.timestamp_ms), response);
-    PutBytes(view.bytes(), response);
-    body_bytes += view.payload_len;
-    ++packed;
+    block += kPollRecordHeaderBytes + view.payload_len;
   }
-  for (int i = 0; i < 4; ++i) {
-    response[count_pos + i] = static_cast<uint8_t>(packed >> (8 * i));
+  uint8_t* p = Extend(response, block);
+  *p = kWireOk;
+  StoreLe<uint32_t>(p + 1, static_cast<uint32_t>(views.size()));
+  p += 1 + 4;
+  for (const auto& view : views) {
+    StoreLe<uint64_t>(p, view.offset);
+    StoreLe<uint64_t>(p + 8, view.key);
+    StoreLe<uint64_t>(p + 16, static_cast<uint64_t>(view.timestamp_ms));
+    StoreLe<uint32_t>(p + 24, view.payload_len);
+    p += kPollRecordHeaderBytes;
+    if (view.payload_len > 0) {
+      std::memcpy(p, view.payload, view.payload_len);
+    }
+    p += view.payload_len;
   }
 }
 
@@ -206,7 +224,7 @@ void ServePoll(broker::Broker& broker, WireReader& reader,
 uint8_t HandleRequest(broker::Broker& broker, const ControlHandler& control,
                       std::span<const uint8_t> request,
                       std::vector<uint8_t>& response) {
-  response.clear();
+  const size_t start = response.size();
   uint8_t op = 0;
   try {
     WireReader reader(request);
@@ -261,7 +279,7 @@ uint8_t HandleRequest(broker::Broker& broker, const ControlHandler& control,
                                     std::to_string(op));
     }
   } catch (const std::exception& e) {
-    PutError(e.what(), response);
+    PutError(e.what(), start, response);
   }
   return op;
 }

@@ -1,11 +1,13 @@
 // Tests for the durable historical answer log — answer records
-// (AppendAnswer / LoadAnswers) on a segmented PartitionLog: CRC32 vectors,
-// round-trips, segment rotation, time-range loads, torn-tail recovery, and
-// corruption detection.
+// (AppendAnswer / LoadAnswers) on a segmented PartitionLog: CRC32 vectors
+// and kernel identity, round-trips, segment rotation, time-range loads,
+// torn-tail recovery, and corruption detection.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -13,6 +15,7 @@
 
 #include <unistd.h>
 
+#include "common/simd_dispatch.h"
 #include "storage/crc32.h"
 #include "aggregator/historical.h"
 #include "storage/partition_log.h"
@@ -73,6 +76,145 @@ TEST(Crc32Test, DetectsBitFlips) {
   const uint32_t original = Crc32(buffer, sizeof(buffer));
   buffer[13] ^= 0x20;
   EXPECT_NE(Crc32(buffer, sizeof(buffer)), original);
+}
+
+// The bytewise reference every kernel is pinned against: the textbook
+// reflected CRC-32, one table lookup per byte.
+uint32_t ReferenceCrc32Update(uint32_t crc, const uint8_t* data, size_t len) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  crc = ~crc;
+  for (size_t i = 0; i < len; ++i) {
+    crc = (crc >> 8) ^ table[(crc ^ data[i]) & 0xFF];
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> RandomBytes(size_t len, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<uint8_t> out(len);
+  for (uint8_t& byte : out) {
+    byte = static_cast<uint8_t>(rng());
+  }
+  return out;
+}
+
+TEST(Crc32KernelTest, KnownVectorsOfAtLeast64BytesReachTheFoldPath) {
+  // Values from zlib's crc32; every input is long enough to be folded.
+  std::vector<uint8_t> ramp(256);
+  for (size_t i = 0; i < ramp.size(); ++i) {
+    ramp[i] = static_cast<uint8_t>(i);
+  }
+  std::string fox;
+  for (int i = 0; i < 3; ++i) {
+    fox += "The quick brown fox jumps over the lazy dog";
+  }
+  std::vector<uint8_t> pattern(4099);
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  const std::vector<uint8_t> zeros(64, 0x00);
+  const std::vector<uint8_t> ones(1000, 0xFF);
+  for (const Crc32Kernel kernel : AvailableCrc32Kernels()) {
+    SCOPED_TRACE(Crc32KernelName(kernel));
+    EXPECT_EQ(Crc32UpdateWith(kernel, 0, zeros.data(), zeros.size()),
+              0x758D6336u);
+    EXPECT_EQ(Crc32UpdateWith(kernel, 0, ramp.data(), ramp.size()),
+              0x29058C73u);
+    EXPECT_EQ(Crc32UpdateWith(kernel, 0, ones.data(), ones.size()),
+              0xE0533230u);
+    EXPECT_EQ(Crc32UpdateWith(kernel, 0, fox.data(), fox.size()),
+              0xD99691F3u);
+    EXPECT_EQ(Crc32UpdateWith(kernel, 0, pattern.data(), pattern.size()),
+              0xDFADE85Au);
+  }
+  EXPECT_EQ(Crc32(pattern.data(), pattern.size()), 0xDFADE85Au);
+}
+
+TEST(Crc32KernelTest, EveryKernelMatchesTheBytewiseReference) {
+  constexpr size_t kMaxLen = 1100;
+  const std::vector<uint8_t> buffer = RandomBytes(kMaxLen + 15, 1);
+  std::mt19937 seeds(2);
+  for (const Crc32Kernel kernel : AvailableCrc32Kernels()) {
+    for (size_t offset = 0; offset < 16; ++offset) {
+      for (size_t len = 0; len <= kMaxLen; ++len) {
+        const uint32_t seed = seeds();
+        const uint8_t* data = buffer.data() + offset;
+        ASSERT_EQ(Crc32UpdateWith(kernel, seed, data, len),
+                  ReferenceCrc32Update(seed, data, len))
+            << Crc32KernelName(kernel) << " offset " << offset << " len "
+            << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32KernelTest, LargeBuffersMatchTheBytewiseReference) {
+  std::mt19937 seeds(3);
+  for (const size_t len : {size_t{64} << 10, size_t{1} << 20}) {
+    const std::vector<uint8_t> buffer = RandomBytes(len + 15, len);
+    for (size_t offset = 0; offset < 16; ++offset) {
+      const uint32_t seed = seeds();
+      const uint8_t* data = buffer.data() + offset;
+      const uint32_t want = ReferenceCrc32Update(seed, data, len);
+      for (const Crc32Kernel kernel : AvailableCrc32Kernels()) {
+        ASSERT_EQ(Crc32UpdateWith(kernel, seed, data, len), want)
+            << Crc32KernelName(kernel) << " offset " << offset << " len "
+            << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32KernelTest, IncrementalSplitsAtEvery16ByteBoundaryMatch) {
+  constexpr size_t kLen = 1100;
+  const std::vector<uint8_t> buffer = RandomBytes(kLen + 15, 4);
+  std::mt19937 seeds(5);
+  for (const Crc32Kernel kernel : AvailableCrc32Kernels()) {
+    for (size_t offset = 0; offset < 16; ++offset) {
+      const uint8_t* data = buffer.data() + offset;
+      const uint32_t seed = seeds();
+      const uint32_t want = ReferenceCrc32Update(seed, data, kLen);
+      for (size_t split = 0; split <= kLen; split += 16) {
+        const uint32_t head = Crc32UpdateWith(kernel, seed, data, split);
+        ASSERT_EQ(Crc32UpdateWith(kernel, head, data + split, kLen - split),
+                  want)
+            << Crc32KernelName(kernel) << " offset " << offset << " split "
+            << split;
+      }
+    }
+  }
+}
+
+TEST(Crc32KernelTest, ActiveKernelFollowsTheSimdPolicy) {
+  const std::vector<Crc32Kernel> kernels = AvailableCrc32Kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(kernels.front(), Crc32Kernel::kSlicing8);
+  const Crc32Kernel expected = simd::ActiveIsa() == simd::Isa::kScalar
+                                   ? Crc32Kernel::kSlicing8
+                                   : kernels.back();
+  EXPECT_EQ(ActiveCrc32Kernel(), expected);
+}
+
+TEST(Crc32KernelTest, SimdOffSelectsThePortableKernel) {
+  // The kernel is picked once per process, so the override is checked in a
+  // freshly executed child that sets it before anything dispatches.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("PRIVAPPROX_SIMD", "off", 1);
+        std::exit(ActiveCrc32Kernel() == Crc32Kernel::kSlicing8 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 // ------------------------------------------------------------- segment log

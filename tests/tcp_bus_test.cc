@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "broker/broker.h"
+#include "common/byte_order.h"
 #include "metrics/metrics.h"
 #include "transport/frame.h"
 #include "transport/message_bus.h"
@@ -34,6 +35,14 @@ std::vector<uint8_t> Bytes(const std::string& s) {
 // A raw blocking loopback connection for byte-level protocol abuse.
 class RawConn {
  public:
+  // Wraps the accepted side of a RawListener connection.
+  struct Accepted {
+    int fd;
+  };
+  explicit RawConn(Accepted accepted) : fd_(accepted.fd) {
+    EXPECT_GE(fd_, 0);
+    BoundReads();
+  }
   explicit RawConn(uint16_t port) {
     fd_ = socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd_, 0);
@@ -43,6 +52,7 @@ class RawConn {
     inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
     EXPECT_EQ(connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
               0);
+    BoundReads();
   }
   ~RawConn() { Close(); }
 
@@ -78,6 +88,16 @@ class RawConn {
     return out;
   }
 
+  // Reads one whole frame, header included, exactly as it arrived.
+  std::vector<uint8_t> RecvFrame() {
+    std::vector<uint8_t> frame = Recv(kFrameHeaderBytes);
+    if (frame.size() == kFrameHeaderBytes) {
+      const std::vector<uint8_t> payload = Recv(LoadLe<uint32_t>(frame.data()));
+      frame.insert(frame.end(), payload.begin(), payload.end());
+    }
+    return frame;
+  }
+
   // True once the peer has closed (read returns 0), polling briefly.
   bool PeerClosed() {
     for (int i = 0; i < 200; ++i) {
@@ -95,8 +115,48 @@ class RawConn {
   }
 
  private:
+  // A missing or truncated reply ends Recv short after 5 s instead of
+  // hanging the test.
+  void BoundReads() {
+    timeval tv{};
+    tv.tv_sec = 5;
+    setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+
   int fd_ = -1;
 };
+
+// A loopback listener for a fake server that records what a client sends.
+class RawListener {
+ public:
+  RawListener() {
+    fd_ = socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    EXPECT_EQ(bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    EXPECT_EQ(listen(fd_, 1), 0);
+    socklen_t len = sizeof(addr);
+    getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~RawListener() { close(fd_); }
+
+  uint16_t port() const { return port_; }
+  RawConn::Accepted Accept() { return {accept(fd_, nullptr, nullptr)}; }
+
+ private:
+  int fd_ = -1;
+  uint16_t port_ = 0;
+};
+
+std::vector<uint8_t> Framed(const std::vector<uint8_t>& body) {
+  std::vector<uint8_t> frame;
+  EncodeFrame(body, frame);
+  return frame;
+}
 
 class TcpBusTest : public ::testing::Test {
  protected:
@@ -252,16 +312,11 @@ TEST_F(TcpBusTest, FrameDribbledBytewiseStillParses) {
     conn.Send(std::span<const uint8_t>(&byte, 1));
   }
   // A complete response frame (kWireOk body) comes back.
-  const std::vector<uint8_t> header = conn.Recv(kFrameHeaderBytes);
-  ASSERT_EQ(header.size(), kFrameHeaderBytes);
-  const uint32_t len = static_cast<uint32_t>(header[0]) |
-                       (static_cast<uint32_t>(header[1]) << 8) |
-                       (static_cast<uint32_t>(header[2]) << 16) |
-                       (static_cast<uint32_t>(header[3]) << 24);
-  const std::vector<uint8_t> body = conn.Recv(len);
-  ASSERT_EQ(body.size(), len);
-  ASSERT_GE(body.size(), 1u);
-  EXPECT_EQ(body[0], kWireOk);
+  const std::vector<uint8_t> frame = conn.RecvFrame();
+  const FrameDecodeResult decoded = TryDecodeFrame(frame);
+  ASSERT_EQ(decoded.status, FrameStatus::kFrame);
+  ASSERT_GE(decoded.payload.size(), 1u);
+  EXPECT_EQ(decoded.payload[0], kWireOk);
   EXPECT_EQ(broker_.GetTopic("dribble").num_partitions(), 1u);
 }
 
@@ -339,6 +394,86 @@ TEST_F(TcpBusTest, ControlVerbsRoundTripAndPropagateErrors) {
   }
   // The error poisoned nothing: the connection still serves requests.
   EXPECT_EQ(client->Control("echo", payload), payload);
+}
+
+TEST_F(TcpBusTest, ClientRequestFramesMatchEncodeFrame) {
+  // A fake server records each request frame exactly as the client sent
+  // it — built and sealed in place — and answers with a minimal reply.
+  RawListener listener;
+  std::vector<std::vector<uint8_t>> captured;
+  std::thread fake([&] {
+    RawConn conn(listener.Accept());
+    std::vector<uint8_t> produce_ok = {kWireOk};
+    PutU32(2, produce_ok);
+    std::vector<uint8_t> poll_ok = {kWireOk};
+    PutU32(0, poll_ok);
+    for (const std::vector<uint8_t>* reply : {&produce_ok, &poll_ok}) {
+      captured.push_back(conn.RecvFrame());
+      conn.Send(Framed(*reply));
+    }
+  });
+  TcpBusClientConfig config;
+  config.port = listener.port();
+  TcpBusClient client(config);
+  const std::vector<uint8_t> a = Bytes("alpha"), b = Bytes("bravo!");
+  const std::vector<broker::ProduceView> records = {
+      broker::ProduceView{1, a, 10}, broker::ProduceView{2, b, 20}};
+  std::vector<broker::RecordView> out;
+  EXPECT_NO_THROW(client.Produce("lane", records));
+  EXPECT_NO_THROW(client.Poll("lane", 0, 5, 64, out));
+  fake.join();
+
+  std::vector<uint8_t> produce;
+  BuildProduceRequest("lane", records, produce);
+  std::vector<uint8_t> poll;
+  BuildPollRequest("lane", 0, 5, 64, config.poll_byte_budget, poll);
+  ASSERT_EQ(captured.size(), 2u);
+  EXPECT_EQ(captured[0], Framed(produce));
+  EXPECT_EQ(captured[1], Framed(poll));
+}
+
+TEST_F(TcpBusTest, PipelinedRequestsAnswerIntactAndInOrderAcrossAnError) {
+  StartServer();
+  auto client = Dial();
+  client->EnsureTopic("t", 1);
+  const std::vector<uint8_t> payload = Bytes("pipelined");
+  const std::vector<broker::ProduceView> records(
+      3, broker::ProduceView{7, payload, 5});
+  client->Produce("t", records);
+
+  // Ok, error, ok in one write: the server frames all three responses in
+  // place in one send queue, so the error must replace only its own bytes.
+  std::vector<uint8_t> poll;
+  BuildPollRequest("t", 0, 0, 16, 1 << 20, poll);
+  std::vector<uint8_t> error;
+  BuildTopicMetaRequest("missing", error);
+  std::vector<uint8_t> meta;
+  BuildTopicMetaRequest("t", meta);
+  std::vector<uint8_t> wire;
+  for (const std::vector<uint8_t>* request : {&poll, &error, &meta}) {
+    EncodeFrame(*request, wire);
+  }
+  RawConn conn(server_->port());
+  conn.Send(wire);
+  std::vector<std::vector<uint8_t>> responses;
+  for (int i = 0; i < 3; ++i) {
+    responses.push_back(conn.RecvFrame());
+  }
+
+  // Each response is byte-identical to EncodeFrame of the body the
+  // dispatcher produces for that request on its own.
+  const std::vector<const std::vector<uint8_t>*> requests = {&poll, &error,
+                                                             &meta};
+  for (size_t i = 0; i < requests.size(); ++i) {
+    std::vector<uint8_t> body;
+    HandleRequest(broker_, {}, *requests[i], body);
+    EXPECT_EQ(responses[i], Framed(body)) << "response " << i;
+  }
+  ASSERT_GT(responses[1].size(), kFrameHeaderBytes);
+  EXPECT_EQ(responses[1][kFrameHeaderBytes], kWireError);
+  // The connection survived the error and still serves requests.
+  conn.Send(Framed(meta));
+  EXPECT_EQ(conn.RecvFrame(), responses[2]);
 }
 
 TEST_F(TcpBusTest, ClientRedialsAfterServerRestartAndCountsIt) {

@@ -109,6 +109,31 @@ TEST(FrameTest, OversizedLengthIsQuarantined) {
   EXPECT_EQ(TryDecodeFrame(encoded, max_frame).status, FrameStatus::kTooLarge);
 }
 
+TEST(FrameTest, InPlaceFrameMatchesEncodeFrameAndTheHeaderLayout) {
+  std::vector<uint8_t> body;
+  const std::vector<uint8_t> a = Bytes("share-a"), b = Bytes("share-bb");
+  const std::vector<broker::ProduceView> records = {View(a, 1, 10),
+                                                    View(b, 2, 20)};
+  BuildProduceRequest("lane", records, body);
+  // [u32 len][u32 crc32(payload)][payload], little-endian, built by hand.
+  std::vector<uint8_t> want;
+  PutU32(static_cast<uint32_t>(body.size()), want);
+  PutU32(storage::Crc32(body.data(), body.size()), want);
+  want.insert(want.end(), body.begin(), body.end());
+  std::vector<uint8_t> encoded;
+  EncodeFrame(body, encoded);
+  EXPECT_EQ(encoded, want);
+  // The client's path: the request is built behind the header placeholder
+  // and sealed where it lies, after whatever the buffer already held.
+  std::vector<uint8_t> in_place = Bytes("earlier");
+  const size_t start = BeginFrame(in_place);
+  BuildProduceRequest("lane", records, in_place);
+  SealFrame(in_place, start);
+  std::vector<uint8_t> expected = Bytes("earlier");
+  expected.insert(expected.end(), want.begin(), want.end());
+  EXPECT_EQ(in_place, expected);
+}
+
 TEST(FrameTest, BackToBackFramesDecodeInOrder) {
   std::vector<uint8_t> buffer;
   EncodeFrame(Bytes("first"), buffer);
@@ -129,7 +154,9 @@ TEST(FrameTest, BackToBackFramesDecodeInOrder) {
 class WireProtocolTest : public ::testing::Test {
  protected:
   // Runs one request through the pure dispatcher and strips the status byte.
+  // HandleRequest appends, so each call starts from an empty buffer.
   WireReader Call(const std::vector<uint8_t>& request) {
+    response_.clear();
     HandleRequest(broker_, control_, request, response_);
     WireReader reader(response_);
     const uint8_t status = reader.TakeU8();
@@ -207,6 +234,106 @@ TEST_F(WireProtocolTest, PollIsByteBudgetedButAlwaysMakesProgress) {
   BuildPollRequest("t", 0, 0, 16, /*max_bytes=*/2000, request);
   WireReader two = Call(request);
   EXPECT_EQ(two.TakeU32(), 2u);
+}
+
+TEST_F(WireProtocolTest, PollReadsNoMoreThanItPacks) {
+  std::vector<uint8_t> request;
+  BuildEnsureTopicRequest("t", 1, request);
+  Call(request);
+  const std::vector<uint8_t> big(1000, 0x55);
+  const std::vector<broker::ProduceView> records = {View(big, 0), View(big, 0),
+                                                    View(big, 0)};
+  request.clear();
+  BuildProduceRequest("t", records, request);
+  Call(request);
+
+  // An uncapped record count cannot make the server read past the byte
+  // budget: the topic hands out, and counts, only the record it packs.
+  request.clear();
+  BuildPollRequest("t", 0, 0, UINT32_MAX, /*max_bytes=*/10, request);
+  WireReader reply = Call(request);
+  EXPECT_EQ(reply.TakeU32(), 1u);
+  const broker::TopicMetrics metrics = broker_.GetTopic("t").metrics();
+  EXPECT_EQ(metrics.records_out, 1u);
+  EXPECT_EQ(metrics.bytes_out, 1000u);
+}
+
+TEST_F(WireProtocolTest, RequestAndResponseBytesAreGolden) {
+  const std::vector<uint8_t> ab = Bytes("ab");
+  const std::vector<uint8_t> empty;
+  const std::vector<broker::ProduceView> records = {
+      View(ab, 0x0102030405060708ull, -2), View(empty, 9, 10)};
+  std::vector<uint8_t> request;
+  BuildProduceRequest("t", records, request);
+  const std::vector<uint8_t> want_request = {
+      2,    1,    0,    't',  2,    0,    0,    0,     // op, "t", count
+      8,    7,    6,    5,    4,    3,    2,    1,     // key
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // ts = -2
+      2,    0,    0,    0,    'a',  'b',               // payload
+      9,    0,    0,    0,    0,    0,    0,    0,     // key
+      10,   0,    0,    0,    0,    0,    0,    0,     // ts
+      0,    0,    0,    0};                            // empty payload
+  EXPECT_EQ(request, want_request);
+
+  std::vector<uint8_t> setup;
+  BuildEnsureTopicRequest("t", 1, setup);
+  Call(setup);
+  Call(request);
+  std::vector<uint8_t> poll;
+  BuildPollRequest("t", 0, 0, 16, 1 << 20, poll);
+  Call(poll);
+  const std::vector<uint8_t> want_response = {
+      0,    2,    0,    0,    0,                       // ok, count
+      0,    0,    0,    0,    0,    0,    0,    0,     // offset 0
+      8,    7,    6,    5,    4,    3,    2,    1,     // key
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // ts
+      2,    0,    0,    0,    'a',  'b',               // payload
+      1,    0,    0,    0,    0,    0,    0,    0,     // offset 1
+      9,    0,    0,    0,    0,    0,    0,    0,     // key
+      10,   0,    0,    0,    0,    0,    0,    0,     // ts
+      0,    0,    0,    0};                            // empty payload
+  EXPECT_EQ(response_, want_response);
+}
+
+TEST_F(WireProtocolTest, ResponsesFramedInPlaceMatchEncodeFrame) {
+  std::vector<uint8_t> request;
+  BuildEnsureTopicRequest("t", 1, request);
+  Call(request);
+  const std::vector<uint8_t> a = Bytes("aa"), b = Bytes("bbb");
+  const std::vector<broker::ProduceView> records = {View(a, 1, 10),
+                                                    View(b, 2, 20)};
+  request.clear();
+  BuildProduceRequest("t", records, request);
+  Call(request);
+  std::vector<uint8_t> poll;
+  BuildPollRequest("t", 0, 0, 16, 1 << 20, poll);
+  std::vector<uint8_t> error;
+  BuildTopicMetaRequest("missing", error);
+
+  // The server's path: each response is appended behind the ones still
+  // queued for the peer and sealed in place. An error replaces only its
+  // own bytes, so the poll responses around it survive intact.
+  std::vector<uint8_t> in_place = Bytes("queued");
+  std::vector<uint8_t> expected = in_place;
+  for (const std::vector<uint8_t>* req : {&poll, &error, &poll}) {
+    std::vector<uint8_t> body;
+    HandleRequest(broker_, control_, *req, body);
+    EncodeFrame(body, expected);
+    const size_t start = BeginFrame(in_place);
+    HandleRequest(broker_, control_, *req, in_place);
+    SealFrame(in_place, start);
+  }
+  EXPECT_EQ(in_place, expected);
+  // Ok, error, ok — each frame whole and in order behind the queued bytes.
+  std::span<const uint8_t> rest(in_place.data() + 6, in_place.size() - 6);
+  for (const uint8_t status : {kWireOk, kWireError, kWireOk}) {
+    const FrameDecodeResult frame = TryDecodeFrame(rest);
+    ASSERT_EQ(frame.status, FrameStatus::kFrame);
+    ASSERT_FALSE(frame.payload.empty());
+    EXPECT_EQ(frame.payload[0], status);
+    rest = rest.subspan(frame.consumed);
+  }
+  EXPECT_TRUE(rest.empty());
 }
 
 TEST_F(WireProtocolTest, ErrorsComeBackAsWireErrors) {
