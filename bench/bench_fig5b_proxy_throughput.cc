@@ -1,8 +1,9 @@
 // Figure 5(b): proxy throughput vs the answer bit-vector size A[n].
 //
 // Measures the real transmission path: clients' encrypted shares are
-// produced into the proxy's inbound topic and Forward() moves them to the
-// outbound topic — the only per-answer work a PrivApprox proxy does.
+// produced into a query lane's inbound topic and ForwardLanes() moves them
+// to the lane's outbound topic — the only per-answer work a PrivApprox
+// proxy does.
 // Registered as a google-benchmark so the per-size timings come from steady-
 // state measurement, then summarized as the paper's responses/sec series.
 //
@@ -21,34 +22,42 @@ using namespace privapprox;
 
 namespace {
 
-// Pre-build a batch of encoded shares of the given answer size.
-std::vector<crypto::MessageShare> MakeShares(size_t bit_vector_size,
-                                             size_t count) {
+constexpr uint64_t kQid = 1;
+
+// Pre-build a batch of encoded share records of the given answer size.
+std::vector<std::vector<uint8_t>> MakeRecords(size_t bit_vector_size,
+                                              size_t count) {
   crypto::XorSplitter splitter(2, crypto::ChaCha20Rng::FromSeed(1, 0));
   const std::vector<uint8_t> payload(
       crypto::AnswerMessage::WireSize(bit_vector_size), 0xAB);
-  std::vector<crypto::MessageShare> shares;
-  shares.reserve(count);
+  std::vector<std::vector<uint8_t>> records;
+  records.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    shares.push_back(splitter.Split(payload)[0]);
+    records.push_back(proxy::Proxy::EncodeShare(splitter.Split(payload)[0]));
   }
-  return shares;
+  return records;
 }
 
 void BM_ProxyForward(benchmark::State& state) {
   const size_t bits = static_cast<size_t>(state.range(0));
   constexpr size_t kBatch = 20000;
-  const auto shares = MakeShares(bits, kBatch);
+  const auto records = MakeRecords(bits, kBatch);
+  std::vector<broker::ProduceView> views;
+  views.reserve(records.size());
+  for (const auto& record : records) {
+    // Keyed by the record's MID header, as a client keys its shares.
+    views.push_back(broker::ProduceView{
+        proxy::Proxy::DecodeShare(record).message_id, record, 0});
+  }
   uint64_t total = 0;
   for (auto _ : state) {
     state.PauseTiming();
     broker::Broker b;
     proxy::Proxy proxy(proxy::ProxyConfig{0, 4}, b);
-    for (const auto& share : shares) {
-      proxy.Receive(share, 0);
-    }
+    proxy.EnsureLane(kQid);
+    proxy.Receive(kQid, views);
     state.ResumeTiming();
-    total += proxy.Forward();
+    total += proxy.ForwardLanes();
   }
   state.SetItemsProcessed(static_cast<int64_t>(total));
   state.counters["responses/sec"] = benchmark::Counter(

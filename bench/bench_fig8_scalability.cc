@@ -24,21 +24,41 @@ using namespace privapprox;
 namespace {
 
 constexpr size_t kRecords = 200000;
+constexpr uint64_t kQid = 1;
+
+// Enqueues `shares` on `proxy`'s kQid lane in one produce call, keyed by
+// MID as a client keys them.
+void ReceiveAll(proxy::Proxy& proxy,
+                const std::vector<crypto::MessageShare>& shares) {
+  std::vector<std::vector<uint8_t>> records;
+  std::vector<broker::ProduceView> views;
+  records.reserve(shares.size());
+  views.reserve(shares.size());
+  for (const crypto::MessageShare& share : shares) {
+    records.push_back(proxy::Proxy::EncodeShare(share));
+    views.push_back(broker::ProduceView{share.message_id, records.back(), 0});
+  }
+  proxy.Receive(kQid, views);
+}
 
 // Builds a proxy preloaded with kRecords shares of an answer with
-// `answer_bits` buckets; returns the single-threaded Forward() throughput
-// (records/sec).
+// `answer_bits` buckets on one query lane; returns the single-threaded
+// ForwardLanes() throughput (records/sec).
 double MeasureProxyThroughput(size_t answer_bits) {
   broker::Broker b;
   proxy::Proxy proxy(proxy::ProxyConfig{0, 8}, b);
+  proxy.EnsureLane(kQid);
   crypto::XorSplitter splitter(2, crypto::ChaCha20Rng::FromSeed(1, 0));
   const std::vector<uint8_t> payload(
       crypto::AnswerMessage::WireSize(answer_bits), 0x77);
+  std::vector<crypto::MessageShare> shares;
+  shares.reserve(kRecords);
   for (size_t i = 0; i < kRecords; ++i) {
-    proxy.Receive(splitter.Split(payload)[0], 0);
+    shares.push_back(splitter.Split(payload)[0]);
   }
+  ReceiveAll(proxy, shares);
   const auto start = std::chrono::steady_clock::now();
-  const uint64_t moved = proxy.Forward();
+  const uint64_t moved = proxy.ForwardLanes();
   const auto end = std::chrono::steady_clock::now();
   const double sec = std::chrono::duration<double>(end - start).count();
   return static_cast<double>(moved) / sec;
@@ -55,7 +75,7 @@ double MeasureAggregatorThroughput(size_t answer_bits, size_t /*cores*/) {
   proxy::Proxy proxy1(proxy::ProxyConfig{1, 8}, b);
   const core::Query query =
       core::QueryBuilder()
-          .WithId(1)
+          .WithId(kQid)
           .WithSql("SELECT x FROM t")
           .WithAnswerFormat(core::AnswerFormat::UniformNumeric(
               0, static_cast<double>(answer_bits), answer_bits))
@@ -67,20 +87,30 @@ double MeasureAggregatorThroughput(size_t answer_bits, size_t /*cores*/) {
   aggregator::AggregatorConfig config;
   config.num_proxies = 2;
   config.population = kRecords;
-  aggregator::Aggregator agg(config, query, params, b,
+  aggregator::Aggregator agg(config, b,
                              [](const aggregator::WindowedResult&) {});
+  aggregator::QueryLaneOptions lane;
+  for (proxy::Proxy* proxy : {&proxy0, &proxy1}) {
+    proxy->EnsureLane(kQid);
+    lane.source_topics.push_back(proxy->lane_out_topic(kQid));
+  }
+  agg.RegisterQuery(query, params, std::move(lane));
   crypto::XorSplitter splitter(2, crypto::ChaCha20Rng::FromSeed(2, 0));
   BitVector answer(answer_bits);
   answer.Set(0, true);
-  const auto payload = crypto::AnswerMessage{1, answer}.Serialize();
+  const auto payload = crypto::AnswerMessage{kQid, answer}.Serialize();
   const size_t messages = kRecords / 2;
+  std::vector<crypto::MessageShare> to_proxy0;
+  std::vector<crypto::MessageShare> to_proxy1;
   for (size_t i = 0; i < messages; ++i) {
-    const auto shares = splitter.Split(payload);
-    proxy0.Receive(shares[0], 0);
-    proxy1.Receive(shares[1], 0);
+    auto shares = splitter.Split(payload);
+    to_proxy0.push_back(std::move(shares[0]));
+    to_proxy1.push_back(std::move(shares[1]));
   }
-  proxy0.Forward();
-  proxy1.Forward();
+  ReceiveAll(proxy0, to_proxy0);
+  ReceiveAll(proxy1, to_proxy1);
+  proxy0.ForwardLanes();
+  proxy1.ForwardLanes();
   const auto start = std::chrono::steady_clock::now();
   const uint64_t consumed = agg.Drain();
   const auto end = std::chrono::steady_clock::now();

@@ -17,7 +17,7 @@ here="$(cd "$(dirname "$0")" && pwd)"
 repo="$(dirname "$here")"
 
 GATES=(pre_span_first qid_less chacha_block flat_config compat_layer
-       ofstream bus_triplets)
+       ofstream bus_triplets single_query)
 
 # Each gate_<name> runs its grep from the tree root; plant_<name> is
 # "<file>|<line>", a violation the self-test appends to that file.
@@ -97,6 +97,19 @@ gate_bus_triplets() {
     src tests bench examples
 }
 plant_bus_triplets="examples/planted.cc|bus.ProduceBatch(topic, records);"
+
+# The single-query leftovers are gone: engine::WindowBuffer (the aggregator
+# folds through AccumulatingWindowBuffer), core::StratifiedExecutionPlan and
+# StratifiedQueryEstimator (stats::StratifiedSumEstimator is the one
+# stratified estimator), and the proxy's QID-less topic pair with Forward(),
+# in_topic() and out_topic() (shares travel on lanes: Receive(qid, ...),
+# ForwardLanes(), lane_in_topic/lane_out_topic).
+gate_single_query() {
+  grep -rnE \
+    "\bWindowBuffer\b|StratifiedExecutionPlan|StratifiedQueryEstimator|\bForward\(\)|\b(in|out)_topic\(\)" \
+    src tests bench examples
+}
+plant_single_query="tests/planted.cc|engine::WindowBuffer<int> windows(assigner, on_fire);"
 
 # Runs one gate in directory $2; returns 0 on pass. Prints why it failed.
 run_gate() {

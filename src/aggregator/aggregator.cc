@@ -89,13 +89,6 @@ Aggregator::Aggregator(AggregatorConfig config, broker::Broker& broker,
   ValidateAggregatorConfig(config_);
 }
 
-Aggregator::Aggregator(AggregatorConfig config, const core::Query& query,
-                       const core::ExecutionParams& params,
-                       broker::Broker& broker, ResultFn on_result)
-    : Aggregator(config, broker, std::move(on_result)) {
-  RegisterQuery(query, params);
-}
-
 void Aggregator::RegisterQuery(const core::Query& query,
                                const core::ExecutionParams& params,
                                QueryLaneOptions options) {
@@ -107,12 +100,6 @@ void Aggregator::RegisterQuery(const core::Query& query,
         "Aggregator::RegisterQuery: duplicate query id " +
         std::to_string(query.query_id));
   }
-  if (options.source_topics.empty()) {
-    // Single-query compatibility: the legacy per-proxy outbound topics.
-    for (size_t i = 0; i < config_.num_proxies; ++i) {
-      options.source_topics.push_back("proxy" + std::to_string(i) + ".out");
-    }
-  }
   if (options.source_topics.size() != config_.num_proxies) {
     throw std::invalid_argument(
         "Aggregator::RegisterQuery: need one source topic per proxy");
@@ -123,15 +110,9 @@ void Aggregator::RegisterQuery(const core::Query& query,
     lane->consumers.push_back(
         std::make_unique<transport::BusConsumer>(*bus_, topic));
   }
-  lane->shard_shares_total = options.shard_shares_total.empty()
-                                 ? config_.shard_shares_total
-                                 : std::move(options.shard_shares_total);
-  lane->shard_joined_total = options.shard_joined_total.empty()
-                                 ? config_.shard_joined_total
-                                 : std::move(options.shard_joined_total);
-  lane->shard_imbalance_milli = options.shard_imbalance_milli != nullptr
-                                    ? options.shard_imbalance_milli
-                                    : config_.shard_imbalance_milli;
+  lane->shard_shares_total = std::move(options.shard_shares_total);
+  lane->shard_joined_total = std::move(options.shard_joined_total);
+  lane->shard_imbalance_milli = options.shard_imbalance_milli;
   const engine::SlidingWindowAssigner assigner(query.window_length_ms,
                                                query.sliding_interval_ms);
   for (size_t s = 0; s < config_.num_shards; ++s) {
@@ -505,8 +486,7 @@ void Aggregator::FireWindows(Lane& lane, int64_t watermark_ms, bool flush) {
     }
   }
   fired_scratch_.clear();
-  // Emit in ascending window order — the same order the single-shard
-  // WindowBuffer fired in.
+  // Emit in ascending window order, whatever the shard count.
   for (const auto& [window, acc] : merged_scratch_) {
     OnWindowFired(lane, window, acc);
   }

@@ -13,7 +13,8 @@
 // reorder buffer, its fault-loss ledger — so queries share nothing but the
 // broker and the worker pool, and each query's results are bit-identical to
 // a run where it is the only query registered. Lanes are processed in
-// ascending-QID order everywhere order is observable.
+// ascending-QID order everywhere order is observable. A lane consumes its
+// query's lane outbound topic at every proxy, named at RegisterQuery.
 //
 // The join + window stage is sharded by hash(MID): each shard owns an
 // independent MidJoiner and per-window accumulators, so feeding shards can
@@ -78,15 +79,6 @@ struct AggregatorConfig {
   metrics::Histogram* decode_ns = nullptr;  // per poll+decode pass
   metrics::Histogram* join_ns = nullptr;    // per join feed pass
   metrics::Histogram* window_ns = nullptr;  // per fired window
-  // Per-shard instruments, indexed by shard (empty or size num_shards):
-  // shares routed to the shard and answers its joiner completed. The
-  // imbalance gauge holds max-shard-routed * 1000 / mean-shard-routed
-  // (1000 = perfectly balanced), updated after every feed pass. These
-  // config-level instruments serve lanes that do not bring their own
-  // (QueryLaneOptions) — i.e. the single-query compatibility path.
-  std::vector<metrics::Counter*> shard_shares_total;
-  std::vector<metrics::Counter*> shard_joined_total;
-  metrics::Gauge* shard_imbalance_milli = nullptr;
   // Fault-loss accounting (wired by PrivApproxSystem when a FaultPlan is
   // configured). When true, MIDs reported lost by the fault injector
   // (NoteFaultLostMids) and incomplete MIDs expired from the join at the
@@ -98,10 +90,12 @@ struct AggregatorConfig {
                                                    // the watermark
 };
 
-// Per-query registration options. source_topics empty = the legacy
-// "proxy<i>.out" topics; the multi-query system passes the query's lane
-// outbound topics. The shard instruments (empty/null = fall back to the
-// config-level ones) let the system label shard families per query.
+// Per-query registration options: the query's n source topics (its lane
+// outbound topic at every proxy, in proxy order) and optional per-shard
+// instruments, not owned, indexed by shard (empty or size num_shards):
+// shares routed to the shard and answers its joiner completed. The
+// imbalance gauge holds max-shard-routed * 1000 / mean-shard-routed (1000
+// = perfectly balanced), updated after every feed pass.
 struct QueryLaneOptions {
   std::vector<std::string> source_topics;
   std::vector<metrics::Counter*> shard_shares_total;
@@ -132,18 +126,12 @@ class Aggregator {
   Aggregator(AggregatorConfig config, broker::Broker& broker,
              ResultFn on_result);
 
-  // Single-query compatibility: coordinator plus one lane for `query` over
-  // the legacy "proxy<i>.out" topics, using the config-level shard
-  // instruments.
-  Aggregator(AggregatorConfig config, const core::Query& query,
-             const core::ExecutionParams& params, broker::Broker& broker,
-             ResultFn on_result);
-
   // Adds a lane for `query`. Throws std::invalid_argument for QID 0, a QID
-  // already registered, or options.source_topics of the wrong cardinality.
+  // already registered, or options.source_topics not holding exactly one
+  // topic per proxy.
   void RegisterQuery(const core::Query& query,
                      const core::ExecutionParams& params,
-                     QueryLaneOptions options = {});
+                     QueryLaneOptions options);
 
   bool HasQuery(uint64_t query_id) const {
     return lanes_.count(query_id) != 0;
@@ -291,7 +279,7 @@ class Aggregator {
     // shard-by-shard in shard order, and each MID belongs to exactly one
     // shard, so the map's content is independent of shard count.
     std::unordered_map<uint64_t, int64_t> fault_lost_mids;
-    // Effective shard instruments (lane options or config-level fallback).
+    // Shard instruments from the lane options (empty/null = none).
     std::vector<metrics::Counter*> shard_shares_total;
     std::vector<metrics::Counter*> shard_joined_total;
     metrics::Gauge* shard_imbalance_milli = nullptr;
@@ -329,7 +317,7 @@ class Aggregator {
                              const engine::Window& window) const;
 
   AggregatorConfig config_;
-  // Set only by the Broker& convenience constructors; declared before bus_
+  // Set only by the Broker& convenience constructor; declared before bus_
   // so the pointer below can bind to it.
   std::unique_ptr<transport::InProcessBus> owned_bus_;
   transport::MessageBus* bus_ = nullptr;  // never null after construction

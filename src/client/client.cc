@@ -29,10 +29,7 @@ Client::Client(ClientConfig config)
 
 void Client::Subscribe(const core::Query& query,
                        const core::ExecutionParams& params) {
-  if (!query.VerifySignature()) {
-    throw std::invalid_argument("Client::Subscribe: bad query signature");
-  }
-  params.Validate();
+  core::ValidateAnnouncement(query, params);
   const auto it = subs_.find(query.query_id);
   if (it != subs_.end()) {
     // Parameter/plan update for a live query: keep the RNG streams running.

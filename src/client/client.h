@@ -73,13 +73,15 @@ class Client {
   // and its execution parameters, as delivered via aggregator -> proxies ->
   // client in the submission phase. Re-subscribing an existing QID keeps
   // its randomness streams intact so feedback-loop parameter changes never
-  // reset pads mid-stream. Rejects queries whose signature does not verify.
+  // reset pads mid-stream. Rejects (std::invalid_argument) anything
+  // core::ValidateAnnouncement refuses: a structurally invalid query, a bad
+  // signature, or bad parameters.
   void Subscribe(const core::Query& query, const core::ExecutionParams& params);
 
   // Wire-level subscription: parses a serialized query announcement as
   // received from a proxy's query topic, verifies it, and subscribes.
   // Throws core::WireError on malformed bytes and std::invalid_argument on
-  // a bad signature or parameters.
+  // a query or parameters Subscribe refuses.
   void OnAnnouncement(const std::vector<uint8_t>& announcement);
 
   bool subscribed() const { return !subs_.empty(); }

@@ -110,6 +110,29 @@ std::string AnswerFormat::BucketLabel(size_t index) const {
   return out.str();
 }
 
+void Query::Validate() const {
+  if (sql.empty()) {
+    throw std::invalid_argument("Query: SQL must be non-empty");
+  }
+  if (answer_format.num_buckets() == 0) {
+    throw std::invalid_argument("Query: need at least one bucket");
+  }
+  if (answer_frequency_ms <= 0 || window_length_ms <= 0 ||
+      sliding_interval_ms <= 0) {
+    throw std::invalid_argument("Query: periods must be positive");
+  }
+  if (sliding_interval_ms > window_length_ms) {
+    throw std::invalid_argument(
+        "Query: sliding interval must not exceed window length");
+  }
+  if (query_id == 0) {
+    // QID 0 is the wire default; letting it through would make an
+    // unregistered announcement indistinguishable from a real one, and the
+    // multi-query runtime uses 0 as "no lane".
+    throw std::invalid_argument("Query: query id must be non-zero");
+  }
+}
+
 uint64_t Query::ComputeSignature() const {
   uint64_t hash = 0xCBF29CE484222325ULL;
   hash = Fnv1a(hash, &query_id, sizeof(query_id));
@@ -159,26 +182,7 @@ QueryBuilder& QueryBuilder::WithSlideMs(int64_t delta_ms) {
 }
 
 Query QueryBuilder::Build() const {
-  if (query_.sql.empty()) {
-    throw std::invalid_argument("QueryBuilder: SQL must be non-empty");
-  }
-  if (query_.answer_format.num_buckets() == 0) {
-    throw std::invalid_argument("QueryBuilder: need at least one bucket");
-  }
-  if (query_.answer_frequency_ms <= 0 || query_.window_length_ms <= 0 ||
-      query_.sliding_interval_ms <= 0) {
-    throw std::invalid_argument("QueryBuilder: periods must be positive");
-  }
-  if (query_.sliding_interval_ms > query_.window_length_ms) {
-    throw std::invalid_argument(
-        "QueryBuilder: sliding interval must not exceed window length");
-  }
-  if (query_.query_id == 0) {
-    // QID 0 is the wire default; letting it through would make an
-    // unregistered announcement indistinguishable from a real one, and the
-    // multi-query runtime uses 0 as "no lane".
-    throw std::invalid_argument("QueryBuilder: query id must be non-zero");
-  }
+  query_.Validate();
   Query query = query_;
   query.Sign();
   return query;

@@ -77,6 +77,12 @@ struct Query {
   // scope for the reproduced experiments).
   uint64_t signature = 0;
 
+  // Structural checks every entry point runs before acting on a query:
+  // non-empty SQL, >= 1 bucket, positive periods, slide <= window, and a
+  // non-zero QID. Throws std::invalid_argument on violations. A Query is a
+  // plain struct, so a signed one can still fail these.
+  void Validate() const;
+
   // Computes/validates the stand-in signature over the query fields.
   uint64_t ComputeSignature() const;
   void Sign() { signature = ComputeSignature(); }
@@ -94,8 +100,8 @@ class QueryBuilder {
   QueryBuilder& WithWindowMs(int64_t w_ms);
   QueryBuilder& WithSlideMs(int64_t delta_ms);
 
-  // Validates (non-empty SQL, >= 1 bucket, positive periods, slide <= window)
-  // and signs. Throws std::invalid_argument on violations.
+  // Validates (Query::Validate) and signs. Throws std::invalid_argument on
+  // violations.
   Query Build() const;
 
  private:

@@ -102,6 +102,14 @@ class Reader {
 
 }  // namespace
 
+void ValidateAnnouncement(const Query& query, const ExecutionParams& params) {
+  query.Validate();
+  if (!query.VerifySignature()) {
+    throw std::invalid_argument("query signature invalid");
+  }
+  params.Validate();
+}
+
 std::vector<uint8_t> SerializeAnnouncement(const QueryAnnouncement& ann) {
   Writer w;
   w.U32(kMagic);

@@ -48,12 +48,18 @@ inline bool operator==(const ExecutionParams& a, const ExecutionParams& b) {
          a.randomization.q == b.randomization.q;
 }
 
+// The checks every entry point runs on a query before any side effect —
+// Query::Validate, the analyst signature, ExecutionParams::Validate — so a
+// query one component would refuse never reaches another. Throws
+// std::invalid_argument.
+void ValidateAnnouncement(const Query& query, const ExecutionParams& params);
+
 // Serializes an announcement; never throws for valid inputs.
 std::vector<uint8_t> SerializeAnnouncement(const QueryAnnouncement& ann);
 
 // Parses an announcement. Throws WireError on truncation, bad magic, an
-// unsupported version, or malformed bucket specs. Does NOT verify the
-// analyst signature — clients do that themselves (Client::Subscribe).
+// unsupported version, or malformed bucket specs. Does NOT validate the
+// query — receivers run ValidateAnnouncement themselves.
 // Takes a non-owning view; the vector overload exists for brace-init
 // call sites.
 QueryAnnouncement DeserializeAnnouncement(std::span<const uint8_t> bytes);

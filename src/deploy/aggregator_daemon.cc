@@ -120,6 +120,10 @@ bool AggregatorDaemon::RegisterAnnouncement(
   // pairs by construction. It is also the journal record, so replay and the
   // live verb share this one code path.
   const core::QueryAnnouncement ann = core::DeserializeAnnouncement(announcement);
+  // Refuse before journaling: replay registers every journaled record, so
+  // one the aggregator cannot register would stop the daemon from ever
+  // restarting.
+  core::ValidateAnnouncement(ann.query, ann.params);
   if (aggregator_->HasQuery(ann.query.query_id)) {
     return false;  // driver retry after a restart, or duplicate submission
   }

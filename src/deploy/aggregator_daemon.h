@@ -31,7 +31,8 @@
 // because windows only fire at Flush, an interrupted epoch converges to the
 // uninterrupted result. register_query is idempotent across the restart
 // (already-registered QIDs are skipped, and skipped registrations are not
-// re-journaled).
+// re-journaled), and it refuses an announcement core::ValidateAnnouncement
+// rejects before journaling it, so every journaled record replays.
 //
 // privapprox_aggregatord (deploy/aggregatord_main.cc) is this class plus
 // flag parsing and signal handling.

@@ -6,7 +6,6 @@
 
 #include "broker/broker.h"
 #include "core/query_wire.h"
-#include "crypto/xor_cipher.h"
 #include "deploy/result_wire.h"
 #include "transport/message_bus.h"
 #include "transport/wire.h"
@@ -17,7 +16,9 @@ FleetDriver::FleetDriver(FleetDriverConfig config)
     : config_(std::move(config)),
       budget_manager_(core::BudgetManagerConfig{config_.max_epsilon_zk,
                                                 config_.downsample_to_fit,
-                                                config_.min_sampling_fraction}) {
+                                                config_.min_sampling_fraction}),
+      clients_(config_.num_clients, config_.proxies.size(), config_.seed,
+               config_.invert_answers) {
   if (config_.num_clients == 0) {
     throw std::invalid_argument("FleetDriver: need >= 1 client");
   }
@@ -51,26 +52,13 @@ FleetDriver::FleetDriver(FleetDriverConfig config)
   agg_config.port = config_.aggregator.port;
   agg_config.counters = counters;
   aggregator_bus_ = std::make_unique<transport::TcpBusClient>(agg_config);
-
-  clients_.reserve(config_.num_clients);
-  for (size_t i = 0; i < config_.num_clients; ++i) {
-    client::ClientConfig client_config;
-    client_config.client_id = i;
-    client_config.num_proxies = config_.proxies.size();
-    client_config.seed = config_.seed;
-    client_config.invert_answers = config_.invert_answers;
-    clients_.push_back(std::make_unique<client::Client>(client_config));
-  }
 }
 
 FleetDriver::~FleetDriver() = default;
 
 core::ExecutionParams FleetDriver::SubmitQuery(
     const core::Query& query, const core::ExecutionParams& params) {
-  params.Validate();
-  if (!query.VerifySignature()) {
-    throw std::invalid_argument("FleetDriver: query signature invalid");
-  }
+  core::ValidateAnnouncement(query, params);
   if (active_.count(query.query_id) != 0) {
     throw std::invalid_argument("FleetDriver: query id already submitted");
   }
@@ -88,38 +76,30 @@ core::ExecutionParams FleetDriver::SubmitQuery(
     std::vector<uint8_t> qid_payload;
     transport::PutU64(query.query_id, qid_payload);
     for (size_t j = 0; j < num_proxies; ++j) {
-      const std::string prefix = "proxy" + std::to_string(j);
       proxy_buses_[j]->Control("ensure_lane", qid_payload);
-      active.lane_in_topics.push_back(prefix + ".q" + qid + ".in");
-      // Attach to the daemon-created topics (EnsureTopic validates that
+      active.lane_in_topics.push_back("proxy" + std::to_string(j) + ".q" +
+                                      qid + ".in");
+    }
+    aggregator_bus_->Control("register_query", announcement);
+    // Clients learn of the query last, so that a failure above (say an
+    // unreachable aggregatord) leaves none of them subscribed. Every proxy
+    // forwards the announcement, then each proxy's cohort reads it —
+    // client i subscribes via proxy i mod n, like the in-process system.
+    for (size_t j = 0; j < num_proxies; ++j) {
+      const std::string topic = "proxy" + std::to_string(j) + ".query.in";
+      // Attach to the daemon-created topic (EnsureTopic validates that
       // both sides agree on the partition count).
-      proxy_buses_[j]->EnsureTopic(prefix + ".query.in", 1);
+      proxy_buses_[j]->EnsureTopic(topic, 1);
       const broker::ProduceView view{/*key=*/0, announcement,
                                      /*timestamp_ms=*/0};
-      proxy_buses_[j]->Produce(prefix + ".query.in",
+      proxy_buses_[j]->Produce(topic,
                                std::span<const broker::ProduceView>(&view, 1));
       proxy_buses_[j]->Control("forward_queries", {});
     }
-    // Deliver the forwarded announcement to each proxy's client cohort —
-    // client i subscribes via proxy i mod n, like the in-process system.
     for (size_t j = 0; j < num_proxies; ++j) {
-      transport::BusConsumer consumer(*proxy_buses_[j],
-                                      "proxy" + std::to_string(j) +
-                                          ".query.out");
-      std::vector<broker::RecordView> records;
-      while (consumer.PollInto(64, records) != 0) {
-      }
-      if (records.empty()) {
-        throw std::logic_error("FleetDriver: query distribution failed");
-      }
-      const broker::RecordView& last = records.back();
-      const std::vector<uint8_t> bytes(last.payload,
-                                       last.payload + last.payload_len);
-      for (size_t i = j; i < clients_.size(); i += num_proxies) {
-        clients_[i]->OnAnnouncement(bytes);
-      }
+      clients_.DeliverAnnouncement(
+          j, *proxy_buses_[j], "proxy" + std::to_string(j) + ".query.out");
     }
-    aggregator_bus_->Control("register_query", announcement);
     active_.emplace(query.query_id, std::move(active));
   } catch (...) {
     budget_manager_.Release(query.query_id);
@@ -132,42 +112,23 @@ FleetEpochStats FleetDriver::RunEpoch(int64_t now_ms) {
   if (active_.empty()) {
     throw std::logic_error("FleetDriver::RunEpoch: no query submitted");
   }
-  const size_t num_clients = clients_.size();
   const size_t num_proxies = proxy_buses_.size();
-  const size_t num_queries = active_.size();
+  std::vector<uint64_t> qids;
   std::vector<const ActiveQuery*> lanes;
-  lanes.reserve(num_queries);
   for (const auto& [qid, active] : active_) {
+    qids.push_back(qid);
     lanes.push_back(&active);
   }
 
-  // Answer sequentially in client-id order: the canonical share order both
-  // in-process pipeline modes reduce to (DESIGN.md §6j). All share records
-  // live in the epoch arena until every lane batch has been produced.
+  // The whole fleet is one range, answered in client-id order: the
+  // canonical share order both in-process pipeline modes reduce to
+  // (DESIGN.md §6j). All share records live in the epoch arena until every
+  // lane batch has been produced.
+  const system::AnsweredRange answered =
+      clients_.Answer(0, clients_.size(), now_ms, qids, arena_);
   FleetEpochStats stats;
-  std::vector<std::vector<std::vector<broker::ProduceView>>> batches(
-      num_queries);
-  for (auto& per_proxy : batches) {
-    per_proxy.resize(num_proxies);
-  }
-  std::vector<crypto::ShareView> views(num_queries * num_proxies);
-  std::vector<uint64_t> answered_qids;
-  for (size_t i = 0; i < num_clients; ++i) {
-    clients_[i]->AnswerSubscribedInto(now_ms, arena_, views, answered_qids);
-    size_t k = 0;
-    auto it = active_.begin();
-    for (const uint64_t qid : answered_qids) {
-      while (it->first != qid) {
-        ++it;
-        ++k;
-      }
-      ++stats.participants;
-      for (size_t j = 0; j < num_proxies; ++j) {
-        const crypto::ShareView& view = views[k * num_proxies + j];
-        batches[k][j].push_back(
-            broker::ProduceView{view.message_id, view.bytes(), now_ms});
-      }
-    }
+  for (const uint64_t participants : answered.participants) {
+    stats.participants += participants;
   }
   stats.shares_sent =
       static_cast<uint64_t>(stats.participants) * num_proxies;
@@ -175,9 +136,10 @@ FleetEpochStats FleetDriver::RunEpoch(int64_t now_ms) {
   // Produce each (query, proxy) lane's shares in answer order, chunked to
   // bound frame size — chunking splits a batch, never reorders it.
   const size_t chunk = std::max<size_t>(1, config_.produce_chunk_records);
-  for (size_t k = 0; k < num_queries; ++k) {
+  for (size_t k = 0; k < qids.size(); ++k) {
     for (size_t j = 0; j < num_proxies; ++j) {
-      const std::vector<broker::ProduceView>& batch = batches[k][j];
+      const std::vector<broker::ProduceView>& batch =
+          answered.lanes[j][k].records;
       const std::string& topic = lanes[k]->lane_in_topics[j];
       for (size_t begin = 0; begin < batch.size(); begin += chunk) {
         const size_t len = std::min(chunk, batch.size() - begin);

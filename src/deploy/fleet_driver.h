@@ -2,28 +2,28 @@
 // client-side half of a socket deployment (proxy daemons + aggregator
 // daemon being the server side).
 //
-// The driver owns the same client::Client objects PrivApproxSystem would
-// own — same ClientConfig fields, same seed derivation, same ascending-QID
-// answer layout — and replays the system's sequence of operations over the
-// wire:
+// The driver owns a system::ClientFleet — the module PrivApproxSystem also
+// answers through, which builds the clients, delivers announcements and
+// answers — and replays the system's sequence of operations over the wire:
 //
 //   SubmitQuery   validate / verify / admit exactly like the in-process
-//                 system, then: ensure_lane on every proxy daemon, produce
-//                 the announcement into each proxy's query.in topic,
-//                 forward_queries, poll query.out back and deliver the
-//                 bytes to the proxy's client cohort (client i learns from
-//                 proxy i mod n), and finally register_query on the
-//                 aggregator daemon.
-//   RunEpoch      answer clients sequentially in client-id order (the
-//                 canonical order both in-process pipeline modes reduce
-//                 to), produce each (query, proxy) lane's shares in that
-//                 order, forward_lanes on every proxy, drain on the
+//                 system, then: ensure_lane on every proxy daemon,
+//                 register_query on the aggregator daemon, and last:
+//                 produce the announcement into every proxy's query.in
+//                 topic and forward_queries, then deliver each proxy's
+//                 query.out to its client cohort (client i learns from
+//                 proxy i mod n).
+//   RunEpoch      answer the whole fleet as one range in client-id order
+//                 (the canonical order both in-process pipeline modes
+//                 reduce to), produce each (query, proxy) lane's shares in
+//                 that order, forward_lanes on every proxy, drain on the
 //                 aggregator.
 //
-// Because every byte that reaches a lane topic is produced in the same
-// order with the same content as the in-process run, and the aggregator
-// daemon runs the unchanged Aggregator over those topics, the two
-// deployments' results are bit-identical (DESIGN.md §6j).
+// Both drivers answer through the same code, so every byte that reaches a
+// lane topic is produced in the same order with the same content as the
+// in-process run; the aggregator daemon runs the unchanged Aggregator over
+// those topics, so the two deployments' results are bit-identical
+// (DESIGN.md §6j).
 
 #ifndef PRIVAPPROX_DEPLOY_FLEET_DRIVER_H_
 #define PRIVAPPROX_DEPLOY_FLEET_DRIVER_H_
@@ -44,6 +44,7 @@
 #include "core/query.h"
 #include "deploy/endpoint.h"
 #include "metrics/metrics.h"
+#include "system/client_fleet.h"
 #include "transport/tcp_bus.h"
 
 namespace privapprox::deploy {
@@ -94,10 +95,11 @@ class FleetDriver {
   size_t num_clients() const { return clients_.size(); }
   // The client's local database is the test/bench seam — fill it exactly
   // like the reference system's before answering.
-  client::Client& client(size_t index) { return *clients_.at(index); }
+  client::Client& client(size_t index) { return clients_.client(index); }
 
   // Submission phase over the wire; returns the admitted (possibly
-  // down-sampled) parameters, like PrivApproxSystem::SubmitQuery.
+  // down-sampled) parameters, like PrivApproxSystem::SubmitQuery. A
+  // refused or failed submission leaves every client unsubscribed.
   core::ExecutionParams SubmitQuery(const core::Query& query,
                                     const core::ExecutionParams& params);
 
@@ -143,7 +145,7 @@ class FleetDriver {
   FleetDriverConfig config_;
   metrics::Registry registry_;
   core::PrivacyBudgetManager budget_manager_;
-  std::vector<std::unique_ptr<client::Client>> clients_;
+  system::ClientFleet clients_;
   std::vector<std::unique_ptr<transport::TcpBusClient>> proxy_buses_;
   std::unique_ptr<transport::TcpBusClient> aggregator_bus_;
   EpochArena arena_;

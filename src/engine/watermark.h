@@ -6,7 +6,7 @@
 // — the same strategy the Flink prototype would use — tracks the maximum
 // event time seen and lags it by a fixed bound; windows fire when the
 // watermark passes their end, and anything arriving later than the bound is
-// late data (dropped and counted by WindowBuffer).
+// late data (dropped and counted by AccumulatingWindowBuffer).
 
 #ifndef PRIVAPPROX_ENGINE_WATERMARK_H_
 #define PRIVAPPROX_ENGINE_WATERMARK_H_

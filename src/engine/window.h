@@ -2,16 +2,17 @@
 //
 // Queries execute as sliding-window computations: window length w, sliding
 // interval delta (Eq 1). The assigner maps an event timestamp to every
-// window containing it; WindowBuffer keeps per-window state and emits
-// windows whose end has passed the watermark, mirroring how the aggregator
-// "adapts the computation window to the current start time t by removing
-// all old data items ... then adds the newly incoming data items".
+// window containing it; AccumulatingWindowBuffer folds each item into its
+// windows' accumulators and hands back windows whose end has passed the
+// watermark, mirroring how the aggregator "adapts the computation window to
+// the current start time t by removing all old data items ... then adds the
+// newly incoming data items".
 
 #ifndef PRIVAPPROX_ENGINE_WINDOW_H_
 #define PRIVAPPROX_ENGINE_WINDOW_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
@@ -46,87 +47,17 @@ class SlidingWindowAssigner {
   int64_t slide_ms_;
 };
 
-// Accumulates items into their windows and fires complete windows when the
-// event-time watermark advances past a window's end.
-template <typename T>
-class WindowBuffer {
- public:
-  using FireFn = std::function<void(const Window&, const std::vector<T>&)>;
-
-  WindowBuffer(SlidingWindowAssigner assigner, FireFn on_fire)
-      : assigner_(assigner), on_fire_(std::move(on_fire)) {}
-
-  void Add(int64_t timestamp_ms, const T& item) { AddImpl(timestamp_ms, item); }
-  // Rvalue path: the item is copied into all but its last assigned window
-  // and moved into the last, saving one copy per add (the only copy, for
-  // tumbling windows).
-  void Add(int64_t timestamp_ms, T&& item) {
-    AddImpl(timestamp_ms, std::move(item));
-  }
-
-  // Advances the watermark and fires every window that is now complete.
-  void AdvanceWatermark(int64_t watermark_ms) {
-    if (watermark_ms <= watermark_ms_) {
-      return;
-    }
-    watermark_ms_ = watermark_ms;
-    auto it = pending_.begin();
-    while (it != pending_.end() && it->first.end_ms <= watermark_ms_) {
-      on_fire_(it->first, it->second);
-      it = pending_.erase(it);
-    }
-  }
-
-  // Fires all remaining windows regardless of the watermark (end of
-  // stream), then pins the watermark at INT64_MAX: the stream is over, so a
-  // later Add counts as late_dropped instead of silently starting a window
-  // that could never fire.
-  void Flush() {
-    for (const auto& [window, items] : pending_) {
-      on_fire_(window, items);
-    }
-    pending_.clear();
-    watermark_ms_ = INT64_MAX;
-  }
-
-  size_t pending_windows() const { return pending_.size(); }
-  uint64_t late_dropped() const { return late_dropped_; }
-  int64_t watermark_ms() const { return watermark_ms_; }
-
- private:
-  template <typename U>
-  void AddImpl(int64_t timestamp_ms, U&& item) {
-    // Late data (behind the watermark) is dropped, as in the prototype's
-    // event-time join.
-    if (timestamp_ms < watermark_ms_) {
-      ++late_dropped_;
-      return;
-    }
-    assigner_.AppendWindowsFor(timestamp_ms, windows_scratch_);
-    for (size_t i = 0; i + 1 < windows_scratch_.size(); ++i) {
-      pending_[windows_scratch_[i]].push_back(item);
-    }
-    pending_[windows_scratch_.back()].push_back(std::forward<U>(item));
-  }
-
-  SlidingWindowAssigner assigner_;
-  FireFn on_fire_;
-  std::map<Window, std::vector<T>> pending_;
-  std::vector<Window> windows_scratch_;  // reused across adds: no per-add
-                                         // window-list allocation
-  int64_t watermark_ms_ = INT64_MIN;
-  uint64_t late_dropped_ = 0;
-};
-
 // Shard-local window state for additive aggregates (aggregator scale-out):
 // instead of buffering every item, each pending window keeps one
 // accumulator that items are folded into on arrival. Fired accumulators
 // are handed back to the caller rather than a callback, so a coordinator
 // can merge the same window's accumulators from many shards (in shard
 // order — the merge is order-free for additive counts, but a fixed order
-// keeps runs bit-identical) before acting on the window. Watermark and
-// late-drop semantics mirror WindowBuffer exactly, including the
-// INT64_MAX pin after a drain-all flush.
+// keeps runs bit-identical) before acting on the window. Data behind the
+// watermark is dropped and counted late (as in the prototype's event-time
+// join), the watermark never moves backwards, and a drain-all flush pins
+// it at INT64_MAX: the stream is over, so a later fold counts as late
+// instead of silently starting a window that could never fire.
 template <typename Acc>
 class AccumulatingWindowBuffer {
  public:

@@ -32,17 +32,10 @@ void Proxy::Init() {
                 ? "proxy" + std::to_string(config_.proxy_index)
                 : config_.topic_prefix;
   out_prefix_ = config_.out_prefix.empty() ? prefix_ : config_.out_prefix;
-  in_topic_ = prefix_ + ".in";
-  out_topic_ =
-      config_.out_topic.empty() ? prefix_ + ".out" : config_.out_topic;
   query_in_topic_ = prefix_ + ".query.in";
   query_out_topic_ = prefix_ + ".query.out";
-  bus_->EnsureTopic(in_topic_, config_.num_partitions);
-  // EnsureTopic: a standby proxy's outbound is its primary's existing topic.
-  bus_->EnsureTopic(out_topic_, config_.num_partitions);
   bus_->EnsureTopic(query_in_topic_, 1);
   bus_->EnsureTopic(query_out_topic_, 1);
-  consumer_ = std::make_unique<transport::BusConsumer>(*bus_, in_topic_);
   query_consumer_ =
       std::make_unique<transport::BusConsumer>(*bus_, query_in_topic_);
 }
@@ -84,7 +77,6 @@ void Proxy::SyncConsumersToOutbound() {
       consumer.Seek(p, bus_->EndOffset(out_topic, p));
     }
   };
-  sync(*consumer_, out_topic_);
   sync(*query_consumer_, query_out_topic_);
   for (auto& [qid, lane] : lanes_) {
     sync(*lane.consumer, lane.out_topic);
@@ -137,23 +129,11 @@ void Proxy::NoteForwarded(uint64_t n) {
   }
 }
 
-void Proxy::Receive(std::span<const broker::ProduceView> records) {
-  bus_->Produce(in_topic_, records);
-  NoteReceived(records.size());
-}
-
 void Proxy::Receive(uint64_t query_id,
                     std::span<const broker::ProduceView> records) {
   const Lane& lane = GetLane(query_id, "Proxy::Receive");
   bus_->Produce(lane.in_topic, records);
   NoteReceived(records.size());
-}
-
-void Proxy::Receive(const crypto::MessageShare& share, int64_t timestamp_ms) {
-  const std::vector<uint8_t> encoded = EncodeShare(share);
-  const broker::ProduceView view{share.message_id, encoded, timestamp_ms};
-  bus_->Produce(in_topic_, std::span<const broker::ProduceView>(&view, 1));
-  NoteReceived(1);
 }
 
 uint64_t Proxy::ForwardPendingViews(transport::BusConsumer& consumer,
@@ -187,10 +167,6 @@ uint64_t Proxy::ForwardPendingViews(transport::BusConsumer& consumer,
     config_.forward_ns->Observe(static_cast<uint64_t>(NowNs() - start_ns));
   }
   return total;
-}
-
-uint64_t Proxy::Forward() {
-  return ForwardPendingViews(*consumer_, out_topic_, nullptr);
 }
 
 uint64_t Proxy::ForwardLanes() {

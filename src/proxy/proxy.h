@@ -3,17 +3,16 @@
 // A PrivApprox proxy does exactly one thing on the answer path: transmit
 // opaque shares from clients to the aggregator. There is no noise addition,
 // no answer intersection, no shuffling and — crucially — no synchronization
-// with the other proxies (contrast: baseline::SplitX). Forward() moves
+// with the other proxies (contrast: baseline::SplitX). ForwardLanes() moves
 // pending records from inbound to outbound topics, which is the operation
 // Fig 5b / Fig 8a measure.
 //
-// Multi-query: share traffic runs over per-(query, proxy) *lanes*. A lane is
-// an inbound/outbound topic pair named "<prefix>.q<QID>.in" / ".out", so a
+// Share traffic runs over per-(query, proxy) *lanes* only. A lane is an
+// inbound/outbound topic pair named "<prefix>.q<QID>.in" / ".out", so a
 // record's topic implies its query — batches stay query-pure end to end and
-// the hot path never parses a QID out of a payload. The legacy QID-less
-// topics ("<prefix>.in"/".out") and their Receive/Forward entry points
-// remain as the single-query compatibility surface for tests and simple
-// deployments; the system runtime itself only speaks lanes.
+// the hot path never parses a QID out of a payload. Besides its lanes a
+// proxy owns one topic pair, "<prefix>.query.in"/".query.out", for query
+// announcements.
 //
 // Transport: the proxy speaks transport::MessageBus, never a broker
 // directly. In process that is an InProcessBus over the shared broker; in a
@@ -24,8 +23,8 @@
 //
 // API shape: span-first. Batched entries take spans of non-owning views
 // (arena- or slab-backed) and decode produces spans into broker slab
-// storage; the only owning calls are the single-record adapters
-// (Receive(share, ts), DecodeShare) kept for tests and simple clients.
+// storage; the only owning calls are the single-share codec adapters
+// (EncodeShare, DecodeShare).
 
 #ifndef PRIVAPPROX_PROXY_PROXY_H_
 #define PRIVAPPROX_PROXY_PROXY_H_
@@ -49,15 +48,12 @@ struct ProxyConfig {
   size_t proxy_index = 0;
   size_t num_partitions = 4;  // Kafka brokers per proxy in the paper's setup
   // Topic naming. Empty prefix = "proxy<index>". A standby proxy (fault
-  // failover target) uses its own prefix for the inbound/query topics while
-  // out_topic overrides the outbound to its primary's — shares delivered
-  // via failover land in the same stream the aggregator already joins, so
-  // the n-source join is untouched.
+  // failover target) uses its own prefix for its inbound and query topics.
   std::string topic_prefix;
-  std::string out_topic;  // empty = "<prefix>.out"
   // Lane outbound naming: lane out topics are "<out_prefix>.q<QID>.out",
-  // empty = own prefix. A standby sets this to its primary's prefix so
-  // failover shares join the primary's per-query streams.
+  // empty = own prefix. A standby sets this to its primary's prefix, so
+  // shares delivered via failover land in the per-query streams the
+  // aggregator already joins and the n-source join is untouched.
   std::string out_prefix;
   // Optional instruments, not owned (null = uninstrumented). The system
   // wires these to its registry's per-proxy families; the Counters are the
@@ -76,8 +72,6 @@ class Proxy {
   Proxy(ProxyConfig config, broker::Broker& broker);
 
   size_t index() const { return config_.proxy_index; }
-  const std::string& in_topic() const { return in_topic_; }
-  const std::string& out_topic() const { return out_topic_; }
   const std::string& query_in_topic() const { return query_in_topic_; }
   const std::string& query_out_topic() const { return query_out_topic_; }
 
@@ -94,13 +88,13 @@ class Proxy {
 
   // Crash-recovery repositioning (called once by a restarted proxy daemon
   // after its broker replayed the durable topics, never in steady state):
-  // seeks every consumer — legacy, query, and per-lane — to its outbound
+  // seeks every consumer — query and per-lane — to its outbound
   // topic's end offset. Valid because a forwarded record keeps its key, the
   // in/out topics share a partition count, and forwarding preserves
   // per-partition order: out partition p holds exactly the records already
   // forwarded from in partition p, so out-end(p) is the count consumed from
   // in-p. Records produced inbound but not yet forwarded before the crash
-  // remain pending and go out on the next Forward*/ReceiveAndForwardShard.
+  // remain pending and go out on the next ForwardLanes/ReceiveAndForwardShard.
   void SyncConsumersToOutbound();
 
   // Per-partition committed offsets of one lane's inbound consumer — the
@@ -109,22 +103,16 @@ class Proxy {
   std::vector<uint64_t> LaneInOffsets(uint64_t query_id) const;
 
   // Client-facing entry: enqueue a batch of pre-encoded shares (keyed by
-  // MID) in one produce call. The views (typically arena-backed ShareView
-  // records, in client-id order so topic contents stay byte-identical to
-  // per-record produce calls) only need to stay valid for the duration of
-  // the call — the topic copies each payload once into its slab.
-  // The QID-less overload feeds the legacy single-query topic; the QID
-  // overload feeds that query's lane (which must exist).
-  void Receive(std::span<const broker::ProduceView> records);
+  // MID) into the query's lane, which must exist, in one produce call. The
+  // views (typically arena-backed ShareView records, in client-id order so
+  // topic contents stay byte-identical to per-record produce calls) only
+  // need to stay valid for the duration of the call — the topic copies
+  // each payload once into its slab.
   void Receive(uint64_t query_id, std::span<const broker::ProduceView> records);
 
-  // Owning single-record adapter: encodes and enqueues one share.
-  void Receive(const crypto::MessageShare& share, int64_t timestamp_ms);
-
-  // Transmits all pending inbound records to the outbound topic. Returns the
-  // number of records forwarded. Forward() serves the legacy topic pair;
-  // ForwardLanes() drains every lane in ascending-QID order.
-  uint64_t Forward();
+  // Transmits all pending inbound records of every lane to its outbound
+  // topic, lanes in ascending-QID order. Returns the number of records
+  // forwarded.
   uint64_t ForwardLanes();
 
   // Streaming-mode entry (system/system.cc): appends one shard batch to the
@@ -212,11 +200,8 @@ class Proxy {
   transport::MessageBus* bus_ = nullptr;  // never null after construction
   std::string prefix_;
   std::string out_prefix_;
-  std::string in_topic_;
-  std::string out_topic_;
   std::string query_in_topic_;
   std::string query_out_topic_;
-  std::unique_ptr<transport::BusConsumer> consumer_;
   std::unique_ptr<transport::BusConsumer> query_consumer_;
   std::map<uint64_t, Lane> lanes_;  // QID -> lane, ascending
   uint64_t forwarded_ = 0;

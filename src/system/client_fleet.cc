@@ -1,0 +1,110 @@
+#include "system/client_fleet.h"
+
+#include <stdexcept>
+
+namespace privapprox::system {
+
+ClientFleet::ClientFleet(size_t num_clients, size_t num_proxies,
+                         uint64_t seed, bool invert_answers,
+                         metrics::Counter* answers_total,
+                         metrics::Counter* skips_total)
+    : num_proxies_(num_proxies) {
+  clients_.reserve(num_clients);
+  for (size_t i = 0; i < num_clients; ++i) {
+    client::ClientConfig config;
+    config.client_id = i;
+    config.num_proxies = num_proxies;
+    config.seed = seed;
+    config.invert_answers = invert_answers;
+    config.answers_total = answers_total;
+    config.skips_total = skips_total;
+    clients_.push_back(std::make_unique<client::Client>(config));
+  }
+}
+
+void ClientFleet::DeliverAnnouncement(size_t proxy, transport::MessageBus& bus,
+                                      const std::string& topic) {
+  transport::BusConsumer consumer(bus, topic);
+  std::vector<broker::RecordView> records;
+  while (consumer.PollInto(64, records) != 0) {
+  }
+  if (records.empty()) {
+    throw std::logic_error("ClientFleet: no announcement on " + topic);
+  }
+  // The freshest announcement on the topic is the one just published.
+  const broker::RecordView& last = records.back();
+  const std::vector<uint8_t> bytes(last.payload,
+                                   last.payload + last.payload_len);
+  for (size_t i = proxy; i < clients_.size(); i += num_proxies_) {
+    clients_[i]->OnAnnouncement(bytes);
+  }
+}
+
+AnsweredRange ClientFleet::Answer(size_t begin, size_t end, int64_t now_ms,
+                                  std::span<const uint64_t> qids,
+                                  EpochArena& arena,
+                                  fault::FaultInjector* injector,
+                                  uint64_t epoch) {
+  const size_t num_queries = qids.size();
+  AnsweredRange out;
+  out.participants.assign(num_queries, 0);
+  out.lanes.resize(num_proxies_);
+  for (std::vector<LaneRecords>& lanes : out.lanes) {
+    lanes.resize(num_queries);
+    for (LaneRecords& lane : lanes) {
+      lane.records.reserve(end - begin);
+    }
+  }
+  // Client i's shares for its k-th subscription land in
+  // views[k * num_proxies + j], j = proxy index.
+  std::vector<crypto::ShareView> views(num_queries * num_proxies_);
+  std::vector<uint64_t> answered;
+  for (size_t i = begin; i < end; ++i) {
+    clients_[i]->AnswerSubscribedInto(now_ms, arena, views, answered);
+    size_t k = 0;
+    for (const uint64_t qid : answered) {
+      while (qids[k] != qid) {
+        ++k;
+      }
+      ++out.participants[k];
+      for (size_t j = 0; j < num_proxies_; ++j) {
+        const crypto::ShareView& view = views[k * num_proxies_ + j];
+        LaneRecords& lane = out.lanes[j][k];
+        if (injector == nullptr) {
+          lane.records.push_back(
+              broker::ProduceView{view.message_id, view.bytes(), now_ms});
+          continue;
+        }
+        // Fault path: decisions are (QID, MID, proxy) hashes, so every
+        // pipeline mode, worker count and range split sees the same
+        // faults. Defer copies the record into a QID-tagged frame (the
+        // arena recycles once the range is produced); a corrupted record
+        // is just a shorter span of the arena bytes.
+        const std::span<const uint8_t> record = view.bytes();
+        const fault::ShareOutcome outcome = injector->RouteShare(
+            qid, view.message_id, j, epoch, record.size());
+        if (outcome.route == fault::ShareRoute::kLost) {
+          continue;
+        }
+        if (outcome.route == fault::ShareRoute::kDeferred) {
+          injector->Defer(qid, j, view.message_id, record, now_ms);
+          continue;
+        }
+        const std::span<const uint8_t> payload =
+            outcome.corrupt_to != SIZE_MAX ? record.first(outcome.corrupt_to)
+                                           : record;
+        std::vector<broker::ProduceView>& dest =
+            outcome.route == fault::ShareRoute::kStandby ? lane.standby
+                                                         : lane.records;
+        dest.push_back(broker::ProduceView{view.message_id, payload, now_ms});
+        if (outcome.duplicate) {
+          dest.push_back(
+              broker::ProduceView{view.message_id, payload, now_ms});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace privapprox::system

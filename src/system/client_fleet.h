@@ -1,0 +1,89 @@
+// The client half of an epoch (paper §3.2 steps I-III, Fig 3), shared by
+// both epoch drivers.
+//
+// A ClientFleet owns the client::Client objects and is the one place that
+// (a) builds them from a seed, (b) hands each proxy's query announcement to
+// that proxy's cohort, and (c) answers a client range — sample, randomize,
+// XOR-split — into per-(proxy, query) lane batches in client-id order,
+// routing each share through the fault injector when one is set.
+// PrivApproxSystem answers shards of its fleet on the worker pool (both
+// pipeline modes); deploy::FleetDriver answers its whole fleet as one range
+// and produces the batches over TCP. Because both drivers run this code,
+// every lane-topic byte of a TCP run equals the in-process run's by
+// construction (DESIGN.md §6j).
+
+#ifndef PRIVAPPROX_SYSTEM_CLIENT_FLEET_H_
+#define PRIVAPPROX_SYSTEM_CLIENT_FLEET_H_
+
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "broker/broker.h"
+#include "client/client.h"
+#include "common/arena.h"
+#include "fault/fault.h"
+#include "metrics/metrics.h"
+#include "transport/message_bus.h"
+
+namespace privapprox::system {
+
+// One (proxy, query) lane's share records from an answered client range,
+// in client-id order: the records bound for the primary proxy, and the ones
+// the fault injector failed over to its standby (empty without one).
+struct LaneRecords {
+  std::vector<broker::ProduceView> records;
+  std::vector<broker::ProduceView> standby;
+};
+
+// A client range's answers. lanes[j][k] holds proxy j's records for the
+// k-th QID the range was answered for; participants[k] counts the clients
+// that passed that query's sampling coin. Record payloads point into the
+// arena the range was answered into.
+struct AnsweredRange {
+  std::vector<std::vector<LaneRecords>> lanes;
+  std::vector<uint64_t> participants;
+};
+
+class ClientFleet {
+ public:
+  // num_clients clients over num_proxies proxies, client i seeded from
+  // (seed, i). The optional counters (not owned) count answered and
+  // skipped (client, query) decisions.
+  ClientFleet(size_t num_clients, size_t num_proxies, uint64_t seed,
+              bool invert_answers, metrics::Counter* answers_total = nullptr,
+              metrics::Counter* skips_total = nullptr);
+
+  size_t size() const { return clients_.size(); }
+  client::Client& client(size_t index) { return *clients_.at(index); }
+
+  // Submission phase, last step: reads the freshest announcement on proxy
+  // `proxy`'s client-facing query topic through `bus` and subscribes that
+  // proxy's cohort — client i learns of queries from proxy i mod n. Throws
+  // std::logic_error when the topic holds no announcement; a refused
+  // announcement throws from client::Client::OnAnnouncement.
+  void DeliverAnnouncement(size_t proxy, transport::MessageBus& bus,
+                           const std::string& topic);
+
+  // Answers clients [begin, end) at `now_ms` for `qids` — ascending, and
+  // exactly every client's subscription set. Shares are encoded into
+  // `arena`. With an injector, each share takes the route it decides
+  // (keyed by `epoch` for proxy crashes): lost shares vanish, deferred ones
+  // are parked in the injector, corrupted ones are truncated, failed-over
+  // ones land in the standby list, duplicates appear twice. Thread-safe
+  // across disjoint ranges.
+  AnsweredRange Answer(size_t begin, size_t end, int64_t now_ms,
+                       std::span<const uint64_t> qids, EpochArena& arena,
+                       fault::FaultInjector* injector = nullptr,
+                       uint64_t epoch = 0);
+
+ private:
+  size_t num_proxies_;
+  std::vector<std::unique_ptr<client::Client>> clients_;
+};
+
+}  // namespace privapprox::system
+
+#endif  // PRIVAPPROX_SYSTEM_CLIENT_FLEET_H_

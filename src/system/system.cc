@@ -5,10 +5,8 @@
 #include "core/query_wire.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -52,6 +50,11 @@ class StageScope {
   metrics::EpochTimeline* timeline_;
   int64_t start_ns_ = 0;
 };
+
+// Clients per answer shard (PipelineOptions::shard_size, 0 = 1024).
+size_t ShardSize(const PipelineOptions& pipeline) {
+  return pipeline.shard_size != 0 ? pipeline.shard_size : 1024;
+}
 
 }  // namespace
 
@@ -193,9 +196,8 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
         standby_config.proxy_index = i;
         standby_config.num_partitions = 4;
         standby_config.topic_prefix = "standby" + std::to_string(i);
-        standby_config.out_topic = proxies_[i]->out_topic();
-        // Lane outbound topics must also be the primary's, so failover
-        // shares land in the per-query streams the aggregator joins.
+        // Lane outbound topics are the primary's, so failover shares land
+        // in the per-query streams the aggregator joins.
         standby_config.out_prefix = "proxy" + std::to_string(i);
         const metrics::Labels labels{{"proxy", std::to_string(i)}};
         standby_config.received_total = &registry_.GetCounter(
@@ -223,23 +225,15 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
         "privapprox_client_skips_total",
         "Client (query, epoch) pairs skipped (sampling coin tails)");
   }
-  clients_.reserve(config_.num_clients);
-  for (size_t i = 0; i < config_.num_clients; ++i) {
-    client::ClientConfig client_config;
-    client_config.client_id = i;
-    client_config.num_proxies = config_.num_proxies;
-    client_config.seed = config_.seed;
-    client_config.invert_answers = config_.invert_answers;
-    client_config.answers_total = client_answers;
-    client_config.skips_total = client_skips;
-    clients_.push_back(std::make_unique<client::Client>(client_config));
-  }
+  clients_ = std::make_unique<ClientFleet>(
+      config_.num_clients, config_.num_proxies, config_.seed,
+      config_.invert_answers, client_answers, client_skips);
 
   // The aggregator coordinator exists from construction; queries add lanes
   // to it as they are submitted.
   aggregator::AggregatorConfig agg_config;
   agg_config.num_proxies = config_.num_proxies;
-  agg_config.population = clients_.size();
+  agg_config.population = clients_->size();
   agg_config.confidence = config_.confidence;
   agg_config.answers_inverted = config_.invert_answers;
   agg_config.num_shards = config_.aggregator.num_shards != 0
@@ -301,16 +295,13 @@ core::ExecutionParams PrivApproxSystem::SubmitQuery(
   const core::BudgetInitializer initializer;
   const core::ExecutionParams params = initializer.Convert(
       budget,
-      core::PopulationInfo{clients_.size(), expected_yes_fraction});
+      core::PopulationInfo{clients_->size(), expected_yes_fraction});
   return SubmitQuery(query, params);
 }
 
 core::ExecutionParams PrivApproxSystem::SubmitQuery(
     const core::Query& query, const core::ExecutionParams& params) {
-  params.Validate();
-  if (!query.VerifySignature()) {
-    throw std::invalid_argument("PrivApproxSystem: query signature invalid");
-  }
+  core::ValidateAnnouncement(query, params);
   if (active_.count(query.query_id) != 0) {
     throw std::invalid_argument(
         "PrivApproxSystem: query id already submitted");
@@ -322,12 +313,6 @@ core::ExecutionParams PrivApproxSystem::SubmitQuery(
   const core::BudgetAdmission admission =
       budget_manager_.Admit(query.query_id, params);
   try {
-    // Submission phase (§3.1): the announcement travels aggregator -> proxy
-    // query topics -> clients as opaque bytes; every client re-parses and
-    // re-verifies it locally.
-    DistributeAnnouncement(query, admission.params,
-                           "query distribution failed");
-
     // Per-(query, proxy) lanes on every primary and standby, plus the
     // aggregator lane consuming them.
     for (auto& proxy : proxies_) {
@@ -372,6 +357,12 @@ core::ExecutionParams PrivApproxSystem::SubmitQuery(
           query_labels);
     }
     aggregator_->RegisterQuery(query, admission.params, std::move(lane));
+
+    // Submission phase (§3.1), last so that a failure above leaves no
+    // client subscribed: the announcement travels aggregator -> proxy
+    // query topics -> clients as opaque bytes; every client re-parses and
+    // re-verifies it locally.
+    DistributeAnnouncement(query, admission.params);
     active_.emplace(query.query_id, std::move(active));
   } catch (...) {
     budget_manager_.Release(query.query_id);
@@ -388,8 +379,7 @@ core::ExecutionParams PrivApproxSystem::UpdateParams(
   // parameters every client runs with) stays untouched.
   const core::BudgetAdmission admission =
       budget_manager_.Update(query_id, params);
-  DistributeAnnouncement(active.query, admission.params,
-                         "parameter update failed");
+  DistributeAnnouncement(active.query, admission.params);
   aggregator_->UpdateParams(query_id, admission.params);
   active.params = admission.params;
   return admission.params;
@@ -439,31 +429,15 @@ const PrivApproxSystem::ActiveQuery& PrivApproxSystem::SingleActive(
 }
 
 void PrivApproxSystem::DistributeAnnouncement(
-    const core::Query& query, const core::ExecutionParams& params,
-    const char* failure_what) {
+    const core::Query& query, const core::ExecutionParams& params) {
   const std::vector<uint8_t> announcement =
       core::SerializeAnnouncement(core::QueryAnnouncement{query, params});
   for (auto& proxy : proxies_) {
     proxy->AnnounceQuery(announcement, /*timestamp_ms=*/0);
     proxy->ForwardQueries();
   }
-  for (size_t p = 0; p < proxies_.size(); ++p) {
-    transport::BusConsumer consumer(bus_,
-                                    proxies_[p]->query_out_topic());
-    std::vector<broker::RecordView> records;
-    while (consumer.PollInto(64, records) != 0) {
-    }
-    if (records.empty()) {
-      throw std::logic_error(std::string("PrivApproxSystem: ") +
-                             failure_what);
-    }
-    // The freshest announcement on the topic is the one just published.
-    const broker::RecordView& last = records.back();
-    const std::vector<uint8_t> bytes(last.payload,
-                                     last.payload + last.payload_len);
-    for (size_t i = p; i < clients_.size(); i += proxies_.size()) {
-      clients_[i]->OnAnnouncement(bytes);
-    }
+  for (size_t j = 0; j < proxies_.size(); ++j) {
+    clients_->DeliverAnnouncement(j, bus_, proxies_[j]->query_out_topic());
   }
 }
 
@@ -605,126 +579,65 @@ void PrivApproxSystem::ReplayDeferredShares() {
   }
 }
 
+void PrivApproxSystem::CountAnswered(std::span<const uint64_t> participants) {
+  const size_t num_proxies = proxies_.size();
+  uint64_t total = 0;
+  size_t k = 0;
+  for (auto& [qid, active] : active_) {
+    total += participants[k];
+    if (active.participants_total != nullptr && participants[k] != 0) {
+      active.participants_total->Increment(participants[k]);
+      active.shares_sent_total->Increment(participants[k] * num_proxies);
+    }
+    ++k;
+  }
+  counters_.participants->Increment(total);
+  counters_.shares_sent->Increment(total * num_proxies);
+}
+
 void PrivApproxSystem::RunEpochBarrier(int64_t now_ms) {
-  const size_t num_clients = clients_.size();
+  const size_t num_clients = clients_->size();
   const size_t num_proxies = proxies_.size();
   const std::vector<uint64_t> qids = query_ids();
-  const size_t num_queries = qids.size();
+  const size_t shard_size = ShardSize(config_.pipeline);
+  const size_t num_shards = (num_clients + shard_size - 1) / shard_size;
 
-  // Phase 1 (parallel answering): shard clients across the pool. Each client
-  // owns its RNG and database, so answering is embarrassingly parallel;
-  // workers encode each client's shares for every subscribed query into an
-  // arena acquired per pool chunk and publish views into the client's
-  // private slots (views[(i * nq + k) * np + j] = client i's share for
-  // query k / proxy j, queries in ascending-QID order). The chunk arenas
-  // are kept alive until phase 2 has copied every view into broker slabs.
-  std::vector<crypto::ShareView> views(num_clients * num_queries *
-                                       num_proxies);
-  std::vector<uint8_t> answered(num_clients * num_queries, 0);
-  std::vector<ArenaRef> chunk_arenas;
-  std::mutex chunk_arenas_mu;
+  // Phase 1 (parallel answering): the fleet answers fixed client shards on
+  // the pool — the same shards, through the same routine, as the streaming
+  // answer stage. Each shard's arena stays alive until phase 2 has copied
+  // its records into broker slabs.
+  std::vector<AnsweredRange> shards(num_shards);
+  std::vector<ArenaRef> arenas(num_shards);
   {
     StageScope scope("barrier_answer", stage_ns_.answer_shard_ns, timeline_);
-    pool_->ParallelFor(num_clients, [&](size_t begin, size_t end) {
-      ArenaRef arena = arena_pool_.Acquire();
-      std::vector<uint64_t> answered_qids;
-      for (size_t i = begin; i < end; ++i) {
-        std::span<crypto::ShareView> slot(
-            &views[i * num_queries * num_proxies], num_queries * num_proxies);
-        clients_[i]->AnswerSubscribedInto(now_ms, *arena, slot,
-                                          answered_qids);
-        size_t k = 0;
-        for (const uint64_t qid : answered_qids) {
-          while (qids[k] != qid) {
-            ++k;
-          }
-          answered[i * num_queries + k] = 1;
-        }
+    pool_->ParallelFor(num_shards, [&](size_t first, size_t last) {
+      for (size_t s = first; s < last; ++s) {
+        const size_t begin = s * shard_size;
+        arenas[s] = arena_pool_.Acquire();
+        shards[s] = clients_->Answer(
+            begin, std::min(begin + shard_size, num_clients), now_ms, qids,
+            *arenas[s], injector_.get(), epoch_index_);
+        CountAnswered(shards[s].participants);
       }
-      std::lock_guard<std::mutex> lock(chunk_arenas_mu);
-      chunk_arenas.push_back(std::move(arena));
     });
   }
 
-  // Phase 2 (ordered merge): concatenate the slots in client-id order into
-  // one batch per (query, proxy) lane — exactly the append order a
-  // sequential loop would produce, so topic contents are byte-identical for
-  // any worker count.
-  uint64_t participants = 0;
-  std::vector<uint64_t> per_query(num_queries, 0);
-  for (size_t i = 0; i < num_clients; ++i) {
-    for (size_t k = 0; k < num_queries; ++k) {
-      if (answered[i * num_queries + k] != 0) {
-        ++participants;
-        ++per_query[k];
-      }
-    }
-  }
-  counters_.participants->Increment(participants);
-  counters_.shares_sent->Increment(participants * num_proxies);
-  {
-    size_t k = 0;
-    for (auto& [qid, active] : active_) {
-      if (active.participants_total != nullptr && per_query[k] != 0) {
-        active.participants_total->Increment(per_query[k]);
-        active.shares_sent_total->Increment(per_query[k] * num_proxies);
-      }
-      ++k;
-    }
-  }
+  // Phase 2 (ordered merge): every lane receives the shards in shard order
+  // — exactly the append order a sequential loop over clients would
+  // produce, so topic contents are byte-identical for any worker count.
   {
     StageScope scope("barrier_merge", nullptr, timeline_);
-    std::vector<broker::ProduceView> batch;
-    std::vector<broker::ProduceView> standby_batch;
-    for (size_t k = 0; k < num_queries; ++k) {
-      const uint64_t qid = qids[k];
+    for (const AnsweredRange& shard : shards) {
       for (size_t j = 0; j < num_proxies; ++j) {
-        batch.clear();
-        standby_batch.clear();
-        batch.reserve(per_query[k]);
-        for (size_t i = 0; i < num_clients; ++i) {
-          if (answered[i * num_queries + k] == 0) {
-            continue;
+        for (size_t k = 0; k < qids.size(); ++k) {
+          proxies_[j]->Receive(qids[k], shard.lanes[j][k].records);
+          if (!standby_proxies_.empty()) {
+            standby_proxies_[j]->Receive(qids[k], shard.lanes[j][k].standby);
           }
-          const crypto::ShareView& view =
-              views[(i * num_queries + k) * num_proxies + j];
-          if (injector_ == nullptr) {
-            batch.push_back(
-                broker::ProduceView{view.message_id, view.bytes(), now_ms});
-            continue;
-          }
-          // Fault path: route each share through the injector. Same code as
-          // the streaming answer stage — decisions are (QID, MID, proxy)
-          // hashes, so both modes inject identical faults.
-          const std::span<const uint8_t> record = view.bytes();
-          const fault::ShareOutcome outcome = injector_->RouteShare(
-              qid, view.message_id, j, epoch_index_, record.size());
-          if (outcome.route == fault::ShareRoute::kLost) {
-            continue;
-          }
-          if (outcome.route == fault::ShareRoute::kDeferred) {
-            injector_->Defer(qid, j, view.message_id, record, now_ms);
-            continue;
-          }
-          const std::span<const uint8_t> payload =
-              outcome.corrupt_to != SIZE_MAX ? record.first(outcome.corrupt_to)
-                                             : record;
-          auto& dest = outcome.route == fault::ShareRoute::kStandby
-                           ? standby_batch
-                           : batch;
-          dest.push_back(broker::ProduceView{view.message_id, payload, now_ms});
-          if (outcome.duplicate) {
-            dest.push_back(
-                broker::ProduceView{view.message_id, payload, now_ms});
-          }
-        }
-        proxies_[j]->Receive(qid, batch);
-        if (!standby_proxies_.empty()) {
-          standby_proxies_[j]->Receive(qid, standby_batch);
         }
       }
     }
-    chunk_arenas.clear();  // appends done: recycle the encode arenas
+    arenas.clear();  // appends done: recycle the encode arenas
   }
 
   // Phase 3 (parallel forwarding): each proxy moves its own lanes' inbound
@@ -755,22 +668,12 @@ void PrivApproxSystem::RunEpochBarrier(int64_t now_ms) {
 
 namespace {
 
-constexpr size_t kDefaultStreamShardSize = 1024;
-
 // One contiguous client range to answer, tagged with its position in the
 // epoch's shard sequence.
 struct ShardTask {
   uint64_t seq = 0;
   size_t begin = 0;
   size_t end = 0;
-};
-
-// One shard's shares for one (query, proxy) lane: primary-bound records
-// plus the ones failed over to the proxy's standby (empty without a fault
-// plan).
-struct LaneRecords {
-  std::vector<broker::ProduceView> records;
-  std::vector<broker::ProduceView> standby;
 };
 
 // One shard's shares for one proxy across every query lane (indexed like
@@ -813,13 +716,11 @@ struct ShardNotice {
 // lane's reorder buffer feeds its MID join in (shard, source) order (see
 // Aggregator::ConsumeShardBatch).
 void PrivApproxSystem::RunEpochStreaming(int64_t now_ms) {
-  const size_t num_clients = clients_.size();
+  const size_t num_clients = clients_->size();
   const size_t num_proxies = proxies_.size();
   const std::vector<uint64_t> qids = query_ids();
   const size_t num_queries = qids.size();
-  const size_t shard_size = config_.pipeline.shard_size != 0
-                                ? config_.pipeline.shard_size
-                                : kDefaultStreamShardSize;
+  const size_t shard_size = ShardSize(config_.pipeline);
   const size_t depth = std::max<size_t>(1, config_.pipeline.depth);
   const size_t answer_workers = pool_->num_threads();
 
@@ -913,84 +814,15 @@ void PrivApproxSystem::RunEpochStreaming(int64_t now_ms) {
   Stage<ShardTask> answer_stage(tasks, answer_workers, [&](ShardTask&& task) {
     StageScope scope("answer_shard", stage_ns_.answer_shard_ns, timeline_);
     ArenaRef arena = arena_pool_.Acquire();
-    std::vector<std::vector<LaneRecords>> per_proxy(num_proxies);
-    for (auto& lanes : per_proxy) {
-      lanes.resize(num_queries);
-      for (auto& lane : lanes) {
-        lane.records.reserve(task.end - task.begin);
-      }
-    }
-    std::vector<crypto::ShareView> views(num_queries * num_proxies);
-    std::vector<uint64_t> answered_qids;
-    std::vector<uint64_t> local_per_query(num_queries, 0);
-    uint64_t local_participants = 0;
-    uint64_t local_shares = 0;
-    for (size_t i = task.begin; i < task.end; ++i) {
-      clients_[i]->AnswerSubscribedInto(now_ms, *arena, views,
-                                        answered_qids);
-      size_t k = 0;
-      for (const uint64_t qid : answered_qids) {
-        while (qids[k] != qid) {
-          ++k;
-        }
-        ++local_participants;
-        ++local_per_query[k];
-        local_shares += num_proxies;
-        for (size_t j = 0; j < num_proxies; ++j) {
-          const crypto::ShareView& view = views[k * num_proxies + j];
-          if (injector_ == nullptr) {
-            per_proxy[j][k].records.push_back(broker::ProduceView{
-                view.message_id, view.bytes(), now_ms});
-            continue;
-          }
-          // Fault path — mirror of the barrier merge: (QID, MID,
-          // proxy)-hashed decisions, so faults are identical across modes
-          // and worker counts. Defer copies the record into a QID-tagged
-          // frame (the arena recycles at shard end); corrupted views stay
-          // arena-backed, truncation is just a shorter span.
-          const std::span<const uint8_t> record = view.bytes();
-          const fault::ShareOutcome outcome = injector_->RouteShare(
-              qid, view.message_id, j, epoch_index_, record.size());
-          if (outcome.route == fault::ShareRoute::kLost) {
-            continue;
-          }
-          if (outcome.route == fault::ShareRoute::kDeferred) {
-            injector_->Defer(qid, j, view.message_id, record, now_ms);
-            continue;
-          }
-          const std::span<const uint8_t> payload =
-              outcome.corrupt_to != SIZE_MAX
-                  ? record.first(outcome.corrupt_to)
-                  : record;
-          auto& dest = outcome.route == fault::ShareRoute::kStandby
-                           ? per_proxy[j][k].standby
-                           : per_proxy[j][k].records;
-          dest.push_back(
-              broker::ProduceView{view.message_id, payload, now_ms});
-          if (outcome.duplicate) {
-            dest.push_back(
-                broker::ProduceView{view.message_id, payload, now_ms});
-          }
-        }
-      }
-    }
-    counters_.participants->Increment(local_participants);
-    counters_.shares_sent->Increment(local_shares);
-    {
-      size_t k = 0;
-      for (auto& [qid, active] : active_) {
-        if (active.participants_total != nullptr && local_per_query[k] != 0) {
-          active.participants_total->Increment(local_per_query[k]);
-          active.shares_sent_total->Increment(local_per_query[k] *
-                                              num_proxies);
-        }
-        ++k;
-      }
-    }
+    AnsweredRange answered =
+        clients_->Answer(task.begin, task.end, now_ms, qids, *arena,
+                         injector_.get(), epoch_index_);
+    CountAnswered(answered.participants);
     for (size_t j = 0; j < num_proxies; ++j) {
       // Each batch carries a reference to the shard's arena; the arena
       // recycles once every proxy has slab-copied its batch.
-      to_proxy[j]->Push(TaggedBatch{task.seq, std::move(per_proxy[j]), arena});
+      to_proxy[j]->Push(
+          TaggedBatch{task.seq, std::move(answered.lanes[j]), arena});
     }
   });
 
@@ -1049,9 +881,6 @@ std::vector<aggregator::WindowedResult> PrivApproxSystem::TakeResults() {
 uint64_t PrivApproxSystem::ClientToProxyBytes() const {
   uint64_t bytes = 0;
   for (const auto& proxy : proxies_) {
-    // Legacy single-query topic (untrafficked in lane mode) plus every
-    // query lane.
-    bytes += broker_.GetTopic(proxy->in_topic()).metrics().bytes_in;
     for (const auto& [qid, active] : active_) {
       bytes += broker_.GetTopic(proxy->lane_in_topic(qid)).metrics().bytes_in;
     }
@@ -1074,12 +903,12 @@ core::QueryResult PrivApproxSystem::RunHistorical(
     const aggregator::ResponseStore store =
         storage::LoadAnswers(*historical_log_, from_ms, to_ms);
     const aggregator::HistoricalAnalytics analytics(
-        store, active.params, clients_.size(), config_.confidence);
+        store, active.params, clients_->size(), config_.confidence);
     return analytics.Run(from_ms, to_ms, budget, historical_rng_,
                          active.query.answer_format.num_buckets());
   }
   const aggregator::HistoricalAnalytics analytics(
-      historical_store_, active.params, clients_.size(), config_.confidence);
+      historical_store_, active.params, clients_->size(), config_.confidence);
   return analytics.Run(from_ms, to_ms, budget, historical_rng_,
                        active.query.answer_format.num_buckets());
 }

@@ -6,7 +6,10 @@
 // pipeline — sampling/randomization/splitting at every client, transmission
 // through every proxy, join/decrypt/window at the aggregator — and window
 // results surface through the analyst callback once the event-time
-// watermark passes their end.
+// watermark passes their end. The client half of every epoch — building
+// the clients, delivering announcements, answering and fault routing —
+// is a ClientFleet (system/client_fleet.h), the same module
+// deploy::FleetDriver answers through over TCP.
 //
 // Multi-query: one system hosts N concurrent queries over a single client
 // fleet, broker, proxy tier, and aggregator. Each submitted query gets its
@@ -35,6 +38,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +56,7 @@
 #include "metrics/timeline.h"
 #include "proxy/proxy.h"
 #include "storage/partition_log.h"
+#include "system/client_fleet.h"
 #include "transport/inproc_bus.h"
 
 namespace privapprox::system {
@@ -75,8 +80,8 @@ enum class EpochPipelineMode {
 struct PipelineOptions {
   // Worker threads for the epoch pipeline (client answering, per-proxy
   // forwarding, per-source aggregator decode). 0 = hardware_concurrency.
-  // Results are byte-identical for every value: workers fill per-client
-  // slots and the merge into proxy topics happens in client-id order.
+  // Results are byte-identical for every value: workers answer fixed
+  // client shards and every lane receives them in shard (client-id) order.
   size_t num_worker_threads = 0;
   // Answer-path execution shape (see EpochPipelineMode). Streaming is the
   // default; kBarrier remains for comparison benchmarks and as the
@@ -86,9 +91,10 @@ struct PipelineOptions {
   // channel — the backpressure knob. Larger values let fast stages run
   // further ahead; 1 degenerates to near-lockstep hand-off.
   size_t depth = 8;
-  // Streaming mode: clients per shard batch. Fixed (not derived from the
-  // worker count) so the dataflow — and therefore every byte in the broker
-  // and every join feed position — is identical at any thread count.
+  // Clients per answer shard (both modes; in streaming mode also the
+  // batch unit of every channel). Fixed (not derived from the worker
+  // count) so the dataflow — and therefore every byte in the broker and
+  // every join feed position — is identical at any thread count.
   // 0 = default (1024).
   size_t shard_size = 0;
 };
@@ -210,13 +216,15 @@ class PrivApproxSystem {
   explicit PrivApproxSystem(SystemConfig config);
   ~PrivApproxSystem();
 
-  size_t num_clients() const { return clients_.size(); }
-  client::Client& client(size_t index) { return *clients_[index]; }
+  size_t num_clients() const { return clients_->size(); }
+  client::Client& client(size_t index) { return clients_->client(index); }
 
   // Analyst entry point: converts the budget into execution parameters via
   // the initializer, runs privacy-budget admission, and distributes the
   // query to all clients. Returns the parameters actually admitted (the
-  // budget manager may have down-sampled `s`).
+  // budget manager may have down-sampled `s`). A refused query leaves the
+  // system exactly as it was: it is validated before admission, and
+  // clients learn of it only once its lanes and aggregator lane exist.
   core::ExecutionParams SubmitQuery(const core::Query& query,
                                     const core::QueryBudget& budget,
                                     double expected_yes_fraction = 0.5);
@@ -224,7 +232,8 @@ class PrivApproxSystem {
   // Variant with explicit parameters (micro-benchmarks sweep them
   // directly). Also returns the admitted parameters. Throws
   // core::BudgetExceededError when the query cannot fit under
-  // SystemConfig::budget, std::invalid_argument for a duplicate QID.
+  // SystemConfig::budget, std::invalid_argument for a duplicate QID or
+  // anything core::ValidateAnnouncement refuses.
   core::ExecutionParams SubmitQuery(const core::Query& query,
                                     const core::ExecutionParams& params);
 
@@ -300,15 +309,19 @@ class PrivApproxSystem {
 
   void RunEpochBarrier(int64_t now_ms);
   void RunEpochStreaming(int64_t now_ms);
+  // Adds one answered range's per-query participant counts (ascending-QID
+  // order) to the core and per-query counters. Thread-safe.
+  void CountAnswered(std::span<const uint64_t> participants);
   void ReplayDeferredShares();
   // Releases every lane topic's records below its consumers' offsets: the
   // system owns each lane's only consumer — its proxy (primary or standby)
   // for an in-topic, the aggregator for an out-topic — so once an epoch is
   // done nothing below those offsets is ever read again.
   void ReleaseConsumed();
+  // Publishes the announcement through every proxy's query topics and
+  // delivers it to the client fleet.
   void DistributeAnnouncement(const core::Query& query,
-                              const core::ExecutionParams& params,
-                              const char* failure_what);
+                              const core::ExecutionParams& params);
   ActiveQuery& GetActive(uint64_t query_id, const char* caller);
   const ActiveQuery& SingleActive(const char* caller) const;
 
@@ -347,7 +360,7 @@ class PrivApproxSystem {
   // (declared before the pipeline users) safely outlives them.
   ArenaPool arena_pool_;
   std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<client::Client>> clients_;
+  std::unique_ptr<ClientFleet> clients_;
   std::vector<std::unique_ptr<proxy::Proxy>> proxies_;
   // Fault layer (null/empty unless SystemConfig::fault is set). Standby
   // proxy j shares primary j's outbound lane topics, so failover is

@@ -32,9 +32,24 @@ core::ExecutionParams NoNoiseParams() {
   return params;
 }
 
+// Ensures query `query_id`'s lane at both proxies; returns the lane
+// options naming its outbound topics.
+QueryLaneOptions LaneOver(proxy::Proxy& p0, proxy::Proxy& p1,
+                          uint64_t query_id) {
+  QueryLaneOptions lane;
+  for (proxy::Proxy* proxy : {&p0, &p1}) {
+    proxy->EnsureLane(query_id);
+    lane.source_topics.push_back(proxy->lane_out_topic(query_id));
+  }
+  return lane;
+}
+
+// Two proxies and an aggregator over one query's lanes. `lane` may carry
+// shard instruments; its source topics are filled in here.
 struct Harness {
   explicit Harness(size_t population, core::ExecutionParams params,
-                   bool inverted = false, size_t num_shards = 1)
+                   bool inverted = false, size_t num_shards = 1,
+                   QueryLaneOptions lane = {})
       : query(MakeQuery()),
         proxy0(proxy::ProxyConfig{0, 2}, broker),
         proxy1(proxy::ProxyConfig{1, 2}, broker) {
@@ -44,19 +59,31 @@ struct Harness {
     config.answers_inverted = inverted;
     config.num_shards = num_shards;
     aggregator = std::make_unique<Aggregator>(
-        config, query, params, broker,
+        config, broker,
         [this](const WindowedResult& r) { results.push_back(r); });
+    lane.source_topics =
+        LaneOver(proxy0, proxy1, query.query_id).source_topics;
+    aggregator->RegisterQuery(query, params, std::move(lane));
+  }
+
+  // Enqueues one client share on `proxy`'s lane.
+  void Send(proxy::Proxy& proxy, const crypto::MessageShare& share,
+            int64_t ts) {
+    const std::vector<uint8_t> encoded = proxy::Proxy::EncodeShare(share);
+    const broker::ProduceView view{share.message_id, encoded, ts};
+    proxy.Receive(query.query_id,
+                  std::span<const broker::ProduceView>(&view, 1));
   }
 
   // Ships one client answer (already-built shares) through both proxies.
   void Ship(const std::vector<crypto::MessageShare>& shares, int64_t ts) {
-    proxy0.Receive(shares[0], ts);
-    proxy1.Receive(shares[1], ts);
+    Send(proxy0, shares[0], ts);
+    Send(proxy1, shares[1], ts);
   }
 
   void Pump() {
-    proxy0.Forward();
-    proxy1.Forward();
+    proxy0.ForwardLanes();
+    proxy1.ForwardLanes();
     aggregator->Drain();
   }
 
@@ -159,7 +186,7 @@ TEST(AggregatorTest, LostShareNeverJoins) {
   c.Subscribe(harness.query, NoNoiseParams());
   const auto answer = c.AnswerQuery(5000);
   // Only proxy 0 receives its share; proxy 1's is lost.
-  harness.proxy0.Receive(answer->shares[0], 5000);
+  harness.Send(harness.proxy0, answer->shares[0], 5000);
   harness.Pump();
   EXPECT_EQ(harness.aggregator->join_stats().joined, 0u);
   harness.aggregator->AdvanceWatermark(100000);
@@ -229,18 +256,24 @@ TEST(AggregatorTest, RejectsBadConfig) {
   AggregatorConfig config;
   config.num_proxies = 1;
   config.population = 10;
-  EXPECT_THROW(Aggregator(config, MakeQuery(), NoNoiseParams(), b,
-                          [](const WindowedResult&) {}),
+  EXPECT_THROW(Aggregator(config, b, [](const WindowedResult&) {}),
                std::invalid_argument);
   config.num_proxies = 2;
   config.population = 0;
-  EXPECT_THROW(Aggregator(config, MakeQuery(), NoNoiseParams(), b,
-                          [](const WindowedResult&) {}),
+  EXPECT_THROW(Aggregator(config, b, [](const WindowedResult&) {}),
                std::invalid_argument);
   config.population = 10;
   config.num_shards = 0;
-  EXPECT_THROW(Aggregator(config, MakeQuery(), NoNoiseParams(), b,
-                          [](const WindowedResult&) {}),
+  EXPECT_THROW(Aggregator(config, b, [](const WindowedResult&) {}),
+               std::invalid_argument);
+  // A lane needs exactly one source topic per proxy; there is no default.
+  config.num_shards = 1;
+  Aggregator agg(config, b, [](const WindowedResult&) {});
+  EXPECT_THROW(agg.RegisterQuery(MakeQuery(), NoNoiseParams(), {}),
+               std::invalid_argument);
+  QueryLaneOptions one_source;
+  one_source.source_topics = {"proxy0.q1.out"};
+  EXPECT_THROW(agg.RegisterQuery(MakeQuery(), NoNoiseParams(), one_source),
                std::invalid_argument);
 }
 
@@ -255,9 +288,10 @@ TEST(AggregatorTest, RejectsDuplicateQueryRegistration) {
   config.num_proxies = 2;
   config.population = 10;
   Aggregator agg(config, b, [](const WindowedResult&) {});
-  agg.RegisterQuery(MakeQuery(), NoNoiseParams());
-  EXPECT_THROW(agg.RegisterQuery(MakeQuery(), NoNoiseParams()),
-               std::invalid_argument);
+  agg.RegisterQuery(MakeQuery(), NoNoiseParams(), LaneOver(p0, p1, 1));
+  EXPECT_THROW(
+      agg.RegisterQuery(MakeQuery(), NoNoiseParams(), LaneOver(p0, p1, 1)),
+      std::invalid_argument);
   // A different QID is fine; the first lane is unaffected.
   core::Query other = core::QueryBuilder()
                           .WithId(2)
@@ -269,7 +303,8 @@ TEST(AggregatorTest, RejectsDuplicateQueryRegistration) {
                           .WithWindowMs(10000)
                           .WithSlideMs(10000)
                           .Build();
-  EXPECT_NO_THROW(agg.RegisterQuery(other, NoNoiseParams()));
+  EXPECT_NO_THROW(
+      agg.RegisterQuery(other, NoNoiseParams(), LaneOver(p0, p1, 2)));
 }
 
 // ---------------------------------------------------------------- sharding
@@ -324,23 +359,18 @@ TEST(AggregatorTest, ShardMetricsAccountForEveryShare) {
   const size_t population = 40;
   const size_t num_shards = 4;
   metrics::Registry registry;
-  Harness harness(population, NoNoiseParams(), /*inverted=*/false, 1);
-  // Rebuild the aggregator with instrumented shards.
-  AggregatorConfig config;
-  config.num_proxies = 2;
-  config.population = population;
-  config.num_shards = num_shards;
+  QueryLaneOptions lane;
   for (size_t s = 0; s < num_shards; ++s) {
     const metrics::Labels labels = {{"shard", std::to_string(s)}};
-    config.shard_shares_total.push_back(
+    lane.shard_shares_total.push_back(
         &registry.GetCounter("shard_shares", "", labels));
-    config.shard_joined_total.push_back(
+    lane.shard_joined_total.push_back(
         &registry.GetCounter("shard_joined", "", labels));
   }
-  config.shard_imbalance_milli = &registry.GetGauge("shard_imbalance", "");
-  harness.aggregator = std::make_unique<Aggregator>(
-      config, harness.query, NoNoiseParams(), harness.broker,
-      [&harness](const WindowedResult& r) { harness.results.push_back(r); });
+  lane.shard_imbalance_milli = &registry.GetGauge("shard_imbalance", "");
+  const QueryLaneOptions instruments = lane;
+  Harness harness(population, NoNoiseParams(), /*inverted=*/false,
+                  num_shards, std::move(lane));
   for (size_t i = 0; i < population; ++i) {
     client::Client c = MakeClient(i, 15.0);
     c.Subscribe(harness.query, NoNoiseParams());
@@ -351,15 +381,15 @@ TEST(AggregatorTest, ShardMetricsAccountForEveryShare) {
   uint64_t routed = 0;
   uint64_t joined = 0;
   for (size_t s = 0; s < num_shards; ++s) {
-    routed += config.shard_shares_total[s]->Value();
-    joined += config.shard_joined_total[s]->Value();
+    routed += instruments.shard_shares_total[s]->Value();
+    joined += instruments.shard_joined_total[s]->Value();
   }
   EXPECT_EQ(routed, population * 2);  // one share per proxy per client
   EXPECT_EQ(joined, population);
   // Both proxies saw a balanced MID mix: the gauge is near 1000 (per-mille
   // of the mean) — loosely bounded, the point is that it was set at all.
-  EXPECT_GE(config.shard_imbalance_milli->Value(), 1000);
-  EXPECT_LT(config.shard_imbalance_milli->Value(), 3000);
+  EXPECT_GE(instruments.shard_imbalance_milli->Value(), 1000);
+  EXPECT_LT(instruments.shard_imbalance_milli->Value(), 3000);
 }
 
 // ------------------------------------------------------------- historical

@@ -130,108 +130,6 @@ TEST(SlidingWindowAssignerTest, AppendWindowsForMatchesWindowsFor) {
   }
 }
 
-TEST(WindowBufferTest, FiresOnWatermark) {
-  std::map<int64_t, size_t> fired;  // window start -> item count
-  WindowBuffer<int> buffer(SlidingWindowAssigner(10, 10),
-                           [&](const Window& w, const std::vector<int>& items) {
-                             fired[w.start_ms] = items.size();
-                           });
-  buffer.Add(1, 100);
-  buffer.Add(5, 101);
-  buffer.Add(12, 102);
-  EXPECT_TRUE(fired.empty());
-  buffer.AdvanceWatermark(10);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 2u);
-  buffer.AdvanceWatermark(20);
-  EXPECT_EQ(fired[10], 1u);
-}
-
-TEST(WindowBufferTest, LateDataIsDroppedAndCounted) {
-  int fired = 0;
-  WindowBuffer<int> buffer(SlidingWindowAssigner(10, 10),
-                           [&](const Window&, const std::vector<int>&) {
-                             ++fired;
-                           });
-  buffer.AdvanceWatermark(50);
-  buffer.Add(30, 1);  // behind the watermark
-  EXPECT_EQ(buffer.late_dropped(), 1u);
-  buffer.AdvanceWatermark(100);
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(WindowBufferTest, WatermarkNeverMovesBackwards) {
-  WindowBuffer<int> buffer(SlidingWindowAssigner(10, 10),
-                           [](const Window&, const std::vector<int>&) {});
-  buffer.AdvanceWatermark(100);
-  buffer.AdvanceWatermark(50);
-  EXPECT_EQ(buffer.watermark_ms(), 100);
-}
-
-TEST(WindowBufferTest, FlushFiresEverythingPending) {
-  int fired = 0;
-  WindowBuffer<int> buffer(SlidingWindowAssigner(30, 10),
-                           [&](const Window&, const std::vector<int>&) {
-                             ++fired;
-                           });
-  buffer.Add(25, 1);  // 3 overlapping windows
-  EXPECT_EQ(buffer.pending_windows(), 3u);
-  buffer.Flush();
-  EXPECT_EQ(fired, 3);
-  EXPECT_EQ(buffer.pending_windows(), 0u);
-}
-
-TEST(WindowBufferTest, SlidingWindowsShareItems) {
-  std::map<int64_t, std::vector<int>> fired;
-  WindowBuffer<int> buffer(SlidingWindowAssigner(20, 10),
-                           [&](const Window& w, const std::vector<int>& items) {
-                             fired[w.start_ms] = items;
-                           });
-  buffer.Add(15, 7);  // in [0,20) and [10,30)
-  buffer.AdvanceWatermark(40);
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[0], std::vector<int>{7});
-  EXPECT_EQ(fired[10], std::vector<int>{7});
-}
-
-TEST(WindowBufferTest, AddAfterFlushCountsAsLate) {
-  // Regression: Flush used to leave the watermark where it was, so a
-  // post-flush Add would silently start a window that could never fire.
-  int fired = 0;
-  WindowBuffer<int> buffer(SlidingWindowAssigner(10, 10),
-                           [&](const Window&, const std::vector<int>&) {
-                             ++fired;
-                           });
-  buffer.Add(5, 1);
-  buffer.Flush();
-  EXPECT_EQ(fired, 1);
-  buffer.Add(100, 2);  // stream is over: must not buffer
-  EXPECT_EQ(buffer.pending_windows(), 0u);
-  EXPECT_EQ(buffer.late_dropped(), 1u);
-  buffer.AdvanceWatermark(INT64_MAX);
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(WindowBufferTest, RvalueAddMovesIntoLastWindow) {
-  // An item spanning k windows is copied k-1 times and moved once (into
-  // the last-assigned window). Observable: the moved-from source is empty,
-  // and every fired window holds the full item.
-  std::map<int64_t, std::vector<std::vector<int>>> fired;
-  WindowBuffer<std::vector<int>> buffer(
-      SlidingWindowAssigner(20, 10),
-      [&](const Window& w, const std::vector<std::vector<int>>& items) {
-        fired[w.start_ms] = items;
-      });
-  std::vector<int> item = {1, 2, 3};
-  buffer.Add(15, std::move(item));  // in [0,20) and [10,30)
-  EXPECT_TRUE(item.empty());        // NOLINT(bugprone-use-after-move)
-  buffer.AdvanceWatermark(40);
-  ASSERT_EQ(fired.size(), 2u);
-  const std::vector<int> expected = {1, 2, 3};
-  EXPECT_EQ(fired[0], std::vector<std::vector<int>>{expected});
-  EXPECT_EQ(fired[10], std::vector<std::vector<int>>{expected});
-}
-
 // --------------------------------------------- accumulating window buffer
 
 // Minimal additive accumulator for AccumulatingWindowBuffer tests.
@@ -263,6 +161,13 @@ TEST(AccumulatingWindowBufferTest, FoldsAndDrainsOnWatermark) {
   buffer.DrainFired(5, fired);
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(buffer.watermark_ms(), 10);
+
+  // The next advance fires the next window, and only it.
+  buffer.DrainFired(20, fired);
+  ASSERT_EQ(fired.size(), 2u);
+  EXPECT_EQ(fired[1].first.start_ms, 10);
+  EXPECT_EQ(fired[1].second.sum, 7);
+  EXPECT_EQ(buffer.pending_windows(), 0u);
 }
 
 TEST(AccumulatingWindowBufferTest, SlidingWindowsEachAccumulate) {
@@ -275,6 +180,20 @@ TEST(AccumulatingWindowBufferTest, SlidingWindowsEachAccumulate) {
   EXPECT_EQ(fired[1].first.start_ms, 10);
   EXPECT_EQ(fired[0].second.sum, 3);
   EXPECT_EQ(fired[1].second.sum, 3);
+
+  // DrainAll empties every pending window, here three overlapping ones, in
+  // ascending window order.
+  AccumulatingWindowBuffer<SumAcc> wide{SlidingWindowAssigner(30, 10)};
+  wide.Fold(25, 4, [] { return SumAcc{}; });  // [0,30), [10,40), [20,50)
+  EXPECT_EQ(wide.pending_windows(), 3u);
+  std::vector<std::pair<Window, SumAcc>> all;
+  wide.DrainAll(all);
+  ASSERT_EQ(all.size(), 3u);
+  for (size_t w = 0; w < all.size(); ++w) {
+    EXPECT_EQ(all[w].first.start_ms, static_cast<int64_t>(10 * w));
+    EXPECT_EQ(all[w].second.sum, 4);
+  }
+  EXPECT_EQ(wide.pending_windows(), 0u);
 }
 
 TEST(AccumulatingWindowBufferTest, LateFoldsDropAndDrainAllPinsWatermark) {
@@ -284,15 +203,18 @@ TEST(AccumulatingWindowBufferTest, LateFoldsDropAndDrainAllPinsWatermark) {
   EXPECT_TRUE(none.empty());
   buffer.Fold(30, 1, [] { return SumAcc{}; });  // behind the watermark
   EXPECT_EQ(buffer.late_dropped(), 1u);
+  EXPECT_EQ(buffer.pending_windows(), 0u);  // a late fold opens no window
   buffer.Fold(60, 2, [] { return SumAcc{}; });
   std::vector<std::pair<Window, SumAcc>> fired;
   buffer.DrainAll(fired);
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0].second.sum, 2);
-  // Stream over: later folds are late, mirroring WindowBuffer::Flush.
+  // Stream over: later folds are late, and nothing fires again.
   buffer.Fold(1000, 3, [] { return SumAcc{}; });
   EXPECT_EQ(buffer.pending_windows(), 0u);
   EXPECT_EQ(buffer.late_dropped(), 2u);
+  buffer.DrainFired(INT64_MAX, fired);
+  EXPECT_EQ(fired.size(), 1u);
 }
 
 // --------------------------------------------------------------------- join

@@ -52,6 +52,7 @@ void ProduceRaw(system::PrivApproxSystem& sys, const std::string& topic,
   sys.bus().Produce(topic, std::span<const broker::ProduceView>(&view, 1));
 }
 
+// Two proxies and an aggregator over one query's lanes.
 struct Harness {
   explicit Harness(size_t population)
       : query(MakeQuery()),
@@ -61,10 +62,24 @@ struct Harness {
     config.num_proxies = 2;
     config.population = population;
     agg = std::make_unique<aggregator::Aggregator>(
-        config, query, ExactParams(), broker,
-        [this](const aggregator::WindowedResult& r) {
+        config, broker, [this](const aggregator::WindowedResult& r) {
           results.push_back(r);
         });
+    aggregator::QueryLaneOptions lane;
+    for (proxy::Proxy* proxy : {&proxy0, &proxy1}) {
+      proxy->EnsureLane(query.query_id);
+      lane.source_topics.push_back(proxy->lane_out_topic(query.query_id));
+    }
+    agg->RegisterQuery(query, ExactParams(), std::move(lane));
+  }
+
+  // Enqueues one client share on `proxy`'s lane.
+  void Send(proxy::Proxy& proxy, const crypto::MessageShare& share,
+            int64_t timestamp_ms) {
+    const std::vector<uint8_t> encoded = proxy::Proxy::EncodeShare(share);
+    const broker::ProduceView view{share.message_id, encoded, timestamp_ms};
+    proxy.Receive(query.query_id,
+                  std::span<const broker::ProduceView>(&view, 1));
   }
 
   broker::Broker broker;
@@ -88,14 +103,14 @@ TEST(FailureTest, RandomShareLossDegradesGracefully) {
     client::Client c = MakeClient(i, 25.0);
     c.Subscribe(harness.query, ExactParams());
     const auto answer = c.AnswerQuery(5000);
-    harness.proxy0.Receive(answer->shares[0], 5000);
+    harness.Send(harness.proxy0, answer->shares[0], 5000);
     if (rng.NextBernoulli(0.8)) {
-      harness.proxy1.Receive(answer->shares[1], 5000);
+      harness.Send(harness.proxy1, answer->shares[1], 5000);
       ++delivered;
     }
   }
-  harness.proxy0.Forward();
-  harness.proxy1.Forward();
+  harness.proxy0.ForwardLanes();
+  harness.proxy1.ForwardLanes();
   harness.agg->Drain();
   harness.agg->Flush();
   ASSERT_EQ(harness.results.size(), 1u);
@@ -117,10 +132,10 @@ TEST(FailureTest, TotalProxyOutageYieldsNoResultsNotGarbage) {
     client::Client c = MakeClient(i, 25.0);
     c.Subscribe(harness.query, ExactParams());
     const auto answer = c.AnswerQuery(5000);
-    harness.proxy0.Receive(answer->shares[0], 5000);
+    harness.Send(harness.proxy0, answer->shares[0], 5000);
     // Proxy 1 is down: nothing arrives there.
   }
-  harness.proxy0.Forward();
+  harness.proxy0.ForwardLanes();
   harness.agg->Drain();
   harness.agg->AdvanceWatermark(1000000);  // evicts all partial groups
   EXPECT_TRUE(harness.results.empty());
@@ -138,12 +153,12 @@ TEST(FailureTest, DuplicatedRecordsInTransitAreDropped) {
     c.Subscribe(harness.query, ExactParams());
     const auto answer = c.AnswerQuery(5000);
     for (int copy = 0; copy < 2; ++copy) {
-      harness.proxy0.Receive(answer->shares[0], 5000);
-      harness.proxy1.Receive(answer->shares[1], 5000);
+      harness.Send(harness.proxy0, answer->shares[0], 5000);
+      harness.Send(harness.proxy1, answer->shares[1], 5000);
     }
   }
-  harness.proxy0.Forward();
-  harness.proxy1.Forward();
+  harness.proxy0.ForwardLanes();
+  harness.proxy1.ForwardLanes();
   harness.agg->Drain();
   harness.agg->Flush();
   ASSERT_EQ(harness.results.size(), 1u);
@@ -288,14 +303,14 @@ TEST(FailureTest, OutOfOrderArrivalWithStreamWatermark) {
     client::Client c = MakeClient(id, 25.0);
     c.Subscribe(harness.query, ExactParams());
     const auto answer = c.AnswerQuery(ts);
-    harness.proxy0.Receive(answer->shares[0], ts);
-    harness.proxy1.Receive(answer->shares[1], ts);
+    harness.Send(harness.proxy0, answer->shares[0], ts);
+    harness.Send(harness.proxy1, answer->shares[1], ts);
   };
   send_at(0, 9000);
   send_at(1, 12000);  // later epoch arrives before epoch-1 stragglers
   send_at(2, 9500);   // straggler within the 1000 ms bound
-  harness.proxy0.Forward();
-  harness.proxy1.Forward();
+  harness.proxy0.ForwardLanes();
+  harness.proxy1.ForwardLanes();
   harness.agg->Drain();
   harness.agg->AdvanceWatermarkToStream();
   // Stream watermark = 12000 - 1000 = 11000 >= 10000: the first window

@@ -10,11 +10,27 @@
 namespace privapprox::proxy {
 namespace {
 
+constexpr uint64_t kQid = 1;
+
+// Enqueues one owning share on the proxy's lane for kQid.
+void ReceiveShare(Proxy& proxy, const crypto::MessageShare& share,
+                  int64_t timestamp_ms) {
+  const std::vector<uint8_t> encoded = Proxy::EncodeShare(share);
+  const broker::ProduceView view{share.message_id, encoded, timestamp_ms};
+  proxy.Receive(kQid, std::span<const broker::ProduceView>(&view, 1));
+}
+
 TEST(ProxyTest, CreatesItsTopics) {
   broker::Broker b;
   Proxy proxy(ProxyConfig{0, 2}, b);
-  EXPECT_TRUE(b.HasTopic("proxy0.in"));
-  EXPECT_TRUE(b.HasTopic("proxy0.out"));
+  EXPECT_TRUE(b.HasTopic("proxy0.query.in"));
+  EXPECT_TRUE(b.HasTopic("proxy0.query.out"));
+  // Share topics exist per query lane only.
+  EXPECT_FALSE(b.HasTopic("proxy0.in"));
+  EXPECT_FALSE(b.HasTopic("proxy0.out"));
+  proxy.EnsureLane(kQid);
+  EXPECT_TRUE(b.HasTopic("proxy0.q1.in"));
+  EXPECT_TRUE(b.HasTopic("proxy0.q1.out"));
   EXPECT_EQ(proxy.index(), 0u);
 }
 
@@ -38,14 +54,15 @@ TEST(ProxyTest, DecodeOfEmptyPayloadShare) {
 TEST(ProxyTest, ForwardMovesEverythingInToOut) {
   broker::Broker b;
   Proxy proxy(ProxyConfig{1, 4}, b);
+  proxy.EnsureLane(kQid);
   for (uint64_t mid = 0; mid < 100; ++mid) {
-    proxy.Receive(crypto::MessageShare{mid, {static_cast<uint8_t>(mid)}},
-                  static_cast<int64_t>(mid));
+    ReceiveShare(proxy, crypto::MessageShare{mid, {static_cast<uint8_t>(mid)}},
+                 static_cast<int64_t>(mid));
   }
-  EXPECT_EQ(proxy.Forward(), 100u);
+  EXPECT_EQ(proxy.ForwardLanes(), 100u);
   EXPECT_EQ(proxy.forwarded(), 100u);
   transport::InProcessBus bus(b);
-  transport::BusConsumer consumer(bus, "proxy1.out");
+  transport::BusConsumer consumer(bus, proxy.lane_out_topic(kQid));
   std::vector<broker::RecordView> batch;
   size_t count = 0;
   while (!consumer.CaughtUp()) {
@@ -63,10 +80,11 @@ TEST(ProxyTest, ForwardMovesEverythingInToOut) {
 TEST(ProxyTest, ForwardPreservesTimestamps) {
   broker::Broker b;
   Proxy proxy(ProxyConfig{0, 1}, b);
-  proxy.Receive(crypto::MessageShare{1, {9}}, 12345);
-  proxy.Forward();
+  proxy.EnsureLane(kQid);
+  ReceiveShare(proxy, crypto::MessageShare{1, {9}}, 12345);
+  proxy.ForwardLanes();
   transport::InProcessBus bus(b);
-  transport::BusConsumer consumer(bus, "proxy0.out");
+  transport::BusConsumer consumer(bus, proxy.lane_out_topic(kQid));
   std::vector<broker::RecordView> records;
   ASSERT_EQ(consumer.PollInto(10, records), 1u);
   EXPECT_EQ(records[0].timestamp_ms, 12345);
@@ -75,17 +93,20 @@ TEST(ProxyTest, ForwardPreservesTimestamps) {
 TEST(ProxyTest, ForwardOnEmptyQueueIsZero) {
   broker::Broker b;
   Proxy proxy(ProxyConfig{0, 2}, b);
-  EXPECT_EQ(proxy.Forward(), 0u);
+  EXPECT_EQ(proxy.ForwardLanes(), 0u);
+  proxy.EnsureLane(kQid);
+  EXPECT_EQ(proxy.ForwardLanes(), 0u);
 }
 
 TEST(ProxyTest, RepeatedForwardOnlyMovesNewRecords) {
   broker::Broker b;
   Proxy proxy(ProxyConfig{0, 2}, b);
-  proxy.Receive(crypto::MessageShare{1, {1}}, 0);
-  EXPECT_EQ(proxy.Forward(), 1u);
-  EXPECT_EQ(proxy.Forward(), 0u);
-  proxy.Receive(crypto::MessageShare{2, {2}}, 0);
-  EXPECT_EQ(proxy.Forward(), 1u);
+  proxy.EnsureLane(kQid);
+  ReceiveShare(proxy, crypto::MessageShare{1, {1}}, 0);
+  EXPECT_EQ(proxy.ForwardLanes(), 1u);
+  EXPECT_EQ(proxy.ForwardLanes(), 0u);
+  ReceiveShare(proxy, crypto::MessageShare{2, {2}}, 0);
+  EXPECT_EQ(proxy.ForwardLanes(), 1u);
   EXPECT_EQ(proxy.forwarded(), 2u);
 }
 
@@ -93,9 +114,11 @@ TEST(ProxyTest, TwoProxiesAreIndependent) {
   broker::Broker b;
   Proxy p0(ProxyConfig{0, 2}, b);
   Proxy p1(ProxyConfig{1, 2}, b);
-  p0.Receive(crypto::MessageShare{1, {1}}, 0);
-  EXPECT_EQ(p0.Forward(), 1u);
-  EXPECT_EQ(p1.Forward(), 0u);  // p1 never saw the share
+  p0.EnsureLane(kQid);
+  p1.EnsureLane(kQid);
+  ReceiveShare(p0, crypto::MessageShare{1, {1}}, 0);
+  EXPECT_EQ(p0.ForwardLanes(), 1u);
+  EXPECT_EQ(p1.ForwardLanes(), 0u);  // p1 never saw the share
 }
 
 }  // namespace

@@ -177,5 +177,31 @@ TEST(QueryDistributionTest, ClientRejectsInvalidParams) {
                std::invalid_argument);
 }
 
+// A Query is a plain struct, so a correctly signed one can still carry a
+// slide longer than its window, a non-positive period, or QID 0. The
+// client refuses those before subscribing, exactly as QueryBuilder::Build
+// would have.
+TEST(QueryDistributionTest, ClientRejectsStructurallyInvalidQuery) {
+  const auto signed_announcement = [](void (*mutate)(Query&)) {
+    Query query = MakeQuery();
+    mutate(query);
+    query.Sign();
+    return SerializeAnnouncement(QueryAnnouncement{query, MakeParams()});
+  };
+  const std::vector<std::vector<uint8_t>> refused = {
+      signed_announcement(
+          [](Query& q) { q.sliding_interval_ms = q.window_length_ms + 1; }),
+      signed_announcement([](Query& q) { q.answer_frequency_ms = 0; }),
+      signed_announcement([](Query& q) { q.window_length_ms = -1; }),
+      signed_announcement([](Query& q) { q.sliding_interval_ms = 0; }),
+      signed_announcement([](Query& q) { q.query_id = 0; }),
+  };
+  client::Client client(client::ClientConfig{0, 2, 1});
+  for (const std::vector<uint8_t>& bytes : refused) {
+    EXPECT_THROW(client.OnAnnouncement(bytes), std::invalid_argument);
+  }
+  EXPECT_FALSE(client.subscribed());
+}
+
 }  // namespace
 }  // namespace privapprox::core

@@ -31,6 +31,7 @@
 #include <unistd.h>
 
 #include "core/query.h"
+#include "core/query_wire.h"
 #include "deploy/aggregator_daemon.h"
 #include "deploy/fleet_driver.h"
 #include "deploy/proxy_daemon.h"
@@ -337,6 +338,66 @@ TEST(SocketDeploymentTest, RerunningTheSocketDeploymentIsDeterministic) {
             SerializeResults(RunSocketDeployment(queries)));
 }
 
+// A Query is a plain struct, so a signed one can still carry a slide longer
+// than its window. The driver refuses such a query before any RPC, and it
+// subscribes clients only after register_query succeeded — so neither that
+// query nor one whose register_query could not reach a stopped aggregatord
+// leaves a client subscribed to a query no lane serves. The fleet keeps
+// answering, bit-identical to an in-process run of the admitted query.
+TEST(SocketDeploymentTest, RefusedSubmissionsLeaveTheFleetAnswering) {
+  std::vector<std::unique_ptr<ProxyDaemon>> proxyds;
+  std::vector<Endpoint> proxy_endpoints;
+  for (size_t j = 0; j < kProxies; ++j) {
+    ProxyDaemonConfig config;
+    config.proxy_index = j;
+    proxyds.push_back(std::make_unique<ProxyDaemon>(config));
+    proxyds.back()->Start();
+    proxy_endpoints.push_back(Endpoint{"127.0.0.1", proxyds.back()->port()});
+  }
+  AggregatorDaemonConfig agg_config;
+  agg_config.proxies = proxy_endpoints;
+  agg_config.population = kClients;
+  auto aggregatord = std::make_unique<AggregatorDaemon>(agg_config);
+  aggregatord->Start();
+  agg_config.port = aggregatord->port();
+
+  FleetDriverConfig fleet_config;
+  fleet_config.num_clients = kClients;
+  fleet_config.seed = kSeed;
+  fleet_config.proxies = proxy_endpoints;
+  fleet_config.aggregator = Endpoint{"127.0.0.1", agg_config.port};
+  FleetDriver fleet(fleet_config);
+  for (size_t i = 0; i < fleet.num_clients(); ++i) {
+    FillDatabase(fleet.client(i).database(), i);
+  }
+
+  core::Query long_slide = FareQuery();
+  long_slide.query_id = 3;
+  long_slide.sliding_interval_ms = long_slide.window_length_ms + 1;
+  long_slide.Sign();
+  EXPECT_THROW(fleet.SubmitQuery(long_slide, RandomizedParams()),
+               std::invalid_argument);
+  EXPECT_EQ(fleet.client(0).num_subscriptions(), 0u);
+
+  aggregatord.reset();  // register_query can no longer reach it
+  EXPECT_THROW(fleet.SubmitQuery(FareQuery(), RandomizedParams()),
+               std::runtime_error);
+  EXPECT_EQ(fleet.client(0).num_subscriptions(), 0u);
+  aggregatord = std::make_unique<AggregatorDaemon>(agg_config);
+  aggregatord->Start();
+
+  fleet.SubmitQuery(SpeedQuery(), RandomizedParams());
+  EXPECT_EQ(fleet.client(0).num_subscriptions(), 1u);
+  for (size_t e = 0; e < kEpochs; ++e) {
+    const FleetEpochStats stats =
+        fleet.RunEpoch(static_cast<int64_t>(1000 * (e + 1)));
+    EXPECT_EQ(stats.shares_consumed, stats.shares_sent);
+  }
+  fleet.Flush();
+  EXPECT_EQ(SerializeResults(fleet.TakeResults()),
+            SerializeResults(RunInProcessReference({SpeedQuery()})));
+}
+
 // ---------------------------------------------------------- crash recovery
 
 // The durable acceptance gate, in-process edition (the chaos CI job does
@@ -373,6 +434,66 @@ TEST(SocketRestartTest, AggregatorRestartMidEpochConvergesBitForBit) {
       RunSocketDeployment(queries, restart, /*force_durable=*/true));
   ASSERT_FALSE(reference.empty());
   EXPECT_EQ(interrupted, reference);
+}
+
+// aggregatord journals every announcement it accepts and re-registers the
+// journal at startup, so it must refuse an announcement it cannot register
+// before journaling it: a journaled bad query (slide > window) or bad
+// parameters would otherwise stop the daemon from ever restarting from its
+// data dir.
+TEST(SocketRestartTest, RefusedRegistrationKeepsTheJournalReplayable) {
+  TempDir data_root;
+  std::vector<std::unique_ptr<ProxyDaemon>> proxyds;
+  AggregatorDaemonConfig config;
+  std::vector<uint8_t> qid_payload;
+  transport::PutU64(SpeedQuery().query_id, qid_payload);
+  for (size_t j = 0; j < kProxies; ++j) {
+    ProxyDaemonConfig proxy_config;
+    proxy_config.proxy_index = j;
+    proxyds.push_back(std::make_unique<ProxyDaemon>(proxy_config));
+    proxyds.back()->Start();
+    config.proxies.push_back(Endpoint{"127.0.0.1", proxyds.back()->port()});
+    transport::TcpBusClientConfig client_config;
+    client_config.port = proxyds.back()->port();
+    transport::TcpBusClient(client_config).Control("ensure_lane",
+                                                   qid_payload);
+  }
+  config.population = kClients;
+  config.data_dir = (data_root.path() / "aggregatord").string();
+
+  core::Query long_slide = SpeedQuery();
+  long_slide.sliding_interval_ms = long_slide.window_length_ms + 1;
+  long_slide.Sign();
+  core::ExecutionParams bad_params = RandomizedParams();
+  bad_params.sampling_fraction = 0.0;
+  const auto announce = [](const core::Query& query,
+                           const core::ExecutionParams& params) {
+    return core::SerializeAnnouncement(core::QueryAnnouncement{query, params});
+  };
+  {
+    AggregatorDaemon aggregatord(config);
+    aggregatord.Start();
+    transport::TcpBusClientConfig client_config;
+    client_config.port = aggregatord.port();
+    transport::TcpBusClient bus(client_config);
+    EXPECT_THROW(bus.Control("register_query",
+                             announce(long_slide, RandomizedParams())),
+                 std::runtime_error);
+    EXPECT_THROW(
+        bus.Control("register_query", announce(SpeedQuery(), bad_params)),
+        std::runtime_error);
+    bus.Control("register_query", announce(SpeedQuery(), RandomizedParams()));
+  }
+  // The restart replays exactly the one accepted announcement.
+  AggregatorDaemon restarted(config);
+  restarted.Start();
+  transport::TcpBusClientConfig client_config;
+  client_config.port = restarted.port();
+  transport::TcpBusClient bus(client_config);
+  const std::vector<uint8_t> snapshot = bus.Control("snapshot_offsets");
+  const std::string text(snapshot.begin(), snapshot.end());
+  EXPECT_NE(text.find("source proxy0.q1.out"), std::string::npos) << text;
+  EXPECT_NE(text.find("journal records=1 "), std::string::npos) << text;
 }
 
 // A durable socket deployment with no interruption produces the same bytes

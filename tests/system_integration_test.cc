@@ -107,6 +107,49 @@ TEST(SystemTest, RunEpochWithoutQueryThrows) {
   EXPECT_THROW(sys.RunEpoch(0), std::logic_error);
 }
 
+// A Query is a plain struct, so a signed one can still carry a slide longer
+// than its window or QID 0. SubmitQuery refuses such a query before any
+// side effect — no client learns of it — so epochs keep running for the
+// queries the system did admit, in both pipeline modes.
+TEST(SystemTest, RejectedSubmitLeavesEpochsRunning) {
+  core::Query long_slide = SpeedQuery();
+  long_slide.query_id = 2;
+  long_slide.sliding_interval_ms = long_slide.window_length_ms + 1;
+  long_slide.Sign();
+  core::Query no_id = SpeedQuery();
+  no_id.query_id = 0;
+  no_id.Sign();
+  for (const auto mode :
+       {EpochPipelineMode::kBarrier, EpochPipelineMode::kStreaming}) {
+    SCOPED_TRACE(mode == EpochPipelineMode::kBarrier ? "barrier"
+                                                     : "streaming");
+    SystemConfig config;
+    config.num_clients = 20;
+    config.pipeline.mode = mode;
+    config.pipeline.shard_size = 7;
+    PrivApproxSystem sys(config);
+    for (size_t i = 0; i < config.num_clients; ++i) {
+      LoadSpeed(sys, i, 25.0);
+    }
+    EXPECT_THROW(sys.SubmitQuery(long_slide, ExactParams()),
+                 std::invalid_argument);
+    EXPECT_EQ(sys.client(0).num_subscriptions(), 0u);
+    sys.SubmitQuery(SpeedQuery(), ExactParams());
+    EXPECT_THROW(sys.SubmitQuery(no_id, ExactParams()), std::invalid_argument);
+    EXPECT_EQ(sys.num_queries(), 1u);
+    EXPECT_EQ(sys.client(0).num_subscriptions(), 1u);
+
+    const EpochStats stats = sys.RunEpoch(5000);
+    EXPECT_EQ(stats.participants, config.num_clients);
+    EXPECT_EQ(stats.shares_consumed, 2 * config.num_clients);
+    sys.Flush();
+    const std::vector<aggregator::WindowedResult> results = sys.TakeResults();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].query_id, 1u);
+    EXPECT_NEAR(results[0].result.buckets[2].estimate.value, 20.0, 1e-9);
+  }
+}
+
 TEST(SystemTest, ExactPipelineEndToEnd) {
   SystemConfig config;
   config.num_clients = 60;
