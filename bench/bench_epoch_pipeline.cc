@@ -15,14 +15,12 @@
 //
 // The last line printed is a single JSON row, also appended to a trajectory
 // file so later PRs can diff epoch-throughput movement. Flags:
-// --clients=N --epochs=N --json-out=PATH --metrics=0|1 --agg-shards=N
-// --queries=N (defaults 100000 / 3 / BENCH_pipeline.json / 0 / 0 / 1;
-// --json-out= empty disables the file append). --metrics=1 turns on the
-// full observability layer (stage histograms, per-proxy families, channel
-// depth gauges) so CI can check its overhead stays under 5%; core counters
-// are always on either way. --agg-shards pins the aggregator join shard
-// count; 0 (the default) follows the worker thread count of each row, so
-// every row is tagged with the shard count it actually ran. --queries runs
+// --clients=N --epochs=N --json-out=PATH --agg-shards=N --queries=N
+// (defaults 100000 / 3 / BENCH_pipeline.json / 0 / 1; --json-out= empty
+// disables the file append). Every row runs with the system's full
+// observability layer, which is always on. --agg-shards pins the aggregator
+// join shard count; 0 (the default) follows the worker thread count of each
+// row, so every row is tagged with the shard count it actually ran. --queries runs
 // N identical concurrent queries (QIDs 1..N) over the shared fleet, so a
 // 2-query row shows the per-lane cost of the multi-query runtime; the JSON
 // row carries a "queries" tag. The row is also tagged "simd" with the
@@ -68,7 +66,6 @@ struct BenchConfig {
   size_t clients = 100000;
   size_t epochs = 3;
   std::string json_out = "BENCH_pipeline.json";
-  bool metrics = false;   // full observability layer on (--metrics=1)
   size_t agg_shards = 0;  // aggregator join shards; 0 = worker thread count
   size_t queries = 1;     // concurrent queries sharing the fleet
   std::string transport = "inproc";  // "inproc" | "tcp" (loopback daemons)
@@ -124,25 +121,14 @@ core::Query SpeedQuery(uint64_t qid) {
       .Build();
 }
 
-Row RunOne(system::EpochPipelineMode mode, size_t threads,
-           const BenchConfig& bench) {
-  system::SystemConfig config;
-  config.num_clients = bench.clients;
-  config.num_proxies = 2;
-  config.seed = 42;
-  config.pipeline.num_worker_threads = threads;
-  config.pipeline.mode = mode;
-  config.aggregator.num_shards = bench.agg_shards;
-  config.metrics.enabled = bench.metrics;
-  const ScratchDataDir data_dir(std::string(ModeName(mode)) + "_" +
-                                std::to_string(threads));
-  if (bench.durability) {
-    config.broker.data_dir = data_dir.str();
-    config.broker.log.fsync = storage::ParseFsyncPolicy(bench.fsync);
-  }
-  system::PrivApproxSystem sys(config);
+// Fills every client's database, submits the bench's queries and runs one
+// warm-up epoch (faulting in lazily-built state outside the timed region),
+// then times `bench.epochs` epochs into `row`. `Driver` is the in-process
+// system or the TCP fleet driver, which take the same calls.
+template <typename Driver>
+void TimeEpochs(Driver& driver, const BenchConfig& bench, Row& row) {
   for (size_t i = 0; i < bench.clients; ++i) {
-    auto& db = sys.client(i).database();
+    auto& db = driver.client(i).database();
     auto& table = db.CreateTable("vehicle", {"speed"});
     table.Insert(500,
                  {localdb::Value(static_cast<double>((i * 13) % 100))});
@@ -153,23 +139,14 @@ Row RunOne(system::EpochPipelineMode mode, size_t threads,
   // N concurrent queries over the same column: every query pays the full
   // RR/split/lane/join bill, so the row measures multi-query scaling.
   for (size_t q = 1; q <= bench.queries; ++q) {
-    sys.SubmitQuery(SpeedQuery(q), params);
+    driver.SubmitQuery(SpeedQuery(q), params);
   }
+  driver.RunEpoch(1000);
 
-  // Warm-up epoch: faults in lazily-built state outside the timed region.
-  sys.RunEpoch(1000);
-
-  Row row;
-  row.mode = mode;
-  row.label = ModeName(mode);
-  row.threads = sys.num_worker_threads();
-  row.agg_shards =
-      bench.agg_shards != 0 ? bench.agg_shards : sys.num_worker_threads();
   const uint64_t allocs_before = AllocCounter::Count();
   const auto start = std::chrono::steady_clock::now();
   for (size_t e = 0; e < bench.epochs; ++e) {
-    const system::EpochStats stats =
-        sys.RunEpoch(2000 + static_cast<int64_t>(e) * 1000);
+    const auto stats = driver.RunEpoch(2000 + static_cast<int64_t>(e) * 1000);
     row.participants += stats.participants;
     row.shares_consumed += stats.shares_consumed;
   }
@@ -186,6 +163,31 @@ Row RunOne(system::EpochPipelineMode mode, size_t threads,
   row.clients_per_sec = total_clients / row.seconds;
   row.shares_per_sec =
       static_cast<double>(row.shares_consumed) / row.seconds;
+}
+
+Row RunOne(system::EpochPipelineMode mode, size_t threads,
+           const BenchConfig& bench) {
+  system::SystemConfig config;
+  config.num_clients = bench.clients;
+  config.num_proxies = 2;
+  config.seed = 42;
+  config.pipeline.num_worker_threads = threads;
+  config.pipeline.mode = mode;
+  config.aggregator.num_shards = bench.agg_shards;
+  const ScratchDataDir data_dir(std::string(ModeName(mode)) + "_" +
+                                std::to_string(threads));
+  if (bench.durability) {
+    config.broker.data_dir = data_dir.str();
+    config.broker.log.fsync = storage::ParseFsyncPolicy(bench.fsync);
+  }
+  system::PrivApproxSystem sys(config);
+  Row row;
+  row.mode = mode;
+  row.label = ModeName(mode);
+  row.threads = sys.num_worker_threads();
+  row.agg_shards =
+      bench.agg_shards != 0 ? bench.agg_shards : sys.num_worker_threads();
+  TimeEpochs(sys, bench, row);
   return row;
 }
 
@@ -223,47 +225,11 @@ Row RunOneTcp(const BenchConfig& bench) {
   fleet_config.proxies = proxy_endpoints;
   fleet_config.aggregator = deploy::Endpoint{"127.0.0.1", aggregatord.port()};
   deploy::FleetDriver fleet(fleet_config);
-  for (size_t i = 0; i < bench.clients; ++i) {
-    auto& db = fleet.client(i).database();
-    auto& table = db.CreateTable("vehicle", {"speed"});
-    table.Insert(500,
-                 {localdb::Value(static_cast<double>((i * 13) % 100))});
-  }
-  core::ExecutionParams params;
-  params.sampling_fraction = 0.6;
-  params.randomization = {0.9, 0.6};
-  for (size_t q = 1; q <= bench.queries; ++q) {
-    fleet.SubmitQuery(SpeedQuery(q), params);
-  }
-
-  // Warm-up epoch: faults in lazily-built lanes and socket buffers.
-  fleet.RunEpoch(1000);
-
   Row row;
   row.label = "tcp";
   row.threads = 1;
   row.agg_shards = agg_config.num_shards;
-  const uint64_t allocs_before = AllocCounter::Count();
-  const auto start = std::chrono::steady_clock::now();
-  for (size_t e = 0; e < bench.epochs; ++e) {
-    const deploy::FleetEpochStats stats =
-        fleet.RunEpoch(2000 + static_cast<int64_t>(e) * 1000);
-    row.participants += stats.participants;
-    row.shares_consumed += stats.shares_consumed;
-  }
-  const auto end = std::chrono::steady_clock::now();
-  row.seconds = std::chrono::duration<double>(end - start).count();
-  row.heap_allocs = AllocCounter::Count() - allocs_before;
-  row.allocs_per_share =
-      row.shares_consumed == 0
-          ? 0.0
-          : static_cast<double>(row.heap_allocs) /
-                static_cast<double>(row.shares_consumed);
-  const double total_clients =
-      static_cast<double>(bench.clients) * static_cast<double>(bench.epochs);
-  row.clients_per_sec = total_clients / row.seconds;
-  row.shares_per_sec =
-      static_cast<double>(row.shares_consumed) / row.seconds;
+  TimeEpochs(fleet, bench, row);
   return row;
 }
 
@@ -278,8 +244,6 @@ int main(int argc, char** argv) {
       bench.epochs = static_cast<size_t>(std::atoll(argv[i] + 9));
     } else if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
       bench.json_out = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
-      bench.metrics = std::atoi(argv[i] + 10) != 0;
     } else if (std::strncmp(argv[i], "--agg-shards=", 13) == 0) {
       bench.agg_shards = static_cast<size_t>(std::atoll(argv[i] + 13));
     } else if (std::strncmp(argv[i], "--queries=", 10) == 0) {
@@ -297,7 +261,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--clients=N] [--epochs=N] [--json-out=PATH] "
-                   "[--metrics=0|1] [--agg-shards=N] [--queries=N] "
+                   "[--agg-shards=N] [--queries=N] "
                    "[--transport=inproc|tcp] [--durability=off|on] "
                    "[--fsync=POLICY]\n",
                    argv[0]);
@@ -392,13 +356,13 @@ int main(int argc, char** argv) {
                 "{\"bench\":\"epoch_pipeline\",\"clients\":%zu,\"epochs\":%zu,"
                 "\"queries\":%zu,\"transport\":\"%s\","
                 "\"durability\":\"%s\",\"fsync\":\"%s\","
-                "\"sampling\":0.6,\"hardware_concurrency\":%zu,\"metrics\":%d,"
+                "\"sampling\":0.6,\"hardware_concurrency\":%zu,"
                 "\"simd\":\"%s\","
                 "\"rows\":[",
                 bench.clients, bench.epochs, bench.queries,
                 bench.transport.c_str(), bench.durability ? "on" : "off",
                 bench.durability ? bench.fsync.c_str() : "n/a", hw,
-                bench.metrics ? 1 : 0, simd::IsaName(simd::ActiveIsa()));
+                simd::IsaName(simd::ActiveIsa()));
   json += buf;
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];

@@ -17,7 +17,7 @@ here="$(cd "$(dirname "$0")" && pwd)"
 repo="$(dirname "$here")"
 
 GATES=(pre_span_first qid_less chacha_block flat_config compat_layer
-       ofstream bus_triplets single_query)
+       ofstream bus_triplets single_query hand_wired_metrics)
 
 # Each gate_<name> runs its grep from the tree root; plant_<name> is
 # "<file>|<line>", a violation the self-test appends to that file.
@@ -110,6 +110,18 @@ gate_single_query() {
     src tests bench examples
 }
 plant_single_query="tests/planted.cc|engine::WindowBuffer<int> windows(assigner, on_fire);"
+
+# Components own their instruments: proxy::Proxy, aggregator::Aggregator,
+# fault::FaultInjector and system::ClientFleet register their own families
+# on the registry they are handed. The instrument pointer fields callers
+# used to wire into their configs, fault::FaultCounters and the
+# SystemConfig::metrics.enabled knob must not come back.
+gate_hand_wired_metrics() {
+  grep -rnE \
+    "FaultCounters|metrics\.enabled|(\.|->)(received_total|forwarded_total|forward_ns|malformed_total|decode_ns|join_ns|window_ns|expired_mids_total|answers_total|skips_total|shard_shares_total|shard_joined_total|shard_imbalance_milli)\b" \
+    src tests bench examples
+}
+plant_hand_wired_metrics="src/planted.cc|proxy_config.forwarded_total = &counter;"
 
 # Runs one gate in directory $2; returns 0 on pass. Prints why it failed.
 run_gate() {

@@ -1,7 +1,6 @@
 #include "aggregator/aggregator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <iterator>
 #include <mutex>
@@ -15,34 +14,6 @@
 namespace privapprox::aggregator {
 
 namespace {
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Times one scope into an optional histogram: reads the clock only when the
-// instrument is wired.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(metrics::Histogram* hist) : hist_(hist) {
-    if (hist_ != nullptr) {
-      start_ns_ = NowNs();
-    }
-  }
-  ~ScopedTimer() {
-    if (hist_ != nullptr) {
-      hist_->Observe(static_cast<uint64_t>(NowNs() - start_ns_));
-    }
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  metrics::Histogram* hist_;
-  int64_t start_ns_ = 0;
-};
 
 // SplitMix64 finalizer: MIDs are drawn from client RNGs but may share
 // low-bit structure; the mix spreads them uniformly so `mix % num_shards`
@@ -76,15 +47,39 @@ void ValidateAggregatorConfig(const AggregatorConfig& config) {
 
 Aggregator::Aggregator(AggregatorConfig config, transport::MessageBus& bus,
                        ResultFn on_result)
-    : config_(config), bus_(&bus), on_result_(std::move(on_result)) {
-  ValidateAggregatorConfig(config_);
-}
+    : Aggregator(std::move(config), &bus, nullptr, std::move(on_result)) {}
 
 Aggregator::Aggregator(AggregatorConfig config, broker::Broker& broker,
                        ResultFn on_result)
-    : config_(config),
-      owned_bus_(std::make_unique<transport::InProcessBus>(broker)),
-      bus_(owned_bus_.get()),
+    : Aggregator(std::move(config), nullptr,
+                 std::make_unique<transport::InProcessBus>(broker),
+                 std::move(on_result)) {}
+
+Aggregator::Aggregator(AggregatorConfig config, transport::MessageBus* bus,
+                       std::unique_ptr<transport::InProcessBus> owned_bus,
+                       ResultFn on_result)
+    : config_(std::move(config)),
+      owned_bus_(std::move(owned_bus)),
+      bus_(owned_bus_ != nullptr ? owned_bus_.get() : bus),
+      owned_registry_(config_.registry == nullptr
+                          ? std::make_unique<metrics::Registry>()
+                          : nullptr),
+      registry_(config_.registry != nullptr ? *config_.registry
+                                            : *owned_registry_),
+      decode_ns_(registry_.GetHistogram(
+          "privapprox_agg_decode_ns",
+          "Aggregator poll+decode pass latency in nanoseconds")),
+      join_ns_(registry_.GetHistogram(
+          "privapprox_agg_join_ns",
+          "Aggregator join feed pass latency in nanoseconds")),
+      window_ns_(registry_.GetHistogram(
+          "privapprox_agg_window_ns",
+          "Window fire (de-bias + error estimation) latency in "
+          "nanoseconds")),
+      malformed_(registry_.GetCounter(
+          "privapprox_malformed_dropped_total",
+          "Records dropped as undecodable (truncated share or garbage "
+          "plaintext)")),
       on_result_(std::move(on_result)) {
   ValidateAggregatorConfig(config_);
 }
@@ -104,19 +99,31 @@ void Aggregator::RegisterQuery(const core::Query& query,
     throw std::invalid_argument(
         "Aggregator::RegisterQuery: need one source topic per proxy");
   }
-  auto lane_ptr = std::make_unique<Lane>(query, params, config_);
+  const std::string qid = std::to_string(query.query_id);
+  auto lane_ptr = std::make_unique<Lane>(
+      query, params, config_,
+      registry_.GetGauge("privapprox_agg_shard_imbalance_milli",
+                         "Max-shard routed shares over the per-shard mean, "
+                         "x1000 (1000 = perfectly balanced)",
+                         {{"query", qid}}));
   Lane* lane = lane_ptr.get();
   for (const std::string& topic : options.source_topics) {
     lane->consumers.push_back(
         std::make_unique<transport::BusConsumer>(*bus_, topic));
   }
-  lane->shard_shares_total = std::move(options.shard_shares_total);
-  lane->shard_joined_total = std::move(options.shard_joined_total);
-  lane->shard_imbalance_milli = options.shard_imbalance_milli;
   const engine::SlidingWindowAssigner assigner(query.window_length_ms,
                                                query.sliding_interval_ms);
   for (size_t s = 0; s < config_.num_shards; ++s) {
-    auto shard = std::make_unique<Shard>(assigner);
+    const metrics::Labels labels = {{"query", qid},
+                                    {"shard", std::to_string(s)}};
+    auto shard = std::make_unique<Shard>(
+        assigner,
+        registry_.GetCounter("privapprox_agg_shard_shares_total",
+                             "Shares routed to this aggregator join shard",
+                             labels),
+        registry_.GetCounter("privapprox_agg_shard_joined_total",
+                             "Answers completed by this aggregator join shard",
+                             labels));
     Shard* sp = shard.get();
     sp->joiner = std::make_unique<engine::MidJoiner>(
         config_.num_proxies, config_.join_timeout_ms,
@@ -129,11 +136,12 @@ void Aggregator::RegisterQuery(const core::Query& query,
       // widening. Wired only under a fault plan so the fault-free estimate
       // path stays bit-identical. Evictions only run from AdvanceWatermark's
       // sequential shard loop, so touching lane state here is safe.
-      sp->joiner->set_evict_fn([this, lane](uint64_t mid,
-                                            int64_t first_seen_ms) {
-        if (config_.expired_mids_total != nullptr) {
-          config_.expired_mids_total->Increment();
-        }
+      metrics::Counter* expired = &registry_.GetCounter(
+          "privapprox_fault_expired_mids_total",
+          "Incomplete join groups expired at the watermark");
+      sp->joiner->set_evict_fn([this, lane, expired](uint64_t mid,
+                                                     int64_t first_seen_ms) {
+        expired->Increment();
         NoteLostMid(*lane, mid, first_seen_ms);
       });
     }
@@ -214,7 +222,7 @@ uint64_t Aggregator::DrainLane(Lane& lane) {
     }
   };
   {
-    ScopedTimer timer(config_.decode_ns);
+    const metrics::ScopedTimer timer(decode_ns_);
     if (config_.pool != nullptr && num_sources > 1) {
       config_.pool->ParallelFor(num_sources, [&](size_t begin, size_t end) {
         for (size_t source = begin; source < end; ++source) {
@@ -260,7 +268,7 @@ Aggregator::SourceOffsets() const {
 
 void Aggregator::FeedShards(
     Lane& lane, std::span<const proxy::Proxy::DecodedShares> per_source) {
-  ScopedTimer timer(config_.join_ns);
+  const metrics::ScopedTimer timer(join_ns_);
   // Each shard scans every batch and picks out its own MIDs, so a shard's
   // joiner (and everything its emit path mutates) is touched by exactly one
   // task. Within a shard the feed order is (source, record) order — the
@@ -302,8 +310,8 @@ void Aggregator::MergeShardDeltas(Lane& lane) {
   // (the answer-tap order).
   uint64_t routed_max = 0;
   uint64_t routed_sum = 0;
-  for (size_t s = 0; s < lane.shards.size(); ++s) {
-    Shard& shard = *lane.shards[s];
+  for (auto& shard_ptr : lane.shards) {
+    Shard& shard = *shard_ptr;
     NoteMalformed(shard.malformed);
     shard.malformed = 0;
     lane.wrong_query_dropped += shard.wrong_query;
@@ -318,13 +326,9 @@ void Aggregator::MergeShardDeltas(Lane& lane) {
       }
     }
     shard.tap.clear();
-    if (!lane.shard_shares_total.empty() && shard.shares_fed > 0) {
-      lane.shard_shares_total[s]->Increment(shard.shares_fed);
-    }
+    shard.shares_total.Increment(shard.shares_fed);
     const engine::JoinStats& join = shard.joiner->stats();
-    if (!lane.shard_joined_total.empty() && join.joined > shard.last_joined) {
-      lane.shard_joined_total[s]->Increment(join.joined - shard.last_joined);
-    }
+    shard.joined_total.Increment(join.joined - shard.last_joined);
     shard.last_joined = join.joined;
     // Join groups dropped for disagreeing share lengths count as malformed,
     // like plaintexts that fail to parse.
@@ -335,10 +339,10 @@ void Aggregator::MergeShardDeltas(Lane& lane) {
     routed_max = std::max(routed_max, shard.routed_total);
     routed_sum += shard.routed_total;
   }
-  if (lane.shard_imbalance_milli != nullptr && routed_sum > 0) {
+  if (routed_sum > 0) {
     const double mean = static_cast<double>(routed_sum) /
                         static_cast<double>(lane.shards.size());
-    lane.shard_imbalance_milli->Set(
+    lane.imbalance_milli.Set(
         static_cast<int64_t>(static_cast<double>(routed_max) * 1000.0 / mean));
   }
 }
@@ -374,12 +378,8 @@ void Aggregator::NoteFaultLostMids(uint64_t query_id,
 }
 
 void Aggregator::NoteMalformed(uint64_t n) {
-  if (n == 0) {
-    return;
-  }
-  malformed_dropped_ += n;
-  if (config_.malformed_total != nullptr) {
-    config_.malformed_total->Increment(n);
+  if (n != 0) {
+    malformed_.Increment(n);
   }
 }
 
@@ -392,7 +392,7 @@ uint64_t Aggregator::ConsumeShardBatch(
   }
   uint64_t consumed = 0;
   {
-    ScopedTimer timer(config_.decode_ns);
+    const metrics::ScopedTimer timer(decode_ns_);
     shard_views_.clear();
     consumed = lane.consumers[source]->PollExactInto(partition_counts,
                                                      shard_views_);
@@ -495,7 +495,7 @@ void Aggregator::FireWindows(Lane& lane, int64_t watermark_ms, bool flush) {
 
 void Aggregator::OnWindowFired(Lane& lane, const engine::Window& window,
                                const core::AnswerAccumulator& acc) {
-  ScopedTimer timer(config_.window_ns);
+  const metrics::ScopedTimer timer(window_ns_);
   const size_t lost_in_window =
       config_.track_fault_losses ? CountLossesInWindow(lane, window) : 0;
   core::QueryResult result = lane.estimator.Estimate(

@@ -72,35 +72,26 @@ struct AggregatorConfig {
   // consume paths feed the join shards in parallel (one task per shard).
   // Null keeps everything sequential.
   ThreadPool* pool = nullptr;
-  // Optional instruments, not owned (null = uninstrumented). Wired by
-  // PrivApproxSystem from its metrics registry. malformed_total mirrors
-  // malformed_dropped() so the registry exposition matches EpochStats.
-  metrics::Counter* malformed_total = nullptr;
-  metrics::Histogram* decode_ns = nullptr;  // per poll+decode pass
-  metrics::Histogram* join_ns = nullptr;    // per join feed pass
-  metrics::Histogram* window_ns = nullptr;  // per fired window
   // Fault-loss accounting (wired by PrivApproxSystem when a FaultPlan is
   // configured). When true, MIDs reported lost by the fault injector
   // (NoteFaultLostMids) and incomplete MIDs expired from the join at the
   // watermark widen the confidence interval of every window containing
-  // their event time (ErrorEstimator::Estimate's lost_to_faults). False
-  // keeps the estimate path bit-identical to a fault-free build.
+  // their event time (ErrorEstimator::Estimate's lost_to_faults), and the
+  // expiries count in privapprox_fault_expired_mids_total. False keeps the
+  // estimate path bit-identical to a fault-free build.
   bool track_fault_losses = false;
-  metrics::Counter* expired_mids_total = nullptr;  // join groups expired at
-                                                   // the watermark
+  // Where the aggregator registers its families: privapprox_agg_*_ns and
+  // privapprox_malformed_dropped_total, and per RegisterQuery the
+  // privapprox_agg_shard_* families (the imbalance gauge is max-shard routed
+  // shares * 1000 / the per-shard mean). Not owned; null = a registry
+  // private to the aggregator.
+  metrics::Registry* registry = nullptr;
 };
 
 // Per-query registration options: the query's n source topics (its lane
-// outbound topic at every proxy, in proxy order) and optional per-shard
-// instruments, not owned, indexed by shard (empty or size num_shards):
-// shares routed to the shard and answers its joiner completed. The
-// imbalance gauge holds max-shard-routed * 1000 / mean-shard-routed (1000
-// = perfectly balanced), updated after every feed pass.
+// outbound topic at every proxy, in proxy order).
 struct QueryLaneOptions {
   std::vector<std::string> source_topics;
-  std::vector<metrics::Counter*> shard_shares_total;
-  std::vector<metrics::Counter*> shard_joined_total;
-  metrics::Gauge* shard_imbalance_milli = nullptr;
 };
 
 struct WindowedResult {
@@ -219,7 +210,8 @@ class Aggregator {
   // Join statistics summed across lanes and shards (recomputed per call).
   const engine::JoinStats& join_stats() const;
   size_t pending_join_groups() const;
-  uint64_t malformed_dropped() const { return malformed_dropped_; }
+  // Records dropped as undecodable so far (its malformed_dropped_total).
+  uint64_t malformed_dropped() const { return malformed_.Value(); }
   uint64_t wrong_query_dropped() const;
   size_t num_shards() const { return config_.num_shards; }
 
@@ -229,8 +221,9 @@ class Aggregator {
   // the cross-shard deltas (malformed, wrong_query, max event time, tap)
   // are folded into the coordinator sequentially after the parallel region.
   struct Shard {
-    explicit Shard(const engine::SlidingWindowAssigner& assigner)
-        : windows(assigner) {}
+    Shard(const engine::SlidingWindowAssigner& assigner,
+          metrics::Counter& shares, metrics::Counter& joined)
+        : windows(assigner), shares_total(shares), joined_total(joined) {}
     std::unique_ptr<engine::MidJoiner> joiner;
     engine::AccumulatingWindowBuffer<core::AnswerAccumulator> windows;
     // Deltas since the last MergeShardDeltas:
@@ -243,6 +236,8 @@ class Aggregator {
     uint64_t last_joined = 0;    // joiner stats().joined at last merge
     uint64_t last_join_malformed = 0;  // ... and stats().malformed_dropped
     uint64_t routed_total = 0;   // lifetime shares routed
+    metrics::Counter& shares_total;  // privapprox_agg_shard_shares_total
+    metrics::Counter& joined_total;  // privapprox_agg_shard_joined_total
   };
 
   // One shard's decoded batches, one slot per source stream. Decoded share
@@ -279,17 +274,15 @@ class Aggregator {
     // shard-by-shard in shard order, and each MID belongs to exactly one
     // shard, so the map's content is independent of shard count.
     std::unordered_map<uint64_t, int64_t> fault_lost_mids;
-    // Shard instruments from the lane options (empty/null = none).
-    std::vector<metrics::Counter*> shard_shares_total;
-    std::vector<metrics::Counter*> shard_joined_total;
-    metrics::Gauge* shard_imbalance_milli = nullptr;
+    metrics::Gauge& imbalance_milli;  // privapprox_agg_shard_imbalance_milli
 
     Lane(const core::Query& q, const core::ExecutionParams& p,
-         const AggregatorConfig& config)
+         const AggregatorConfig& config, metrics::Gauge& imbalance)
         : query(q),
           params(p),
           estimator(p, config.population, config.confidence),
-          stream_watermark(config.watermark_out_of_orderness_ms) {}
+          stream_watermark(config.watermark_out_of_orderness_ms),
+          imbalance_milli(imbalance) {}
   };
 
   Lane& GetLane(uint64_t query_id, const char* caller);
@@ -316,11 +309,24 @@ class Aggregator {
   size_t CountLossesInWindow(const Lane& lane,
                              const engine::Window& window) const;
 
+  // Both public constructors: `bus`, or `owned_bus` when that is set.
+  Aggregator(AggregatorConfig config, transport::MessageBus* bus,
+             std::unique_ptr<transport::InProcessBus> owned_bus,
+             ResultFn on_result);
+
   AggregatorConfig config_;
   // Set only by the Broker& convenience constructor; declared before bus_
   // so the pointer below can bind to it.
   std::unique_ptr<transport::InProcessBus> owned_bus_;
   transport::MessageBus* bus_ = nullptr;  // never null after construction
+  // Set only when config_.registry is null; declared before the registry
+  // reference and the instruments registered on it.
+  std::unique_ptr<metrics::Registry> owned_registry_;
+  metrics::Registry& registry_;
+  metrics::Histogram& decode_ns_;  // per poll+decode pass
+  metrics::Histogram& join_ns_;    // per join feed pass
+  metrics::Histogram& window_ns_;  // per fired window
+  metrics::Counter& malformed_;
   ResultFn on_result_;
   AnswerTapFn answer_tap_;
   std::map<uint64_t, std::unique_ptr<Lane>> lanes_;  // QID -> lane, ascending
@@ -337,7 +343,6 @@ class Aggregator {
       fired_scratch_;
   std::map<engine::Window, core::AnswerAccumulator> merged_scratch_;
   mutable engine::JoinStats merged_join_stats_;
-  uint64_t malformed_dropped_ = 0;
 };
 
 }  // namespace privapprox::aggregator

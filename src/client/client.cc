@@ -167,13 +167,7 @@ std::optional<EpochAnswer> Client::AnswerQuery(int64_t now_ms) {
   // Step I: the sampling coin.
   const double u = coin_rng_.NextDouble();
   if (!(u < sub.params.sampling_fraction)) {
-    if (config_.skips_total != nullptr) {
-      config_.skips_total->Increment();
-    }
     return std::nullopt;
-  }
-  if (config_.answers_total != nullptr) {
-    config_.answers_total->Increment();
   }
   const BitVector truthful = ComputeTruthful(sub, now_ms);
   const core::RandomizedResponse rr(sub.params.randomization);
@@ -205,15 +199,10 @@ void Client::AnswerSubscribedInto(int64_t now_ms, EpochArena& arena,
   size_t slot = 0;
   for (auto& [qid, sub] : subs_) {
     if (u < sub.params.sampling_fraction) {
-      if (config_.answers_total != nullptr) {
-        config_.answers_total->Increment();
-      }
       answered.push_back(qid);
       EncodeAnswerInto(sub, now_ms, arena,
                        out.subspan(slot * config_.num_proxies,
                                    config_.num_proxies));
-    } else if (config_.skips_total != nullptr) {
-      config_.skips_total->Increment();
     }
     ++slot;
   }

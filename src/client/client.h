@@ -36,7 +36,6 @@
 #include "core/sampling.h"
 #include "crypto/xor_cipher.h"
 #include "localdb/database.h"
-#include "metrics/metrics.h"
 
 namespace privapprox::client {
 
@@ -47,13 +46,6 @@ struct ClientConfig {
   // When true, the client answers the inverted query (§3.3.2): bucket bits
   // are flipped before randomization, and the aggregator de-inverts.
   bool invert_answers = false;
-  // Optional shared instruments, not owned (null = uninstrumented): counted
-  // per (subscription, epoch) decision — a client holding two queries adds
-  // two increments per epoch. Typically one counter pair shared by every
-  // client in the system (relaxed atomics, so concurrent answering shards
-  // update them without synchronization).
-  metrics::Counter* answers_total = nullptr;
-  metrics::Counter* skips_total = nullptr;
 };
 
 // Everything a client ships for one query in one epoch: one share per proxy.

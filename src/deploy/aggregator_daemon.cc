@@ -47,6 +47,7 @@ AggregatorDaemon::AggregatorDaemon(AggregatorDaemonConfig config)
   agg_config.confidence = config_.confidence;
   agg_config.answers_inverted = config_.answers_inverted;
   agg_config.num_shards = config_.num_shards;
+  agg_config.registry = &registry_;
   aggregator_ = std::make_unique<aggregator::Aggregator>(
       agg_config, router_, [this](const aggregator::WindowedResult& result) {
         results_.push_back(result);
@@ -65,27 +66,23 @@ AggregatorDaemon::AggregatorDaemon(AggregatorDaemonConfig config)
       RegisterAnnouncement(payload, /*journal=*/false);
     });
 
-    auto* segments = &registry_.GetGauge("privapprox_storage_segments",
-                                         "Live query-journal segments");
-    auto* bytes = &registry_.GetGauge("privapprox_storage_bytes",
-                                      "Bytes held in the query journal");
-    auto* fsyncs = &registry_.GetGauge("privapprox_storage_fsyncs",
-                                       "fsync calls issued by the journal");
-    auto* recovered = &registry_.GetGauge(
-        "privapprox_storage_recovered_records",
-        "Journal records replayed at startup");
-    auto* truncated = &registry_.GetGauge(
-        "privapprox_storage_truncated_tails",
-        "Torn journal tails truncated during recovery");
-    registry_.AddCollector(
-        [this, segments, bytes, fsyncs, recovered, truncated] {
-          const storage::PartitionLogStats s = journal_->stats();
-          segments->Set(static_cast<int64_t>(s.segments));
-          bytes->Set(static_cast<int64_t>(s.bytes));
-          fsyncs->Set(static_cast<int64_t>(s.fsyncs));
-          recovered->Set(static_cast<int64_t>(s.recovered_records));
-          truncated->Set(static_cast<int64_t>(s.truncated_tails));
-        });
+    registry_.AddCollector([this] {
+      const storage::PartitionLogStats s = journal_->stats();
+      const auto set = [this](const char* name, const char* help,
+                              uint64_t value) {
+        registry_.GetGauge(name, help).Set(static_cast<int64_t>(value));
+      };
+      set("privapprox_storage_segments", "Live query-journal segments",
+          s.segments);
+      set("privapprox_storage_bytes", "Bytes held in the query journal",
+          s.bytes);
+      set("privapprox_storage_fsyncs", "fsync calls issued by the journal",
+          s.fsyncs);
+      set("privapprox_storage_recovered_records",
+          "Journal records replayed at startup", s.recovered_records);
+      set("privapprox_storage_truncated_tails",
+          "Torn journal tails truncated during recovery", s.truncated_tails);
+    });
   }
 
   transport::TcpBusServerConfig server_config;

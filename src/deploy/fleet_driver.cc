@@ -18,7 +18,7 @@ FleetDriver::FleetDriver(FleetDriverConfig config)
                                                 config_.downsample_to_fit,
                                                 config_.min_sampling_fraction}),
       clients_(config_.num_clients, config_.proxies.size(), config_.seed,
-               config_.invert_answers) {
+               config_.invert_answers, registry_) {
   if (config_.num_clients == 0) {
     throw std::invalid_argument("FleetDriver: need >= 1 client");
   }

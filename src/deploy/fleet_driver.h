@@ -126,7 +126,8 @@ class FleetDriver {
   // (the CI socket-smoke job uploads these as artifacts).
   std::string ProxyMetricsText(size_t proxy_index);
   std::string AggregatorMetricsText();
-  // The driver's own transport counters.
+  // The driver's own exposition: its client fleet's decision counters and
+  // its transport counters.
   std::string MetricsText() { return registry_.RenderText(); }
 
  private:

@@ -18,14 +18,7 @@ ProxyDaemon::ProxyDaemon(ProxyDaemonConfig config) : config_(std::move(config)) 
   proxy::ProxyConfig proxy_config;
   proxy_config.proxy_index = config_.proxy_index;
   proxy_config.num_partitions = config_.num_partitions;
-  const metrics::Labels labels{
-      {"proxy", std::to_string(config_.proxy_index)}};
-  proxy_config.received_total = &registry_.GetCounter(
-      "privapprox_proxy_received_total",
-      "Records accepted into the proxy's inbound topic", labels);
-  proxy_config.forwarded_total = &registry_.GetCounter(
-      "privapprox_proxy_forwarded_total",
-      "Records the proxy moved inbound -> outbound", labels);
+  proxy_config.registry = &registry_;
   proxy_ = std::make_unique<proxy::Proxy>(proxy_config, broker_);
 
   if (!config_.data_dir.empty()) {

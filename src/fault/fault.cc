@@ -61,10 +61,53 @@ void FaultPlan::Validate() const {
   }
 }
 
-FaultInjector::FaultInjector(FaultPlan plan, FaultCounters counters,
-                             bool has_standby)
-    : plan_(plan), counters_(counters), has_standby_(has_standby) {
+FaultInjector::FaultInjector(FaultPlan plan, bool has_standby,
+                             metrics::Registry& registry)
+    : plan_(plan),
+      has_standby_(has_standby),
+      shares_dropped_(registry.GetCounter(
+          "privapprox_fault_shares_dropped_total",
+          "Shares dropped in transit by the fault injector")),
+      shares_corrupted_(registry.GetCounter(
+          "privapprox_fault_shares_corrupted_total",
+          "Shares truncated below the MID header by the fault injector")),
+      shares_duplicated_(registry.GetCounter(
+          "privapprox_fault_shares_duplicated_total",
+          "Shares delivered twice by the fault injector")),
+      shares_delayed_(registry.GetCounter(
+          "privapprox_fault_shares_delayed_total",
+          "Shares deferred to the next epoch by the degraded link")),
+      forward_timeouts_(registry.GetCounter(
+          "privapprox_fault_forward_timeouts_total",
+          "Client -> proxy forward attempts that timed out")),
+      proxy_crashes_(registry.GetCounter(
+          "privapprox_fault_proxy_crashes_total",
+          "Proxy-epochs spent crashed (restart at the next epoch)")),
+      lost_mids_total_(registry.GetCounter(
+          "privapprox_fault_lost_mids_total",
+          "Distinct (query, MID) pairs the injector knows can never join")),
+      retries_(registry.GetCounter(
+          "privapprox_recovery_retries_total",
+          "Forward attempts retried after a timeout")),
+      failovers_(registry.GetCounter(
+          "privapprox_recovery_failovers_total",
+          "Shares delivered via a standby proxy after retries were "
+          "exhausted")),
+      late_delivered_(registry.GetCounter(
+          "privapprox_recovery_late_delivered_total",
+          "Deferred shares replayed at the start of a later epoch")),
+      backoff_ms_(registry.GetHistogram(
+          "privapprox_recovery_backoff_ms",
+          "Simulated retry backoff per timed-out forward in milliseconds")) {
   plan_.Validate();
+}
+
+FaultTotals FaultInjector::totals() const {
+  return FaultTotals{shares_dropped_.Value(),   shares_corrupted_.Value(),
+                     shares_duplicated_.Value(), shares_delayed_.Value(),
+                     forward_timeouts_.Value(), proxy_crashes_.Value(),
+                     lost_mids_total_.Value(),  retries_.Value(),
+                     failovers_.Value(),        late_delivered_.Value()};
 }
 
 // Uniform in [0, 1) from a pure hash of (seed, salt, query, a, b):
@@ -88,11 +131,18 @@ bool FaultInjector::ProxyCrashes(uint64_t epoch, size_t proxy) const {
   return UnitUniform(kSaltCrash, 0, epoch, proxy) < plan_.crash_probability;
 }
 
+void FaultInjector::CountCrashes(uint64_t epoch, size_t num_proxies) {
+  for (size_t proxy = 0; proxy < num_proxies; ++proxy) {
+    if (ProxyCrashes(epoch, proxy)) {
+      proxy_crashes_.Increment();
+    }
+  }
+}
+
 void FaultInjector::NoteLostMid(uint64_t query_id, uint64_t mid) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (lost_mids_.insert({query_id, mid}).second &&
-      counters_.lost_mids != nullptr) {
-    counters_.lost_mids->Increment();
+  if (lost_mids_.insert({query_id, mid}).second) {
+    lost_mids_total_.Increment();
   }
 }
 
@@ -105,9 +155,7 @@ ShareOutcome FaultInjector::RouteShare(uint64_t query_id, uint64_t mid,
   // exclusive) fault probabilities in fixed priority order.
   double u = UnitUniform(kSaltFate, query_id, mid, proxy);
   if (u < plan_.drop_probability) {
-    if (counters_.shares_dropped != nullptr) {
-      counters_.shares_dropped->Increment();
-    }
+    shares_dropped_.Increment();
     // A missing share makes the whole MID unjoinable (for this query).
     NoteLostMid(query_id, mid);
     out.route = ShareRoute::kLost;
@@ -121,16 +169,12 @@ ShareOutcome FaultInjector::RouteShare(uint64_t query_id, uint64_t mid,
     out.corrupt_to = static_cast<size_t>(
         UnitUniform(kSaltCorruptLen, query_id, mid, proxy) * 8.0);
     out.corrupt_to = std::min<size_t>(out.corrupt_to, 7);
-    if (counters_.shares_corrupted != nullptr) {
-      counters_.shares_corrupted->Increment();
-    }
+    shares_corrupted_.Increment();
     NoteLostMid(query_id, mid);  // cannot join without this share's bytes
   } else {
     u -= plan_.corrupt_probability;
     if (u < plan_.duplicate_probability) {
-      if (counters_.shares_duplicated != nullptr) {
-        counters_.shares_duplicated->Increment();
-      }
+      shares_duplicated_.Increment();
       out.duplicate = true;
     } else {
       u -= plan_.duplicate_probability;
@@ -140,9 +184,7 @@ ShareOutcome FaultInjector::RouteShare(uint64_t query_id, uint64_t mid,
         const double arrival_ms =
             net::TransferTimeMs(plan_.degraded_link, record_bytes);
         if (arrival_ms > plan_.late_deadline_ms) {
-          if (counters_.shares_delayed != nullptr) {
-            counters_.shares_delayed->Increment();
-          }
+          shares_delayed_.Increment();
           out.route = ShareRoute::kDeferred;
           return out;
         }
@@ -167,24 +209,16 @@ ShareOutcome FaultInjector::RouteShare(uint64_t query_id, uint64_t mid,
     if (!timed_out) {
       return out;  // delivered (possibly after retries already counted)
     }
-    if (counters_.forward_timeouts != nullptr) {
-      counters_.forward_timeouts->Increment();
-    }
+    forward_timeouts_.Increment();
     if (attempt + 1 < plan_.retry.max_attempts) {
-      if (counters_.retries != nullptr) {
-        counters_.retries->Increment();
-      }
-      if (counters_.backoff_ms != nullptr) {
-        counters_.backoff_ms->Observe(static_cast<uint64_t>(
-            plan_.retry.BackoffForAttempt(attempt)));
-      }
+      retries_.Increment();
+      backoff_ms_.Observe(
+          static_cast<uint64_t>(plan_.retry.BackoffForAttempt(attempt)));
     }
   }
   // Retries exhausted against the primary.
   if (has_standby_) {
-    if (counters_.failovers != nullptr) {
-      counters_.failovers->Increment();
-    }
+    failovers_.Increment();
     out.route = ShareRoute::kStandby;
     return out;
   }
@@ -228,9 +262,7 @@ std::vector<DeferredShare> FaultInjector::TakeDeferred() {
               }
               return a.message_id < b.message_id;
             });
-  if (counters_.late_delivered != nullptr && !out.empty()) {
-    counters_.late_delivered->Increment(out.size());
-  }
+  late_delivered_.Increment(out.size());
   return out;
 }
 

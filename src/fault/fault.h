@@ -83,21 +83,17 @@ struct FaultPlan {
   }
 };
 
-// Registry instruments, not owned (null = uncounted). Wired by
-// PrivApproxSystem from the privapprox_fault_* / privapprox_recovery_*
-// families; all are relaxed atomics, safe from concurrent answer shards.
-struct FaultCounters {
-  metrics::Counter* shares_dropped = nullptr;
-  metrics::Counter* shares_corrupted = nullptr;
-  metrics::Counter* shares_duplicated = nullptr;
-  metrics::Counter* shares_delayed = nullptr;   // deferred to the next epoch
-  metrics::Counter* forward_timeouts = nullptr;  // failed forward attempts
-  metrics::Counter* proxy_crashes = nullptr;     // proxy-epochs down
-  metrics::Counter* lost_mids = nullptr;  // distinct MIDs that cannot join
-  metrics::Counter* retries = nullptr;    // forward attempts retried
-  metrics::Counter* failovers = nullptr;  // shares delivered via standby
-  metrics::Counter* late_delivered = nullptr;  // deferred shares delivered
-  metrics::Histogram* backoff_ms = nullptr;    // simulated backoff per share
+// Running totals of everything an injector counted: the values of its
+// privapprox_fault_* / privapprox_recovery_* counters.
+struct FaultTotals {
+  uint64_t dropped = 0, corrupted = 0, duplicated = 0;  // shares
+  uint64_t delayed = 0;    // shares deferred to the next epoch
+  uint64_t timeouts = 0;   // failed forward attempts
+  uint64_t crashes = 0;    // proxy-epochs down
+  uint64_t lost = 0;       // distinct (QID, MID) pairs that cannot join
+  uint64_t retries = 0;    // forward attempts retried
+  uint64_t failovers = 0;  // shares delivered via standby
+  uint64_t late = 0;       // deferred shares delivered
 };
 
 // Where one share ends up after injection + client-side recovery.
@@ -131,7 +127,10 @@ struct DeferredShare {
 
 class FaultInjector {
  public:
-  FaultInjector(FaultPlan plan, FaultCounters counters, bool has_standby);
+  // Registers the privapprox_fault_* / privapprox_recovery_* families on
+  // `registry`, which must outlive the injector. Their counters are relaxed
+  // atomics, safe from concurrent answer shards.
+  FaultInjector(FaultPlan plan, bool has_standby, metrics::Registry& registry);
 
   const FaultPlan& plan() const { return plan_; }
   bool has_standby() const { return has_standby_; }
@@ -147,6 +146,11 @@ class FaultInjector {
   // True when `proxy` crashes during `epoch` (restarts for epoch + 1).
   // Query-independent: a crashed proxy is down for every lane it serves.
   bool ProxyCrashes(uint64_t epoch, size_t proxy) const;
+  // Counts the proxies in [0, num_proxies) that crash during `epoch`; once
+  // per epoch.
+  void CountCrashes(uint64_t epoch, size_t num_proxies);
+
+  FaultTotals totals() const;
 
   // Parks a deferred share until the next epoch (copies `lane_record`, the
   // <MID, payload> wire record, into an owned QID-tagged frame — the
@@ -168,8 +172,18 @@ class FaultInjector {
   void NoteLostMid(uint64_t query_id, uint64_t mid);
 
   FaultPlan plan_;
-  FaultCounters counters_;
   bool has_standby_;
+  metrics::Counter& shares_dropped_;
+  metrics::Counter& shares_corrupted_;
+  metrics::Counter& shares_duplicated_;
+  metrics::Counter& shares_delayed_;
+  metrics::Counter& forward_timeouts_;
+  metrics::Counter& proxy_crashes_;
+  metrics::Counter& lost_mids_total_;
+  metrics::Counter& retries_;
+  metrics::Counter& failovers_;
+  metrics::Counter& late_delivered_;
+  metrics::Histogram& backoff_ms_;  // simulated backoff per retried attempt
   std::mutex mu_;
   std::vector<DeferredShare> deferred_;
   std::set<std::pair<uint64_t, uint64_t>> lost_mids_;  // (QID, MID)

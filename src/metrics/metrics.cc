@@ -46,7 +46,16 @@ std::string RenderLabels(const Labels& labels) {
     }
     out += labels[i].first;
     out += "=\"";
-    out += labels[i].second;
+    for (const char c : labels[i].second) {
+      if (c == '\\' || c == '"') {
+        out += '\\';
+        out += c;
+      } else if (c == '\n') {
+        out += "\\n";
+      } else {
+        out += c;
+      }
+    }
     out += '"';
   }
   return out;
@@ -193,19 +202,23 @@ void AppendJsonEntry(std::string& out, bool& first, const std::string& name,
     out += ',';
   }
   first = false;
+  // The key is the text exposition's `name{labels}`, JSON-escaped: the
+  // rendered labels carry '"' around values and '\\' from their own escapes,
+  // and a peer-chosen value may hold any other control byte.
+  const std::string key = labels.empty() ? name : name + '{' + labels + '}';
   out += '"';
-  out += name;
-  if (!labels.empty()) {
-    out += '{';
-    // The rendered label string contains '"' around values; escape them.
-    for (char c : labels) {
-      if (c == '"') {
-        out += "\\\"";
-      } else {
-        out += c;
-      }
+  for (const char c : key) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char escape[8];
+      std::snprintf(escape, sizeof(escape), "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += escape;
+    } else {
+      out += c;
     }
-    out += '}';
   }
   out += "\":";
   out += value;

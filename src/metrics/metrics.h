@@ -15,12 +15,17 @@
 // registry's lifetime — register once at construction, update lock-free
 // forever after. Rendering snapshots under the same mutex, so exposition is
 // deterministic (families and label sets render in sorted order).
+//
+// Ownership: each pipeline component registers its own families on the
+// registry it is handed, so the in-process system and the daemon hosting a
+// component export the same families.
 
 #ifndef PRIVAPPROX_METRICS_METRICS_H_
 #define PRIVAPPROX_METRICS_METRICS_H_
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -117,6 +122,27 @@ class Histogram {
   std::atomic<uint64_t> count_{0};
 };
 
+// Monotonic clock in nanoseconds: the time base of every latency histogram
+// and timeline span.
+inline int64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// Observes the nanoseconds from construction to destruction into `hist`.
+class ScopedTimer {
+ public:
+  explicit ScopedTimer(Histogram& hist) : hist_(hist), start_ns_(NowNs()) {}
+  ~ScopedTimer() { hist_.Observe(static_cast<uint64_t>(NowNs() - start_ns_)); }
+  ScopedTimer(const ScopedTimer&) = delete;
+  ScopedTimer& operator=(const ScopedTimer&) = delete;
+
+ private:
+  Histogram& hist_;
+  const int64_t start_ns_;
+};
+
 // Label set attached to one metric within a family, e.g.
 // {{"proxy", "0"}, {"topic", "proxy0.q1.in"}}. Rendered in the given order.
 using Labels = std::vector<std::pair<std::string, std::string>>;
@@ -124,10 +150,9 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 // A process-wide collection of labeled metric families.
 //
 // Get*(name, help, labels) registers on first use and returns the existing
-// instrument on every later call with the same (name, labels) — so wiring
-// code can re-request instead of threading pointers. A family's type is
-// fixed by its first registration; re-registering under a different type
-// throws std::logic_error.
+// instrument on every later call with the same (name, labels). A family's
+// type is fixed by its first registration; re-registering under a
+// different type throws std::logic_error.
 //
 // Collectors are callbacks run (outside the registry mutex) at the start of
 // every render/snapshot; they pull values from external sources — e.g.
@@ -177,6 +202,9 @@ class Registry {
 };
 
 // Renders a label set as `k1="v1",k2="v2"` (no braces; empty for no labels).
+// Values are escaped as the Prometheus text format requires (`\` -> `\\`,
+// `"` -> `\"`, newline -> `\n`): label values can come from peers (topic
+// names), and an unescaped one could end its sample line and forge others.
 std::string RenderLabels(const Labels& labels);
 
 }  // namespace privapprox::metrics

@@ -1,6 +1,5 @@
 #include "metrics/timeline.h"
 
-#include <chrono>
 #include <cstdio>
 
 namespace privapprox::metrics {
@@ -14,12 +13,6 @@ uint32_t ThisThreadId() {
 }
 
 }  // namespace
-
-int64_t EpochTimeline::NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void EpochTimeline::Record(const char* name, int64_t start_ns,
                            int64_t end_ns) {

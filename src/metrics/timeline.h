@@ -11,7 +11,8 @@
 // stages (SystemConfig::metrics.timeline turns it on). Enabled, Record takes
 // a mutex around a push_back into a reserved vector; span granularity is one
 // shard batch (~1k clients), so contention is negligible next to the work
-// being traced.
+// being traced. Timestamps come from metrics::NowNs, the clock every latency
+// histogram reads.
 
 #ifndef PRIVAPPROX_METRICS_TIMELINE_H_
 #define PRIVAPPROX_METRICS_TIMELINE_H_
@@ -21,6 +22,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "metrics/metrics.h"
 
 namespace privapprox::metrics {
 
@@ -42,9 +45,6 @@ class EpochTimeline {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  // Monotonic clock used for span timestamps (nanoseconds).
-  static int64_t NowNs();
 
   // Records one completed span. `name` must be a static string — the
   // timeline stores the pointer, not a copy.

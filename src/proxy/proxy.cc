@@ -1,33 +1,52 @@
 #include "proxy/proxy.h"
 
-#include <chrono>
 #include <stdexcept>
 
 namespace privapprox::proxy {
 
 namespace {
 
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+// A primary counts under privapprox_proxy_*, a standby (whose lanes feed its
+// primary's outbound topics) under privapprox_standby_*.
+std::string Family(const ProxyConfig& config, const char* what) {
+  return std::string(config.out_prefix.empty() ? "privapprox_proxy_"
+                                               : "privapprox_standby_") +
+         what;
+}
+
+metrics::Labels IndexLabel(const ProxyConfig& config) {
+  return {{"proxy", std::to_string(config.proxy_index)}};
 }
 
 }  // namespace
 
 Proxy::Proxy(ProxyConfig config, transport::MessageBus& bus)
-    : config_(config), bus_(&bus) {
-  Init();
-}
+    : Proxy(std::move(config), &bus, nullptr) {}
 
 Proxy::Proxy(ProxyConfig config, broker::Broker& broker)
-    : config_(config),
-      owned_bus_(std::make_unique<transport::InProcessBus>(broker)),
-      bus_(owned_bus_.get()) {
-  Init();
-}
+    : Proxy(std::move(config), nullptr,
+            std::make_unique<transport::InProcessBus>(broker)) {}
 
-void Proxy::Init() {
+Proxy::Proxy(ProxyConfig config, transport::MessageBus* bus,
+             std::unique_ptr<transport::InProcessBus> owned_bus)
+    : config_(std::move(config)),
+      owned_bus_(std::move(owned_bus)),
+      bus_(owned_bus_ != nullptr ? owned_bus_.get() : bus),
+      owned_registry_(config_.registry == nullptr
+                          ? std::make_unique<metrics::Registry>()
+                          : nullptr),
+      registry_(config_.registry != nullptr ? *config_.registry
+                                            : *owned_registry_),
+      received_(registry_.GetCounter(
+          Family(config_, "received_total"),
+          "Records accepted into the proxy's inbound lane topics",
+          IndexLabel(config_))),
+      forwarded_(registry_.GetCounter(
+          Family(config_, "forwarded_total"),
+          "Records the proxy moved inbound -> outbound", IndexLabel(config_))),
+      forward_ns_(registry_.GetHistogram(
+          Family(config_, "forward_ns"),
+          "Proxy forward pass latency in nanoseconds", IndexLabel(config_))) {
   prefix_ = config_.topic_prefix.empty()
                 ? "proxy" + std::to_string(config_.proxy_index)
                 : config_.topic_prefix;
@@ -116,30 +135,17 @@ const std::string& Proxy::lane_out_topic(uint64_t query_id) const {
   return GetLane(query_id, "Proxy::lane_out_topic").out_topic;
 }
 
-void Proxy::NoteReceived(uint64_t n) {
-  if (config_.received_total != nullptr) {
-    config_.received_total->Increment(n);
-  }
-}
-
-void Proxy::NoteForwarded(uint64_t n) {
-  forwarded_ += n;
-  if (config_.forwarded_total != nullptr) {
-    config_.forwarded_total->Increment(n);
-  }
-}
-
 void Proxy::Receive(uint64_t query_id,
                     std::span<const broker::ProduceView> records) {
   const Lane& lane = GetLane(query_id, "Proxy::Receive");
   bus_->Produce(lane.in_topic, records);
-  NoteReceived(records.size());
+  received_.Increment(records.size());
 }
 
 uint64_t Proxy::ForwardPendingViews(transport::BusConsumer& consumer,
                                     const std::string& out_topic,
                                     std::vector<uint32_t>* counts) {
-  const int64_t start_ns = config_.forward_ns != nullptr ? NowNs() : 0;
+  const metrics::ScopedTimer timer(forward_ns_);
   // Every share topic is created with config_.num_partitions (EnsureTopic
   // enforces agreement), so the outbound partition of a key is computable
   // without a topic lookup.
@@ -162,10 +168,7 @@ uint64_t Proxy::ForwardPendingViews(transport::BusConsumer& consumer,
     }
     bus_->Produce(out_topic, fwd_produce_);
   }
-  NoteForwarded(total);
-  if (config_.forward_ns != nullptr) {
-    config_.forward_ns->Observe(static_cast<uint64_t>(NowNs() - start_ns));
-  }
+  forwarded_.Increment(total);
   return total;
 }
 
@@ -181,7 +184,7 @@ std::vector<uint32_t> Proxy::ReceiveAndForwardShard(
     uint64_t query_id, std::span<const broker::ProduceView> records) {
   Lane& lane = GetLane(query_id, "Proxy::ReceiveAndForwardShard");
   bus_->Produce(lane.in_topic, records);
-  NoteReceived(records.size());
+  received_.Increment(records.size());
   std::vector<uint32_t> counts(config_.num_partitions, 0);
   ForwardPendingViews(*lane.consumer, lane.out_topic, &counts);
   return counts;

@@ -55,12 +55,11 @@ struct ProxyConfig {
   // shares delivered via failover land in the per-query streams the
   // aggregator already joins and the n-source join is untouched.
   std::string out_prefix;
-  // Optional instruments, not owned (null = uninstrumented). The system
-  // wires these to its registry's per-proxy families; the Counters are the
-  // source of truth behind EpochStats.shares_forwarded.
-  metrics::Counter* received_total = nullptr;   // records accepted inbound
-  metrics::Counter* forwarded_total = nullptr;  // records moved in -> out
-  metrics::Histogram* forward_ns = nullptr;     // latency per forward call
+  // Where the proxy registers its families, labelled {proxy="<index>"}:
+  // privapprox_proxy_{received,forwarded}_total and
+  // privapprox_proxy_forward_ns — privapprox_standby_* for a standby (one
+  // with an out_prefix). Not owned; null = a registry private to the proxy.
+  metrics::Registry* registry = nullptr;
 };
 
 class Proxy {
@@ -168,7 +167,8 @@ class Proxy {
   static void DecodeShares(std::span<const broker::RecordView> records,
                            DecodedShares& out);
 
-  uint64_t forwarded() const { return forwarded_; }
+  // Records moved inbound -> outbound so far (its forwarded_total family).
+  uint64_t forwarded() const { return forwarded_.Value(); }
 
  private:
   // One per-query topic pair plus the consumer that owns the inbound
@@ -188,23 +188,29 @@ class Proxy {
                                std::vector<uint32_t>* counts);
   const Lane& GetLane(uint64_t query_id, const char* caller) const;
   Lane& GetLane(uint64_t query_id, const char* caller);
-  void NoteReceived(uint64_t n);
-  void NoteForwarded(uint64_t n);
 
-  void Init();
+  // Both public constructors: `bus`, or `owned_bus` when that is set.
+  Proxy(ProxyConfig config, transport::MessageBus* bus,
+        std::unique_ptr<transport::InProcessBus> owned_bus);
 
   ProxyConfig config_;
   // Set only by the Broker& convenience constructor; declared before bus_
   // so the pointer below can bind to it.
   std::unique_ptr<transport::InProcessBus> owned_bus_;
   transport::MessageBus* bus_ = nullptr;  // never null after construction
+  // Set only when config_.registry is null; declared before the registry
+  // reference and the instruments registered on it.
+  std::unique_ptr<metrics::Registry> owned_registry_;
+  metrics::Registry& registry_;
+  metrics::Counter& received_;
+  metrics::Counter& forwarded_;
+  metrics::Histogram& forward_ns_;  // one observation per forward pass
   std::string prefix_;
   std::string out_prefix_;
   std::string query_in_topic_;
   std::string query_out_topic_;
   std::unique_ptr<transport::BusConsumer> query_consumer_;
   std::map<uint64_t, Lane> lanes_;  // QID -> lane, ascending
-  uint64_t forwarded_ = 0;
   // Forwarding scratch, reused across calls so steady-state forwarding
   // performs no heap allocation. Only touched by the single thread that
   // owns this proxy's consumer offsets.

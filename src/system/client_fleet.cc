@@ -1,14 +1,24 @@
 #include "system/client_fleet.h"
 
+#include <numeric>
 #include <stdexcept>
 
 namespace privapprox::system {
 
 ClientFleet::ClientFleet(size_t num_clients, size_t num_proxies,
                          uint64_t seed, bool invert_answers,
-                         metrics::Counter* answers_total,
-                         metrics::Counter* skips_total)
-    : num_proxies_(num_proxies) {
+                         metrics::Registry& registry)
+    : num_proxies_(num_proxies),
+      participants_(registry.GetCounter(
+          "privapprox_participants_total",
+          "(client, query) pairs that passed the sampling coin, summed over "
+          "epochs")),
+      skips_(registry.GetCounter(
+          "privapprox_client_skips_total",
+          "(client, query) pairs that failed the sampling coin, summed over "
+          "epochs")),
+      shares_sent_(registry.GetCounter("privapprox_shares_sent_total",
+                                       "Client -> proxy share messages")) {
   clients_.reserve(num_clients);
   for (size_t i = 0; i < num_clients; ++i) {
     client::ClientConfig config;
@@ -16,8 +26,6 @@ ClientFleet::ClientFleet(size_t num_clients, size_t num_proxies,
     config.num_proxies = num_proxies;
     config.seed = seed;
     config.invert_answers = invert_answers;
-    config.answers_total = answers_total;
-    config.skips_total = skips_total;
     clients_.push_back(std::make_unique<client::Client>(config));
   }
 }
@@ -104,6 +112,11 @@ AnsweredRange ClientFleet::Answer(size_t begin, size_t end, int64_t now_ms,
       }
     }
   }
+  const uint64_t answered_total = std::accumulate(
+      out.participants.begin(), out.participants.end(), uint64_t{0});
+  participants_.Increment(answered_total);
+  skips_.Increment((end - begin) * num_queries - answered_total);
+  shares_sent_.Increment(answered_total * num_proxies_);
   return out;
 }
 

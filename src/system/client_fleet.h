@@ -50,11 +50,13 @@ struct AnsweredRange {
 class ClientFleet {
  public:
   // num_clients clients over num_proxies proxies, client i seeded from
-  // (seed, i). The optional counters (not owned) count answered and
-  // skipped (client, query) decisions.
+  // (seed, i). Registers the fleet's decision counters on `registry`, which
+  // must outlive the fleet: privapprox_participants_total and
+  // privapprox_client_skips_total count answered and skipped (client,
+  // query) decisions, privapprox_shares_sent_total the client -> proxy
+  // shares the answered ones sent.
   ClientFleet(size_t num_clients, size_t num_proxies, uint64_t seed,
-              bool invert_answers, metrics::Counter* answers_total = nullptr,
-              metrics::Counter* skips_total = nullptr);
+              bool invert_answers, metrics::Registry& registry);
 
   size_t size() const { return clients_.size(); }
   client::Client& client(size_t index) { return *clients_.at(index); }
@@ -72,16 +74,22 @@ class ClientFleet {
   // `arena`. With an injector, each share takes the route it decides
   // (keyed by `epoch` for proxy crashes): lost shares vanish, deferred ones
   // are parked in the injector, corrupted ones are truncated, failed-over
-  // ones land in the standby list, duplicates appear twice. Thread-safe
-  // across disjoint ranges.
+  // ones land in the standby list, duplicates appear twice. Counts the
+  // range's decisions once. Thread-safe across disjoint ranges.
   AnsweredRange Answer(size_t begin, size_t end, int64_t now_ms,
                        std::span<const uint64_t> qids, EpochArena& arena,
                        fault::FaultInjector* injector = nullptr,
                        uint64_t epoch = 0);
 
+  // Answered (client, query) decisions so far.
+  uint64_t participants() const { return participants_.Value(); }
+
  private:
   size_t num_proxies_;
   std::vector<std::unique_ptr<client::Client>> clients_;
+  metrics::Counter& participants_;
+  metrics::Counter& skips_;
+  metrics::Counter& shares_sent_;
 };
 
 }  // namespace privapprox::system

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -15,41 +16,15 @@ namespace privapprox::system {
 
 namespace {
 
-// Times one pipeline stage into an optional histogram and, when tracing is
-// on, records it as a timeline span. Reads the clock only when at least one
-// sink is active, so disabled metrics keep the hot path clock-free.
-class StageScope {
- public:
-  StageScope(const char* name, metrics::Histogram* hist,
-             metrics::EpochTimeline& timeline)
-      : name_(name),
-        hist_(hist),
-        timeline_(timeline.enabled() ? &timeline : nullptr) {
-    if (hist_ != nullptr || timeline_ != nullptr) {
-      start_ns_ = metrics::EpochTimeline::NowNs();
-    }
-  }
-  ~StageScope() {
-    if (hist_ == nullptr && timeline_ == nullptr) {
-      return;
-    }
-    const int64_t end_ns = metrics::EpochTimeline::NowNs();
-    if (hist_ != nullptr) {
-      hist_->Observe(static_cast<uint64_t>(end_ns - start_ns_));
-    }
-    if (timeline_ != nullptr) {
-      timeline_->Record(name_, start_ns_, end_ns);
-    }
-  }
-  StageScope(const StageScope&) = delete;
-  StageScope& operator=(const StageScope&) = delete;
-
- private:
-  const char* name_;
-  metrics::Histogram* hist_;
-  metrics::EpochTimeline* timeline_;
-  int64_t start_ns_ = 0;
-};
+// privapprox_stage_ns for one stage. Each stage execution is one
+// observation and, when tracing is on, one timeline span.
+metrics::Histogram& StageHistogram(metrics::Registry& registry,
+                                   const char* stage) {
+  return registry.GetHistogram(
+      "privapprox_stage_ns",
+      "Stage latency in nanoseconds (one observation per stage execution)",
+      {{"stage", stage}});
+}
 
 // Clients per answer shard (PipelineOptions::shard_size, 0 = 1024).
 size_t ShardSize(const PipelineOptions& pipeline) {
@@ -61,6 +36,18 @@ size_t ShardSize(const PipelineOptions& pipeline) {
 PrivApproxSystem::PrivApproxSystem(SystemConfig config)
     : config_(std::move(config)),
       timeline_(config_.metrics.timeline),
+      epochs_(registry_.GetCounter("privapprox_epochs_total",
+                                   "Answering epochs run")),
+      shares_forwarded_(registry_.GetCounter(
+          "privapprox_shares_forwarded_total",
+          "Shares moved proxy inbound -> outbound")),
+      shares_consumed_(registry_.GetCounter(
+          "privapprox_shares_consumed_total",
+          "Records consumed by the aggregator (including malformed)")),
+      stage_ns_{StageHistogram(registry_, "answer_shard"),
+                StageHistogram(registry_, "proxy_forward"),
+                StageHistogram(registry_, "agg_consume"),
+                StageHistogram(registry_, "epoch")},
       budget_manager_(core::BudgetManagerConfig{
           config_.budget.max_epsilon_zk, config_.budget.downsample_to_fit,
           config_.budget.min_sampling_fraction}),
@@ -91,38 +78,6 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
                 {{"isa", simd::IsaName(simd::ActiveIsa())}})
       .Set(1);
 
-  // Always-on core counters: EpochStats is a per-epoch delta of these.
-  counters_.epochs = &registry_.GetCounter(
-      "privapprox_epochs_total", "Answering epochs run");
-  counters_.participants = &registry_.GetCounter(
-      "privapprox_participants_total",
-      "(client, query) pairs that passed the sampling coin, summed over "
-      "epochs");
-  counters_.shares_sent = &registry_.GetCounter(
-      "privapprox_shares_sent_total", "Client -> proxy share messages");
-  counters_.shares_forwarded = &registry_.GetCounter(
-      "privapprox_shares_forwarded_total",
-      "Shares moved proxy inbound -> outbound");
-  counters_.shares_consumed = &registry_.GetCounter(
-      "privapprox_shares_consumed_total",
-      "Records consumed by the aggregator (including malformed)");
-  counters_.malformed = &registry_.GetCounter(
-      "privapprox_malformed_dropped_total",
-      "Records dropped as undecodable (truncated share or garbage "
-      "plaintext)");
-  if (config_.metrics.enabled) {
-    const std::string stage_help =
-        "Stage latency in nanoseconds (one observation per stage execution)";
-    stage_ns_.answer_shard_ns = &registry_.GetHistogram(
-        "privapprox_stage_ns", stage_help, {{"stage", "answer_shard"}});
-    stage_ns_.proxy_forward_ns = &registry_.GetHistogram(
-        "privapprox_stage_ns", stage_help, {{"stage", "proxy_forward"}});
-    stage_ns_.agg_consume_ns = &registry_.GetHistogram(
-        "privapprox_stage_ns", stage_help, {{"stage", "agg_consume"}});
-    stage_ns_.epoch_ns = &registry_.GetHistogram(
-        "privapprox_stage_ns", stage_help, {{"stage", "epoch"}});
-  }
-
   const size_t threads =
       config_.pipeline.num_worker_threads != 0
           ? config_.pipeline.num_worker_threads
@@ -134,18 +89,7 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
     proxy::ProxyConfig proxy_config;
     proxy_config.proxy_index = i;
     proxy_config.num_partitions = 4;
-    const metrics::Labels labels{{"proxy", std::to_string(i)}};
-    proxy_config.received_total = &registry_.GetCounter(
-        "privapprox_proxy_received_total",
-        "Records accepted into each proxy's inbound topic", labels);
-    proxy_config.forwarded_total = &registry_.GetCounter(
-        "privapprox_proxy_forwarded_total",
-        "Records each proxy moved inbound -> outbound", labels);
-    if (config_.metrics.enabled) {
-      proxy_config.forward_ns = &registry_.GetHistogram(
-          "privapprox_proxy_forward_ns",
-          "Per-call proxy forward latency in nanoseconds", labels);
-    }
+    proxy_config.registry = &registry_;
     proxies_.push_back(
         std::make_unique<proxy::Proxy>(proxy_config, bus_));
   }
@@ -153,39 +97,6 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
   if (config_.fault.has_value()) {
     const fault::FaultPlan& plan = *config_.fault;
     plan.Validate();
-    fault_counters_.shares_dropped = &registry_.GetCounter(
-        "privapprox_fault_shares_dropped_total",
-        "Shares dropped in transit by the fault injector");
-    fault_counters_.shares_corrupted = &registry_.GetCounter(
-        "privapprox_fault_shares_corrupted_total",
-        "Shares truncated below the MID header by the fault injector");
-    fault_counters_.shares_duplicated = &registry_.GetCounter(
-        "privapprox_fault_shares_duplicated_total",
-        "Shares delivered twice by the fault injector");
-    fault_counters_.shares_delayed = &registry_.GetCounter(
-        "privapprox_fault_shares_delayed_total",
-        "Shares deferred to the next epoch by the degraded link");
-    fault_counters_.forward_timeouts = &registry_.GetCounter(
-        "privapprox_fault_forward_timeouts_total",
-        "Client -> proxy forward attempts that timed out");
-    fault_counters_.proxy_crashes = &registry_.GetCounter(
-        "privapprox_fault_proxy_crashes_total",
-        "Proxy-epochs spent crashed (restart at the next epoch)");
-    fault_counters_.lost_mids = &registry_.GetCounter(
-        "privapprox_fault_lost_mids_total",
-        "Distinct (query, MID) pairs the injector knows can never join");
-    fault_counters_.retries = &registry_.GetCounter(
-        "privapprox_recovery_retries_total",
-        "Forward attempts retried after a timeout");
-    fault_counters_.failovers = &registry_.GetCounter(
-        "privapprox_recovery_failovers_total",
-        "Shares delivered via a standby proxy after retries were exhausted");
-    fault_counters_.late_delivered = &registry_.GetCounter(
-        "privapprox_recovery_late_delivered_total",
-        "Deferred shares replayed at the start of a later epoch");
-    fault_counters_.backoff_ms = &registry_.GetHistogram(
-        "privapprox_recovery_backoff_ms",
-        "Simulated retry backoff per timed-out forward in milliseconds");
     // Standbys exist only for plans that can time a forward out — an
     // always-reachable plan must not alter the broker topic set.
     const bool standby = plan.standby_proxies && plan.CanTimeOut();
@@ -199,35 +110,18 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
         // Lane outbound topics are the primary's, so failover shares land
         // in the per-query streams the aggregator joins.
         standby_config.out_prefix = "proxy" + std::to_string(i);
-        const metrics::Labels labels{{"proxy", std::to_string(i)}};
-        standby_config.received_total = &registry_.GetCounter(
-            "privapprox_standby_received_total",
-            "Records accepted into each standby proxy's inbound topic",
-            labels);
-        standby_config.forwarded_total = &registry_.GetCounter(
-            "privapprox_standby_forwarded_total",
-            "Records each standby proxy moved inbound -> outbound", labels);
+        standby_config.registry = &registry_;
         standby_proxies_.push_back(
             std::make_unique<proxy::Proxy>(standby_config, bus_));
       }
     }
-    injector_ = std::make_unique<fault::FaultInjector>(plan, fault_counters_,
-                                                       standby);
+    injector_ =
+        std::make_unique<fault::FaultInjector>(plan, standby, registry_);
   }
 
-  metrics::Counter* client_answers = nullptr;
-  metrics::Counter* client_skips = nullptr;
-  if (config_.metrics.enabled) {
-    client_answers = &registry_.GetCounter(
-        "privapprox_client_answers_total",
-        "Client (query, epoch) pairs answered (sampling coin heads)");
-    client_skips = &registry_.GetCounter(
-        "privapprox_client_skips_total",
-        "Client (query, epoch) pairs skipped (sampling coin tails)");
-  }
   clients_ = std::make_unique<ClientFleet>(
       config_.num_clients, config_.num_proxies, config_.seed,
-      config_.invert_answers, client_answers, client_skips);
+      config_.invert_answers, registry_);
 
   // The aggregator coordinator exists from construction; queries add lanes
   // to it as they are submitted.
@@ -240,24 +134,8 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
                               ? config_.aggregator.num_shards
                               : pool_->num_threads();
   agg_config.pool = pool_.get();
-  agg_config.malformed_total = counters_.malformed;
-  if (injector_ != nullptr) {
-    agg_config.track_fault_losses = true;
-    agg_config.expired_mids_total = &registry_.GetCounter(
-        "privapprox_fault_expired_mids_total",
-        "Incomplete join groups expired at the watermark");
-  }
-  if (config_.metrics.enabled) {
-    agg_config.decode_ns = &registry_.GetHistogram(
-        "privapprox_agg_decode_ns",
-        "Aggregator poll+decode pass latency in nanoseconds");
-    agg_config.join_ns = &registry_.GetHistogram(
-        "privapprox_agg_join_ns",
-        "Aggregator join feed pass latency in nanoseconds");
-    agg_config.window_ns = &registry_.GetHistogram(
-        "privapprox_agg_window_ns",
-        "Window fire (de-bias + error estimation) latency in nanoseconds");
-  }
+  agg_config.track_fault_losses = injector_ != nullptr;
+  agg_config.registry = &registry_;
   aggregator_ = std::make_unique<aggregator::Aggregator>(
       agg_config, bus_,
       [this](const aggregator::WindowedResult& result) {
@@ -278,9 +156,7 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
         });
   }
 
-  if (config_.metrics.enabled) {
-    broker::AddBrokerCollector(registry_, broker_);
-  }
+  broker::AddBrokerCollector(registry_, broker_);
 
   for (const SystemConfig::QuerySpec& spec : config_.queries) {
     SubmitQuery(spec.query, spec.params);
@@ -326,36 +202,17 @@ core::ExecutionParams PrivApproxSystem::SubmitQuery(
     for (auto& proxy : proxies_) {
       lane.source_topics.push_back(proxy->lane_out_topic(query.query_id));
     }
-    ActiveQuery active;
-    active.query = query;
-    active.params = admission.params;
-    if (config_.metrics.enabled) {
-      const std::string qid = std::to_string(query.query_id);
-      const metrics::Labels query_labels{{"query", qid}};
-      active.participants_total = &registry_.GetCounter(
-          "privapprox_query_participants_total",
-          "Clients that passed this query's sampling coin, summed over "
-          "epochs",
-          query_labels);
-      active.shares_sent_total = &registry_.GetCounter(
-          "privapprox_query_shares_sent_total",
-          "Client -> proxy share messages for this query", query_labels);
-      for (size_t s = 0; s < aggregator_->num_shards(); ++s) {
-        const metrics::Labels labels = {{"query", qid},
-                                        {"shard", std::to_string(s)}};
-        lane.shard_shares_total.push_back(&registry_.GetCounter(
-            "privapprox_agg_shard_shares_total",
-            "Shares routed to this aggregator join shard", labels));
-        lane.shard_joined_total.push_back(&registry_.GetCounter(
-            "privapprox_agg_shard_joined_total",
-            "Answers completed by this aggregator join shard", labels));
-      }
-      lane.shard_imbalance_milli = &registry_.GetGauge(
-          "privapprox_agg_shard_imbalance_milli",
-          "Max-shard routed shares over the per-shard mean, x1000 "
-          "(1000 = perfectly balanced)",
-          query_labels);
-    }
+    const metrics::Labels query_labels{
+        {"query", std::to_string(query.query_id)}};
+    ActiveQuery active{
+        query, admission.params,
+        registry_.GetCounter("privapprox_query_participants_total",
+                             "Clients that passed this query's sampling "
+                             "coin, summed over epochs",
+                             query_labels),
+        registry_.GetCounter("privapprox_query_shares_sent_total",
+                             "Client -> proxy share messages for this query",
+                             query_labels)};
     aggregator_->RegisterQuery(query, admission.params, std::move(lane));
 
     // Submission phase (§3.1), last so that a failure above leaves no
@@ -445,42 +302,18 @@ EpochStats PrivApproxSystem::RunEpoch(int64_t now_ms) {
   if (active_.empty()) {
     throw std::logic_error("PrivApproxSystem::RunEpoch: no query submitted");
   }
-  const uint64_t participants_before = counters_.participants->Value();
-  const uint64_t sent_before = counters_.shares_sent->Value();
-  const uint64_t forwarded_before = counters_.shares_forwarded->Value();
-  const uint64_t consumed_before = counters_.shares_consumed->Value();
-  const uint64_t malformed_before = counters_.malformed->Value();
-  struct FaultSnapshot {
-    uint64_t dropped = 0, corrupted = 0, duplicated = 0, delayed = 0;
-    uint64_t timeouts = 0, crashes = 0, lost = 0;
-    uint64_t retries = 0, failovers = 0, late = 0;
-  };
-  const auto snapshot_faults = [this] {
-    FaultSnapshot s;
-    if (injector_ != nullptr) {
-      s.dropped = fault_counters_.shares_dropped->Value();
-      s.corrupted = fault_counters_.shares_corrupted->Value();
-      s.duplicated = fault_counters_.shares_duplicated->Value();
-      s.delayed = fault_counters_.shares_delayed->Value();
-      s.timeouts = fault_counters_.forward_timeouts->Value();
-      s.crashes = fault_counters_.proxy_crashes->Value();
-      s.lost = fault_counters_.lost_mids->Value();
-      s.retries = fault_counters_.retries->Value();
-      s.failovers = fault_counters_.failovers->Value();
-      s.late = fault_counters_.late_delivered->Value();
-    }
-    return s;
-  };
-  const FaultSnapshot fault_before = snapshot_faults();
+  const uint64_t participants_before = clients_->participants();
+  const uint64_t forwarded_before = shares_forwarded_.Value();
+  const uint64_t consumed_before = shares_consumed_.Value();
+  const uint64_t malformed_before = aggregator_->malformed_dropped();
+  const fault::FaultTotals fault_before =
+      injector_ != nullptr ? injector_->totals() : fault::FaultTotals{};
   {
-    StageScope epoch_scope("epoch", stage_ns_.epoch_ns, timeline_);
+    const metrics::ScopedTimer timer(stage_ns_.epoch);
+    const metrics::EpochTimeline::Span span(timeline_, "epoch");
     if (injector_ != nullptr) {
       ReplayDeferredShares();
-      for (size_t j = 0; j < proxies_.size(); ++j) {
-        if (injector_->ProxyCrashes(epoch_index_, j)) {
-          fault_counters_.proxy_crashes->Increment();
-        }
-      }
+      injector_->CountCrashes(epoch_index_, proxies_.size());
     }
     if (config_.pipeline.mode == EpochPipelineMode::kStreaming) {
       RunEpochStreaming(now_ms);
@@ -507,17 +340,16 @@ EpochStats PrivApproxSystem::RunEpoch(int64_t now_ms) {
     }
   }
   ++epoch_index_;
-  counters_.epochs->Increment();
+  epochs_.Increment();
   EpochStats stats;
-  stats.participants = static_cast<size_t>(counters_.participants->Value() -
-                                           participants_before);
-  stats.shares_sent = counters_.shares_sent->Value() - sent_before;
-  stats.shares_forwarded =
-      counters_.shares_forwarded->Value() - forwarded_before;
-  stats.shares_consumed = counters_.shares_consumed->Value() - consumed_before;
-  stats.malformed_dropped = counters_.malformed->Value() - malformed_before;
+  stats.participants =
+      static_cast<size_t>(clients_->participants() - participants_before);
+  stats.shares_sent = stats.participants * proxies_.size();
+  stats.shares_forwarded = shares_forwarded_.Value() - forwarded_before;
+  stats.shares_consumed = shares_consumed_.Value() - consumed_before;
+  stats.malformed_dropped = aggregator_->malformed_dropped() - malformed_before;
   if (injector_ != nullptr) {
-    const FaultSnapshot after = snapshot_faults();
+    const fault::FaultTotals after = injector_->totals();
     stats.fault_shares_dropped = after.dropped - fault_before.dropped;
     stats.fault_shares_corrupted = after.corrupted - fault_before.corrupted;
     stats.fault_shares_duplicated = after.duplicated - fault_before.duplicated;
@@ -580,19 +412,12 @@ void PrivApproxSystem::ReplayDeferredShares() {
 }
 
 void PrivApproxSystem::CountAnswered(std::span<const uint64_t> participants) {
-  const size_t num_proxies = proxies_.size();
-  uint64_t total = 0;
   size_t k = 0;
   for (auto& [qid, active] : active_) {
-    total += participants[k];
-    if (active.participants_total != nullptr && participants[k] != 0) {
-      active.participants_total->Increment(participants[k]);
-      active.shares_sent_total->Increment(participants[k] * num_proxies);
-    }
+    active.participants_total.Increment(participants[k]);
+    active.shares_sent_total.Increment(participants[k] * proxies_.size());
     ++k;
   }
-  counters_.participants->Increment(total);
-  counters_.shares_sent->Increment(total * num_proxies);
 }
 
 void PrivApproxSystem::RunEpochBarrier(int64_t now_ms) {
@@ -609,7 +434,8 @@ void PrivApproxSystem::RunEpochBarrier(int64_t now_ms) {
   std::vector<AnsweredRange> shards(num_shards);
   std::vector<ArenaRef> arenas(num_shards);
   {
-    StageScope scope("barrier_answer", stage_ns_.answer_shard_ns, timeline_);
+    const metrics::ScopedTimer timer(stage_ns_.answer_shard);
+    const metrics::EpochTimeline::Span span(timeline_, "barrier_answer");
     pool_->ParallelFor(num_shards, [&](size_t first, size_t last) {
       for (size_t s = first; s < last; ++s) {
         const size_t begin = s * shard_size;
@@ -626,7 +452,7 @@ void PrivApproxSystem::RunEpochBarrier(int64_t now_ms) {
   // — exactly the append order a sequential loop over clients would
   // produce, so topic contents are byte-identical for any worker count.
   {
-    StageScope scope("barrier_merge", nullptr, timeline_);
+    const metrics::EpochTimeline::Span span(timeline_, "barrier_merge");
     for (const AnsweredRange& shard : shards) {
       for (size_t j = 0; j < num_proxies; ++j) {
         for (size_t k = 0; k < qids.size(); ++k) {
@@ -643,27 +469,25 @@ void PrivApproxSystem::RunEpochBarrier(int64_t now_ms) {
   // Phase 3 (parallel forwarding): each proxy moves its own lanes' inbound
   // topics to their outbound topics — disjoint state, one task per proxy.
   {
-    StageScope scope("barrier_forward", stage_ns_.proxy_forward_ns, timeline_);
-    std::vector<uint64_t> forwarded(num_proxies, 0);
+    const metrics::ScopedTimer timer(stage_ns_.proxy_forward);
+    const metrics::EpochTimeline::Span span(timeline_, "barrier_forward");
     pool_->ParallelFor(num_proxies, [&](size_t begin, size_t end) {
       for (size_t j = begin; j < end; ++j) {
-        forwarded[j] = proxies_[j]->ForwardLanes();
+        shares_forwarded_.Increment(proxies_[j]->ForwardLanes());
         // Standby j shares primary j's outbound lane topics — forwarding it
         // from the same task keeps the append interleave deterministic.
         if (!standby_proxies_.empty()) {
-          forwarded[j] += standby_proxies_[j]->ForwardLanes();
+          shares_forwarded_.Increment(standby_proxies_[j]->ForwardLanes());
         }
       }
     });
-    for (uint64_t count : forwarded) {
-      counters_.shares_forwarded->Increment(count);
-    }
   }
 
   // Phase 4: drain every lane (parallel per-source decode + sequential join
   // inside, lanes in ascending-QID order).
-  StageScope scope("barrier_drain", stage_ns_.agg_consume_ns, timeline_);
-  counters_.shares_consumed->Increment(aggregator_->Drain());
+  const metrics::ScopedTimer timer(stage_ns_.agg_consume);
+  const metrics::EpochTimeline::Span span(timeline_, "barrier_drain");
+  shares_consumed_.Increment(aggregator_->Drain());
 }
 
 namespace {
@@ -731,26 +555,25 @@ void PrivApproxSystem::RunEpochStreaming(int64_t now_ms) {
     to_proxy.push_back(std::make_unique<Channel<TaggedBatch>>(depth));
   }
   Channel<ShardNotice> notices(depth * num_proxies * num_queries);
-  if (config_.metrics.enabled) {
-    // Backpressure visibility: high-watermark of each channel's depth.
-    const std::string help = "Channel depth high-watermark (shard batches)";
-    tasks.set_depth_gauge(&registry_.GetGauge("privapprox_channel_depth_hwm",
-                                              help, {{"channel", "tasks"}}));
-    for (size_t j = 0; j < num_proxies; ++j) {
-      to_proxy[j]->set_depth_gauge(&registry_.GetGauge(
-          "privapprox_channel_depth_hwm", help,
-          {{"channel", "to_proxy" + std::to_string(j)}}));
-    }
-    notices.set_depth_gauge(&registry_.GetGauge(
-        "privapprox_channel_depth_hwm", help, {{"channel", "notices"}}));
+  // Backpressure visibility: high-watermark of each channel's depth.
+  const auto depth_gauge = [this](const std::string& channel) {
+    return &registry_.GetGauge("privapprox_channel_depth_hwm",
+                               "Channel depth high-watermark (shard batches)",
+                               {{"channel", channel}});
+  };
+  tasks.set_depth_gauge(depth_gauge("tasks"));
+  for (size_t j = 0; j < num_proxies; ++j) {
+    to_proxy[j]->set_depth_gauge(depth_gauge("to_proxy" + std::to_string(j)));
   }
+  notices.set_depth_gauge(depth_gauge("notices"));
 
   // Consumer stage: single worker — each lane's join and window state are
   // sequential by design, exactly as in the barrier drain.
   Stage<ShardNotice> aggregator_stage(
       notices, 1, [&](ShardNotice&& notice) {
-        StageScope scope("agg_consume", stage_ns_.agg_consume_ns, timeline_);
-        counters_.shares_consumed->Increment(aggregator_->ConsumeShardBatch(
+        const metrics::ScopedTimer timer(stage_ns_.agg_consume);
+        const metrics::EpochTimeline::Span span(timeline_, "agg_consume");
+        shares_consumed_.Increment(aggregator_->ConsumeShardBatch(
             notice.query_id, notice.source, notice.seq,
             notice.partition_counts));
       });
@@ -773,9 +596,9 @@ void PrivApproxSystem::RunEpochStreaming(int64_t now_ms) {
                it = reorder->find(*next_seq)) {
             TaggedBatch head = std::move(it->second);
             reorder->erase(it);
-            StageScope scope("proxy_forward", stage_ns_.proxy_forward_ns,
-                             timeline_);
-            uint64_t forwarded = 0;
+            const metrics::ScopedTimer timer(stage_ns_.proxy_forward);
+            const metrics::EpochTimeline::Span span(timeline_,
+                                                    "proxy_forward");
             for (size_t k = 0; k < num_queries; ++k) {
               std::vector<uint32_t> counts =
                   proxies_[j]->ReceiveAndForwardShard(qids[k],
@@ -791,15 +614,13 @@ void PrivApproxSystem::RunEpochStreaming(int64_t now_ms) {
                   counts[p] += standby_counts[p];
                 }
               }
-              for (uint32_t count : counts) {
-                forwarded += count;
-              }
+              shares_forwarded_.Increment(
+                  std::accumulate(counts.begin(), counts.end(), uint64_t{0}));
               notices.Push(ShardNotice{qids[k], j, *next_seq,
                                        std::move(counts)});
             }
             // `head` (and with it this proxy's arena reference) dies here —
             // the records are now in the broker's slabs.
-            counters_.shares_forwarded->Increment(forwarded);
             ++*next_seq;
           }
         }));
@@ -812,7 +633,8 @@ void PrivApproxSystem::RunEpochStreaming(int64_t now_ms) {
   // shipped too — the shard sequence must be gapless for the reorder
   // buffers to advance.
   Stage<ShardTask> answer_stage(tasks, answer_workers, [&](ShardTask&& task) {
-    StageScope scope("answer_shard", stage_ns_.answer_shard_ns, timeline_);
+    const metrics::ScopedTimer timer(stage_ns_.answer_shard);
+    const metrics::EpochTimeline::Span span(timeline_, "answer_shard");
     ArenaRef arena = arena_pool_.Acquire();
     AnsweredRange answered =
         clients_->Answer(task.begin, task.end, now_ms, qids, *arena,

@@ -22,12 +22,11 @@
 // would push the summed zero-knowledge-privacy spend past the configured
 // cap is refused or down-sampled.
 //
-// Observability: the system owns a metrics::Registry. The core pipeline
-// counters (epochs, participants, shares sent/forwarded/consumed, malformed
-// drops) are always on — EpochStats is a per-epoch delta snapshot of them —
-// while stage latency histograms, per-proxy and per-query families, channel
-// depth high-watermarks, broker topic gauges, and the EpochTimeline trace
-// are gated behind SystemConfig::metrics.
+// Observability: the system owns a metrics::Registry and hands it to every
+// component it builds, each of which registers its own families; the
+// system adds its own totals, stage histograms, channel gauges, per-query
+// counters and broker gauges. Every instrument is always on, and EpochStats
+// is a per-epoch delta of the counters. The EpochTimeline trace is opt-in.
 
 #ifndef PRIVAPPROX_SYSTEM_SYSTEM_H_
 #define PRIVAPPROX_SYSTEM_SYSTEM_H_
@@ -120,12 +119,8 @@ struct HistoricalOptions {
   std::string dir;
 };
 
-// Observability knobs (see the header comment). Core counters stay on even
-// when `enabled` is false — they are what EpochStats snapshots.
+// Observability knobs (see the header comment).
 struct MetricsOptions {
-  // Stage latency histograms, per-proxy/per-client/per-query families,
-  // channel depth high-watermarks, and the broker topic collector.
-  bool enabled = true;
   // Per-stage spans recorded into the EpochTimeline (dump via
   // TimelineJson() as chrome://tracing JSON). Off by default: spans cost a
   // mutexed append per shard batch.
@@ -302,15 +297,14 @@ class PrivApproxSystem {
   struct ActiveQuery {
     core::Query query;
     core::ExecutionParams params;  // admitted (possibly down-sampled)
-    // Per-query labeled instruments; null unless metrics.enabled.
-    metrics::Counter* participants_total = nullptr;
-    metrics::Counter* shares_sent_total = nullptr;
+    metrics::Counter& participants_total;  // {query="<QID>"}
+    metrics::Counter& shares_sent_total;
   };
 
   void RunEpochBarrier(int64_t now_ms);
   void RunEpochStreaming(int64_t now_ms);
   // Adds one answered range's per-query participant counts (ascending-QID
-  // order) to the core and per-query counters. Thread-safe.
+  // order) to the per-query counters. Thread-safe.
   void CountAnswered(std::span<const uint64_t> participants);
   void ReplayDeferredShares();
   // Releases every lane topic's records below its consumers' offsets: the
@@ -327,27 +321,20 @@ class PrivApproxSystem {
 
   SystemConfig config_;
   // Declared before every pipeline component: proxies, clients, and the
-  // aggregator hold bare pointers to registry instruments, so the registry
-  // must outlive them (members destroy in reverse declaration order).
+  // aggregator hold references to instruments they registered on it, so the
+  // registry must outlive them (members destroy in reverse declaration
+  // order).
   metrics::Registry registry_;
   metrics::EpochTimeline timeline_;
-  // Always-on core pipeline counters backing EpochStats (owned by the
-  // registry; registered once at construction).
-  struct CoreCounters {
-    metrics::Counter* epochs = nullptr;
-    metrics::Counter* participants = nullptr;
-    metrics::Counter* shares_sent = nullptr;
-    metrics::Counter* shares_forwarded = nullptr;
-    metrics::Counter* shares_consumed = nullptr;
-    metrics::Counter* malformed = nullptr;
-  };
-  CoreCounters counters_;
-  // Stage latency histograms; null unless metrics.enabled.
+  metrics::Counter& epochs_;
+  metrics::Counter& shares_forwarded_;  // primaries and standbys
+  metrics::Counter& shares_consumed_;
+  // privapprox_stage_ns, by stage.
   struct StageHistograms {
-    metrics::Histogram* answer_shard_ns = nullptr;
-    metrics::Histogram* proxy_forward_ns = nullptr;
-    metrics::Histogram* agg_consume_ns = nullptr;
-    metrics::Histogram* epoch_ns = nullptr;
+    metrics::Histogram& answer_shard;
+    metrics::Histogram& proxy_forward;
+    metrics::Histogram& agg_consume;
+    metrics::Histogram& epoch;
   };
   StageHistograms stage_ns_;
   broker::Broker broker_;
@@ -365,7 +352,6 @@ class PrivApproxSystem {
   // Fault layer (null/empty unless SystemConfig::fault is set). Standby
   // proxy j shares primary j's outbound lane topics, so failover is
   // invisible to the aggregator's n-source join.
-  fault::FaultCounters fault_counters_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::vector<std::unique_ptr<proxy::Proxy>> standby_proxies_;
   uint64_t epoch_index_ = 0;  // keys the per-epoch proxy crash draw

@@ -24,13 +24,6 @@ namespace {
 constexpr size_t kReadChunk = 64 * 1024;
 constexpr size_t kClientSlabChunk = 256 * 1024;
 
-void SetNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throw std::runtime_error("tcp_bus: fcntl(O_NONBLOCK) failed");
-  }
-}
-
 void SetBlockingWithTimeout(int fd, int timeout_ms) {
   const int flags = fcntl(fd, F_GETFL, 0);
   if (flags >= 0) {

@@ -49,7 +49,7 @@ QueryLaneOptions LaneOver(proxy::Proxy& p0, proxy::Proxy& p1,
 struct Harness {
   explicit Harness(size_t population, core::ExecutionParams params,
                    bool inverted = false, size_t num_shards = 1,
-                   QueryLaneOptions lane = {})
+                   metrics::Registry* registry = nullptr)
       : query(MakeQuery()),
         proxy0(proxy::ProxyConfig{0, 2}, broker),
         proxy1(proxy::ProxyConfig{1, 2}, broker) {
@@ -58,12 +58,12 @@ struct Harness {
     config.population = population;
     config.answers_inverted = inverted;
     config.num_shards = num_shards;
+    config.registry = registry;
     aggregator = std::make_unique<Aggregator>(
         config, broker,
         [this](const WindowedResult& r) { results.push_back(r); });
-    lane.source_topics =
-        LaneOver(proxy0, proxy1, query.query_id).source_topics;
-    aggregator->RegisterQuery(query, params, std::move(lane));
+    aggregator->RegisterQuery(query, params,
+                              LaneOver(proxy0, proxy1, query.query_id));
   }
 
   // Enqueues one client share on `proxy`'s lane.
@@ -354,23 +354,14 @@ TEST(AggregatorTest, ShardedJoinIsBitIdenticalToSingleShard) {
 }
 
 TEST(AggregatorTest, ShardMetricsAccountForEveryShare) {
-  // Per-shard counters partition the totals: routed shares sum to the
-  // joiner's input and per-shard joins sum to the joined count.
+  // The aggregator's per-shard families, on the registry its config names,
+  // partition the totals: routed shares sum to the joiner's input and
+  // per-shard joins sum to the joined count.
   const size_t population = 40;
   const size_t num_shards = 4;
   metrics::Registry registry;
-  QueryLaneOptions lane;
-  for (size_t s = 0; s < num_shards; ++s) {
-    const metrics::Labels labels = {{"shard", std::to_string(s)}};
-    lane.shard_shares_total.push_back(
-        &registry.GetCounter("shard_shares", "", labels));
-    lane.shard_joined_total.push_back(
-        &registry.GetCounter("shard_joined", "", labels));
-  }
-  lane.shard_imbalance_milli = &registry.GetGauge("shard_imbalance", "");
-  const QueryLaneOptions instruments = lane;
   Harness harness(population, NoNoiseParams(), /*inverted=*/false,
-                  num_shards, std::move(lane));
+                  num_shards, &registry);
   for (size_t i = 0; i < population; ++i) {
     client::Client c = MakeClient(i, 15.0);
     c.Subscribe(harness.query, NoNoiseParams());
@@ -378,18 +369,27 @@ TEST(AggregatorTest, ShardMetricsAccountForEveryShare) {
     harness.Ship(answer->shares, answer->timestamp_ms);
   }
   harness.Pump();
+  const std::string qid = std::to_string(harness.query.query_id);
   uint64_t routed = 0;
   uint64_t joined = 0;
   for (size_t s = 0; s < num_shards; ++s) {
-    routed += instruments.shard_shares_total[s]->Value();
-    joined += instruments.shard_joined_total[s]->Value();
+    const metrics::Labels labels = {{"query", qid},
+                                    {"shard", std::to_string(s)}};
+    routed += registry.GetCounter("privapprox_agg_shard_shares_total", "",
+                                  labels).Value();
+    joined += registry.GetCounter("privapprox_agg_shard_joined_total", "",
+                                  labels).Value();
   }
   EXPECT_EQ(routed, population * 2);  // one share per proxy per client
   EXPECT_EQ(joined, population);
   // Both proxies saw a balanced MID mix: the gauge is near 1000 (per-mille
   // of the mean) — loosely bounded, the point is that it was set at all.
-  EXPECT_GE(instruments.shard_imbalance_milli->Value(), 1000);
-  EXPECT_LT(instruments.shard_imbalance_milli->Value(), 3000);
+  const int64_t imbalance =
+      registry.GetGauge("privapprox_agg_shard_imbalance_milli", "",
+                        {{"query", qid}})
+          .Value();
+  EXPECT_GE(imbalance, 1000);
+  EXPECT_LT(imbalance, 3000);
 }
 
 // ------------------------------------------------------------- historical

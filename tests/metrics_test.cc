@@ -156,6 +156,22 @@ TEST(RegistryTest, JsonSnapshotContainsAllSections) {
   EXPECT_NE(json.find("\"count\":1"), std::string::npos);
 }
 
+// A label value may come from a peer (a topic name), so it can hold any
+// byte. The text exposition escapes it as the Prometheus format requires,
+// keeping the sample on one line; the JSON key escapes it again.
+TEST(RegistryTest, LabelValuesAreEscapedInTextAndJson) {
+  Registry reg;
+  reg.GetGauge("g", "G.", {{"topic", "a\"b\\c\nd\x01"}}).Set(5);
+  EXPECT_EQ(reg.RenderText(),
+            "# HELP g G.\n"
+            "# TYPE g gauge\n"
+            "g{topic=\"a\\\"b\\\\c\\nd\x01\"} 5\n");
+  EXPECT_EQ(reg.RenderJson(),
+            "{\"counters\":{},\"gauges\":{"
+            "\"g{topic=\\\"a\\\\\\\"b\\\\\\\\c\\\\nd\\u0001\\\"}\":5},"
+            "\"histograms\":{}}");
+}
+
 TEST(RegistryTest, CollectorRunsOnRender) {
   Registry reg;
   Gauge& g = reg.GetGauge("pulled", "Pulled by collector.");

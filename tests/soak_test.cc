@@ -8,7 +8,9 @@
 // The in-process system runs in both pipeline modes and under a seeded
 // fault plan (drop, corrupt, duplicate and delay). The loopback-TCP case
 // reads the proxy daemons' lane inbound topics through their /metrics, the
-// way an operator would.
+// way an operator would. Each case also pins the metrics registry: the
+// number of samples an exposition renders after warm-up must not grow with
+// the epoch count (per-epoch registration returns existing instruments).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -77,6 +80,16 @@ void Feed(localdb::Database& db, size_t client, int64_t epoch) {
   db.EvictBefore(now - kPeriodMs);
 }
 
+// Samples (non-comment lines) in a text exposition.
+size_t SampleCount(const std::string& text) {
+  std::istringstream in(text);
+  size_t samples = 0;
+  for (std::string line; std::getline(in, line);) {
+    samples += !line.empty() && line[0] != '#' ? 1 : 0;
+  }
+  return samples;
+}
+
 // Every client answers at most once per epoch, so no lane topic may hold
 // more records than clients once the epoch's consumers are done with them.
 constexpr uint64_t kOneEpochOfRecords = kClients;
@@ -120,7 +133,6 @@ void SoakInProcess(system::EpochPipelineMode mode,
   config.pipeline.num_worker_threads = 2;
   config.pipeline.mode = mode;
   config.pipeline.shard_size = 64;
-  config.metrics.enabled = false;
   config.fault = fault;
   system::PrivApproxSystem sys(config);
   sys.SubmitQuery(SpeedQuery(), Params());
@@ -129,6 +141,7 @@ void SoakInProcess(system::EpochPipelineMode mode,
   TopicBands bands;
   size_t lane_topics = 0;
   size_t results = 0;
+  size_t warm_samples = 0;
   for (int64_t e = 0; e < kEpochs; ++e) {
     for (size_t i = 0; i < kClients; ++i) {
       Feed(sys.client(i).database(), i, e);
@@ -140,6 +153,9 @@ void SoakInProcess(system::EpochPipelineMode mode,
     results += sys.TakeResults().size();
     if (e < warmup) {
       continue;
+    }
+    if (e == warmup) {
+      warm_samples = SampleCount(sys.MetricsText());
     }
     lane_topics = 0;
     for (const std::string& name : sys.broker().TopicNames()) {
@@ -156,6 +172,8 @@ void SoakInProcess(system::EpochPipelineMode mode,
   EXPECT_EQ(results, static_cast<size_t>(kEpochs - 2));
   EXPECT_GE(lane_topics, 2 * kProxies);
   bands.ExpectFlat(lane_topics);
+  EXPECT_GT(warm_samples, 0u);
+  EXPECT_EQ(SampleCount(sys.MetricsText()), warm_samples);
 }
 
 TEST(SoakTest, BarrierLaneTopicsStayBounded) {
@@ -213,6 +231,7 @@ TEST(SoakTest, TcpProxydLaneInTopicsStayBounded) {
   const int64_t warmup = WarmupEpochs();
   TopicBands bands;
   size_t results = 0;
+  size_t warm_samples = 0;
   for (int64_t e = 0; e < kEpochs; ++e) {
     for (size_t i = 0; i < kClients; ++i) {
       Feed(fleet.client(i).database(), i, e);
@@ -223,6 +242,9 @@ TEST(SoakTest, TcpProxydLaneInTopicsStayBounded) {
     results += fleet.TakeResults().size();
     if (e < warmup) {
       continue;
+    }
+    if (e == warmup) {
+      warm_samples = SampleCount(fleet.AggregatorMetricsText());
     }
     for (size_t j = 0; j < kProxies; ++j) {
       const std::string text = fleet.ProxyMetricsText(j);
@@ -239,6 +261,9 @@ TEST(SoakTest, TcpProxydLaneInTopicsStayBounded) {
   }
   EXPECT_EQ(results, static_cast<size_t>(kEpochs - 2));
   bands.ExpectFlat(kProxies);
+  // aggregatord carries the aggregator's per-lane families.
+  EXPECT_GT(warm_samples, 0u);
+  EXPECT_EQ(SampleCount(fleet.AggregatorMetricsText()), warm_samples);
   aggregatord.Stop();
   for (auto& proxyd : proxyds) {
     proxyd->Stop();

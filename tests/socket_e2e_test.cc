@@ -25,6 +25,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <random>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -122,9 +125,19 @@ void FillDatabase(localdb::Database& db, size_t client_index) {
             localdb::Value(static_cast<double>((client_index * 3) % 50))});
 }
 
+// What a socket deployment's processes export at the end of a run, and
+// the shares its proxies reported forwarded.
+struct DeploymentMetrics {
+  std::vector<std::string> proxyds;  // one exposition per proxy daemon
+  std::string aggregatord;
+  std::string fleet;
+  uint64_t shares_forwarded = 0;  // summed FleetEpochStats
+};
+
 // One full socket deployment: 2 proxy daemons + 1 aggregator daemon on
 // ephemeral loopback ports, driven by a FleetDriver. Returns the results
-// stream after `kEpochs` epochs and a flush.
+// stream after `kEpochs` epochs and a flush; `metrics`, when set, receives
+// every process's exposition.
 //
 // `force_durable` makes the deployment durable even without the env var
 // (the restart tests need the disk state). With a restart spec, the chosen
@@ -133,7 +146,8 @@ void FillDatabase(localdb::Database& db, size_t client_index) {
 // lands its kill -9.
 std::vector<aggregator::WindowedResult> RunSocketDeployment(
     const std::vector<core::Query>& queries,
-    RestartSpec restart = RestartSpec{}, bool force_durable = false) {
+    RestartSpec restart = RestartSpec{}, bool force_durable = false,
+    DeploymentMetrics* metrics = nullptr) {
   bool durable_env = false;
   const storage::FsyncPolicy env_policy = EnvFsyncPolicy(durable_env);
   const bool durable = durable_env || force_durable;
@@ -221,11 +235,21 @@ std::vector<aggregator::WindowedResult> RunSocketDeployment(
       EXPECT_EQ(stats.shares_forwarded, stats.shares_sent);
       EXPECT_EQ(stats.shares_consumed, stats.shares_sent);
     }
+    if (metrics != nullptr) {
+      metrics->shares_forwarded += stats.shares_forwarded;
+    }
   }
   if (restart.target != RestartSpec::kNone) {
     EXPECT_TRUE(restarted) << "restart never fired";
   }
   fleet.Flush();
+  if (metrics != nullptr) {
+    for (size_t j = 0; j < kProxies; ++j) {
+      metrics->proxyds.push_back(fleet.ProxyMetricsText(j));
+    }
+    metrics->aggregatord = fleet.AggregatorMetricsText();
+    metrics->fleet = fleet.MetricsText();
+  }
   return fleet.TakeResults();
 }
 
@@ -233,7 +257,8 @@ std::vector<aggregator::WindowedResult> RunSocketDeployment(
 // thread pool — the default mode, pinned bit-identical to the barrier path
 // by parallel_epoch_test).
 std::vector<aggregator::WindowedResult> RunInProcessReference(
-    const std::vector<core::Query>& queries) {
+    const std::vector<core::Query>& queries,
+    std::string* metrics_text = nullptr) {
   system::SystemConfig config;
   config.num_clients = kClients;
   config.num_proxies = kProxies;
@@ -249,7 +274,23 @@ std::vector<aggregator::WindowedResult> RunInProcessReference(
     sys.RunEpoch(static_cast<int64_t>(1000 * (e + 1)));
   }
   sys.Flush();
+  if (metrics_text != nullptr) {
+    *metrics_text = sys.MetricsText();
+  }
   return sys.TakeResults();
+}
+
+// Family names (from the # TYPE lines) of a text exposition.
+std::set<std::string> Families(const std::string& text) {
+  std::set<std::string> families;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      families.insert(line.substr(7, line.find(' ', 7) - 7));
+    }
+  }
+  return families;
 }
 
 TEST(SocketDeploymentTest, SingleQueryMatchesInProcessBitForBit) {
@@ -329,6 +370,84 @@ TEST(SocketDeploymentTest, ProxydMetricsExportLaneTopicGauges) {
   EXPECT_NE(text.find(retained + "\"proxy0.q7.in\"} 0\n"), std::string::npos);
   EXPECT_NE(text.find(retained + "\"proxy0.q7.out\"} 50\n"),
             std::string::npos);
+  proxyd.Stop();
+}
+
+// An operator of the daemons sees the families the in-process system
+// exports for the same components: each component registers them itself,
+// on whichever registry hosts it.
+TEST(SocketDeploymentTest, DaemonsExportTheInProcessComponentFamilies) {
+  const std::vector<core::Query> queries = {SpeedQuery(), FareQuery()};
+  DeploymentMetrics deployed;
+  RunSocketDeployment(queries, RestartSpec{}, /*force_durable=*/false,
+                      &deployed);
+  std::string inproc;
+  RunInProcessReference(queries, &inproc);
+
+  const std::set<std::string> client_families = {
+      "privapprox_participants_total", "privapprox_client_skips_total",
+      "privapprox_shares_sent_total"};
+  size_t checked = 0;
+  for (const std::string& family : Families(inproc)) {
+    const bool proxy = family.rfind("privapprox_proxy_", 0) == 0;
+    const bool agg = family.rfind("privapprox_agg_", 0) == 0 ||
+                     family == "privapprox_malformed_dropped_total";
+    const bool client = client_families.count(family) != 0;
+    checked += (proxy || agg || client) ? 1 : 0;
+    for (size_t j = 0; proxy && j < kProxies; ++j) {
+      EXPECT_EQ(Families(deployed.proxyds[j]).count(family), 1u)
+          << family << " missing on proxyd " << j;
+    }
+    EXPECT_TRUE(!agg || Families(deployed.aggregatord).count(family) == 1)
+        << family << " missing on aggregatord";
+    EXPECT_TRUE(!client || Families(deployed.fleet).count(family) == 1)
+        << family << " missing on the fleet driver";
+  }
+  // 3 proxy families, 7 aggregator families, 3 client decision counters.
+  EXPECT_EQ(checked, 13u);
+
+  uint64_t forwarded = 0;
+  for (size_t j = 0; j < kProxies; ++j) {
+    const std::string key = "privapprox_proxy_forwarded_total{proxy=\"" +
+                            std::to_string(j) + "\"} ";
+    const size_t at = deployed.proxyds[j].find(key);
+    ASSERT_NE(at, std::string::npos) << key;
+    forwarded += std::stoull(deployed.proxyds[j].substr(at + key.size()));
+  }
+  EXPECT_GT(forwarded, 0u);
+  EXPECT_EQ(forwarded, deployed.shares_forwarded);
+}
+
+// A peer chooses topic names, and the broker gauges label samples with
+// them. A name built to close its sample line and open another must stay
+// inside one escaped label value: no forged sample appears, and every
+// sample line keeps the form `name{labels} value`.
+TEST(SocketDeploymentTest, TopicNamesCannotForgeMetricsLines) {
+  ProxyDaemon proxyd(ProxyDaemonConfig{});
+  proxyd.Start();
+  transport::TcpBusClientConfig client_config;
+  client_config.port = proxyd.port();
+  transport::TcpBusClient bus(client_config);
+  const std::string forged = "privapprox_transport_protocol_errors_total 0";
+  bus.EnsureTopic("x\"} 0\n" + forged + "\n# x{a=\"", 1);
+
+  const std::string text = proxyd.MetricsText();
+  const std::regex sample(
+      R"re([A-Za-z_:][A-Za-z0-9_:]*)re"
+      R"re((\{[A-Za-z_][A-Za-z0-9_]*="([^"\\]|\\[\\"n])*")re"
+      R"re((,[A-Za-z_][A-Za-z0-9_]*="([^"\\]|\\[\\"n])*")*\})? -?[0-9]+)re");
+  std::istringstream in(text);
+  std::string line;
+  size_t forged_lines = 0;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    EXPECT_TRUE(std::regex_match(line, sample)) << line;
+    forged_lines += line == forged ? 1 : 0;
+  }
+  // The daemon's own protocol-error counter is the one legitimate line.
+  EXPECT_EQ(forged_lines, 1u) << text;
   proxyd.Stop();
 }
 

@@ -72,25 +72,6 @@ TEST(SystemTest, MetricsExpositionCoversPipelineFamilies) {
   EXPECT_NE(trace.find("\"name\":\"answer_shard\""), std::string::npos);
 }
 
-TEST(SystemTest, MetricsDisabledKeepsCoreCountersOnly) {
-  SystemConfig config;
-  config.num_clients = 10;
-  config.metrics.enabled = false;
-  PrivApproxSystem sys(config);
-  for (size_t i = 0; i < config.num_clients; ++i) {
-    LoadSpeed(sys, i, 25.0);
-  }
-  sys.SubmitQuery(SpeedQuery(), ExactParams());
-  const EpochStats stats = sys.RunEpoch(1000);
-  EXPECT_EQ(stats.participants, 10u);
-  const std::string text = sys.MetricsText();
-  EXPECT_NE(text.find("privapprox_epochs_total 1"), std::string::npos);
-  EXPECT_EQ(text.find("privapprox_stage_ns"), std::string::npos);
-  EXPECT_EQ(text.find("privapprox_agg_decode_ns"), std::string::npos);
-  // Timeline off by default: no spans recorded.
-  EXPECT_NE(sys.TimelineJson().find("\"traceEvents\":[]"), std::string::npos);
-}
-
 TEST(SystemTest, ValidatesConfig) {
   SystemConfig config;
   config.num_clients = 0;
@@ -163,6 +144,10 @@ TEST(SystemTest, ExactPipelineEndToEnd) {
   EXPECT_EQ(stats.shares_sent, 120u);
   EXPECT_EQ(stats.shares_forwarded, 120u);
   EXPECT_EQ(stats.shares_consumed, 120u);
+  EXPECT_NE(sys.MetricsText().find("privapprox_epochs_total 1\n"),
+            std::string::npos);
+  // The timeline is off by default: no spans recorded.
+  EXPECT_NE(sys.TimelineJson().find("\"traceEvents\":[]"), std::string::npos);
   sys.AdvanceWatermark(10000);
   ASSERT_EQ(sys.results().size(), 1u);
   const auto& result = sys.results()[0].result;
