@@ -17,7 +17,8 @@ here="$(cd "$(dirname "$0")" && pwd)"
 repo="$(dirname "$here")"
 
 GATES=(pre_span_first qid_less chacha_block flat_config compat_layer
-       ofstream bus_triplets single_query hand_wired_metrics)
+       ofstream bus_triplets single_query hand_wired_metrics
+       streaming_runtime)
 
 # Each gate_<name> runs its grep from the tree root; plant_<name> is
 # "<file>|<line>", a violation the self-test appends to that file.
@@ -39,7 +40,7 @@ plant_pre_span_first="src/planted.cc|auto v = proxy.ReceiveViews(batch);"
 # with "->", so it must follow -e or grep reads it as options.
 gate_qid_less() {
   grep -rnP \
-    -e "->(Receive|ReceiveAndForwardShard|ConsumeShardBatch|NoteFaultLostMids|RouteShare|Defer)\((?!\s*($|qid|query_id|qids\[|notice\.query_id))" \
+    -e "->(Receive|NoteFaultLostMids|RouteShare|Defer)\((?!\s*($|qid|query_id|qids\[))" \
     src/system
 }
 plant_qid_less="src/system/planted.cc|proxy->Receive(shares);"
@@ -122,6 +123,20 @@ gate_hand_wired_metrics() {
     src tests bench examples
 }
 plant_hand_wired_metrics="src/planted.cc|proxy_config.forwarded_total = &counter;"
+
+# One epoch shape: the streaming stage/channel runtime and its three knobs
+# are gone. Every epoch answers one contiguous client range per worker,
+# then forwards per proxy, then drains — the in-process system and the TCP
+# fleet driver run the same three steps. The channel/stage header, the
+# pipeline mode enum and knobs, the per-shard consume/forward entries and
+# the promised-count poll, the deferral buffer's QID-tagged frame and the
+# in-process bus's simulated link model must not come back.
+gate_streaming_runtime() {
+  grep -rnE \
+    "EpochPipelineMode|kStreaming|kBarrier|ConsumeShardBatch|FinishStream|ReceiveAndForwardShard|PollExactInto|common/channel\.h|pipeline\.(mode|depth|shard_size)\b|TaggedShare|simulated_transfer_ns" \
+    src tests bench examples
+}
+plant_streaming_runtime="bench/planted.cc|config.pipeline.mode = system::EpochPipelineMode::kStreaming;"
 
 # Runs one gate in directory $2; returns 0 on pass. Prints why it failed.
 run_gate() {

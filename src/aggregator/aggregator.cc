@@ -269,21 +269,37 @@ Aggregator::SourceOffsets() const {
 void Aggregator::FeedShards(
     Lane& lane, std::span<const proxy::Proxy::DecodedShares> per_source) {
   const metrics::ScopedTimer timer(join_ns_);
-  // Each shard scans every batch and picks out its own MIDs, so a shard's
+  // Each source's lane topic holds a MID's share in the same partition and
+  // client order, so feeding the sources block by block — block b of every
+  // source before block b + 1 — lets a MID's n shares meet within a block
+  // or two, and the joiner parks about one block of shares instead of
+  // every source but the last. The feed order is a pure function of the
+  // decoded batches.
+  constexpr size_t kFeedBlock = 1024;
+  size_t longest = 0;
+  for (const proxy::Proxy::DecodedShares& batch : per_source) {
+    longest = std::max(longest, batch.shares.size());
+  }
+  // Each shard scans every block and picks out its own MIDs, so a shard's
   // joiner (and everything its emit path mutates) is touched by exactly one
-  // task. Within a shard the feed order is (source, record) order — the
-  // same order a single shard would see its subset in, which keeps
+  // task. Within a shard the feed order is (block, source, record) order —
+  // the same order a single shard would see its subset in, which keeps
   // per-shard join stats and emission order canonical.
   const auto feed_shard = [&](size_t shard_index) {
     Shard& shard = *lane.shards[shard_index];
-    for (size_t source = 0; source < per_source.size(); ++source) {
-      for (const auto& share : per_source[source].shares) {
-        if (ShardOf(share.message_id) != shard_index) {
-          continue;
+    for (size_t begin = 0; begin < longest; begin += kFeedBlock) {
+      for (size_t source = 0; source < per_source.size(); ++source) {
+        const auto& shares = per_source[source].shares;
+        const size_t end = std::min(begin + kFeedBlock, shares.size());
+        for (size_t i = begin; i < end; ++i) {
+          const proxy::Proxy::DecodedShare& share = shares[i];
+          if (ShardOf(share.message_id) != shard_index) {
+            continue;
+          }
+          ++shard.shares_fed;
+          shard.joiner->Add(share.message_id, share.payload,
+                            share.timestamp_ms, source);
         }
-        ++shard.shares_fed;
-        shard.joiner->Add(share.message_id, share.payload, share.timestamp_ms,
-                          source);
       }
     }
   };
@@ -380,58 +396,6 @@ void Aggregator::NoteFaultLostMids(uint64_t query_id,
 void Aggregator::NoteMalformed(uint64_t n) {
   if (n != 0) {
     malformed_.Increment(n);
-  }
-}
-
-uint64_t Aggregator::ConsumeShardBatch(
-    uint64_t query_id, size_t source, uint64_t shard_seq,
-    const std::vector<uint32_t>& partition_counts) {
-  Lane& lane = GetLane(query_id, "Aggregator::ConsumeShardBatch");
-  if (source >= lane.consumers.size()) {
-    throw std::out_of_range("Aggregator::ConsumeShardBatch: bad source");
-  }
-  uint64_t consumed = 0;
-  {
-    const metrics::ScopedTimer timer(decode_ns_);
-    shard_views_.clear();
-    consumed = lane.consumers[source]->PollExactInto(partition_counts,
-                                                     shard_views_);
-    StreamSlot& slot = lane.stream_pending[shard_seq];
-    if (slot.per_source.empty()) {
-      slot.per_source.resize(lane.consumers.size());
-    }
-    proxy::Proxy::DecodeShares(shard_views_, slot.per_source[source]);
-    ++slot.filled;
-  }
-  // Advance the reorder buffer: feed every complete shard at the head, in
-  // (shard_seq, source) order — the streaming pipeline's canonical join
-  // feed order.
-  while (!lane.stream_pending.empty()) {
-    auto head = lane.stream_pending.begin();
-    if (head->first != lane.stream_next_seq ||
-        head->second.filled != lane.consumers.size()) {
-      break;
-    }
-    for (const proxy::Proxy::DecodedShares& batch : head->second.per_source) {
-      NoteMalformed(batch.malformed);
-    }
-    FeedShards(lane, head->second.per_source);
-    lane.stream_pending.erase(head);
-    ++lane.stream_next_seq;
-  }
-  return consumed;
-}
-
-void Aggregator::FinishStream() {
-  bool incomplete = false;
-  for (auto& [qid, lane] : lanes_) {
-    incomplete = incomplete || !lane->stream_pending.empty();
-    lane->stream_pending.clear();
-    lane->stream_next_seq = 0;
-  }
-  if (incomplete) {
-    throw std::logic_error(
-        "Aggregator::FinishStream: shard batches missing from the stream");
   }
 }
 

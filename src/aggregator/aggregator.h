@@ -10,9 +10,9 @@
 // Multi-query: the aggregator is a coordinator over per-query *lanes*. A
 // lane owns everything one query needs — its n source-topic consumers, its
 // MID joiner + window shards, its error estimator, its stream watermark and
-// reorder buffer, its fault-loss ledger — so queries share nothing but the
-// broker and the worker pool, and each query's results are bit-identical to
-// a run where it is the only query registered. Lanes are processed in
+// its fault-loss ledger — so queries share nothing but the broker and the
+// worker pool, and each query's results are bit-identical to a run where it
+// is the only query registered. Lanes are processed in
 // ascending-QID order everywhere order is observable. A lane consumes its
 // query's lane outbound topic at every proxy, named at RegisterQuery.
 //
@@ -68,9 +68,9 @@ struct AggregatorConfig {
   // results; N > 1 only goes parallel when `pool` is also set.
   size_t num_shards = 1;
   // Optional worker pool (not owned). When set, Drain polls and decodes the
-  // n proxy streams in parallel — one task per source topic — and both
-  // consume paths feed the join shards in parallel (one task per shard).
-  // Null keeps everything sequential.
+  // n proxy streams in parallel — one task per source topic — and feeds the
+  // join shards in parallel (one task per shard). Null keeps everything
+  // sequential.
   ThreadPool* pool = nullptr;
   // Fault-loss accounting (wired by PrivApproxSystem when a FaultPlan is
   // configured). When true, MIDs reported lost by the fault injector
@@ -155,34 +155,6 @@ class Aggregator {
   std::vector<std::pair<std::string, std::vector<uint64_t>>> SourceOffsets()
       const;
 
-  // --- Streaming-mode consumption (system/system.cc) -------------------
-  //
-  // The streaming epoch pipeline calls ConsumeShardBatch from its single
-  // aggregator-stage thread, once per (query, shard, proxy) as forward
-  // notifications arrive. It reads exactly the records proxy `source`
-  // appended to the query's lane for shard `shard_seq`
-  // (per-outbound-partition counts as reported by
-  // Proxy::ReceiveAndForwardShard), decodes them, and parks the batch in
-  // the lane's reorder buffer keyed by shard sequence number. Whenever the
-  // buffer's head shard has a batch from every source, those batches are
-  // fed to the MID join in (shard_seq, source) order — so the join feed
-  // order is deterministic per lane for every worker count, channel depth,
-  // and thread interleaving. Returns records consumed (incl. malformed).
-  //
-  // Not thread-safe; not to be interleaved with Drain() mid-epoch. (The
-  // internal fan-out to join shards may borrow the pool, but callers see a
-  // single-threaded surface.)
-  uint64_t ConsumeShardBatch(uint64_t query_id, size_t source,
-                             uint64_t shard_seq,
-                             const std::vector<uint32_t>& partition_counts);
-
-  // Ends one streaming epoch: resets every lane's shard sequence
-  // expectation for the next epoch. Throws std::logic_error if shard
-  // batches are still parked in any lane (a gap in the sequence — pipeline
-  // bug); the buffers are cleared first so the aggregator stays usable
-  // after the throw.
-  void FinishStream();
-
   // Fault-recovery input (requires track_fault_losses): the system reports
   // the MIDs its injector knows can never join (dropped or corrupted
   // shares, failed failovers) at the end of each epoch, per query. Each
@@ -240,15 +212,6 @@ class Aggregator {
     metrics::Counter& joined_total;  // privapprox_agg_shard_joined_total
   };
 
-  // One shard's decoded batches, one slot per source stream. Decoded share
-  // payloads point into broker slab storage, which the epoch's release
-  // leaves alone until FinishStream has emptied this buffer, so parking
-  // them here costs no payload copies.
-  struct StreamSlot {
-    std::vector<proxy::Proxy::DecodedShares> per_source;
-    size_t filled = 0;
-  };
-
   // Everything one registered query owns. unique_ptr'd in lanes_ so the
   // Lane* captured by its shards' joiner callbacks stays stable.
   struct Lane {
@@ -260,11 +223,6 @@ class Aggregator {
     // captures its Shard*.
     std::vector<std::unique_ptr<Shard>> shards;
     engine::BoundedOutOfOrdernessWatermark stream_watermark;
-    // Streaming-mode reorder buffer: shards decoded but not yet fed to the
-    // join, keyed by shard sequence number. Bounded in practice by the
-    // pipeline's channel capacities (upstream backpressure).
-    std::map<uint64_t, StreamSlot> stream_pending;
-    uint64_t stream_next_seq = 0;
     uint64_t wrong_query_dropped = 0;
     // Fault-loss bookkeeping (track_fault_losses): MID -> event time of
     // each loss, deduplicating injector reports against join-group
@@ -289,9 +247,10 @@ class Aggregator {
   size_t ShardOf(uint64_t mid) const;
   uint64_t DrainLane(Lane& lane);
   // Feeds every decoded batch (indexed by source) to the lane's join
-  // shards — in parallel via the pool when num_shards > 1 and a pool is
-  // wired, sequentially otherwise — then folds shard deltas into the
-  // coordinator in shard order.
+  // shards in aligned blocks of 1024 records — block b of every source, in
+  // source order, before block b + 1 — in parallel via the pool
+  // when num_shards > 1 and a pool is wired, sequentially otherwise; then
+  // folds shard deltas into the coordinator in shard order.
   void FeedShards(Lane& lane,
                   std::span<const proxy::Proxy::DecodedShares> per_source);
   void MergeShardDeltas(Lane& lane);
@@ -331,14 +290,12 @@ class Aggregator {
   AnswerTapFn answer_tap_;
   std::map<uint64_t, std::unique_ptr<Lane>> lanes_;  // QID -> lane, ascending
   // Consumption scratch, reused across calls and lanes (lanes are always
-  // processed sequentially) so steady-state draining and shard consumption
-  // perform no heap allocation. drain_* are indexed by source (one slot per
-  // consumer, so the parallel Drain path stays synchronization-free);
-  // shard_views_ backs the single-threaded ConsumeShardBatch poll;
-  // fired_/merged_scratch_ back the per-watermark window merge.
+  // processed sequentially) so steady-state draining performs no heap
+  // allocation. drain_* are indexed by source (one slot per consumer, so
+  // the parallel Drain path stays synchronization-free); fired_/
+  // merged_scratch_ back the per-watermark window merge.
   std::vector<std::vector<broker::RecordView>> drain_views_;
   std::vector<proxy::Proxy::DecodedShares> drain_decoded_;
-  std::vector<broker::RecordView> shard_views_;
   std::vector<std::pair<engine::Window, core::AnswerAccumulator>>
       fired_scratch_;
   std::map<engine::Window, core::AnswerAccumulator> merged_scratch_;

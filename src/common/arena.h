@@ -3,16 +3,14 @@
 // An EpochArena hands out raw byte spans from large chunks and frees nothing
 // until Reset(): the share-encoding hot loop (crypto/xor_cipher.h
 // SplitMessageInto) allocates all n shares of an answer with one pointer
-// bump, and the whole arena rewinds in O(1) when the shard batch has been
-// copied into broker slabs. Chunks are recycled across Reset() calls, so a
-// warmed arena performs no heap allocation at all in steady state.
+// bump, and the whole arena rewinds in O(1) when the client range's records
+// have been copied into broker slabs. Chunks are recycled across Reset()
+// calls, so a warmed arena performs no heap allocation at all in steady
+// state.
 //
-// An ArenaPool recycles whole arenas across pipeline stages and epochs: the
-// answer stage acquires one arena per shard, encodes into it, and ships a
-// shared reference with each per-proxy batch; when the last stage drops its
-// reference the arena resets and returns to the pool. Because the streaming
-// pipeline's channels are bounded, the pool's high-water mark — and with it
-// the steady-state memory footprint — is bounded by the pipeline depth.
+// PrivApproxSystem keeps one arena per client range it answers (one per
+// worker thread) and reuses it every epoch, so the steady-state footprint
+// is one arena per worker.
 
 #ifndef PRIVAPPROX_COMMON_ARENA_H_
 #define PRIVAPPROX_COMMON_ARENA_H_
@@ -20,8 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 namespace privapprox {
@@ -89,53 +85,6 @@ class EpochArena {
   size_t chunk_index_ = 0;
   size_t used_ = 0;
   size_t allocated_ = 0;
-};
-
-// Shared ownership of an in-flight arena. The batches a shard fans out to
-// the n proxy stages each hold one reference; the arena returns to its pool
-// when the last one is dropped.
-using ArenaRef = std::shared_ptr<EpochArena>;
-
-// Thread-safe free list of arenas. The pool must outlive every ArenaRef it
-// hands out (the deleter touches the pool).
-class ArenaPool {
- public:
-  explicit ArenaPool(size_t chunk_bytes = EpochArena::kDefaultChunkBytes)
-      : chunk_bytes_(chunk_bytes) {}
-
-  ArenaPool(const ArenaPool&) = delete;
-  ArenaPool& operator=(const ArenaPool&) = delete;
-
-  // Hands out a reset arena, reusing a pooled one when available. The
-  // returned reference resets and returns the arena on final release.
-  ArenaRef Acquire() {
-    std::unique_ptr<EpochArena> arena;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!free_.empty()) {
-        arena = std::move(free_.back());
-        free_.pop_back();
-      }
-    }
-    if (arena == nullptr) {
-      arena = std::make_unique<EpochArena>(chunk_bytes_);
-    }
-    return ArenaRef(arena.release(), [this](EpochArena* released) {
-      released->Reset();
-      std::lock_guard<std::mutex> lock(mu_);
-      free_.emplace_back(released);
-    });
-  }
-
-  size_t idle() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return free_.size();
-  }
-
- private:
-  size_t chunk_bytes_;
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<EpochArena>> free_;
 };
 
 }  // namespace privapprox

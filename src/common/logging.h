@@ -3,9 +3,9 @@
 //
 // Each emitted line carries a level tag and a monotonic timestamp (seconds
 // since the first log call, steady clock — immune to wall-clock jumps), and
-// is written to stderr with a single formatted fwrite. Concurrent stage
-// workers therefore never interleave within a line, and lines sort in
-// emission order, which is what makes streaming-mode logs readable.
+// is written to stderr with a single formatted fwrite. Concurrent workers
+// therefore never interleave within a line, and lines sort in emission
+// order.
 
 #ifndef PRIVAPPROX_COMMON_LOGGING_H_
 #define PRIVAPPROX_COMMON_LOGGING_H_

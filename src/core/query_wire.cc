@@ -194,32 +194,4 @@ QueryAnnouncement DeserializeAnnouncement(std::span<const uint8_t> bytes) {
   return ann;
 }
 
-std::vector<uint8_t> SerializeTaggedShare(
-    uint64_t query_id, std::span<const uint8_t> lane_record) {
-  if (lane_record.size() < 8) {
-    throw WireError("lane record shorter than its MID header");
-  }
-  std::vector<uint8_t> out;
-  out.reserve(8 + lane_record.size());
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<uint8_t>(query_id >> (8 * i)));
-  }
-  out.insert(out.end(), lane_record.begin(), lane_record.end());
-  return out;
-}
-
-TaggedShareView ParseTaggedShare(std::span<const uint8_t> bytes) {
-  if (bytes.size() < 16) {
-    throw WireError("tagged share truncated");
-  }
-  TaggedShareView view;
-  for (int i = 0; i < 8; ++i) {
-    view.query_id |= static_cast<uint64_t>(bytes[i]) << (8 * i);
-    view.message_id |= static_cast<uint64_t>(bytes[8 + i]) << (8 * i);
-  }
-  view.payload = bytes.subspan(16);
-  view.lane_record = bytes.subspan(8);
-  return view;
-}
-
 }  // namespace privapprox::core

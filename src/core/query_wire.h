@@ -68,33 +68,6 @@ inline QueryAnnouncement DeserializeAnnouncement(
   return DeserializeAnnouncement(std::span<const uint8_t>(bytes));
 }
 
-// Self-describing multi-query share framing:
-//   QID (8 bytes LE) | MID (8 bytes LE) | payload.
-// On the hot path the per-(query, proxy) lane topic implies the QID, so
-// share records there stay <MID, payload> and never pay these 8 bytes. The
-// tagged frame exists for shares that leave their lane — today the fault
-// layer's deferred-replay buffer, which must remember which lane a delayed
-// share belongs to across epochs.
-struct TaggedShareView {
-  uint64_t query_id = 0;
-  uint64_t message_id = 0;
-  // The encrypted share payload (everything after the two headers).
-  std::span<const uint8_t> payload;
-  // The lane wire record <MID, payload> — the tagged frame minus the QID
-  // header — ready to hand to a per-lane Receive path.
-  std::span<const uint8_t> lane_record;
-};
-
-// Frames one share by prepending the QID header to a lane wire record
-// <MID (8 B LE), payload>. Throws WireError if the record is shorter than
-// its own MID header.
-std::vector<uint8_t> SerializeTaggedShare(uint64_t query_id,
-                                          std::span<const uint8_t> lane_record);
-
-// Parses a tagged frame. Throws WireError when shorter than the two
-// headers. The returned spans alias `bytes`.
-TaggedShareView ParseTaggedShare(std::span<const uint8_t> bytes);
-
 }  // namespace privapprox::core
 
 #endif  // PRIVAPPROX_CORE_QUERY_WIRE_H_

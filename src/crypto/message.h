@@ -78,8 +78,8 @@ struct MessageShare {
 // EpochArena (client side) or a broker slab (consumer side). Valid only as
 // long as its backing storage: until the arena resets, or for the topic's
 // lifetime. This is the type that travels the zero-copy path
-// Client -> MessageBus::Produce -> Proxy::ReceiveAndForwardShard in place
-// of std::vector<uint8_t> payloads.
+// Client -> Proxy::Receive -> MessageBus::Produce in place of
+// std::vector<uint8_t> payloads.
 struct ShareView {
   uint64_t message_id = 0;
   // QID of the query this share answers. Carried out-of-band (the payload is

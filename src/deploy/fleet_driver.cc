@@ -120,9 +120,8 @@ FleetEpochStats FleetDriver::RunEpoch(int64_t now_ms) {
     lanes.push_back(&active);
   }
 
-  // The whole fleet is one range, answered in client-id order: the
-  // canonical share order both in-process pipeline modes reduce to
-  // (DESIGN.md §6j). All share records live in the epoch arena until every
+  // The whole fleet is one range, answered in client-id order: the share
+  // order the in-process epoch appends at any worker count (DESIGN.md §6j). All share records live in the epoch arena until every
   // lane batch has been produced.
   const system::AnsweredRange answered =
       clients_.Answer(0, clients_.size(), now_ms, qids, arena_);

@@ -14,10 +14,10 @@
 //                 query.out to its client cohort (client i learns from
 //                 proxy i mod n).
 //   RunEpoch      answer the whole fleet as one range in client-id order
-//                 (the canonical order both in-process pipeline modes
-//                 reduce to), produce each (query, proxy) lane's shares in
+//                 (the order the in-process epoch appends at any worker
+//                 count), produce each (query, proxy) lane's shares in
 //                 that order, forward_lanes on every proxy, drain on the
-//                 aggregator.
+//                 aggregator — the in-process epoch's three steps.
 //
 // Both drivers answer through the same code, so every byte that reaches a
 // lane topic is produced in the same order with the same content as the

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/query_wire.h"
-
 namespace privapprox::fault {
 
 namespace {
@@ -112,7 +110,7 @@ FaultTotals FaultInjector::totals() const {
 
 // Uniform in [0, 1) from a pure hash of (seed, salt, query, a, b):
 // bit-identical for a given plan regardless of call order, thread, or
-// pipeline mode. Folding the query id in gives each query its own
+// worker count. Folding the query id in gives each query its own
 // independent fault stream over the same (mid, proxy) space.
 double FaultInjector::UnitUniform(uint64_t salt, uint64_t query_id,
                                   uint64_t a, uint64_t b) const {
@@ -234,10 +232,7 @@ void FaultInjector::Defer(uint64_t query_id, size_t proxy, uint64_t mid,
   share.query_id = query_id;
   share.proxy = proxy;
   share.message_id = mid;
-  // Tag the lane record with its QID: the deferral buffer holds shares
-  // from every lane mixed together, so the frame must say where each one
-  // goes back.
-  share.record = core::SerializeTaggedShare(query_id, lane_record);
+  share.record.assign(lane_record.begin(), lane_record.end());
   share.timestamp_ms = timestamp_ms;
   std::lock_guard<std::mutex> lock(mu_);
   deferred_.push_back(std::move(share));

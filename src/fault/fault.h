@@ -10,9 +10,9 @@
 // Determinism contract: every decision is a pure hash of
 // (plan seed, query id, MID, proxy index, decision kind) — never of
 // wall-clock time, thread identity, or arrival order — so a given plan
-// injects the *same* faults in the barrier and streaming pipeline modes at
-// any worker count. That is what lets tests assert streaming == barrier
-// results under faults and lets a CI chaos matrix replay a seed exactly.
+// injects the *same* faults at any worker count. That is what lets tests
+// assert N workers == 1 worker under faults and lets a CI chaos matrix
+// replay a seed exactly.
 // Salting with the query id gives every query an independent (but still
 // replayable) fault sequence; proxy crashes are infrastructure-level and
 // stay per (epoch, proxy), hitting every query's lane alike.
@@ -113,15 +113,13 @@ struct ShareOutcome {
 };
 
 // A share held back by the degraded link, owned until redelivery. The
-// record is a core::query_wire tagged-share frame (QID | MID | payload):
-// the deferral buffer is the one place shares sit outside their
-// per-(query, proxy) lane, so the bytes must carry the QID themselves for
-// next-epoch replay to route them back to the right lane.
+// (query_id, proxy) pair names the lane next-epoch replay routes it back
+// to; the record is the lane wire record as the client encoded it.
 struct DeferredShare {
   uint64_t query_id = 0;
   size_t proxy = 0;
   uint64_t message_id = 0;
-  std::vector<uint8_t> record;  // tagged frame (QID | MID header | payload)
+  std::vector<uint8_t> record;  // <MID header | payload>
   int64_t timestamp_ms = 0;     // original event time
 };
 
@@ -153,8 +151,8 @@ class FaultInjector {
   FaultTotals totals() const;
 
   // Parks a deferred share until the next epoch (copies `lane_record`, the
-  // <MID, payload> wire record, into an owned QID-tagged frame — the
-  // caller's arena does not outlive the epoch). Thread-safe.
+  // <MID, payload> wire record — the caller's arena does not outlive the
+  // epoch). Thread-safe.
   void Defer(uint64_t query_id, size_t proxy, uint64_t mid,
              std::span<const uint8_t> lane_record, int64_t timestamp_ms);
   // Drains the deferred shares in deterministic (proxy, QID, MID) order,

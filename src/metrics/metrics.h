@@ -50,8 +50,7 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-// Point-in-time level. SetMax keeps a running high-watermark — the form the
-// channel-depth (backpressure) gauges use.
+// Point-in-time level. SetMax keeps a running high-watermark.
 class Gauge {
  public:
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }

@@ -1,17 +1,17 @@
 // Per-stage span tracing for the epoch pipeline.
 //
-// An EpochTimeline records named start/stop spans (client answer shards,
-// per-proxy forwards, aggregator consumes, barrier phases) and dumps them as
-// chrome://tracing / Perfetto-compatible JSON, so one epoch's stage overlap
-// is visible on a real timeline instead of inferred from aggregate
-// throughput numbers.
+// An EpochTimeline records named start/stop spans (client answer ranges,
+// per-proxy forwards, the aggregator drain) and dumps them as
+// chrome://tracing / Perfetto-compatible JSON, so one epoch's stages are
+// visible on a real timeline instead of inferred from aggregate throughput
+// numbers.
 //
 // Disabled (the default) a Span costs two branch-predicted loads — no clock
 // reads, no locking — so the trace hook can stay compiled into the hot
 // stages (SystemConfig::metrics.timeline turns it on). Enabled, Record takes
 // a mutex around a push_back into a reserved vector; span granularity is one
-// shard batch (~1k clients), so contention is negligible next to the work
-// being traced. Timestamps come from metrics::NowNs, the clock every latency
+// client range or one proxy's forward, so contention is negligible next to
+// the work being traced. Timestamps come from metrics::NowNs, the clock every latency
 // histogram reads.
 
 #ifndef PRIVAPPROX_METRICS_TIMELINE_H_

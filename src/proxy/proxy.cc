@@ -143,13 +143,8 @@ void Proxy::Receive(uint64_t query_id,
 }
 
 uint64_t Proxy::ForwardPendingViews(transport::BusConsumer& consumer,
-                                    const std::string& out_topic,
-                                    std::vector<uint32_t>* counts) {
+                                    const std::string& out_topic) {
   const metrics::ScopedTimer timer(forward_ns_);
-  // Every share topic is created with config_.num_partitions (EnsureTopic
-  // enforces agreement), so the outbound partition of a key is computable
-  // without a topic lookup.
-  const size_t out_partitions = config_.num_partitions;
   uint64_t total = 0;
   for (;;) {
     fwd_views_.clear();
@@ -160,9 +155,6 @@ uint64_t Proxy::ForwardPendingViews(transport::BusConsumer& consumer,
     fwd_produce_.clear();
     fwd_produce_.reserve(fwd_views_.size());
     for (const auto& view : fwd_views_) {
-      if (counts != nullptr) {
-        ++(*counts)[transport::PartitionForKey(view.key, out_partitions)];
-      }
       fwd_produce_.push_back(
           broker::ProduceView{view.key, view.bytes(), view.timestamp_ms});
     }
@@ -175,19 +167,9 @@ uint64_t Proxy::ForwardPendingViews(transport::BusConsumer& consumer,
 uint64_t Proxy::ForwardLanes() {
   uint64_t total = 0;
   for (auto& [qid, lane] : lanes_) {
-    total += ForwardPendingViews(*lane.consumer, lane.out_topic, nullptr);
+    total += ForwardPendingViews(*lane.consumer, lane.out_topic);
   }
   return total;
-}
-
-std::vector<uint32_t> Proxy::ReceiveAndForwardShard(
-    uint64_t query_id, std::span<const broker::ProduceView> records) {
-  Lane& lane = GetLane(query_id, "Proxy::ReceiveAndForwardShard");
-  bus_->Produce(lane.in_topic, records);
-  received_.Increment(records.size());
-  std::vector<uint32_t> counts(config_.num_partitions, 0);
-  ForwardPendingViews(*lane.consumer, lane.out_topic, &counts);
-  return counts;
 }
 
 void Proxy::AnnounceQuery(const std::vector<uint8_t>& announcement,

@@ -93,7 +93,7 @@ class Proxy {
   // per-partition order: out partition p holds exactly the records already
   // forwarded from in partition p, so out-end(p) is the count consumed from
   // in-p. Records produced inbound but not yet forwarded before the crash
-  // remain pending and go out on the next ForwardLanes/ReceiveAndForwardShard.
+  // remain pending and go out on the next ForwardLanes.
   void SyncConsumersToOutbound();
 
   // Per-partition committed offsets of one lane's inbound consumer — the
@@ -114,20 +114,6 @@ class Proxy {
   // forwarded.
   uint64_t ForwardLanes();
 
-  // Streaming-mode entry (system/system.cc): appends one shard batch to the
-  // query's lane inbound topic, immediately forwards everything pending on
-  // that lane (the batch plus any records produced out of band), and
-  // returns the number of records forwarded per *outbound* partition. The
-  // streaming aggregator consumes exactly these counts
-  // (transport::BusConsumer::PollExactInto), which is what makes the
-  // downstream read deterministic while later shards are still in flight.
-  // Must be called from a single thread per proxy — the proxy stage owns
-  // this proxy's consumer offsets. The inbound -> outbound hop runs over
-  // slab-backed views with reused member scratch, so a warmed-up proxy
-  // forwards without heap allocation.
-  std::vector<uint32_t> ReceiveAndForwardShard(
-      uint64_t query_id, std::span<const broker::ProduceView> records);
-
   // Query distribution (§3.1, submission phase): the aggregator publishes
   // serialized query announcements into the proxy's query inbound topic;
   // ForwardQueries moves them to the client-facing outbound topic. Proxies
@@ -142,8 +128,8 @@ class Proxy {
   static std::vector<uint8_t> EncodeShare(const crypto::MessageShare& share);
   static crypto::MessageShare DecodeShare(std::span<const uint8_t> bytes);
 
-  // Span-first batch decode, shared by the aggregator's parallel drain and
-  // streaming shard consumption so malformed accounting stays in one place.
+  // Span-first batch decode, the aggregator drain's one decode path, so
+  // malformed accounting stays in one place.
   // A decoded share's payload is a span into the record's slab storage,
   // valid as long as the RecordView it came from (until the topic's owner
   // releases it, at the end of the epoch), so decoding is just header
@@ -181,11 +167,9 @@ class Proxy {
 
   // Drains everything pending on `consumer` to `out_topic` over
   // slab-backed views (no payload copies besides the one into the outbound
-  // slab). If `counts` is non-null it accumulates the forwarded records
-  // per outbound partition. Returns records forwarded.
+  // slab). Returns records forwarded.
   uint64_t ForwardPendingViews(transport::BusConsumer& consumer,
-                               const std::string& out_topic,
-                               std::vector<uint32_t>* counts);
+                               const std::string& out_topic);
   const Lane& GetLane(uint64_t query_id, const char* caller) const;
   Lane& GetLane(uint64_t query_id, const char* caller);
 

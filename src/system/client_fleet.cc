@@ -84,10 +84,9 @@ AnsweredRange ClientFleet::Answer(size_t begin, size_t end, int64_t now_ms,
           continue;
         }
         // Fault path: decisions are (QID, MID, proxy) hashes, so every
-        // pipeline mode, worker count and range split sees the same
-        // faults. Defer copies the record into a QID-tagged frame (the
-        // arena recycles once the range is produced); a corrupted record
-        // is just a shorter span of the arena bytes.
+        // worker count and range split sees the same faults. Defer copies
+        // the record (the arena recycles once the range is produced); a
+        // corrupted record is just a shorter span of the arena bytes.
         const std::span<const uint8_t> record = view.bytes();
         const fault::ShareOutcome outcome = injector->RouteShare(
             qid, view.message_id, j, epoch, record.size());

@@ -6,9 +6,9 @@
 // that proxy's cohort, and (c) answers a client range — sample, randomize,
 // XOR-split — into per-(proxy, query) lane batches in client-id order,
 // routing each share through the fault injector when one is set.
-// PrivApproxSystem answers shards of its fleet on the worker pool (both
-// pipeline modes); deploy::FleetDriver answers its whole fleet as one range
-// and produces the batches over TCP. Because both drivers run this code,
+// PrivApproxSystem answers one contiguous range per worker on its pool;
+// deploy::FleetDriver answers its whole fleet as one range and produces the
+// batches over TCP. Because both drivers run this code,
 // every lane-topic byte of a TCP run equals the in-process run's by
 // construction (DESIGN.md §6j).
 

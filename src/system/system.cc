@@ -1,13 +1,10 @@
 #include "system/system.h"
 
-#include "common/channel.h"
 #include "common/simd_dispatch.h"
 #include "core/query_wire.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
-#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -24,11 +21,6 @@ metrics::Histogram& StageHistogram(metrics::Registry& registry,
       "privapprox_stage_ns",
       "Stage latency in nanoseconds (one observation per stage execution)",
       {{"stage", stage}});
-}
-
-// Clients per answer shard (PipelineOptions::shard_size, 0 = 1024).
-size_t ShardSize(const PipelineOptions& pipeline) {
-  return pipeline.shard_size != 0 ? pipeline.shard_size : 1024;
 }
 
 }  // namespace
@@ -83,6 +75,10 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
           ? config_.pipeline.num_worker_threads
           : std::max<size_t>(1, std::thread::hardware_concurrency());
   pool_ = std::make_unique<ThreadPool>(threads);
+  arenas_.resize(std::min(config_.num_clients, threads));
+  for (auto& arena : arenas_) {
+    arena = std::make_unique<EpochArena>();
+  }
 
   proxies_.reserve(config_.num_proxies);
   for (size_t i = 0; i < config_.num_proxies; ++i) {
@@ -315,10 +311,65 @@ EpochStats PrivApproxSystem::RunEpoch(int64_t now_ms) {
       ReplayDeferredShares();
       injector_->CountCrashes(epoch_index_, proxies_.size());
     }
-    if (config_.pipeline.mode == EpochPipelineMode::kStreaming) {
-      RunEpochStreaming(now_ms);
-    } else {
-      RunEpochBarrier(now_ms);
+    const size_t num_clients = clients_->size();
+    const std::vector<uint64_t> qids = query_ids();
+    const size_t num_ranges = arenas_.size();
+
+    // Answer: one contiguous client range per worker, each encoded into its
+    // own arena. Every random decision draws from per-client RNG state, so
+    // how the fleet is split cannot change a byte.
+    std::vector<AnsweredRange> ranges(num_ranges);
+    pool_->ParallelFor(num_ranges, [&](size_t first, size_t last) {
+      for (size_t r = first; r < last; ++r) {
+        const metrics::ScopedTimer range_timer(stage_ns_.answer_shard);
+        const metrics::EpochTimeline::Span range_span(timeline_,
+                                                      "answer_shard");
+        EpochArena& arena = *arenas_[r];
+        arena.Reset();
+        ranges[r] = clients_->Answer(
+            num_clients * r / num_ranges, num_clients * (r + 1) / num_ranges,
+            now_ms, qids, arena, injector_.get(), epoch_index_);
+        CountAnswered(ranges[r].participants);
+      }
+    });
+
+    // Forward: one task per proxy appends every range's records to its
+    // lanes in range order — client-id order, so topic contents are
+    // byte-identical at any worker count — then forwards them. Standby j
+    // shares primary j's outbound lane topics, so it runs in the same task,
+    // after the primary; no other task touches either proxy's topics.
+    pool_->ParallelFor(proxies_.size(), [&](size_t first, size_t last) {
+      for (size_t j = first; j < last; ++j) {
+        const metrics::ScopedTimer proxy_timer(stage_ns_.proxy_forward);
+        const metrics::EpochTimeline::Span proxy_span(timeline_,
+                                                      "proxy_forward");
+        for (const AnsweredRange& range : ranges) {
+          for (size_t k = 0; k < qids.size(); ++k) {
+            proxies_[j]->Receive(qids[k], range.lanes[j][k].records);
+          }
+        }
+        if (!standby_proxies_.empty()) {
+          for (const AnsweredRange& range : ranges) {
+            for (size_t k = 0; k < qids.size(); ++k) {
+              standby_proxies_[j]->Receive(qids[k],
+                                           range.lanes[j][k].standby);
+            }
+          }
+        }
+        shares_forwarded_.Increment(proxies_[j]->ForwardLanes());
+        if (!standby_proxies_.empty()) {
+          shares_forwarded_.Increment(standby_proxies_[j]->ForwardLanes());
+        }
+      }
+    });
+    ranges.clear();  // every record now lives in broker slabs
+
+    // Drain: every lane, in ascending-QID order (parallel per-source decode
+    // and per-shard join inside).
+    {
+      const metrics::ScopedTimer drain_timer(stage_ns_.agg_consume);
+      const metrics::EpochTimeline::Span drain_span(timeline_, "agg_consume");
+      shares_consumed_.Increment(aggregator_->Drain());
     }
     ReleaseConsumed();
   }
@@ -386,11 +437,9 @@ void PrivApproxSystem::ReleaseConsumed() {
 
 // Delivers the shares the degraded link held back, at the start of the next
 // epoch: they land at the head of each lane's inbound topic (before this
-// epoch's shards) with their original event time, so both pipeline modes
-// forward them first and the join sees them in the same order. The deferred
-// buffer is sorted by (proxy, QID, MID), so one pass batches per lane; each
-// record is a QID-tagged frame whose tag is stripped back off here — lane
-// topics carry plain <MID, payload> records.
+// epoch's answers) with their original event time, so they are forwarded
+// first and the join sees them first. The deferred buffer is sorted by
+// (proxy, QID, MID), so one pass batches per lane.
 void PrivApproxSystem::ReplayDeferredShares() {
   const std::vector<fault::DeferredShare> deferred = injector_->TakeDeferred();
   std::vector<broker::ProduceView> batch;
@@ -401,10 +450,8 @@ void PrivApproxSystem::ReplayDeferredShares() {
     for (; i < deferred.size() && deferred[i].proxy == proxy &&
            deferred[i].query_id == qid;
          ++i) {
-      const core::TaggedShareView tagged =
-          core::ParseTaggedShare(deferred[i].record);
       batch.push_back(broker::ProduceView{deferred[i].message_id,
-                                          tagged.lane_record,
+                                          deferred[i].record,
                                           deferred[i].timestamp_ms});
     }
     proxies_[proxy]->Receive(qid, batch);
@@ -418,272 +465,6 @@ void PrivApproxSystem::CountAnswered(std::span<const uint64_t> participants) {
     active.shares_sent_total.Increment(participants[k] * proxies_.size());
     ++k;
   }
-}
-
-void PrivApproxSystem::RunEpochBarrier(int64_t now_ms) {
-  const size_t num_clients = clients_->size();
-  const size_t num_proxies = proxies_.size();
-  const std::vector<uint64_t> qids = query_ids();
-  const size_t shard_size = ShardSize(config_.pipeline);
-  const size_t num_shards = (num_clients + shard_size - 1) / shard_size;
-
-  // Phase 1 (parallel answering): the fleet answers fixed client shards on
-  // the pool — the same shards, through the same routine, as the streaming
-  // answer stage. Each shard's arena stays alive until phase 2 has copied
-  // its records into broker slabs.
-  std::vector<AnsweredRange> shards(num_shards);
-  std::vector<ArenaRef> arenas(num_shards);
-  {
-    const metrics::ScopedTimer timer(stage_ns_.answer_shard);
-    const metrics::EpochTimeline::Span span(timeline_, "barrier_answer");
-    pool_->ParallelFor(num_shards, [&](size_t first, size_t last) {
-      for (size_t s = first; s < last; ++s) {
-        const size_t begin = s * shard_size;
-        arenas[s] = arena_pool_.Acquire();
-        shards[s] = clients_->Answer(
-            begin, std::min(begin + shard_size, num_clients), now_ms, qids,
-            *arenas[s], injector_.get(), epoch_index_);
-        CountAnswered(shards[s].participants);
-      }
-    });
-  }
-
-  // Phase 2 (ordered merge): every lane receives the shards in shard order
-  // — exactly the append order a sequential loop over clients would
-  // produce, so topic contents are byte-identical for any worker count.
-  {
-    const metrics::EpochTimeline::Span span(timeline_, "barrier_merge");
-    for (const AnsweredRange& shard : shards) {
-      for (size_t j = 0; j < num_proxies; ++j) {
-        for (size_t k = 0; k < qids.size(); ++k) {
-          proxies_[j]->Receive(qids[k], shard.lanes[j][k].records);
-          if (!standby_proxies_.empty()) {
-            standby_proxies_[j]->Receive(qids[k], shard.lanes[j][k].standby);
-          }
-        }
-      }
-    }
-    arenas.clear();  // appends done: recycle the encode arenas
-  }
-
-  // Phase 3 (parallel forwarding): each proxy moves its own lanes' inbound
-  // topics to their outbound topics — disjoint state, one task per proxy.
-  {
-    const metrics::ScopedTimer timer(stage_ns_.proxy_forward);
-    const metrics::EpochTimeline::Span span(timeline_, "barrier_forward");
-    pool_->ParallelFor(num_proxies, [&](size_t begin, size_t end) {
-      for (size_t j = begin; j < end; ++j) {
-        shares_forwarded_.Increment(proxies_[j]->ForwardLanes());
-        // Standby j shares primary j's outbound lane topics — forwarding it
-        // from the same task keeps the append interleave deterministic.
-        if (!standby_proxies_.empty()) {
-          shares_forwarded_.Increment(standby_proxies_[j]->ForwardLanes());
-        }
-      }
-    });
-  }
-
-  // Phase 4: drain every lane (parallel per-source decode + sequential join
-  // inside, lanes in ascending-QID order).
-  const metrics::ScopedTimer timer(stage_ns_.agg_consume);
-  const metrics::EpochTimeline::Span span(timeline_, "barrier_drain");
-  shares_consumed_.Increment(aggregator_->Drain());
-}
-
-namespace {
-
-// One contiguous client range to answer, tagged with its position in the
-// epoch's shard sequence.
-struct ShardTask {
-  uint64_t seq = 0;
-  size_t begin = 0;
-  size_t end = 0;
-};
-
-// One shard's shares for one proxy across every query lane (indexed like
-// the system's ascending QID list), still tagged with the shard sequence so
-// the proxy stage can restore client-id append order. The batch shares
-// ownership of the arena holding the encoded share records: each view
-// points into it, and when the last proxy's batch for a shard is dropped
-// (after its records were copied into broker slabs) the arena resets and
-// returns to the pool — so backpressure from the bounded channels also
-// bounds the number of live arenas.
-struct TaggedBatch {
-  uint64_t seq = 0;
-  std::vector<LaneRecords> lanes;
-  ArenaRef arena;
-};
-
-// "Proxy `source` forwarded shard `seq` on query `query_id`'s lane; consume
-// exactly these counts per outbound partition."
-struct ShardNotice {
-  uint64_t query_id = 0;
-  size_t source = 0;
-  uint64_t seq = 0;
-  std::vector<uint32_t> partition_counts;
-};
-
-}  // namespace
-
-// The streaming epoch: the same work as the barrier path, reshaped into
-// producer→transform→consumer stages over bounded channels.
-//
-//   [main] --ShardTask--> [answer xW] --TaggedBatch--> [proxy j x1] (n of
-//   them) --ShardNotice--> [aggregator x1]
-//
-// A shard's batch reaches its proxies the moment its clients finish
-// answering; each proxy appends + forwards every query lane while later
-// shards are still being answered; the aggregator decodes and joins
-// forwarded batches as notices arrive. Determinism: per-proxy reorder
-// buffers replay batches in shard order (so lane topic logs stay in
-// client-id order, identical to the barrier merge), and each aggregator
-// lane's reorder buffer feeds its MID join in (shard, source) order (see
-// Aggregator::ConsumeShardBatch).
-void PrivApproxSystem::RunEpochStreaming(int64_t now_ms) {
-  const size_t num_clients = clients_->size();
-  const size_t num_proxies = proxies_.size();
-  const std::vector<uint64_t> qids = query_ids();
-  const size_t num_queries = qids.size();
-  const size_t shard_size = ShardSize(config_.pipeline);
-  const size_t depth = std::max<size_t>(1, config_.pipeline.depth);
-  const size_t answer_workers = pool_->num_threads();
-
-  Channel<ShardTask> tasks(depth);
-  std::vector<std::unique_ptr<Channel<TaggedBatch>>> to_proxy;
-  to_proxy.reserve(num_proxies);
-  for (size_t j = 0; j < num_proxies; ++j) {
-    to_proxy.push_back(std::make_unique<Channel<TaggedBatch>>(depth));
-  }
-  Channel<ShardNotice> notices(depth * num_proxies * num_queries);
-  // Backpressure visibility: high-watermark of each channel's depth.
-  const auto depth_gauge = [this](const std::string& channel) {
-    return &registry_.GetGauge("privapprox_channel_depth_hwm",
-                               "Channel depth high-watermark (shard batches)",
-                               {{"channel", channel}});
-  };
-  tasks.set_depth_gauge(depth_gauge("tasks"));
-  for (size_t j = 0; j < num_proxies; ++j) {
-    to_proxy[j]->set_depth_gauge(depth_gauge("to_proxy" + std::to_string(j)));
-  }
-  notices.set_depth_gauge(depth_gauge("notices"));
-
-  // Consumer stage: single worker — each lane's join and window state are
-  // sequential by design, exactly as in the barrier drain.
-  Stage<ShardNotice> aggregator_stage(
-      notices, 1, [&](ShardNotice&& notice) {
-        const metrics::ScopedTimer timer(stage_ns_.agg_consume);
-        const metrics::EpochTimeline::Span span(timeline_, "agg_consume");
-        shares_consumed_.Increment(aggregator_->ConsumeShardBatch(
-            notice.query_id, notice.source, notice.seq,
-            notice.partition_counts));
-      });
-
-  // Per-proxy forward stages: one worker each (a proxy owns its lane
-  // consumer offsets). Answer workers finish shards out of order, so each
-  // stage reorders to shard order before appending — keeping every lane's
-  // inbound topic in client-id order, byte-identical to the barrier merge.
-  // The reorder map is small: tasks are handed out in shard order, so at
-  // most ~(answer workers + channel depth) shards are in flight.
-  std::vector<std::unique_ptr<Stage<TaggedBatch>>> proxy_stages;
-  proxy_stages.reserve(num_proxies);
-  for (size_t j = 0; j < num_proxies; ++j) {
-    auto reorder = std::make_shared<std::map<uint64_t, TaggedBatch>>();
-    auto next_seq = std::make_shared<uint64_t>(0);
-    proxy_stages.push_back(std::make_unique<Stage<TaggedBatch>>(
-        *to_proxy[j], 1, [&, j, reorder, next_seq](TaggedBatch&& batch) {
-          (*reorder)[batch.seq] = std::move(batch);
-          for (auto it = reorder->find(*next_seq); it != reorder->end();
-               it = reorder->find(*next_seq)) {
-            TaggedBatch head = std::move(it->second);
-            reorder->erase(it);
-            const metrics::ScopedTimer timer(stage_ns_.proxy_forward);
-            const metrics::EpochTimeline::Span span(timeline_,
-                                                    "proxy_forward");
-            for (size_t k = 0; k < num_queries; ++k) {
-              std::vector<uint32_t> counts =
-                  proxies_[j]->ReceiveAndForwardShard(qids[k],
-                                                      head.lanes[k].records);
-              if (!standby_proxies_.empty()) {
-                // The standby appends to the same lane outbound topic;
-                // merging the per-partition counts keeps the aggregator's
-                // promised-read contract exact.
-                const std::vector<uint32_t> standby_counts =
-                    standby_proxies_[j]->ReceiveAndForwardShard(
-                        qids[k], head.lanes[k].standby);
-                for (size_t p = 0; p < counts.size(); ++p) {
-                  counts[p] += standby_counts[p];
-                }
-              }
-              shares_forwarded_.Increment(
-                  std::accumulate(counts.begin(), counts.end(), uint64_t{0}));
-              notices.Push(ShardNotice{qids[k], j, *next_seq,
-                                       std::move(counts)});
-            }
-            // `head` (and with it this proxy's arena reference) dies here —
-            // the records are now in the broker's slabs.
-            ++*next_seq;
-          }
-        }));
-  }
-
-  // Producer stage: workers answer one shard's clients across every
-  // subscribed query and ship the resulting per-proxy batches downstream
-  // immediately. Every random decision draws from per-client RNG state, so
-  // which worker answers a shard cannot change any byte. Empty batches are
-  // shipped too — the shard sequence must be gapless for the reorder
-  // buffers to advance.
-  Stage<ShardTask> answer_stage(tasks, answer_workers, [&](ShardTask&& task) {
-    const metrics::ScopedTimer timer(stage_ns_.answer_shard);
-    const metrics::EpochTimeline::Span span(timeline_, "answer_shard");
-    ArenaRef arena = arena_pool_.Acquire();
-    AnsweredRange answered =
-        clients_->Answer(task.begin, task.end, now_ms, qids, *arena,
-                         injector_.get(), epoch_index_);
-    CountAnswered(answered.participants);
-    for (size_t j = 0; j < num_proxies; ++j) {
-      // Each batch carries a reference to the shard's arena; the arena
-      // recycles once every proxy has slab-copied its batch.
-      to_proxy[j]->Push(
-          TaggedBatch{task.seq, std::move(answered.lanes[j]), arena});
-    }
-  });
-
-  // Feed the pipeline, then shut it down stage by stage: close input, join
-  // stage, close the next channel. Join errors are collected so the
-  // shutdown sequence always completes (a failed stage drains its input,
-  // so nothing upstream stays blocked).
-  std::exception_ptr error;
-  auto join_stage = [&error](auto& stage) {
-    try {
-      stage.Join();
-    } catch (...) {
-      if (error == nullptr) {
-        error = std::current_exception();
-      }
-    }
-  };
-  uint64_t seq = 0;
-  for (size_t begin = 0; begin < num_clients; begin += shard_size, ++seq) {
-    tasks.Push(ShardTask{seq, begin, std::min(begin + shard_size, num_clients)});
-  }
-  tasks.Close();
-  join_stage(answer_stage);
-  for (auto& channel : to_proxy) {
-    channel->Close();
-  }
-  for (auto& stage : proxy_stages) {
-    join_stage(*stage);
-  }
-  notices.Close();
-  join_stage(aggregator_stage);
-  if (error != nullptr) {
-    try {
-      aggregator_->FinishStream();  // reset reorder state; expected to throw
-    } catch (...) {
-    }
-    std::rethrow_exception(error);
-  }
-  aggregator_->FinishStream();
 }
 
 void PrivApproxSystem::AdvanceWatermark(int64_t watermark_ms) {
@@ -702,9 +483,12 @@ std::vector<aggregator::WindowedResult> PrivApproxSystem::TakeResults() {
 
 uint64_t PrivApproxSystem::ClientToProxyBytes() const {
   uint64_t bytes = 0;
-  for (const auto& proxy : proxies_) {
-    for (const auto& [qid, active] : active_) {
-      bytes += broker_.GetTopic(proxy->lane_in_topic(qid)).metrics().bytes_in;
+  for (const auto* tier : {&proxies_, &standby_proxies_}) {
+    for (const auto& proxy : *tier) {
+      for (const auto& [qid, active] : active_) {
+        bytes +=
+            broker_.GetTopic(proxy->lane_in_topic(qid)).metrics().bytes_in;
+      }
     }
   }
   return bytes;

@@ -24,9 +24,9 @@
 //
 // Observability: the system owns a metrics::Registry and hands it to every
 // component it builds, each of which registers its own families; the
-// system adds its own totals, stage histograms, channel gauges, per-query
-// counters and broker gauges. Every instrument is always on, and EpochStats
-// is a per-epoch delta of the counters. The EpochTimeline trace is opt-in.
+// system adds its own totals, stage histograms, per-query counters and
+// broker gauges. Every instrument is always on, and EpochStats is a
+// per-epoch delta of the counters. The EpochTimeline trace is opt-in.
 
 #ifndef PRIVAPPROX_SYSTEM_SYSTEM_H_
 #define PRIVAPPROX_SYSTEM_SYSTEM_H_
@@ -60,42 +60,13 @@
 
 namespace privapprox::system {
 
-// How RunEpoch executes the answer path.
-enum class EpochPipelineMode {
-  // Four globally barriered phases: answer all clients, merge, forward all
-  // proxies, drain. Simple, but no phase overlaps another.
-  kBarrier,
-  // Stage/channel dataflow (common/channel.h): client shards, per-proxy
-  // forwarding, and aggregator decode run as concurrent stages connected by
-  // bounded channels. A shard's share batch flows to the proxies the moment
-  // it is produced; proxies forward while later shards are still answering;
-  // the aggregator decodes and joins batches as they arrive, with a reorder
-  // buffer keeping the join feed order deterministic. Results are
-  // bit-identical to kBarrier (tests/parallel_epoch_test.cc).
-  kStreaming,
-};
-
 // Epoch pipeline execution knobs.
 struct PipelineOptions {
   // Worker threads for the epoch pipeline (client answering, per-proxy
   // forwarding, per-source aggregator decode). 0 = hardware_concurrency.
-  // Results are byte-identical for every value: workers answer fixed
-  // client shards and every lane receives them in shard (client-id) order.
+  // Results are byte-identical for every value: workers answer contiguous
+  // client ranges and every lane receives them in range (client-id) order.
   size_t num_worker_threads = 0;
-  // Answer-path execution shape (see EpochPipelineMode). Streaming is the
-  // default; kBarrier remains for comparison benchmarks and as the
-  // reference semantics.
-  EpochPipelineMode mode = EpochPipelineMode::kStreaming;
-  // Streaming mode: capacity (in shard batches) of each inter-stage
-  // channel — the backpressure knob. Larger values let fast stages run
-  // further ahead; 1 degenerates to near-lockstep hand-off.
-  size_t depth = 8;
-  // Clients per answer shard (both modes; in streaming mode also the
-  // batch unit of every channel). Fixed (not derived from the worker
-  // count) so the dataflow — and therefore every byte in the broker and
-  // every join feed position — is identical at any thread count.
-  // 0 = default (1024).
-  size_t shard_size = 0;
 };
 
 // Aggregator scale-out knobs.
@@ -123,7 +94,7 @@ struct HistoricalOptions {
 struct MetricsOptions {
   // Per-stage spans recorded into the EpochTimeline (dump via
   // TimelineJson() as chrome://tracing JSON). Off by default: spans cost a
-  // mutexed append per shard batch.
+  // mutexed append per client range and per proxy.
   bool timeline = false;
 };
 
@@ -175,8 +146,8 @@ struct SystemConfig {
   // build without the fault layer — results, broker topic contents, and
   // EpochStats (the bit-identity invariant tests/fault_test.cc pins).
   // A set plan derives every fault from (plan.seed, QID, MID, proxy)
-  // hashes, so both pipeline modes see identical faults at any worker
-  // count and every query gets an independent replayable fault sequence.
+  // hashes, so every worker count sees identical faults and every query
+  // gets an independent replayable fault sequence.
   std::optional<fault::FaultPlan> fault;
 };
 
@@ -247,10 +218,13 @@ class PrivApproxSystem {
   const core::ExecutionParams& query_params(uint64_t query_id) const;
   core::PrivacyBudgetManager& budget_manager() { return budget_manager_; }
 
-  // Runs one answering epoch at `now_ms`, driving every registered query.
-  // Dispatches on SystemConfig::pipeline.mode; both modes produce
-  // bit-identical results, topic contents, and stats. The returned stats
-  // are the epoch's delta of the registry's core pipeline counters.
+  // Runs one answering epoch at `now_ms`, driving every registered query:
+  // replay deferred shares, answer min(clients, workers) contiguous client
+  // ranges on the pool, then one pool task per proxy receives every range's
+  // lane records in range order and forwards them, then the aggregator
+  // drains. Results, topic contents and stats are bit-identical at every
+  // worker count. The returned stats are the epoch's delta of the
+  // registry's core pipeline counters.
   EpochStats RunEpoch(int64_t now_ms);
 
   // Advances the watermark on every query lane; fires completed windows
@@ -264,8 +238,9 @@ class PrivApproxSystem {
   }
   std::vector<aggregator::WindowedResult> TakeResults();
 
-  // Bytes produced by clients into proxy inbound topics (all lanes) so far
-  // — the client->proxy network traffic of Fig 9a.
+  // Bytes produced by clients into proxy inbound topics (all lanes, primary
+  // and standby proxies) so far — the client->proxy network traffic of
+  // Fig 9a.
   uint64_t ClientToProxyBytes() const;
 
   // Historical analytics over everything collected so far (§3.3.1);
@@ -301,8 +276,6 @@ class PrivApproxSystem {
     metrics::Counter& shares_sent_total;
   };
 
-  void RunEpochBarrier(int64_t now_ms);
-  void RunEpochStreaming(int64_t now_ms);
   // Adds one answered range's per-query participant counts (ascending-QID
   // order) to the per-query counters. Thread-safe.
   void CountAnswered(std::span<const uint64_t> participants);
@@ -342,11 +315,11 @@ class PrivApproxSystem {
   // announcement distribution run over (declared right after the broker it
   // wraps, before every component holding a reference to it).
   transport::InProcessBus bus_{broker_};
-  // Share-encoding arenas, recycled across shards and epochs. Every
-  // ArenaRef handed out lives only within one RunEpoch call, so the pool
-  // (declared before the pipeline users) safely outlives them.
-  ArenaPool arena_pool_;
   std::unique_ptr<ThreadPool> pool_;
+  // Share-encoding arenas, one per client range (min(clients, workers) of
+  // them), reused every epoch: range r's records live in arenas_[r] until
+  // the forward step has copied them into broker slabs.
+  std::vector<std::unique_ptr<EpochArena>> arenas_;
   std::unique_ptr<ClientFleet> clients_;
   std::vector<std::unique_ptr<proxy::Proxy>> proxies_;
   // Fault layer (null/empty unless SystemConfig::fault is set). Standby

@@ -2,19 +2,6 @@
 
 namespace privapprox::transport {
 
-InProcessBus::InProcessBus(broker::Broker& broker,
-                           std::optional<net::LinkConfig> link)
-    : broker_(broker), link_(link) {}
-
-void InProcessBus::AccountTransfer(uint64_t bytes) {
-  if (!link_.has_value() || bytes == 0) {
-    return;
-  }
-  const double ms = net::TransferTimeMs(*link_, bytes);
-  transfer_ns_.fetch_add(static_cast<uint64_t>(ms * 1e6),
-                         std::memory_order_relaxed);
-}
-
 void InProcessBus::EnsureTopic(const std::string& topic,
                                size_t num_partitions) {
   broker_.EnsureTopic(topic, num_partitions);
@@ -27,13 +14,6 @@ size_t InProcessBus::NumPartitions(const std::string& topic) {
 void InProcessBus::Produce(const std::string& topic,
                            std::span<const broker::ProduceView> records) {
   broker_.GetTopic(topic).AppendViews(records);
-  if (link_.has_value()) {
-    uint64_t bytes = 0;
-    for (const auto& record : records) {
-      bytes += record.payload.size();
-    }
-    AccountTransfer(bytes);
-  }
 }
 
 size_t InProcessBus::Poll(const std::string& topic, size_t partition,
@@ -41,15 +21,7 @@ size_t InProcessBus::Poll(const std::string& topic, size_t partition,
                           std::vector<broker::RecordView>& out) {
   const size_t before = out.size();
   broker_.GetTopic(topic).ReadViews(partition, offset, max_records, out);
-  const size_t pulled = out.size() - before;
-  if (link_.has_value() && pulled > 0) {
-    uint64_t bytes = 0;
-    for (size_t i = before; i < out.size(); ++i) {
-      bytes += out[i].payload_len;
-    }
-    AccountTransfer(bytes);
-  }
-  return pulled;
+  return out.size() - before;
 }
 
 uint64_t InProcessBus::EndOffset(const std::string& topic, size_t partition) {

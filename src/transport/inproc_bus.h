@@ -3,33 +3,23 @@
 // mode — every produce and poll is a direct slab append/read, so runs are
 // bit-reproducible and allocation-flat exactly like calling the broker
 // directly.
-//
-// The simulated network model survives the API redesign here: construct the
-// bus with a net::LinkConfig and it prices every byte that crosses it with
-// the deterministic latency + size/bandwidth transfer model, accumulating
-// simulated transfer time without ever sleeping. Benches read the total to
-// report what a 1 Gbit/s (or any configured) link would have cost.
 
 #ifndef PRIVAPPROX_TRANSPORT_INPROC_BUS_H_
 #define PRIVAPPROX_TRANSPORT_INPROC_BUS_H_
 
-#include <atomic>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "broker/broker.h"
-#include "net/link.h"
 #include "transport/message_bus.h"
 
 namespace privapprox::transport {
 
 class InProcessBus final : public MessageBus {
  public:
-  explicit InProcessBus(broker::Broker& broker,
-                        std::optional<net::LinkConfig> link = std::nullopt);
+  explicit InProcessBus(broker::Broker& broker) : broker_(broker) {}
 
   void EnsureTopic(const std::string& topic, size_t num_partitions) override;
   size_t NumPartitions(const std::string& topic) override;
@@ -41,19 +31,8 @@ class InProcessBus final : public MessageBus {
 
   broker::Broker& broker() { return broker_; }
 
-  // Accumulated simulated transfer time for every payload byte produced or
-  // polled through this bus (0 unless a link model was configured).
-  // Deterministic: depends only on the byte counts, never on wall time.
-  uint64_t simulated_transfer_ns() const {
-    return transfer_ns_.load(std::memory_order_relaxed);
-  }
-
  private:
-  void AccountTransfer(uint64_t bytes);
-
   broker::Broker& broker_;
-  std::optional<net::LinkConfig> link_;
-  std::atomic<uint64_t> transfer_ns_{0};
 };
 
 }  // namespace privapprox::transport

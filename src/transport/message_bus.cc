@@ -37,32 +37,6 @@ size_t BusConsumer::PollInto(size_t max_records,
   return out.size() - start;
 }
 
-size_t BusConsumer::PollExactInto(const std::vector<uint32_t>& counts,
-                                  std::vector<broker::RecordView>& out) {
-  // The promised-count validation for partition polls lives here and only
-  // here: both streaming consumers (in-process and over the wire) share it.
-  if (counts.size() != offsets_.size()) {
-    throw std::invalid_argument(
-        "BusConsumer::PollExactInto: partition count mismatch");
-  }
-  const size_t start = out.size();
-  for (size_t p = 0; p < offsets_.size(); ++p) {
-    size_t got = 0;
-    while (got < counts[p]) {
-      const size_t pulled =
-          bus_.Poll(topic_, p, offsets_[p] + got, counts[p] - got, out);
-      if (pulled == 0) {
-        throw std::logic_error(
-            "BusConsumer::PollExactInto: promised records not available");
-      }
-      got += pulled;
-    }
-    offsets_[p] += got;
-    consumed_ += got;
-  }
-  return out.size() - start;
-}
-
 void BusConsumer::Seek(size_t partition, uint64_t offset) {
   offsets_.at(partition) = offset;
 }

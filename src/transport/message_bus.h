@@ -6,9 +6,7 @@
 // the producer API and the wire format. Two backends implement it:
 //
 //   * InProcessBus (inproc_bus.h) wraps a broker::Broker in the same
-//     process. This is the deterministic-test mode; the simulated
-//     net::LinkConfig delay model is preserved as optional per-byte
-//     transfer-time accounting.
+//     process. This is the deterministic-test mode.
 //   * TcpBusClient (tcp_bus.h) speaks length-prefixed CRC-framed request/
 //     response records over TCP to a TcpBusServer fronting a remote
 //     broker — the process-separated load-test mode.
@@ -16,8 +14,7 @@
 // The contract is deliberately small and offset-explicit: producing appends
 // a span of views; polling reads from an explicit (partition, offset) and
 // the caller commits by advancing its own offsets (BusConsumer below). That
-// keeps consumption idempotent across reconnects and makes the promised-
-// count streaming reads (PollExactInto) deterministic on both backends.
+// keeps consumption idempotent across reconnects.
 //
 // View lifetime: a polled RecordView stays valid until the process that
 // owns its consumers releases it. InProcessBus hands out broker-slab
@@ -93,17 +90,6 @@ class BusConsumer {
   // Pulls up to `max_records` available records across partitions,
   // appending views into `out`; returns the number pulled.
   size_t PollInto(size_t max_records, std::vector<broker::RecordView>& out);
-
-  // Pulls exactly `counts[p]` records from each partition p, in partition
-  // order. The streaming epoch pipeline uses this to consume precisely one
-  // forwarded shard batch: the producer reports how many records it
-  // appended per partition, so the read is deterministic even while later
-  // batches are being appended concurrently. Throws std::invalid_argument
-  // on a partition-count mismatch and std::logic_error if a partition does
-  // not (yet) hold the promised records — callers must only request counts
-  // that were appended before the call. Returns the number pulled.
-  size_t PollExactInto(const std::vector<uint32_t>& counts,
-                       std::vector<broker::RecordView>& out);
 
   // Total records consumed so far.
   uint64_t consumed() const { return consumed_; }

@@ -10,9 +10,10 @@
 //   2. Relative: the view path allocates >= 90% less than the owning
 //      (vector-per-payload) path it replaced, measured in the same binary.
 //
-// The streaming pipeline's per-epoch machinery (channels, stage tasks, fired
-// results) allocates by design, but only per epoch: the whole-system tests
-// at the end bound a warm epoch at fewer than 0.5 allocations per share.
+// The epoch's per-epoch machinery (pool tasks, per-range lane batches,
+// fired results) allocates by design, but only per epoch: the whole-system
+// tests at the end bound a warm epoch at fewer than 0.5 allocations per
+// share.
 
 #include <gtest/gtest.h>
 
@@ -247,24 +248,24 @@ core::Query AllocTestQuery(uint64_t id, const std::string& sql,
       .Build();
 }
 
-// Whole-system gate: in streaming mode a warm epoch — RunEpoch plus the
-// watermark advance that fires its windows — allocates fewer than 0.5 times
-// per share sent, and the per-epoch bill is flat: arenas, slabs, stage
-// scratch, join tables and window accumulators are reused, so epoch N and
-// epoch N+1 cost the same. What remains per epoch (stage tasks, one
+// Whole-system gate: a warm epoch — RunEpoch plus the watermark advance
+// that fires its windows — allocates fewer than 0.5 times per share sent,
+// and the per-epoch bill is flat: arenas, slabs, forward scratch, join
+// tables and window accumulators are reused, so epoch N and epoch N+1 cost
+// the same. What remains per epoch (pool tasks, per-range lane batches, one
 // accumulator per new window, the fired results) is bounded work, not
 // per-share; a reintroduced per-share copy or allocation, or a leaked warm
 // structure, shows up here. Runs at a given aggregator shard count so the
 // sharded feed path proves its scratch (per-shard joiners, window
-// accumulators, merge buffers) is reused across epochs too.
-void ExpectStreamingEpochAllocationsFlat(size_t agg_shards,
-                                         size_t num_queries = 1) {
+// accumulators, merge buffers) is reused across epochs too, and at 1, 2
+// and 4 workers so every range split does.
+void ExpectEpochAllocationsFlatAt(size_t workers, size_t agg_shards,
+                                  size_t num_queries) {
   system::SystemConfig config;
   config.num_clients = 1024;
   config.num_proxies = kNumShares;
   config.seed = 7;
-  config.pipeline.num_worker_threads = 1;
-  config.pipeline.mode = system::EpochPipelineMode::kStreaming;
+  config.pipeline.num_worker_threads = workers;
   config.aggregator.num_shards = agg_shards;
   system::PrivApproxSystem system(config);
   for (size_t i = 0; i < config.num_clients; ++i) {
@@ -334,20 +335,27 @@ void ExpectStreamingEpochAllocationsFlat(size_t agg_shards,
                             << " shares";
 }
 
-TEST(AllocRegressionTest, StreamingEpochAllocationsStayFlat) {
-  ExpectStreamingEpochAllocationsFlat(1);
+void ExpectEpochAllocationsFlat(size_t agg_shards, size_t num_queries = 1) {
+  for (const size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ExpectEpochAllocationsFlatAt(workers, agg_shards, num_queries);
+  }
 }
 
-TEST(AllocRegressionTest, ShardedStreamingEpochAllocationsStayFlat) {
-  ExpectStreamingEpochAllocationsFlat(2);
+TEST(AllocRegressionTest, EpochAllocationsStayFlat) {
+  ExpectEpochAllocationsFlat(1);
 }
 
-TEST(AllocRegressionTest, TwoQueryStreamingEpochAllocationsStayFlat) {
-  ExpectStreamingEpochAllocationsFlat(1, /*num_queries=*/2);
+TEST(AllocRegressionTest, ShardedEpochAllocationsStayFlat) {
+  ExpectEpochAllocationsFlat(2);
 }
 
-TEST(AllocRegressionTest, WideThreeSqlStreamingEpochAllocationsStayFlat) {
-  ExpectStreamingEpochAllocationsFlat(1, /*num_queries=*/3);
+TEST(AllocRegressionTest, TwoQueryEpochAllocationsStayFlat) {
+  ExpectEpochAllocationsFlat(1, /*num_queries=*/2);
+}
+
+TEST(AllocRegressionTest, WideThreeSqlEpochAllocationsStayFlat) {
+  ExpectEpochAllocationsFlat(1, /*num_queries=*/3);
 }
 
 }  // namespace

@@ -171,18 +171,14 @@ TEST(FailureTest, DuplicatedRecordsInTransitAreDropped) {
 TEST(FailureTest, MalformedRecordsSurfaceInEpochStats) {
   // A corrupted share arrives at proxy 0 out-of-band: too short to decode.
   // The proxy forwards it blindly; the aggregator must drop it, count it,
-  // and keep every well-formed answer — in both epoch pipeline modes.
-  for (const auto mode : {system::EpochPipelineMode::kBarrier,
-                          system::EpochPipelineMode::kStreaming}) {
-    SCOPED_TRACE(mode == system::EpochPipelineMode::kBarrier ? "barrier"
-                                                             : "streaming");
+  // and keep every well-formed answer — at every worker count.
+  for (const size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
     system::SystemConfig config;
     config.num_clients = 20;
     config.num_proxies = 2;
     config.seed = 7;
-    config.pipeline.mode = mode;
-    config.pipeline.depth = 2;
-    config.pipeline.shard_size = 7;  // 20 clients -> 3 shards
+    config.pipeline.num_worker_threads = workers;
     system::PrivApproxSystem sys(config);
     for (size_t i = 0; i < config.num_clients; ++i) {
       auto& db = sys.client(i).database();
@@ -225,7 +221,7 @@ TEST(FailureTest, ShareLengthMismatchIsMalformedNotFatal) {
   // One client splits its answer into shares of different lengths: 14
   // bytes to proxy 0, 13 to proxy 1. The join drops that MID as malformed
   // and keeps feeding, so every honest answer of the batch still counts —
-  // in both epoch pipeline modes — and a replay of the MID is a duplicate.
+  // at every worker count — and a replay of the MID is a duplicate.
   constexpr uint64_t kMid = 0xBADC0FFEEULL;
   const auto record = [](size_t payload_len) {
     std::vector<uint8_t> bytes(8 + payload_len, 0x5A);
@@ -234,17 +230,13 @@ TEST(FailureTest, ShareLengthMismatchIsMalformedNotFatal) {
     }
     return bytes;
   };
-  for (const auto mode : {system::EpochPipelineMode::kBarrier,
-                          system::EpochPipelineMode::kStreaming}) {
-    SCOPED_TRACE(mode == system::EpochPipelineMode::kBarrier ? "barrier"
-                                                             : "streaming");
+  for (const size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
     system::SystemConfig config;
     config.num_clients = 20;
     config.num_proxies = 2;
     config.seed = 7;
-    config.pipeline.mode = mode;
-    config.pipeline.depth = 2;
-    config.pipeline.shard_size = 7;  // 20 clients -> 3 shards
+    config.pipeline.num_worker_threads = workers;
     system::PrivApproxSystem sys(config);
     for (size_t i = 0; i < config.num_clients; ++i) {
       auto& db = sys.client(i).database();

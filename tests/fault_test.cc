@@ -4,12 +4,12 @@
 //   1. Zero plan == no plan: a FaultPlan with all probabilities at zero must
 //      leave every observable — fired windows bit for bit, EpochStats,
 //      broker topic byte counters — identical to a system with no plan at
-//      all, in both pipeline modes.
-//   2. Under any seeded plan the run completes without deadlock, the
-//      streaming and barrier modes produce identical results (fault
-//      decisions are (seed, MID, proxy) hashes, never wall-clock or thread
-//      order), and the true population count stays inside the fault-widened
-//      confidence interval.
+//      all, at any worker count.
+//   2. Under any seeded plan the run completes without deadlock, every
+//      worker count produces the 1-worker results (fault decisions are
+//      (seed, MID, proxy) hashes, never wall-clock or thread order), and the
+//      true population count stays inside the fault-widened confidence
+//      interval.
 //
 // The chaos matrix in CI replays this suite across seeds under TSan; the
 // PRIVAPPROX_CHAOS_SEED env var narrows the seed loop to one seed per job
@@ -48,18 +48,14 @@ core::Query SpeedQuery() {
       .Build();
 }
 
-SystemConfig BaseConfig(EpochPipelineMode mode,
-                        std::optional<fault::FaultPlan> plan,
+SystemConfig BaseConfig(size_t workers, std::optional<fault::FaultPlan> plan,
                         size_t agg_shards = 1) {
   SystemConfig config;
   config.num_clients = kNumClients;
   config.num_proxies = kNumProxies;
   config.seed = 99;
   config.confidence = 0.99;
-  config.pipeline.mode = mode;
-  config.pipeline.num_worker_threads = 4;
-  config.pipeline.depth = 2;
-  config.pipeline.shard_size = 64;  // 400 clients -> 7 in-flight shards
+  config.pipeline.num_worker_threads = workers;
   config.aggregator.num_shards = agg_shards;
   config.fault = std::move(plan);
   return config;
@@ -89,11 +85,10 @@ const char* const kFaultCounterNames[] = {
     "privapprox_recovery_late_delivered_total",
 };
 
-RunSnapshot RunScenario(EpochPipelineMode mode,
-                        std::optional<fault::FaultPlan> plan,
+RunSnapshot RunScenario(size_t workers, std::optional<fault::FaultPlan> plan,
                         size_t agg_shards = 1) {
   const bool has_plan = plan.has_value();
-  PrivApproxSystem sys(BaseConfig(mode, std::move(plan), agg_shards));
+  PrivApproxSystem sys(BaseConfig(workers, std::move(plan), agg_shards));
   for (size_t i = 0; i < kNumClients; ++i) {
     auto& db = sys.client(i).database();
     db.CreateTable("vehicle", {"speed"});
@@ -175,14 +170,12 @@ void ExpectResultsIdentical(const RunSnapshot& a, const RunSnapshot& b) {
 // ----------------------------------------------- invariant 1: bit identity
 
 TEST(FaultTest, ZeroPlanIsBitIdenticalToNoPlan) {
-  for (const auto mode : {EpochPipelineMode::kBarrier,
-                          EpochPipelineMode::kStreaming}) {
-    SCOPED_TRACE(mode == EpochPipelineMode::kBarrier ? "barrier"
-                                                     : "streaming");
-    const RunSnapshot without = RunScenario(mode, std::nullopt);
+  for (const size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const RunSnapshot without = RunScenario(workers, std::nullopt);
     // All probabilities default to zero: the injector routes every share to
     // its primary untouched and no standby proxies are created.
-    const RunSnapshot with_zero = RunScenario(mode, fault::FaultPlan{});
+    const RunSnapshot with_zero = RunScenario(workers, fault::FaultPlan{});
 
     ExpectResultsIdentical(without, with_zero);
     ASSERT_EQ(without.epochs.size(), with_zero.epochs.size());
@@ -248,14 +241,14 @@ std::vector<uint64_t> ChaosSeeds() {
   return {1, 2, 3, 4};
 }
 
-void MaybeAppendSummary(uint64_t seed, const char* mode,
+void MaybeAppendSummary(uint64_t seed, size_t workers,
                         const RunSnapshot& snapshot) {
   const char* path = std::getenv("PRIVAPPROX_FAULT_SUMMARY");
   if (path == nullptr) {
     return;
   }
   std::ofstream out(path, std::ios::app);
-  out << "{\"seed\":" << seed << ",\"mode\":\"" << mode << "\"";
+  out << "{\"seed\":" << seed << ",\"workers\":" << workers;
   for (const auto& [name, value] : snapshot.fault_counters) {
     out << ",\"" << name << "\":" << value;
   }
@@ -265,50 +258,51 @@ void MaybeAppendSummary(uint64_t seed, const char* mode,
 TEST(FaultTest, ChaosSeedsRecoverWithinWidenedCI) {
   for (const uint64_t seed : ChaosSeeds()) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    const RunSnapshot barrier =
-        RunScenario(EpochPipelineMode::kBarrier, ChaosPlan(seed));
-    const RunSnapshot streaming =
-        RunScenario(EpochPipelineMode::kStreaming, ChaosPlan(seed));
-    MaybeAppendSummary(seed, "barrier", barrier);
-    MaybeAppendSummary(seed, "streaming", streaming);
+    const RunSnapshot single = RunScenario(1, ChaosPlan(seed));
+    MaybeAppendSummary(seed, 1, single);
 
-    // Mode equivalence: fault decisions are (seed, MID, proxy) hashes and
-    // every counter is additive, so results, stats, and fault totals agree
-    // across pipeline shapes.
-    ExpectResultsIdentical(barrier, streaming);
-    ASSERT_EQ(barrier.epochs.size(), streaming.epochs.size());
-    for (size_t e = 0; e < barrier.epochs.size(); ++e) {
-      ExpectEpochStatsEqual(barrier.epochs[e], streaming.epochs[e]);
+    // Worker-count equivalence: fault decisions are (seed, MID, proxy)
+    // hashes and every counter is additive, so results, stats, and fault
+    // totals agree however the fleet is split.
+    for (const size_t workers : {2u, 4u}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      const RunSnapshot parallel = RunScenario(workers, ChaosPlan(seed));
+      MaybeAppendSummary(seed, workers, parallel);
+      ExpectResultsIdentical(single, parallel);
+      ASSERT_EQ(single.epochs.size(), parallel.epochs.size());
+      for (size_t e = 0; e < single.epochs.size(); ++e) {
+        ExpectEpochStatsEqual(single.epochs[e], parallel.epochs[e]);
+      }
+      EXPECT_EQ(single.fault_counters, parallel.fault_counters);
     }
-    EXPECT_EQ(barrier.fault_counters, streaming.fault_counters);
 
     // The plan genuinely exercised injection and recovery.
-    EXPECT_GT(CounterValue(barrier, "privapprox_fault_shares_dropped_total"),
+    EXPECT_GT(CounterValue(single, "privapprox_fault_shares_dropped_total"),
               0u);
-    EXPECT_GT(CounterValue(barrier, "privapprox_fault_shares_corrupted_total"),
+    EXPECT_GT(CounterValue(single, "privapprox_fault_shares_corrupted_total"),
               0u);
-    EXPECT_GT(CounterValue(barrier, "privapprox_fault_forward_timeouts_total"),
+    EXPECT_GT(CounterValue(single, "privapprox_fault_forward_timeouts_total"),
               0u);
-    EXPECT_GT(CounterValue(barrier, "privapprox_fault_lost_mids_total"), 0u);
-    EXPECT_GT(CounterValue(barrier, "privapprox_recovery_retries_total"), 0u);
-    EXPECT_GT(CounterValue(barrier, "privapprox_recovery_failovers_total"),
+    EXPECT_GT(CounterValue(single, "privapprox_fault_lost_mids_total"), 0u);
+    EXPECT_GT(CounterValue(single, "privapprox_recovery_retries_total"), 0u);
+    EXPECT_GT(CounterValue(single, "privapprox_recovery_failovers_total"),
               0u);
     EXPECT_GT(
-        CounterValue(barrier, "privapprox_recovery_late_delivered_total"), 0u);
+        CounterValue(single, "privapprox_recovery_late_delivered_total"), 0u);
     // Corrupted records surface as malformed drops at the decode stage.
     uint64_t malformed = 0;
-    for (const auto& stats : barrier.epochs) {
+    for (const auto& stats : single.epochs) {
       malformed += stats.malformed_dropped;
     }
     EXPECT_GE(malformed,
-              CounterValue(barrier, "privapprox_fault_shares_corrupted_total"));
+              CounterValue(single, "privapprox_fault_shares_corrupted_total"));
 
     // Honest accounting under loss: every client holds kSpeed, so the true
     // population count for the target bucket is kNumClients in every
     // window. The fault-widened interval must cover it.
-    ASSERT_GT(barrier.results.size(), 0u);
+    ASSERT_GT(single.results.size(), 0u);
     bool any_lost = false;
-    for (const auto& windowed : barrier.results) {
+    for (const auto& windowed : single.results) {
       const auto& bucket = windowed.result.buckets[kTrueBucket];
       EXPECT_LE(std::abs(bucket.estimate.value -
                          static_cast<double>(kNumClients)),
@@ -326,21 +320,17 @@ TEST(FaultTest, ChaosSeedsAreBitIdenticalAcrossAggregatorShardCounts) {
   // Faults stress exactly the state the shard merge must keep order-free:
   // lost-MID attribution, expired join groups, CI widening. Every chaos
   // seed must produce the same results, stats, and fault counters whether
-  // the aggregator runs 1, 2, or 4 join shards, in both pipeline modes.
+  // the aggregator runs 1, 2, or 4 join shards, at 1 worker or 4.
   for (const uint64_t seed : ChaosSeeds()) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    const RunSnapshot oracle =
-        RunScenario(EpochPipelineMode::kBarrier, ChaosPlan(seed),
-                    /*agg_shards=*/1);
-    for (const auto mode : {EpochPipelineMode::kBarrier,
-                            EpochPipelineMode::kStreaming}) {
+    const RunSnapshot oracle = RunScenario(1, ChaosPlan(seed),
+                                           /*agg_shards=*/1);
+    for (const size_t workers : {1u, 4u}) {
       for (size_t shards : {2u, 4u}) {
-        SCOPED_TRACE("mode=" +
-                     std::string(mode == EpochPipelineMode::kBarrier
-                                     ? "barrier"
-                                     : "streaming") +
+        SCOPED_TRACE("workers=" + std::to_string(workers) +
                      " shards=" + std::to_string(shards));
-        const RunSnapshot sharded = RunScenario(mode, ChaosPlan(seed), shards);
+        const RunSnapshot sharded =
+            RunScenario(workers, ChaosPlan(seed), shards);
         ExpectResultsIdentical(oracle, sharded);
         ASSERT_EQ(oracle.epochs.size(), sharded.epochs.size());
         for (size_t e = 0; e < oracle.epochs.size(); ++e) {
@@ -355,11 +345,9 @@ TEST(FaultTest, ChaosSeedsAreBitIdenticalAcrossAggregatorShardCounts) {
 // EpochStats fault/recovery fields are per-epoch deltas of the registry
 // counters: summed over the run they must reproduce the cumulative values.
 TEST(FaultTest, FaultStatsMatchRegistryTotals) {
-  for (const auto mode : {EpochPipelineMode::kBarrier,
-                          EpochPipelineMode::kStreaming}) {
-    SCOPED_TRACE(mode == EpochPipelineMode::kBarrier ? "barrier"
-                                                     : "streaming");
-    const RunSnapshot run = RunScenario(mode, ChaosPlan(7));
+  for (const size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const RunSnapshot run = RunScenario(workers, ChaosPlan(7));
     EpochStats total;
     for (const auto& stats : run.epochs) {
       total.malformed_dropped += stats.malformed_dropped;
@@ -401,17 +389,14 @@ TEST(FaultTest, FaultStatsMatchRegistryTotals) {
 
 TEST(FaultTest, AllSharesLostDoesNotDeadlockOrFabricateResults) {
   // drop = 1.0: every share vanishes in transit. The epoch must still
-  // complete in both modes (the streaming shard sequence stays gapless even
-  // when every batch is empty, so FinishStream has nothing parked) and the
-  // system must report no results rather than garbage.
+  // complete with every lane batch empty, and the system must report no
+  // results rather than garbage.
   fault::FaultPlan plan;
   plan.seed = 13;
   plan.drop_probability = 1.0;
-  for (const auto mode : {EpochPipelineMode::kBarrier,
-                          EpochPipelineMode::kStreaming}) {
-    SCOPED_TRACE(mode == EpochPipelineMode::kBarrier ? "barrier"
-                                                     : "streaming");
-    PrivApproxSystem sys(BaseConfig(mode, plan));
+  for (const size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    PrivApproxSystem sys(BaseConfig(workers, plan));
     for (size_t i = 0; i < kNumClients; ++i) {
       auto& db = sys.client(i).database();
       db.CreateTable("vehicle", {"speed"});
@@ -441,21 +426,21 @@ TEST(FaultTest, RejectsInvalidPlans) {
     plan.drop_probability = 0.7;
     plan.corrupt_probability = 0.4;  // fates sum > 1
     EXPECT_THROW(PrivApproxSystem(
-                     BaseConfig(EpochPipelineMode::kBarrier, plan)),
+                     BaseConfig(4, plan)),
                  std::invalid_argument);
   }
   {
     fault::FaultPlan plan;
     plan.timeout_probability = 1.5;
     EXPECT_THROW(PrivApproxSystem(
-                     BaseConfig(EpochPipelineMode::kBarrier, plan)),
+                     BaseConfig(4, plan)),
                  std::invalid_argument);
   }
   {
     fault::FaultPlan plan;
     plan.retry.max_attempts = 0;
     EXPECT_THROW(PrivApproxSystem(
-                     BaseConfig(EpochPipelineMode::kBarrier, plan)),
+                     BaseConfig(4, plan)),
                  std::invalid_argument);
   }
 }
@@ -493,10 +478,10 @@ core::ExecutionParams TempChaosParams() {
 // Same schedule as RunScenario but the query set comes from config.queries
 // and every client carries both columns, so the speed-only, temp-only, and
 // joint runs see identical local databases.
-RunSnapshot RunMultiChaosScenario(EpochPipelineMode mode,
+RunSnapshot RunMultiChaosScenario(size_t workers,
                                   std::optional<fault::FaultPlan> plan,
                                   bool with_speed, bool with_temp) {
-  SystemConfig config = BaseConfig(mode, std::move(plan));
+  SystemConfig config = BaseConfig(workers, std::move(plan));
   if (with_speed) {
     config.queries.push_back({SpeedQuery(), SpeedChaosParams()});
   }
@@ -565,28 +550,31 @@ TEST(MultiQueryFaultTest, TwoQueryChaosMatchesIsolatedRunsPerQuery) {
   // Fault fates are pure (plan seed, salt, QID, MID, proxy) hashes and
   // proxy crashes are (epoch, proxy) draws, so the chaos a query suffers
   // must not depend on which other queries share the fleet. The joint
-  // 2-query run must agree with both pipeline modes AND, per query, be bit
+  // 2-query run must agree at 1, 2 and 4 workers AND, per query, be bit
   // identical — estimates, widened errors, lost_to_faults — to the run
   // where that query has the system to itself. This also pins that CI
   // widening is driven by each lane's own losses, never pooled across
   // queries.
   for (const uint64_t seed : ChaosSeeds()) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    const RunSnapshot joint = RunMultiChaosScenario(
-        EpochPipelineMode::kBarrier, ChaosPlan(seed), true, true);
-    const RunSnapshot joint_streaming = RunMultiChaosScenario(
-        EpochPipelineMode::kStreaming, ChaosPlan(seed), true, true);
-    ExpectResultsIdentical(joint, joint_streaming);
-    ASSERT_EQ(joint.epochs.size(), joint_streaming.epochs.size());
-    for (size_t e = 0; e < joint.epochs.size(); ++e) {
-      ExpectEpochStatsEqual(joint.epochs[e], joint_streaming.epochs[e]);
+    const RunSnapshot joint =
+        RunMultiChaosScenario(1, ChaosPlan(seed), true, true);
+    for (const size_t workers : {2u, 4u}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      const RunSnapshot parallel =
+          RunMultiChaosScenario(workers, ChaosPlan(seed), true, true);
+      ExpectResultsIdentical(joint, parallel);
+      ASSERT_EQ(joint.epochs.size(), parallel.epochs.size());
+      for (size_t e = 0; e < joint.epochs.size(); ++e) {
+        ExpectEpochStatsEqual(joint.epochs[e], parallel.epochs[e]);
+      }
+      EXPECT_EQ(joint.fault_counters, parallel.fault_counters);
     }
-    EXPECT_EQ(joint.fault_counters, joint_streaming.fault_counters);
 
-    const RunSnapshot solo_speed = RunMultiChaosScenario(
-        EpochPipelineMode::kBarrier, ChaosPlan(seed), true, false);
-    const RunSnapshot solo_temp = RunMultiChaosScenario(
-        EpochPipelineMode::kBarrier, ChaosPlan(seed), false, true);
+    const RunSnapshot solo_speed =
+        RunMultiChaosScenario(4, ChaosPlan(seed), true, false);
+    const RunSnapshot solo_temp =
+        RunMultiChaosScenario(4, ChaosPlan(seed), false, true);
     ExpectWindowedResultsIdentical(ResultsForQuery(joint, 1),
                                    solo_speed.results);
     ExpectWindowedResultsIdentical(ResultsForQuery(joint, 2),

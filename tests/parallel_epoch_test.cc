@@ -1,19 +1,23 @@
 // Determinism of the parallel epoch pipeline (system/system.cc): RunEpoch
 // with num_worker_threads=1 and num_worker_threads=N must produce identical
 // WindowedResults and byte-identical broker topic contents. The parallel
-// path shards client answering across the pool but merges shares into proxy
-// topics in client-id order, so every downstream byte and double matches the
-// sequential run exactly.
-//
-// The streaming stage/channel mode must additionally match the barrier mode
-// bit-for-bit at every worker count: per-proxy reorder buffers keep topic
-// appends in client-id order, and the aggregator's reorder buffer feeds the
-// MID join in deterministic (shard, source) order. Run this suite under
-// -DPRIVAPPROX_SANITIZE=thread to check the stage synchronization.
+// path splits client answering into one contiguous range per worker but
+// every proxy receives the ranges in client-id order, so every downstream
+// byte and double matches the sequential run exactly. Run this suite under
+// -DPRIVAPPROX_SANITIZE=thread to check the pool synchronization.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <filesystem>
+#include <map>
+#include <optional>
+#include <random>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/budget_manager.h"
 #include "core/privacy.h"
@@ -42,20 +46,13 @@ struct RunSnapshot {
   std::vector<std::string> topic_names;
 };
 
-RunSnapshot RunScenario(size_t num_worker_threads,
-                        EpochPipelineMode mode = EpochPipelineMode::kBarrier,
-                        size_t pipeline_depth = 2, size_t agg_shards = 1) {
+RunSnapshot RunScenario(size_t num_worker_threads, size_t agg_shards = 1) {
   SystemConfig config;
   config.num_clients = 400;
   config.num_proxies = 3;
   config.seed = 99;
   config.pipeline.num_worker_threads = num_worker_threads;
-  config.pipeline.mode = mode;
-  config.pipeline.depth = pipeline_depth;
   config.aggregator.num_shards = agg_shards;
-  // Small shards so the 400 clients split into 7 in-flight batches and the
-  // streaming stages genuinely overlap.
-  config.pipeline.shard_size = 64;
   PrivApproxSystem sys(config);
   for (size_t i = 0; i < config.num_clients; ++i) {
     auto& db = sys.client(i).database();
@@ -142,37 +139,23 @@ void ExpectSnapshotsIdentical(const RunSnapshot& sequential,
 }
 
 TEST(ParallelEpochTest, ParallelMatchesSequentialExactly) {
-  ExpectSnapshotsIdentical(RunScenario(1), RunScenario(4));
-}
-
-TEST(ParallelEpochTest, StreamingMatchesBarrierBitForBitAtEveryWorkerCount) {
-  const RunSnapshot barrier = RunScenario(1, EpochPipelineMode::kBarrier);
-  for (size_t workers : {1u, 2u, 4u}) {
+  const RunSnapshot sequential = RunScenario(1);
+  for (size_t workers : {2u, 4u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    ExpectSnapshotsIdentical(
-        barrier, RunScenario(workers, EpochPipelineMode::kStreaming));
+    ExpectSnapshotsIdentical(sequential, RunScenario(workers));
   }
 }
 
 TEST(ParallelEpochTest, ShardedAggregatorIsBitIdenticalToSingleShard) {
   // The shard/merge determinism invariant (DESIGN.md §6g): any shard count,
-  // in either pipeline mode, at any worker count, produces the same
-  // results, stats, and broker traffic as the 1-shard 1-thread run.
-  const RunSnapshot oracle =
-      RunScenario(1, EpochPipelineMode::kBarrier, 2, /*agg_shards=*/1);
-  for (const auto mode :
-       {EpochPipelineMode::kBarrier, EpochPipelineMode::kStreaming}) {
-    for (size_t shards : {1u, 2u, 4u}) {
-      for (size_t workers : {1u, 4u}) {
-        SCOPED_TRACE("mode=" +
-                     std::string(mode == EpochPipelineMode::kBarrier
-                                     ? "barrier"
-                                     : "streaming") +
-                     " shards=" + std::to_string(shards) +
-                     " workers=" + std::to_string(workers));
-        ExpectSnapshotsIdentical(oracle,
-                                 RunScenario(workers, mode, 2, shards));
-      }
+  // at any worker count, produces the same results, stats, and broker
+  // traffic as the 1-shard 1-thread run.
+  const RunSnapshot oracle = RunScenario(1, /*agg_shards=*/1);
+  for (size_t shards : {1u, 2u, 4u}) {
+    for (size_t workers : {1u, 4u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " workers=" + std::to_string(workers));
+      ExpectSnapshotsIdentical(oracle, RunScenario(workers, shards));
     }
   }
 }
@@ -180,19 +163,8 @@ TEST(ParallelEpochTest, ShardedAggregatorIsBitIdenticalToSingleShard) {
 TEST(ParallelEpochTest, DefaultShardCountFollowsWorkerThreads) {
   // aggregator.num_shards = 0 resolves to one shard per worker thread;
   // the result must still match the explicit 1-shard oracle.
-  const RunSnapshot oracle =
-      RunScenario(1, EpochPipelineMode::kBarrier, 2, /*agg_shards=*/1);
-  ExpectSnapshotsIdentical(
-      oracle, RunScenario(4, EpochPipelineMode::kStreaming, 2,
-                          /*agg_shards=*/0));
-}
-
-TEST(ParallelEpochTest, StreamingIsInsensitiveToPipelineDepth) {
-  const RunSnapshot deep =
-      RunScenario(4, EpochPipelineMode::kStreaming, /*pipeline_depth=*/16);
-  const RunSnapshot shallow =
-      RunScenario(4, EpochPipelineMode::kStreaming, /*pipeline_depth=*/1);
-  ExpectSnapshotsIdentical(deep, shallow);
+  const RunSnapshot oracle = RunScenario(1, /*agg_shards=*/1);
+  ExpectSnapshotsIdentical(oracle, RunScenario(4, /*agg_shards=*/0));
 }
 
 TEST(ParallelEpochTest, WorkerThreadKnobIsHonored) {
@@ -212,15 +184,13 @@ TEST(ParallelEpochTest, DefaultUsesHardwareConcurrency) {
 
 // EpochStats is defined as the per-epoch delta of the registry's core
 // pipeline counters; summing the deltas over a run must reproduce the
-// cumulative registry values exactly, in both pipeline modes.
-void ExpectStatsMatchRegistry(EpochPipelineMode mode) {
+// cumulative registry values exactly, at any worker count.
+void ExpectStatsMatchRegistry(size_t num_worker_threads) {
   SystemConfig config;
   config.num_clients = 150;
   config.num_proxies = 2;
   config.seed = 31;
-  config.pipeline.num_worker_threads = 2;
-  config.pipeline.mode = mode;
-  config.pipeline.shard_size = 32;
+  config.pipeline.num_worker_threads = num_worker_threads;
   PrivApproxSystem sys(config);
   for (size_t i = 0; i < config.num_clients; ++i) {
     auto& db = sys.client(i).database();
@@ -260,12 +230,178 @@ void ExpectStatsMatchRegistry(EpochPipelineMode mode) {
   EXPECT_GT(total.shares_sent, 0u);
 }
 
-TEST(ParallelEpochTest, EpochStatsMatchesRegistryBarrier) {
-  ExpectStatsMatchRegistry(EpochPipelineMode::kBarrier);
+TEST(ParallelEpochTest, EpochStatsMatchesRegistry) {
+  for (size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ExpectStatsMatchRegistry(workers);
+  }
 }
 
-TEST(ParallelEpochTest, EpochStatsMatchesRegistryStreaming) {
-  ExpectStatsMatchRegistry(EpochPipelineMode::kStreaming);
+// ------------------------------------------------------ range-split edges
+
+// A scratch data_dir, wiped on scope exit.
+class TempDir {
+ public:
+  TempDir() {
+    static std::atomic<int> counter{0};
+    std::random_device rd;
+    path_ = std::filesystem::temp_directory_path() /
+            ("privapprox_parallel_epoch_test_" + std::to_string(::getpid()) +
+             "_" + std::to_string(counter++) + "_" + std::to_string(rd()));
+    std::filesystem::remove_all(path_);
+  }
+  ~TempDir() { std::filesystem::remove_all(path_); }
+  std::string str() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
+
+fault::FaultPlan SplitChaosPlan() {
+  fault::FaultPlan plan;
+  plan.seed = 5;
+  plan.drop_probability = 0.1;
+  plan.corrupt_probability = 0.1;
+  plan.duplicate_probability = 0.1;
+  plan.delay_probability = 0.1;
+  plan.timeout_probability = 0.2;
+  plan.crash_probability = 0.3;
+  plan.standby_proxies = true;
+  return plan;
+}
+
+// Every record of every lane topic, in partition and offset order, as
+// "<key>/<timestamp>/<payload bytes>" strings.
+using LaneContents = std::map<std::string, std::vector<std::string>>;
+
+// A 7-client fleet at `workers` workers, with every topic spilled to a
+// durable data_dir: the epoch releases consumed records from memory, the
+// logs keep them, and a broker recovered from the logs after the run
+// yields every lane record ever appended.
+struct SplitRun {
+  std::vector<EpochStats> epochs;
+  std::vector<aggregator::WindowedResult> results;
+  LaneContents lanes;
+};
+
+SplitRun RunSplitScenario(size_t workers,
+                          std::optional<fault::FaultPlan> plan) {
+  const TempDir dir;
+  SplitRun run;
+  {
+    SystemConfig config;
+    config.num_clients = 7;
+    config.num_proxies = 3;
+    config.seed = 17;
+    config.pipeline.num_worker_threads = workers;
+    config.broker.data_dir = dir.str();
+    core::ExecutionParams params;
+    params.sampling_fraction = 0.6;
+    params.randomization = {0.9, 0.6};
+    config.queries = {{SpeedQuery(), params}};
+    config.fault = std::move(plan);
+    PrivApproxSystem sys(config);
+    for (size_t i = 0; i < config.num_clients; ++i) {
+      sys.client(i).database().CreateTable("vehicle", {"speed"});
+    }
+    for (int64_t now = 5000; now <= 20000; now += 5000) {
+      for (size_t i = 0; i < config.num_clients; ++i) {
+        sys.client(i).database().GetTable("vehicle").Insert(
+            now - 100, {localdb::Value(static_cast<double>((i * 13) % 100))});
+      }
+      run.epochs.push_back(sys.RunEpoch(now));
+      sys.AdvanceWatermark(now);
+    }
+    sys.Flush();
+    run.results = sys.TakeResults();
+  }
+  broker::Broker recovered;
+  recovered.EnableDurability({dir.str(), {}});
+  recovered.RecoverTopics();
+  for (const std::string& name : recovered.TopicNames()) {
+    if (!name.ends_with(".in") && !name.ends_with(".out")) {
+      continue;
+    }
+    const broker::Topic& topic = recovered.GetTopic(name);
+    std::vector<std::string>& records = run.lanes[name];
+    for (size_t p = 0; p < topic.num_partitions(); ++p) {
+      for (const broker::Record& record : topic.Read(p, 0, SIZE_MAX)) {
+        records.push_back(std::to_string(record.key) + "/" +
+                          std::to_string(record.timestamp_ms) + "/" +
+                          std::string(record.payload.begin(),
+                                      record.payload.end()));
+      }
+    }
+  }
+  return run;
+}
+
+void ExpectEpochStatsEqual(const EpochStats& a, const EpochStats& b) {
+  EXPECT_EQ(a.participants, b.participants);
+  EXPECT_EQ(a.shares_sent, b.shares_sent);
+  EXPECT_EQ(a.shares_forwarded, b.shares_forwarded);
+  EXPECT_EQ(a.shares_consumed, b.shares_consumed);
+  EXPECT_EQ(a.malformed_dropped, b.malformed_dropped);
+  EXPECT_EQ(a.fault_shares_dropped, b.fault_shares_dropped);
+  EXPECT_EQ(a.fault_shares_corrupted, b.fault_shares_corrupted);
+  EXPECT_EQ(a.fault_shares_duplicated, b.fault_shares_duplicated);
+  EXPECT_EQ(a.fault_shares_delayed, b.fault_shares_delayed);
+  EXPECT_EQ(a.fault_forward_timeouts, b.fault_forward_timeouts);
+  EXPECT_EQ(a.fault_proxy_crashes, b.fault_proxy_crashes);
+  EXPECT_EQ(a.fault_lost_mids, b.fault_lost_mids);
+  EXPECT_EQ(a.recovery_retries, b.recovery_retries);
+  EXPECT_EQ(a.recovery_failovers, b.recovery_failovers);
+  EXPECT_EQ(a.recovery_late_delivered, b.recovery_late_delivered);
+}
+
+// Fewer clients than workers and uneven splits: 7 clients over 1, 2, 3, 4
+// and 8 workers give ranges of every size from 0 to 7 clients. Every lane
+// topic's bytes, every result double and every EpochStats field must equal
+// the 1-worker run, with and without a chaos plan.
+TEST(ParallelEpochTest, RangeSplitEdgesMatchOneWorker) {
+  for (const bool chaos : {false, true}) {
+    SCOPED_TRACE(chaos ? "chaos" : "fault-free");
+    const auto plan = chaos ? std::optional(SplitChaosPlan()) : std::nullopt;
+    const SplitRun oracle = RunSplitScenario(1, plan);
+    ASSERT_FALSE(oracle.lanes.empty());
+    ASSERT_GT(oracle.results.size(), 0u);
+    if (chaos) {
+      // The plan reroutes and defers shares, so the standby lanes and the
+      // next-epoch replay are part of what the splits must agree on.
+      uint64_t failovers = 0;
+      uint64_t late = 0;
+      for (const EpochStats& stats : oracle.epochs) {
+        failovers += stats.recovery_failovers;
+        late += stats.recovery_late_delivered;
+      }
+      EXPECT_GT(failovers, 0u);
+      EXPECT_GT(late, 0u);
+    }
+    for (const size_t workers : {2u, 3u, 4u, 8u}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      const SplitRun run = RunSplitScenario(workers, plan);
+      EXPECT_EQ(run.lanes, oracle.lanes);
+      ASSERT_EQ(run.epochs.size(), oracle.epochs.size());
+      for (size_t e = 0; e < oracle.epochs.size(); ++e) {
+        ExpectEpochStatsEqual(run.epochs[e], oracle.epochs[e]);
+      }
+      ASSERT_EQ(run.results.size(), oracle.results.size());
+      for (size_t w = 0; w < oracle.results.size(); ++w) {
+        const auto& a = oracle.results[w].result;
+        const auto& b = run.results[w].result;
+        EXPECT_EQ(run.results[w].window, oracle.results[w].window);
+        EXPECT_EQ(b.participants, a.participants);
+        EXPECT_EQ(b.lost_to_faults, a.lost_to_faults);
+        ASSERT_EQ(b.buckets.size(), a.buckets.size());
+        for (size_t i = 0; i < a.buckets.size(); ++i) {
+          EXPECT_EQ(b.buckets[i].estimate.value, a.buckets[i].estimate.value);
+          EXPECT_EQ(b.buckets[i].estimate.error, a.buckets[i].estimate.error);
+          EXPECT_EQ(b.buckets[i].randomized_count,
+                    a.buckets[i].randomized_count);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------- multi-query runtime
@@ -298,17 +434,13 @@ core::ExecutionParams TempParams() {
 // Runs the standard 3-epoch schedule with an arbitrary query set and
 // returns the full observable output.
 RunSnapshot RunMultiScenario(std::vector<SystemConfig::QuerySpec> queries,
-                             size_t num_worker_threads,
-                             EpochPipelineMode mode) {
+                             size_t num_worker_threads) {
   SystemConfig config;
   config.num_clients = 400;
   config.num_proxies = 3;
   config.seed = 99;
   config.queries = std::move(queries);
   config.pipeline.num_worker_threads = num_worker_threads;
-  config.pipeline.mode = mode;
-  config.pipeline.depth = 2;
-  config.pipeline.shard_size = 64;
   config.aggregator.num_shards = 2;
   PrivApproxSystem sys(config);
   for (size_t i = 0; i < config.num_clients; ++i) {
@@ -339,63 +471,51 @@ RunSnapshot RunMultiScenario(std::vector<SystemConfig::QuerySpec> queries,
 
 // Anchor invariant: a multi-query run with exactly one query is observably
 // identical — results, per-epoch stats, every broker topic counter — to
-// the classic single-query SubmitQuery path, in both pipeline modes.
+// the classic single-query SubmitQuery path.
 TEST(MultiQueryTest, OneQueryConfigListMatchesLegacySubmitExactly) {
-  for (const auto mode :
-       {EpochPipelineMode::kBarrier, EpochPipelineMode::kStreaming}) {
-    SCOPED_TRACE(mode == EpochPipelineMode::kBarrier ? "barrier"
-                                                     : "streaming");
-    const RunSnapshot legacy =
-        RunScenario(2, mode, /*pipeline_depth=*/2, /*agg_shards=*/2);
-    // Same scenario, but the query arrives via the config's query list.
-    SystemConfig config;
-    config.num_clients = 400;
-    config.num_proxies = 3;
-    config.seed = 99;
-    config.queries = {{SpeedQuery(), SpeedParams()}};
-    config.pipeline.num_worker_threads = 2;
-    config.pipeline.mode = mode;
-    config.pipeline.depth = 2;
-    config.pipeline.shard_size = 64;
-    config.aggregator.num_shards = 2;
-    PrivApproxSystem sys(config);
-    for (size_t i = 0; i < config.num_clients; ++i) {
-      auto& db = sys.client(i).database();
-      db.CreateTable("vehicle", {"speed"});
-      db.GetTable("vehicle").Insert(
-          500, {localdb::Value(static_cast<double>((i * 13) % 100))});
-    }
-    RunSnapshot multi;
-    for (int64_t now = 5000; now <= 15000; now += 5000) {
-      for (size_t i = 0; i < config.num_clients; ++i) {
-        sys.client(i).database().GetTable("vehicle").Insert(
-            now - 100, {localdb::Value(static_cast<double>((i * 13) % 100))});
-      }
-      multi.epochs.push_back(sys.RunEpoch(now));
-      sys.AdvanceWatermark(now);
-    }
-    sys.Flush();
-    multi.results = sys.TakeResults();
-    for (const std::string& name : sys.broker().TopicNames()) {
-      multi.topic_names.push_back(name);
-      multi.topic_metrics.push_back(sys.broker().GetTopic(name).metrics());
-    }
-    ExpectSnapshotsIdentical(legacy, multi);
+  const RunSnapshot legacy = RunScenario(2, /*agg_shards=*/2);
+  // Same scenario, but the query arrives via the config's query list.
+  SystemConfig config;
+  config.num_clients = 400;
+  config.num_proxies = 3;
+  config.seed = 99;
+  config.queries = {{SpeedQuery(), SpeedParams()}};
+  config.pipeline.num_worker_threads = 2;
+  config.aggregator.num_shards = 2;
+  PrivApproxSystem sys(config);
+  for (size_t i = 0; i < config.num_clients; ++i) {
+    auto& db = sys.client(i).database();
+    db.CreateTable("vehicle", {"speed"});
+    db.GetTable("vehicle").Insert(
+        500, {localdb::Value(static_cast<double>((i * 13) % 100))});
   }
+  RunSnapshot multi;
+  for (int64_t now = 5000; now <= 15000; now += 5000) {
+    for (size_t i = 0; i < config.num_clients; ++i) {
+      sys.client(i).database().GetTable("vehicle").Insert(
+          now - 100, {localdb::Value(static_cast<double>((i * 13) % 100))});
+    }
+    multi.epochs.push_back(sys.RunEpoch(now));
+    sys.AdvanceWatermark(now);
+  }
+  sys.Flush();
+  multi.results = sys.TakeResults();
+  for (const std::string& name : sys.broker().TopicNames()) {
+    multi.topic_names.push_back(name);
+    multi.topic_metrics.push_back(sys.broker().GetTopic(name).metrics());
+  }
+  ExpectSnapshotsIdentical(legacy, multi);
 }
 
-// With two concurrent queries the streaming dataflow must still be
-// bit-identical to the barrier reference, at one worker and at several.
-TEST(MultiQueryTest, TwoQueryStreamingMatchesBarrierAtEveryWorkerCount) {
+// With two concurrent queries the epoch must still be bit-identical to the
+// one-worker run at every worker count.
+TEST(MultiQueryTest, TwoQueryEpochMatchesOneWorkerAtEveryWorkerCount) {
   const std::vector<SystemConfig::QuerySpec> queries = {
       {SpeedQuery(), SpeedParams()}, {TempQuery(), TempParams()}};
-  const RunSnapshot barrier =
-      RunMultiScenario(queries, 1, EpochPipelineMode::kBarrier);
-  for (const size_t workers : {1u, 4u}) {
+  const RunSnapshot sequential = RunMultiScenario(queries, 1);
+  for (const size_t workers : {2u, 4u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    const RunSnapshot streaming =
-        RunMultiScenario(queries, workers, EpochPipelineMode::kStreaming);
-    ExpectSnapshotsIdentical(barrier, streaming);
+    ExpectSnapshotsIdentical(sequential, RunMultiScenario(queries, workers));
   }
 }
 
@@ -405,15 +525,13 @@ TEST(MultiQueryTest, TwoQueryStreamingMatchesBarrierAtEveryWorkerCount) {
 // cross-query interference. Lane topic traffic must match too.
 TEST(MultiQueryTest, EachQueryMatchesItsIsolatedRun) {
   const RunSnapshot joint = RunMultiScenario(
-      {{SpeedQuery(), SpeedParams()}, {TempQuery(), TempParams()}}, 2,
-      EpochPipelineMode::kStreaming);
+      {{SpeedQuery(), SpeedParams()}, {TempQuery(), TempParams()}}, 2);
   const std::vector<SystemConfig::QuerySpec> solos[] = {
       {{SpeedQuery(), SpeedParams()}}, {{TempQuery(), TempParams()}}};
   for (const auto& solo_spec : solos) {
     const uint64_t qid = solo_spec[0].query.query_id;
     SCOPED_TRACE("query=" + std::to_string(qid));
-    const RunSnapshot solo =
-        RunMultiScenario(solo_spec, 2, EpochPipelineMode::kStreaming);
+    const RunSnapshot solo = RunMultiScenario(solo_spec, 2);
 
     // Results for this query, in order, bit for bit.
     std::vector<const aggregator::WindowedResult*> joint_q;

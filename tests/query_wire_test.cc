@@ -137,38 +137,6 @@ TEST(QueryDistributionTest, ClientRejectsMalformedAnnouncement) {
   EXPECT_THROW(client.OnAnnouncement({0xDE, 0xAD}), WireError);
 }
 
-TEST(TaggedShareTest, RoundTripsQidMidAndPayload) {
-  // Lane record: MID (8 B LE) followed by the encrypted payload.
-  std::vector<uint8_t> lane_record(8 + 3);
-  const uint64_t mid = 0x0123456789ABCDEFULL;
-  for (size_t i = 0; i < 8; ++i) {
-    lane_record[i] = static_cast<uint8_t>(mid >> (8 * i));
-  }
-  lane_record[8] = 0xAA;
-  lane_record[9] = 0xBB;
-  lane_record[10] = 0xCC;
-  const std::vector<uint8_t> frame = SerializeTaggedShare(42, lane_record);
-  ASSERT_EQ(frame.size(), lane_record.size() + 8);
-  const TaggedShareView view = ParseTaggedShare(frame);
-  EXPECT_EQ(view.query_id, 42u);
-  EXPECT_EQ(view.message_id, mid);
-  ASSERT_EQ(view.payload.size(), 3u);
-  EXPECT_EQ(view.payload[0], 0xAA);
-  // The lane_record span is the frame minus the QID header — byte-for-byte
-  // what a per-lane Receive path expects.
-  ASSERT_EQ(view.lane_record.size(), lane_record.size());
-  EXPECT_TRUE(std::equal(lane_record.begin(), lane_record.end(),
-                         view.lane_record.begin()));
-}
-
-TEST(TaggedShareTest, RejectsTruncatedFrames) {
-  // Shorter than QID + MID headers: unparseable.
-  EXPECT_THROW(ParseTaggedShare(std::vector<uint8_t>(15, 0)), WireError);
-  // A lane record without even its own MID header cannot be framed.
-  EXPECT_THROW(SerializeTaggedShare(1, std::vector<uint8_t>(7, 0)),
-               WireError);
-}
-
 TEST(QueryDistributionTest, ClientRejectsInvalidParams) {
   client::Client client(client::ClientConfig{0, 2, 1});
   QueryAnnouncement ann{MakeQuery(), MakeParams()};

@@ -5,8 +5,8 @@
 // band. Memory that grows with the epoch count fails here long before it
 // would take a long-lived deployment down.
 //
-// The in-process system runs in both pipeline modes and under a seeded
-// fault plan (drop, corrupt, duplicate and delay). The loopback-TCP case
+// The in-process system runs fault-free and under a seeded fault plan
+// (drop, corrupt, duplicate and delay). The loopback-TCP case
 // reads the proxy daemons' lane inbound topics through their /metrics, the
 // way an operator would. Each case also pins the metrics registry: the
 // number of samples an exposition renders after warm-up must not grow with
@@ -124,15 +124,12 @@ class TopicBands {
   std::map<std::string, Band> bands_;
 };
 
-void SoakInProcess(system::EpochPipelineMode mode,
-                   const std::optional<fault::FaultPlan>& fault) {
+void SoakInProcess(const std::optional<fault::FaultPlan>& fault) {
   system::SystemConfig config;
   config.num_clients = kClients;
   config.num_proxies = kProxies;
   config.seed = 11;
   config.pipeline.num_worker_threads = 2;
-  config.pipeline.mode = mode;
-  config.pipeline.shard_size = 64;
   config.fault = fault;
   system::PrivApproxSystem sys(config);
   sys.SubmitQuery(SpeedQuery(), Params());
@@ -176,22 +173,16 @@ void SoakInProcess(system::EpochPipelineMode mode,
   EXPECT_EQ(SampleCount(sys.MetricsText()), warm_samples);
 }
 
-TEST(SoakTest, BarrierLaneTopicsStayBounded) {
-  SoakInProcess(system::EpochPipelineMode::kBarrier, std::nullopt);
-}
+TEST(SoakTest, LaneTopicsStayBounded) { SoakInProcess(std::nullopt); }
 
-TEST(SoakTest, StreamingLaneTopicsStayBounded) {
-  SoakInProcess(system::EpochPipelineMode::kStreaming, std::nullopt);
-}
-
-TEST(SoakTest, FaultyStreamingLaneTopicsStayBounded) {
+TEST(SoakTest, FaultyLaneTopicsStayBounded) {
   fault::FaultPlan plan;
   plan.seed = 5;
   plan.drop_probability = 0.01;
   plan.corrupt_probability = 0.005;
   plan.duplicate_probability = 0.01;
   plan.delay_probability = 0.01;
-  SoakInProcess(system::EpochPipelineMode::kStreaming, plan);
+  SoakInProcess(plan);
 }
 
 // The value of `family{topic="<topic>"}` in a text exposition; -1 when the

@@ -7,9 +7,9 @@
 // real socket: shares are produced over the wire into proxy lane topics,
 // the aggregator joins by polling those topics through TcpBusClients, and
 // results come back serialized. The reference run is a plain
-// PrivApproxSystem (streaming pipeline, worker pool) over the same seed and
-// databases; comparison is on result_wire bytes, where every double is its
-// raw IEEE-754 bit pattern.
+// PrivApproxSystem (worker pool) over the same seed and databases;
+// comparison is on result_wire bytes, where every double is its raw
+// IEEE-754 bit pattern.
 
 // Durability: a non-empty PRIVAPPROX_TEST_DURABILITY environment variable
 // (an fsync policy name — CI uses "always") reruns every deployment in this
@@ -253,9 +253,8 @@ std::vector<aggregator::WindowedResult> RunSocketDeployment(
   return fleet.TakeResults();
 }
 
-// The in-process reference over identical inputs (streaming pipeline and
-// thread pool — the default mode, pinned bit-identical to the barrier path
-// by parallel_epoch_test).
+// The in-process reference over identical inputs (the worker pool at its
+// default size, pinned bit-identical to one worker by parallel_epoch_test).
 std::vector<aggregator::WindowedResult> RunInProcessReference(
     const std::vector<core::Query>& queries,
     std::string* metrics_text = nullptr) {

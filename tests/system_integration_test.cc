@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "core/privacy.h"
 #include "system/system.h"
@@ -60,16 +61,20 @@ TEST(SystemTest, MetricsExpositionCoversPipelineFamilies) {
         "privapprox_malformed_dropped_total", "privapprox_stage_ns",
         "privapprox_proxy_received_total", "privapprox_proxy_forwarded_total",
         "privapprox_agg_decode_ns", "privapprox_agg_join_ns",
-        "privapprox_topic_records_in", "privapprox_topic_slab_used_bytes",
-        "privapprox_channel_depth_hwm"}) {
+        "privapprox_topic_records_in", "privapprox_topic_slab_used_bytes"}) {
     EXPECT_NE(text.find(family), std::string::npos) << family;
   }
   const std::string json = sys.MetricsJson();
   EXPECT_NE(json.find("\"privapprox_epochs_total\":1"), std::string::npos);
-  // The timeline captured the epoch's stage spans.
+  // The timeline captured the epoch's stage spans, named like the
+  // privapprox_stage_ns labels.
   const std::string trace = sys.TimelineJson();
-  EXPECT_NE(trace.find("\"name\":\"epoch\""), std::string::npos);
-  EXPECT_NE(trace.find("\"name\":\"answer_shard\""), std::string::npos);
+  for (const char* stage :
+       {"epoch", "answer_shard", "proxy_forward", "agg_consume"}) {
+    EXPECT_NE(trace.find("\"name\":\"" + std::string(stage) + "\""),
+              std::string::npos)
+        << stage;
+  }
 }
 
 TEST(SystemTest, ValidatesConfig) {
@@ -91,7 +96,7 @@ TEST(SystemTest, RunEpochWithoutQueryThrows) {
 // A Query is a plain struct, so a signed one can still carry a slide longer
 // than its window or QID 0. SubmitQuery refuses such a query before any
 // side effect — no client learns of it — so epochs keep running for the
-// queries the system did admit, in both pipeline modes.
+// queries the system did admit, at every worker count.
 TEST(SystemTest, RejectedSubmitLeavesEpochsRunning) {
   core::Query long_slide = SpeedQuery();
   long_slide.query_id = 2;
@@ -100,14 +105,11 @@ TEST(SystemTest, RejectedSubmitLeavesEpochsRunning) {
   core::Query no_id = SpeedQuery();
   no_id.query_id = 0;
   no_id.Sign();
-  for (const auto mode :
-       {EpochPipelineMode::kBarrier, EpochPipelineMode::kStreaming}) {
-    SCOPED_TRACE(mode == EpochPipelineMode::kBarrier ? "barrier"
-                                                     : "streaming");
+  for (const size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
     SystemConfig config;
     config.num_clients = 20;
-    config.pipeline.mode = mode;
-    config.pipeline.shard_size = 7;
+    config.pipeline.num_worker_threads = workers;
     PrivApproxSystem sys(config);
     for (size_t i = 0; i < config.num_clients; ++i) {
       LoadSpeed(sys, i, 25.0);
@@ -197,6 +199,42 @@ TEST(SystemTest, SamplingReducesParticipantsAndTraffic) {
   EXPECT_EQ(full_stats.participants, 2000u);
   EXPECT_NEAR(static_cast<double>(sampled_stats.participants), 800.0, 80.0);
   EXPECT_LT(sampled.ClientToProxyBytes(), full.ClientToProxyBytes());
+}
+
+// Client -> proxy traffic counts every share a client sent, whichever proxy
+// tier took it: when every forward to a primary times out, all shares fail
+// over to the standbys, and the uplink bytes equal the fault-free run's.
+TEST(SystemTest, ClientToProxyBytesCountsStandbyTraffic) {
+  const auto run = [](std::optional<fault::FaultPlan> plan,
+                      EpochStats& stats) {
+    SystemConfig config;
+    config.num_clients = 200;
+    config.seed = 5;
+    config.fault = std::move(plan);
+    PrivApproxSystem sys(config);
+    for (size_t i = 0; i < config.num_clients; ++i) {
+      LoadSpeed(sys, i, 25.0);
+    }
+    sys.SubmitQuery(SpeedQuery(), ExactParams());
+    stats = sys.RunEpoch(5000);
+    sys.Flush();
+    const std::vector<aggregator::WindowedResult> results = sys.TakeResults();
+    EXPECT_EQ(results.size(), 1u);
+    if (!results.empty()) {
+      EXPECT_EQ(results[0].result.participants, config.num_clients);
+    }
+    return sys.ClientToProxyBytes();
+  };
+  EpochStats fault_free;
+  const uint64_t bytes = run(std::nullopt, fault_free);
+  fault::FaultPlan plan;
+  plan.timeout_probability = 1.0;
+  plan.standby_proxies = true;
+  EpochStats failed_over;
+  const uint64_t failover_bytes = run(plan, failed_over);
+  EXPECT_EQ(failed_over.recovery_failovers, 400u);
+  EXPECT_GT(bytes, 0u);
+  EXPECT_EQ(failover_bytes, bytes);
 }
 
 TEST(SystemTest, BudgetPathChoosesParamsAndRuns) {

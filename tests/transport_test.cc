@@ -13,7 +13,6 @@
 
 #include "broker/broker.h"
 #include "deploy/result_wire.h"
-#include "net/link.h"
 #include "storage/crc32.h"
 #include "transport/frame.h"
 #include "transport/inproc_bus.h"
@@ -441,84 +440,12 @@ TEST_F(BusConsumerTest, PollIntoDrainsAllPartitions) {
   EXPECT_TRUE(consumer.CaughtUp());
 }
 
-TEST_F(BusConsumerTest, PollExactIntoHonorsPromisedCounts) {
-  // Promise exactly what was appended per partition, then append more and
-  // verify the read stopped at the promise.
-  std::vector<uint32_t> counts(2, 0);
-  for (uint64_t key = 0; key < 10; ++key) {
-    Produce(key, "first");
-    ++counts[PartitionForKey(key, 2)];
-  }
-  for (uint64_t key = 10; key < 16; ++key) {
-    Produce(key, "second");
-  }
-  BusConsumer consumer(bus_, "t");
-  std::vector<broker::RecordView> out;
-  EXPECT_EQ(consumer.PollExactInto(counts, out), 10u);
-  EXPECT_EQ(out.size(), 10u);
-  EXPECT_FALSE(consumer.CaughtUp());
-}
-
-TEST_F(BusConsumerTest, PollExactIntoRejectsWrongPartitionCount) {
-  BusConsumer consumer(bus_, "t");
-  std::vector<broker::RecordView> out;
-  const std::vector<uint32_t> wrong(3, 0);
-  try {
-    consumer.PollExactInto(wrong, out);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    // The message names the consumer surface, not the deleted broker one.
-    EXPECT_NE(std::string(e.what()).find("BusConsumer::PollExactInto"),
-              std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("partition count mismatch"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST_F(BusConsumerTest, PollExactIntoThrowsWhenPromiseNotAvailable) {
-  Produce(0, "only one");
-  BusConsumer consumer(bus_, "t");
-  std::vector<broker::RecordView> out;
-  std::vector<uint32_t> counts(2, 0);
-  counts[PartitionForKey(0, 2)] = 2;  // promise more than exists
-  try {
-    consumer.PollExactInto(counts, out);
-    FAIL() << "expected std::logic_error";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("promised"), std::string::npos)
-        << e.what();
-  }
-}
-
 TEST(InProcessBusTest, EnsureTopicMismatchThrows) {
   broker::Broker broker;
   InProcessBus bus(broker);
   bus.EnsureTopic("t", 2);
   bus.EnsureTopic("t", 2);  // attach is fine
   EXPECT_THROW(bus.EnsureTopic("t", 3), std::invalid_argument);
-}
-
-TEST(InProcessBusTest, LinkModelAccountsEveryPayloadByte) {
-  broker::Broker broker;
-  net::LinkConfig link;
-  link.bandwidth_bytes_per_ms = 1000.0;
-  link.latency_ms = 1.0;
-  InProcessBus bus(broker, link);
-  bus.EnsureTopic("t", 1);
-  EXPECT_EQ(bus.simulated_transfer_ns(), 0u);
-
-  const std::vector<uint8_t> payload(500, 0x77);
-  const broker::ProduceView view{0, payload, 0};
-  bus.Produce("t", std::span<const broker::ProduceView>(&view, 1));
-  const uint64_t after_produce = bus.simulated_transfer_ns();
-  // latency 1ms + 500B / 1000B-per-ms = 1.5ms.
-  EXPECT_EQ(after_produce, 1500000u);
-
-  std::vector<broker::RecordView> out;
-  ASSERT_EQ(bus.Poll("t", 0, 0, 16, out), 1u);
-  EXPECT_EQ(bus.simulated_transfer_ns(), 2 * after_produce);
 }
 
 TEST(TopicRouterBusTest, RoutesByLongestPrefix) {
