@@ -18,7 +18,7 @@ repo="$(dirname "$here")"
 
 GATES=(pre_span_first qid_less chacha_block flat_config compat_layer
        ofstream bus_triplets single_query hand_wired_metrics
-       streaming_runtime)
+       streaming_runtime per_client_copies)
 
 # Each gate_<name> runs its grep from the tree root; plant_<name> is
 # "<file>|<line>", a violation the self-test appends to that file.
@@ -137,6 +137,18 @@ gate_streaming_runtime() {
     src tests bench examples
 }
 plant_streaming_runtime="bench/planted.cc|config.pipeline.mode = system::EpochPipelineMode::kStreaming;"
+
+# Compact client fleet: ClientFleet stores its clients contiguously, a
+# client's table keeps its rows in one vector, and a subscription is a QID,
+# the cohort's shared CompiledQuery and the client's RNG streams, kept in a
+# QID-sorted vector. A heap object per client, a deque-backed table or a
+# map node per subscription must not come back.
+gate_per_client_copies() {
+  grep -rnE \
+    "unique_ptr<client::Client>|deque<TimestampedRow>|map<uint64_t, Subscription>" \
+    src tests bench examples
+}
+plant_per_client_copies="src/planted.cc|std::vector<std::unique_ptr<client::Client>> clients_;"
 
 # Runs one gate in directory $2; returns 0 on pass. Prints why it failed.
 run_gate() {

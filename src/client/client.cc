@@ -1,7 +1,9 @@
 #include "client/client.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/answer.h"
 #include "core/inversion.h"
@@ -23,54 +25,69 @@ SplitMix64 SubscriptionMixer(uint64_t seed, uint64_t client_id,
 
 }  // namespace
 
+std::shared_ptr<const CompiledQuery> CompileQuery(
+    const core::Query& query, const core::ExecutionParams& params) {
+  core::ValidateAnnouncement(query, params);
+  std::optional<localdb::QueryPlan> plan;
+  try {
+    plan.emplace(query.sql);
+  } catch (const localdb::SqlError&) {
+  }
+  return std::make_shared<const CompiledQuery>(
+      CompiledQuery{query, params,
+                    core::RandomizedResponse(params.randomization),
+                    std::move(plan)});
+}
+
+std::shared_ptr<const CompiledQuery> CompileAnnouncement(
+    std::span<const uint8_t> announcement) {
+  const core::QueryAnnouncement ann =
+      core::DeserializeAnnouncement(announcement);
+  return CompileQuery(ann.query, ann.params);
+}
+
 Client::Client(ClientConfig config)
     : config_(config),
       coin_rng_(config.seed ^ (config.client_id * 0x9E3779B97F4A7C15ULL)) {}
 
-void Client::Subscribe(const core::Query& query,
-                       const core::ExecutionParams& params) {
-  core::ValidateAnnouncement(query, params);
-  const auto it = subs_.find(query.query_id);
-  if (it != subs_.end()) {
+void Client::Subscribe(std::shared_ptr<const CompiledQuery> compiled) {
+  const uint64_t qid = compiled->query.query_id;
+  const auto it = std::lower_bound(
+      subs_.begin(), subs_.end(), qid,
+      [](const Subscription& sub, uint64_t id) { return sub.query_id < id; });
+  if (it != subs_.end() && it->query_id == qid) {
     // Parameter/plan update for a live query: keep the RNG streams running.
-    it->second.query = query;
-    it->second.params = params;
-    it->second.plan = Compile(query.sql);
+    it->compiled = std::move(compiled);
     return;
   }
-  SplitMix64 mixer =
-      SubscriptionMixer(config_.seed, config_.client_id, query.query_id);
+  SplitMix64 mixer = SubscriptionMixer(config_.seed, config_.client_id, qid);
   const uint64_t rr_seed = mixer.Next();
   const uint64_t pad_seed = mixer.Next();
-  subs_.emplace(
-      query.query_id,
-      Subscription{query, params, Xoshiro256(rr_seed),
-                   crypto::XorSplitter(
-                       config_.num_proxies,
-                       crypto::ChaCha20Rng::FromSeed(pad_seed,
-                                                     query.query_id)),
-                   Compile(query.sql)});
+  const size_t at = static_cast<size_t>(it - subs_.begin());
+  // Exact-fit growth: subscribing is rare, and a fleet holds one of these
+  // vectors per client.
+  subs_.reserve(subs_.size() + 1);
+  subs_.insert(subs_.begin() + static_cast<long>(at),
+               Subscription{qid, std::move(compiled), Xoshiro256(rr_seed),
+                            crypto::XorSplitter(
+                                config_.num_proxies,
+                                crypto::ChaCha20Rng::FromSeed(pad_seed, qid))});
 }
 
-std::optional<localdb::QueryPlan> Client::Compile(const std::string& sql) {
-  try {
-    return localdb::QueryPlan(sql);
-  } catch (const localdb::SqlError&) {
-    return std::nullopt;
-  }
+void Client::Subscribe(const core::Query& query,
+                       const core::ExecutionParams& params) {
+  Subscribe(CompileQuery(query, params));
 }
 
 void Client::OnAnnouncement(const std::vector<uint8_t>& announcement) {
-  const core::QueryAnnouncement ann =
-      core::DeserializeAnnouncement(announcement);
-  Subscribe(ann.query, ann.params);
+  Subscribe(CompileAnnouncement(announcement));
 }
 
 std::vector<uint64_t> Client::subscribed_query_ids() const {
   std::vector<uint64_t> ids;
   ids.reserve(subs_.size());
-  for (const auto& [qid, sub] : subs_) {
-    ids.push_back(qid);
+  for (const Subscription& sub : subs_) {
+    ids.push_back(sub.query_id);
   }
   return ids;
 }
@@ -83,7 +100,7 @@ const Client::Subscription& Client::SingleSub(const char* caller) const {
     throw std::logic_error(std::string(caller) +
                            ": multiple subscriptions; pass a query id");
   }
-  return subs_.begin()->second;
+  return subs_.front();
 }
 
 Client::Subscription& Client::SingleSub(const char* caller) {
@@ -92,32 +109,33 @@ Client::Subscription& Client::SingleSub(const char* caller) {
 }
 
 const core::Query& Client::query() const {
-  return SingleSub("Client::query").query;
+  return SingleSub("Client::query").compiled->query;
 }
 
 const core::Query& Client::query(uint64_t query_id) const {
-  return Sub(query_id, "Client::query").query;
+  return Sub(query_id, "Client::query").compiled->query;
 }
 
 const Client::Subscription& Client::Sub(uint64_t query_id,
                                         const char* caller) const {
-  const auto it = subs_.find(query_id);
-  if (it == subs_.end()) {
-    throw std::logic_error(std::string(caller) +
-                           ": not subscribed to query " +
-                           std::to_string(query_id));
+  for (const Subscription& sub : subs_) {
+    if (sub.query_id == query_id) {
+      return sub;
+    }
   }
-  return it->second;
+  throw std::logic_error(std::string(caller) + ": not subscribed to query " +
+                         std::to_string(query_id));
 }
 
-BitVector Client::ComputeTruthful(const Subscription& sub,
+BitVector Client::ComputeTruthful(const CompiledQuery& compiled,
                                   int64_t now_ms) const {
-  const core::AnswerFormat& format = sub.query.answer_format;
+  const core::AnswerFormat& format = compiled.query.answer_format;
   std::optional<BitVector> truthful;
-  if (sub.plan.has_value()) {
+  if (compiled.plan.has_value()) {
     try {
       // Bucketize the first result value; aggregates yield exactly one.
-      db_.Scan(*sub.plan, now_ms - sub.query.window_length_ms, now_ms,
+      db_.Scan(*compiled.plan, now_ms - compiled.query.window_length_ms,
+               now_ms,
                [&](const localdb::Value& value) {
                  truthful = value.IsNumeric()
                                 ? core::EncodeAnswer(format, value.AsDouble())
@@ -140,22 +158,24 @@ BitVector Client::ComputeTruthful(const Subscription& sub,
 }
 
 BitVector Client::TruthfulAnswer(int64_t now_ms) {
-  return ComputeTruthful(SingleSub("Client::TruthfulAnswer"), now_ms);
+  return ComputeTruthful(*SingleSub("Client::TruthfulAnswer").compiled,
+                         now_ms);
 }
 
 BitVector Client::TruthfulAnswer(uint64_t query_id, int64_t now_ms) {
-  return ComputeTruthful(Sub(query_id, "Client::TruthfulAnswer"), now_ms);
+  return ComputeTruthful(*Sub(query_id, "Client::TruthfulAnswer").compiled,
+                         now_ms);
 }
 
 void Client::EncodeAnswerInto(Subscription& sub, int64_t now_ms,
                               EpochArena& arena,
                               std::span<crypto::ShareView> out) {
+  const CompiledQuery& compiled = *sub.compiled;
   // Step II: local execution + randomized response (per-query coin stream).
-  const BitVector truthful = ComputeTruthful(sub, now_ms);
-  const core::RandomizedResponse rr(sub.params.randomization);
+  const BitVector truthful = ComputeTruthful(compiled, now_ms);
   // Step III: frame and split.
-  const crypto::AnswerMessage message{sub.query.query_id,
-                                      rr.RandomizeAnswer(truthful, sub.rr_rng)};
+  const crypto::AnswerMessage message{
+      sub.query_id, compiled.rr.RandomizeAnswer(truthful, sub.rr_rng)};
   sub.splitter.SplitMessageInto(message, arena, out);
 }
 
@@ -164,15 +184,15 @@ std::optional<EpochAnswer> Client::AnswerQuery(int64_t now_ms) {
     return std::nullopt;
   }
   Subscription& sub = SingleSub("Client::AnswerQuery");
+  const CompiledQuery& compiled = *sub.compiled;
   // Step I: the sampling coin.
   const double u = coin_rng_.NextDouble();
-  if (!(u < sub.params.sampling_fraction)) {
+  if (!(u < compiled.params.sampling_fraction)) {
     return std::nullopt;
   }
-  const BitVector truthful = ComputeTruthful(sub, now_ms);
-  const core::RandomizedResponse rr(sub.params.randomization);
-  const crypto::AnswerMessage message{sub.query.query_id,
-                                      rr.RandomizeAnswer(truthful, sub.rr_rng)};
+  const BitVector truthful = ComputeTruthful(compiled, now_ms);
+  const crypto::AnswerMessage message{
+      sub.query_id, compiled.rr.RandomizeAnswer(truthful, sub.rr_rng)};
   EpochAnswer answer;
   answer.timestamp_ms = now_ms;
   answer.shares = sub.splitter.Split(message.Serialize());
@@ -197,9 +217,9 @@ void Client::AnswerSubscribedInto(int64_t now_ms, EpochArena& arena,
   // participation sequence it would see running alone.
   const double u = coin_rng_.NextDouble();
   size_t slot = 0;
-  for (auto& [qid, sub] : subs_) {
-    if (u < sub.params.sampling_fraction) {
-      answered.push_back(qid);
+  for (Subscription& sub : subs_) {
+    if (u < sub.compiled->params.sampling_fraction) {
+      answered.push_back(sub.query_id);
       EncodeAnswerInto(sub, now_ms, arena,
                        out.subspan(slot * config_.num_proxies,
                                    config_.num_proxies));

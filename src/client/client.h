@@ -17,15 +17,20 @@
 // coins and XOR pad material are per-query streams seeded as pure functions
 // of (seed, client_id, query_id), so each query's randomness (and therefore
 // its results) is bit-identical whether it runs alone or alongside others.
+//
+// What a subscription needs besides its randomness — the query, its admitted
+// parameters, the randomized-response mechanism and the parsed plan — is a
+// CompiledQuery: immutable, built once per announcement and shared by every
+// client that received the same announcement bytes. A client keeps only its
+// own RNG streams per subscription.
 
 #ifndef PRIVAPPROX_CLIENT_CLIENT_H_
 #define PRIVAPPROX_CLIENT_CLIENT_H_
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/arena.h"
@@ -54,6 +59,30 @@ struct EpochAnswer {
   int64_t timestamp_ms = 0;
 };
 
+// An announced query compiled for answering. Immutable once built, so one
+// instance is shared (read-only, from any thread) by every client it was
+// delivered to.
+struct CompiledQuery {
+  core::Query query;
+  core::ExecutionParams params;
+  core::RandomizedResponse rr;  // built from params.randomization
+  // query.sql, parsed; nullopt when it does not parse (clients then answer
+  // all-zero, as for a missing table).
+  std::optional<localdb::QueryPlan> plan;
+};
+
+// Runs core::ValidateAnnouncement and compiles the query's SQL. Throws
+// std::invalid_argument for anything ValidateAnnouncement refuses: a
+// structurally invalid query, a bad signature, or bad parameters.
+std::shared_ptr<const CompiledQuery> CompileQuery(
+    const core::Query& query, const core::ExecutionParams& params);
+
+// Wire form: parses a serialized announcement as received from a proxy's
+// query topic, then CompileQuery. Throws core::WireError on malformed bytes.
+// The result is a pure function of the bytes.
+std::shared_ptr<const CompiledQuery> CompileAnnouncement(
+    std::span<const uint8_t> announcement);
+
 class Client {
  public:
   explicit Client(ClientConfig config);
@@ -61,19 +90,20 @@ class Client {
   uint64_t id() const { return config_.client_id; }
   localdb::Database& database() { return db_; }
 
-  // Installs (or, for an already-subscribed QID, updates in place) a query
-  // and its execution parameters, as delivered via aggregator -> proxies ->
-  // client in the submission phase. Re-subscribing an existing QID keeps
-  // its randomness streams intact so feedback-loop parameter changes never
-  // reset pads mid-stream. Rejects (std::invalid_argument) anything
-  // core::ValidateAnnouncement refuses: a structurally invalid query, a bad
-  // signature, or bad parameters.
+  // Installs (or, for an already-subscribed QID, updates in place) a
+  // compiled query (non-null), as delivered via aggregator -> proxies ->
+  // client in the submission phase. Re-subscribing an existing QID swaps
+  // the compiled query and keeps its randomness streams intact, so
+  // feedback-loop parameter changes never reset pads mid-stream.
+  void Subscribe(std::shared_ptr<const CompiledQuery> compiled);
+
+  // Subscribe(CompileQuery(query, params)): rejects (std::invalid_argument)
+  // anything CompileQuery refuses.
   void Subscribe(const core::Query& query, const core::ExecutionParams& params);
 
-  // Wire-level subscription: parses a serialized query announcement as
-  // received from a proxy's query topic, verifies it, and subscribes.
-  // Throws core::WireError on malformed bytes and std::invalid_argument on
-  // a query or parameters Subscribe refuses.
+  // Subscribe(CompileAnnouncement(announcement)): throws core::WireError on
+  // malformed bytes and std::invalid_argument on a query or parameters
+  // CompileQuery refuses.
   void OnAnnouncement(const std::vector<uint8_t>& announcement);
 
   bool subscribed() const { return !subs_.empty(); }
@@ -113,24 +143,23 @@ class Client {
   BitVector TruthfulAnswer(uint64_t query_id, int64_t now_ms);
 
  private:
+  // This client's state for one subscribed query: its own randomness
+  // streams, and the compiled query it shares with its cohort.
   struct Subscription {
-    core::Query query;
-    core::ExecutionParams params;
+    uint64_t query_id;
+    std::shared_ptr<const CompiledQuery> compiled;
     Xoshiro256 rr_rng;             // randomized-response coins, per query
     crypto::XorSplitter splitter;  // MID + pad material, per query
-    // query.sql, parsed at subscribe/update time; nullopt when it does not
-    // parse (the client then answers all-zero, as for a missing table).
-    std::optional<localdb::QueryPlan> plan;
   };
 
-  static std::optional<localdb::QueryPlan> Compile(const std::string& sql);
   const Subscription& SingleSub(const char* caller) const;
   Subscription& SingleSub(const char* caller);
   const Subscription& Sub(uint64_t query_id, const char* caller) const;
-  // Bucketizes the first value the subscription's plan yields over its
-  // window ending at `now_ms` — a scan that stops at the first matching row
-  // and builds no vectors.
-  BitVector ComputeTruthful(const Subscription& sub, int64_t now_ms) const;
+  // Bucketizes the first value the query's plan yields over its window
+  // ending at `now_ms` — a scan that stops at the first matching row and
+  // builds no vectors.
+  BitVector ComputeTruthful(const CompiledQuery& compiled,
+                            int64_t now_ms) const;
   // Steps II-III for one participating subscription (the caller has already
   // spent the sampling coin).
   void EncodeAnswerInto(Subscription& sub, int64_t now_ms, EpochArena& arena,
@@ -139,7 +168,7 @@ class Client {
   ClientConfig config_;
   localdb::Database db_;
   Xoshiro256 coin_rng_;  // sampling coin only: one draw per answering epoch
-  std::map<uint64_t, Subscription> subs_;  // QID -> subscription, ascending
+  std::vector<Subscription> subs_;  // ascending QID
 };
 
 }  // namespace privapprox::client

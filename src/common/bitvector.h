@@ -61,6 +61,9 @@ class BitVector {
   // pad bits are zero). The span is invalidated by any mutation of the
   // vector's size or by its destruction.
   std::span<const uint8_t> bytes() const { return {data(), ByteSize()}; }
+  // Writable bytes, for kernels that build a vector a byte at a time. The
+  // writer must leave the pad bits past size() zero.
+  std::span<uint8_t> mutable_bytes() { return {data(), ByteSize()}; }
   size_t ByteSize() const { return (num_bits_ + 7) / 8; }
 
   // "0101..." debug rendering, most significant index last.

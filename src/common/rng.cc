@@ -3,11 +3,6 @@
 #include <cmath>
 
 namespace privapprox {
-namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
 
 uint64_t SplitMix64::Next() {
   uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
@@ -26,32 +21,6 @@ Xoshiro256::Xoshiro256(uint64_t seed) {
   if (state_[0] == 0 && state_[1] == 0 && state_[2] == 0 && state_[3] == 0) {
     state_[0] = 1;
   }
-}
-
-uint64_t Xoshiro256::Next() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Xoshiro256::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-bool Xoshiro256::NextBernoulli(double p) {
-  if (p <= 0.0) {
-    return false;
-  }
-  if (p >= 1.0) {
-    return true;
-  }
-  return NextDouble() < p;
 }
 
 uint64_t Xoshiro256::NextBounded(uint64_t bound) {

@@ -10,6 +10,7 @@
 #define PRIVAPPROX_COMMON_RNG_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -46,6 +47,8 @@ class Xoshiro256 {
 
   result_type operator()() { return Next(); }
 
+  // Next, NextDouble and NextBernoulli are defined inline below: they are
+  // the per-bit coin draws of randomized response.
   uint64_t Next();
 
   // Uniform double in [0, 1) with 53 bits of precision.
@@ -83,6 +86,32 @@ class Xoshiro256 {
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
 };
+
+inline uint64_t Xoshiro256::Next() {
+  const uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+  const uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = std::rotl(state_[3], 45);
+  return result;
+}
+
+inline double Xoshiro256::NextDouble() {
+  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+}
+
+inline bool Xoshiro256::NextBernoulli(double p) {
+  if (p <= 0.0) {
+    return false;
+  }
+  if (p >= 1.0) {
+    return true;
+  }
+  return NextDouble() < p;
+}
 
 // Fills `out` with random bytes from `rng` (not cryptographically strong;
 // for crypto key material use crypto::ChaCha20Rng).

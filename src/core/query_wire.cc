@@ -86,6 +86,8 @@ class Reader {
                        bytes_.begin() + static_cast<long>(at + len));
   }
 
+  size_t remaining() const { return bytes_.size() - pos_; }
+
  private:
   size_t Need(size_t n) {
     if (bytes_.size() - pos_ < n) {
@@ -159,7 +161,12 @@ QueryAnnouncement DeserializeAnnouncement(std::span<const uint8_t> bytes) {
   query.window_length_ms = r.I64();
   query.sliding_interval_ms = r.I64();
   const uint32_t num_buckets = r.U32();
-  if (num_buckets > 1u << 20) {
+  // Every bucket encodes to at least a tag and a 4-byte length (or bound),
+  // so a count the remaining bytes cannot hold is refused before anything
+  // is reserved for it: the sender does not pick the allocation size.
+  constexpr size_t kMinBucketBytes = 5;
+  if (num_buckets > 1u << 20 ||
+      num_buckets > r.remaining() / kMinBucketBytes) {
     throw WireError("implausible bucket count");
   }
   std::vector<Bucket> buckets;

@@ -1,6 +1,8 @@
 #include "core/randomized_response.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 namespace privapprox::core {
@@ -28,9 +30,30 @@ bool RandomizedResponse::RandomizeBit(bool truthful, Xoshiro256& rng) const {
 
 BitVector RandomizedResponse::RandomizeAnswer(const BitVector& truthful,
                                               Xoshiro256& rng) const {
+  // RandomizeBit over every bit, a byte at a time: the same draws in the
+  // same order. With p = 1 the first coin always comes up heads without a
+  // draw, so the answer is the truthful one; otherwise each bit draws the
+  // first coin and, on tails only, the second (q is in (0, 1), so that coin
+  // always draws).
+  if (params_.p >= 1.0) {
+    return truthful;
+  }
+  const double p = params_.p;
+  const double q = params_.q;
   BitVector randomized(truthful.size());
-  for (size_t i = 0; i < truthful.size(); ++i) {
-    randomized.Set(i, RandomizeBit(truthful.Get(i), rng));
+  const std::span<const uint8_t> in = truthful.bytes();
+  const std::span<uint8_t> out = randomized.mutable_bytes();
+  size_t remaining = truthful.size();
+  for (size_t i = 0; i < out.size(); ++i) {
+    const size_t bits = std::min<size_t>(remaining, 8);
+    remaining -= bits;
+    uint8_t byte = 0;
+    for (size_t b = 0; b < bits; ++b) {
+      const bool bit = rng.NextDouble() < p ? ((in[i] >> b) & 1u) != 0
+                                            : rng.NextDouble() < q;
+      byte |= static_cast<uint8_t>(static_cast<unsigned>(bit) << b);
+    }
+    out[i] = byte;
   }
   return randomized;
 }

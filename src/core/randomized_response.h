@@ -41,7 +41,10 @@ class RandomizedResponse {
   // Randomizes a single truthful bit.
   bool RandomizeBit(bool truthful, Xoshiro256& rng) const;
 
-  // Randomizes each bucket bit of a truthful answer independently.
+  // Randomizes each bucket bit of a truthful answer independently: exactly
+  // the draws RandomizeBit makes for each bit in index order (it is the
+  // reference), built a byte at a time. Allocates only what a BitVector of
+  // that width needs.
   BitVector RandomizeAnswer(const BitVector& truthful, Xoshiro256& rng) const;
 
   // Eq 5: de-biased estimate of the truthful "yes" count from `randomized_yes`

@@ -31,8 +31,14 @@ void Table::Insert(int64_t timestamp_ms, Row row) {
 }
 
 void Table::EvictBefore(int64_t cutoff_ms) {
-  while (!rows_.empty() && rows_.front().timestamp_ms < cutoff_ms) {
-    rows_.pop_front();
+  while (head_ < rows_.size() && rows_[head_].timestamp_ms < cutoff_ms) {
+    ++head_;
+  }
+  // Compacting moves at most as many live rows as were evicted since the
+  // last compaction.
+  if (head_ != 0 && 2 * head_ >= rows_.size()) {
+    rows_.erase(rows_.begin(), rows_.begin() + static_cast<long>(head_));
+    head_ = 0;
   }
 }
 

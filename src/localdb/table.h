@@ -6,8 +6,8 @@
 #define PRIVAPPROX_LOCALDB_TABLE_H_
 
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,7 +26,7 @@ class Table {
 
   const std::string& name() const { return name_; }
   const std::vector<std::string>& columns() const { return columns_; }
-  size_t num_rows() const { return rows_.size(); }
+  size_t num_rows() const { return rows_.size() - head_; }
 
   // Column index by name; nullopt if absent.
   std::optional<size_t> ColumnIndex(const std::string& column) const;
@@ -35,15 +35,23 @@ class Table {
   void Insert(int64_t timestamp_ms, Row row);
 
   // Drops rows older than `cutoff_ms` (exclusive). Rows are kept in insert
-  // order, which client streams guarantee to be time order.
+  // order, which client streams guarantee to be time order. Amortized O(1)
+  // per evicted row: eviction advances the head, and the buffer compacts
+  // once evicted rows make up at least half of it.
   void EvictBefore(int64_t cutoff_ms);
 
-  const std::deque<TimestampedRow>& rows() const { return rows_; }
+  // The live rows, oldest first. Invalidated by Insert and EvictBefore.
+  std::span<const TimestampedRow> rows() const {
+    return std::span<const TimestampedRow>(rows_).subspan(head_);
+  }
 
  private:
   std::string name_;
   std::vector<std::string> columns_;
-  std::deque<TimestampedRow> rows_;
+  // rows_[head_..] are live; rows before head_ were evicted and await
+  // compaction. One buffer, so a client's few rows cost one allocation.
+  std::vector<TimestampedRow> rows_;
+  size_t head_ = 0;
 };
 
 }  // namespace privapprox::localdb

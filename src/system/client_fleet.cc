@@ -1,5 +1,6 @@
 #include "system/client_fleet.h"
 
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 
@@ -26,7 +27,7 @@ ClientFleet::ClientFleet(size_t num_clients, size_t num_proxies,
     config.num_proxies = num_proxies;
     config.seed = seed;
     config.invert_answers = invert_answers;
-    clients_.push_back(std::make_unique<client::Client>(config));
+    clients_.emplace_back(config);
   }
 }
 
@@ -40,11 +41,16 @@ void ClientFleet::DeliverAnnouncement(size_t proxy, transport::MessageBus& bus,
     throw std::logic_error("ClientFleet: no announcement on " + topic);
   }
   // The freshest announcement on the topic is the one just published.
+  // Compiling is a pure function of these bytes, so compiling them once and
+  // sharing the result gives every client of the cohort exactly what
+  // parsing its own copy would. Each cohort compiles the bytes its own
+  // proxy relayed: proxies are separate parties, and a tampered relay must
+  // still be refused.
   const broker::RecordView& last = records.back();
-  const std::vector<uint8_t> bytes(last.payload,
-                                   last.payload + last.payload_len);
+  const std::shared_ptr<const client::CompiledQuery> compiled =
+      client::CompileAnnouncement({last.payload, last.payload_len});
   for (size_t i = proxy; i < clients_.size(); i += num_proxies_) {
-    clients_[i]->OnAnnouncement(bytes);
+    clients_[i].Subscribe(compiled);
   }
 }
 
@@ -68,7 +74,7 @@ AnsweredRange ClientFleet::Answer(size_t begin, size_t end, int64_t now_ms,
   std::vector<crypto::ShareView> views(num_queries * num_proxies_);
   std::vector<uint64_t> answered;
   for (size_t i = begin; i < end; ++i) {
-    clients_[i]->AnswerSubscribedInto(now_ms, arena, views, answered);
+    clients_[i].AnswerSubscribedInto(now_ms, arena, views, answered);
     size_t k = 0;
     for (const uint64_t qid : answered) {
       while (qids[k] != qid) {

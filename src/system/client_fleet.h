@@ -5,7 +5,10 @@
 // (a) builds them from a seed, (b) hands each proxy's query announcement to
 // that proxy's cohort, and (c) answers a client range — sample, randomize,
 // XOR-split — into per-(proxy, query) lane batches in client-id order,
-// routing each share through the fault injector when one is set.
+// routing each share through the fault injector when one is set. The
+// clients live contiguously, and each proxy's announcement is compiled once
+// and shared by its whole cohort, so a client costs its own data and RNG
+// streams and little else (DESIGN.md §6d).
 // PrivApproxSystem answers one contiguous range per worker on its pool;
 // deploy::FleetDriver answers its whole fleet as one range and produces the
 // batches over TCP. Because both drivers run this code,
@@ -16,7 +19,6 @@
 #define PRIVAPPROX_SYSTEM_CLIENT_FLEET_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -59,13 +61,18 @@ class ClientFleet {
               bool invert_answers, metrics::Registry& registry);
 
   size_t size() const { return clients_.size(); }
-  client::Client& client(size_t index) { return *clients_.at(index); }
+  // The fleet never grows, so a returned reference stays valid for the
+  // fleet's lifetime.
+  client::Client& client(size_t index) { return clients_.at(index); }
 
   // Submission phase, last step: reads the freshest announcement on proxy
   // `proxy`'s client-facing query topic through `bus` and subscribes that
-  // proxy's cohort — client i learns of queries from proxy i mod n. Throws
-  // std::logic_error when the topic holds no announcement; a refused
-  // announcement throws from client::Client::OnAnnouncement.
+  // proxy's cohort — client i learns of queries from proxy i mod n. The
+  // bytes are parsed and verified once for the cohort
+  // (client::CompileAnnouncement) and the one compiled query is shared by
+  // every client in it. Throws std::logic_error when the topic holds no
+  // announcement; a refused announcement throws from CompileAnnouncement
+  // before any client is subscribed.
   void DeliverAnnouncement(size_t proxy, transport::MessageBus& bus,
                            const std::string& topic);
 
@@ -86,7 +93,7 @@ class ClientFleet {
 
  private:
   size_t num_proxies_;
-  std::vector<std::unique_ptr<client::Client>> clients_;
+  std::vector<client::Client> clients_;  // sized once, never grows
   metrics::Counter& participants_;
   metrics::Counter& skips_;
   metrics::Counter& shares_sent_;

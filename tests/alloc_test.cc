@@ -12,8 +12,11 @@
 //
 // The epoch's per-epoch machinery (pool tasks, per-range lane batches,
 // fired results) allocates by design, but only per epoch: the whole-system
-// tests at the end bound a warm epoch at fewer than 0.5 allocations per
-// share.
+// tests bound a warm epoch at fewer than 0.5 allocations per share.
+//
+// Two footprint bounds close the file: what one client of a fleet costs on
+// the heap (its slot, its table and rows, its subscriptions), and what a
+// hostile announcement can make its decoder request.
 
 #include <gtest/gtest.h>
 
@@ -25,10 +28,13 @@
 #include "broker/broker.h"
 #include "common/alloc_counter.h"
 #include "common/arena.h"
+#include "core/query_wire.h"
 #include "crypto/chacha20.h"
 #include "crypto/message.h"
 #include "crypto/xor_cipher.h"
+#include "metrics/metrics.h"
 #include "proxy/proxy.h"
+#include "system/client_fleet.h"
 #include "system/system.h"
 #include "transport/inproc_bus.h"
 #include "transport/message_bus.h"
@@ -356,6 +362,86 @@ TEST(AllocRegressionTest, TwoQueryEpochAllocationsStayFlat) {
 
 TEST(AllocRegressionTest, WideThreeSqlEpochAllocationsStayFlat) {
   ExpectEpochAllocationsFlat(1, /*num_queries=*/3);
+}
+
+// Heap cost of one client: building a 1,000-client fleet, giving every
+// client a table with 4 rows, and delivering three announcements (11, 81
+// and 11 buckets) through an InProcessBus. The topics and announcements
+// exist before counting starts. Clients share each cohort's compiled query
+// and keep only their RNG streams per subscription, so a client costs its
+// rows and little else; a per-client copy of a query, a plan or an answer
+// format, or a per-client heap object, breaks the bound.
+TEST(AllocRegressionTest, FleetFootprintPerClient) {
+  constexpr size_t kClients = 1000;
+  metrics::Registry registry;
+  broker::Broker broker;
+  transport::InProcessBus bus(broker);
+  core::ExecutionParams params;
+  params.sampling_fraction = 0.6;
+  params.randomization = {0.9, 0.6};
+  const core::Query queries[] = {
+      AllocTestQuery(1, "SELECT speed FROM vehicle", 10),
+      AllocTestQuery(2, "SELECT temperature FROM vehicle", 80),
+      AllocTestQuery(3, "SELECT speed FROM vehicle WHERE temperature >= 50",
+                     10)};
+  std::vector<std::string> topics;
+  for (const core::Query& query : queries) {
+    const std::vector<uint8_t> bytes =
+        core::SerializeAnnouncement(core::QueryAnnouncement{query, params});
+    for (size_t j = 0; j < kNumShares; ++j) {
+      topics.push_back("announce.q" + std::to_string(query.query_id) + ".p" +
+                       std::to_string(j));
+      bus.EnsureTopic(topics.back(), 1);
+      const broker::ProduceView record{query.query_id, bytes, 0};
+      bus.Produce(topics.back(), {&record, 1});
+    }
+  }
+
+  const uint64_t bytes_before = AllocCounter::Bytes();
+  const uint64_t allocs_before = AllocCounter::Count();
+  system::ClientFleet fleet(kClients, kNumShares, /*seed=*/7,
+                            /*invert_answers=*/false, registry);
+  for (size_t i = 0; i < kClients; ++i) {
+    localdb::Database& db = fleet.client(i).database();
+    db.CreateTable("vehicle", {"speed", "temperature"});
+    for (int64_t row = 0; row < 4; ++row) {
+      db.GetTable("vehicle").Insert(
+          500 + row, {localdb::Value(static_cast<double>((i + row) % 100)),
+                      localdb::Value(static_cast<double>((i * 7) % 100))});
+    }
+  }
+  for (size_t t = 0; t < topics.size(); ++t) {
+    fleet.DeliverAnnouncement(t % kNumShares, bus, topics[t]);
+  }
+  const uint64_t bytes = AllocCounter::Bytes() - bytes_before;
+  const uint64_t allocs = AllocCounter::Count() - allocs_before;
+  ASSERT_EQ(fleet.client(kClients - 1).num_subscriptions(), 3u);
+  RecordProperty("bytes_per_client", std::to_string(bytes / kClients));
+  RecordProperty("allocs_per_client", std::to_string(allocs / kClients));
+  EXPECT_LE(bytes, 4096 * kClients)
+      << static_cast<double>(bytes) / kClients << " bytes per client";
+  EXPECT_LE(allocs, 16 * kClients)
+      << static_cast<double>(allocs) / kClients << " allocations per client";
+}
+
+// An announcement whose bucket count claims 2^20 buckets, the most the
+// decoder's sanity cap admits, with only a few bytes behind it. Decoding
+// it must be refused before the count sizes anything: the requested bytes
+// stay under a fixed cap instead of the 48 MB of Bucket slots the count
+// asks for.
+TEST(AllocRegressionTest, HostileBucketCountAllocatesLittle) {
+  const core::Query query = AllocTestQuery(1, "SELECT speed FROM vehicle", 10);
+  std::vector<uint8_t> bytes = core::SerializeAnnouncement(
+      core::QueryAnnouncement{query, core::ExecutionParams{}});
+  // magic, version, three ids, the SQL string, three durations.
+  const size_t count_at = 4 + 2 + 3 * 8 + 4 + query.sql.size() + 3 * 8;
+  ASSERT_EQ(bytes[count_at], query.answer_format.num_buckets());
+  for (int i = 0; i < 4; ++i) {
+    bytes[count_at + i] = static_cast<uint8_t>((1u << 20) >> (8 * i));
+  }
+  const uint64_t before = AllocCounter::Bytes();
+  EXPECT_THROW(core::DeserializeAnnouncement(bytes), core::WireError);
+  EXPECT_LT(AllocCounter::Bytes() - before, 64u * 1024);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/randomized_response.h"
 #include "core/sampling.h"
@@ -91,6 +92,41 @@ TEST(RandomizedResponseTest, RandomizeAnswerPreservesWidth) {
   truthful.Set(3, true);
   const BitVector randomized = rr.RandomizeAnswer(truthful, rng);
   EXPECT_EQ(randomized.size(), 11u);
+}
+
+// RandomizeAnswer is a byte-at-a-time kernel over RandomizeBit's draws: for
+// every width (inline and heap-backed, whole and partial bytes) and every
+// (p, q) shape (p = 1 draws nothing), its bits and the RNG state it leaves
+// behind equal a per-bit RandomizeBit loop's.
+TEST(RandomizedResponseTest, RandomizeAnswerMatchesPerBitReference) {
+  const RandomizationParams shapes[] = {{1.0, 0.5}, {0.9, 0.6}, {0.5, 0.01}};
+  const size_t widths[] = {1, 7, 8, 9, 11, 64, 81, 128, 129, 300};
+  for (const RandomizationParams& params : shapes) {
+    const RandomizedResponse rr(params);
+    for (const size_t width : widths) {
+      SCOPED_TRACE("p=" + std::to_string(params.p) + " width=" +
+                   std::to_string(width));
+      Xoshiro256 bits(width);
+      BitVector truthful(width);
+      for (size_t i = 0; i < width; ++i) {
+        truthful.Set(i, (bits.Next() & 1) != 0);
+      }
+      Xoshiro256 kernel_rng(42 + width);
+      Xoshiro256 reference_rng(42 + width);
+      for (int round = 0; round < 4; ++round) {
+        const BitVector randomized = rr.RandomizeAnswer(truthful, kernel_rng);
+        BitVector reference(width);
+        for (size_t i = 0; i < width; ++i) {
+          reference.Set(i, rr.RandomizeBit(truthful.Get(i), reference_rng));
+        }
+        ASSERT_EQ(randomized, reference) << "round " << round;
+      }
+      // Same state: the streams continue identically.
+      for (int i = 0; i < 4; ++i) {
+        ASSERT_EQ(kernel_rng.Next(), reference_rng.Next());
+      }
+    }
+  }
 }
 
 TEST(RandomizedResponseTest, DebiasHistogramBucketwise) {

@@ -82,6 +82,21 @@ TEST(QueryWireTest, TruncationThrows) {
   }
 }
 
+// A relayed announcement whose bucket count claims 2^20 buckets, the most
+// the decoder's sanity cap admits, with only a few bytes behind it. The
+// decoder must refuse the count before reserving anything for it.
+TEST(QueryWireTest, BucketCountBeyondTheBytesThrows) {
+  const QueryAnnouncement ann{MakeQuery(), MakeParams()};
+  std::vector<uint8_t> bytes = SerializeAnnouncement(ann);
+  // magic, version, three ids, the SQL string, three durations.
+  const size_t count_at = 4 + 2 + 3 * 8 + 4 + ann.query.sql.size() + 3 * 8;
+  ASSERT_EQ(bytes[count_at], ann.query.answer_format.num_buckets());
+  for (int i = 0; i < 4; ++i) {
+    bytes[count_at + i] = static_cast<uint8_t>((1u << 20) >> (8 * i));
+  }
+  EXPECT_THROW(DeserializeAnnouncement(bytes), WireError);
+}
+
 TEST(QueryWireTest, BadMagicAndVersionThrow) {
   auto bytes =
       SerializeAnnouncement(QueryAnnouncement{MakeQuery(), MakeParams()});
