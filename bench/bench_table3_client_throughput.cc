@@ -8,14 +8,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
-
 #include <vector>
 
 #include "client/client.h"
 #include "common/arena.h"
 #include "core/answer.h"
 #include "crypto/xor_cipher.h"
+#include "localdb/database.h"
 
 using namespace privapprox;
 
@@ -46,12 +47,22 @@ localdb::Database MakeDb(size_t rows) {
   return db;
 }
 
+// The read a client does: its subscription's compiled plan scanned over
+// the query window, stopping at the first matching row (client.cc
+// ComputeTruthful).
 void BM_DatabaseRead(benchmark::State& state) {
-  localdb::Database db = MakeDb(1000);
+  const localdb::Database db = MakeDb(1000);
+  const core::Query query = MakeQuery();
+  const localdb::QueryPlan plan(query.sql);
+  const int64_t now = 1000;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        db.Execute("SELECT speed FROM vehicle WHERE location = 'sf'", 0,
-                   1000000));
+    double first = 0.0;
+    db.Scan(plan, now - query.window_length_ms, now,
+            [&first](const localdb::Value& value) {
+              first = value.AsDouble();
+              return false;
+            });
+    benchmark::DoNotOptimize(first);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -250,6 +250,14 @@ uint64_t Aggregator::DrainLane(Lane& lane) {
   return consumed;
 }
 
+void Aggregator::ReleaseConsumed() {
+  for (auto& [qid, lane] : lanes_) {
+    for (auto& consumer : lane->consumers) {
+      consumer->ReleaseConsumed();
+    }
+  }
+}
+
 std::vector<std::pair<std::string, std::vector<uint64_t>>>
 Aggregator::SourceOffsets() const {
   std::vector<std::pair<std::string, std::vector<uint64_t>>> out;

@@ -148,6 +148,14 @@ class Aggregator {
   // committed record.
   uint64_t Drain();
 
+  // Releases every lane source below its committed offsets
+  // (MessageBus::Release): the aggregator is each source's only consumer,
+  // and the join keeps copies of the shares it parks. Drain never releases
+  // by itself; its host calls this after a drain, unless the host reads
+  // the sources again (a durable aggregator daemon re-drains them from
+  // offset 0 after a restart).
+  void ReleaseConsumed();
+
   // (topic, per-partition committed offsets) for every lane source
   // consumer, lanes in ascending-QID order — the retention low-watermarks
   // an operator plumbs back to the proxy daemons (advance_watermark) so

@@ -14,9 +14,10 @@
 // so consumers decode records in place with no per-record vector. Slab
 // bytes are immutable once their index entry is published under the
 // partition lock, so a RecordView stays valid while producers keep
-// appending — until the topic's owner releases its offset (Release), which
-// recycles the slabs below it. Only the process that owns a partition's
-// consumers may release, and only what every one of them has finished.
+// appending — until the partition's consumer releases its offset (Release,
+// reached through transport::MessageBus::Release), which recycles the
+// slabs below it. Only that consumer may release, and only what it has
+// finished.
 
 #ifndef PRIVAPPROX_BROKER_TOPIC_H_
 #define PRIVAPPROX_BROKER_TOPIC_H_

@@ -152,6 +152,14 @@ std::vector<uint8_t> AggregatorDaemon::HandleControl(
   }
   if (verb == "drain") {
     transport::PutU64(aggregator_->Drain(), response);
+    // A durable daemon must not release: after a restart it re-registers
+    // its journaled queries and re-drains every source from offset 0, so
+    // the proxies keep the out-topics until aggregator checkpoints let a
+    // restart resume from a snapshot's offsets. Without a data dir, the
+    // lanes live only in memory and a restart has nothing to re-drain for.
+    if (journal_ == nullptr) {
+      aggregator_->ReleaseConsumed();
+    }
     // The join keeps copies of the shares it parks, so no polled view
     // outlives Drain: the proxy buses may overwrite their payload slabs.
     for (const auto& bus : proxy_buses_) {

@@ -13,7 +13,10 @@
 // aggregator — single-threaded by contract — needs no locking):
 //
 //   register_query     announcement bytes          -> (empty)
-//   drain              (empty)                     -> u64 shares consumed
+//   drain              (empty)                     -> u64 shares consumed;
+//                                                    without a data dir it
+//                                                    then releases the
+//                                                    drained out-topics
 //   advance_watermark  u64 (bit-cast i64 ms)       -> (empty)
 //   flush              (empty)                     -> (empty)
 //   take_results       (empty)                     -> result_wire bytes
@@ -69,9 +72,10 @@ struct AggregatorDaemonConfig {
   size_t num_shards = 1;
   std::string bind_host = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral
-  // Durability root. Empty = no journal (previous behavior). Non-empty =
-  // query announcements journal to <data_dir>/query_journal and the
-  // constructor replays them.
+  // Durability root. Empty = no journal, and every drain releases the
+  // drained proxy out-topics. Non-empty = query announcements journal to
+  // <data_dir>/query_journal, the constructor replays them, and the
+  // proxies keep the out-topics for the re-drain.
   std::string data_dir;
   storage::PartitionLogOptions log;
 };

@@ -139,9 +139,6 @@ std::vector<uint8_t> ProxyDaemon::HandleControl(
   }
   if (verb == "forward_lanes") {
     transport::PutU64(proxy_->ForwardLanes(), response);
-    ForEachLaneInWatermark([](broker::Topic& in, size_t p, uint64_t offset) {
-      in.Release(p, offset);
-    });
     return response;
   }
   if (verb == "forward_queries") {

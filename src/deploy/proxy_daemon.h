@@ -27,10 +27,12 @@
 // those out-topic segments and each lane's in-topic segments below the
 // proxy's own forward offsets.
 //
-// Memory: this proxy is the only consumer of its lane inbound topics, so
-// forward_lanes releases their in-memory records below the forward offsets
-// (broker::Topic::Release). Lane outbound topics keep every record in
-// memory: a restarted aggregator daemon re-drains them from offset zero.
+// Memory: each lane topic's one consumer releases what it has consumed
+// (transport::MessageBus::Release). The proxy releases its lane inbound
+// topics as forward_lanes forwards them. The aggregator daemon releases
+// the lane outbound topics over the wire after each drain, unless it is
+// durable: a restarted durable aggregator daemon re-drains them from
+// offset zero, so they stay in memory until aggregator checkpoints exist.
 //
 // privapprox_proxyd (deploy/proxyd_main.cc) is this class plus flag parsing
 // and signal handling.

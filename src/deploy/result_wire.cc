@@ -1,6 +1,8 @@
 #include "deploy/result_wire.h"
 
 #include <bit>
+#include <stdexcept>
+#include <string>
 
 #include "transport/wire.h"
 
@@ -14,6 +16,22 @@ void PutF64(double v, std::vector<uint8_t>& out) {
 
 double TakeF64(transport::WireReader& reader) {
   return std::bit_cast<double>(reader.TakeU64());
+}
+
+// Smallest encoding of one result (eight u64 fields and the bucket count)
+// and of one bucket (five u64 fields).
+constexpr size_t kResultBytes = 8 * 8 + 4;
+constexpr size_t kBucketBytes = 5 * 8;
+
+// Refuses a sender's count that the bytes left cannot hold, before
+// anything is sized by it.
+void CheckCount(const char* what, uint32_t count, size_t each,
+                const transport::WireReader& reader) {
+  if (count > reader.remaining() / each) {
+    throw std::invalid_argument("DeserializeResults: " + std::string(what) +
+                                " count " + std::to_string(count) +
+                                " exceeds the payload");
+  }
 }
 
 }  // namespace
@@ -48,6 +66,7 @@ std::vector<aggregator::WindowedResult> DeserializeResults(
     std::span<const uint8_t> bytes) {
   transport::WireReader reader(bytes);
   const uint32_t count = reader.TakeU32();
+  CheckCount("result", count, kResultBytes, reader);
   std::vector<aggregator::WindowedResult> results;
   results.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -62,6 +81,7 @@ std::vector<aggregator::WindowedResult> DeserializeResults(
     qr.confidence = TakeF64(reader);
     qr.sampling_fraction = TakeF64(reader);
     const uint32_t num_buckets = reader.TakeU32();
+    CheckCount("bucket", num_buckets, kBucketBytes, reader);
     qr.buckets.reserve(num_buckets);
     for (uint32_t b = 0; b < num_buckets; ++b) {
       core::BucketEstimate bucket;

@@ -25,7 +25,8 @@ std::vector<uint8_t> SerializeResults(
     std::span<const aggregator::WindowedResult> results);
 
 // Parses bytes produced by SerializeResults. Throws std::invalid_argument
-// on truncation or a bad record count.
+// on truncation, trailing bytes, or a result or bucket count the remaining
+// bytes cannot hold (refused before anything is sized by it).
 std::vector<aggregator::WindowedResult> DeserializeResults(
     std::span<const uint8_t> bytes);
 

@@ -168,6 +168,7 @@ uint64_t Proxy::ForwardLanes() {
   uint64_t total = 0;
   for (auto& [qid, lane] : lanes_) {
     total += ForwardPendingViews(*lane.consumer, lane.out_topic);
+    lane.consumer->ReleaseConsumed();
   }
   return total;
 }

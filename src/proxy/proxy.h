@@ -110,8 +110,9 @@ class Proxy {
   void Receive(uint64_t query_id, std::span<const broker::ProduceView> records);
 
   // Transmits all pending inbound records of every lane to its outbound
-  // topic, lanes in ascending-QID order. Returns the number of records
-  // forwarded.
+  // topic, lanes in ascending-QID order, and releases each inbound topic
+  // below the forward offsets: the proxy is its only consumer, standbys
+  // included. Returns the number of records forwarded.
   uint64_t ForwardLanes();
 
   // Query distribution (§3.1, submission phase): the aggregator publishes
@@ -131,8 +132,8 @@ class Proxy {
   // Span-first batch decode, the aggregator drain's one decode path, so
   // malformed accounting stays in one place.
   // A decoded share's payload is a span into the record's slab storage,
-  // valid as long as the RecordView it came from (until the topic's owner
-  // releases it, at the end of the epoch), so decoding is just header
+  // valid as long as the RecordView it came from (until the topic's
+  // consumer releases it, once its drain is done), so decoding is just header
   // parsing — no per-share vector. Records shorter than the 8-byte MID
   // header count as malformed.
   struct DecodedShare {

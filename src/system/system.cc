@@ -371,7 +371,9 @@ EpochStats PrivApproxSystem::RunEpoch(int64_t now_ms) {
       const metrics::EpochTimeline::Span drain_span(timeline_, "agg_consume");
       shares_consumed_.Increment(aggregator_->Drain());
     }
-    ReleaseConsumed();
+    // The proxies released their in-topics while forwarding; nothing reads
+    // the drained out-topics again.
+    aggregator_->ReleaseConsumed();
   }
   if (injector_ != nullptr) {
     // Hand the epoch's unjoinable (query, MID) pairs to each query's lane
@@ -413,26 +415,6 @@ EpochStats PrivApproxSystem::RunEpoch(int64_t now_ms) {
     stats.recovery_late_delivered = after.late - fault_before.late;
   }
   return stats;
-}
-
-void PrivApproxSystem::ReleaseConsumed() {
-  const auto release = [this](const std::string& name,
-                              const std::vector<uint64_t>& offsets) {
-    broker::Topic& topic = broker_.GetTopic(name);
-    for (size_t p = 0; p < offsets.size(); ++p) {
-      topic.Release(p, offsets[p]);
-    }
-  };
-  for (const auto& [qid, active] : active_) {
-    for (const auto* tier : {&proxies_, &standby_proxies_}) {
-      for (const auto& proxy : *tier) {
-        release(proxy->lane_in_topic(qid), proxy->LaneInOffsets(qid));
-      }
-    }
-  }
-  for (const auto& [topic, offsets] : aggregator_->SourceOffsets()) {
-    release(topic, offsets);
-  }
 }
 
 // Delivers the shares the degraded link held back, at the start of the next

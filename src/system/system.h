@@ -280,11 +280,6 @@ class PrivApproxSystem {
   // order) to the per-query counters. Thread-safe.
   void CountAnswered(std::span<const uint64_t> participants);
   void ReplayDeferredShares();
-  // Releases every lane topic's records below its consumers' offsets: the
-  // system owns each lane's only consumer — its proxy (primary or standby)
-  // for an in-topic, the aggregator for an out-topic — so once an epoch is
-  // done nothing below those offsets is ever read again.
-  void ReleaseConsumed();
   // Publishes the announcement through every proxy's query topics and
   // delivers it to the client fleet.
   void DistributeAnnouncement(const core::Query& query,

@@ -28,6 +28,8 @@ class InProcessBus final : public MessageBus {
   size_t Poll(const std::string& topic, size_t partition, uint64_t offset,
               size_t max_records, std::vector<broker::RecordView>& out) override;
   uint64_t EndOffset(const std::string& topic, size_t partition) override;
+  void Release(const std::string& topic,
+               std::span<const uint64_t> below) override;
 
   broker::Broker& broker() { return broker_; }
 

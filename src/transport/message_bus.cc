@@ -50,6 +50,8 @@ bool BusConsumer::CaughtUp() {
   return true;
 }
 
+void BusConsumer::ReleaseConsumed() { bus_.Release(topic_, offsets_); }
+
 void TopicRouterBus::AddRoute(std::string topic_prefix, MessageBus& target) {
   routes_.emplace_back(std::move(topic_prefix), &target);
 }
@@ -94,6 +96,11 @@ size_t TopicRouterBus::Poll(const std::string& topic, size_t partition,
 uint64_t TopicRouterBus::EndOffset(const std::string& topic,
                                    size_t partition) {
   return Route(topic).EndOffset(topic, partition);
+}
+
+void TopicRouterBus::Release(const std::string& topic,
+                             std::span<const uint64_t> below) {
+  Route(topic).Release(topic, below);
 }
 
 }  // namespace privapprox::transport

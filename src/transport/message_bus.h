@@ -16,13 +16,20 @@
 // the caller commits by advancing its own offsets (BusConsumer below). That
 // keeps consumption idempotent across reconnects.
 //
-// View lifetime: a polled RecordView stays valid until the process that
-// owns its consumers releases it. InProcessBus hands out broker-slab
-// pointers, which live until broker::Topic::Release passes their offset;
-// TcpBusClient copies fetched payloads into its own slabs, which live until
-// TcpBusClient::ReleasePolled. The owners release between epochs, so no
-// downstream code may keep a view past the call that consumed it (the
-// aggregator's MidJoiner copies the shares it parks).
+// Release: a topic's one consumer tells the bus, through Release, that it
+// will not read below its committed offsets again, and the broker hosting
+// the topic frees those records from memory — on whichever side of the
+// wire the topic lives. The proxy releases each lane in-topic as it
+// forwards it; the aggregator's host releases the lane out-topics once a
+// drain is done (Aggregator::ReleaseConsumed).
+//
+// View lifetime: a polled RecordView stays valid until it is released.
+// InProcessBus hands out broker-slab pointers, which live until a Release
+// passes their offset; TcpBusClient copies fetched payloads into its own
+// slabs, which live until TcpBusClient::ReleasePolled. Consumers release
+// once the call that consumed the views has returned, so no downstream
+// code may keep a view past that call (the aggregator's MidJoiner copies
+// the shares it parks).
 
 #ifndef PRIVAPPROX_TRANSPORT_MESSAGE_BUS_H_
 #define PRIVAPPROX_TRANSPORT_MESSAGE_BUS_H_
@@ -69,6 +76,15 @@ class MessageBus {
 
   // Next offset to be assigned in `partition` (== current log length).
   virtual uint64_t EndOffset(const std::string& topic, size_t partition) = 0;
+
+  // The topic's only consumer will not read partition p below `below[p]`
+  // again, so the hosting broker may free those records from memory
+  // (broker::Topic::Release; offsets past the end are clamped). A durable
+  // log keeps them until retention trims it. Throws for an unknown topic
+  // or a `below` that does not hold exactly one offset per partition
+  // (std::invalid_argument in process, the remote error over TCP).
+  virtual void Release(const std::string& topic,
+                       std::span<const uint64_t> below) = 0;
 };
 
 // The partition a key maps to in a topic with `num_partitions` partitions —
@@ -108,6 +124,11 @@ class BusConsumer {
   // True when the consumer has caught up with every partition.
   bool CaughtUp();
 
+  // Releases the topic below the committed offsets (MessageBus::Release).
+  // Only the topic's one consumer may call it, once no view it polled is
+  // in use.
+  void ReleaseConsumed();
+
  private:
   MessageBus& bus_;
   std::string topic_;
@@ -133,6 +154,8 @@ class TopicRouterBus final : public MessageBus {
   size_t Poll(const std::string& topic, size_t partition, uint64_t offset,
               size_t max_records, std::vector<broker::RecordView>& out) override;
   uint64_t EndOffset(const std::string& topic, size_t partition) override;
+  void Release(const std::string& topic,
+               std::span<const uint64_t> below) override;
 
  private:
   MessageBus& Route(const std::string& topic);

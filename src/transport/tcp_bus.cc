@@ -538,6 +538,13 @@ uint64_t TcpBusClient::EndOffset(const std::string& topic, size_t partition) {
   return reader.TakeU64();
 }
 
+void TcpBusClient::Release(const std::string& topic,
+                           std::span<const uint64_t> below) {
+  std::lock_guard<std::mutex> lock(mu_);
+  BuildReleaseRequest(topic, below, NewRequest());
+  CheckOk(Rpc());
+}
+
 std::vector<uint8_t> TcpBusClient::Control(const std::string& verb,
                                            std::span<const uint8_t> payload) {
   std::lock_guard<std::mutex> lock(mu_);

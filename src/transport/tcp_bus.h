@@ -18,8 +18,8 @@
 // a timeout and bounded retry/backoff (counted in reconnects); an I/O error
 // poisons the connection, throws, and the next call re-dials. Polled
 // payload bytes are copied into client-owned slabs, so RecordViews stay
-// valid until the owner calls ReleasePolled — the counterpart of
-// broker::Topic::Release on the far side of the wire.
+// valid until the owner calls ReleasePolled, which recycles this side's
+// copies; Release frees the records themselves in the remote broker.
 //
 // Both ends frame in place (frame.h): a request or response is written
 // behind a header placeholder in the very buffer that is sent and sealed
@@ -154,6 +154,8 @@ class TcpBusClient final : public MessageBus {
   size_t Poll(const std::string& topic, size_t partition, uint64_t offset,
               size_t max_records, std::vector<broker::RecordView>& out) override;
   uint64_t EndOffset(const std::string& topic, size_t partition) override;
+  void Release(const std::string& topic,
+               std::span<const uint64_t> below) override;
 
   // Daemon control verb round-trip; throws std::runtime_error with the
   // server-side message on a remote error.

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/byte_order.h"
+#include "transport/inproc_bus.h"
 
 namespace privapprox::transport {
 
@@ -138,6 +139,19 @@ void BuildTopicMetaRequest(const std::string& topic,
   PutString(topic, out);
 }
 
+void BuildReleaseRequest(const std::string& topic,
+                         std::span<const uint64_t> below,
+                         std::vector<uint8_t>& out) {
+  PutU8(static_cast<uint8_t>(WireOp::kRelease), out);
+  PutString(topic, out);
+  PutU32(static_cast<uint32_t>(below.size()), out);
+  uint8_t* p = Extend(out, below.size() * 8);
+  for (const uint64_t offset : below) {
+    StoreLe<uint64_t>(p, offset);
+    p += 8;
+  }
+}
+
 void BuildControlRequest(const std::string& verb,
                          std::span<const uint8_t> payload,
                          std::vector<uint8_t>& out) {
@@ -219,6 +233,22 @@ void ServePoll(broker::Broker& broker, WireReader& reader,
   }
 }
 
+// Served through an InProcessBus over the daemon's broker, so a remote
+// Release checks and frees exactly what a local one does.
+void ServeRelease(broker::Broker& broker, WireReader& reader,
+                  std::vector<uint8_t>& response) {
+  const std::string topic = reader.TakeString();
+  const uint32_t count = reader.TakeU32();
+  const std::span<const uint8_t> raw = reader.TakeRaw(size_t{count} * 8);
+  thread_local std::vector<uint64_t> below;
+  below.resize(count);
+  for (uint32_t p = 0; p < count; ++p) {
+    below[p] = LoadLe<uint64_t>(raw.data() + size_t{p} * 8);
+  }
+  InProcessBus(broker).Release(topic, below);
+  PutU8(kWireOk, response);
+}
+
 }  // namespace
 
 uint8_t HandleRequest(broker::Broker& broker, const ControlHandler& control,
@@ -263,6 +293,9 @@ uint8_t HandleRequest(broker::Broker& broker, const ControlHandler& control,
                response);
         break;
       }
+      case WireOp::kRelease:
+        ServeRelease(broker, reader, response);
+        break;
       case WireOp::kControl: {
         const std::string verb = reader.TakeString();
         const auto payload = reader.TakeBytes();

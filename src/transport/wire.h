@@ -2,11 +2,11 @@
 //
 // Each frame payload is one message. Requests carry a one-byte opcode
 // mirroring the MessageBus contract (EnsureTopic / Produce / Poll /
-// EndOffset / TopicMeta) plus a Control escape hatch the daemons use for
-// verbs that are not topic I/O (lane setup, drains, watermark advances,
-// metrics dumps). Responses are a status byte followed by the op-specific
-// body; errors carry the server-side exception message so the client can
-// rethrow something debuggable.
+// EndOffset / TopicMeta / Release) plus a Control escape hatch the daemons
+// use for verbs that are not topic I/O (lane setup, drains, watermark
+// advances, metrics dumps). Responses are a status byte followed by the
+// op-specific body; errors carry the server-side exception message so the
+// client can rethrow something debuggable.
 //
 // Everything is little-endian and length-prefixed; strings are u16-length,
 // payloads u32-length. Poll responses are byte-budgeted: the server stops
@@ -40,6 +40,7 @@ enum class WireOp : uint8_t {
   kEndOffset = 4,
   kTopicMeta = 5,
   kControl = 6,
+  kRelease = 7,
 };
 
 inline constexpr uint8_t kWireOk = 0;
@@ -97,6 +98,11 @@ void BuildPollRequest(const std::string& topic, size_t partition,
 void BuildEndOffsetRequest(const std::string& topic, size_t partition,
                            std::vector<uint8_t>& out);
 void BuildTopicMetaRequest(const std::string& topic, std::vector<uint8_t>& out);
+// [op][string topic][u32 n][n x u64 offset]: one release offset per
+// partition (MessageBus::Release).
+void BuildReleaseRequest(const std::string& topic,
+                         std::span<const uint64_t> below,
+                         std::vector<uint8_t>& out);
 void BuildControlRequest(const std::string& verb,
                          std::span<const uint8_t> payload,
                          std::vector<uint8_t>& out);

@@ -124,6 +124,42 @@ TEST(AggregatorTest, EndToEndExactWhenNoNoise) {
   EXPECT_EQ(harness.aggregator->join_stats().joined, population);
 }
 
+// Drain leaves its sources alone, because a host may read them again;
+// ReleaseConsumed frees exactly what the drains consumed.
+TEST(AggregatorTest, ReleaseConsumedFreesOnlyWhatWasDrained) {
+  Harness harness(10, NoNoiseParams());
+  const auto ship = [&](uint64_t first, uint64_t last) {
+    for (uint64_t id = first; id < last; ++id) {
+      client::Client c = MakeClient(id, 15.0);
+      c.Subscribe(harness.query, NoNoiseParams());
+      const auto answer = c.AnswerQuery(5000);
+      ASSERT_TRUE(answer.has_value());
+      harness.Ship(answer->shares, answer->timestamp_ms);
+    }
+  };
+  const auto retained = [&](const proxy::Proxy& proxy) {
+    return harness.broker.GetTopic(proxy.lane_out_topic(harness.query.query_id))
+        .slab_stats()
+        .retained_records;
+  };
+  ship(0, 4);
+  harness.Pump();
+  EXPECT_EQ(retained(harness.proxy0), 4u);
+  EXPECT_EQ(retained(harness.proxy1), 4u);
+  // Three more answers are forwarded but not drained: they stay.
+  ship(4, 7);
+  harness.proxy0.ForwardLanes();
+  harness.proxy1.ForwardLanes();
+  harness.aggregator->ReleaseConsumed();
+  EXPECT_EQ(retained(harness.proxy0), 3u);
+  EXPECT_EQ(retained(harness.proxy1), 3u);
+  harness.aggregator->Drain();
+  harness.aggregator->ReleaseConsumed();
+  EXPECT_EQ(retained(harness.proxy0), 0u);
+  EXPECT_EQ(retained(harness.proxy1), 0u);
+  EXPECT_EQ(harness.aggregator->join_stats().joined, 7u);
+}
+
 TEST(AggregatorTest, WindowsFireOnlyPastWatermark) {
   Harness harness(10, NoNoiseParams());
   client::Client c = MakeClient(0, 15.0);

@@ -14,14 +14,15 @@
 // fired results) allocates by design, but only per epoch: the whole-system
 // tests bound a warm epoch at fewer than 0.5 allocations per share.
 //
-// Two footprint bounds close the file: what one client of a fleet costs on
-// the heap (its slot, its table and rows, its subscriptions), and what a
-// hostile announcement can make its decoder request.
+// Footprint bounds close the file: what one client of a fleet costs on the
+// heap (its slot, its table and rows, its subscriptions), and what a
+// hostile announcement or result payload can make its decoder request.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,12 +33,14 @@
 #include "crypto/chacha20.h"
 #include "crypto/message.h"
 #include "crypto/xor_cipher.h"
+#include "deploy/result_wire.h"
 #include "metrics/metrics.h"
 #include "proxy/proxy.h"
 #include "system/client_fleet.h"
 #include "system/system.h"
 #include "transport/inproc_bus.h"
 #include "transport/message_bus.h"
+#include "transport/wire.h"
 
 namespace privapprox {
 namespace {
@@ -442,6 +445,30 @@ TEST(AllocRegressionTest, HostileBucketCountAllocatesLittle) {
   const uint64_t before = AllocCounter::Bytes();
   EXPECT_THROW(core::DeserializeAnnouncement(bytes), core::WireError);
   EXPECT_LT(AllocCounter::Bytes() - before, 64u * 1024);
+}
+
+// A result payload whose counts claim far more than its bytes hold: 100,000
+// results with nothing behind them, or one result claiming 2^20 buckets.
+// DeserializeResults must refuse each count before it sizes anything by
+// it, instead of requesting megabytes of result and bucket slots.
+TEST(AllocRegressionTest, HostileResultCountAllocatesLittle) {
+  std::vector<uint8_t> many_results;
+  transport::PutU32(100000, many_results);
+  aggregator::WindowedResult result;
+  result.result.buckets.resize(1);
+  std::vector<uint8_t> many_buckets = deploy::SerializeResults(
+      std::vector<aggregator::WindowedResult>{result});
+  const size_t bucket_count_at = 4 + 8 * 8;  // result count, eight u64s
+  ASSERT_EQ(many_buckets[bucket_count_at], 1u);
+  for (int i = 0; i < 4; ++i) {
+    many_buckets[bucket_count_at + i] =
+        static_cast<uint8_t>((1u << 20) >> (8 * i));
+  }
+  for (const std::vector<uint8_t>* bytes : {&many_results, &many_buckets}) {
+    const uint64_t before = AllocCounter::Bytes();
+    EXPECT_THROW(deploy::DeserializeResults(*bytes), std::invalid_argument);
+    EXPECT_LT(AllocCounter::Bytes() - before, 64u * 1024);
+  }
 }
 
 }  // namespace

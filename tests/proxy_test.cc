@@ -77,6 +77,32 @@ TEST(ProxyTest, ForwardMovesEverythingInToOut) {
   EXPECT_EQ(count, 100u);
 }
 
+TEST(ProxyTest, ForwardReleasesTheLaneInTopic) {
+  broker::Broker b;
+  ProxyConfig config;
+  config.num_partitions = 2;
+  Proxy proxy(config, b);
+  proxy.EnsureLane(kQid);
+  for (uint64_t mid = 0; mid < 10; ++mid) {
+    ReceiveShare(proxy, crypto::MessageShare{mid, {1}}, 0);
+  }
+  const broker::Topic& in = b.GetTopic(proxy.lane_in_topic(kQid));
+  EXPECT_EQ(in.slab_stats().retained_records, 10u);
+  EXPECT_EQ(proxy.ForwardLanes(), 10u);
+  // The proxy is the in-topic's only consumer: what it forwarded is freed,
+  // the offsets stay, and the out-topic keeps everything for its consumer.
+  EXPECT_EQ(in.slab_stats().retained_records, 0u);
+  EXPECT_EQ(in.EndOffset(0) + in.EndOffset(1), 10u);
+  EXPECT_EQ(
+      b.GetTopic(proxy.lane_out_topic(kQid)).slab_stats().retained_records,
+      10u);
+  // A share that arrives later stays until the forward that moves it.
+  ReceiveShare(proxy, crypto::MessageShare{99, {1}}, 0);
+  EXPECT_EQ(in.slab_stats().retained_records, 1u);
+  EXPECT_EQ(proxy.ForwardLanes(), 1u);
+  EXPECT_EQ(in.slab_stats().retained_records, 0u);
+}
+
 TEST(ProxyTest, ForwardPreservesTimestamps) {
   broker::Broker b;
   Proxy proxy(ProxyConfig{0, 1}, b);

@@ -6,9 +6,11 @@
 // would take a long-lived deployment down.
 //
 // The in-process system runs fault-free and under a seeded fault plan
-// (drop, corrupt, duplicate and delay). The loopback-TCP case
-// reads the proxy daemons' lane inbound topics through their /metrics, the
-// way an operator would. Each case also pins the metrics registry: the
+// (drop, corrupt, duplicate and delay). The loopback-TCP case reads the
+// proxy daemons' lane topics through their /metrics, the way an operator
+// would: the inbound lane, which the proxy releases as it forwards, and the
+// outbound lane, which the memory-only aggregator daemon releases over the
+// wire after each drain. Each case also pins the metrics registry: the
 // number of samples an exposition renders after warm-up must not grow with
 // the epoch count (per-epoch registration returns existing instruments).
 
@@ -239,19 +241,21 @@ TEST(SoakTest, TcpProxydLaneInTopicsStayBounded) {
     }
     for (size_t j = 0; j < kProxies; ++j) {
       const std::string text = fleet.ProxyMetricsText(j);
-      const std::string topic = "proxy" + std::to_string(j) + ".q1.in";
-      const double retained =
-          TopicGauge(text, "privapprox_topic_retained_records", topic);
-      const double allocated =
-          TopicGauge(text, "privapprox_topic_slab_allocated_bytes", topic);
-      ASSERT_GE(retained, 0.0) << "no retained-records gauge for " << topic;
-      ASSERT_GE(allocated, 0.0) << "no slab gauge for " << topic;
-      bands.Observe(topic, static_cast<uint64_t>(retained),
-                    static_cast<uint64_t>(allocated));
+      for (const char* lane : {".q1.in", ".q1.out"}) {
+        const std::string topic = "proxy" + std::to_string(j) + lane;
+        const double retained =
+            TopicGauge(text, "privapprox_topic_retained_records", topic);
+        const double allocated =
+            TopicGauge(text, "privapprox_topic_slab_allocated_bytes", topic);
+        ASSERT_GE(retained, 0.0) << "no retained-records gauge for " << topic;
+        ASSERT_GE(allocated, 0.0) << "no slab gauge for " << topic;
+        bands.Observe(topic, static_cast<uint64_t>(retained),
+                      static_cast<uint64_t>(allocated));
+      }
     }
   }
   EXPECT_EQ(results, static_cast<size_t>(kEpochs - 2));
-  bands.ExpectFlat(kProxies);
+  bands.ExpectFlat(2 * kProxies);
   // aggregatord carries the aggregator's per-lane families.
   EXPECT_GT(warm_samples, 0u);
   EXPECT_EQ(SampleCount(fleet.AggregatorMetricsText()), warm_samples);

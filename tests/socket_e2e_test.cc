@@ -614,6 +614,79 @@ TEST(SocketRestartTest, RefusedRegistrationKeepsTheJournalReplayable) {
   EXPECT_NE(text.find("journal records=1 "), std::string::npos) << text;
 }
 
+// Runs kEpochs epochs of SpeedQuery on memory-only proxy daemons behind an
+// aggregator daemon whose data dir is `aggregator_data_dir` (empty: none).
+// Returns what each proxy daemon's /metrics says its lane out-topic still
+// holds; `forwarded` receives the shares the proxies forwarded in all.
+std::vector<double> OutTopicRetainedAfterRun(
+    const std::string& aggregator_data_dir, uint64_t& forwarded) {
+  std::vector<std::unique_ptr<ProxyDaemon>> proxyds;
+  std::vector<Endpoint> endpoints;
+  for (size_t j = 0; j < kProxies; ++j) {
+    ProxyDaemonConfig config;
+    config.proxy_index = j;
+    proxyds.push_back(std::make_unique<ProxyDaemon>(config));
+    proxyds.back()->Start();
+    endpoints.push_back(Endpoint{"127.0.0.1", proxyds.back()->port()});
+  }
+  AggregatorDaemonConfig agg_config;
+  agg_config.proxies = endpoints;
+  agg_config.population = kClients;
+  agg_config.data_dir = aggregator_data_dir;
+  AggregatorDaemon aggregatord(agg_config);
+  aggregatord.Start();
+  FleetDriverConfig fleet_config;
+  fleet_config.num_clients = kClients;
+  fleet_config.seed = kSeed;
+  fleet_config.proxies = endpoints;
+  fleet_config.aggregator = Endpoint{"127.0.0.1", aggregatord.port()};
+  FleetDriver fleet(fleet_config);
+  for (size_t i = 0; i < fleet.num_clients(); ++i) {
+    FillDatabase(fleet.client(i).database(), i);
+  }
+  fleet.SubmitQuery(SpeedQuery(), RandomizedParams());
+  forwarded = 0;
+  for (size_t e = 0; e < kEpochs; ++e) {
+    forwarded +=
+        fleet.RunEpoch(static_cast<int64_t>(1000 * (e + 1))).shares_forwarded;
+  }
+  std::vector<double> retained;
+  for (size_t j = 0; j < kProxies; ++j) {
+    const std::string key = "privapprox_topic_retained_records{topic=\"proxy" +
+                            std::to_string(j) + ".q1.out\"} ";
+    const std::string text = fleet.ProxyMetricsText(j);
+    const size_t at = text.find(key);
+    retained.push_back(at == std::string::npos
+                           ? -1.0
+                           : std::stod(text.substr(at + key.size())));
+  }
+  aggregatord.Stop();
+  for (auto& proxyd : proxyds) {
+    proxyd->Stop();
+  }
+  return retained;
+}
+
+// A restarted durable aggregatord re-drains every source from offset 0, so
+// it must leave the lane out-topics in proxyd memory. A memory-only
+// aggregatord has nothing to re-drain after a restart and releases them
+// after every drain.
+TEST(SocketRestartTest, DurableAggregatordLeavesProxydOutTopicsRetained) {
+  TempDir data_root;
+  uint64_t forwarded = 0;
+  const std::vector<double> durable = OutTopicRetainedAfterRun(
+      (data_root.path() / "aggregatord").string(), forwarded);
+  ASSERT_GT(forwarded, 0u);
+  for (const double retained : durable) {
+    EXPECT_EQ(retained, static_cast<double>(forwarded / kProxies));
+  }
+  const std::vector<double> memory_only =
+      OutTopicRetainedAfterRun("", forwarded);
+  for (const double retained : memory_only) {
+    EXPECT_EQ(retained, 0.0);
+  }
+}
+
 // A durable socket deployment with no interruption produces the same bytes
 // as the memory-only one — the spill layer is invisible to results.
 TEST(SocketRestartTest, DurableDeploymentMatchesMemoryOnly) {

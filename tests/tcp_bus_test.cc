@@ -270,6 +270,55 @@ TEST_F(TcpBusTest, ReleasePolledRecyclesPayloadSlabs) {
   }
 }
 
+TEST_F(TcpBusTest, ReleaseFreesServerRecordsAndRefusalsKeepTheConnection) {
+  StartServer();
+  auto client = Dial();
+  client->EnsureTopic("t", 2);
+  const std::vector<uint8_t> payload = Bytes("record");
+  std::vector<broker::ProduceView> records;
+  for (uint64_t key = 0; key < 50; ++key) {
+    records.push_back(broker::ProduceView{key, payload, 0});
+  }
+  client->Produce("t", records);
+  BusConsumer consumer(*client, "t");
+  std::vector<broker::RecordView> out;
+  while (consumer.PollInto(16, out) != 0) {
+  }
+  ASSERT_EQ(out.size(), 50u);
+
+  // The consumer's release frees the records in the server's broker; the
+  // offsets stay where they were.
+  consumer.ReleaseConsumed();
+  EXPECT_EQ(broker_.GetTopic("t").slab_stats().retained_records, 0u);
+  EXPECT_EQ(client->EndOffset("t", 0) + client->EndOffset("t", 1), 50u);
+
+  // Refusals come back as remote errors on the same connection.
+  EXPECT_THROW(client->Release("missing", std::vector<uint64_t>{0, 0}),
+               std::runtime_error);
+  EXPECT_THROW(client->Release("t", std::vector<uint64_t>{0}),
+               std::runtime_error);
+  // So does a truncated request, which a raw connection can send.
+  std::vector<uint8_t> truncated;
+  BuildReleaseRequest("t", std::vector<uint64_t>{0, 0}, truncated);
+  truncated.pop_back();
+  RawConn conn(server_->port());
+  conn.Send(Framed(truncated));
+  const std::vector<uint8_t> refused = conn.RecvFrame();
+  ASSERT_GT(refused.size(), kFrameHeaderBytes);
+  EXPECT_EQ(refused[kFrameHeaderBytes], kWireError);
+  std::vector<uint8_t> meta;
+  BuildTopicMetaRequest("t", meta);
+  conn.Send(Framed(meta));
+  const std::vector<uint8_t> served = conn.RecvFrame();
+  ASSERT_GT(served.size(), kFrameHeaderBytes);
+  EXPECT_EQ(served[kFrameHeaderBytes], kWireOk);
+
+  EXPECT_EQ(client->NumPartitions("t"), 2u);
+  EXPECT_EQ(Counter("reconnects"), 0u);
+  EXPECT_EQ(Counter("protocol_errors"), 0u);
+  EXPECT_EQ(Counter("disconnects"), 0u);
+}
+
 TEST_F(TcpBusTest, LargePayloadsSurvivePartialSocketWrites) {
   StartServer();
   auto client = Dial();

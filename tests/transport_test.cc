@@ -1,7 +1,7 @@
 // The transport layer minus sockets: frame codec edges, the wire protocol
 // dispatch, BusConsumer semantics (including the promised-count error
-// paths), the InProcessBus facade with its link accounting, and topic
-// routing. Socket-level behavior lives in tcp_bus_test.cc.
+// paths), the InProcessBus facade, topic routing, and Release on each of
+// them. Socket-level behavior lives in tcp_bus_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "broker/broker.h"
@@ -408,6 +409,88 @@ TEST_F(WireProtocolTest, ControlVerbDispatches) {
   EXPECT_EQ(body.TakeString(), "echo/3");
 }
 
+// Twenty one-byte records keyed 0..19 into a fresh 2-partition topic "t";
+// returns each partition's end offset.
+std::vector<uint64_t> FillTwoPartitions(broker::Broker& broker) {
+  InProcessBus bus(broker);
+  bus.EnsureTopic("t", 2);
+  const std::vector<uint8_t> payload = Bytes("r");
+  std::vector<broker::ProduceView> records;
+  for (uint64_t key = 0; key < 20; ++key) {
+    records.push_back(View(payload, key));
+  }
+  bus.Produce("t", records);
+  return {bus.EndOffset("t", 0), bus.EndOffset("t", 1)};
+}
+
+uint64_t Retained(broker::Broker& broker, const std::string& topic) {
+  return broker.GetTopic(topic).slab_stats().retained_records;
+}
+
+TEST_F(WireProtocolTest, ReleaseRequestBytesAreGoldenAndFreeBelowTheOffsets) {
+  const std::vector<uint64_t> below = {3, 0x0102030405060708ull};
+  std::vector<uint8_t> request;
+  BuildReleaseRequest("t", below, request);
+  const std::vector<uint8_t> want_request = {
+      7, 1, 0, 't', 2, 0, 0, 0,  // op, "t", offset count
+      3, 0, 0, 0, 0, 0, 0, 0,    // partition 0
+      8, 7, 6, 5, 4, 3, 2, 1};   // partition 1: past the end, clamped
+  EXPECT_EQ(request, want_request);
+
+  const std::vector<uint64_t> ends = FillTwoPartitions(broker_);
+  ASSERT_GT(ends[0], 3u);
+  Call(request);
+  EXPECT_EQ(response_, std::vector<uint8_t>{kWireOk});
+  EXPECT_EQ(Retained(broker_, "t"), ends[0] - 3);
+  // Offsets are unchanged, and a read below the released offset starts
+  // at it.
+  EXPECT_EQ(broker_.GetTopic("t").EndOffset(0), ends[0]);
+  EXPECT_EQ(broker_.GetTopic("t").EndOffset(1), ends[1]);
+  std::vector<uint8_t> poll;
+  BuildPollRequest("t", 0, 0, 16, 1 << 20, poll);
+  WireReader reply = Call(poll);
+  EXPECT_EQ(reply.TakeU32(), ends[0] - 3);
+  EXPECT_EQ(reply.TakeU64(), 3u);  // first record's offset
+}
+
+TEST_F(WireProtocolTest, ReleaseRefusalsAreErrorResponsesAndServingGoesOn) {
+  const std::vector<uint64_t> ends = FillTwoPartitions(broker_);
+  std::vector<uint8_t> unknown;
+  BuildReleaseRequest("missing", std::vector<uint64_t>{9, 9}, unknown);
+  std::vector<uint8_t> wrong_count;
+  BuildReleaseRequest("t", std::vector<uint64_t>{9}, wrong_count);
+  std::vector<uint8_t> truncated;
+  BuildReleaseRequest("t", std::vector<uint64_t>{9, 9}, truncated);
+  truncated.pop_back();
+  std::vector<uint8_t> release;
+  BuildReleaseRequest("t", ends, release);
+
+  // One stream of responses, as a peer's send queue holds them: each
+  // refusal replaces only its own bytes, and the release behind them is
+  // served.
+  std::vector<uint8_t> stream;
+  for (const auto& [request, want] :
+       std::vector<std::pair<const std::vector<uint8_t>*, std::string>>{
+           {&unknown, "no topic 'missing'"},
+           {&wrong_count, "1 offsets for topic 't' of 2 partitions"},
+           {&truncated, "truncated"}}) {
+    const size_t start = stream.size();
+    EXPECT_EQ(HandleRequest(broker_, control_, *request, stream),
+              static_cast<uint8_t>(WireOp::kRelease));
+    WireReader reader(std::span<const uint8_t>(stream).subspan(start));
+    EXPECT_EQ(reader.TakeU8(), kWireError);
+    const std::string message = reader.TakeString();
+    EXPECT_NE(message.find(want), std::string::npos) << message;
+    EXPECT_TRUE(reader.AtEnd());
+    EXPECT_EQ(Retained(broker_, "t"), 20u) << "a refusal released records";
+  }
+  const size_t start = stream.size();
+  HandleRequest(broker_, control_, release, stream);
+  EXPECT_EQ(stream.size(), start + 1);
+  EXPECT_EQ(stream.back(), kWireOk);
+  EXPECT_EQ(Retained(broker_, "t"), 0u);
+}
+
 // --- BusConsumer over the in-process backend ---
 
 class BusConsumerTest : public ::testing::Test {
@@ -440,6 +523,36 @@ TEST_F(BusConsumerTest, PollIntoDrainsAllPartitions) {
   EXPECT_TRUE(consumer.CaughtUp());
 }
 
+TEST_F(BusConsumerTest, ReleaseConsumedFreesWhatWasPolled) {
+  for (uint64_t key = 0; key < 20; ++key) {
+    Produce(key, "r" + std::to_string(key));
+  }
+  BusConsumer consumer(bus_, "t");
+  std::vector<broker::RecordView> out;
+  ASSERT_EQ(consumer.PollInto(7, out), 7u);
+  consumer.ReleaseConsumed();
+  EXPECT_EQ(Retained(broker_, "t"), 13u);
+  while (consumer.PollInto(7, out) != 0) {
+  }
+  consumer.ReleaseConsumed();
+  EXPECT_EQ(Retained(broker_, "t"), 0u);
+  EXPECT_EQ(consumer.consumed(), 20u);
+}
+
+TEST(InProcessBusTest, ReleaseNeedsOneOffsetPerPartition) {
+  broker::Broker broker;
+  const std::vector<uint64_t> ends = FillTwoPartitions(broker);
+  InProcessBus bus(broker);
+  EXPECT_THROW(bus.Release("t", std::vector<uint64_t>{ends[0]}),
+               std::invalid_argument);
+  EXPECT_THROW(bus.Release("t", std::vector<uint64_t>{0, 0, 0}),
+               std::invalid_argument);
+  EXPECT_THROW(bus.Release("missing", ends), std::invalid_argument);
+  EXPECT_EQ(Retained(broker, "t"), 20u);
+  bus.Release("t", std::vector<uint64_t>{0, ends[1]});
+  EXPECT_EQ(Retained(broker, "t"), ends[0]);
+}
+
 TEST(InProcessBusTest, EnsureTopicMismatchThrows) {
   broker::Broker broker;
   InProcessBus bus(broker);
@@ -469,11 +582,16 @@ TEST(TopicRouterBusTest, RoutesByLongestPrefix) {
   EXPECT_THROW(broker_a.GetTopic("proxy0.q7.out"), std::invalid_argument);
   EXPECT_THROW(broker_b.GetTopic("proxy0.out"), std::invalid_argument);
 
-  // Reads route the same way.
+  // Reads and releases route the same way.
   std::vector<broker::RecordView> out;
   EXPECT_EQ(router.Poll("proxy0.q7.out", 0, 0, 16, out), 1u);
   EXPECT_EQ(router.NumPartitions("proxy0.out"), 1u);
+  router.Release("proxy0.q7.out", std::vector<uint64_t>{1});
+  EXPECT_EQ(Retained(broker_b, "proxy0.q7.out"), 0u);
+  EXPECT_EQ(Retained(broker_a, "proxy0.out"), 1u);
   EXPECT_THROW(router.Produce("unrouted.topic", {}), std::invalid_argument);
+  EXPECT_THROW(router.Release("unrouted.topic", std::vector<uint64_t>{0}),
+               std::invalid_argument);
 }
 
 TEST(PartitionForKeyTest, ZeroPartitionsClampsToZero) {
@@ -520,6 +638,34 @@ TEST(ResultWireTest, RoundTripsEveryFieldBitExactly) {
   std::vector<uint8_t> trailing = wire;
   trailing.push_back(0);
   EXPECT_THROW(deploy::DeserializeResults(trailing), std::invalid_argument);
+
+  // A result or bucket count the bytes behind it cannot hold is refused by
+  // name before anything is sized by it.
+  const auto refusal = [](const std::vector<uint8_t>& bytes) {
+    try {
+      deploy::DeserializeResults(bytes);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  std::vector<uint8_t> many_results;
+  PutU32(100000, many_results);
+  EXPECT_NE(refusal(many_results).find("result count 100000"),
+            std::string::npos)
+      << refusal(many_results);
+  // One result of two buckets is 148 bytes: room for two bare results,
+  // not three.
+  std::vector<uint8_t> three_results = wire;
+  three_results[0] = 3;
+  EXPECT_NE(refusal(three_results).find("result count 3"), std::string::npos)
+      << refusal(three_results);
+  std::vector<uint8_t> many_buckets = wire;
+  const size_t bucket_count_at = 4 + 8 * 8;  // result count, eight u64s
+  ASSERT_EQ(many_buckets[bucket_count_at], 2u);
+  many_buckets[bucket_count_at] = 3;  // three buckets claimed, two present
+  EXPECT_NE(refusal(many_buckets).find("bucket count 3"), std::string::npos)
+      << refusal(many_buckets);
 }
 
 }  // namespace
