@@ -18,7 +18,7 @@ repo="$(dirname "$here")"
 
 GATES=(pre_span_first qid_less chacha_block flat_config compat_layer
        ofstream bus_triplets single_query hand_wired_metrics
-       streaming_runtime per_client_copies)
+       streaming_runtime per_client_copies per_record_framing)
 
 # Each gate_<name> runs its grep from the tree root; plant_<name> is
 # "<file>|<line>", a violation the self-test appends to that file.
@@ -149,6 +149,17 @@ gate_per_client_copies() {
     src tests bench examples
 }
 plant_per_client_copies="src/planted.cc|std::vector<std::unique_ptr<client::Client>> clients_;"
+
+# Records are framed in one place, the record-batch codec
+# (storage/record_batch.h): a Produce request, a Poll response and a log
+# segment each carry batches. The per-record headers of the wire and the
+# log, and the client's per-record payload copy, must not come back.
+gate_per_record_framing() {
+  grep -rnE \
+    "kProduceRecordHeaderBytes|kPollRecordHeaderBytes|StorePayload|kMinBodyBytes|kMaxBodyBytes" \
+    src tests bench examples
+}
+plant_per_record_framing="src/transport/planted.cc|constexpr size_t kPollRecordHeaderBytes = 28;"
 
 # Runs one gate in directory $2; returns 0 on pass. Prints why it failed.
 run_gate() {

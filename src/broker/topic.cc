@@ -104,16 +104,21 @@ void Topic::AppendToMemory(Partition& partition, uint64_t key,
       dst, static_cast<uint32_t>(payload.size()), timestamp_ms, key});
 }
 
-void Topic::AppendLocked(Partition& partition, uint64_t key,
-                         std::span<const uint8_t> payload,
-                         int64_t timestamp_ms) {
-  AppendToMemory(partition, key, payload, timestamp_ms);
-  if (partition.log != nullptr) {
-    // Disk stays in lockstep with memory: the log's end offset equals
-    // base + index.size() by construction (replay filled exactly
-    // [base, end), and every append lands in both under this lock).
-    partition.log->Append(key, timestamp_ms, payload);
+void Topic::SpillLocked(Partition& partition, size_t first) {
+  if (partition.log == nullptr) {
+    return;
   }
+  // Disk stays in lockstep with memory: the log's end offset equals
+  // base + index.size() by construction (replay filled exactly
+  // [base, end), and every run lands in both under this lock). The run
+  // index[first, end) becomes one batch: one CRC, one write, one fsync.
+  partition.log->AppendBatch(
+      partition.index.size() - first, [&partition, first](size_t i) {
+        const IndexEntry& entry = partition.index[first + i];
+        return storage::BatchRecord{
+            entry.key, entry.timestamp_ms,
+            std::span<const uint8_t>(entry.payload, entry.payload_len)};
+      });
 }
 
 uint64_t Topic::Append(uint64_t key, std::span<const uint8_t> payload,
@@ -123,7 +128,8 @@ uint64_t Topic::Append(uint64_t key, std::span<const uint8_t> payload,
   {
     std::lock_guard<std::mutex> lock(partition.mu);
     offset = partition.base + partition.index.size();
-    AppendLocked(partition, key, payload, timestamp_ms);
+    AppendToMemory(partition, key, payload, timestamp_ms);
+    SpillLocked(partition, partition.index.size() - 1);
   }
   records_in_.fetch_add(1, std::memory_order_relaxed);
   bytes_in_.fetch_add(payload.size(), std::memory_order_relaxed);
@@ -142,10 +148,12 @@ void Topic::AppendBatch(std::vector<ProduceRecord> records) {
     Partition& partition = partitions_[0];
     std::lock_guard<std::mutex> lock(partition.mu);
     EnsureIndexCapacity(partition, records.size());
+    const size_t first = partition.index.size();
     for (const auto& record : records) {
-      AppendLocked(partition, record.key, record.payload,
-                   record.timestamp_ms);
+      AppendToMemory(partition, record.key, record.payload,
+                     record.timestamp_ms);
     }
+    SpillLocked(partition, first);
   } else {
     std::vector<std::vector<size_t>> by_partition(partitions_.size());
     for (size_t i = 0; i < records.size(); ++i) {
@@ -158,10 +166,12 @@ void Topic::AppendBatch(std::vector<ProduceRecord> records) {
       Partition& partition = partitions_[p];
       std::lock_guard<std::mutex> lock(partition.mu);
       EnsureIndexCapacity(partition, by_partition[p].size());
+      const size_t first = partition.index.size();
       for (size_t i : by_partition[p]) {
-        AppendLocked(partition, records[i].key, records[i].payload,
-                     records[i].timestamp_ms);
+        AppendToMemory(partition, records[i].key, records[i].payload,
+                       records[i].timestamp_ms);
       }
+      SpillLocked(partition, first);
     }
   }
   records_in_.fetch_add(records.size(), std::memory_order_relaxed);
@@ -180,10 +190,12 @@ void Topic::AppendViews(std::span<const ProduceView> records) {
     Partition& partition = partitions_[0];
     std::lock_guard<std::mutex> lock(partition.mu);
     EnsureIndexCapacity(partition, records.size());
+    const size_t first = partition.index.size();
     for (const auto& record : records) {
-      AppendLocked(partition, record.key, record.payload,
-                   record.timestamp_ms);
+      AppendToMemory(partition, record.key, record.payload,
+                     record.timestamp_ms);
     }
+    SpillLocked(partition, first);
   } else {
     // Route once into a reused thread-local scratch (amortized
     // allocation-free), then take each partition lock once.
@@ -204,12 +216,14 @@ void Topic::AppendViews(std::span<const ProduceView> records) {
       Partition& partition = partitions_[p];
       std::lock_guard<std::mutex> lock(partition.mu);
       EnsureIndexCapacity(partition, counts[p]);
+      const size_t first = partition.index.size();
       for (size_t i = 0; i < records.size(); ++i) {
         if (routes[i] == p) {
-          AppendLocked(partition, records[i].key, records[i].payload,
-                       records[i].timestamp_ms);
+          AppendToMemory(partition, records[i].key, records[i].payload,
+                         records[i].timestamp_ms);
         }
       }
+      SpillLocked(partition, first);
     }
   }
   records_in_.fetch_add(records.size(), std::memory_order_relaxed);

@@ -93,10 +93,11 @@ struct SlabStats {
 };
 
 // Opt-in durable spill: every append additionally lands in a
-// storage::PartitionLog at <directory>/p<k> for partition k, and the topic
-// constructor replays whatever those logs hold back into the in-memory
-// slabs — so a recovered topic serves reads and offsets exactly as if the
-// process had never died. Absent (the default), the topic is byte-identical
+// storage::PartitionLog at <directory>/p<k> for partition k (one record
+// batch per partition run of each append call), and the topic constructor
+// replays whatever those logs hold back into the in-memory slabs — so a
+// recovered topic serves reads and offsets exactly as if the process had
+// never died. Absent (the default), the topic is byte-identical
 // to the memory-only topic of previous releases.
 struct TopicDurability {
   std::filesystem::path directory;
@@ -242,19 +243,17 @@ class Topic {
   };
 
   // All helpers require the partition lock to be held. AppendToMemory is
-  // the slab+index half (also the recovery replay path); AppendLocked
-  // additionally spills to the partition log when one is attached.
-  // OpenSlab appends a slab of at least `min_cap` bytes, reusing a spare
-  // when one is large enough.
+  // the slab+index half (also the recovery replay path); SpillLocked writes
+  // the run index[first, end) to the partition log as one batch when a log
+  // is attached. OpenSlab appends a slab of at least `min_cap` bytes,
+  // reusing a spare when one is large enough.
   static void OpenSlab(Partition& partition, size_t min_cap);
   static uint8_t* SlabAlloc(Partition& partition, size_t len);
   static void EnsureIndexCapacity(Partition& partition, size_t additional);
   static void AppendToMemory(Partition& partition, uint64_t key,
                              std::span<const uint8_t> payload,
                              int64_t timestamp_ms);
-  static void AppendLocked(Partition& partition, uint64_t key,
-                           std::span<const uint8_t> payload,
-                           int64_t timestamp_ms);
+  static void SpillLocked(Partition& partition, size_t first);
 
   std::string name_;
   bool durable_ = false;

@@ -20,11 +20,6 @@ namespace {
 constexpr char kSegmentPrefix[] = "seg-";
 constexpr char kSegmentSuffix[] = ".log";
 constexpr char kLockName[] = ".lock";
-// Record body is [u64 key][i64 ts][payload] — at least 16 bytes.
-constexpr uint32_t kMinBodyBytes = 16;
-// Implausible-length guard for the scanner: one record never exceeds the
-// transport's 64 MiB frame cap.
-constexpr uint32_t kMaxBodyBytes = 64 * 1024 * 1024;
 
 std::string SegmentName(uint64_t base_offset) {
   char buffer[40];
@@ -57,10 +52,34 @@ struct ScanResult {
   uint64_t records = 0;
 };
 
-// Walks one segment record by record, stopping at the first byte offset
-// that does not hold a complete, CRC-valid record. If `fn` is set it is
-// called for every valid record with offsets starting at `base_offset`.
-ScanResult ScanSegment(const std::filesystem::path& path,
+// Parses a batch whose frame CRC holds. Such a frame was written whole, so
+// a batch that does not parse is another format or corruption the CRC
+// missed, never a torn write: it throws.
+RecordBatchView ParseWrittenBatch(std::span<const uint8_t> body,
+                                  const std::filesystem::path& path,
+                                  uint64_t at) {
+  const std::string where = path.string() + " at byte " + std::to_string(at);
+  if (body[0] != kRecordBatchMagic) {
+    char magic[8];
+    std::snprintf(magic, sizeof(magic), "0x%02X", body[0]);
+    throw SegmentLogError(
+        "segment " + where + " holds format magic " + magic +
+        ", not a record batch: a log written before record batches (or in "
+        "another format) is not readable");
+  }
+  try {
+    return RecordBatchView(body);
+  } catch (const std::invalid_argument& e) {
+    throw SegmentLogError("corrupt batch in segment " + where + ": " +
+                          e.what());
+  }
+}
+
+// Walks the first `limit` bytes of one segment batch by batch, stopping at
+// the first byte offset that does not hold a complete, CRC-valid batch. If
+// `fn` is set it is called for every record of every valid batch with
+// offsets starting at `base_offset`.
+ScanResult ScanSegment(const std::filesystem::path& path, uint64_t limit,
                        uint64_t base_offset,
                        const PartitionLog::ReplayFn* fn) {
   std::ifstream in(path, std::ios::binary);
@@ -69,35 +88,37 @@ ScanResult ScanSegment(const std::filesystem::path& path,
   }
   ScanResult result;
   std::vector<uint8_t> body;
-  for (;;) {
-    uint8_t header[8];
+  constexpr size_t kHeader = PartitionLog::kFrameHeaderBytes;
+  while (limit - result.valid_bytes >= kHeader) {  // fewer: end or torn
+    uint8_t header[kHeader];
     in.read(reinterpret_cast<char*>(header), sizeof(header));
-    if (in.gcount() == 0) {
-      break;  // clean end
-    }
     if (in.gcount() < static_cast<std::streamsize>(sizeof(header))) {
-      break;  // torn header
+      break;  // the file shrank under the scan
     }
     const uint32_t len = LoadLe<uint32_t>(header);
     const uint32_t crc = LoadLe<uint32_t>(header + 4);
-    if (len < kMinBodyBytes || len > kMaxBodyBytes) {
-      break;  // implausible length: treat as torn/corrupt
+    // A length is trusted only as far as the segment holds its bytes, so a
+    // torn header claiming megabytes sizes nothing.
+    if (len < kRecordBatchHeaderBytes ||
+        len > limit - result.valid_bytes - kHeader) {
+      break;  // torn (or zero-filled) tail
     }
     body.resize(len);
     in.read(reinterpret_cast<char*>(body.data()), len);
-    if (in.gcount() < static_cast<std::streamsize>(len)) {
-      break;  // torn body
+    if (in.gcount() < static_cast<std::streamsize>(len) ||
+        Crc32(body.data(), body.size()) != crc) {
+      break;  // torn or corrupt body
     }
-    if (Crc32(body.data(), body.size()) != crc) {
-      break;  // corrupt body
-    }
+    const RecordBatchView batch =
+        ParseWrittenBatch(body, path, result.valid_bytes);
     if (fn != nullptr) {
-      (*fn)(base_offset + result.records, LoadLe<uint64_t>(body.data()),
-            static_cast<int64_t>(LoadLe<uint64_t>(body.data() + 8)),
-            std::span<const uint8_t>(body.data() + 16, body.size() - 16));
+      uint64_t offset = base_offset + result.records;
+      batch.ForEach([&](const BatchRecord& record) {
+        (*fn)(offset++, record.key, record.timestamp_ms, record.payload);
+      });
     }
-    ++result.records;
-    result.valid_bytes += 8 + len;
+    result.records += batch.size();
+    result.valid_bytes += kHeader + len;
   }
   return result;
 }
@@ -203,11 +224,12 @@ PartitionLog::PartitionLog(std::filesystem::path directory,
                             " in " + directory_.string());
     }
     const auto path = directory_ / segment.name;
-    const ScanResult scan = ScanSegment(path, segment.base, nullptr);
     const uint64_t file_size = std::filesystem::file_size(path);
+    const ScanResult scan =
+        ScanSegment(path, file_size, segment.base, nullptr);
     if (scan.valid_bytes != file_size) {
       if (i + 1 != segments_.size()) {
-        throw SegmentLogError("corrupt record in sealed segment " +
+        throw SegmentLogError("corrupt batch in sealed segment " +
                               segment.name + " in " + directory_.string());
       }
       std::filesystem::resize_file(path, scan.valid_bytes);
@@ -276,32 +298,27 @@ void PartitionLog::RotateIfNeeded() {
   }
 }
 
-uint64_t PartitionLog::Append(uint64_t key, int64_t timestamp_ms,
-                              std::span<const uint8_t> payload) {
+uint64_t PartitionLog::WriteScratch(size_t count) {
   RotateIfNeeded();
-  scratch_.resize(24 + payload.size());
-  uint8_t* record = scratch_.data();
-  StoreLe<uint32_t>(record, static_cast<uint32_t>(16 + payload.size()));
-  StoreLe<uint64_t>(record + 8, key);
-  StoreLe<uint64_t>(record + 16, static_cast<uint64_t>(timestamp_ms));
-  if (!payload.empty()) {
-    std::memcpy(record + 24, payload.data(), payload.size());
-  }
-  StoreLe<uint32_t>(record + 4, Crc32(record + 8, scratch_.size() - 8));
-  WriteAll(fd_, scratch_.data(), scratch_.size(), directory_,
-           segments_.back().name);
+  uint8_t* frame = scratch_.data();
+  const size_t len = scratch_.size() - kFrameHeaderBytes;
+  StoreLe<uint32_t>(frame, static_cast<uint32_t>(len));
+  StoreLe<uint32_t>(frame + 4, Crc32(frame + kFrameHeaderBytes, len));
+  WriteAll(fd_, frame, scratch_.size(), directory_, segments_.back().name);
 
   Segment& active = segments_.back();
   active.bytes += scratch_.size();
-  ++active.records;
-  const uint64_t offset = end_offset_++;
+  active.records += count;
+  const uint64_t offset = end_offset_;
+  end_offset_ += count;
 
   switch (options_.fsync) {
     case FsyncPolicy::kAlways:
       DoFsync();
       break;
     case FsyncPolicy::kEveryNRecords:
-      if (++records_since_sync_ >=
+      records_since_sync_ += count;
+      if (records_since_sync_ >=
           std::max<uint64_t>(1, options_.fsync_every_n)) {
         DoFsync();
       }
@@ -325,8 +342,8 @@ uint64_t PartitionLog::base_offset() const {
 
 void PartitionLog::Replay(const ReplayFn& fn) const {
   for (const Segment& segment : segments_) {
-    const ScanResult scan =
-        ScanSegment(directory_ / segment.name, segment.base, &fn);
+    const ScanResult scan = ScanSegment(directory_ / segment.name,
+                                        segment.bytes, segment.base, &fn);
     if (scan.records != segment.records) {
       throw SegmentLogError("segment " + segment.name +
                             " changed under replay in " + directory_.string());

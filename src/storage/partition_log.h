@@ -5,17 +5,26 @@
 // Records append to size-bounded segment files under one directory. Each
 // segment is named by the offset of its first record
 // ("seg-<base offset, 20 digits>.log"), so the on-disk layout *is* the
-// offset index. Each record is length-prefixed and CRC-32 protected:
+// offset index. Records are written in batches (storage/record_batch.h),
+// each length-prefixed and CRC-32 protected as a whole:
 //
-//   [u32 len][u32 crc][u64 key][i64 timestamp_ms][payload bytes]
-//             \______ crc covers key..payload (len = 16 + payload) ______/
+//   [u32 len][u32 crc][record batch]
+//             \_ crc covers the len bytes of the batch _/
+//
+// so a batch costs one CRC, one write(2) and at most one fsync, however
+// many records it holds. A single-record Append is a one-record batch.
 //
 // Recovery invariants (enforced by the constructor):
 //   * Sealed segments (all but the newest) must parse end to end; a corrupt
-//     record in one throws SegmentLogError — it means lost history, not a
+//     batch in one throws SegmentLogError — it means lost history, not a
 //     crash artifact.
-//   * The newest segment may end in one torn record (crash mid-append);
-//     Open truncates it and counts a truncated tail.
+//   * The newest segment may end in one torn batch (crash mid-append); Open
+//     truncates it whole and counts a truncated tail. Every length is
+//     bounded by the bytes left in the segment before anything is sized on
+//     it.
+//   * A frame whose CRC holds was written whole, so a batch in it that does
+//     not parse (another format's magic byte: a log written before record
+//     batches) throws SegmentLogError instead of being truncated as torn.
 //   * Segment bases must be contiguous: base[i] + records[i] == base[i+1].
 //     A gap means a segment went missing and replay would silently skip
 //     offsets, so it throws.
@@ -25,10 +34,11 @@
 // never deleted, so base_offset() only moves forward in whole-segment steps.
 //
 // Durability: writes go through a POSIX fd; the fsync policy decides when
-// the log pays for an fsync (never / sealing a segment on rotation / every
-// N records / every record). One exclusive flock per directory (DirLock)
-// makes double-opening the same log — from this or another process — a
-// clear SegmentLogError instead of silently interleaved appends.
+// the log pays for an fsync (never / sealing a segment on rotation / after
+// the batch that crosses every N records / after every batch). One
+// exclusive flock per directory (DirLock) makes double-opening the same log
+// — from this or another process — a clear SegmentLogError instead of
+// silently interleaved appends.
 
 #ifndef PRIVAPPROX_STORAGE_PARTITION_LOG_H_
 #define PRIVAPPROX_STORAGE_PARTITION_LOG_H_
@@ -40,6 +50,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "storage/record_batch.h"
 
 namespace privapprox::storage {
 
@@ -53,8 +65,8 @@ class SegmentLogError : public std::runtime_error {
 enum class FsyncPolicy {
   kNever,          // OS decides (page cache only)
   kOnRotate,       // fsync a segment once, when it is sealed
-  kEveryNRecords,  // fsync after every fsync_every_n appends
-  kAlways,         // fsync after every append
+  kEveryNRecords,  // fsync after the batch that crosses fsync_every_n
+  kAlways,         // fsync after every batch
 };
 
 // Parses "never" | "on_rotate" | "every_n_records" | "always"; throws
@@ -78,7 +90,7 @@ struct PartitionLogStats {
   uint64_t bytes = 0;              // bytes across live segments
   uint64_t fsyncs = 0;             // fsync calls issued so far
   uint64_t recovered_records = 0;  // valid records replayed at open
-  uint64_t truncated_tails = 0;    // torn tail records truncated at open
+  uint64_t truncated_tails = 0;    // torn tail batches truncated at open
 };
 
 // Exclusive advisory lock on a log directory, held for the lifetime of the
@@ -105,6 +117,9 @@ class DirLock {
 
 class PartitionLog {
  public:
+  // [u32 len][u32 crc] in front of each batch.
+  static constexpr size_t kFrameHeaderBytes = 8;
+
   // Opens (creating if needed) the log under `directory`, validating every
   // segment per the recovery invariants above. Throws SegmentLogError on IO
   // failure, unrecoverable corruption, offset discontinuity, or a directory
@@ -115,10 +130,27 @@ class PartitionLog {
   PartitionLog(const PartitionLog&) = delete;
   PartitionLog& operator=(const PartitionLog&) = delete;
 
-  // Appends one record and returns its assigned offset (== end_offset()
-  // before the call). Durability per the fsync policy.
+  // Appends `count` records as one batch and returns the first one's
+  // offset (== end_offset() before the call); `at(i)` returns record i as a
+  // BatchRecord. One CRC, one write(2), and durability per the fsync policy
+  // for the whole batch. An empty batch writes nothing.
+  template <typename RecordAt>
+  uint64_t AppendBatch(size_t count, const RecordAt& at) {
+    if (count == 0) {
+      return end_offset_;
+    }
+    scratch_.resize(kFrameHeaderBytes);
+    AppendRecordBatch(count, at, scratch_);
+    return WriteScratch(count);
+  }
+
+  // Appends one record as a one-record batch.
   uint64_t Append(uint64_t key, int64_t timestamp_ms,
-                  std::span<const uint8_t> payload);
+                  std::span<const uint8_t> payload) {
+    return AppendBatch(1, [&](size_t) {
+      return BatchRecord{key, timestamp_ms, payload};
+    });
+  }
 
   // Forces the active segment to disk regardless of policy.
   void Sync();
@@ -154,6 +186,9 @@ class PartitionLog {
   void OpenActive();
   void RotateIfNeeded();
   void DoFsync();
+  // Frames the batch in scratch_ behind its header, writes it and applies
+  // the fsync policy; returns the batch's first offset.
+  uint64_t WriteScratch(size_t count);
 
   std::filesystem::path directory_;
   PartitionLogOptions options_;
@@ -165,7 +200,7 @@ class PartitionLog {
   uint64_t fsyncs_ = 0;
   uint64_t recovered_records_ = 0;
   uint64_t truncated_tails_ = 0;
-  std::vector<uint8_t> scratch_;  // record framing buffer, reused
+  std::vector<uint8_t> scratch_;  // batch framing buffer, reused
 };
 
 }  // namespace privapprox::storage

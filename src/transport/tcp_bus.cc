@@ -16,6 +16,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "storage/record_batch.h"
+
 namespace privapprox::transport {
 
 namespace {
@@ -384,24 +386,24 @@ void TcpBusClient::EnsureConnectedLocked() {
                            last_error);
 }
 
-const uint8_t* TcpBusClient::StorePayload(std::span<const uint8_t> payload) {
+const uint8_t* TcpBusClient::StoreBlock(std::span<const uint8_t> block) {
+  if (block.empty()) {
+    return nullptr;
+  }
   // Fill the kept slabs in order, then grow.
   while (active_slab_ < slabs_.size() &&
          slabs_[active_slab_].cap - slabs_[active_slab_].used <
-             payload.size()) {
+             block.size()) {
     ++active_slab_;
   }
   if (active_slab_ == slabs_.size()) {
-    const size_t cap =
-        payload.size() > kClientSlabChunk ? payload.size() : kClientSlabChunk;
+    const size_t cap = std::max(block.size(), kClientSlabChunk);
     slabs_.push_back(Slab{std::make_unique<uint8_t[]>(cap), 0, cap});
   }
   Slab& slab = slabs_[active_slab_];
   uint8_t* dst = slab.data.get() + slab.used;
-  if (!payload.empty()) {
-    std::memcpy(dst, payload.data(), payload.size());
-  }
-  slab.used += payload.size();
+  std::memcpy(dst, block.data(), block.size());
+  slab.used += block.size();
   return dst;
 }
 
@@ -517,18 +519,20 @@ size_t TcpBusClient::Poll(const std::string& topic, size_t partition,
   BuildPollRequest(topic, partition, offset, max_records,
                    config_.poll_byte_budget, NewRequest());
   WireReader reader = CheckOk(Rpc());
-  const uint32_t count = reader.TakeU32();
-  for (uint32_t i = 0; i < count; ++i) {
-    broker::RecordView view;
-    view.offset = reader.TakeU64();
-    view.key = reader.TakeU64();
-    view.timestamp_ms = static_cast<int64_t>(reader.TakeU64());
-    const auto payload = reader.TakeBytes();
-    view.payload = StorePayload(payload);
-    view.payload_len = static_cast<uint32_t>(payload.size());
-    out.push_back(view);
-  }
-  return count;
+  uint64_t next = reader.TakeU64();
+  // Validated before anything is copied or sized by it; then the payload
+  // block is copied into a slab at once, and each view is its record's
+  // place in that copy.
+  const storage::RecordBatchView batch(reader.TakeRaw(reader.remaining()));
+  const uint8_t* block = batch.payloads().data();
+  const uint8_t* copy = StoreBlock(batch.payloads());
+  batch.ForEach([&](const storage::BatchRecord& record) {
+    out.push_back(broker::RecordView{
+        next++, record.timestamp_ms, record.key,
+        copy + (record.payload.data() - block),
+        static_cast<uint32_t>(record.payload.size())});
+  });
+  return batch.size();
 }
 
 uint64_t TcpBusClient::EndOffset(const std::string& topic, size_t partition) {

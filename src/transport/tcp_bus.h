@@ -16,10 +16,11 @@
 // — one in-flight RPC per connection, which is exactly the discipline
 // BusConsumer's offset-explicit polls need. Connecting is non-blocking with
 // a timeout and bounded retry/backoff (counted in reconnects); an I/O error
-// poisons the connection, throws, and the next call re-dials. Polled
-// payload bytes are copied into client-owned slabs, so RecordViews stay
-// valid until the owner calls ReleasePolled, which recycles this side's
-// copies; Release frees the records themselves in the remote broker.
+// poisons the connection, throws, and the next call re-dials. A poll
+// response's payload block is copied into a client-owned slab with one
+// memcpy, so RecordViews stay valid until the owner calls ReleasePolled,
+// which recycles this side's copies; Release frees the records themselves
+// in the remote broker.
 //
 // Both ends frame in place (frame.h): a request or response is written
 // behind a header placeholder in the very buffer that is sent and sealed
@@ -177,7 +178,9 @@ class TcpBusClient final : public MessageBus {
   std::span<const uint8_t> Rpc();
   void EnsureConnectedLocked();
   void Disconnect();
-  const uint8_t* StorePayload(std::span<const uint8_t> payload);
+  // Copies a polled batch's payload block into the slabs, contiguously;
+  // returns where it starts (null for an empty block).
+  const uint8_t* StoreBlock(std::span<const uint8_t> block);
   void Bump(metrics::Counter* counter, uint64_t n = 1);
 
   TcpBusClientConfig config_;

@@ -1,21 +1,16 @@
 #include "transport/wire.h"
 
 #include <algorithm>
-#include <cstring>
 #include <exception>
 #include <stdexcept>
 
 #include "common/byte_order.h"
+#include "storage/record_batch.h"
 #include "transport/inproc_bus.h"
 
 namespace privapprox::transport {
 
 namespace {
-
-// Fixed part of one record in a Produce request ([u64 key][u64 ts][u32 len])
-// and in a Poll response (the same, after a u64 offset).
-constexpr size_t kProduceRecordHeaderBytes = 20;
-constexpr size_t kPollRecordHeaderBytes = 28;
 
 // Grows `out` by `n` bytes and returns where they start, for fixed-width
 // stores straight into the buffer.
@@ -94,25 +89,13 @@ void BuildProduceRequest(const std::string& topic,
                          std::vector<uint8_t>& out) {
   PutU8(static_cast<uint8_t>(WireOp::kProduce), out);
   PutString(topic, out);
-  PutU32(static_cast<uint32_t>(records.size()), out);
-  // Each record is [u64 key][u64 ts][u32 len][payload]: size the block once,
-  // then store straight into it.
-  size_t block = 0;
-  for (const auto& record : records) {
-    block += kProduceRecordHeaderBytes + record.payload.size();
-  }
-  uint8_t* p = Extend(out, block);
-  for (const auto& record : records) {
-    const size_t len = record.payload.size();
-    StoreLe<uint64_t>(p, record.key);
-    StoreLe<uint64_t>(p + 8, static_cast<uint64_t>(record.timestamp_ms));
-    StoreLe<uint32_t>(p + 16, static_cast<uint32_t>(len));
-    p += kProduceRecordHeaderBytes;
-    if (len > 0) {
-      std::memcpy(p, record.payload.data(), len);
-    }
-    p += len;
-  }
+  storage::AppendRecordBatch(
+      records.size(),
+      [records](size_t i) {
+        return storage::BatchRecord{records[i].key, records[i].timestamp_ms,
+                                    records[i].payload};
+      },
+      out);
 }
 
 void BuildPollRequest(const std::string& topic, size_t partition,
@@ -175,26 +158,20 @@ void PutError(const char* what, size_t start, std::vector<uint8_t>& out) {
 void ServeProduce(broker::Broker& broker, WireReader& reader,
                   std::vector<uint8_t>& response) {
   const std::string topic = reader.TakeString();
-  const uint32_t count = reader.TakeU32();
-  // Reject a count the frame cannot hold before reserving for it.
-  if (count > reader.remaining() / kProduceRecordHeaderBytes) {
-    throw std::invalid_argument("wire: produce count " +
-                                std::to_string(count) +
-                                " exceeds the request body");
-  }
-  // Decode into views over the request buffer — the append below copies
+  // The batch is validated against the request body before its count sizes
+  // anything. Views point into the request buffer; the append below copies
   // payloads once into topic slabs, exactly like an in-process produce.
+  const storage::RecordBatchView batch(reader.TakeRaw(reader.remaining()));
   thread_local std::vector<broker::ProduceView> views;
   views.clear();
-  views.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint64_t key = reader.TakeU64();
-    const int64_t ts = static_cast<int64_t>(reader.TakeU64());
-    views.push_back(broker::ProduceView{key, reader.TakeBytes(), ts});
-  }
+  views.reserve(batch.size());
+  batch.ForEach([](const storage::BatchRecord& record) {
+    views.push_back(
+        broker::ProduceView{record.key, record.payload, record.timestamp_ms});
+  });
   broker.GetTopic(topic).AppendViews(views);
   PutU8(kWireOk, response);
-  PutU32(count, response);
+  PutU32(static_cast<uint32_t>(batch.size()), response);
 }
 
 void ServePoll(broker::Broker& broker, WireReader& reader,
@@ -210,27 +187,18 @@ void ServePoll(broker::Broker& broker, WireReader& reader,
   views.clear();
   broker.GetTopic(topic).ReadViews(partition, offset, max_records, views,
                                    max_bytes);
-  // [u8 ok][u32 count], then per record [u64 offset][u64 key][u64 ts]
-  // [u32 len][payload]: size the block once, then store straight into it.
-  size_t block = 1 + 4;
-  for (const auto& view : views) {
-    block += kPollRecordHeaderBytes + view.payload_len;
-  }
-  uint8_t* p = Extend(response, block);
-  *p = kWireOk;
-  StoreLe<uint32_t>(p + 1, static_cast<uint32_t>(views.size()));
-  p += 1 + 4;
-  for (const auto& view : views) {
-    StoreLe<uint64_t>(p, view.offset);
-    StoreLe<uint64_t>(p + 8, view.key);
-    StoreLe<uint64_t>(p + 16, static_cast<uint64_t>(view.timestamp_ms));
-    StoreLe<uint32_t>(p + 24, view.payload_len);
-    p += kPollRecordHeaderBytes;
-    if (view.payload_len > 0) {
-      std::memcpy(p, view.payload, view.payload_len);
-    }
-    p += view.payload_len;
-  }
+  // [u8 ok][u64 base offset][batch]: ReadViews returns consecutive offsets,
+  // so record i sits at base + i.
+  PutU8(kWireOk, response);
+  PutU64(views.empty() ? offset : views.front().offset, response);
+  storage::AppendRecordBatch(
+      views.size(),
+      [](size_t i) {
+        const broker::RecordView& view = views[i];
+        return storage::BatchRecord{view.key, view.timestamp_ms,
+                                    view.bytes()};
+      },
+      response);
 }
 
 // Served through an InProcessBus over the daemon's broker, so a remote

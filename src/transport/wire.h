@@ -9,10 +9,12 @@
 // client can rethrow something debuggable.
 //
 // Everything is little-endian and length-prefixed; strings are u16-length,
-// payloads u32-length. Poll responses are byte-budgeted: the server stops
-// packing records once the response body would exceed the request's
-// max_bytes (always packing at least one), so a poll may legally return
-// fewer records than exist — BusConsumer loops.
+// payloads u32-length. Records travel as one record batch per request or
+// response (storage/record_batch.h): a Produce request is the topic and a
+// batch, a Poll response a base offset and a batch. Poll responses are
+// byte-budgeted: the server stops packing records once the response body
+// would exceed the request's max_bytes (always packing at least one), so a
+// poll may legally return fewer records than exist — BusConsumer loops.
 //
 // HandleRequest is the entire server-side dispatch, operating on a
 // broker::Broker plus a control callback and producing the response body.

@@ -16,19 +16,29 @@
 //
 // Footprint bounds close the file: what one client of a fleet costs on the
 // heap (its slot, its table and rows, its subscriptions), and what a
-// hostile announcement or result payload can make its decoder request.
+// hostile announcement, result payload, record batch or segment length can
+// make its decoder request.
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "broker/broker.h"
 #include "common/alloc_counter.h"
 #include "common/arena.h"
+#include "common/byte_order.h"
 #include "core/query_wire.h"
 #include "crypto/chacha20.h"
 #include "crypto/message.h"
@@ -36,10 +46,14 @@
 #include "deploy/result_wire.h"
 #include "metrics/metrics.h"
 #include "proxy/proxy.h"
+#include "storage/partition_log.h"
+#include "storage/record_batch.h"
 #include "system/client_fleet.h"
 #include "system/system.h"
 #include "transport/inproc_bus.h"
+#include "transport/frame.h"
 #include "transport/message_bus.h"
+#include "transport/tcp_bus.h"
 #include "transport/wire.h"
 
 namespace privapprox {
@@ -468,6 +482,196 @@ TEST(AllocRegressionTest, HostileResultCountAllocatesLittle) {
     const uint64_t before = AllocCounter::Bytes();
     EXPECT_THROW(deploy::DeserializeResults(*bytes), std::invalid_argument);
     EXPECT_LT(AllocCounter::Bytes() - before, 64u * 1024);
+  }
+}
+
+// A log whose newest segment ends in a torn 16-byte frame header claiming
+// a 60 MiB batch. Recovery truncates it like any torn tail, and bounds the
+// length by the bytes left in the segment before sizing a read buffer on
+// it: opening the log allocates far less than the claim.
+TEST(AllocRegressionTest, HostileSegmentLengthAllocatesLittle) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("privapprox_alloc_test_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  const std::vector<uint8_t> payload(32, 0x5A);
+  {
+    storage::PartitionLog log(dir, storage::PartitionLogOptions{});
+    for (uint64_t i = 0; i < 3; ++i) {
+      log.Append(i, 0, payload);
+    }
+  }
+  const std::filesystem::path segment = dir / "seg-00000000000000000000.log";
+  const uint64_t valid = std::filesystem::file_size(segment);
+  {
+    std::vector<uint8_t> torn(16, 0xEE);
+    StoreLe<uint32_t>(torn.data(), 60u << 20);
+    std::ofstream out(segment, std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char*>(torn.data()),
+              static_cast<std::streamsize>(torn.size()));
+  }
+  const uint64_t before = AllocCounter::Bytes();
+  {
+    storage::PartitionLog log(dir, storage::PartitionLogOptions{});
+    EXPECT_EQ(log.end_offset(), 3u);
+    EXPECT_EQ(log.stats().truncated_tails, 1u);
+  }
+  EXPECT_LT(AllocCounter::Bytes() - before, 1u << 20);
+  EXPECT_EQ(std::filesystem::file_size(segment), valid);
+  std::filesystem::remove_all(dir);
+}
+
+// Batches whose count, width or length column claims more than the bytes
+// behind it. Built from a valid one-record batch of 22-byte lane shares
+// (fixed width, key in payload) and a valid two-record mixed batch.
+std::vector<std::vector<uint8_t>> HostileBatches() {
+  const std::vector<uint8_t> share(22, 0x11);
+  const uint64_t mid = LoadLe<uint64_t>(share.data());
+  std::vector<uint8_t> fixed;
+  storage::AppendRecordBatch(
+      1, [&](size_t) { return storage::BatchRecord{mid, 0, share}; }, fixed);
+  const std::vector<uint8_t> a(3, 1), b(5, 2);
+  std::vector<uint8_t> mixed;
+  storage::AppendRecordBatch(
+      2,
+      [&](size_t i) {
+        return storage::BatchRecord{i, 0, i == 0 ? std::span(a) : std::span(b)};
+      },
+      mixed);
+  constexpr size_t kCountAt = 2;
+  constexpr size_t kWidthAt = storage::kRecordBatchHeaderBytes;
+  // mixed: header, then two u64 keys, then the u32 lengths.
+  constexpr size_t kLengthAt = storage::kRecordBatchHeaderBytes + 16;
+  std::vector<std::vector<uint8_t>> hostile(3);
+  hostile[0] = fixed;
+  StoreLe<uint32_t>(hostile[0].data() + kCountAt, UINT32_MAX);
+  hostile[1] = fixed;
+  StoreLe<uint32_t>(hostile[1].data() + kWidthAt, UINT32_MAX - 7);
+  hostile[2] = mixed;
+  StoreLe<uint32_t>(hostile[2].data() + kLengthAt + 4, 1u << 30);
+  return hostile;
+}
+
+// The server refuses each such Produce with an error response before the
+// batch sizes anything, and appends nothing.
+TEST(AllocRegressionTest, HostileProduceRequestAllocatesLittle) {
+  broker::Broker broker;
+  broker.EnsureTopic("t", 1);
+  std::vector<uint8_t> response;
+  response.reserve(4096);
+  for (const std::vector<uint8_t>& batch : HostileBatches()) {
+    std::vector<uint8_t> request = {
+        static_cast<uint8_t>(transport::WireOp::kProduce)};
+    transport::PutString("t", request);
+    request.insert(request.end(), batch.begin(), batch.end());
+    response.clear();
+    const uint64_t before = AllocCounter::Bytes();
+    transport::HandleRequest(broker, {}, request, response);
+    EXPECT_LT(AllocCounter::Bytes() - before, 64u * 1024);
+    ASSERT_FALSE(response.empty());
+    EXPECT_EQ(response[0], transport::kWireError);
+  }
+  EXPECT_EQ(broker.GetTopic("t").EndOffset(0), 0u);
+}
+
+// A loopback peer that answers each request frame with the next canned
+// response body, so a TcpBusClient can be fed responses no server sends.
+// Allocation-free while it serves (its frames are built up front).
+class CannedServer {
+ public:
+  explicit CannedServer(const std::vector<std::vector<uint8_t>>& bodies) {
+    for (const std::vector<uint8_t>& body : bodies) {
+      frames_.emplace_back();
+      transport::EncodeFrame(body, frames_.back());
+    }
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+        ::listen(listen_fd_, 1) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
+            0) {
+      throw std::runtime_error("CannedServer: cannot listen");
+    }
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~CannedServer() {
+    thread_.join();
+    ::close(listen_fd_);
+  }
+
+  uint16_t port() const { return port_; }
+
+ private:
+  bool ReadExactly(int fd, uint8_t* p, size_t n) {
+    while (n > 0) {
+      const ssize_t got = ::read(fd, p, n);
+      if (got <= 0) {
+        return false;
+      }
+      p += got;
+      n -= static_cast<size_t>(got);
+    }
+    return true;
+  }
+
+  void Serve() {
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    std::array<uint8_t, 4096> request;
+    for (const std::vector<uint8_t>& frame : frames_) {
+      if (!ReadExactly(fd, request.data(), transport::kFrameHeaderBytes)) {
+        break;
+      }
+      const uint32_t len = LoadLe<uint32_t>(request.data());
+      if (len > request.size() || !ReadExactly(fd, request.data(), len) ||
+          ::write(fd, frame.data(), frame.size()) !=
+              static_cast<ssize_t>(frame.size())) {
+        break;
+      }
+    }
+    ::close(fd);
+  }
+
+  std::vector<std::vector<uint8_t>> frames_;
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+// The client refuses each such Poll response with an exception, before the
+// batch sizes a view or a slab, and hands out no view.
+TEST(AllocRegressionTest, HostilePollResponseAllocatesLittle) {
+  auto poll_response = [](const std::vector<uint8_t>& batch) {
+    std::vector<uint8_t> body = {transport::kWireOk};
+    transport::PutU64(0, body);
+    body.insert(body.end(), batch.begin(), batch.end());
+    return body;
+  };
+  std::vector<uint8_t> empty;
+  storage::AppendRecordBatch(
+      0, [](size_t) { return storage::BatchRecord{}; }, empty);
+  std::vector<std::vector<uint8_t>> bodies = {poll_response(empty)};
+  for (const std::vector<uint8_t>& batch : HostileBatches()) {
+    bodies.push_back(poll_response(batch));
+  }
+  CannedServer server(bodies);
+  {
+    transport::TcpBusClientConfig config;
+    config.port = server.port();
+    transport::TcpBusClient client(config);
+    std::vector<broker::RecordView> out;
+    out.reserve(16);
+    // The first, valid response warms the connection and its buffers.
+    EXPECT_EQ(client.Poll("t", 0, 0, 16, out), 0u);
+    for (size_t i = 1; i < bodies.size(); ++i) {
+      const uint64_t before = AllocCounter::Bytes();
+      EXPECT_THROW(client.Poll("t", 0, 0, 16, out), std::invalid_argument);
+      EXPECT_LT(AllocCounter::Bytes() - before, 64u * 1024);
+      EXPECT_TRUE(out.empty());
+    }
   }
 }
 

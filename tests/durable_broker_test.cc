@@ -116,6 +116,42 @@ TEST(DurableTopicTest, ReopenRecoversIdenticalContents) {
   EXPECT_EQ(DumpTopic(topic).size(), 41u);
 }
 
+// Each append call spills one record batch per partition it touches, so
+// fsync=always pays one fsync per partition run, not one per record, and
+// the batches replay record for record.
+TEST(DurableTopicTest, AppendViewsSpillsOneBatchPerPartitionRun) {
+  TempDir dir;
+  TopicDurability durability{dir.path(), {}};
+  durability.log.fsync = storage::FsyncPolicy::kAlways;
+  std::vector<std::vector<uint8_t>> payloads;
+  for (uint64_t key = 0; key < 60; ++key) {
+    payloads.push_back(Payload(key, 22));
+  }
+  std::vector<broker::ProduceView> views;
+  for (uint64_t key = 0; key < 60; ++key) {
+    views.push_back(broker::ProduceView{key, payloads[key],
+                                        static_cast<int64_t>(key % 3)});
+  }
+  std::vector<Record> written;
+  {
+    Topic topic("lane", 3, durability);
+    topic.AppendViews(views);
+    EXPECT_EQ(topic.durable_stats().fsyncs, 3u);
+    topic.AppendViews(std::span(views).first(1));
+    EXPECT_EQ(topic.durable_stats().fsyncs, 4u);
+    written = DumpTopic(topic);
+  }
+  Topic topic("lane", 3, durability);
+  const std::vector<Record> recovered = DumpTopic(topic);
+  ASSERT_EQ(recovered.size(), 61u);
+  for (size_t i = 0; i < written.size(); ++i) {
+    EXPECT_EQ(recovered[i].offset, written[i].offset);
+    EXPECT_EQ(recovered[i].key, written[i].key);
+    EXPECT_EQ(recovered[i].timestamp_ms, written[i].timestamp_ms);
+    EXPECT_EQ(recovered[i].payload, written[i].payload);
+  }
+}
+
 TEST(DurableTopicTest, EndOffsetContinuesAcrossReopen) {
   TempDir dir;
   const TopicDurability durability{dir.path(), {}};

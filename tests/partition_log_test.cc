@@ -1,9 +1,9 @@
 // Tests for the generic durable partition log (storage/partition_log.h):
-// framing round-trips, segment rotation and replay, fsync policy
-// accounting, recovery invariants (torn tails, sealed-segment corruption,
-// offset continuity), watermark retention, the directory lock, and a
-// crash-point harness that truncates the log at every byte boundary of its
-// final record.
+// batch framing round-trips and golden segment bytes, segment rotation and
+// replay, fsync policy accounting per batch, recovery invariants (torn
+// tails, sealed-segment corruption, foreign formats, offset continuity),
+// watermark retention, the directory lock, and a crash-point harness that
+// truncates the log at every byte boundary of its final batch.
 
 #include <gtest/gtest.h>
 
@@ -11,12 +11,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
+#include "common/byte_order.h"
+#include "storage/crc32.h"
 #include "storage/partition_log.h"
 
 namespace privapprox::storage {
@@ -58,6 +61,15 @@ struct ReplayedRecord {
   std::vector<uint8_t> payload;
 };
 
+// Appends `records` as one batch (offsets in them are ignored).
+uint64_t AppendRecords(PartitionLog& log,
+                       const std::vector<ReplayedRecord>& records) {
+  return log.AppendBatch(records.size(), [&records](size_t i) {
+    return BatchRecord{records[i].key, records[i].timestamp_ms,
+                       records[i].payload};
+  });
+}
+
 std::vector<ReplayedRecord> ReplayAll(const PartitionLog& log) {
   std::vector<ReplayedRecord> records;
   log.Replay([&](uint64_t offset, uint64_t key, int64_t timestamp_ms,
@@ -69,8 +81,12 @@ std::vector<ReplayedRecord> ReplayAll(const PartitionLog& log) {
   return records;
 }
 
-// Small segments so a handful of appends spans several files. Each record
-// is 24 bytes of framing plus its payload.
+// What a single Append costs besides its payload: a one-record batch is
+// the 8-byte frame header, the 14-byte batch header, the 4-byte width and
+// the 8-byte key (these payloads never start with their key).
+constexpr uint64_t kOneRecordFraming = 8 + 14 + 4 + 8;
+
+// Small segments so a handful of appends spans several files.
 PartitionLogOptions SmallSegments(uint64_t max_bytes = 128) {
   PartitionLogOptions options;
   options.max_segment_bytes = max_bytes;
@@ -116,9 +132,46 @@ TEST(PartitionLogTest, AppendAssignsSequentialOffsets) {
   EXPECT_EQ(log.num_segments(), 1u);
   const PartitionLogStats stats = log.stats();
   EXPECT_EQ(stats.segments, 1u);
-  EXPECT_EQ(stats.bytes, 10u * (24 + 20));
+  EXPECT_EQ(stats.bytes, 10u * (kOneRecordFraming + 20));
   EXPECT_EQ(stats.recovered_records, 0u);
   EXPECT_EQ(stats.truncated_tails, 0u);
+}
+
+// One batch of two records, pinned byte for byte: the frame, then a batch
+// that keeps every column (keys that are not payload prefixes, unequal
+// lengths, timestamps 100 and 103 as zigzag deltas 0 and 6).
+TEST(PartitionLogTest, SegmentBytesAreGolden) {
+  TempDir dir;
+  {
+    PartitionLog log(dir.path(), PartitionLogOptions{});
+    EXPECT_EQ(AppendRecords(log, {{0, 5, 100, {'x', 'y'}}, {0, 6, 103, {'z'}}}),
+              0u);
+    EXPECT_EQ(log.end_offset(), 2u);
+  }
+  const std::vector<uint8_t> want = {
+      43,   0,    0,    0,                         // frame: batch length
+      0x31, 0x8A, 0x3F, 0x9C,                      // CRC-32 of the batch
+      0xB2, 0x04,                                  // magic; ts deltas
+      2,    0,    0,    0,                         // count
+      100,  0,    0,    0,    0, 0, 0, 0,          // base ts
+      5,    0,    0,    0,    0, 0, 0, 0,          // keys
+      6,    0,    0,    0,    0, 0, 0, 0,
+      2,    0,    0,    0,    1, 0, 0, 0,          // lengths
+      0,    6,                                     // ts deltas
+      'x',  'y',  'z'};                            // payload block
+  std::ifstream in(dir.path() / "seg-00000000000000000000.log",
+                   std::ios::binary);
+  const std::vector<uint8_t> got((std::istreambuf_iterator<char>(in)),
+                                 std::istreambuf_iterator<char>());
+  EXPECT_EQ(got, want);
+
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  const std::vector<ReplayedRecord> records = ReplayAll(log);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].offset, 1u);
+  EXPECT_EQ(records[1].key, 6u);
+  EXPECT_EQ(records[1].timestamp_ms, 103);
+  EXPECT_EQ(records[1].payload, std::vector<uint8_t>{'z'});
 }
 
 TEST(PartitionLogTest, ReplayRoundTripAcrossSegments) {
@@ -181,7 +234,7 @@ TEST(PartitionLogTest, TornTailInNewestSegmentIsTruncated) {
   EXPECT_EQ(log.stats().recovered_records, 4u);
   EXPECT_EQ(ReplayAll(log).size(), 4u);
   // The torn bytes are gone from disk, so a second open is clean.
-  EXPECT_EQ(fs::file_size(path), 4u * (24 + 32));
+  EXPECT_EQ(fs::file_size(path), 4u * (kOneRecordFraming + 32));
 }
 
 TEST(PartitionLogTest, CorruptRecordInSealedSegmentThrows) {
@@ -202,6 +255,39 @@ TEST(PartitionLogTest, CorruptRecordInSealedSegmentThrows) {
   file.close();
 
   EXPECT_THROW(PartitionLog(dir.path(), SmallSegments()), SegmentLogError);
+}
+
+// A log written before record batches frames each record as [u32 len]
+// [u32 crc][u64 key][i64 ts][payload]. Its CRC holds, so it is no torn
+// tail: opening it must name the format and leave the bytes alone.
+TEST(PartitionLogTest, ForeignFormatThrowsAndIsNotTruncated) {
+  TempDir dir;
+  fs::create_directories(dir.path());
+  std::vector<uint8_t> body(16 + 3);
+  StoreLe<uint64_t>(body.data(), 7);      // key
+  StoreLe<uint64_t>(body.data() + 8, 0);  // timestamp
+  body[16] = 'o';
+  body[17] = 'l';
+  body[18] = 'd';
+  std::vector<uint8_t> record(8);
+  StoreLe<uint32_t>(record.data(), static_cast<uint32_t>(body.size()));
+  StoreLe<uint32_t>(record.data() + 4, Crc32(body.data(), body.size()));
+  record.insert(record.end(), body.begin(), body.end());
+  const fs::path path = dir.path() / "seg-00000000000000000000.log";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(record.data()),
+              static_cast<std::streamsize>(record.size()));
+  }
+  try {
+    PartitionLog log(dir.path(), PartitionLogOptions{});
+    FAIL() << "expected SegmentLogError";
+  } catch (const SegmentLogError& e) {
+    EXPECT_NE(std::string(e.what()).find("format magic 0x07"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(fs::file_size(path), record.size());
 }
 
 TEST(PartitionLogTest, TornTailInSealedSegmentThrows) {
@@ -268,24 +354,31 @@ TEST(PartitionLogTest, EmptyActiveSegmentAfterRotationRecovers) {
   EXPECT_EQ(log.Append(42, 0, Payload(42, 16)), end);
 }
 
-// Truncate the log at EVERY byte boundary of the final record: recovery
-// must always succeed, keeping all full records and counting exactly one
-// torn tail for any cut strictly inside the record.
+// Truncate the log at EVERY byte boundary of its final batch, which holds
+// several records: recovery must always succeed, keeping exactly the
+// batches before it, and count one torn tail for any cut strictly inside
+// the batch.
 TEST(PartitionLogTest, CrashPointHarnessEveryByteOfFinalRecord) {
   TempDir master;
-  const size_t n = 6;
+  const size_t single = 4;  // one-record batches before the final batch
   const size_t payload_len = 24;
-  const uint64_t record_bytes = 24 + payload_len;
+  std::vector<ReplayedRecord> final_batch;
+  for (uint64_t i = 0; i < 5; ++i) {
+    final_batch.push_back(ReplayedRecord{0, 100 + i, static_cast<int64_t>(i),
+                                         Payload(100 + i, payload_len - i)});
+  }
+  uint64_t last_start = 0;
   {
     PartitionLog log(master.path(), PartitionLogOptions{});
-    for (uint64_t i = 0; i < n; ++i) {
+    for (uint64_t i = 0; i < single; ++i) {
       log.Append(i, static_cast<int64_t>(i), Payload(i, payload_len));
     }
+    last_start = log.stats().bytes;
+    EXPECT_EQ(AppendRecords(log, final_batch), single);
   }
   const std::string name = "seg-00000000000000000000.log";
   const uint64_t file_size = fs::file_size(master.path() / name);
-  ASSERT_EQ(file_size, n * record_bytes);
-  const uint64_t last_start = file_size - record_bytes;
+  ASSERT_EQ(last_start, single * (kOneRecordFraming + payload_len));
 
   for (uint64_t cut = last_start; cut <= file_size; ++cut) {
     TempDir scratch;
@@ -294,18 +387,23 @@ TEST(PartitionLogTest, CrashPointHarnessEveryByteOfFinalRecord) {
     fs::resize_file(scratch.path() / name, cut);
 
     PartitionLog log(scratch.path(), PartitionLogOptions{});
+    const std::vector<ReplayedRecord> records = ReplayAll(log);
     if (cut == file_size) {
-      EXPECT_EQ(log.end_offset(), n) << "cut=" << cut;
+      EXPECT_EQ(log.end_offset(), single + final_batch.size()) << "cut=" << cut;
       EXPECT_EQ(log.stats().truncated_tails, 0u) << "cut=" << cut;
+      ASSERT_EQ(records.size(), single + final_batch.size());
+      EXPECT_EQ(records.back().key, final_batch.back().key);
+      EXPECT_EQ(records.back().payload, final_batch.back().payload);
     } else {
-      EXPECT_EQ(log.end_offset(), n - 1) << "cut=" << cut;
+      EXPECT_EQ(log.end_offset(), single) << "cut=" << cut;
       EXPECT_EQ(log.stats().truncated_tails, cut == last_start ? 0u : 1u)
           << "cut=" << cut;
+      EXPECT_EQ(fs::file_size(scratch.path() / name), last_start);
     }
     // Whatever survived must replay cleanly and accept new appends.
     const uint64_t next = log.end_offset();
-    EXPECT_EQ(ReplayAll(log).size(), next);
-    EXPECT_EQ(log.Append(77, 0, Payload(77, payload_len)), next);
+    EXPECT_EQ(records.size(), next);
+    EXPECT_EQ(AppendRecords(log, final_batch), next);
   }
 }
 
@@ -360,6 +458,14 @@ TEST(PartitionLogTest, ReopenAfterTrimKeepsBaseOffset) {
 
 // ------------------------------------------------------------ fsync policy
 
+std::vector<ReplayedRecord> SixRecords() {
+  std::vector<ReplayedRecord> records;
+  for (uint64_t i = 0; i < 6; ++i) {
+    records.push_back(ReplayedRecord{0, i, 0, Payload(i, 16)});
+  }
+  return records;
+}
+
 TEST(PartitionLogTest, FsyncAlwaysSyncsEveryAppend) {
   TempDir dir;
   PartitionLogOptions options;
@@ -369,6 +475,11 @@ TEST(PartitionLogTest, FsyncAlwaysSyncsEveryAppend) {
     log.Append(i, 0, Payload(i, 16));
   }
   EXPECT_EQ(log.stats().fsyncs, 5u);
+  // A batch is one append, whatever it holds.
+  AppendRecords(log, SixRecords());
+  AppendRecords(log, SixRecords());
+  EXPECT_EQ(log.stats().fsyncs, 7u);
+  EXPECT_EQ(log.end_offset(), 17u);
 }
 
 TEST(PartitionLogTest, FsyncEveryNSyncsInBatches) {
@@ -381,6 +492,12 @@ TEST(PartitionLogTest, FsyncEveryNSyncsInBatches) {
     log.Append(i, 0, Payload(i, 16));
   }
   EXPECT_EQ(log.stats().fsyncs, 2u);  // after records 4 and 8
+  // The fsync follows the batch that crosses N: records 9-10 are pending,
+  // so the 6-record batch (11-16) syncs once and the next one again.
+  AppendRecords(log, SixRecords());
+  EXPECT_EQ(log.stats().fsyncs, 3u);
+  AppendRecords(log, SixRecords());
+  EXPECT_EQ(log.stats().fsyncs, 4u);
 }
 
 TEST(PartitionLogTest, FsyncNeverNeverSyncs) {

@@ -20,6 +20,7 @@
 #include "broker/broker.h"
 #include "common/byte_order.h"
 #include "metrics/metrics.h"
+#include "storage/record_batch.h"
 #include "transport/frame.h"
 #include "transport/message_bus.h"
 #include "transport/tcp_bus.h"
@@ -319,6 +320,76 @@ TEST_F(TcpBusTest, ReleaseFreesServerRecordsAndRefusalsKeepTheConnection) {
   EXPECT_EQ(Counter("disconnects"), 0u);
 }
 
+// A lane share costs its own 22 bytes on the wire: one Produce of N shares
+// is the frame header, the opcode, the topic, one batch header with its
+// width, and the N payloads, nothing per record.
+TEST_F(TcpBusTest, LaneSharesCostTheirOwnBytesOnTheWire) {
+  StartServer();
+  TcpBusClientConfig config;
+  config.port = server_->port();
+  config.counters.bytes_out = &registry_.GetCounter("bytes_out", "sent");
+  TcpBusClient client(config);
+  const std::string topic = "proxy0.q1.in";
+  client.EnsureTopic(topic, 4);
+
+  constexpr size_t kShares = 300;
+  constexpr size_t kShareBytes = 22;  // 8 B MID + 12 B header + 2 B answer
+  std::vector<uint8_t> shares(kShares * kShareBytes);
+  std::vector<broker::ProduceView> records;
+  for (size_t i = 0; i < kShares; ++i) {
+    uint8_t* share = shares.data() + i * kShareBytes;
+    const uint64_t mid = 0x9E3779B97F4A7C15ull * (i + 1);
+    StoreLe<uint64_t>(share, mid);
+    share[8] = static_cast<uint8_t>(i);
+    records.push_back(broker::ProduceView{
+        mid, std::span<const uint8_t>(share, kShareBytes), 5000});
+  }
+  const uint64_t before = Counter("bytes_out");
+  client.Produce(topic, records);
+  EXPECT_EQ(Counter("bytes_out") - before,
+            kFrameHeaderBytes + 1 + 2 + topic.size() +
+                storage::kRecordBatchHeaderBytes + 4 + kShareBytes * kShares);
+
+  // And they come back whole, at their natural width.
+  BusConsumer consumer(client, topic);
+  std::vector<broker::RecordView> out;
+  while (consumer.PollInto(1000, out) != 0) {
+  }
+  ASSERT_EQ(out.size(), kShares);
+  for (const broker::RecordView& view : out) {
+    EXPECT_EQ(view.payload_len, kShareBytes);
+    EXPECT_EQ(view.key, LoadLe<uint64_t>(view.payload));
+    EXPECT_EQ(view.timestamp_ms, 5000);
+  }
+}
+
+// A Produce whose batch claims more than its body holds is refused with an
+// error response, and the same connection goes on serving.
+TEST_F(TcpBusTest, HostileProduceRequestIsRefusedAndTheConnectionServesOn) {
+  StartServer();
+  broker_.EnsureTopic("t", 1);
+  const std::vector<uint8_t> payload = Bytes("record");
+  const std::vector<broker::ProduceView> records = {
+      broker::ProduceView{1, payload, 0}, broker::ProduceView{2, payload, 0}};
+  std::vector<uint8_t> hostile;
+  BuildProduceRequest("t", records, hostile);
+  const size_t count_at = 1 + 2 + 1 + 2;  // op, "t", magic, attributes
+  StoreLe<uint32_t>(hostile.data() + count_at, 1u << 30);
+  RawConn conn(server_->port());
+  conn.Send(Framed(hostile));
+  const std::vector<uint8_t> refused = conn.RecvFrame();
+  ASSERT_GT(refused.size(), kFrameHeaderBytes);
+  EXPECT_EQ(refused[kFrameHeaderBytes], kWireError);
+  std::vector<uint8_t> produce;
+  BuildProduceRequest("t", records, produce);
+  conn.Send(Framed(produce));
+  const std::vector<uint8_t> served = conn.RecvFrame();
+  ASSERT_GT(served.size(), kFrameHeaderBytes);
+  EXPECT_EQ(served[kFrameHeaderBytes], kWireOk);
+  EXPECT_EQ(broker_.GetTopic("t").EndOffset(0), 2u);
+  EXPECT_EQ(Counter("protocol_errors"), 0u);
+}
+
 TEST_F(TcpBusTest, LargePayloadsSurvivePartialSocketWrites) {
   StartServer();
   auto client = Dial();
@@ -455,7 +526,9 @@ TEST_F(TcpBusTest, ClientRequestFramesMatchEncodeFrame) {
     std::vector<uint8_t> produce_ok = {kWireOk};
     PutU32(2, produce_ok);
     std::vector<uint8_t> poll_ok = {kWireOk};
-    PutU32(0, poll_ok);
+    PutU64(5, poll_ok);
+    storage::AppendRecordBatch(
+        0, [](size_t) { return storage::BatchRecord{}; }, poll_ok);
     for (const std::vector<uint8_t>* reply : {&produce_ok, &poll_ok}) {
       captured.push_back(conn.RecvFrame());
       conn.Send(Framed(*reply));

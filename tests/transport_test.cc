@@ -15,6 +15,7 @@
 #include "broker/broker.h"
 #include "deploy/result_wire.h"
 #include "storage/crc32.h"
+#include "storage/record_batch.h"
 #include "transport/frame.h"
 #include "transport/inproc_bus.h"
 #include "transport/message_bus.h"
@@ -30,6 +31,26 @@ std::vector<uint8_t> Bytes(const std::string& s) {
 broker::ProduceView View(const std::vector<uint8_t>& payload, uint64_t key,
                          int64_t ts = 0) {
   return broker::ProduceView{key, payload, ts};
+}
+
+struct PolledRecord {
+  uint64_t offset = 0;
+  uint64_t key = 0;
+  int64_t timestamp_ms = 0;
+  std::vector<uint8_t> payload;
+};
+
+// Decodes the rest of an ok Poll response: [u64 base offset][batch].
+std::vector<PolledRecord> TakePolled(WireReader& reply) {
+  uint64_t offset = reply.TakeU64();
+  const storage::RecordBatchView batch(reply.TakeRaw(reply.remaining()));
+  std::vector<PolledRecord> records;
+  batch.ForEach([&](const storage::BatchRecord& record) {
+    records.push_back(PolledRecord{
+        offset++, record.key, record.timestamp_ms,
+        std::vector<uint8_t>(record.payload.begin(), record.payload.end())});
+  });
+  return records;
 }
 
 TEST(FrameTest, RoundTrip) {
@@ -190,22 +211,18 @@ TEST_F(WireProtocolTest, EnsureProduceAndPollRoundTrip) {
     request.clear();
     BuildPollRequest("t", p, 0, 16, 1 << 20, request);
     WireReader reply = Call(request);
-    const uint32_t count = reply.TakeU32();
-    for (uint32_t i = 0; i < count; ++i) {
-      reply.TakeU64();  // offset
-      const uint64_t key = reply.TakeU64();
-      const int64_t ts = static_cast<int64_t>(reply.TakeU64());
-      const auto payload = reply.TakeBytes();
-      if (key == 1) {
-        EXPECT_EQ(ts, 10);
-        EXPECT_EQ(payload.size(), 2u);
+    for (const PolledRecord& record : TakePolled(reply)) {
+      if (record.key == 1) {
+        EXPECT_EQ(record.timestamp_ms, 10);
+        EXPECT_EQ(record.payload, a);
         EXPECT_EQ(PartitionForKey(1, 2), p);
       } else {
-        EXPECT_EQ(key, 2u);
-        EXPECT_EQ(ts, 20);
-        EXPECT_EQ(payload.size(), 3u);
+        EXPECT_EQ(record.key, 2u);
+        EXPECT_EQ(record.timestamp_ms, 20);
+        EXPECT_EQ(record.payload, b);
         EXPECT_EQ(PartitionForKey(2, 2), p);
       }
+      EXPECT_EQ(record.offset, 0u);
       ++found;
     }
   }
@@ -227,13 +244,13 @@ TEST_F(WireProtocolTest, PollIsByteBudgetedButAlwaysMakesProgress) {
   request.clear();
   BuildPollRequest("t", 0, 0, 16, /*max_bytes=*/10, request);
   WireReader tight = Call(request);
-  EXPECT_EQ(tight.TakeU32(), 1u);
+  EXPECT_EQ(TakePolled(tight).size(), 1u);
 
   // Budget for two records: the third is deferred to the next round-trip.
   request.clear();
   BuildPollRequest("t", 0, 0, 16, /*max_bytes=*/2000, request);
   WireReader two = Call(request);
-  EXPECT_EQ(two.TakeU32(), 2u);
+  EXPECT_EQ(TakePolled(two).size(), 2u);
 }
 
 TEST_F(WireProtocolTest, PollReadsNoMoreThanItPacks) {
@@ -252,47 +269,71 @@ TEST_F(WireProtocolTest, PollReadsNoMoreThanItPacks) {
   request.clear();
   BuildPollRequest("t", 0, 0, UINT32_MAX, /*max_bytes=*/10, request);
   WireReader reply = Call(request);
-  EXPECT_EQ(reply.TakeU32(), 1u);
+  EXPECT_EQ(TakePolled(reply).size(), 1u);
   const broker::TopicMetrics metrics = broker_.GetTopic("t").metrics();
   EXPECT_EQ(metrics.records_out, 1u);
   EXPECT_EQ(metrics.bytes_out, 1000u);
 }
 
 TEST_F(WireProtocolTest, RequestAndResponseBytesAreGolden) {
+  // Lane-shaped records: equally long, keyed by their first 8 bytes, one
+  // timestamp. The batch keeps no key, length or timestamp column.
+  const std::vector<uint8_t> share_a = {1, 2, 3, 4, 5, 6, 7, 8, 'a', 'b'};
+  const std::vector<uint8_t> share_b = {9, 0, 0, 0, 0, 0, 0, 0, 'c', 'd'};
+  const std::vector<broker::ProduceView> lane = {
+      View(share_a, 0x0807060504030201ull, 7), View(share_b, 9, 7)};
+  std::vector<uint8_t> lane_request;
+  BuildProduceRequest("t", lane, lane_request);
+  const std::vector<uint8_t> lane_batch = {
+      0xB2, 0x03,                    // magic; fixed width, key in payload
+      2,    0,    0, 0,              // count
+      7,    0,    0, 0, 0, 0, 0, 0,  // base ts
+      10,   0,    0, 0,              // width
+      1,    2,    3, 4, 5, 6, 7, 8, 'a', 'b',  // payload block
+      9,    0,    0, 0, 0, 0, 0, 0, 'c', 'd'};
+  std::vector<uint8_t> want = {2, 1, 0, 't'};  // op, "t"
+  want.insert(want.end(), lane_batch.begin(), lane_batch.end());
+  EXPECT_EQ(lane_request, want);
+
+  // Mixed records: every column is kept, timestamps as zigzag deltas from
+  // the first (-2, then +12 -> 24).
   const std::vector<uint8_t> ab = Bytes("ab");
   const std::vector<uint8_t> empty;
-  const std::vector<broker::ProduceView> records = {
+  const std::vector<broker::ProduceView> mixed = {
       View(ab, 0x0102030405060708ull, -2), View(empty, 9, 10)};
-  std::vector<uint8_t> request;
-  BuildProduceRequest("t", records, request);
-  const std::vector<uint8_t> want_request = {
-      2,    1,    0,    't',  2,    0,    0,    0,     // op, "t", count
-      8,    7,    6,    5,    4,    3,    2,    1,     // key
-      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // ts = -2
-      2,    0,    0,    0,    'a',  'b',               // payload
-      9,    0,    0,    0,    0,    0,    0,    0,     // key
-      10,   0,    0,    0,    0,    0,    0,    0,     // ts
-      0,    0,    0,    0};                            // empty payload
-  EXPECT_EQ(request, want_request);
+  std::vector<uint8_t> mixed_request;
+  BuildProduceRequest("t", mixed, mixed_request);
+  const std::vector<uint8_t> mixed_batch = {
+      0xB2, 0x04,                                      // magic; ts deltas
+      2,    0,    0,    0,                             // count
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // base ts -2
+      8,    7,    6,    5,    4,    3,    2,    1,     // keys
+      9,    0,    0,    0,    0,    0,    0,    0,
+      2,    0,    0,    0,    0,    0,    0,    0,     // lengths 2, 0
+      0,    24,                                      // ts deltas
+      'a',  'b'};                                    // payload block
+  want = {2, 1, 0, 't'};
+  want.insert(want.end(), mixed_batch.begin(), mixed_batch.end());
+  EXPECT_EQ(mixed_request, want);
 
+  // A poll answers with the base offset and the same batches.
   std::vector<uint8_t> setup;
   BuildEnsureTopicRequest("t", 1, setup);
   Call(setup);
-  Call(request);
+  Call(lane_request);
+  Call(mixed_request);
   std::vector<uint8_t> poll;
-  BuildPollRequest("t", 0, 0, 16, 1 << 20, poll);
+  BuildPollRequest("t", 0, 0, 2, 1 << 20, poll);
   Call(poll);
-  const std::vector<uint8_t> want_response = {
-      0,    2,    0,    0,    0,                       // ok, count
-      0,    0,    0,    0,    0,    0,    0,    0,     // offset 0
-      8,    7,    6,    5,    4,    3,    2,    1,     // key
-      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // ts
-      2,    0,    0,    0,    'a',  'b',               // payload
-      1,    0,    0,    0,    0,    0,    0,    0,     // offset 1
-      9,    0,    0,    0,    0,    0,    0,    0,     // key
-      10,   0,    0,    0,    0,    0,    0,    0,     // ts
-      0,    0,    0,    0};                            // empty payload
-  EXPECT_EQ(response_, want_response);
+  want = {0, 0, 0, 0, 0, 0, 0, 0, 0};  // ok, base offset 0
+  want.insert(want.end(), lane_batch.begin(), lane_batch.end());
+  EXPECT_EQ(response_, want);
+  poll.clear();
+  BuildPollRequest("t", 0, 2, 16, 1 << 20, poll);
+  Call(poll);
+  want = {0, 2, 0, 0, 0, 0, 0, 0, 0};  // ok, base offset 2
+  want.insert(want.end(), mixed_batch.begin(), mixed_batch.end());
+  EXPECT_EQ(response_, want);
 }
 
 TEST_F(WireProtocolTest, ResponsesFramedInPlaceMatchEncodeFrame) {
@@ -355,13 +396,14 @@ TEST_F(WireProtocolTest, ProduceCountBeyondTheBodyIsRejected) {
   std::vector<uint8_t> request;
   BuildEnsureTopicRequest("t", 1, request);
   Call(request);
-  // One record on the wire, but the count claims 2^32 - 1 of them: the
-  // server must refuse before sizing anything by that count.
+  // One record on the wire, but the batch count claims 2^32 - 1 of them:
+  // the server must refuse before sizing anything by that count.
   const std::vector<uint8_t> a = Bytes("aa");
   const std::vector<broker::ProduceView> records = {View(a, 1, 10)};
   request.clear();
   BuildProduceRequest("t", records, request);
-  const size_t count_pos = 1 + 2 + 1;  // opcode, u16 length, "t"
+  // opcode, u16 length, "t", batch magic and attributes
+  const size_t count_pos = 1 + 2 + 1 + 2;
   for (size_t i = 0; i < 4; ++i) {
     request[count_pos + i] = 0xFF;
   }
@@ -369,7 +411,7 @@ TEST_F(WireProtocolTest, ProduceCountBeyondTheBodyIsRejected) {
     Call(request);
     FAIL() << "expected a wire error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("produce count 4294967295"),
+    EXPECT_NE(std::string(e.what()).find("count 4294967295"),
               std::string::npos)
         << e.what();
   }
@@ -449,8 +491,9 @@ TEST_F(WireProtocolTest, ReleaseRequestBytesAreGoldenAndFreeBelowTheOffsets) {
   std::vector<uint8_t> poll;
   BuildPollRequest("t", 0, 0, 16, 1 << 20, poll);
   WireReader reply = Call(poll);
-  EXPECT_EQ(reply.TakeU32(), ends[0] - 3);
-  EXPECT_EQ(reply.TakeU64(), 3u);  // first record's offset
+  const std::vector<PolledRecord> polled = TakePolled(reply);
+  ASSERT_EQ(polled.size(), ends[0] - 3);
+  EXPECT_EQ(polled.front().offset, 3u);
 }
 
 TEST_F(WireProtocolTest, ReleaseRefusalsAreErrorResponsesAndServingGoesOn) {
