@@ -18,7 +18,7 @@ repo="$(dirname "$here")"
 
 GATES=(pre_span_first qid_less chacha_block flat_config compat_layer
        ofstream bus_triplets single_query hand_wired_metrics
-       streaming_runtime per_client_copies per_record_framing)
+       streaming_runtime per_client_copies per_record_framing window_fanout)
 
 # Each gate_<name> runs its grep from the tree root; plant_<name> is
 # "<file>|<line>", a violation the self-test appends to that file.
@@ -100,7 +100,7 @@ gate_bus_triplets() {
 plant_bus_triplets="examples/planted.cc|bus.ProduceBatch(topic, records);"
 
 # The single-query leftovers are gone: engine::WindowBuffer (the aggregator
-# folds through AccumulatingWindowBuffer), core::StratifiedExecutionPlan and
+# adds answers to engine::PaneWindows), core::StratifiedExecutionPlan and
 # StratifiedQueryEstimator (stats::StratifiedSumEstimator is the one
 # stratified estimator), and the proxy's QID-less topic pair with Forward(),
 # in_topic() and out_topic() (shares travel on lanes: Receive(qid, ...),
@@ -160,6 +160,18 @@ gate_per_record_framing() {
     src tests bench examples
 }
 plant_per_record_framing="src/transport/planted.cc|constexpr size_t kPollRecordHeaderBytes = 28;"
+
+# Pane-sliced windows: an answer is added once, to the pane of its event
+# time, and a window sums its panes (engine::PaneWindows). The assigner
+# that fanned an answer out to every window holding it, the per-window
+# accumulator maps, the fire-time merge map and the per-window walk of the
+# lost-MID map must not come back.
+gate_window_fanout() {
+  grep -rnE \
+    "SlidingWindowAssigner|AccumulatingWindowBuffer|AppendWindowsFor|WindowsFor\(|merged_scratch_|CountLossesInWindow" \
+    src tests bench examples
+}
+plant_window_fanout="src/engine/planted.cc|for (const Window& w : assigner.WindowsFor(ts)) {}"
 
 # Runs one gate in directory $2; returns 0 on pass. Prints why it failed.
 run_gate() {

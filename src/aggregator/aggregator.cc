@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <iterator>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -78,8 +77,8 @@ Aggregator::Aggregator(AggregatorConfig config, transport::MessageBus* bus,
           "nanoseconds")),
       malformed_(registry_.GetCounter(
           "privapprox_malformed_dropped_total",
-          "Records dropped as undecodable (truncated share or garbage "
-          "plaintext)")),
+          "Records dropped as undecodable (truncated share, garbage "
+          "plaintext, or an event time whose windows leave int64)")),
       on_result_(std::move(on_result)) {
   ValidateAggregatorConfig(config_);
 }
@@ -111,13 +110,10 @@ void Aggregator::RegisterQuery(const core::Query& query,
     lane->consumers.push_back(
         std::make_unique<transport::BusConsumer>(*bus_, topic));
   }
-  const engine::SlidingWindowAssigner assigner(query.window_length_ms,
-                                               query.sliding_interval_ms);
   for (size_t s = 0; s < config_.num_shards; ++s) {
     const metrics::Labels labels = {{"query", qid},
                                     {"shard", std::to_string(s)}};
     auto shard = std::make_unique<Shard>(
-        assigner,
         registry_.GetCounter("privapprox_agg_shard_shares_total",
                              "Shares routed to this aggregator join shard",
                              labels),
@@ -331,11 +327,13 @@ void Aggregator::MergeShardDeltas(Lane& lane) {
   // insertion keyed by data the shards partition disjointly, so the merged
   // totals are independent of how work interleaved inside the parallel
   // region — only this loop's fixed order shows up in observable output
-  // (the answer-tap order).
+  // (the answer-tap order). Pane counts are whole numbers held in doubles,
+  // so their sums are exact in any order.
   uint64_t routed_max = 0;
   uint64_t routed_sum = 0;
   for (auto& shard_ptr : lane.shards) {
     Shard& shard = *shard_ptr;
+    lane.windows.Absorb(shard.panes);
     NoteMalformed(shard.malformed);
     shard.malformed = 0;
     lane.wrong_query_dropped += shard.wrong_query;
@@ -344,10 +342,8 @@ void Aggregator::MergeShardDeltas(Lane& lane) {
       lane.stream_watermark.Observe(shard.max_event_ms);
       shard.max_event_ms = INT64_MIN;
     }
-    if (answer_tap_) {
-      for (const auto& [ts, answer] : shard.tap) {
-        answer_tap_(ts, answer);
-      }
+    if (answer_tap_ && !shard.tap.empty()) {
+      answer_tap_(shard.tap);
     }
     shard.tap.clear();
     shard.shares_total.Increment(shard.shares_fed);
@@ -374,18 +370,9 @@ void Aggregator::MergeShardDeltas(Lane& lane) {
 void Aggregator::NoteLostMid(Lane& lane, uint64_t mid, int64_t ts) {
   // Dedup: a MID the injector already reported lost also lingers as a
   // partial join group until eviction — count it once.
-  lane.fault_lost_mids.try_emplace(mid, ts);
-}
-
-size_t Aggregator::CountLossesInWindow(const Lane& lane,
-                                       const engine::Window& window) const {
-  size_t lost = 0;
-  for (const auto& [mid, ts] : lane.fault_lost_mids) {
-    if (ts >= window.start_ms && ts < window.end_ms) {
-      ++lost;
-    }
+  if (lane.fault_lost_mids.try_emplace(mid, ts).second) {
+    lane.windows.NoteLoss(ts);
   }
-  return lost;
 }
 
 void Aggregator::NoteFaultLostMids(uint64_t query_id,
@@ -410,8 +397,8 @@ void Aggregator::NoteMalformed(uint64_t n) {
 void Aggregator::OnJoinedShard(Lane& lane, Shard& shard,
                                std::span<const uint8_t> plaintext,
                                int64_t timestamp_ms) {
-  // Only the 12-byte header is parsed; the answer bits are folded straight
-  // from the joiner's plaintext scratch into the window accumulators.
+  // Only the 12-byte header is parsed; the answer bits are added straight
+  // from the joiner's plaintext scratch to the accumulator of one pane.
   const std::optional<crypto::AnswerMessageView> message =
       crypto::AnswerMessageView::Parse(plaintext);
   if (!message.has_value()) {
@@ -424,10 +411,15 @@ void Aggregator::OnJoinedShard(Lane& lane, Shard& shard,
     ++shard.wrong_query;
     return;
   }
+  // A producer stamps its records, so the event time may be hostile: an
+  // answer whose windows do not all fit in int64 is malformed. A late
+  // answer is tapped, but not added.
+  if (!lane.windows.Fold(shard.panes, timestamp_ms, message->answer_bytes,
+                         num_buckets)) {
+    ++shard.malformed;
+    return;
+  }
   shard.max_event_ms = std::max(shard.max_event_ms, timestamp_ms);
-  shard.windows.Fold(timestamp_ms, message->answer_bytes, [num_buckets] {
-    return core::AnswerAccumulator(num_buckets);
-  });
   if (answer_tap_) {
     shard.tap.emplace_back(timestamp_ms,
                            BitVector::FromBytes(message->answer_bytes,
@@ -435,54 +427,25 @@ void Aggregator::OnJoinedShard(Lane& lane, Shard& shard,
   }
 }
 
-void Aggregator::FireWindows(Lane& lane, int64_t watermark_ms, bool flush) {
-  // Drain each shard's completed windows in shard order and merge
-  // accumulators per window. The element-wise histogram add is exact (every
-  // count is a whole number of 1.0 increments, far below 2^53), so the
-  // merged accumulator is bit-identical to the one a single shard would
-  // have built — shard count and merge order cannot change a result.
-  for (auto& shard : lane.shards) {
-    fired_scratch_.clear();
-    if (flush) {
-      shard->windows.DrainAll(fired_scratch_);
-    } else {
-      shard->windows.DrainFired(watermark_ms, fired_scratch_);
-    }
-    for (auto& [window, acc] : fired_scratch_) {
-      auto it = merged_scratch_.find(window);
-      if (it == merged_scratch_.end()) {
-        merged_scratch_.emplace(window, std::move(acc));
-      } else {
-        it->second.Merge(acc);
+void Aggregator::FireWindows(Lane& lane, int64_t watermark_ms) {
+  lane.windows.Advance(watermark_ms, [&](const engine::Window& window,
+                                         const core::AnswerAccumulator& acc,
+                                         uint64_t lost) {
+    const metrics::ScopedTimer timer(window_ns_);
+    core::QueryResult result =
+        lane.estimator.Estimate(acc.histogram(), acc.num_answers(), lost);
+    if (config_.answers_inverted) {
+      // De-invert: yes-count = participants - no-count, bucket-wise, scaled
+      // to the population.
+      const double scaled_total = static_cast<double>(config_.population);
+      for (auto& bucket : result.buckets) {
+        bucket.estimate.value =
+            core::YesCountFromInverted(bucket.estimate.value, scaled_total);
       }
     }
-  }
-  fired_scratch_.clear();
-  // Emit in ascending window order, whatever the shard count.
-  for (const auto& [window, acc] : merged_scratch_) {
-    OnWindowFired(lane, window, acc);
-  }
-  merged_scratch_.clear();
-}
-
-void Aggregator::OnWindowFired(Lane& lane, const engine::Window& window,
-                               const core::AnswerAccumulator& acc) {
-  const metrics::ScopedTimer timer(window_ns_);
-  const size_t lost_in_window =
-      config_.track_fault_losses ? CountLossesInWindow(lane, window) : 0;
-  core::QueryResult result = lane.estimator.Estimate(
-      acc.histogram(), acc.num_answers(), lost_in_window);
-  if (config_.answers_inverted) {
-    // De-invert: yes-count = participants - no-count, bucket-wise, scaled to
-    // the population.
-    const double scaled_total = static_cast<double>(config_.population);
-    for (auto& bucket : result.buckets) {
-      bucket.estimate.value =
-          core::YesCountFromInverted(bucket.estimate.value, scaled_total);
-    }
-  }
-  on_result_(
-      WindowedResult{lane.query.query_id, window, std::move(result)});
+    on_result_(
+        WindowedResult{lane.query.query_id, window, std::move(result)});
+  });
 }
 
 void Aggregator::AdvanceLaneWatermark(Lane& lane, int64_t watermark_ms) {
@@ -492,16 +455,16 @@ void Aggregator::AdvanceLaneWatermark(Lane& lane, int64_t watermark_ms) {
   for (auto& shard : lane.shards) {
     shard->joiner->EvictStale(watermark_ms);
   }
-  FireWindows(lane, watermark_ms, /*flush=*/false);
-  if (config_.track_fault_losses && !lane.fault_lost_mids.empty()) {
+  FireWindows(lane, watermark_ms);
+  if (config_.track_fault_losses) {
     // Losses too old to fall into any window still unfired can go: every
     // window containing their event time ended at or before the watermark.
-    const int64_t cutoff = watermark_ms - lane.query.window_length_ms;
-    for (auto it = lane.fault_lost_mids.begin();
-         it != lane.fault_lost_mids.end();) {
-      it = it->second < cutoff ? lane.fault_lost_mids.erase(it)
-                               : std::next(it);
-    }
+    const int64_t window_ms = lane.query.window_length_ms;
+    const int64_t cutoff = watermark_ms < INT64_MIN + window_ms
+                               ? INT64_MIN
+                               : watermark_ms - window_ms;
+    std::erase_if(lane.fault_lost_mids,
+                  [cutoff](const auto& loss) { return loss.second < cutoff; });
   }
 }
 
@@ -522,7 +485,7 @@ void Aggregator::AdvanceWatermarkToStream() {
 
 void Aggregator::Flush() {
   for (auto& [qid, lane] : lanes_) {
-    FireWindows(*lane, 0, /*flush=*/true);
+    FireWindows(*lane, INT64_MAX);
   }
 }
 

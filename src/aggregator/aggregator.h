@@ -1,27 +1,28 @@
 // The aggregator runtime (paper §3.2.4, §5).
 //
 // Consumes the n proxy share streams, joins shares by MID, XOR-decrypts,
-// deserializes the randomized answers, assigns them to sliding windows, and
-// per fired window de-biases the per-bucket counts and attaches the combined
-// error bound (sampling + randomized response). Results reach the analyst
-// via a callback; joined randomized answers are optionally teed into the
+// deserializes the randomized answers, adds each to the pane of its event
+// time (engine/window.h), and per fired sliding window de-biases the
+// per-bucket counts summed over its panes and attaches the combined error
+// bound (sampling + randomized response). Results reach the analyst via a
+// callback; joined randomized answers are optionally teed into the
 // historical store (§3.3.1).
 //
 // Multi-query: the aggregator is a coordinator over per-query *lanes*. A
 // lane owns everything one query needs — its n source-topic consumers, its
-// MID joiner + window shards, its error estimator, its stream watermark and
+// MID join shards, its panes, its error estimator, its stream watermark and
 // its fault-loss ledger — so queries share nothing but the broker and the
 // worker pool, and each query's results are bit-identical to a run where it
 // is the only query registered. Lanes are processed in
 // ascending-QID order everywhere order is observable. A lane consumes its
 // query's lane outbound topic at every proxy, named at RegisterQuery.
 //
-// The join + window stage is sharded by hash(MID): each shard owns an
-// independent MidJoiner and per-window accumulators, so feeding shards can
-// run in parallel with no shared mutable state, and per-window results are
-// merged deterministically in shard order at fire time (see DESIGN.md §6g
-// for why the merge is order-free and the N-shard result is bit-identical
-// to the single-shard run).
+// The join stage is sharded by hash(MID): each shard owns an independent
+// MidJoiner and pane map, so feeding shards can run in parallel with no
+// shared mutable state, and the shards' panes are added into the lane's in
+// shard order after each feed (see DESIGN.md §6g for why the sums are
+// order-free and the N-shard result is bit-identical to the single-shard
+// run).
 
 #ifndef PRIVAPPROX_AGGREGATOR_AGGREGATOR_H_
 #define PRIVAPPROX_AGGREGATOR_AGGREGATOR_H_
@@ -104,8 +105,10 @@ class Aggregator {
  public:
   using ResultFn = std::function<void(const WindowedResult&)>;
   // Optional tee of every joined randomized answer (for historical
-  // analytics): (timestamp, answer bit-vector).
-  using AnswerTapFn = std::function<void(int64_t, const BitVector&)>;
+  // analytics): the (timestamp, answer bit-vector) pairs one shard joined
+  // in one drain, in join order; shards follow in shard order.
+  using AnswerTapFn =
+      std::function<void(std::span<const std::pair<int64_t, BitVector>>)>;
 
   // Coordinator with no lanes yet; add queries with RegisterQuery. The bus
   // must outlive the aggregator; in a daemon it is a TopicRouterBus over
@@ -172,10 +175,9 @@ class Aggregator {
                          int64_t now_ms);
 
   // Advances the event-time watermark on every lane: evicts stale join
-  // groups and fires complete windows, shard by shard in shard order,
-  // merging same-window accumulators across shards before emitting each
-  // result. Lanes fire in ascending-QID order; windows within a lane in
-  // ascending window order.
+  // groups shard by shard in shard order, then fires each window that ends
+  // by the watermark and holds an answer, from the lane's panes. Lanes fire
+  // in ascending-QID order; windows within a lane in ascending order.
   void AdvanceWatermark(int64_t watermark_ms);
 
   // Stream-driven alternative: advances each lane to the
@@ -196,18 +198,19 @@ class Aggregator {
   size_t num_shards() const { return config_.num_shards; }
 
  private:
-  // One join/window shard. Owns every piece of mutable state its joiner
-  // emit path touches, so shards feed in parallel without synchronization;
-  // the cross-shard deltas (malformed, wrong_query, max event time, tap)
+  using Windows = engine::PaneWindows<core::AnswerAccumulator>;
+
+  // One join shard. Owns every piece of mutable state its joiner emit path
+  // touches, so shards feed in parallel without synchronization; the
+  // cross-shard deltas (panes, malformed, wrong_query, max event time, tap)
   // are folded into the coordinator sequentially after the parallel region.
   struct Shard {
-    Shard(const engine::SlidingWindowAssigner& assigner,
-          metrics::Counter& shares, metrics::Counter& joined)
-        : windows(assigner), shares_total(shares), joined_total(joined) {}
+    Shard(metrics::Counter& shares, metrics::Counter& joined)
+        : shares_total(shares), joined_total(joined) {}
     std::unique_ptr<engine::MidJoiner> joiner;
-    engine::AccumulatingWindowBuffer<core::AnswerAccumulator> windows;
     // Deltas since the last MergeShardDeltas:
-    uint64_t malformed = 0;      // joined plaintexts that failed to parse
+    Windows::Panes panes;        // answers added to their panes
+    uint64_t malformed = 0;      // unparsable, or a window past int64
     uint64_t wrong_query = 0;    // parsed answers for the wrong query/width
     uint64_t shares_fed = 0;     // shares routed to this shard
     int64_t max_event_ms = INT64_MIN;  // max valid-answer event time
@@ -230,15 +233,16 @@ class Aggregator {
     // unique_ptr for stable addresses: each shard's joiner emit callback
     // captures its Shard*.
     std::vector<std::unique_ptr<Shard>> shards;
+    Windows windows;  // the shards' panes, added in shard order
     engine::BoundedOutOfOrdernessWatermark stream_watermark;
     uint64_t wrong_query_dropped = 0;
     // Fault-loss bookkeeping (track_fault_losses): MID -> event time of
     // each loss, deduplicating injector reports against join-group
-    // expiries. A sliding window counts the losses whose event time it
-    // covers when it fires; entries too old to reach any future window are
-    // pruned as the watermark advances. Lane-level: evictions run
-    // shard-by-shard in shard order, and each MID belongs to exactly one
-    // shard, so the map's content is independent of shard count.
+    // expiries. A MID's first report counts one loss in the pane of its
+    // event time (Windows::NoteLoss); entries too old to reach any future
+    // window are pruned as the watermark advances. Lane-level: evictions
+    // run shard-by-shard in shard order, and each MID belongs to exactly
+    // one shard, so the map's content is independent of shard count.
     std::unordered_map<uint64_t, int64_t> fault_lost_mids;
     metrics::Gauge& imbalance_milli;  // privapprox_agg_shard_imbalance_milli
 
@@ -247,6 +251,7 @@ class Aggregator {
         : query(q),
           params(p),
           estimator(p, config.population, config.confidence),
+          windows(q.window_length_ms, q.sliding_interval_ms),
           stream_watermark(config.watermark_out_of_orderness_ms),
           imbalance_milli(imbalance) {}
   };
@@ -262,19 +267,14 @@ class Aggregator {
   void FeedShards(Lane& lane,
                   std::span<const proxy::Proxy::DecodedShares> per_source);
   void MergeShardDeltas(Lane& lane);
-  // Fires the lane's windows up to `watermark_ms` (or everything when
-  // `flush`): drains each shard's completed windows in shard order, merges
-  // accumulators per window, then emits results in ascending window order.
-  void FireWindows(Lane& lane, int64_t watermark_ms, bool flush);
+  // Advances the lane's panes to `watermark_ms` and emits a result per
+  // fired window, in ascending window order.
+  void FireWindows(Lane& lane, int64_t watermark_ms);
   void AdvanceLaneWatermark(Lane& lane, int64_t watermark_ms);
   void OnJoinedShard(Lane& lane, Shard& shard,
                      std::span<const uint8_t> plaintext, int64_t timestamp_ms);
-  void OnWindowFired(Lane& lane, const engine::Window& window,
-                     const core::AnswerAccumulator& acc);
   void NoteMalformed(uint64_t n);
   void NoteLostMid(Lane& lane, uint64_t mid, int64_t ts);
-  size_t CountLossesInWindow(const Lane& lane,
-                             const engine::Window& window) const;
 
   // Both public constructors: `bus`, or `owned_bus` when that is set.
   Aggregator(AggregatorConfig config, transport::MessageBus* bus,
@@ -299,14 +299,10 @@ class Aggregator {
   std::map<uint64_t, std::unique_ptr<Lane>> lanes_;  // QID -> lane, ascending
   // Consumption scratch, reused across calls and lanes (lanes are always
   // processed sequentially) so steady-state draining performs no heap
-  // allocation. drain_* are indexed by source (one slot per consumer, so
-  // the parallel Drain path stays synchronization-free); fired_/
-  // merged_scratch_ back the per-watermark window merge.
+  // allocation. Indexed by source (one slot per consumer, so the parallel
+  // Drain path stays synchronization-free).
   std::vector<std::vector<broker::RecordView>> drain_views_;
   std::vector<proxy::Proxy::DecodedShares> drain_decoded_;
-  std::vector<std::pair<engine::Window, core::AnswerAccumulator>>
-      fired_scratch_;
-  std::map<engine::Window, core::AnswerAccumulator> merged_scratch_;
   mutable engine::JoinStats merged_join_stats_;
 };
 

@@ -6,7 +6,7 @@
 // — the same strategy the Flink prototype would use — tracks the maximum
 // event time seen and lags it by a fixed bound; windows fire when the
 // watermark passes their end, and anything arriving later than the bound is
-// late data (dropped and counted by AccumulatingWindowBuffer).
+// late data (dropped by PaneWindows, engine/window.h).
 
 #ifndef PRIVAPPROX_ENGINE_WATERMARK_H_
 #define PRIVAPPROX_ENGINE_WATERMARK_H_
@@ -36,9 +36,10 @@ class BoundedOutOfOrdernessWatermark {
   }
 
   // The current watermark: no event with timestamp <= Current() is expected
-  // anymore. INT64_MIN until the first observation.
+  // anymore. INT64_MIN until the first observation, and while the bound
+  // reaches below INT64_MIN (a producer may stamp any event time).
   int64_t Current() const {
-    if (max_event_time_ms_ == INT64_MIN) {
+    if (max_event_time_ms_ < INT64_MIN + bound_ms_) {
       return INT64_MIN;
     }
     return max_event_time_ms_ - bound_ms_;

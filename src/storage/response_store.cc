@@ -1,6 +1,6 @@
 #include "storage/response_store.h"
 
-#include <algorithm>
+#include "common/byte_order.h"
 
 namespace privapprox::storage {
 
@@ -19,15 +19,24 @@ std::vector<const ResponseStore::Entry*> ResponseStore::Range(
   return out;
 }
 
-void AppendAnswer(PartitionLog& log, int64_t timestamp_ms,
-                  const BitVector& answer) {
-  const uint32_t num_bits = static_cast<uint32_t>(answer.size());
-  std::vector<uint8_t> payload(4 + answer.ByteSize());
-  for (int i = 0; i < 4; ++i) {
-    payload[i] = static_cast<uint8_t>(num_bits >> (8 * i));
+void AppendAnswers(PartitionLog& log,
+                   std::span<const std::pair<int64_t, BitVector>> answers) {
+  // Every payload back to back: record i's is [offsets[i], offsets[i + 1]).
+  std::vector<uint8_t> payloads;
+  std::vector<size_t> offsets = {0};
+  for (const auto& [timestamp_ms, answer] : answers) {
+    payloads.resize(offsets.back() + 4);
+    StoreLe<uint32_t>(payloads.data() + offsets.back(),
+                      static_cast<uint32_t>(answer.size()));
+    payloads.insert(payloads.end(), answer.bytes().begin(),
+                    answer.bytes().end());
+    offsets.push_back(payloads.size());
   }
-  std::ranges::copy(answer.bytes(), payload.begin() + 4);
-  log.Append(/*key=*/0, timestamp_ms, payload);
+  log.AppendBatch(answers.size(), [&](size_t i) {
+    const std::span<const uint8_t> payload(payloads.data() + offsets[i],
+                                           payloads.data() + offsets[i + 1]);
+    return BatchRecord{0, answers[i].first, payload};
+  });
 }
 
 ResponseStore LoadAnswers(const PartitionLog& log, int64_t from_ms,
@@ -41,12 +50,9 @@ ResponseStore LoadAnswers(const PartitionLog& log, int64_t from_ms,
     if (payload.size() < 4) {
       throw SegmentLogError("answer record shorter than its bit count");
     }
-    uint32_t num_bits = 0;
-    for (int i = 0; i < 4; ++i) {
-      num_bits |= static_cast<uint32_t>(payload[i]) << (8 * i);
-    }
     store.Append(timestamp_ms,
-                 BitVector::FromBytes(payload.subspan(4), num_bits));
+                 BitVector::FromBytes(payload.subspan(4),
+                                      LoadLe<uint32_t>(payload.data())));
   });
   return store;
 }

@@ -1,7 +1,7 @@
 // In-memory time-ordered store of joined randomized answers — the working
 // set of historical analytics (§3.3.1) — and its durable form: a
-// PartitionLog holding one record per answer (timestamp = event time,
-// payload = u32 little-endian bit count + answer bytes). A durable
+// PartitionLog holding one record per answer (key 0, timestamp = event
+// time, payload = u32 little-endian bit count + answer bytes). A durable
 // historical store replays the requested range into a ResponseStore for
 // batch processing.
 
@@ -9,6 +9,8 @@
 #define PRIVAPPROX_STORAGE_RESPONSE_STORE_H_
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/bitvector.h"
@@ -33,9 +35,10 @@ class ResponseStore {
   std::vector<Entry> entries_;  // append order == time order
 };
 
-// Appends one answer to `log` as one record (key 0).
-void AppendAnswer(PartitionLog& log, int64_t timestamp_ms,
-                  const BitVector& answer);
+// Appends (timestamp, answer) pairs to `log` as one batch: one frame, one
+// CRC and one write(2) for the lot.
+void AppendAnswers(PartitionLog& log,
+                   std::span<const std::pair<int64_t, BitVector>> answers);
 
 // Replays every answer record in `log` with timestamp in [from_ms, to_ms).
 // Throws SegmentLogError on a record too short to hold its bit count.

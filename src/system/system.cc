@@ -143,11 +143,13 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
           config_.historical.dir, storage::PartitionLogOptions{});
     }
     aggregator_->set_answer_tap(
-        [this](int64_t timestamp_ms, const BitVector& answer) {
+        [this](std::span<const std::pair<int64_t, BitVector>> answers) {
           if (historical_log_ != nullptr) {
-            storage::AppendAnswer(*historical_log_, timestamp_ms, answer);
+            storage::AppendAnswers(*historical_log_, answers);
           } else {
-            historical_store_.Append(timestamp_ms, answer);
+            for (const auto& [timestamp_ms, answer] : answers) {
+              historical_store_.Append(timestamp_ms, answer);
+            }
           }
         });
   }

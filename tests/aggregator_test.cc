@@ -49,7 +49,8 @@ QueryLaneOptions LaneOver(proxy::Proxy& p0, proxy::Proxy& p1,
 struct Harness {
   explicit Harness(size_t population, core::ExecutionParams params,
                    bool inverted = false, size_t num_shards = 1,
-                   metrics::Registry* registry = nullptr)
+                   metrics::Registry* registry = nullptr,
+                   bool track_fault_losses = false)
       : query(MakeQuery()),
         proxy0(proxy::ProxyConfig{0, 2}, broker),
         proxy1(proxy::ProxyConfig{1, 2}, broker) {
@@ -59,6 +60,7 @@ struct Harness {
     config.answers_inverted = inverted;
     config.num_shards = num_shards;
     config.registry = registry;
+    config.track_fault_losses = track_fault_losses;
     aggregator = std::make_unique<Aggregator>(
         config, broker,
         [this](const WindowedResult& r) { results.push_back(r); });
@@ -426,6 +428,57 @@ TEST(AggregatorTest, ShardMetricsAccountForEveryShare) {
           .Value();
   EXPECT_GE(imbalance, 1000);
   EXPECT_LT(imbalance, 3000);
+}
+
+TEST(AggregatorTest, LostMidWidensItsWindowOnce) {
+  // Under fault tracking a MID reported lost counts once in the windows
+  // holding its event time, however often it is reported, and a watermark
+  // so low that the prune cutoff would leave int64 forgets no MID.
+  Harness harness(10, NoNoiseParams(), /*inverted=*/false, /*num_shards=*/1,
+                  /*registry=*/nullptr, /*track_fault_losses=*/true);
+  client::Client c = MakeClient(0, 15.0);
+  c.Subscribe(harness.query, NoNoiseParams());
+  const auto answer = c.AnswerQuery(5000);
+  harness.Ship(answer->shares, answer->timestamp_ms);
+  harness.Pump();
+  const uint64_t lost[] = {77};
+  harness.aggregator->NoteFaultLostMids(harness.query.query_id, lost, 5000);
+  harness.aggregator->AdvanceWatermark(INT64_MIN + 5);
+  harness.aggregator->NoteFaultLostMids(harness.query.query_id, lost, 5000);
+  harness.aggregator->AdvanceWatermark(10000);
+  ASSERT_EQ(harness.results.size(), 1u);
+  EXPECT_EQ(harness.results[0].result.participants, 1u);
+  EXPECT_EQ(harness.results[0].result.lost_to_faults, 1u);
+}
+
+TEST(AggregatorTest, AnswerTapGetsEachShardsDrainAsOneSpan) {
+  // The historical tee sees each shard's answers of one drain as one span,
+  // shards in shard order, so a durable store writes one batch per span.
+  const size_t population = 40;
+  Harness harness(population, NoNoiseParams(), /*inverted=*/false,
+                  /*num_shards=*/2);
+  std::vector<std::vector<std::pair<int64_t, BitVector>>> spans;
+  harness.aggregator->set_answer_tap(
+      [&](std::span<const std::pair<int64_t, BitVector>> answers) {
+        spans.emplace_back(answers.begin(), answers.end());
+      });
+  for (size_t i = 0; i < population; ++i) {
+    client::Client c = MakeClient(i, 15.0);
+    c.Subscribe(harness.query, NoNoiseParams());
+    const auto answer = c.AnswerQuery(5000);
+    harness.Ship(answer->shares, answer->timestamp_ms);
+  }
+  harness.Pump();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].size() + spans[1].size(), population);
+  for (const auto& span : spans) {
+    for (const auto& [ts, answer] : span) {
+      EXPECT_EQ(ts, 5000);
+      EXPECT_TRUE(answer.Get(1));  // 15 mph
+    }
+  }
+  harness.Pump();  // nothing new joined: no empty span
+  EXPECT_EQ(spans.size(), 2u);
 }
 
 // ------------------------------------------------------------- historical

@@ -1,5 +1,6 @@
-// Tests for the dataflow engine: sliding-window assignment, the windowed
-// buffer with watermarks and late data, and the MID share join (including
+// Tests for the dataflow engine: pane-sliced sliding windows with
+// watermarks, late data and loss counts (against a model that folds every
+// item into every window holding it), and the MID share join (including
 // replay/duplicate defense and partial-group eviction).
 
 #include <gtest/gtest.h>
@@ -23,201 +24,426 @@
 namespace privapprox::engine {
 namespace {
 
-// ------------------------------------------------------------------ windows
+// ------------------------------------------------------------- pane windows
 
-TEST(SlidingWindowAssignerTest, TumblingWindow) {
-  const SlidingWindowAssigner assigner(10, 10);
-  const auto windows = assigner.WindowsFor(25);
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_EQ(windows[0].start_ms, 20);
-  EXPECT_EQ(windows[0].end_ms, 30);
-}
-
-TEST(SlidingWindowAssignerTest, OverlappingWindows) {
-  // Window 30 ms sliding by 10 ms: each timestamp is in 3 windows.
-  const SlidingWindowAssigner assigner(30, 10);
-  const auto windows = assigner.WindowsFor(35);
-  ASSERT_EQ(windows.size(), 3u);
-  EXPECT_EQ(windows[0].start_ms, 30);
-  EXPECT_EQ(windows[1].start_ms, 20);
-  EXPECT_EQ(windows[2].start_ms, 10);
-  for (const Window& w : windows) {
-    EXPECT_LE(w.start_ms, 35);
-    EXPECT_GT(w.end_ms, 35);
-  }
-}
-
-TEST(SlidingWindowAssignerTest, BoundaryTimestampBelongsToNewWindow) {
-  const SlidingWindowAssigner assigner(20, 10);
-  const auto windows = assigner.WindowsFor(20);
-  ASSERT_EQ(windows.size(), 2u);
-  EXPECT_EQ(windows[0].start_ms, 20);  // [20, 40)
-  EXPECT_EQ(windows[1].start_ms, 10);  // [10, 30)
-}
-
-TEST(SlidingWindowAssignerTest, NegativeTimestamps) {
-  const SlidingWindowAssigner assigner(10, 10);
-  const auto windows = assigner.WindowsFor(-5);
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_EQ(windows[0].start_ms, -10);
-  EXPECT_EQ(windows[0].end_ms, 0);
-}
-
-TEST(SlidingWindowAssignerTest, RejectsBadPeriods) {
-  EXPECT_THROW(SlidingWindowAssigner(0, 1), std::invalid_argument);
-  EXPECT_THROW(SlidingWindowAssigner(10, 0), std::invalid_argument);
-  EXPECT_THROW(SlidingWindowAssigner(10, 20), std::invalid_argument);
-}
-
-TEST(SlidingWindowAssignerTest, TimestampExactlyOnWindowStart) {
-  // Tumbling: a timestamp on a boundary belongs to the window starting
-  // there, never the one ending there ([start, end) semantics).
-  const SlidingWindowAssigner assigner(10, 10);
-  const auto windows = assigner.WindowsFor(20);
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_EQ(windows[0].start_ms, 20);
-  EXPECT_EQ(windows[0].end_ms, 30);
-}
-
-TEST(SlidingWindowAssignerTest, TimestampJustBeforeWindowEnd) {
-  const SlidingWindowAssigner assigner(10, 10);
-  const auto windows = assigner.WindowsFor(19);
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_EQ(windows[0].start_ms, 10);
-  EXPECT_EQ(windows[0].end_ms, 20);
-}
-
-TEST(SlidingWindowAssignerTest, SlidingBoundaryExcludesEndingWindow) {
-  // Length 30, slide 10: ts 30 is in [30,60), [20,50), [10,40) — but not
-  // [0,30), which ends exactly at 30.
-  const SlidingWindowAssigner assigner(30, 10);
-  const auto windows = assigner.WindowsFor(30);
-  ASSERT_EQ(windows.size(), 3u);
-  EXPECT_EQ(windows[0].start_ms, 30);
-  EXPECT_EQ(windows[1].start_ms, 20);
-  EXPECT_EQ(windows[2].start_ms, 10);
-}
-
-TEST(SlidingWindowAssignerTest, NegativeTimestampOnBoundary) {
-  const SlidingWindowAssigner assigner(10, 10);
-  const auto windows = assigner.WindowsFor(-10);
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_EQ(windows[0].start_ms, -10);
-  EXPECT_EQ(windows[0].end_ms, 0);
-}
-
-TEST(SlidingWindowAssignerTest, NegativeTimestampsSliding) {
-  const SlidingWindowAssigner assigner(20, 10);
-  const auto windows = assigner.WindowsFor(-15);
-  ASSERT_EQ(windows.size(), 2u);
-  EXPECT_EQ(windows[0].start_ms, -20);  // [-20, 0)
-  EXPECT_EQ(windows[1].start_ms, -30);  // [-30, -10)
-}
-
-TEST(SlidingWindowAssignerTest, AppendWindowsForMatchesWindowsFor) {
-  // The allocation-free fast path (including the tumbling shortcut) must
-  // agree with the reference implementation everywhere, and must clear any
-  // stale content in the output vector.
-  for (const auto& [length, slide] :
-       {std::pair<int64_t, int64_t>{10, 10}, {30, 10}, {20, 10}, {7, 3}}) {
-    const SlidingWindowAssigner assigner(length, slide);
-    std::vector<Window> scratch = {Window{-999, -999}};
-    for (int64_t ts = -45; ts <= 45; ++ts) {
-      assigner.AppendWindowsFor(ts, scratch);
-      EXPECT_EQ(scratch, assigner.WindowsFor(ts))
-          << "length=" << length << " slide=" << slide << " ts=" << ts;
-    }
-  }
-}
-
-// --------------------------------------------- accumulating window buffer
-
-// Minimal additive accumulator for AccumulatingWindowBuffer tests.
+// Additive accumulator for the window tests; counts every Add it takes.
 struct SumAcc {
+  inline static size_t adds = 0;
   int64_t sum = 0;
   size_t n = 0;
   void Add(int v) {
     sum += v;
     ++n;
+    ++adds;
+  }
+  void Merge(const SumAcc& other) {
+    sum += other.sum;
+    n += other.n;
   }
 };
 
-TEST(AccumulatingWindowBufferTest, FoldsAndDrainsOnWatermark) {
-  AccumulatingWindowBuffer<SumAcc> buffer{SlidingWindowAssigner(10, 10)};
-  buffer.Fold(1, 100, [] { return SumAcc{}; });
-  buffer.Fold(5, 10, [] { return SumAcc{}; });
-  buffer.Fold(12, 7, [] { return SumAcc{}; });
-  EXPECT_EQ(buffer.pending_windows(), 2u);
+struct Fired {
+  Window window;
+  int64_t sum = 0;
+  size_t n = 0;
+  uint64_t lost = 0;
+  bool operator==(const Fired&) const = default;
+};
 
-  std::vector<std::pair<Window, SumAcc>> fired;
-  buffer.DrainFired(10, fired);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0].first.start_ms, 0);
-  EXPECT_EQ(fired[0].second.sum, 110);
-  EXPECT_EQ(fired[0].second.n, 2u);
-  EXPECT_EQ(buffer.pending_windows(), 1u);
+std::ostream& operator<<(std::ostream& os, const Fired& f) {
+  return os << "[" << f.window.start_ms << ", " << f.window.end_ms
+            << ") sum=" << f.sum << " n=" << f.n << " lost=" << f.lost;
+}
+
+// The pane buffer under test, with its feeders: each fold goes to one of
+// `feeders` pane maps, which Drain adds into the buffer in feeder order
+// (as the aggregator's shards are added after each feed).
+class PaneHarness {
+ public:
+  PaneHarness(int64_t length_ms, int64_t slide_ms, size_t feeders = 1)
+      : windows_(length_ms, slide_ms), feeders_(feeders) {}
+
+  bool Fold(int64_t ts, int v, size_t feeder = 0) {
+    return windows_.Fold(feeders_[feeder], ts, v);
+  }
+  void NoteLoss(int64_t ts) { windows_.NoteLoss(ts); }
+  void Drain() {
+    for (auto& feeder : feeders_) {
+      windows_.Absorb(feeder);
+    }
+  }
+  void Advance(int64_t watermark_ms) {
+    Drain();
+    windows_.Advance(watermark_ms,
+                     [&](const Window& w, const SumAcc& acc, uint64_t lost) {
+                       fired_.push_back(Fired{w, acc.sum, acc.n, lost});
+                     });
+  }
+  void Flush() { Advance(INT64_MAX); }
+
+  const PaneWindows<SumAcc>& windows() const { return windows_; }
+  const std::vector<Fired>& fired() const { return fired_; }
+
+ private:
+  PaneWindows<SumAcc> windows_;
+  std::vector<PaneWindows<SumAcc>::Panes> feeders_;
+  std::vector<Fired> fired_;
+};
+
+// The model: every window [k*slide, k*slide + length) holding an item gets
+// the item, and a window counts every loss noted in its span before it
+// fires. An item (or loss) with a window that does not fit in int64 is
+// refused.
+class Reference {
+ public:
+  Reference(int64_t length_ms, int64_t slide_ms)
+      : length_ms_(length_ms), slide_ms_(slide_ms) {}
+
+  // Every window holding `ts`, or nullopt when one does not fit in int64.
+  std::optional<std::vector<Window>> Holding(int64_t ts) const {
+    using Wide = __int128;
+    Wide start = Wide{ts} / slide_ms_ * slide_ms_;
+    if (start > ts) {
+      start -= slide_ms_;
+    }
+    std::vector<Window> out;
+    for (; start > Wide{ts} - length_ms_; start -= slide_ms_) {
+      if (start < INT64_MIN || start + length_ms_ > INT64_MAX) {
+        return std::nullopt;
+      }
+      out.push_back(Window{static_cast<int64_t>(start),
+                           static_cast<int64_t>(start + length_ms_)});
+    }
+    std::reverse(out.begin(), out.end());
+    return out;
+  }
+
+  bool Fold(int64_t ts, int v) {
+    const auto holding = Holding(ts);
+    if (!holding) {
+      return false;
+    }
+    if (ts >= watermark_ms_) {
+      for (const Window& w : *holding) {
+        SumAcc& acc = pending_[w];
+        acc.sum += v;
+        ++acc.n;
+        ++folds_;
+      }
+    }
+    return true;
+  }
+  void NoteLoss(int64_t ts) {
+    if (Holding(ts)) {
+      losses_.push_back(ts);
+    }
+  }
+  void Advance(int64_t watermark_ms) {
+    if (watermark_ms <= watermark_ms_) {
+      return;
+    }
+    watermark_ms_ = watermark_ms;
+    while (!pending_.empty() &&
+           pending_.begin()->first.end_ms <= watermark_ms) {
+      const auto& [w, acc] = *pending_.begin();
+      const auto lost = std::count_if(
+          losses_.begin(), losses_.end(),
+          [&](int64_t ts) { return ts >= w.start_ms && ts < w.end_ms; });
+      fired_.push_back(Fired{w, acc.sum, acc.n, static_cast<uint64_t>(lost)});
+      pending_.erase(pending_.begin());
+    }
+  }
+  void Flush() { Advance(INT64_MAX); }
+
+  const std::vector<Fired>& fired() const { return fired_; }
+  size_t folds() const { return folds_; }
+
+ private:
+  int64_t length_ms_;
+  int64_t slide_ms_;
+  std::map<Window, SumAcc> pending_;
+  std::vector<int64_t> losses_;
+  std::vector<Fired> fired_;
+  int64_t watermark_ms_ = INT64_MIN;
+  size_t folds_ = 0;
+};
+
+// Folds one item at `ts`, flushes, and returns the windows that fired,
+// after checking them against the model.
+std::vector<Window> WindowsFiredFor(int64_t length_ms, int64_t slide_ms,
+                                    int64_t ts) {
+  PaneHarness panes(length_ms, slide_ms);
+  Reference reference(length_ms, slide_ms);
+  EXPECT_TRUE(panes.Fold(ts, 1));
+  EXPECT_TRUE(reference.Fold(ts, 1));
+  panes.Flush();
+  reference.Flush();
+  EXPECT_EQ(panes.fired(), reference.fired());
+  std::vector<Window> windows;
+  for (const Fired& f : panes.fired()) {
+    windows.push_back(f.window);
+  }
+  return windows;
+}
+
+TEST(PaneWindowsTest, TumblingWindow) {
+  EXPECT_EQ(WindowsFiredFor(10, 10, 25), (std::vector<Window>{{20, 30}}));
+}
+
+TEST(PaneWindowsTest, OverlappingWindows) {
+  // Window 30 ms sliding by 10 ms: each timestamp is in 3 windows.
+  EXPECT_EQ(WindowsFiredFor(30, 10, 35),
+            (std::vector<Window>{{10, 40}, {20, 50}, {30, 60}}));
+}
+
+TEST(PaneWindowsTest, BoundaryTimestampBelongsToNewWindow) {
+  EXPECT_EQ(WindowsFiredFor(20, 10, 20),
+            (std::vector<Window>{{10, 30}, {20, 40}}));
+}
+
+TEST(PaneWindowsTest, NegativeTimestamps) {
+  EXPECT_EQ(WindowsFiredFor(10, 10, -5), (std::vector<Window>{{-10, 0}}));
+}
+
+TEST(PaneWindowsTest, RejectsBadPeriods) {
+  EXPECT_THROW(PaneWindows<SumAcc>(0, 1), std::invalid_argument);
+  EXPECT_THROW(PaneWindows<SumAcc>(10, 0), std::invalid_argument);
+  EXPECT_THROW(PaneWindows<SumAcc>(10, 20), std::invalid_argument);
+}
+
+TEST(PaneWindowsTest, TimestampExactlyOnWindowStart) {
+  // Tumbling: a timestamp on a boundary belongs to the window starting
+  // there, never the one ending there ([start, end) semantics).
+  EXPECT_EQ(WindowsFiredFor(10, 10, 20), (std::vector<Window>{{20, 30}}));
+}
+
+TEST(PaneWindowsTest, TimestampJustBeforeWindowEnd) {
+  EXPECT_EQ(WindowsFiredFor(10, 10, 19), (std::vector<Window>{{10, 20}}));
+}
+
+TEST(PaneWindowsTest, SlidingBoundaryExcludesEndingWindow) {
+  // Length 30, slide 10: ts 30 is in [10,40), [20,50), [30,60) — but not
+  // [0,30), which ends exactly at 30.
+  EXPECT_EQ(WindowsFiredFor(30, 10, 30),
+            (std::vector<Window>{{10, 40}, {20, 50}, {30, 60}}));
+}
+
+TEST(PaneWindowsTest, NegativeTimestampOnBoundary) {
+  EXPECT_EQ(WindowsFiredFor(10, 10, -10), (std::vector<Window>{{-10, 0}}));
+}
+
+TEST(PaneWindowsTest, NegativeTimestampsSliding) {
+  EXPECT_EQ(WindowsFiredFor(20, 10, -15),
+            (std::vector<Window>{{-30, -10}, {-20, 0}}));
+}
+
+TEST(PaneWindowsTest, EveryWindowHoldingAnItemFires) {
+  // Tumbling, sliding, and a slide that does not divide the length (panes
+  // shorter than the slide): one item fires exactly the windows holding it.
+  for (const auto& [length, slide] :
+       {std::pair<int64_t, int64_t>{10, 10}, {30, 10}, {20, 10}, {7, 3}}) {
+    for (int64_t ts = -45; ts <= 45; ++ts) {
+      SCOPED_TRACE(testing::Message() << "length=" << length
+                                      << " slide=" << slide << " ts=" << ts);
+      const std::vector<Window> windows = WindowsFiredFor(length, slide, ts);
+      EXPECT_EQ(windows.size(),
+                static_cast<size_t>(length / slide +
+                                    ((ts % slide + slide) % slide <
+                                             length % slide
+                                         ? 1
+                                         : 0)));
+      for (const Window& w : windows) {
+        EXPECT_LE(w.start_ms, ts);
+        EXPECT_GT(w.end_ms, ts);
+      }
+    }
+  }
+}
+
+TEST(PaneWindowsTest, FoldsAndFiresOnWatermark) {
+  PaneHarness panes(10, 10);
+  panes.Fold(1, 100);
+  panes.Fold(5, 10);
+  panes.Fold(12, 7);
+  panes.Drain();
+  EXPECT_EQ(panes.windows().pending_panes(), 2u);
+
+  panes.Advance(10);
+  ASSERT_EQ(panes.fired().size(), 1u);
+  EXPECT_EQ(panes.fired()[0], (Fired{{0, 10}, 110, 2, 0}));
+  EXPECT_EQ(panes.windows().pending_panes(), 1u);
 
   // Watermark never moves backwards; nothing re-fires.
-  buffer.DrainFired(5, fired);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(buffer.watermark_ms(), 10);
+  panes.Advance(5);
+  ASSERT_EQ(panes.fired().size(), 1u);
+  EXPECT_EQ(panes.windows().watermark_ms(), 10);
 
   // The next advance fires the next window, and only it.
-  buffer.DrainFired(20, fired);
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[1].first.start_ms, 10);
-  EXPECT_EQ(fired[1].second.sum, 7);
-  EXPECT_EQ(buffer.pending_windows(), 0u);
+  panes.Advance(20);
+  ASSERT_EQ(panes.fired().size(), 2u);
+  EXPECT_EQ(panes.fired()[1], (Fired{{10, 20}, 7, 1, 0}));
+  EXPECT_EQ(panes.windows().pending_panes(), 0u);
 }
 
-TEST(AccumulatingWindowBufferTest, SlidingWindowsEachAccumulate) {
-  AccumulatingWindowBuffer<SumAcc> buffer{SlidingWindowAssigner(20, 10)};
-  buffer.Fold(15, 3, [] { return SumAcc{}; });  // in [0,20) and [10,30)
-  std::vector<std::pair<Window, SumAcc>> fired;
-  buffer.DrainFired(40, fired);
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[0].first.start_ms, 0);   // ascending window order
-  EXPECT_EQ(fired[1].first.start_ms, 10);
-  EXPECT_EQ(fired[0].second.sum, 3);
-  EXPECT_EQ(fired[1].second.sum, 3);
+TEST(PaneWindowsTest, SlidingWindowsEachSumTheirPanes) {
+  PaneHarness panes(20, 10);
+  panes.Fold(15, 3);  // in [0,20) and [10,30)
+  panes.Advance(40);
+  EXPECT_EQ(panes.fired(), (std::vector<Fired>{{{0, 20}, 3, 1, 0},
+                                               {{10, 30}, 3, 1, 0}}));
 
-  // DrainAll empties every pending window, here three overlapping ones, in
-  // ascending window order.
-  AccumulatingWindowBuffer<SumAcc> wide{SlidingWindowAssigner(30, 10)};
-  wide.Fold(25, 4, [] { return SumAcc{}; });  // [0,30), [10,40), [20,50)
-  EXPECT_EQ(wide.pending_windows(), 3u);
-  std::vector<std::pair<Window, SumAcc>> all;
-  wide.DrainAll(all);
-  ASSERT_EQ(all.size(), 3u);
-  for (size_t w = 0; w < all.size(); ++w) {
-    EXPECT_EQ(all[w].first.start_ms, static_cast<int64_t>(10 * w));
-    EXPECT_EQ(all[w].second.sum, 4);
+  // A flush fires every window left, here three overlapping ones over one
+  // pane, in ascending window order.
+  PaneHarness wide(30, 10);
+  wide.Fold(25, 4);  // [0,30), [10,40), [20,50)
+  wide.Drain();
+  EXPECT_EQ(wide.windows().pending_panes(), 1u);
+  wide.Flush();
+  ASSERT_EQ(wide.fired().size(), 3u);
+  for (size_t w = 0; w < wide.fired().size(); ++w) {
+    EXPECT_EQ(wide.fired()[w].window.start_ms, static_cast<int64_t>(10 * w));
+    EXPECT_EQ(wide.fired()[w].sum, 4);
   }
-  EXPECT_EQ(wide.pending_windows(), 0u);
+  EXPECT_EQ(wide.windows().pending_panes(), 0u);
 }
 
-TEST(AccumulatingWindowBufferTest, LateFoldsDropAndDrainAllPinsWatermark) {
-  AccumulatingWindowBuffer<SumAcc> buffer{SlidingWindowAssigner(10, 10)};
-  std::vector<std::pair<Window, SumAcc>> none;
-  buffer.DrainFired(50, none);
-  EXPECT_TRUE(none.empty());
-  buffer.Fold(30, 1, [] { return SumAcc{}; });  // behind the watermark
-  EXPECT_EQ(buffer.late_dropped(), 1u);
-  EXPECT_EQ(buffer.pending_windows(), 0u);  // a late fold opens no window
-  buffer.Fold(60, 2, [] { return SumAcc{}; });
-  std::vector<std::pair<Window, SumAcc>> fired;
-  buffer.DrainAll(fired);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0].second.sum, 2);
+TEST(PaneWindowsTest, LateFoldsDropAndFlushPinsWatermark) {
+  PaneHarness panes(10, 10);
+  panes.Advance(50);
+  EXPECT_TRUE(panes.fired().empty());
+  EXPECT_TRUE(panes.Fold(30, 1));  // behind the watermark: late, not refused
+  panes.Drain();
+  EXPECT_EQ(panes.windows().pending_panes(), 0u);  // a late fold opens none
+  panes.Fold(60, 2);
+  panes.Flush();
+  ASSERT_EQ(panes.fired().size(), 1u);
+  EXPECT_EQ(panes.fired()[0].sum, 2);
   // Stream over: later folds are late, and nothing fires again.
-  buffer.Fold(1000, 3, [] { return SumAcc{}; });
-  EXPECT_EQ(buffer.pending_windows(), 0u);
-  EXPECT_EQ(buffer.late_dropped(), 2u);
-  buffer.DrainFired(INT64_MAX, fired);
-  EXPECT_EQ(fired.size(), 1u);
+  panes.Fold(1000, 3);
+  panes.Drain();
+  EXPECT_EQ(panes.windows().pending_panes(), 0u);
+  EXPECT_EQ(panes.windows().watermark_ms(), INT64_MAX);
+  panes.Advance(INT64_MAX);
+  EXPECT_EQ(panes.fired().size(), 1u);
+}
+
+TEST(PaneWindowsTest, EachItemIsAddedOnce) {
+  // 4 windows hold every item (w/delta = 4): the model folds each item 4
+  // times, the pane buffer adds it to one pane.
+  PaneHarness panes(40, 10, /*feeders=*/2);
+  Reference reference(40, 10);
+  SumAcc::adds = 0;
+  for (int i = 0; i < 100; ++i) {
+    panes.Fold(i * 7, i, static_cast<size_t>(i % 2));
+    reference.Fold(i * 7, i);
+  }
+  EXPECT_EQ(SumAcc::adds, 100u);
+  EXPECT_EQ(reference.folds(), 400u);
+  panes.Flush();
+  reference.Flush();
+  EXPECT_EQ(panes.fired(), reference.fired());
+  EXPECT_EQ(SumAcc::adds, 100u);  // firing merges panes, it adds nothing
+}
+
+TEST(PaneWindowsTest, RefusesItemsWhoseWindowsLeaveInt64) {
+  // Tumbling and sliding: the windows of an item stamped near either end of
+  // int64 would wrap; the item is refused and opens no window.
+  for (const auto& [length, slide] :
+       {std::pair<int64_t, int64_t>{10000, 10000}, {40000, 10000}}) {
+    PaneHarness panes(length, slide);
+    EXPECT_TRUE(panes.Fold(5000, 1));
+    EXPECT_FALSE(panes.Fold(INT64_MAX - 5, 1));
+    EXPECT_FALSE(panes.Fold(INT64_MIN + 5, 1));
+    EXPECT_FALSE(panes.Fold(INT64_MAX, 1));
+    EXPECT_FALSE(panes.Fold(INT64_MIN, 1));
+    panes.NoteLoss(INT64_MAX - 5);
+    panes.Flush();
+    ASSERT_EQ(panes.fired().size(), static_cast<size_t>(length / slide));
+    for (const Fired& f : panes.fired()) {
+      EXPECT_EQ(f.sum, 1);
+      EXPECT_EQ(f.lost, 0u);
+      EXPECT_LE(f.window.start_ms, 5000);
+      EXPECT_GT(f.window.end_ms, 5000);
+    }
+  }
+  // The last windows that fit still fire, at both ends.
+  PaneHarness tumbling(10, 10);
+  const int64_t top = INT64_MAX - INT64_MAX % 10 - 10;  // [top, top + 10)
+  EXPECT_TRUE(tumbling.Fold(top + 9, 1));
+  EXPECT_FALSE(tumbling.Fold(top + 10, 1));
+  const int64_t bottom = INT64_MIN - INT64_MIN % 10;  // [bottom, bottom + 10)
+  EXPECT_TRUE(tumbling.Fold(bottom, 1));
+  EXPECT_FALSE(tumbling.Fold(bottom - 1, 1));
+  tumbling.Flush();
+  EXPECT_EQ(tumbling.fired(),
+            (std::vector<Fired>{{{bottom, bottom + 10}, 1, 1, 0},
+                                {{top, top + 10}, 1, 1, 0}}));
+}
+
+TEST(PaneWindowsTest, MatchesFoldingIntoEveryWindow) {
+  // Seeded differential run against the model: random (length, slide),
+  // slides that do not divide the length, negative and int64-boundary
+  // timestamps, late folds, watermarks that do not advance, losses, items
+  // spread over three feeders, and a final flush. The fired (window, sum,
+  // count, losses) sequences must match in order.
+  std::mt19937_64 rng(0x9a4e5);
+  const auto pick = [&](int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+  };
+  const auto timestamp = [&]() -> int64_t {
+    switch (pick(0, 9)) {
+      case 0:
+        return INT64_MIN + pick(0, 60);
+      case 1:
+        return INT64_MAX - pick(0, 60);
+      default:
+        return pick(-80, 120);
+    }
+  };
+  size_t refused = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int64_t slide = pick(1, 12);
+    const int64_t slides = pick(1, 4);
+    const int64_t extra = pick(0, 1) == 0 ? 0 : pick(0, 11);
+    const int64_t length = slide * slides + extra;
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " length="
+                                    << length << " slide=" << slide);
+    PaneHarness panes(length, slide, /*feeders=*/3);
+    Reference reference(length, slide);
+    int64_t clock = -100;
+    for (int step = 0; step < 80; ++step) {
+      const int64_t op = pick(0, 19);
+      if (op < 11) {
+        const int64_t ts = timestamp();
+        const int v = static_cast<int>(pick(1, 1000));
+        const bool folded = panes.Fold(ts, v, static_cast<size_t>(pick(0, 2)));
+        ASSERT_EQ(folded, reference.Fold(ts, v)) << "ts=" << ts;
+        refused += folded ? 0 : 1;
+      } else if (op < 14) {
+        const int64_t ts = timestamp();
+        panes.NoteLoss(ts);
+        reference.NoteLoss(ts);
+      } else if (op < 15) {
+        panes.Drain();
+      } else {
+        // Mostly forward, sometimes backward (a no-op), rarely near
+        // INT64_MIN.
+        clock += pick(-10, 25);
+        const int64_t watermark = op == 19 ? INT64_MIN + pick(0, 60) : clock;
+        panes.Advance(watermark);
+        reference.Advance(watermark);
+      }
+    }
+    panes.Flush();
+    reference.Flush();
+    ASSERT_EQ(panes.fired(), reference.fired());
+    EXPECT_EQ(panes.windows().pending_panes(), 0u);
+  }
+  EXPECT_GT(refused, 0u);
 }
 
 // --------------------------------------------------------------------- join
+
 
 crypto::MessageShare Share(uint64_t mid, std::vector<uint8_t> payload) {
   return crypto::MessageShare{mid, std::move(payload)};

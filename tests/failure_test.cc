@@ -18,13 +18,13 @@
 namespace privapprox {
 namespace {
 
-core::Query MakeQuery() {
+core::Query MakeQuery(int64_t window_ms = 10000) {
   return core::QueryBuilder()
       .WithId(1)
       .WithSql("SELECT speed FROM vehicle")
       .WithAnswerFormat(core::AnswerFormat::UniformNumeric(0, 100, 10, true))
       .WithFrequencyMs(1000)
-      .WithWindowMs(10000)
+      .WithWindowMs(window_ms)
       .WithSlideMs(10000)
       .Build();
 }
@@ -54,8 +54,8 @@ void ProduceRaw(system::PrivApproxSystem& sys, const std::string& topic,
 
 // Two proxies and an aggregator over one query's lanes.
 struct Harness {
-  explicit Harness(size_t population)
-      : query(MakeQuery()),
+  explicit Harness(size_t population, core::Query q = MakeQuery())
+      : query(std::move(q)),
         proxy0(proxy::ProxyConfig{0, 2}, broker),
         proxy1(proxy::ProxyConfig{1, 2}, broker) {
     aggregator::AggregatorConfig config;
@@ -285,6 +285,16 @@ TEST(WatermarkTest, BoundedOutOfOrderness) {
                std::invalid_argument);
 }
 
+TEST(WatermarkTest, EventTimesNearInt64MinLeaveNoWatermark) {
+  // An event time within the bound of INT64_MIN leaves no watermark, not
+  // one wrapped into the far future that would fire every window.
+  engine::BoundedOutOfOrdernessWatermark wm(60000);
+  wm.Observe(INT64_MIN + 20000);
+  EXPECT_EQ(wm.Current(), INT64_MIN);
+  wm.Observe(INT64_MIN + 60001);
+  EXPECT_EQ(wm.Current(), INT64_MIN + 1);
+}
+
 TEST(FailureTest, OutOfOrderArrivalWithStreamWatermark) {
   // Answers from three epochs arrive interleaved; the stream-driven
   // watermark fires window [0, 10000) only once event time has moved past
@@ -310,6 +320,41 @@ TEST(FailureTest, OutOfOrderArrivalWithStreamWatermark) {
   ASSERT_EQ(harness.results.size(), 1u);
   EXPECT_EQ(harness.results[0].window.start_ms, 0);
   EXPECT_EQ(harness.results[0].result.participants, 2u);
+}
+
+TEST(FailureTest, OutOfRangeEventTimesAreMalformedNotWindows) {
+  // A record's timestamp is whatever its producer wrote, and the joiner
+  // emits the first share's. Answers stamped near either end of int64 have
+  // windows that do not fit in it: they must count as malformed and open
+  // no window, under a tumbling and a sliding query alike.
+  for (const int64_t window_ms : {int64_t{10000}, int64_t{40000}}) {
+    SCOPED_TRACE(window_ms);
+    Harness harness(3, MakeQuery(window_ms));
+    const int64_t stamps[] = {5000, INT64_MAX - 5, INT64_MIN + 5};
+    for (uint64_t i = 0; i < 3; ++i) {
+      client::Client c = MakeClient(i, 25.0);
+      c.Subscribe(harness.query, ExactParams());
+      const auto answer = c.AnswerQuery(5000);
+      harness.Send(harness.proxy0, answer->shares[0], stamps[i]);
+      harness.Send(harness.proxy1, answer->shares[1], stamps[i]);
+    }
+    harness.proxy0.ForwardLanes();
+    harness.proxy1.ForwardLanes();
+    harness.agg->Drain();
+    harness.agg->AdvanceWatermark(60000);
+    harness.agg->Flush();
+    EXPECT_EQ(harness.agg->join_stats().joined, 3u);
+    EXPECT_EQ(harness.agg->malformed_dropped(), 2u);
+    // Only the honest answer's windows fire: those holding 5000.
+    ASSERT_EQ(harness.results.size(), static_cast<size_t>(window_ms / 10000));
+    for (size_t w = 0; w < harness.results.size(); ++w) {
+      const engine::Window& window = harness.results[w].window;
+      EXPECT_EQ(window.start_ms, 10000 * static_cast<int64_t>(w) -
+                                     (window_ms - 10000));
+      EXPECT_EQ(window.end_ms, window.start_ms + window_ms);
+      EXPECT_EQ(harness.results[w].result.participants, 1u);
+    }
+  }
 }
 
 // --------------------------------------------------- durable store crash

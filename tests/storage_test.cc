@@ -1,5 +1,5 @@
 // Tests for the durable historical answer log — answer records
-// (AppendAnswer / LoadAnswers) on a segmented PartitionLog: CRC32 vectors
+// (AppendAnswers / LoadAnswers) on a segmented PartitionLog: CRC32 vectors
 // and kernel identity, round-trips, segment rotation, time-range loads,
 // torn-tail recovery, and corruption detection.
 
@@ -49,6 +49,13 @@ BitVector MakeAnswer(size_t bits, size_t set_bit) {
   BitVector answer(bits);
   answer.Set(set_bit, true);
   return answer;
+}
+
+// Appends one answer to `log` as a one-record batch.
+void AppendAnswer(PartitionLog& log, int64_t timestamp_ms,
+                  const BitVector& answer) {
+  const std::pair<int64_t, BitVector> one(timestamp_ms, answer);
+  AppendAnswers(log, std::span(&one, 1));
 }
 
 // ------------------------------------------------------------------ CRC32
@@ -347,6 +354,55 @@ TEST(SegmentLogTest, EmptyDirectoryIsValid) {
   PartitionLog log(dir.path(), PartitionLogOptions{});
   EXPECT_EQ(log.end_offset(), 0u);
   EXPECT_EQ(LoadAnswers(log, INT64_MIN, INT64_MAX).size(), 0u);
+}
+
+TEST(SegmentLogTest, OneDrainOfAnswersIsOneBatch) {
+  // The aggregator hands the historical store one drain's answers at once.
+  // Equal widths and one epoch's timestamp: one frame and header, the width
+  // once, then an all-zero key and a payload per answer — 26 B per batch and
+  // 14 B per 11-bucket answer.
+  TempDir dir;
+  const std::vector<std::pair<int64_t, BitVector>> answers = {
+      {5000, MakeAnswer(11, 0)},
+      {5000, MakeAnswer(11, 9)},
+      {5000, MakeAnswer(11, 10)}};
+  {
+    PartitionLog log(dir.path(), PartitionLogOptions{});
+    AppendAnswers(log, answers);
+    EXPECT_EQ(log.end_offset(), 3u);
+  }
+  const std::vector<uint8_t> batch = {
+      0xB2, 0x01,                        // magic; fixed width
+      3,    0,    0, 0,                  // count
+      0x88, 0x13, 0, 0, 0, 0, 0, 0,      // base ts 5000
+      6,    0,    0, 0,                  // width: u32 bit count + 2 bytes
+      0,    0,    0, 0, 0, 0, 0, 0,      // keys
+      0,    0,    0, 0, 0, 0, 0, 0,
+      0,    0,    0, 0, 0, 0, 0, 0,
+      11,   0,    0, 0, 0x01, 0x00,      // payload block
+      11,   0,    0, 0, 0x00, 0x02,
+      11,   0,    0, 0, 0x00, 0x04};
+  const uint32_t crc = Crc32(batch.data(), batch.size());
+  std::vector<uint8_t> want = {static_cast<uint8_t>(batch.size()), 0, 0, 0};
+  for (int i = 0; i < 4; ++i) {
+    want.push_back(static_cast<uint8_t>(crc >> (8 * i)));
+  }
+  want.insert(want.end(), batch.begin(), batch.end());
+  EXPECT_EQ(want.size(), 26u + 3 * 14);
+  std::ifstream in(dir.path() / "seg-00000000000000000000.log",
+                   std::ios::binary);
+  const std::vector<uint8_t> got((std::istreambuf_iterator<char>(in)),
+                                 std::istreambuf_iterator<char>());
+  EXPECT_EQ(got, want);
+
+  PartitionLog log(dir.path(), PartitionLogOptions{});
+  const ResponseStore store = LoadAnswers(log, INT64_MIN, INT64_MAX);
+  const auto loaded = store.Range(INT64_MIN, INT64_MAX);
+  ASSERT_EQ(loaded.size(), answers.size());
+  for (size_t i = 0; i < answers.size(); ++i) {
+    EXPECT_EQ(loaded[i]->timestamp_ms, answers[i].first);
+    EXPECT_EQ(loaded[i]->answer, answers[i].second);
+  }
 }
 
 TEST(SegmentLogTest, BatchAnalyticsOverLoadedStore) {
