@@ -12,12 +12,11 @@
 //
 // The last line printed is a single JSON row, also appended to a trajectory
 // file so later PRs can diff epoch-throughput movement. Flags:
-// --clients=N --epochs=N --json-out=PATH --agg-shards=N --queries=N
-// (defaults 100000 / 3 / BENCH_pipeline.json / 0 / 1; --json-out= empty
+// --clients=N --epochs=N --json-out=PATH --queries=N
+// (defaults 100000 / 3 / BENCH_pipeline.json / 1; --json-out= empty
 // disables the file append). Every row runs with the system's full
-// observability layer, which is always on. --agg-shards pins the aggregator
-// join shard count; 0 (the default) follows the worker thread count of each
-// row, so every row is tagged with the shard count it actually ran. --queries runs
+// observability layer, which is always on. The aggregator joins in one
+// shard per lane topic partition (4) at every thread count. --queries runs
 // N identical concurrent queries (QIDs 1..N) over the shared fleet, so a
 // 2-query row shows the per-lane cost of the multi-query runtime; the JSON
 // row carries a "queries" tag. The row is also tagged "simd" with the
@@ -63,7 +62,6 @@ struct BenchConfig {
   size_t clients = 100000;
   size_t epochs = 3;
   std::string json_out = "BENCH_pipeline.json";
-  size_t agg_shards = 0;  // aggregator join shards; 0 = worker thread count
   size_t queries = 1;     // concurrent queries sharing the fleet
   std::string transport = "inproc";  // "inproc" | "tcp" (loopback daemons)
   bool durability = false;      // spill topics through the durable log
@@ -99,7 +97,6 @@ struct Row {
   uint64_t shares_consumed = 0;
   uint64_t heap_allocs = 0;  // across the timed epochs (counting allocator)
   double allocs_per_share = 0.0;
-  size_t agg_shards = 0;  // resolved aggregator shard count for this row
 };
 
 core::Query SpeedQuery(uint64_t qid) {
@@ -163,7 +160,6 @@ Row RunOne(size_t threads, const BenchConfig& bench) {
   config.num_proxies = 2;
   config.seed = 42;
   config.pipeline.num_worker_threads = threads;
-  config.aggregator.num_shards = bench.agg_shards;
   const ScratchDataDir data_dir("inproc_" + std::to_string(threads));
   if (bench.durability) {
     config.broker.data_dir = data_dir.str();
@@ -173,8 +169,6 @@ Row RunOne(size_t threads, const BenchConfig& bench) {
   Row row;
   row.label = "inproc";
   row.threads = sys.num_worker_threads();
-  row.agg_shards =
-      bench.agg_shards != 0 ? bench.agg_shards : sys.num_worker_threads();
   TimeEpochs(sys, bench, row);
   return row;
 }
@@ -203,7 +197,6 @@ Row RunOneTcp(const BenchConfig& bench) {
   deploy::AggregatorDaemonConfig agg_config;
   agg_config.proxies = proxy_endpoints;
   agg_config.population = bench.clients;
-  agg_config.num_shards = bench.agg_shards == 0 ? 1 : bench.agg_shards;
   deploy::AggregatorDaemon aggregatord(agg_config);
   aggregatord.Start();
 
@@ -216,7 +209,6 @@ Row RunOneTcp(const BenchConfig& bench) {
   Row row;
   row.label = "tcp";
   row.threads = 1;
-  row.agg_shards = agg_config.num_shards;
   TimeEpochs(fleet, bench, row);
   return row;
 }
@@ -232,8 +224,6 @@ int main(int argc, char** argv) {
       bench.epochs = static_cast<size_t>(std::atoll(argv[i] + 9));
     } else if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
       bench.json_out = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--agg-shards=", 13) == 0) {
-      bench.agg_shards = static_cast<size_t>(std::atoll(argv[i] + 13));
     } else if (std::strncmp(argv[i], "--queries=", 10) == 0) {
       bench.queries = static_cast<size_t>(std::atoll(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--transport=", 12) == 0) {
@@ -249,7 +239,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--clients=N] [--epochs=N] [--json-out=PATH] "
-                   "[--agg-shards=N] [--queries=N] "
+                   "[--queries=N] "
                    "[--transport=inproc|tcp] [--durability=off|on] "
                    "[--fsync=POLICY]\n",
                    argv[0]);
@@ -331,12 +321,11 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::snprintf(buf, sizeof(buf),
-                  "%s{\"mode\":\"%s\",\"threads\":%zu,\"agg_shards\":%zu,"
-                  "\"seconds\":%.4f,"
+                  "%s{\"mode\":\"%s\",\"threads\":%zu,\"seconds\":%.4f,"
                   "\"clients_per_sec\":%.0f,\"shares_per_sec\":%.0f,"
                   "\"allocs_per_share\":%.3f}",
                   i == 0 ? "" : ",", row.label.c_str(), row.threads,
-                  row.agg_shards, row.seconds, row.clients_per_sec,
+                  row.seconds, row.clients_per_sec,
                   row.shares_per_sec, row.allocs_per_share);
     json += buf;
   }

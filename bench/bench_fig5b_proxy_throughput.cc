@@ -17,6 +17,7 @@
 #include "broker/broker.h"
 #include "crypto/xor_cipher.h"
 #include "proxy/proxy.h"
+#include "transport/inproc_bus.h"
 
 using namespace privapprox;
 
@@ -53,7 +54,8 @@ void BM_ProxyForward(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     broker::Broker b;
-    proxy::Proxy proxy(proxy::ProxyConfig{0, 4}, b);
+    transport::InProcessBus bus(b);
+    proxy::Proxy proxy(proxy::ProxyConfig{0, 4}, bus);
     proxy.EnsureLane(kQid);
     proxy.Receive(kQid, views);
     state.ResumeTiming();

@@ -18,6 +18,7 @@
 #include "crypto/xor_cipher.h"
 #include "net/topology.h"
 #include "proxy/proxy.h"
+#include "transport/inproc_bus.h"
 
 using namespace privapprox;
 
@@ -46,7 +47,8 @@ void ReceiveAll(proxy::Proxy& proxy,
 // ForwardLanes() throughput (records/sec).
 double MeasureProxyThroughput(size_t answer_bits) {
   broker::Broker b;
-  proxy::Proxy proxy(proxy::ProxyConfig{0, 8}, b);
+  transport::InProcessBus bus(b);
+  proxy::Proxy proxy(proxy::ProxyConfig{0, 8}, bus);
   proxy.EnsureLane(kQid);
   crypto::XorSplitter splitter(2, crypto::ChaCha20Rng::FromSeed(1, 0));
   const std::vector<uint8_t> payload(
@@ -71,8 +73,9 @@ double MeasureProxyThroughput(size_t answer_bits) {
 // model extrapolates, see main()).
 double MeasureAggregatorThroughput(size_t answer_bits, size_t /*cores*/) {
   broker::Broker b;
-  proxy::Proxy proxy0(proxy::ProxyConfig{0, 8}, b);
-  proxy::Proxy proxy1(proxy::ProxyConfig{1, 8}, b);
+  transport::InProcessBus bus(b);
+  proxy::Proxy proxy0(proxy::ProxyConfig{0, 8}, bus);
+  proxy::Proxy proxy1(proxy::ProxyConfig{1, 8}, bus);
   const core::Query query =
       core::QueryBuilder()
           .WithId(kQid)
@@ -87,7 +90,7 @@ double MeasureAggregatorThroughput(size_t answer_bits, size_t /*cores*/) {
   aggregator::AggregatorConfig config;
   config.num_proxies = 2;
   config.population = kRecords;
-  aggregator::Aggregator agg(config, b,
+  aggregator::Aggregator agg(config, bus,
                              [](const aggregator::WindowedResult&) {});
   aggregator::QueryLaneOptions lane;
   for (proxy::Proxy* proxy : {&proxy0, &proxy1}) {

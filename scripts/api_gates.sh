@@ -18,7 +18,8 @@ repo="$(dirname "$here")"
 
 GATES=(pre_span_first qid_less chacha_block flat_config compat_layer
        ofstream bus_triplets single_query hand_wired_metrics
-       streaming_runtime per_client_copies per_record_framing window_fanout)
+       streaming_runtime per_client_copies per_record_framing window_fanout
+       shard_knob dead_knobs)
 
 # Each gate_<name> runs its grep from the tree root; plant_<name> is
 # "<file>|<line>", a violation the self-test appends to that file.
@@ -172,6 +173,31 @@ gate_window_fanout() {
     src tests bench examples
 }
 plant_window_fanout="src/engine/planted.cc|for (const Window& w : assigner.WindowsFor(ts)) {}"
+
+# One partitioning decision: broker::PartitionForKey places a MID, and the
+# aggregator's join shards are the lane topic partitions it placed it in.
+# A second MID hash and the shard-count knobs that sized it (the configs'
+# num_shards, aggregatord's --shards, bench_epoch_pipeline's --agg-shards
+# and its agg_shards row key) must not come back; the per-shard metric
+# families (privapprox_agg_shard_*) stay.
+gate_shard_knob() {
+  grep -rnE \
+    "\bnum_shards\b|\bShardOf\b|\bMixMid\b|agg[-_]shards|--shards\b|\"shards\"" \
+    src tests bench examples
+}
+plant_shard_knob="src/planted.cc|config.aggregator.num_shards = 4;"
+
+# Knobs nothing set or read: the stream-driven watermark and its bound, the
+# fault plan's degraded-link model and late deadline with the transfer-time
+# model only it called, the budget options that copied
+# core::BudgetManagerConfig, and the owned InProcessBus behind the
+# Broker& constructors of Proxy and Aggregator.
+gate_dead_knobs() {
+  grep -rnE \
+    "AdvanceWatermarkToStream|BoundedOutOfOrderness|watermark_out_of_orderness|degraded_link|late_deadline_ms|TransferTimeMs|BudgetOptions|owned_bus_" \
+    src tests bench examples
+}
+plant_dead_knobs="tests/planted.cc|aggregator.AdvanceWatermarkToStream();"
 
 # Runs one gate in directory $2; returns 0 on pass. Prints why it failed.
 run_gate() {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <exception>
-#include <mutex>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 
@@ -14,21 +14,14 @@ namespace privapprox::aggregator {
 
 namespace {
 
-// SplitMix64 finalizer: MIDs are drawn from client RNGs but may share
-// low-bit structure; the mix spreads them uniformly so `mix % num_shards`
-// balances shards for any shard count, not just powers of two.
-uint64_t MixMid(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
+// Records per poll: a shard polls a partition until a poll returns none.
+constexpr size_t kPollRecords = 4096;
 
-}  // namespace
-
-namespace {
+// A shard feeds its joiner in aligned blocks of this many shares per
+// source, and its joiner keeps a slot pool for about one block of parked
+// shares; the four shards of a 4-partition lane together keep about what
+// one joiner fed 1024-share blocks of the whole lane did.
+constexpr size_t kFeedBlock = 256;
 
 void ValidateAggregatorConfig(const AggregatorConfig& config) {
   if (config.num_proxies < 2) {
@@ -37,29 +30,14 @@ void ValidateAggregatorConfig(const AggregatorConfig& config) {
   if (config.population == 0) {
     throw std::invalid_argument("Aggregator: population must be > 0");
   }
-  if (config.num_shards == 0) {
-    throw std::invalid_argument("Aggregator: num_shards must be > 0");
-  }
 }
 
 }  // namespace
 
 Aggregator::Aggregator(AggregatorConfig config, transport::MessageBus& bus,
                        ResultFn on_result)
-    : Aggregator(std::move(config), &bus, nullptr, std::move(on_result)) {}
-
-Aggregator::Aggregator(AggregatorConfig config, broker::Broker& broker,
-                       ResultFn on_result)
-    : Aggregator(std::move(config), nullptr,
-                 std::make_unique<transport::InProcessBus>(broker),
-                 std::move(on_result)) {}
-
-Aggregator::Aggregator(AggregatorConfig config, transport::MessageBus* bus,
-                       std::unique_ptr<transport::InProcessBus> owned_bus,
-                       ResultFn on_result)
     : config_(std::move(config)),
-      owned_bus_(std::move(owned_bus)),
-      bus_(owned_bus_ != nullptr ? owned_bus_.get() : bus),
+      bus_(bus),
       owned_registry_(config_.registry == nullptr
                           ? std::make_unique<metrics::Registry>()
                           : nullptr),
@@ -67,20 +45,43 @@ Aggregator::Aggregator(AggregatorConfig config, transport::MessageBus* bus,
                                             : *owned_registry_),
       decode_ns_(registry_.GetHistogram(
           "privapprox_agg_decode_ns",
-          "Aggregator poll+decode pass latency in nanoseconds")),
+          "Aggregator shard poll+decode pass latency in nanoseconds")),
       join_ns_(registry_.GetHistogram(
           "privapprox_agg_join_ns",
-          "Aggregator join feed pass latency in nanoseconds")),
+          "Aggregator shard join feed pass latency in nanoseconds")),
       window_ns_(registry_.GetHistogram(
           "privapprox_agg_window_ns",
           "Window fire (de-bias + error estimation) latency in "
           "nanoseconds")),
       malformed_(registry_.GetCounter(
           "privapprox_malformed_dropped_total",
-          "Records dropped as undecodable (truncated share, garbage "
-          "plaintext, or an event time whose windows leave int64)")),
+          "Records dropped as undecodable (truncated or mis-keyed share, "
+          "garbage plaintext, or an event time whose windows leave int64)")),
       on_result_(std::move(on_result)) {
   ValidateAggregatorConfig(config_);
+}
+
+size_t Aggregator::SourcePartitions(const QueryLaneOptions& options) const {
+  if (options.source_topics.size() != config_.num_proxies) {
+    throw std::invalid_argument(
+        "Aggregator::RegisterQuery: need one source topic per proxy");
+  }
+  std::vector<size_t> counts;
+  for (const std::string& topic : options.source_topics) {
+    counts.push_back(bus_.NumPartitions(topic));
+  }
+  if (std::adjacent_find(counts.begin(), counts.end(),
+                         std::not_equal_to<>()) != counts.end()) {
+    std::string listing;
+    for (size_t s = 0; s < counts.size(); ++s) {
+      listing += (s != 0 ? ", " : "") + options.source_topics[s] + " has " +
+                 std::to_string(counts[s]);
+    }
+    throw std::invalid_argument(
+        "Aggregator::RegisterQuery: sources are not co-partitioned (" +
+        listing + " partitions)");
+  }
+  return counts.front();
 }
 
 void Aggregator::RegisterQuery(const core::Query& query,
@@ -94,26 +95,20 @@ void Aggregator::RegisterQuery(const core::Query& query,
         "Aggregator::RegisterQuery: duplicate query id " +
         std::to_string(query.query_id));
   }
-  if (options.source_topics.size() != config_.num_proxies) {
-    throw std::invalid_argument(
-        "Aggregator::RegisterQuery: need one source topic per proxy");
-  }
+  const size_t num_partitions = SourcePartitions(options);
   const std::string qid = std::to_string(query.query_id);
   auto lane_ptr = std::make_unique<Lane>(
-      query, params, config_,
+      query, params, config_, std::move(options.source_topics),
       registry_.GetGauge("privapprox_agg_shard_imbalance_milli",
                          "Max-shard routed shares over the per-shard mean, "
                          "x1000 (1000 = perfectly balanced)",
                          {{"query", qid}}));
   Lane* lane = lane_ptr.get();
-  for (const std::string& topic : options.source_topics) {
-    lane->consumers.push_back(
-        std::make_unique<transport::BusConsumer>(*bus_, topic));
-  }
-  for (size_t s = 0; s < config_.num_shards; ++s) {
+  for (size_t p = 0; p < num_partitions; ++p) {
     const metrics::Labels labels = {{"query", qid},
-                                    {"shard", std::to_string(s)}};
+                                    {"shard", std::to_string(p)}};
     auto shard = std::make_unique<Shard>(
+        lane->sources.size(),
         registry_.GetCounter("privapprox_agg_shard_shares_total",
                              "Shares routed to this aggregator join shard",
                              labels),
@@ -165,13 +160,6 @@ void Aggregator::UpdateParams(uint64_t query_id,
       core::ErrorEstimator(params, config_.population, config_.confidence);
 }
 
-size_t Aggregator::ShardOf(uint64_t mid) const {
-  if (config_.num_shards == 1) {
-    return 0;
-  }
-  return static_cast<size_t>(MixMid(mid) % config_.num_shards);
-}
-
 uint64_t Aggregator::Drain() {
   uint64_t consumed = 0;
   for (auto& [qid, lane] : lanes_) {
@@ -181,75 +169,101 @@ uint64_t Aggregator::Drain() {
 }
 
 uint64_t Aggregator::DrainLane(Lane& lane) {
-  // Phase 1: poll + decode each proxy stream, one independent task per
-  // source topic. Decoding only touches that source's consumer and local
-  // scratch slot, so sources parallelize without synchronization. Polls and
-  // decodes are view-based: payloads stay in the broker's slabs and only
-  // the 8-byte MID header is parsed here.
-  const size_t num_sources = lane.consumers.size();
-  drain_views_.resize(num_sources);
-  drain_decoded_.resize(num_sources);
-  // First poll failure across sources; rethrown only after everything
-  // already committed has been fed downstream. Consumer offsets advance on
-  // each successful poll, so a record sitting in `views` when a later poll
-  // throws is committed — dropping it here would skip it forever.
-  std::exception_ptr drain_error;
-  std::mutex drain_error_mu;
-  const auto drain_source = [&](size_t source) {
-    transport::BusConsumer& consumer = *lane.consumers[source];
-    drain_decoded_[source].Clear();
-    std::vector<broker::RecordView>& views = drain_views_[source];
-    try {
-      for (;;) {
-        views.clear();
-        if (consumer.PollInto(4096, views) == 0) {
-          break;
-        }
-        proxy::Proxy::DecodeShares(views, drain_decoded_[source]);
+  const size_t num_partitions = lane.shards.size();
+  if (drain_scratch_.size() < num_partitions) {
+    drain_scratch_.resize(num_partitions);
+  }
+  if (config_.pool != nullptr && num_partitions > 1) {
+    config_.pool->ParallelFor(num_partitions, [&](size_t begin, size_t end) {
+      for (size_t p = begin; p < end; ++p) {
+        DrainShard(lane, p);
       }
-    } catch (...) {
-      // Keep whatever this source committed before the failure (PollInto
-      // may have appended records whose offsets are already advanced).
-      proxy::Proxy::DecodeShares(views, drain_decoded_[source]);
-      std::lock_guard<std::mutex> lock(drain_error_mu);
-      if (drain_error == nullptr) {
-        drain_error = std::current_exception();
-      }
-    }
-  };
-  {
-    const metrics::ScopedTimer timer(decode_ns_);
-    if (config_.pool != nullptr && num_sources > 1) {
-      config_.pool->ParallelFor(num_sources, [&](size_t begin, size_t end) {
-        for (size_t source = begin; source < end; ++source) {
-          drain_source(source);
-        }
-      });
-    } else {
-      for (size_t source = 0; source < num_sources; ++source) {
-        drain_source(source);
-      }
+    });
+  } else {
+    for (size_t p = 0; p < num_partitions; ++p) {
+      DrainShard(lane, p);
     }
   }
-  // Phase 2: feed the join shards. Decode-level malformed records are the
-  // coordinator's to count (they never reach a shard).
   uint64_t consumed = 0;
-  for (size_t source = 0; source < num_sources; ++source) {
-    const proxy::Proxy::DecodedShares& batch = drain_decoded_[source];
-    consumed += batch.shares.size() + batch.malformed;
-    NoteMalformed(batch.malformed);
+  std::exception_ptr error;
+  for (auto& shard : lane.shards) {
+    consumed += std::exchange(shard->consumed, 0);
+    if (error == nullptr) {
+      error = shard->poll_error;
+    }
+    shard->poll_error = nullptr;
   }
-  FeedShards(lane, drain_decoded_);
-  if (drain_error != nullptr) {
-    std::rethrow_exception(drain_error);
+  MergeShardDeltas(lane);
+  if (error != nullptr) {
+    std::rethrow_exception(error);
   }
   return consumed;
 }
 
+void Aggregator::DrainShard(Lane& lane, size_t p) {
+  Shard& shard = *lane.shards[p];
+  ShardScratch& scratch = drain_scratch_[p];
+  scratch.decoded.resize(lane.sources.size());
+  size_t longest = 0;
+  {
+    // Polls and decodes are view-based: payloads stay in the bus's slabs
+    // and only the 8-byte MID header is parsed here.
+    const metrics::ScopedTimer timer(decode_ns_);
+    for (size_t s = 0; s < lane.sources.size(); ++s) {
+      proxy::Proxy::DecodedShares& decoded = scratch.decoded[s];
+      decoded.Clear();
+      try {
+        for (;;) {
+          scratch.views.clear();
+          const size_t pulled = bus_.Poll(lane.sources[s], p, shard.offsets[s],
+                                          kPollRecords, scratch.views);
+          if (pulled == 0) {
+            break;
+          }
+          shard.offsets[s] += pulled;
+          proxy::Proxy::DecodeShares(scratch.views, decoded);
+        }
+      } catch (...) {
+        // The failed poll committed nothing; what earlier polls committed
+        // is decoded already and is fed below, and the other sources are
+        // still polled.
+        if (shard.poll_error == nullptr) {
+          shard.poll_error = std::current_exception();
+        }
+      }
+      shard.consumed += decoded.shares.size() + decoded.malformed;
+      shard.malformed += decoded.malformed;
+      longest = std::max(longest, decoded.shares.size());
+    }
+  }
+  // Each source holds a MID's share in the same partition and client
+  // order, so feeding the sources block by block lets a MID's n shares
+  // meet within a block or two, and the joiner parks about one block of
+  // shares instead of every source but the last. The feed order is a pure
+  // function of the partition's contents.
+  const metrics::ScopedTimer timer(join_ns_);
+  for (size_t begin = 0; begin < longest; begin += kFeedBlock) {
+    for (size_t s = 0; s < scratch.decoded.size(); ++s) {
+      const auto& shares = scratch.decoded[s].shares;
+      const size_t end = std::min(begin + kFeedBlock, shares.size());
+      for (size_t i = begin; i < end; ++i) {
+        const proxy::Proxy::DecodedShare& share = shares[i];
+        ++shard.shares_fed;
+        shard.joiner->Add(share.message_id, share.payload,
+                          share.timestamp_ms, s);
+      }
+    }
+  }
+}
+
 void Aggregator::ReleaseConsumed() {
   for (auto& [qid, lane] : lanes_) {
-    for (auto& consumer : lane->consumers) {
-      consumer->ReleaseConsumed();
+    for (size_t s = 0; s < lane->sources.size(); ++s) {
+      release_offsets_.clear();
+      for (const auto& shard : lane->shards) {
+        release_offsets_.push_back(shard->offsets[s]);
+      }
+      bus_.Release(lane->sources[s], release_offsets_);
     }
   }
 }
@@ -258,72 +272,20 @@ std::vector<std::pair<std::string, std::vector<uint64_t>>>
 Aggregator::SourceOffsets() const {
   std::vector<std::pair<std::string, std::vector<uint64_t>>> out;
   for (const auto& [qid, lane] : lanes_) {
-    for (const auto& consumer : lane->consumers) {
+    for (size_t s = 0; s < lane->sources.size(); ++s) {
       std::vector<uint64_t> offsets;
-      offsets.reserve(consumer->num_partitions());
-      for (size_t p = 0; p < consumer->num_partitions(); ++p) {
-        offsets.push_back(consumer->offset(p));
+      offsets.reserve(lane->shards.size());
+      for (const auto& shard : lane->shards) {
+        offsets.push_back(shard->offsets[s]);
       }
-      out.emplace_back(consumer->topic(), std::move(offsets));
+      out.emplace_back(lane->sources[s], std::move(offsets));
     }
   }
   return out;
 }
 
-void Aggregator::FeedShards(
-    Lane& lane, std::span<const proxy::Proxy::DecodedShares> per_source) {
-  const metrics::ScopedTimer timer(join_ns_);
-  // Each source's lane topic holds a MID's share in the same partition and
-  // client order, so feeding the sources block by block — block b of every
-  // source before block b + 1 — lets a MID's n shares meet within a block
-  // or two, and the joiner parks about one block of shares instead of
-  // every source but the last. The feed order is a pure function of the
-  // decoded batches.
-  constexpr size_t kFeedBlock = 1024;
-  size_t longest = 0;
-  for (const proxy::Proxy::DecodedShares& batch : per_source) {
-    longest = std::max(longest, batch.shares.size());
-  }
-  // Each shard scans every block and picks out its own MIDs, so a shard's
-  // joiner (and everything its emit path mutates) is touched by exactly one
-  // task. Within a shard the feed order is (block, source, record) order —
-  // the same order a single shard would see its subset in, which keeps
-  // per-shard join stats and emission order canonical.
-  const auto feed_shard = [&](size_t shard_index) {
-    Shard& shard = *lane.shards[shard_index];
-    for (size_t begin = 0; begin < longest; begin += kFeedBlock) {
-      for (size_t source = 0; source < per_source.size(); ++source) {
-        const auto& shares = per_source[source].shares;
-        const size_t end = std::min(begin + kFeedBlock, shares.size());
-        for (size_t i = begin; i < end; ++i) {
-          const proxy::Proxy::DecodedShare& share = shares[i];
-          if (ShardOf(share.message_id) != shard_index) {
-            continue;
-          }
-          ++shard.shares_fed;
-          shard.joiner->Add(share.message_id, share.payload,
-                            share.timestamp_ms, source);
-        }
-      }
-    }
-  };
-  if (config_.pool != nullptr && lane.shards.size() > 1) {
-    config_.pool->ParallelFor(lane.shards.size(),
-                              [&](size_t begin, size_t end) {
-                                for (size_t s = begin; s < end; ++s) {
-                                  feed_shard(s);
-                                }
-                              });
-  } else {
-    for (size_t s = 0; s < lane.shards.size(); ++s) {
-      feed_shard(s);
-    }
-  }
-  MergeShardDeltas(lane);
-}
-
 void Aggregator::MergeShardDeltas(Lane& lane) {
-  // Sequential, in shard order. Every fold below is a sum, max, or
+  // Sequential, in shard order. Every fold below is a sum or an
   // insertion keyed by data the shards partition disjointly, so the merged
   // totals are independent of how work interleaved inside the parallel
   // region — only this loop's fixed order shows up in observable output
@@ -338,10 +300,6 @@ void Aggregator::MergeShardDeltas(Lane& lane) {
     shard.malformed = 0;
     lane.wrong_query_dropped += shard.wrong_query;
     shard.wrong_query = 0;
-    if (shard.max_event_ms != INT64_MIN) {
-      lane.stream_watermark.Observe(shard.max_event_ms);
-      shard.max_event_ms = INT64_MIN;
-    }
     if (answer_tap_ && !shard.tap.empty()) {
       answer_tap_(shard.tap);
     }
@@ -419,7 +377,6 @@ void Aggregator::OnJoinedShard(Lane& lane, Shard& shard,
     ++shard.malformed;
     return;
   }
-  shard.max_event_ms = std::max(shard.max_event_ms, timestamp_ms);
   if (answer_tap_) {
     shard.tap.emplace_back(timestamp_ms,
                            BitVector::FromBytes(message->answer_bytes,
@@ -471,15 +428,6 @@ void Aggregator::AdvanceLaneWatermark(Lane& lane, int64_t watermark_ms) {
 void Aggregator::AdvanceWatermark(int64_t watermark_ms) {
   for (auto& [qid, lane] : lanes_) {
     AdvanceLaneWatermark(*lane, watermark_ms);
-  }
-}
-
-void Aggregator::AdvanceWatermarkToStream() {
-  for (auto& [qid, lane] : lanes_) {
-    const int64_t watermark = lane->stream_watermark.Current();
-    if (watermark != INT64_MIN) {
-      AdvanceLaneWatermark(*lane, watermark);
-    }
   }
 }
 

@@ -9,25 +9,29 @@
 // historical store (§3.3.1).
 //
 // Multi-query: the aggregator is a coordinator over per-query *lanes*. A
-// lane owns everything one query needs — its n source-topic consumers, its
-// MID join shards, its panes, its error estimator, its stream watermark and
-// its fault-loss ledger — so queries share nothing but the broker and the
-// worker pool, and each query's results are bit-identical to a run where it
-// is the only query registered. Lanes are processed in
-// ascending-QID order everywhere order is observable. A lane consumes its
-// query's lane outbound topic at every proxy, named at RegisterQuery.
+// lane owns everything one query needs — its MID join shards, its panes,
+// its error estimator and its fault-loss ledger — so queries share nothing
+// but the bus and the worker pool, and each query's results are
+// bit-identical to a run where it is the only query registered. Lanes are
+// processed in ascending-QID order everywhere order is observable. A lane
+// consumes its query's lane outbound topic at every proxy, named at
+// RegisterQuery.
 //
-// The join stage is sharded by hash(MID): each shard owns an independent
-// MidJoiner and pane map, so feeding shards can run in parallel with no
-// shared mutable state, and the shards' panes are added into the lane's in
-// shard order after each feed (see DESIGN.md §6g for why the sums are
-// order-free and the N-shard result is bit-identical to the single-shard
-// run).
+// The join shards are the partitions of the lane's sources, as a Flink
+// job's parallelism is the partitions of its Kafka topics: shard p polls
+// partition p of every source, decodes, joins in its own MidJoiner and adds
+// to its own panes. broker::PartitionForKey places all n shares of a MID in
+// the same partition of each source, so the sources must be co-partitioned
+// and a MID's shares always meet in one shard. Shards drain in parallel
+// with no shared mutable state, and their panes are added into the lane's
+// in shard order after each drain (see DESIGN.md §6g for why the sums are
+// order-free and the result is bit-identical at every partition count).
 
 #ifndef PRIVAPPROX_AGGREGATOR_AGGREGATOR_H_
 #define PRIVAPPROX_AGGREGATOR_AGGREGATOR_H_
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -37,18 +41,15 @@
 #include <utility>
 #include <vector>
 
-#include "broker/broker.h"
 #include "common/thread_pool.h"
 #include "core/answer.h"
 #include "core/budget.h"
 #include "core/error_estimation.h"
 #include "core/query.h"
 #include "engine/join.h"
-#include "engine/watermark.h"
 #include "engine/window.h"
 #include "metrics/metrics.h"
 #include "proxy/proxy.h"
-#include "transport/inproc_bus.h"
 #include "transport/message_bus.h"
 
 namespace privapprox::aggregator {
@@ -58,20 +59,12 @@ struct AggregatorConfig {
   size_t population = 0;       // U, for scaling estimates
   double confidence = 0.95;
   int64_t join_timeout_ms = 60000;
-  // Bound for the stream-driven watermark (AdvanceWatermarkToStream): how
-  // far out of order shares may arrive across the proxy paths.
-  int64_t watermark_out_of_orderness_ms = 1000;
   // De-invert results produced under query inversion (§3.3.2).
   bool answers_inverted = false;
-  // Join/window shards per lane: shares route to shard hash(MID) %
-  // num_shards, each with its own MidJoiner and window accumulators. 1 =
-  // the classic sequential aggregator. Any N produces bit-identical
-  // results; N > 1 only goes parallel when `pool` is also set.
-  size_t num_shards = 1;
-  // Optional worker pool (not owned). When set, Drain polls and decodes the
-  // n proxy streams in parallel — one task per source topic — and feeds the
-  // join shards in parallel (one task per shard). Null keeps everything
-  // sequential.
+  // Optional worker pool (not owned). When set, Drain runs a lane's join
+  // shards in parallel, one task per shard, so the bus sees concurrent
+  // polls of distinct partitions (InProcessBus and TcpBusClient both take
+  // them). Null drains the shards one after another.
   ThreadPool* pool = nullptr;
   // Fault-loss accounting (wired by PrivApproxSystem when a FaultPlan is
   // configured). When true, MIDs reported lost by the fault injector
@@ -83,9 +76,10 @@ struct AggregatorConfig {
   bool track_fault_losses = false;
   // Where the aggregator registers its families: privapprox_agg_*_ns and
   // privapprox_malformed_dropped_total, and per RegisterQuery the
-  // privapprox_agg_shard_* families (the imbalance gauge is max-shard routed
-  // shares * 1000 / the per-shard mean). Not owned; null = a registry
-  // private to the aggregator.
+  // privapprox_agg_shard_* families, whose shard label is the partition
+  // index (the imbalance gauge is max-shard routed shares * 1000 / the
+  // per-shard mean). Not owned; null = a registry private to the
+  // aggregator.
   metrics::Registry* registry = nullptr;
 };
 
@@ -111,18 +105,23 @@ class Aggregator {
       std::function<void(std::span<const std::pair<int64_t, BitVector>>)>;
 
   // Coordinator with no lanes yet; add queries with RegisterQuery. The bus
-  // must outlive the aggregator; in a daemon it is a TopicRouterBus over
-  // the TcpBusClients dialed at each proxy daemon.
+  // must outlive the aggregator: an InProcessBus over the broker in
+  // process, a TopicRouterBus over the TcpBusClients dialed at each proxy
+  // daemon in aggregatord.
   Aggregator(AggregatorConfig config, transport::MessageBus& bus,
              ResultFn on_result);
-  // In-process convenience: wraps `broker` in an internally owned
-  // InProcessBus.
-  Aggregator(AggregatorConfig config, broker::Broker& broker,
-             ResultFn on_result);
 
-  // Adds a lane for `query`. Throws std::invalid_argument for QID 0, a QID
-  // already registered, or options.source_topics not holding exactly one
-  // topic per proxy.
+  // The partition count P that every source topic of `options` has: the
+  // shard count of a lane over them. Throws std::invalid_argument unless
+  // options.source_topics holds one topic per proxy and all of them have
+  // P partitions — a MID's shares meet only within one shard, so the
+  // sources must be co-partitioned, as Kafka Streams requires of joined
+  // topics. aggregatord calls it before it journals a registration.
+  size_t SourcePartitions(const QueryLaneOptions& options) const;
+
+  // Adds a lane for `query` with one join shard per source partition.
+  // Throws std::invalid_argument for QID 0, a QID already registered, or
+  // sources SourcePartitions refuses.
   void RegisterQuery(const core::Query& query,
                      const core::ExecutionParams& params,
                      QueryLaneOptions options);
@@ -141,14 +140,14 @@ class Aggregator {
   void UpdateParams(uint64_t query_id, const core::ExecutionParams& params);
 
   // Drains every lane's source topics through join -> decrypt -> window,
-  // lanes in ascending-QID order. Returns the number of shares consumed.
+  // lanes in ascending-QID order. Returns the number of records consumed.
   //
-  // Retry-lossless under transport failures: if a source's poll throws
-  // (e.g. its TCP peer died mid-drain), the records every source had
-  // already committed — consumer offsets advance on successful polls — are
-  // still decoded and fed to the join before the first failure is rethrown,
-  // so a caller that retries Drain after the peer returns never loses a
-  // committed record.
+  // Retry-lossless under transport failures: a shard commits a partition's
+  // offset only when a poll returns, so if a poll throws (e.g. its TCP peer
+  // died mid-drain) the shard still polls its other sources and joins
+  // everything it committed, and the first failure is rethrown once the
+  // lane's shards are merged. A caller that retries Drain after the peer
+  // returns never loses a committed record.
   uint64_t Drain();
 
   // Releases every lane source below its committed offsets
@@ -159,10 +158,10 @@ class Aggregator {
   // offset 0 after a restart).
   void ReleaseConsumed();
 
-  // (topic, per-partition committed offsets) for every lane source
-  // consumer, lanes in ascending-QID order — the retention low-watermarks
-  // an operator plumbs back to the proxy daemons (advance_watermark) so
-  // their durable out-topic segments below these offsets can be deleted.
+  // (topic, per-partition committed offsets) for every lane source, lanes
+  // in ascending-QID order — the retention low-watermarks an operator
+  // plumbs back to the proxy daemons (advance_watermark) so their durable
+  // out-topic segments below these offsets can be deleted.
   std::vector<std::pair<std::string, std::vector<uint64_t>>> SourceOffsets()
       const;
 
@@ -180,12 +179,6 @@ class Aggregator {
   // in ascending-QID order; windows within a lane in ascending order.
   void AdvanceWatermark(int64_t watermark_ms);
 
-  // Stream-driven alternative: advances each lane to the
-  // bounded-out-of-orderness watermark derived from the event times that
-  // lane has seen so far (engine/watermark.h). Lanes run independent
-  // watermarks, so a stalled query never holds back another's windows.
-  void AdvanceWatermarkToStream();
-
   // Fires everything left (end of stream), all lanes.
   void Flush();
 
@@ -195,30 +188,37 @@ class Aggregator {
   // Records dropped as undecodable so far (its malformed_dropped_total).
   uint64_t malformed_dropped() const { return malformed_.Value(); }
   uint64_t wrong_query_dropped() const;
-  size_t num_shards() const { return config_.num_shards; }
 
  private:
   using Windows = engine::PaneWindows<core::AnswerAccumulator>;
 
-  // One join shard. Owns every piece of mutable state its joiner emit path
-  // touches, so shards feed in parallel without synchronization; the
-  // cross-shard deltas (panes, malformed, wrong_query, max event time, tap)
-  // are folded into the coordinator sequentially after the parallel region.
+  // One join shard: partition p of every source. Its drain touches only
+  // its own state — offsets, joiner and everything the joiner's emit path
+  // mutates — and drain_scratch_[p], so a lane's shards drain in parallel
+  // without synchronization; the cross-shard deltas (panes, malformed,
+  // wrong_query, tap) are folded into the coordinator sequentially
+  // afterwards.
   struct Shard {
-    Shard(metrics::Counter& shares, metrics::Counter& joined)
-        : shares_total(shares), joined_total(joined) {}
+    Shard(size_t num_sources, metrics::Counter& shares,
+          metrics::Counter& joined)
+        : offsets(num_sources, 0), shares_total(shares), joined_total(joined) {}
+    // Per source (indexed like Lane::sources): the committed offset in
+    // partition p, the next record to poll.
+    std::vector<uint64_t> offsets;
     std::unique_ptr<engine::MidJoiner> joiner;
-    // Deltas since the last MergeShardDeltas:
+    // Deltas since the last merge:
     Windows::Panes panes;        // answers added to their panes
-    uint64_t malformed = 0;      // unparsable, or a window past int64
+    uint64_t consumed = 0;       // records polled
+    uint64_t malformed = 0;      // undecodable or mis-keyed records,
+                                 // unparsable plaintexts, windows past int64
     uint64_t wrong_query = 0;    // parsed answers for the wrong query/width
-    uint64_t shares_fed = 0;     // shares routed to this shard
-    int64_t max_event_ms = INT64_MIN;  // max valid-answer event time
+    uint64_t shares_fed = 0;     // shares fed to the joiner
+    std::exception_ptr poll_error;  // the shard's first failed poll
     std::vector<std::pair<int64_t, BitVector>> tap;  // buffered answer tap
     // Lifetime counters for metrics deltas / imbalance:
     uint64_t last_joined = 0;    // joiner stats().joined at last merge
     uint64_t last_join_malformed = 0;  // ... and stats().malformed_dropped
-    uint64_t routed_total = 0;   // lifetime shares routed
+    uint64_t routed_total = 0;   // lifetime shares fed
     metrics::Counter& shares_total;  // privapprox_agg_shard_shares_total
     metrics::Counter& joined_total;  // privapprox_agg_shard_joined_total
   };
@@ -229,12 +229,11 @@ class Aggregator {
     core::Query query;
     core::ExecutionParams params;
     core::ErrorEstimator estimator;
-    std::vector<std::unique_ptr<transport::BusConsumer>> consumers;
-    // unique_ptr for stable addresses: each shard's joiner emit callback
-    // captures its Shard*.
+    std::vector<std::string> sources;  // one lane out-topic per proxy
+    // One per source partition. unique_ptr for stable addresses: each
+    // shard's joiner emit callback captures its Shard*.
     std::vector<std::unique_ptr<Shard>> shards;
     Windows windows;  // the shards' panes, added in shard order
-    engine::BoundedOutOfOrdernessWatermark stream_watermark;
     uint64_t wrong_query_dropped = 0;
     // Fault-loss bookkeeping (track_fault_losses): MID -> event time of
     // each loss, deduplicating injector reports against join-group
@@ -247,25 +246,25 @@ class Aggregator {
     metrics::Gauge& imbalance_milli;  // privapprox_agg_shard_imbalance_milli
 
     Lane(const core::Query& q, const core::ExecutionParams& p,
-         const AggregatorConfig& config, metrics::Gauge& imbalance)
+         const AggregatorConfig& config, std::vector<std::string> topics,
+         metrics::Gauge& imbalance)
         : query(q),
           params(p),
           estimator(p, config.population, config.confidence),
+          sources(std::move(topics)),
           windows(q.window_length_ms, q.sliding_interval_ms),
-          stream_watermark(config.watermark_out_of_orderness_ms),
           imbalance_milli(imbalance) {}
   };
 
   Lane& GetLane(uint64_t query_id, const char* caller);
-  size_t ShardOf(uint64_t mid) const;
   uint64_t DrainLane(Lane& lane);
-  // Feeds every decoded batch (indexed by source) to the lane's join
-  // shards in aligned blocks of 1024 records — block b of every source, in
-  // source order, before block b + 1 — in parallel via the pool
-  // when num_shards > 1 and a pool is wired, sequentially otherwise; then
-  // folds shard deltas into the coordinator in shard order.
-  void FeedShards(Lane& lane,
-                  std::span<const proxy::Proxy::DecodedShares> per_source);
+  // Shard p's drain: polls partition p of every source until a poll
+  // returns nothing, decoding as it goes into drain_scratch_[p], then feeds
+  // its joiner in aligned blocks of 256 shares — block b of every source,
+  // in source order, before block b + 1.
+  void DrainShard(Lane& lane, size_t p);
+  // Folds the shards' deltas into the lane and the coordinator, in shard
+  // order.
   void MergeShardDeltas(Lane& lane);
   // Advances the lane's panes to `watermark_ms` and emits a result per
   // fired window, in ascending window order.
@@ -276,33 +275,29 @@ class Aggregator {
   void NoteMalformed(uint64_t n);
   void NoteLostMid(Lane& lane, uint64_t mid, int64_t ts);
 
-  // Both public constructors: `bus`, or `owned_bus` when that is set.
-  Aggregator(AggregatorConfig config, transport::MessageBus* bus,
-             std::unique_ptr<transport::InProcessBus> owned_bus,
-             ResultFn on_result);
-
   AggregatorConfig config_;
-  // Set only by the Broker& convenience constructor; declared before bus_
-  // so the pointer below can bind to it.
-  std::unique_ptr<transport::InProcessBus> owned_bus_;
-  transport::MessageBus* bus_ = nullptr;  // never null after construction
+  transport::MessageBus& bus_;
   // Set only when config_.registry is null; declared before the registry
   // reference and the instruments registered on it.
   std::unique_ptr<metrics::Registry> owned_registry_;
   metrics::Registry& registry_;
-  metrics::Histogram& decode_ns_;  // per poll+decode pass
-  metrics::Histogram& join_ns_;    // per join feed pass
+  metrics::Histogram& decode_ns_;  // per shard poll+decode pass
+  metrics::Histogram& join_ns_;    // per shard join feed pass
   metrics::Histogram& window_ns_;  // per fired window
   metrics::Counter& malformed_;
   ResultFn on_result_;
   AnswerTapFn answer_tap_;
   std::map<uint64_t, std::unique_ptr<Lane>> lanes_;  // QID -> lane, ascending
-  // Consumption scratch, reused across calls and lanes (lanes are always
-  // processed sequentially) so steady-state draining performs no heap
-  // allocation. Indexed by source (one slot per consumer, so the parallel
-  // Drain path stays synchronization-free).
-  std::vector<std::vector<broker::RecordView>> drain_views_;
-  std::vector<proxy::Proxy::DecodedShares> drain_decoded_;
+  // Drain scratch of the shards of partition p, reused across drains and
+  // lanes (lanes drain one after another, a lane's shards in parallel), so
+  // steady-state draining performs no heap allocation: one poll's records,
+  // and the shares decoded from partition p of each source.
+  struct ShardScratch {
+    std::vector<broker::RecordView> views;
+    std::vector<proxy::Proxy::DecodedShares> decoded;  // indexed by source
+  };
+  std::vector<ShardScratch> drain_scratch_;  // indexed by partition
+  std::vector<uint64_t> release_offsets_;  // ReleaseConsumed's scratch
   mutable engine::JoinStats merged_join_stats_;
 };
 

@@ -46,7 +46,6 @@ AggregatorDaemon::AggregatorDaemon(AggregatorDaemonConfig config)
   agg_config.population = config_.population;
   agg_config.confidence = config_.confidence;
   agg_config.answers_inverted = config_.answers_inverted;
-  agg_config.num_shards = config_.num_shards;
   agg_config.registry = &registry_;
   aggregator_ = std::make_unique<aggregator::Aggregator>(
       agg_config, router_, [this](const aggregator::WindowedResult& result) {
@@ -124,17 +123,18 @@ bool AggregatorDaemon::RegisterAnnouncement(
   if (aggregator_->HasQuery(ann.query.query_id)) {
     return false;  // driver retry after a restart, or duplicate submission
   }
-  if (journal && journal_ != nullptr) {
-    // Journal before registering, and sync unconditionally: once the verb
-    // acks, the query must survive kill -9 under any fsync policy.
-    journal_->Append(ann.query.query_id, /*timestamp_ms=*/0, announcement);
-    journal_->Sync();
-  }
   aggregator::QueryLaneOptions lane;
   lane.source_topics.reserve(config_.proxies.size());
   for (size_t j = 0; j < config_.proxies.size(); ++j) {
     lane.source_topics.push_back("proxy" + std::to_string(j) + ".q" +
                                  std::to_string(ann.query.query_id) + ".out");
+  }
+  aggregator_->SourcePartitions(lane);
+  if (journal && journal_ != nullptr) {
+    // Journal before registering, and sync unconditionally: once the verb
+    // acks, the query must survive kill -9 under any fsync policy.
+    journal_->Append(ann.query.query_id, /*timestamp_ms=*/0, announcement);
+    journal_->Sync();
   }
   aggregator_->RegisterQuery(ann.query, ann.params, std::move(lane));
   return true;

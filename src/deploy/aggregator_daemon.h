@@ -7,7 +7,9 @@
 // "proxy<j>.q<QID>.out", so the router resolves prefix "proxy<j>." to the
 // client dialed at proxy daemon j, and the n-source join code runs
 // byte-for-byte the code that runs in process (DESIGN.md §6j's bit-identity
-// argument leans on this).
+// argument leans on this). A lane has one join shard per partition of
+// those topics (proxyd's --partitions), drained one after another: the
+// daemon runs no worker pool.
 //
 // Control verbs (executed on the server's event-loop thread, so the
 // aggregator — single-threaded by contract — needs no locking):
@@ -35,7 +37,9 @@
 // uninterrupted result. register_query is idempotent across the restart
 // (already-registered QIDs are skipped, and skipped registrations are not
 // re-journaled), and it refuses an announcement core::ValidateAnnouncement
-// rejects before journaling it, so every journaled record replays.
+// rejects, or one whose lane topics are not co-partitioned across the
+// proxies (Aggregator::SourcePartitions), before journaling it, so every
+// journaled record replays.
 //
 // privapprox_aggregatord (deploy/aggregatord_main.cc) is this class plus
 // flag parsing and signal handling.
@@ -67,9 +71,6 @@ struct AggregatorDaemonConfig {
   size_t population = 0;
   double confidence = 0.95;
   bool answers_inverted = false;
-  // Join/window shards. Results are bit-identical for every value (DESIGN.md
-  // §6g); the daemon defaults to 1 because it runs without a worker pool.
-  size_t num_shards = 1;
   std::string bind_host = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral
   // Durability root. Empty = no journal, and every drain releases the

@@ -3,7 +3,7 @@
 //
 //   privapprox_aggregatord --port=9200 --proxy=127.0.0.1:9100 \
 //       --proxy=127.0.0.1:9101 --population=600 [--confidence=0.95]
-//       [--host=127.0.0.1] [--invert] [--shards=1] [--data-dir=DIR]
+//       [--host=127.0.0.1] [--invert] [--data-dir=DIR]
 //       [--fsync=never|on_rotate|every_n_records|always]
 //       [--fsync-every-n=N] [--segment-bytes=B]
 //
@@ -12,6 +12,8 @@
 // "listening" line prints.
 //
 // --proxy order defines proxy indices (the first --proxy is proxy 0).
+// Each query lane joins in one shard per partition of the proxies' lane
+// topics (proxyd's --partitions, which must agree across the proxies).
 // Prints "listening <host>:<port>" once ready, then serves until
 // SIGINT/SIGTERM.
 
@@ -44,7 +46,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: privapprox_aggregatord --port=P --proxy=H:P "
                "--proxy=H:P [...] --population=N [--confidence=C] "
-               "[--host=H] [--invert] [--shards=K] [--data-dir=DIR] "
+               "[--host=H] [--invert] [--data-dir=DIR] "
                "[--fsync=POLICY] [--fsync-every-n=N] [--segment-bytes=B]\n");
   return 2;
 }
@@ -65,8 +67,6 @@ int main(int argc, char** argv) {
       config.confidence = std::stod(value);
     } else if (ParseFlag(argv[i], "host", value)) {
       config.bind_host = value;
-    } else if (ParseFlag(argv[i], "shards", value)) {
-      config.num_shards = std::stoul(value);
     } else if (ParseFlag(argv[i], "data-dir", value)) {
       config.data_dir = value;
     } else if (ParseFlag(argv[i], "fsync", value)) {

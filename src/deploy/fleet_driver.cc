@@ -14,9 +14,7 @@ namespace privapprox::deploy {
 
 FleetDriver::FleetDriver(FleetDriverConfig config)
     : config_(std::move(config)),
-      budget_manager_(core::BudgetManagerConfig{config_.max_epsilon_zk,
-                                                config_.downsample_to_fit,
-                                                config_.min_sampling_fraction}),
+      budget_manager_(config_.budget),
       clients_(config_.num_clients, config_.proxies.size(), config_.seed,
                config_.invert_answers, registry_) {
   if (config_.num_clients == 0) {

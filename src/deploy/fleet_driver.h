@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -57,9 +56,7 @@ struct FleetDriverConfig {
   Endpoint aggregator;
   // Mirrors SystemConfig::budget so admission (and thus the announced
   // parameters) matches the in-process system.
-  double max_epsilon_zk = std::numeric_limits<double>::infinity();
-  bool downsample_to_fit = true;
-  double min_sampling_fraction = 1e-3;
+  core::BudgetManagerConfig budget;
   // Records per Produce frame on the share path. Bounds frame size well
   // under the transport's 64 MiB cap; chunking never reorders records.
   size_t produce_chunk_records = 2048;

@@ -19,7 +19,7 @@ ProxyDaemon::ProxyDaemon(ProxyDaemonConfig config) : config_(std::move(config)) 
   proxy_config.proxy_index = config_.proxy_index;
   proxy_config.num_partitions = config_.num_partitions;
   proxy_config.registry = &registry_;
-  proxy_ = std::make_unique<proxy::Proxy>(proxy_config, broker_);
+  proxy_ = std::make_unique<proxy::Proxy>(proxy_config, bus_);
 
   if (!config_.data_dir.empty()) {
     RecoverLanes(recovered_topics);

@@ -51,6 +51,7 @@
 #include "metrics/metrics.h"
 #include "proxy/proxy.h"
 #include "storage/partition_log.h"
+#include "transport/inproc_bus.h"
 #include "transport/tcp_bus.h"
 
 namespace privapprox::deploy {
@@ -96,6 +97,7 @@ class ProxyDaemon {
   ProxyDaemonConfig config_;
   metrics::Registry registry_;
   broker::Broker broker_;
+  transport::InProcessBus bus_{broker_};  // the proxy's view of broker_
   std::unique_ptr<proxy::Proxy> proxy_;
   std::unique_ptr<transport::TcpBusServer> server_;
 };

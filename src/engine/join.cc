@@ -38,10 +38,11 @@ MidJoiner::MidJoiner(size_t expected_shares, int64_t timeout_ms, EmitFn emit)
 }
 
 uint64_t MidJoiner::SlotHash(uint64_t mid) {
-  // Not the raw MID, which clients choose, and not the aggregator's
-  // SplitMix64 MixMid either: ShardOf routes by MixMid(mid) % num_shards,
-  // so every MID reaching one shard's joiner shares those low bits, and a
-  // table indexed by them would leave most home slots unused.
+  // Not the raw MID, which clients choose, and not the SplitMix64
+  // finalizer broker::PartitionForKey places records with either: every
+  // MID reaching one shard's joiner sits in one partition, so it shares
+  // that hash's low bits, and a table indexed by them would leave most home
+  // slots unused.
   mid ^= mid >> 33;
   mid *= 0xff51afd7ed558ccdULL;
   mid ^= mid >> 33;

@@ -47,13 +47,6 @@ void FaultPlan::Validate() const {
     throw std::invalid_argument(
         "FaultPlan: share fate probabilities must sum to <= 1");
   }
-  if (late_deadline_ms < 0.0) {
-    throw std::invalid_argument("FaultPlan: late_deadline_ms must be >= 0");
-  }
-  if (degraded_link.bandwidth_bytes_per_ms <= 0.0 ||
-      degraded_link.latency_ms < 0.0) {
-    throw std::invalid_argument("FaultPlan: bad degraded_link");
-  }
   if (retry.max_attempts == 0) {
     throw std::invalid_argument("FaultPlan: retry.max_attempts must be >= 1");
   }
@@ -74,7 +67,7 @@ FaultInjector::FaultInjector(FaultPlan plan, bool has_standby,
           "Shares delivered twice by the fault injector")),
       shares_delayed_(registry.GetCounter(
           "privapprox_fault_shares_delayed_total",
-          "Shares deferred to the next epoch by the degraded link")),
+          "Delay-fated shares deferred to the next epoch")),
       forward_timeouts_(registry.GetCounter(
           "privapprox_fault_forward_timeouts_total",
           "Client -> proxy forward attempts that timed out")),
@@ -145,8 +138,7 @@ void FaultInjector::NoteLostMid(uint64_t query_id, uint64_t mid) {
 }
 
 ShareOutcome FaultInjector::RouteShare(uint64_t query_id, uint64_t mid,
-                                       size_t proxy, uint64_t epoch,
-                                       size_t record_bytes) {
+                                       size_t proxy, uint64_t epoch) {
   ShareOutcome out;
 
   // --- In-transit fate: one uniform cascaded through the (mutually
@@ -177,15 +169,9 @@ ShareOutcome FaultInjector::RouteShare(uint64_t query_id, uint64_t mid,
     } else {
       u -= plan_.duplicate_probability;
       if (u < plan_.delay_probability) {
-        // Degraded path: deterministic transfer-time model decides whether
-        // the share still makes this epoch's deadline.
-        const double arrival_ms =
-            net::TransferTimeMs(plan_.degraded_link, record_bytes);
-        if (arrival_ms > plan_.late_deadline_ms) {
-          shares_delayed_.Increment();
-          out.route = ShareRoute::kDeferred;
-          return out;
-        }
+        shares_delayed_.Increment();
+        out.route = ShareRoute::kDeferred;
+        return out;
       }
     }
   }

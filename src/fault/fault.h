@@ -20,9 +20,8 @@
 // Recovery is modeled client-side: a forward that times out is retried with
 // bounded exponential backoff (client::RetryPolicy; backoff is simulated
 // virtual time, observed into a histogram, never slept) and fails over to
-// the proxy's standby once retries are exhausted. Shares routed over the
-// degraded link (net::LinkConfig transfer-time model) arrive in the next
-// epoch when the transfer misses the late deadline.
+// the proxy's standby once retries are exhausted. A delay-fated share
+// misses its epoch and is delivered at the start of the next one.
 
 #ifndef PRIVAPPROX_FAULT_FAULT_H_
 #define PRIVAPPROX_FAULT_FAULT_H_
@@ -36,7 +35,6 @@
 
 #include "client/retry.h"
 #include "metrics/metrics.h"
-#include "net/link.h"
 
 namespace privapprox::fault {
 
@@ -52,15 +50,7 @@ struct FaultPlan {
   double corrupt_probability = 0.0;    // record truncated below the MID
                                        // header (undecodable downstream)
   double duplicate_probability = 0.0;  // share delivered twice
-  double delay_probability = 0.0;      // share routed over degraded_link
-
-  // Degraded-path model for delay-fated shares: arrival is
-  // net::TransferTimeMs(degraded_link, record bytes) after the send; when
-  // that exceeds late_deadline_ms the share misses the epoch and is
-  // delivered at the start of the next one instead.
-  net::LinkConfig degraded_link{/*bandwidth_bytes_per_ms=*/1.0,
-                                /*latency_ms=*/200.0};
-  double late_deadline_ms = 100.0;
+  double delay_probability = 0.0;      // share deferred to the next epoch
 
   // --- Forward timeouts and proxy crashes -------------------------------
   double timeout_probability = 0.0;  // per forward attempt
@@ -100,7 +90,7 @@ struct FaultTotals {
 enum class ShareRoute {
   kPrimary,   // delivered to the proxy (possibly corrupted / duplicated)
   kStandby,   // retries exhausted; failed over to the standby proxy
-  kDeferred,  // degraded link missed the deadline; deliver next epoch
+  kDeferred,  // delayed past its epoch; deliver next epoch
   kLost,      // dropped in transit, or retries exhausted with no standby
 };
 
@@ -112,9 +102,9 @@ struct ShareOutcome {
   size_t corrupt_to = SIZE_MAX;
 };
 
-// A share held back by the degraded link, owned until redelivery. The
-// (query_id, proxy) pair names the lane next-epoch replay routes it back
-// to; the record is the lane wire record as the client encoded it.
+// A delayed share, owned until redelivery. The (query_id, proxy) pair
+// names the lane next-epoch replay routes it back to; the record is the
+// lane wire record as the client encoded it.
 struct DeferredShare {
   uint64_t query_id = 0;
   size_t proxy = 0;
@@ -136,10 +126,9 @@ class FaultInjector {
   // Decides one share's fate and runs the client-side forward protocol
   // (retry with backoff, then failover). Deterministic per
   // (seed, query, mid, proxy, epoch); counts everything it injects and
-  // recovers. `record_bytes` sizes the degraded-link transfer for delay
-  // fates.
+  // recovers.
   ShareOutcome RouteShare(uint64_t query_id, uint64_t mid, size_t proxy,
-                          uint64_t epoch, size_t record_bytes);
+                          uint64_t epoch);
 
   // True when `proxy` crashes during `epoch` (restarts for epoch + 1).
   // Query-independent: a crashed proxy is down for every lane it serves.

@@ -5,14 +5,6 @@
 
 namespace privapprox::net {
 
-double TransferTimeMs(const LinkConfig& config, uint64_t bytes) {
-  if (config.bandwidth_bytes_per_ms <= 0.0 || config.latency_ms < 0.0) {
-    throw std::invalid_argument("TransferTimeMs: bad config");
-  }
-  return config.latency_ms +
-         static_cast<double>(bytes) / config.bandwidth_bytes_per_ms;
-}
-
 Link::Link(LinkConfig config) : config_(config) {
   if (config.bandwidth_bytes_per_ms <= 0.0 || config.latency_ms < 0.0) {
     throw std::invalid_argument("Link: bad config");

@@ -17,13 +17,6 @@ struct LinkConfig {
   double latency_ms = 0.2;                   // one-way propagation
 };
 
-// Stateless transfer-time model: latency + serialization for one transfer
-// on an idle link. Unlike Link::Transfer it keeps no busy-until state, so
-// it is safe to call concurrently (the fault injector prices degraded-path
-// deliveries from parallel answer workers with it). Throws
-// std::invalid_argument on a non-positive bandwidth or negative latency.
-double TransferTimeMs(const LinkConfig& config, uint64_t bytes);
-
 class Link {
  public:
   explicit Link(LinkConfig config);

@@ -21,17 +21,8 @@ metrics::Labels IndexLabel(const ProxyConfig& config) {
 }  // namespace
 
 Proxy::Proxy(ProxyConfig config, transport::MessageBus& bus)
-    : Proxy(std::move(config), &bus, nullptr) {}
-
-Proxy::Proxy(ProxyConfig config, broker::Broker& broker)
-    : Proxy(std::move(config), nullptr,
-            std::make_unique<transport::InProcessBus>(broker)) {}
-
-Proxy::Proxy(ProxyConfig config, transport::MessageBus* bus,
-             std::unique_ptr<transport::InProcessBus> owned_bus)
     : config_(std::move(config)),
-      owned_bus_(std::move(owned_bus)),
-      bus_(owned_bus_ != nullptr ? owned_bus_.get() : bus),
+      bus_(bus),
       owned_registry_(config_.registry == nullptr
                           ? std::make_unique<metrics::Registry>()
                           : nullptr),
@@ -53,10 +44,10 @@ Proxy::Proxy(ProxyConfig config, transport::MessageBus* bus,
   out_prefix_ = config_.out_prefix.empty() ? prefix_ : config_.out_prefix;
   query_in_topic_ = prefix_ + ".query.in";
   query_out_topic_ = prefix_ + ".query.out";
-  bus_->EnsureTopic(query_in_topic_, 1);
-  bus_->EnsureTopic(query_out_topic_, 1);
+  bus_.EnsureTopic(query_in_topic_, 1);
+  bus_.EnsureTopic(query_out_topic_, 1);
   query_consumer_ =
-      std::make_unique<transport::BusConsumer>(*bus_, query_in_topic_);
+      std::make_unique<transport::BusConsumer>(bus_, query_in_topic_);
 }
 
 void Proxy::EnsureLane(uint64_t query_id) {
@@ -70,9 +61,9 @@ void Proxy::EnsureLane(uint64_t query_id) {
   Lane lane;
   lane.in_topic = prefix_ + ".q" + qid + ".in";
   lane.out_topic = out_prefix_ + ".q" + qid + ".out";
-  bus_->EnsureTopic(lane.in_topic, config_.num_partitions);
-  bus_->EnsureTopic(lane.out_topic, config_.num_partitions);
-  lane.consumer = std::make_unique<transport::BusConsumer>(*bus_, lane.in_topic);
+  bus_.EnsureTopic(lane.in_topic, config_.num_partitions);
+  bus_.EnsureTopic(lane.out_topic, config_.num_partitions);
+  lane.consumer = std::make_unique<transport::BusConsumer>(bus_, lane.in_topic);
   lanes_.emplace(query_id, std::move(lane));
 }
 
@@ -93,7 +84,7 @@ void Proxy::SyncConsumersToOutbound() {
   const auto sync = [this](transport::BusConsumer& consumer,
                            const std::string& out_topic) {
     for (size_t p = 0; p < consumer.num_partitions(); ++p) {
-      consumer.Seek(p, bus_->EndOffset(out_topic, p));
+      consumer.Seek(p, bus_.EndOffset(out_topic, p));
     }
   };
   sync(*query_consumer_, query_out_topic_);
@@ -138,7 +129,7 @@ const std::string& Proxy::lane_out_topic(uint64_t query_id) const {
 void Proxy::Receive(uint64_t query_id,
                     std::span<const broker::ProduceView> records) {
   const Lane& lane = GetLane(query_id, "Proxy::Receive");
-  bus_->Produce(lane.in_topic, records);
+  bus_.Produce(lane.in_topic, records);
   received_.Increment(records.size());
 }
 
@@ -158,7 +149,7 @@ uint64_t Proxy::ForwardPendingViews(transport::BusConsumer& consumer,
       fwd_produce_.push_back(
           broker::ProduceView{view.key, view.bytes(), view.timestamp_ms});
     }
-    bus_->Produce(out_topic, fwd_produce_);
+    bus_.Produce(out_topic, fwd_produce_);
   }
   forwarded_.Increment(total);
   return total;
@@ -176,7 +167,7 @@ uint64_t Proxy::ForwardLanes() {
 void Proxy::AnnounceQuery(const std::vector<uint8_t>& announcement,
                           int64_t timestamp_ms) {
   const broker::ProduceView view{/*key=*/0, announcement, timestamp_ms};
-  bus_->Produce(query_in_topic_, std::span<const broker::ProduceView>(&view, 1));
+  bus_.Produce(query_in_topic_, std::span<const broker::ProduceView>(&view, 1));
 }
 
 uint64_t Proxy::ForwardQueries() {
@@ -193,7 +184,7 @@ uint64_t Proxy::ForwardQueries() {
       produce.push_back(
           broker::ProduceView{record.key, record.bytes(), record.timestamp_ms});
     }
-    bus_->Produce(query_out_topic_, produce);
+    bus_.Produce(query_out_topic_, produce);
     count += batch.size();
   }
   return count;
@@ -232,6 +223,10 @@ void Proxy::DecodeShares(std::span<const broker::RecordView> records,
     uint64_t mid = 0;
     for (int i = 0; i < 8; ++i) {
       mid |= static_cast<uint64_t>(record.payload[i]) << (8 * i);
+    }
+    if (mid != record.key) {
+      ++out.malformed;
+      continue;
     }
     out.shares.push_back(DecodedShare{
         mid,

@@ -16,10 +16,8 @@
 //
 // Transport: the proxy speaks transport::MessageBus, never a broker
 // directly. In process that is an InProcessBus over the shared broker; in a
-// proxy daemon the same code runs against the daemon's local broker while
-// remote peers reach the topics over TCP. The Broker& constructor is the
-// in-process convenience: it owns an InProcessBus internally so existing
-// call sites keep working.
+// proxy daemon the same code runs against an InProcessBus over the daemon's
+// local broker while remote peers reach the topics over TCP.
 //
 // API shape: span-first. Batched entries take spans of non-owning views
 // (arena- or slab-backed) and decode produces spans into broker slab
@@ -36,10 +34,8 @@
 #include <string>
 #include <vector>
 
-#include "broker/broker.h"
 #include "crypto/message.h"
 #include "metrics/metrics.h"
-#include "transport/inproc_bus.h"
 #include "transport/message_bus.h"
 
 namespace privapprox::proxy {
@@ -66,9 +62,6 @@ class Proxy {
  public:
   // The bus must outlive the proxy.
   Proxy(ProxyConfig config, transport::MessageBus& bus);
-  // In-process convenience: wraps `broker` in an internally owned
-  // InProcessBus.
-  Proxy(ProxyConfig config, broker::Broker& broker);
 
   size_t index() const { return config_.proxy_index; }
   const std::string& query_in_topic() const { return query_in_topic_; }
@@ -134,8 +127,10 @@ class Proxy {
   // A decoded share's payload is a span into the record's slab storage,
   // valid as long as the RecordView it came from (until the topic's
   // consumer releases it, once its drain is done), so decoding is just header
-  // parsing — no per-share vector. Records shorter than the 8-byte MID
-  // header count as malformed.
+  // parsing — no per-share vector. A record shorter than the 8-byte MID
+  // header counts as malformed, and so does one whose key is not its MID:
+  // it sits in its key's partition, where its MID's other shares never are
+  // (every producer keys a share by its MID), so it could never join.
   struct DecodedShare {
     uint64_t message_id = 0;
     std::span<const uint8_t> payload;
@@ -174,15 +169,8 @@ class Proxy {
   const Lane& GetLane(uint64_t query_id, const char* caller) const;
   Lane& GetLane(uint64_t query_id, const char* caller);
 
-  // Both public constructors: `bus`, or `owned_bus` when that is set.
-  Proxy(ProxyConfig config, transport::MessageBus* bus,
-        std::unique_ptr<transport::InProcessBus> owned_bus);
-
   ProxyConfig config_;
-  // Set only by the Broker& convenience constructor; declared before bus_
-  // so the pointer below can bind to it.
-  std::unique_ptr<transport::InProcessBus> owned_bus_;
-  transport::MessageBus* bus_ = nullptr;  // never null after construction
+  transport::MessageBus& bus_;
   // Set only when config_.registry is null; declared before the registry
   // reference and the instruments registered on it.
   std::unique_ptr<metrics::Registry> owned_registry_;

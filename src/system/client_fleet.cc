@@ -94,8 +94,8 @@ AnsweredRange ClientFleet::Answer(size_t begin, size_t end, int64_t now_ms,
         // the record (the arena recycles once the range is produced); a
         // corrupted record is just a shorter span of the arena bytes.
         const std::span<const uint8_t> record = view.bytes();
-        const fault::ShareOutcome outcome = injector->RouteShare(
-            qid, view.message_id, j, epoch, record.size());
+        const fault::ShareOutcome outcome =
+            injector->RouteShare(qid, view.message_id, j, epoch);
         if (outcome.route == fault::ShareRoute::kLost) {
           continue;
         }

@@ -40,9 +40,7 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
                 StageHistogram(registry_, "proxy_forward"),
                 StageHistogram(registry_, "agg_consume"),
                 StageHistogram(registry_, "epoch")},
-      budget_manager_(core::BudgetManagerConfig{
-          config_.budget.max_epsilon_zk, config_.budget.downsample_to_fit,
-          config_.budget.min_sampling_fraction}),
+      budget_manager_(config_.budget),
       historical_rng_(config_.seed ^ 0xA5A5A5A5ULL) {
   if (config_.num_clients == 0) {
     throw std::invalid_argument("PrivApproxSystem: need >= 1 client");
@@ -126,9 +124,6 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
   agg_config.population = clients_->size();
   agg_config.confidence = config_.confidence;
   agg_config.answers_inverted = config_.invert_answers;
-  agg_config.num_shards = config_.aggregator.num_shards != 0
-                              ? config_.aggregator.num_shards
-                              : pool_->num_threads();
   agg_config.pool = pool_.get();
   agg_config.track_fault_losses = injector_ != nullptr;
   agg_config.registry = &registry_;
@@ -366,8 +361,8 @@ EpochStats PrivApproxSystem::RunEpoch(int64_t now_ms) {
     });
     ranges.clear();  // every record now lives in broker slabs
 
-    // Drain: every lane, in ascending-QID order (parallel per-source decode
-    // and per-shard join inside).
+    // Drain: every lane, in ascending-QID order, its join shards — one per
+    // lane topic partition — in parallel.
     {
       const metrics::ScopedTimer drain_timer(stage_ns_.agg_consume);
       const metrics::EpochTimeline::Span drain_span(timeline_, "agg_consume");
@@ -419,7 +414,7 @@ EpochStats PrivApproxSystem::RunEpoch(int64_t now_ms) {
   return stats;
 }
 
-// Delivers the shares the degraded link held back, at the start of the next
+// Delivers the delay-fated shares held back, at the start of the next
 // epoch: they land at the head of each lane's inbound topic (before this
 // epoch's answers) with their original event time, so they are forwarded
 // first and the join sees them first. The deferred buffer is sorted by

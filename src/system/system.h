@@ -13,11 +13,14 @@
 //
 // Multi-query: one system hosts N concurrent queries over a single client
 // fleet, broker, proxy tier, and aggregator. Each submitted query gets its
-// own per-(query, proxy) broker lanes, its own aggregator lane (join +
-// window + estimator), and a per-query slice of every epoch: clients answer
-// all subscribed queries in one pass with a shared sampling draw but
-// independent per-query randomization, so each query's results are
-// bit-identical to a run where it is the only query. Admission runs through
+// own per-(query, proxy) broker lanes of 4 partitions each, its own
+// aggregator lane (join + window + estimator, with one join shard per lane
+// partition draining on the worker pool), and a per-query slice of every
+// epoch: clients answer all subscribed queries in one pass with a shared
+// sampling draw but independent per-query randomization, so each query's
+// results are bit-identical to a run where it is the only query. The
+// answer tap's order depends only on the partition count, so historical
+// samples are the same at every worker count. Admission runs through
 // a fleet-wide privacy-budget manager (core/budget_manager.h): a query that
 // would push the summed zero-knowledge-privacy spend past the configured
 // cap is refused or down-sampled.
@@ -33,7 +36,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -63,20 +65,11 @@ namespace privapprox::system {
 // Epoch pipeline execution knobs.
 struct PipelineOptions {
   // Worker threads for the epoch pipeline (client answering, per-proxy
-  // forwarding, per-source aggregator decode). 0 = hardware_concurrency.
-  // Results are byte-identical for every value: workers answer contiguous
-  // client ranges and every lane receives them in range (client-id) order.
+  // forwarding, and the aggregator's join shards — one per lane topic
+  // partition, 4 here). 0 = hardware_concurrency. Results are
+  // byte-identical for every value: workers answer contiguous client ranges
+  // and every lane receives them in range (client-id) order.
   size_t num_worker_threads = 0;
-};
-
-// Aggregator scale-out knobs.
-struct AggregatorOptions {
-  // Join/window shards per query lane inside the aggregator: shares route
-  // to shard hash(MID) % num_shards, feeding in parallel on the worker
-  // pool with a deterministic shard-order merge at window-fire time.
-  // Results are bit-identical for every value. 0 = one shard per worker
-  // thread.
-  size_t num_shards = 0;
 };
 
 // Historical analytics store (§3.3.1).
@@ -108,16 +101,6 @@ struct BrokerOptions {
   storage::PartitionLogOptions log;
 };
 
-// Fleet-wide privacy-budget knobs (core/budget_manager.h). The default cap
-// is infinite, so single-query configs and exact-mode tests admit
-// unconditionally; set max_epsilon_zk to enforce composition across
-// queries.
-struct BudgetOptions {
-  double max_epsilon_zk = std::numeric_limits<double>::infinity();
-  bool downsample_to_fit = true;
-  double min_sampling_fraction = 1e-3;
-};
-
 struct SystemConfig {
   size_t num_clients = 100;
   size_t num_proxies = 2;
@@ -134,10 +117,12 @@ struct SystemConfig {
     core::ExecutionParams params;
   };
   std::vector<QuerySpec> queries;
-  BudgetOptions budget;
+  // Fleet-wide privacy-budget admission. The default cap is infinite, so
+  // single-query configs and exact-mode tests admit unconditionally; set
+  // budget.max_epsilon_zk to enforce composition across queries.
+  core::BudgetManagerConfig budget;
 
   PipelineOptions pipeline;
-  AggregatorOptions aggregator;
   BrokerOptions broker;
   HistoricalOptions historical;
   MetricsOptions metrics;

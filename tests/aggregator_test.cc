@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
 #include "aggregator/aggregator.h"
 #include <cmath>
 
@@ -10,6 +14,7 @@
 #include "broker/broker.h"
 #include "client/client.h"
 #include "proxy/proxy.h"
+#include "transport/inproc_bus.h"
 
 namespace privapprox::aggregator {
 namespace {
@@ -44,31 +49,30 @@ QueryLaneOptions LaneOver(proxy::Proxy& p0, proxy::Proxy& p1,
   return lane;
 }
 
-// Two proxies and an aggregator over one query's lanes. `lane` may carry
-// shard instruments; its source topics are filled in here.
+// Two proxies and an aggregator over one query's lanes, whose topics have
+// `num_partitions` partitions — the lane's join shard count.
 struct Harness {
   explicit Harness(size_t population, core::ExecutionParams params,
-                   bool inverted = false, size_t num_shards = 1,
+                   bool inverted = false, size_t num_partitions = 2,
                    metrics::Registry* registry = nullptr,
                    bool track_fault_losses = false)
       : query(MakeQuery()),
-        proxy0(proxy::ProxyConfig{0, 2}, broker),
-        proxy1(proxy::ProxyConfig{1, 2}, broker) {
+        proxy0(proxy::ProxyConfig{0, num_partitions}, bus),
+        proxy1(proxy::ProxyConfig{1, num_partitions}, bus) {
     AggregatorConfig config;
     config.num_proxies = 2;
     config.population = population;
     config.answers_inverted = inverted;
-    config.num_shards = num_shards;
     config.registry = registry;
     config.track_fault_losses = track_fault_losses;
     aggregator = std::make_unique<Aggregator>(
-        config, broker,
+        config, bus,
         [this](const WindowedResult& r) { results.push_back(r); });
     aggregator->RegisterQuery(query, params,
                               LaneOver(proxy0, proxy1, query.query_id));
   }
 
-  // Enqueues one client share on `proxy`'s lane.
+  // Enqueues one client share on `proxy`'s lane, keyed by its MID.
   void Send(proxy::Proxy& proxy, const crypto::MessageShare& share,
             int64_t ts) {
     const std::vector<uint8_t> encoded = proxy::Proxy::EncodeShare(share);
@@ -90,6 +94,7 @@ struct Harness {
   }
 
   broker::Broker broker;
+  transport::InProcessBus bus{broker};
   core::Query query;
   proxy::Proxy proxy0;
   proxy::Proxy proxy1;
@@ -289,24 +294,21 @@ TEST(AggregatorTest, InvertedModeRecoversYesCounts) {
 
 TEST(AggregatorTest, RejectsBadConfig) {
   broker::Broker b;
-  proxy::Proxy p0(proxy::ProxyConfig{0, 2}, b);
-  proxy::Proxy p1(proxy::ProxyConfig{1, 2}, b);
+  transport::InProcessBus bus(b);
+  proxy::Proxy p0(proxy::ProxyConfig{0, 2}, bus);
+  proxy::Proxy p1(proxy::ProxyConfig{1, 2}, bus);
   AggregatorConfig config;
   config.num_proxies = 1;
   config.population = 10;
-  EXPECT_THROW(Aggregator(config, b, [](const WindowedResult&) {}),
+  EXPECT_THROW(Aggregator(config, bus, [](const WindowedResult&) {}),
                std::invalid_argument);
   config.num_proxies = 2;
   config.population = 0;
-  EXPECT_THROW(Aggregator(config, b, [](const WindowedResult&) {}),
-               std::invalid_argument);
-  config.population = 10;
-  config.num_shards = 0;
-  EXPECT_THROW(Aggregator(config, b, [](const WindowedResult&) {}),
+  EXPECT_THROW(Aggregator(config, bus, [](const WindowedResult&) {}),
                std::invalid_argument);
   // A lane needs exactly one source topic per proxy; there is no default.
-  config.num_shards = 1;
-  Aggregator agg(config, b, [](const WindowedResult&) {});
+  config.population = 10;
+  Aggregator agg(config, bus, [](const WindowedResult&) {});
   EXPECT_THROW(agg.RegisterQuery(MakeQuery(), NoNoiseParams(), {}),
                std::invalid_argument);
   QueryLaneOptions one_source;
@@ -320,12 +322,13 @@ TEST(AggregatorTest, RejectsDuplicateQueryRegistration) {
   // second registration under the same QID would silently cross two
   // queries' streams. The coordinator must reject it up front.
   broker::Broker b;
-  proxy::Proxy p0(proxy::ProxyConfig{0, 2}, b);
-  proxy::Proxy p1(proxy::ProxyConfig{1, 2}, b);
+  transport::InProcessBus bus(b);
+  proxy::Proxy p0(proxy::ProxyConfig{0, 2}, bus);
+  proxy::Proxy p1(proxy::ProxyConfig{1, 2}, bus);
   AggregatorConfig config;
   config.num_proxies = 2;
   config.population = 10;
-  Aggregator agg(config, b, [](const WindowedResult&) {});
+  Aggregator agg(config, bus, [](const WindowedResult&) {});
   agg.RegisterQuery(MakeQuery(), NoNoiseParams(), LaneOver(p0, p1, 1));
   EXPECT_THROW(
       agg.RegisterQuery(MakeQuery(), NoNoiseParams(), LaneOver(p0, p1, 1)),
@@ -345,49 +348,173 @@ TEST(AggregatorTest, RejectsDuplicateQueryRegistration) {
       agg.RegisterQuery(other, NoNoiseParams(), LaneOver(p0, p1, 2)));
 }
 
+TEST(AggregatorTest, RefusesSourcesThatAreNotCoPartitioned) {
+  // A MID's shares meet only within one join shard, the partition
+  // PartitionForKey puts them in; sources of different partition counts
+  // put them in different ones.
+  broker::Broker b;
+  transport::InProcessBus bus(b);
+  proxy::Proxy p0(proxy::ProxyConfig{0, 4}, bus);
+  proxy::Proxy p1(proxy::ProxyConfig{1, 2}, bus);
+  AggregatorConfig config;
+  config.num_proxies = 2;
+  config.population = 10;
+  Aggregator agg(config, bus, [](const WindowedResult&) {});
+  const QueryLaneOptions lane = LaneOver(p0, p1, 1);
+  try {
+    agg.SourcePartitions(lane);
+    ADD_FAILURE() << "sources of 4 and 2 partitions were accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("proxy0.q1.out has 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("proxy1.q1.out has 2"), std::string::npos) << what;
+  }
+  EXPECT_THROW(agg.RegisterQuery(MakeQuery(), NoNoiseParams(), lane),
+               std::invalid_argument);
+  EXPECT_FALSE(agg.HasQuery(1));
+  // Co-partitioned sources register, one shard per partition.
+  proxy::Proxy p2(proxy::ProxyConfig{2, 4}, bus);
+  QueryLaneOptions copartitioned;
+  copartitioned.source_topics = {p0.lane_out_topic(1)};
+  p2.EnsureLane(1);
+  copartitioned.source_topics.push_back(p2.lane_out_topic(1));
+  EXPECT_EQ(agg.SourcePartitions(copartitioned), 4u);
+  agg.RegisterQuery(MakeQuery(), NoNoiseParams(), copartitioned);
+  EXPECT_TRUE(agg.HasQuery(1));
+}
+
+TEST(AggregatorTest, MisKeyedRecordIsMalformed) {
+  // A share keyed by anything but its MID sits in its key's partition,
+  // where the MID's other shares never are: it is malformed, not a share
+  // a shard could join.
+  Harness harness(10, NoNoiseParams());
+  client::Client c = MakeClient(0, 15.0);
+  c.Subscribe(harness.query, NoNoiseParams());
+  const auto answer = c.AnswerQuery(5000);
+  ASSERT_TRUE(answer.has_value());
+  harness.Send(harness.proxy0, answer->shares[0], 5000);
+  const crypto::MessageShare& share = answer->shares[1];
+  const std::vector<uint8_t> encoded = proxy::Proxy::EncodeShare(share);
+  const broker::ProduceView view{share.message_id + 1, encoded, 5000};
+  harness.proxy1.Receive(harness.query.query_id,
+                         std::span<const broker::ProduceView>(&view, 1));
+  harness.Pump();
+  EXPECT_EQ(harness.aggregator->malformed_dropped(), 1u);
+  EXPECT_EQ(harness.aggregator->join_stats().joined, 0u);
+  harness.aggregator->Flush();
+  EXPECT_TRUE(harness.results.empty());
+}
+
 // ---------------------------------------------------------------- sharding
 
-// Runs `population` clients through a harness with the given shard count
-// and returns the fired results. No pool is wired, so the shards feed
-// sequentially — this isolates the partition/merge logic itself.
-std::vector<WindowedResult> RunSharded(size_t num_shards) {
+// Everything observable of one run over lane topics of `num_partitions`
+// partitions: fired results, join stats, malformed records and the tapped
+// answers, sorted (the tap's order follows the partition layout).
+struct ShardedRun {
+  std::vector<WindowedResult> results;
+  engine::JoinStats join;
+  uint64_t malformed = 0;
+  std::vector<std::pair<int64_t, std::string>> tapped;
+};
+
+// 60 clients across two buckets, fed with every hazard the join and the
+// panes handle: duplicated shares on both proxies, a truncated record, a
+// MID missing its second share (expired at the watermark), a late answer
+// and lost-MID notes. No pool is wired, so the shards drain one after
+// another — this isolates the partition/merge logic itself.
+ShardedRun RunSharded(size_t num_partitions) {
   const size_t population = 60;
   Harness harness(population, NoNoiseParams(), /*inverted=*/false,
-                  num_shards);
-  for (size_t i = 0; i < population; ++i) {
-    client::Client c = MakeClient(i, i % 2 == 0 ? 15.0 : 42.0);
+                  num_partitions, /*registry=*/nullptr,
+                  /*track_fault_losses=*/true);
+  ShardedRun run;
+  harness.aggregator->set_answer_tap(
+      [&](std::span<const std::pair<int64_t, BitVector>> answers) {
+        for (const auto& [ts, answer] : answers) {
+          run.tapped.emplace_back(ts, answer.ToString());
+        }
+      });
+  const auto answer_of = [&](uint64_t id, int64_t ts) {
+    client::Client c = MakeClient(id, id % 2 == 0 ? 15.0 : 42.0);
     c.Subscribe(harness.query, NoNoiseParams());
-    const auto answer = c.AnswerQuery(5000);
-    harness.Ship(answer->shares, answer->timestamp_ms);
+    auto answer = c.AnswerQuery(ts);
+    EXPECT_TRUE(answer.has_value());
+    return std::move(answer->shares);
+  };
+  uint64_t missing_mid = 0;
+  for (uint64_t i = 0; i < population; ++i) {
+    const std::vector<crypto::MessageShare> shares = answer_of(i, 5000);
+    if (i == 7) {
+      harness.Send(harness.proxy0, shares[0], 5000);  // its twin is lost
+      missing_mid = shares[0].message_id;
+      continue;
+    }
+    harness.Ship(shares, 5000);
+    if (i % 11 == 0) {
+      harness.Send(harness.proxy0, shares[0], 5000);
+    }
+    if (i % 13 == 0) {
+      harness.Send(harness.proxy1, shares[1], 5000);
+    }
   }
+  const std::vector<uint8_t> truncated = {1, 2, 3};
+  const broker::ProduceView garbage{4242, truncated, 5000};
+  harness.proxy1.Receive(harness.query.query_id,
+                         std::span<const broker::ProduceView>(&garbage, 1));
   harness.Pump();
+  const uint64_t lost[] = {missing_mid, 999999};
+  harness.aggregator->NoteFaultLostMids(harness.query.query_id, lost, 5000);
   harness.aggregator->AdvanceWatermark(10000);
-  EXPECT_EQ(harness.aggregator->join_stats().joined, population);
-  EXPECT_EQ(harness.aggregator->num_shards(), num_shards);
-  return harness.results;
+  // Late: its window has fired, so it is tapped but not counted.
+  harness.Ship(answer_of(population, 5000), 5000);
+  harness.Ship(answer_of(population + 1, 15000), 15000);
+  harness.Pump();
+  harness.aggregator->AdvanceWatermark(100000);  // expires the missing MID
+  harness.aggregator->Flush();
+  run.results = harness.results;
+  run.join = harness.aggregator->join_stats();
+  run.malformed = harness.aggregator->malformed_dropped();
+  std::sort(run.tapped.begin(), run.tapped.end());
+  return run;
 }
 
 TEST(AggregatorTest, ShardedJoinIsBitIdenticalToSingleShard) {
-  const std::vector<WindowedResult> oracle = RunSharded(1);
-  ASSERT_EQ(oracle.size(), 1u);
-  for (size_t shards : {2u, 3u, 4u, 7u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    const std::vector<WindowedResult> sharded = RunSharded(shards);
-    ASSERT_EQ(sharded.size(), oracle.size());
-    for (size_t w = 0; w < oracle.size(); ++w) {
-      EXPECT_EQ(sharded[w].window, oracle[w].window);
-      EXPECT_EQ(sharded[w].result.participants, oracle[w].result.participants);
-      ASSERT_EQ(sharded[w].result.buckets.size(),
-                oracle[w].result.buckets.size());
-      for (size_t i = 0; i < oracle[w].result.buckets.size(); ++i) {
-        EXPECT_EQ(sharded[w].result.buckets[i].estimate.value,
-                  oracle[w].result.buckets[i].estimate.value);
-        EXPECT_EQ(sharded[w].result.buckets[i].estimate.error,
-                  oracle[w].result.buckets[i].estimate.error);
-        EXPECT_EQ(sharded[w].result.buckets[i].randomized_count,
-                  oracle[w].result.buckets[i].randomized_count);
+  // One join shard per partition: every partition count gives the results,
+  // join statistics, malformed count and tapped answers of the one-shard
+  // run.
+  const ShardedRun oracle = RunSharded(1);
+  ASSERT_EQ(oracle.results.size(), 2u);
+  EXPECT_EQ(oracle.results[0].result.participants, 59u);
+  EXPECT_EQ(oracle.results[0].result.lost_to_faults, 2u);
+  EXPECT_EQ(oracle.join.joined, 61u);
+  EXPECT_EQ(oracle.join.duplicates_dropped, 11u);
+  EXPECT_EQ(oracle.join.evicted_partial, 1u);
+  EXPECT_EQ(oracle.malformed, 1u);
+  EXPECT_EQ(oracle.tapped.size(), 61u);
+  for (size_t partitions : {2u, 3u, 4u, 8u}) {
+    SCOPED_TRACE("partitions=" + std::to_string(partitions));
+    const ShardedRun sharded = RunSharded(partitions);
+    ASSERT_EQ(sharded.results.size(), oracle.results.size());
+    for (size_t w = 0; w < oracle.results.size(); ++w) {
+      const core::QueryResult& a = oracle.results[w].result;
+      const core::QueryResult& b = sharded.results[w].result;
+      EXPECT_EQ(sharded.results[w].window, oracle.results[w].window);
+      EXPECT_EQ(b.participants, a.participants);
+      EXPECT_EQ(b.lost_to_faults, a.lost_to_faults);
+      ASSERT_EQ(b.buckets.size(), a.buckets.size());
+      for (size_t i = 0; i < a.buckets.size(); ++i) {
+        EXPECT_EQ(b.buckets[i].estimate.value, a.buckets[i].estimate.value);
+        EXPECT_EQ(b.buckets[i].estimate.error, a.buckets[i].estimate.error);
+        EXPECT_EQ(b.buckets[i].randomized_count, a.buckets[i].randomized_count);
       }
     }
+    EXPECT_EQ(sharded.join.joined, oracle.join.joined);
+    EXPECT_EQ(sharded.join.duplicates_dropped, oracle.join.duplicates_dropped);
+    EXPECT_EQ(sharded.join.evicted_partial, oracle.join.evicted_partial);
+    EXPECT_EQ(sharded.join.late_dropped, oracle.join.late_dropped);
+    EXPECT_EQ(sharded.join.malformed_dropped, oracle.join.malformed_dropped);
+    EXPECT_EQ(sharded.malformed, oracle.malformed);
+    EXPECT_EQ(sharded.tapped, oracle.tapped);
   }
 }
 
@@ -396,10 +523,10 @@ TEST(AggregatorTest, ShardMetricsAccountForEveryShare) {
   // partition the totals: routed shares sum to the joiner's input and
   // per-shard joins sum to the joined count.
   const size_t population = 40;
-  const size_t num_shards = 4;
+  const size_t num_partitions = 4;
   metrics::Registry registry;
   Harness harness(population, NoNoiseParams(), /*inverted=*/false,
-                  num_shards, &registry);
+                  num_partitions, &registry);
   for (size_t i = 0; i < population; ++i) {
     client::Client c = MakeClient(i, 15.0);
     c.Subscribe(harness.query, NoNoiseParams());
@@ -410,7 +537,7 @@ TEST(AggregatorTest, ShardMetricsAccountForEveryShare) {
   const std::string qid = std::to_string(harness.query.query_id);
   uint64_t routed = 0;
   uint64_t joined = 0;
-  for (size_t s = 0; s < num_shards; ++s) {
+  for (size_t s = 0; s < num_partitions; ++s) {
     const metrics::Labels labels = {{"query", qid},
                                     {"shard", std::to_string(s)}};
     routed += registry.GetCounter("privapprox_agg_shard_shares_total", "",
@@ -434,8 +561,9 @@ TEST(AggregatorTest, LostMidWidensItsWindowOnce) {
   // Under fault tracking a MID reported lost counts once in the windows
   // holding its event time, however often it is reported, and a watermark
   // so low that the prune cutoff would leave int64 forgets no MID.
-  Harness harness(10, NoNoiseParams(), /*inverted=*/false, /*num_shards=*/1,
-                  /*registry=*/nullptr, /*track_fault_losses=*/true);
+  Harness harness(10, NoNoiseParams(), /*inverted=*/false,
+                  /*num_partitions=*/2, /*registry=*/nullptr,
+                  /*track_fault_losses=*/true);
   client::Client c = MakeClient(0, 15.0);
   c.Subscribe(harness.query, NoNoiseParams());
   const auto answer = c.AnswerQuery(5000);
@@ -456,7 +584,7 @@ TEST(AggregatorTest, AnswerTapGetsEachShardsDrainAsOneSpan) {
   // shards in shard order, so a durable store writes one batch per span.
   const size_t population = 40;
   Harness harness(population, NoNoiseParams(), /*inverted=*/false,
-                  /*num_shards=*/2);
+                  /*num_partitions=*/2);
   std::vector<std::vector<std::pair<int64_t, BitVector>>> spans;
   harness.aggregator->set_answer_tap(
       [&](std::span<const std::pair<int64_t, BitVector>> answers) {
@@ -479,6 +607,115 @@ TEST(AggregatorTest, AnswerTapGetsEachShardsDrainAsOneSpan) {
   }
   harness.Pump();  // nothing new joined: no empty span
   EXPECT_EQ(spans.size(), 2u);
+}
+
+// A bus over another whose Poll returns at most 16 records, as a TCP
+// client budgeting response bytes does, and throws once: on the second
+// poll of `flaky_topic`, as a peer that dies mid-drain does.
+class FlakyBus final : public transport::MessageBus {
+ public:
+  FlakyBus(transport::MessageBus& inner, std::string flaky_topic, bool fail)
+      : inner_(inner), flaky_topic_(std::move(flaky_topic)), fail_(fail) {}
+
+  void EnsureTopic(const std::string& topic, size_t partitions) override {
+    inner_.EnsureTopic(topic, partitions);
+  }
+  size_t NumPartitions(const std::string& topic) override {
+    return inner_.NumPartitions(topic);
+  }
+  void Produce(const std::string& topic,
+               std::span<const broker::ProduceView> records) override {
+    inner_.Produce(topic, records);
+  }
+  size_t Poll(const std::string& topic, size_t partition, uint64_t offset,
+              size_t max_records,
+              std::vector<broker::RecordView>& out) override {
+    if (fail_ && topic == flaky_topic_ && ++flaky_polls_ == 2) {
+      throw std::runtime_error("FlakyBus: peer died");
+    }
+    return inner_.Poll(topic, partition, offset,
+                       std::min<size_t>(max_records, 16), out);
+  }
+  uint64_t EndOffset(const std::string& topic, size_t partition) override {
+    return inner_.EndOffset(topic, partition);
+  }
+  void Release(const std::string& topic,
+               std::span<const uint64_t> below) override {
+    inner_.Release(topic, below);
+  }
+
+ private:
+  transport::MessageBus& inner_;
+  std::string flaky_topic_;
+  bool fail_;
+  int flaky_polls_ = 0;
+};
+
+// 100 answers drained over a FlakyBus; with `fail`, the first Drain throws
+// and a second one finishes the job. Returns the fired results.
+std::vector<WindowedResult> RunOverFlakyBus(bool fail) {
+  const size_t population = 100;
+  broker::Broker broker;
+  transport::InProcessBus inner(broker);
+  proxy::Proxy proxy0(proxy::ProxyConfig{0, 2}, inner);
+  proxy::Proxy proxy1(proxy::ProxyConfig{1, 2}, inner);
+  const core::Query query = MakeQuery();
+  const QueryLaneOptions lane = LaneOver(proxy0, proxy1, query.query_id);
+  FlakyBus bus(inner, lane.source_topics[1], fail);
+  AggregatorConfig config;
+  config.num_proxies = 2;
+  config.population = population;
+  std::vector<WindowedResult> results;
+  Aggregator agg(config, bus,
+                 [&](const WindowedResult& r) { results.push_back(r); });
+  agg.RegisterQuery(query, NoNoiseParams(), lane);
+  for (size_t i = 0; i < population; ++i) {
+    client::Client c = MakeClient(i, static_cast<double>(i % 100));
+    c.Subscribe(query, NoNoiseParams());
+    const auto answer = c.AnswerQuery(5000);
+    for (size_t j = 0; j < 2; ++j) {
+      const crypto::MessageShare& share = answer->shares[j];
+      const std::vector<uint8_t> encoded = proxy::Proxy::EncodeShare(share);
+      const broker::ProduceView view{share.message_id, encoded, 5000};
+      (j == 0 ? proxy0 : proxy1)
+          .Receive(query.query_id,
+                   std::span<const broker::ProduceView>(&view, 1));
+    }
+  }
+  proxy0.ForwardLanes();
+  proxy1.ForwardLanes();
+  uint64_t expect_consumed = 2 * population;
+  if (fail) {
+    EXPECT_THROW(agg.Drain(), std::runtime_error);
+    // Shard 0 committed source 1's first poll and shard 1 drained in full:
+    // all of it joined, and only partition 0's uncommitted tail waits.
+    const uint64_t in_p0 = agg.SourceOffsets()[0].second[0];
+    EXPECT_GT(in_p0, 16u);
+    EXPECT_EQ(agg.SourceOffsets()[1].second[0], 16u);
+    EXPECT_EQ(agg.join_stats().joined, population - (in_p0 - 16));
+    EXPECT_EQ(agg.pending_join_groups(), in_p0 - 16);
+    expect_consumed = in_p0 - 16;
+  }
+  EXPECT_EQ(agg.Drain(), expect_consumed);
+  EXPECT_EQ(agg.join_stats().joined, population);
+  EXPECT_EQ(agg.pending_join_groups(), 0u);
+  agg.Flush();
+  return results;
+}
+
+TEST(AggregatorTest, FailedPollLosesNoCommittedRecord) {
+  const std::vector<WindowedResult> oracle = RunOverFlakyBus(false);
+  const std::vector<WindowedResult> retried = RunOverFlakyBus(true);
+  ASSERT_EQ(oracle.size(), 1u);
+  ASSERT_EQ(retried.size(), oracle.size());
+  EXPECT_EQ(retried[0].window, oracle[0].window);
+  EXPECT_EQ(retried[0].result.participants, 100u);
+  for (size_t i = 0; i < oracle[0].result.buckets.size(); ++i) {
+    EXPECT_EQ(retried[0].result.buckets[i].estimate.value,
+              oracle[0].result.buckets[i].estimate.value);
+    EXPECT_EQ(retried[0].result.buckets[i].estimate.error,
+              oracle[0].result.buckets[i].estimate.error);
+  }
 }
 
 // ------------------------------------------------------------- historical

@@ -278,18 +278,16 @@ core::Query AllocTestQuery(uint64_t id, const std::string& sql,
 // the same. What remains per epoch (pool tasks, per-range lane batches, one
 // accumulator per new window, the fired results) is bounded work, not
 // per-share; a reintroduced per-share copy or allocation, or a leaked warm
-// structure, shows up here. Runs at a given aggregator shard count so the
-// sharded feed path proves its scratch (per-shard joiners, window
-// accumulators, merge buffers) is reused across epochs too, and at 1, 2
-// and 4 workers so every range split does.
-void ExpectEpochAllocationsFlatAt(size_t workers, size_t agg_shards,
-                                  size_t num_queries) {
+// structure, shows up here. The aggregator drains one join shard per lane
+// partition, so its per-shard scratch (offsets, decode buffers, joiners,
+// panes) must be reused across epochs too; runs at 1, 2 and 4 workers so
+// every range split and shard schedule does.
+void ExpectEpochAllocationsFlatAt(size_t workers, size_t num_queries) {
   system::SystemConfig config;
   config.num_clients = 1024;
   config.num_proxies = kNumShares;
   config.seed = 7;
   config.pipeline.num_worker_threads = workers;
-  config.aggregator.num_shards = agg_shards;
   system::PrivApproxSystem system(config);
   for (size_t i = 0; i < config.num_clients; ++i) {
     auto& db = system.client(i).database();
@@ -358,27 +356,23 @@ void ExpectEpochAllocationsFlatAt(size_t workers, size_t agg_shards,
                             << " shares";
 }
 
-void ExpectEpochAllocationsFlat(size_t agg_shards, size_t num_queries = 1) {
+void ExpectEpochAllocationsFlat(size_t num_queries) {
   for (const size_t workers : {1u, 2u, 4u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    ExpectEpochAllocationsFlatAt(workers, agg_shards, num_queries);
+    ExpectEpochAllocationsFlatAt(workers, num_queries);
   }
 }
 
 TEST(AllocRegressionTest, EpochAllocationsStayFlat) {
-  ExpectEpochAllocationsFlat(1);
-}
-
-TEST(AllocRegressionTest, ShardedEpochAllocationsStayFlat) {
-  ExpectEpochAllocationsFlat(2);
+  ExpectEpochAllocationsFlat(/*num_queries=*/1);
 }
 
 TEST(AllocRegressionTest, TwoQueryEpochAllocationsStayFlat) {
-  ExpectEpochAllocationsFlat(1, /*num_queries=*/2);
+  ExpectEpochAllocationsFlat(/*num_queries=*/2);
 }
 
 TEST(AllocRegressionTest, WideThreeSqlEpochAllocationsStayFlat) {
-  ExpectEpochAllocationsFlat(1, /*num_queries=*/3);
+  ExpectEpochAllocationsFlat(/*num_queries=*/3);
 }
 
 // Heap cost of one client: building a 1,000-client fleet, giving every

@@ -9,9 +9,9 @@
 
 #include "aggregator/aggregator.h"
 #include "client/client.h"
-#include "engine/watermark.h"
 #include "proxy/proxy.h"
 #include "system/system.h"
+#include "transport/inproc_bus.h"
 
 #include <unistd.h>
 
@@ -56,13 +56,13 @@ void ProduceRaw(system::PrivApproxSystem& sys, const std::string& topic,
 struct Harness {
   explicit Harness(size_t population, core::Query q = MakeQuery())
       : query(std::move(q)),
-        proxy0(proxy::ProxyConfig{0, 2}, broker),
-        proxy1(proxy::ProxyConfig{1, 2}, broker) {
+        proxy0(proxy::ProxyConfig{0, 2}, bus),
+        proxy1(proxy::ProxyConfig{1, 2}, bus) {
     aggregator::AggregatorConfig config;
     config.num_proxies = 2;
     config.population = population;
     agg = std::make_unique<aggregator::Aggregator>(
-        config, broker, [this](const aggregator::WindowedResult& r) {
+        config, bus, [this](const aggregator::WindowedResult& r) {
           results.push_back(r);
         });
     aggregator::QueryLaneOptions lane;
@@ -83,6 +83,7 @@ struct Harness {
   }
 
   broker::Broker broker;
+  transport::InProcessBus bus{broker};
   core::Query query;
   proxy::Proxy proxy0;
   proxy::Proxy proxy1;
@@ -272,33 +273,10 @@ TEST(FailureTest, ShareLengthMismatchIsMalformedNotFatal) {
 
 // ------------------------------------------------------ out-of-order time
 
-TEST(WatermarkTest, BoundedOutOfOrderness) {
-  engine::BoundedOutOfOrdernessWatermark wm(100);
-  EXPECT_EQ(wm.Current(), INT64_MIN);
-  wm.Observe(1000);
-  EXPECT_EQ(wm.Current(), 900);
-  wm.Observe(950);  // straggler does not move the watermark backwards
-  EXPECT_EQ(wm.Current(), 900);
-  wm.Observe(2000);
-  EXPECT_EQ(wm.Current(), 1900);
-  EXPECT_THROW(engine::BoundedOutOfOrdernessWatermark(-1),
-               std::invalid_argument);
-}
-
-TEST(WatermarkTest, EventTimesNearInt64MinLeaveNoWatermark) {
-  // An event time within the bound of INT64_MIN leaves no watermark, not
-  // one wrapped into the far future that would fire every window.
-  engine::BoundedOutOfOrdernessWatermark wm(60000);
-  wm.Observe(INT64_MIN + 20000);
-  EXPECT_EQ(wm.Current(), INT64_MIN);
-  wm.Observe(INT64_MIN + 60001);
-  EXPECT_EQ(wm.Current(), INT64_MIN + 1);
-}
-
-TEST(FailureTest, OutOfOrderArrivalWithStreamWatermark) {
-  // Answers from three epochs arrive interleaved; the stream-driven
-  // watermark fires window [0, 10000) only once event time has moved past
-  // its end plus the out-of-orderness bound.
+TEST(FailureTest, OutOfOrderArrivalJoinsItsWindow) {
+  // Answers from two windows arrive interleaved; a watermark past the first
+  // window's end fires it with both of its answers, and none of the later
+  // window's.
   const size_t population = 30;
   Harness harness(population);
   auto send_at = [&](uint64_t id, int64_t ts) {
@@ -310,13 +288,13 @@ TEST(FailureTest, OutOfOrderArrivalWithStreamWatermark) {
   };
   send_at(0, 9000);
   send_at(1, 12000);  // later epoch arrives before epoch-1 stragglers
-  send_at(2, 9500);   // straggler within the 1000 ms bound
+  send_at(2, 9500);   // a straggler of the first window
   harness.proxy0.ForwardLanes();
   harness.proxy1.ForwardLanes();
   harness.agg->Drain();
-  harness.agg->AdvanceWatermarkToStream();
-  // Stream watermark = 12000 - 1000 = 11000 >= 10000: the first window
-  // fired with both epoch-1 answers despite the interleaving.
+  harness.agg->AdvanceWatermark(11000);
+  // The first window fired with both of its answers despite the
+  // interleaving.
   ASSERT_EQ(harness.results.size(), 1u);
   EXPECT_EQ(harness.results[0].window.start_ms, 0);
   EXPECT_EQ(harness.results[0].result.participants, 2u);

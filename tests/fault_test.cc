@@ -48,15 +48,13 @@ core::Query SpeedQuery() {
       .Build();
 }
 
-SystemConfig BaseConfig(size_t workers, std::optional<fault::FaultPlan> plan,
-                        size_t agg_shards = 1) {
+SystemConfig BaseConfig(size_t workers, std::optional<fault::FaultPlan> plan) {
   SystemConfig config;
   config.num_clients = kNumClients;
   config.num_proxies = kNumProxies;
   config.seed = 99;
   config.confidence = 0.99;
   config.pipeline.num_worker_threads = workers;
-  config.aggregator.num_shards = agg_shards;
   config.fault = std::move(plan);
   return config;
 }
@@ -85,10 +83,9 @@ const char* const kFaultCounterNames[] = {
     "privapprox_recovery_late_delivered_total",
 };
 
-RunSnapshot RunScenario(size_t workers, std::optional<fault::FaultPlan> plan,
-                        size_t agg_shards = 1) {
+RunSnapshot RunScenario(size_t workers, std::optional<fault::FaultPlan> plan) {
   const bool has_plan = plan.has_value();
-  PrivApproxSystem sys(BaseConfig(workers, std::move(plan), agg_shards));
+  PrivApproxSystem sys(BaseConfig(workers, std::move(plan)));
   for (size_t i = 0; i < kNumClients; ++i) {
     auto& db = sys.client(i).database();
     db.CreateTable("vehicle", {"speed"});
@@ -313,32 +310,6 @@ TEST(FaultTest, ChaosSeedsRecoverWithinWidenedCI) {
       any_lost = any_lost || windowed.result.lost_to_faults > 0;
     }
     EXPECT_TRUE(any_lost);  // CI widening actually engaged somewhere
-  }
-}
-
-TEST(FaultTest, ChaosSeedsAreBitIdenticalAcrossAggregatorShardCounts) {
-  // Faults stress exactly the state the shard merge must keep order-free:
-  // lost-MID attribution, expired join groups, CI widening. Every chaos
-  // seed must produce the same results, stats, and fault counters whether
-  // the aggregator runs 1, 2, or 4 join shards, at 1 worker or 4.
-  for (const uint64_t seed : ChaosSeeds()) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    const RunSnapshot oracle = RunScenario(1, ChaosPlan(seed),
-                                           /*agg_shards=*/1);
-    for (const size_t workers : {1u, 4u}) {
-      for (size_t shards : {2u, 4u}) {
-        SCOPED_TRACE("workers=" + std::to_string(workers) +
-                     " shards=" + std::to_string(shards));
-        const RunSnapshot sharded =
-            RunScenario(workers, ChaosPlan(seed), shards);
-        ExpectResultsIdentical(oracle, sharded);
-        ASSERT_EQ(oracle.epochs.size(), sharded.epochs.size());
-        for (size_t e = 0; e < oracle.epochs.size(); ++e) {
-          ExpectEpochStatsEqual(oracle.epochs[e], sharded.epochs[e]);
-        }
-        EXPECT_EQ(oracle.fault_counters, sharded.fault_counters);
-      }
-    }
   }
 }
 

@@ -46,13 +46,12 @@ struct RunSnapshot {
   std::vector<std::string> topic_names;
 };
 
-RunSnapshot RunScenario(size_t num_worker_threads, size_t agg_shards = 1) {
+RunSnapshot RunScenario(size_t num_worker_threads) {
   SystemConfig config;
   config.num_clients = 400;
   config.num_proxies = 3;
   config.seed = 99;
   config.pipeline.num_worker_threads = num_worker_threads;
-  config.aggregator.num_shards = agg_shards;
   PrivApproxSystem sys(config);
   for (size_t i = 0; i < config.num_clients; ++i) {
     auto& db = sys.client(i).database();
@@ -144,27 +143,6 @@ TEST(ParallelEpochTest, ParallelMatchesSequentialExactly) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     ExpectSnapshotsIdentical(sequential, RunScenario(workers));
   }
-}
-
-TEST(ParallelEpochTest, ShardedAggregatorIsBitIdenticalToSingleShard) {
-  // The shard/merge determinism invariant (DESIGN.md §6g): any shard count,
-  // at any worker count, produces the same results, stats, and broker
-  // traffic as the 1-shard 1-thread run.
-  const RunSnapshot oracle = RunScenario(1, /*agg_shards=*/1);
-  for (size_t shards : {1u, 2u, 4u}) {
-    for (size_t workers : {1u, 4u}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " workers=" + std::to_string(workers));
-      ExpectSnapshotsIdentical(oracle, RunScenario(workers, shards));
-    }
-  }
-}
-
-TEST(ParallelEpochTest, DefaultShardCountFollowsWorkerThreads) {
-  // aggregator.num_shards = 0 resolves to one shard per worker thread;
-  // the result must still match the explicit 1-shard oracle.
-  const RunSnapshot oracle = RunScenario(1, /*agg_shards=*/1);
-  ExpectSnapshotsIdentical(oracle, RunScenario(4, /*agg_shards=*/0));
 }
 
 TEST(ParallelEpochTest, WorkerThreadKnobIsHonored) {
@@ -441,7 +419,6 @@ RunSnapshot RunMultiScenario(std::vector<SystemConfig::QuerySpec> queries,
   config.seed = 99;
   config.queries = std::move(queries);
   config.pipeline.num_worker_threads = num_worker_threads;
-  config.aggregator.num_shards = 2;
   PrivApproxSystem sys(config);
   for (size_t i = 0; i < config.num_clients; ++i) {
     auto& db = sys.client(i).database();
@@ -473,7 +450,7 @@ RunSnapshot RunMultiScenario(std::vector<SystemConfig::QuerySpec> queries,
 // identical — results, per-epoch stats, every broker topic counter — to
 // the classic single-query SubmitQuery path.
 TEST(MultiQueryTest, OneQueryConfigListMatchesLegacySubmitExactly) {
-  const RunSnapshot legacy = RunScenario(2, /*agg_shards=*/2);
+  const RunSnapshot legacy = RunScenario(2);
   // Same scenario, but the query arrives via the config's query list.
   SystemConfig config;
   config.num_clients = 400;
@@ -481,7 +458,6 @@ TEST(MultiQueryTest, OneQueryConfigListMatchesLegacySubmitExactly) {
   config.seed = 99;
   config.queries = {{SpeedQuery(), SpeedParams()}};
   config.pipeline.num_worker_threads = 2;
-  config.aggregator.num_shards = 2;
   PrivApproxSystem sys(config);
   for (size_t i = 0; i < config.num_clients; ++i) {
     auto& db = sys.client(i).database();

@@ -22,7 +22,8 @@ void ReceiveShare(Proxy& proxy, const crypto::MessageShare& share,
 
 TEST(ProxyTest, CreatesItsTopics) {
   broker::Broker b;
-  Proxy proxy(ProxyConfig{0, 2}, b);
+  transport::InProcessBus bus(b);
+  Proxy proxy(ProxyConfig{0, 2}, bus);
   EXPECT_TRUE(b.HasTopic("proxy0.query.in"));
   EXPECT_TRUE(b.HasTopic("proxy0.query.out"));
   // Share topics exist per query lane only.
@@ -53,7 +54,8 @@ TEST(ProxyTest, DecodeOfEmptyPayloadShare) {
 
 TEST(ProxyTest, ForwardMovesEverythingInToOut) {
   broker::Broker b;
-  Proxy proxy(ProxyConfig{1, 4}, b);
+  transport::InProcessBus bus(b);
+  Proxy proxy(ProxyConfig{1, 4}, bus);
   proxy.EnsureLane(kQid);
   for (uint64_t mid = 0; mid < 100; ++mid) {
     ReceiveShare(proxy, crypto::MessageShare{mid, {static_cast<uint8_t>(mid)}},
@@ -61,7 +63,6 @@ TEST(ProxyTest, ForwardMovesEverythingInToOut) {
   }
   EXPECT_EQ(proxy.ForwardLanes(), 100u);
   EXPECT_EQ(proxy.forwarded(), 100u);
-  transport::InProcessBus bus(b);
   transport::BusConsumer consumer(bus, proxy.lane_out_topic(kQid));
   std::vector<broker::RecordView> batch;
   size_t count = 0;
@@ -79,9 +80,10 @@ TEST(ProxyTest, ForwardMovesEverythingInToOut) {
 
 TEST(ProxyTest, ForwardReleasesTheLaneInTopic) {
   broker::Broker b;
+  transport::InProcessBus bus(b);
   ProxyConfig config;
   config.num_partitions = 2;
-  Proxy proxy(config, b);
+  Proxy proxy(config, bus);
   proxy.EnsureLane(kQid);
   for (uint64_t mid = 0; mid < 10; ++mid) {
     ReceiveShare(proxy, crypto::MessageShare{mid, {1}}, 0);
@@ -105,11 +107,11 @@ TEST(ProxyTest, ForwardReleasesTheLaneInTopic) {
 
 TEST(ProxyTest, ForwardPreservesTimestamps) {
   broker::Broker b;
-  Proxy proxy(ProxyConfig{0, 1}, b);
+  transport::InProcessBus bus(b);
+  Proxy proxy(ProxyConfig{0, 1}, bus);
   proxy.EnsureLane(kQid);
   ReceiveShare(proxy, crypto::MessageShare{1, {9}}, 12345);
   proxy.ForwardLanes();
-  transport::InProcessBus bus(b);
   transport::BusConsumer consumer(bus, proxy.lane_out_topic(kQid));
   std::vector<broker::RecordView> records;
   ASSERT_EQ(consumer.PollInto(10, records), 1u);
@@ -118,7 +120,8 @@ TEST(ProxyTest, ForwardPreservesTimestamps) {
 
 TEST(ProxyTest, ForwardOnEmptyQueueIsZero) {
   broker::Broker b;
-  Proxy proxy(ProxyConfig{0, 2}, b);
+  transport::InProcessBus bus(b);
+  Proxy proxy(ProxyConfig{0, 2}, bus);
   EXPECT_EQ(proxy.ForwardLanes(), 0u);
   proxy.EnsureLane(kQid);
   EXPECT_EQ(proxy.ForwardLanes(), 0u);
@@ -126,7 +129,8 @@ TEST(ProxyTest, ForwardOnEmptyQueueIsZero) {
 
 TEST(ProxyTest, RepeatedForwardOnlyMovesNewRecords) {
   broker::Broker b;
-  Proxy proxy(ProxyConfig{0, 2}, b);
+  transport::InProcessBus bus(b);
+  Proxy proxy(ProxyConfig{0, 2}, bus);
   proxy.EnsureLane(kQid);
   ReceiveShare(proxy, crypto::MessageShare{1, {1}}, 0);
   EXPECT_EQ(proxy.ForwardLanes(), 1u);
@@ -138,8 +142,9 @@ TEST(ProxyTest, RepeatedForwardOnlyMovesNewRecords) {
 
 TEST(ProxyTest, TwoProxiesAreIndependent) {
   broker::Broker b;
-  Proxy p0(ProxyConfig{0, 2}, b);
-  Proxy p1(ProxyConfig{1, 2}, b);
+  transport::InProcessBus bus(b);
+  Proxy p0(ProxyConfig{0, 2}, bus);
+  Proxy p1(ProxyConfig{1, 2}, bus);
   p0.EnsureLane(kQid);
   p1.EnsureLane(kQid);
   ReceiveShare(p0, crypto::MessageShare{1, {1}}, 0);

@@ -117,12 +117,12 @@ TEST(QueryWireTest, GarbageThrows) {
 
 TEST(QueryDistributionTest, AnnouncementReachesClientThroughProxy) {
   broker::Broker b;
-  proxy::Proxy proxy(proxy::ProxyConfig{0, 2}, b);
+  transport::InProcessBus bus(b);
+  proxy::Proxy proxy(proxy::ProxyConfig{0, 2}, bus);
   const QueryAnnouncement ann{MakeQuery(), MakeParams()};
   proxy.AnnounceQuery(SerializeAnnouncement(ann), 0);
   EXPECT_EQ(proxy.ForwardQueries(), 1u);
 
-  transport::InProcessBus bus(b);
   transport::BusConsumer consumer(bus, proxy.query_out_topic());
   std::vector<broker::RecordView> records;
   ASSERT_EQ(consumer.PollInto(4, records), 1u);

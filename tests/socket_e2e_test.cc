@@ -603,15 +603,64 @@ TEST(SocketRestartTest, RefusedRegistrationKeepsTheJournalReplayable) {
     bus.Control("register_query", announce(SpeedQuery(), RandomizedParams()));
   }
   // The restart replays exactly the one accepted announcement.
-  AggregatorDaemon restarted(config);
+  {
+    AggregatorDaemon restarted(config);
+    restarted.Start();
+    transport::TcpBusClientConfig client_config;
+    client_config.port = restarted.port();
+    transport::TcpBusClient bus(client_config);
+    const std::vector<uint8_t> snapshot = bus.Control("snapshot_offsets");
+    const std::string text(snapshot.begin(), snapshot.end());
+    EXPECT_NE(text.find("source proxy0.q1.out"), std::string::npos) << text;
+    EXPECT_NE(text.find("journal records=1 "), std::string::npos) << text;
+  }
+
+  // Lane topics of 4 and 2 partitions cannot be joined shard by shard: the
+  // submission is refused before aggregatord journals it, the budget is
+  // released and no client subscribes, and a restart replays nothing.
+  TempDir mismatched_root;
+  std::vector<std::unique_ptr<ProxyDaemon>> mismatched;
+  AggregatorDaemonConfig mismatched_config;
+  for (size_t j = 0; j < kProxies; ++j) {
+    ProxyDaemonConfig proxy_config;
+    proxy_config.proxy_index = j;
+    proxy_config.num_partitions = j == 1 ? 2 : 4;
+    mismatched.push_back(std::make_unique<ProxyDaemon>(proxy_config));
+    mismatched.back()->Start();
+    mismatched_config.proxies.push_back(
+        Endpoint{"127.0.0.1", mismatched.back()->port()});
+  }
+  mismatched_config.population = kClients;
+  mismatched_config.data_dir =
+      (mismatched_root.path() / "aggregatord").string();
+  {
+    AggregatorDaemon aggregatord(mismatched_config);
+    aggregatord.Start();
+    FleetDriverConfig fleet_config;
+    fleet_config.num_clients = kClients;
+    fleet_config.seed = kSeed;
+    fleet_config.proxies = mismatched_config.proxies;
+    fleet_config.aggregator = Endpoint{"127.0.0.1", aggregatord.port()};
+    FleetDriver fleet(fleet_config);
+    EXPECT_THROW(fleet.SubmitQuery(SpeedQuery(), RandomizedParams()),
+                 std::runtime_error);
+    // Refused again by aggregatord, not by the budget manager: the first
+    // refusal released the query's budget.
+    EXPECT_THROW(fleet.SubmitQuery(SpeedQuery(), RandomizedParams()),
+                 std::runtime_error);
+    for (size_t i = 0; i < kClients; ++i) {
+      EXPECT_FALSE(fleet.client(i).subscribed()) << "client " << i;
+    }
+  }
+  AggregatorDaemon restarted(mismatched_config);
   restarted.Start();
   transport::TcpBusClientConfig client_config;
   client_config.port = restarted.port();
   transport::TcpBusClient bus(client_config);
   const std::vector<uint8_t> snapshot = bus.Control("snapshot_offsets");
   const std::string text(snapshot.begin(), snapshot.end());
-  EXPECT_NE(text.find("source proxy0.q1.out"), std::string::npos) << text;
-  EXPECT_NE(text.find("journal records=1 "), std::string::npos) << text;
+  EXPECT_EQ(text.find("source "), std::string::npos) << text;
+  EXPECT_NE(text.find("journal records=0 "), std::string::npos) << text;
 }
 
 // Runs kEpochs epochs of SpeedQuery on memory-only proxy daemons behind an

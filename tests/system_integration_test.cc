@@ -310,6 +310,65 @@ TEST(SystemTest, HistoricalAnalyticsOverCollectedAnswers) {
   EXPECT_NEAR(batch.buckets[5].estimate.value, 30.0, 1e-9);
 }
 
+// examples/historical_batch's run: 1,500 taxi clients streaming 8 epochs
+// with the answer tap on, then batch queries over everything at aggregator
+// budgets 0.3 and 0.1 — each stored answer is kept by one Bernoulli draw,
+// taken in tap order. Returns every double of both results.
+std::vector<double> HistoricalBatchDoubles(size_t workers) {
+  constexpr size_t kClients = 1500;
+  constexpr int64_t kSlideMs = 10 * 1000;
+  SystemConfig config;
+  config.num_clients = kClients;
+  config.seed = 33;
+  config.historical.enabled = true;
+  config.pipeline.num_worker_threads = workers;
+  PrivApproxSystem sys(config);
+  workload::TaxiGenerator generator(44);
+  core::ExecutionParams params;
+  params.sampling_fraction = 0.8;
+  params.randomization = {0.9, 0.3};
+  sys.SubmitQuery(
+      workload::TaxiGenerator::MakeDistanceQuery(5, kSlideMs, kSlideMs),
+      params);
+  for (int epoch = 1; epoch <= 8; ++epoch) {
+    const int64_t now = epoch * kSlideMs;
+    for (size_t i = 0; i < kClients; ++i) {
+      generator.PopulateClient(sys.client(i).database(), 1, now - kSlideMs,
+                               now);
+    }
+    sys.RunEpoch(now);
+    sys.AdvanceWatermark(now);
+  }
+  sys.Flush();
+  std::vector<double> doubles;
+  for (const double budget : {0.3, 0.1}) {
+    const core::QueryResult result =
+        sys.RunHistorical(0, 90000, aggregator::BatchQueryBudget{budget});
+    doubles.push_back(static_cast<double>(result.participants));
+    for (const auto& bucket : result.buckets) {
+      doubles.push_back(bucket.estimate.value);
+      doubles.push_back(bucket.estimate.error);
+      doubles.push_back(bucket.randomized_count);
+    }
+  }
+  return doubles;
+}
+
+TEST(SystemTest, HistoricalSamplingIsWorkerCountInvariant) {
+  // The tap's order is the join shards' order, and the shards are the lane
+  // partitions, so the second-round sample is the same at every worker
+  // count.
+  const std::vector<double> one = HistoricalBatchDoubles(1);
+  for (const size_t workers : {2u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const std::vector<double> many = HistoricalBatchDoubles(workers);
+    ASSERT_EQ(many.size(), one.size());
+    for (size_t i = 0; i < one.size(); ++i) {
+      EXPECT_EQ(many[i], one[i]) << "double " << i;
+    }
+  }
+}
+
 TEST(SystemTest, HistoricalDisabledThrows) {
   SystemConfig config;
   config.num_clients = 2;
