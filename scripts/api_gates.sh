@@ -19,7 +19,7 @@ repo="$(dirname "$here")"
 GATES=(pre_span_first qid_less chacha_block flat_config compat_layer
        ofstream bus_triplets single_query hand_wired_metrics
        streaming_runtime per_client_copies per_record_framing window_fanout
-       shard_knob dead_knobs)
+       shard_knob dead_knobs record_index)
 
 # Each gate_<name> runs its grep from the tree root; plant_<name> is
 # "<file>|<line>", a violation the self-test appends to that file.
@@ -198,6 +198,15 @@ gate_dead_knobs() {
     src tests bench examples
 }
 plant_dead_knobs="tests/planted.cc|aggregator.AdvanceWatermarkToStream();"
+
+# The broker indexes runs, not records: one entry per run of fixed-width,
+# payload-prefix-keyed records of one timestamp in one slab
+# (broker/topic.h). The per-record index entry and the helper that grew it
+# must not come back.
+gate_record_index() {
+  grep -rnE "IndexEntry|EnsureIndexCapacity" src tests bench examples
+}
+plant_record_index="src/broker/planted.cc|std::vector<IndexEntry> index;"
 
 # Runs one gate in directory $2; returns 0 on pass. Prints why it failed.
 run_gate() {

@@ -161,14 +161,13 @@ void Aggregator::UpdateParams(uint64_t query_id,
 }
 
 uint64_t Aggregator::Drain() {
-  uint64_t consumed = 0;
   for (auto& [qid, lane] : lanes_) {
-    consumed += DrainLane(*lane);
+    DrainLane(*lane);
   }
-  return consumed;
+  return std::exchange(unreported_consumed_, 0);
 }
 
-uint64_t Aggregator::DrainLane(Lane& lane) {
+void Aggregator::DrainLane(Lane& lane) {
   const size_t num_partitions = lane.shards.size();
   if (drain_scratch_.size() < num_partitions) {
     drain_scratch_.resize(num_partitions);
@@ -184,10 +183,9 @@ uint64_t Aggregator::DrainLane(Lane& lane) {
       DrainShard(lane, p);
     }
   }
-  uint64_t consumed = 0;
   std::exception_ptr error;
   for (auto& shard : lane.shards) {
-    consumed += std::exchange(shard->consumed, 0);
+    unreported_consumed_ += std::exchange(shard->consumed, 0);
     if (error == nullptr) {
       error = shard->poll_error;
     }
@@ -197,7 +195,6 @@ uint64_t Aggregator::DrainLane(Lane& lane) {
   if (error != nullptr) {
     std::rethrow_exception(error);
   }
-  return consumed;
 }
 
 void Aggregator::DrainShard(Lane& lane, size_t p) {

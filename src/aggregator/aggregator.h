@@ -147,7 +147,8 @@ class Aggregator {
   // died mid-drain) the shard still polls its other sources and joins
   // everything it committed, and the first failure is rethrown once the
   // lane's shards are merged. A caller that retries Drain after the peer
-  // returns never loses a committed record.
+  // returns never loses a committed record, and the retry's count includes
+  // what the failed calls consumed.
   uint64_t Drain();
 
   // Releases every lane source below its committed offsets
@@ -257,7 +258,9 @@ class Aggregator {
   };
 
   Lane& GetLane(uint64_t query_id, const char* caller);
-  uint64_t DrainLane(Lane& lane);
+  // Adds what the lane's shards consumed to unreported_consumed_, then
+  // rethrows the first failed poll.
+  void DrainLane(Lane& lane);
   // Shard p's drain: polls partition p of every source until a poll
   // returns nothing, decoding as it goes into drain_scratch_[p], then feeds
   // its joiner in aligned blocks of 256 shares — block b of every source,
@@ -298,6 +301,9 @@ class Aggregator {
   };
   std::vector<ShardScratch> drain_scratch_;  // indexed by partition
   std::vector<uint64_t> release_offsets_;  // ReleaseConsumed's scratch
+  // Records consumed since the last Drain that returned: a Drain that
+  // throws leaves its count here for the next one to report.
+  uint64_t unreported_consumed_ = 0;
   mutable engine::JoinStats merged_join_stats_;
 };
 

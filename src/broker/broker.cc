@@ -170,6 +170,9 @@ void AddBrokerCollector(metrics::Registry& registry, const Broker& broker) {
           slabs.allocated_bytes);
       set("privapprox_topic_slab_used_bytes", "Slab bytes holding payload data",
           labels, slabs.used_bytes);
+      set("privapprox_topic_index_bytes",
+          "Bytes the topic's run indexes hold (capacity)", labels,
+          slabs.index_bytes);
       set("privapprox_topic_retained_records",
           "Records the topic still holds in memory (not yet released)", labels,
           slabs.retained_records);

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/byte_order.h"
+
 namespace privapprox::broker {
 namespace {
 
@@ -34,10 +36,11 @@ Topic::Topic(std::string name, size_t num_partitions,
     Partition& partition = partitions_[p];
     partition.log = std::make_unique<storage::PartitionLog>(
         durability.directory / ("p" + std::to_string(p)), durability.log);
-    partition.base = partition.log->base_offset();
-    // Recovery replay: rebuild the in-memory slabs/index from disk. No lock
-    // needed — the topic is not yet published. Replay goes through the
-    // memory-only append so records are not re-spilled.
+    partition.base = partition.end = partition.log->base_offset();
+    // Recovery replay: rebuild the in-memory slabs and runs from disk. No
+    // lock needed — the topic is not yet published. Replay goes through the
+    // memory-only append so records are not re-spilled, and rebuilds the
+    // runs the records were appended in.
     partition.log->Replay([&partition](uint64_t /*offset*/, uint64_t key,
                                        int64_t timestamp_ms,
                                        std::span<const uint8_t> payload) {
@@ -54,9 +57,8 @@ size_t Topic::PartitionOf(uint64_t key) const {
 }
 
 void Topic::OpenSlab(Partition& partition, size_t min_cap) {
-  const uint64_t end = partition.base + partition.index.size();
   if (!partition.slabs.empty()) {
-    partition.slabs.back().end = end;
+    partition.slabs.back().end = partition.end;
   }
   std::vector<Slab>& spares = partition.spares;
   for (size_t i = spares.size(); i-- > 0;) {
@@ -83,41 +85,102 @@ uint8_t* Topic::SlabAlloc(Partition& partition, size_t len) {
   return out;
 }
 
-void Topic::EnsureIndexCapacity(Partition& partition, size_t additional) {
-  const size_t needed = partition.index.size() + additional;
-  if (partition.index.capacity() < needed) {
-    // Grow geometrically even through explicit reserves — reserving exactly
-    // `needed` every batch would reallocate the index once per batch.
-    partition.index.reserve(
-        std::max(needed, partition.index.capacity() * 2));
-  }
-}
-
 void Topic::AppendToMemory(Partition& partition, uint64_t key,
                            std::span<const uint8_t> payload,
                            int64_t timestamp_ms) {
-  uint8_t* dst = SlabAlloc(partition, payload.size());
-  if (!payload.empty()) {
-    std::memcpy(dst, payload.data(), payload.size());
+  const size_t len = payload.size();
+  const bool key_is_prefix =
+      len >= 8 && LoadLe<uint64_t>(payload.data()) == key;
+  if (key_is_prefix && !partition.runs.empty()) {
+    // The back run takes the record when it is a prefix-keyed run of this
+    // width and timestamp that ends exactly where the back slab's free
+    // space starts, and that space holds the record.
+    Run& run = partition.runs.back();
+    Slab& slab = partition.slabs.back();
+    const size_t run_bytes = size_t{run.count} * run.width;
+    if (!run.key_in_slab && run.width == len &&
+        run.timestamp_ms == timestamp_ms && run.count < kMaxRunRecords &&
+        slab.cap - slab.used >= len && slab.used >= run_bytes &&
+        run.payload == slab.data.get() + (slab.used - run_bytes)) {
+      std::memcpy(slab.data.get() + slab.used, payload.data(), len);
+      slab.used += len;
+      ++run.count;
+      ++partition.end;
+      return;
+    }
   }
-  partition.index.push_back(IndexEntry{
-      dst, static_cast<uint32_t>(payload.size()), timestamp_ms, key});
+  const size_t key_bytes = key_is_prefix ? 0 : 8;
+  uint8_t* dst = SlabAlloc(partition, key_bytes + len);
+  if (!key_is_prefix) {
+    StoreLe<uint64_t>(dst, key);
+    dst += key_bytes;
+  }
+  if (len > 0) {
+    std::memcpy(dst, payload.data(), len);
+  }
+  partition.runs.push_back(Run{partition.end, dst, timestamp_ms,
+                               static_cast<uint32_t>(len), 1, !key_is_prefix});
+  ++partition.end;
 }
 
-void Topic::SpillLocked(Partition& partition, size_t first) {
-  if (partition.log == nullptr) {
+RecordView Topic::RecordOf(const Run& run, uint64_t i) {
+  const uint8_t* payload = run.payload + i * run.width;
+  // A key_in_slab run holds one record, so i == 0 and its key is in front.
+  return RecordView{run.base + i, run.timestamp_ms,
+                    LoadLe<uint64_t>(run.key_in_slab ? payload - 8 : payload),
+                    payload, run.width};
+}
+
+template <typename Fn>
+void Topic::ForEachRecord(const Partition& partition, uint64_t offset,
+                          const Fn& fn) {
+  const std::vector<Run>& runs = partition.runs;
+  offset = std::max(offset, partition.base);
+  // The run holding `offset` is the last one starting at or before it.
+  auto run = std::upper_bound(
+      runs.begin(), runs.end(), offset,
+      [](uint64_t o, const Run& r) { return o < r.base; });
+  if (run == runs.begin()) {
+    return;  // no retained records
+  }
+  for (--run; run != runs.end(); ++run) {
+    for (uint64_t i = offset - run->base; i < run->count; ++i) {
+      if (!fn(RecordOf(*run, i))) {
+        return;
+      }
+    }
+    offset = run->base + run->count;
+  }
+}
+
+void Topic::SpillLocked(Partition& partition, uint64_t first) {
+  if (partition.log == nullptr || first == partition.end) {
     return;
   }
-  // Disk stays in lockstep with memory: the log's end offset equals
-  // base + index.size() by construction (replay filled exactly
-  // [base, end), and every run lands in both under this lock). The run
-  // index[first, end) becomes one batch: one CRC, one write, one fsync.
+  // Disk stays in lockstep with memory: the log's end offset equals `end`
+  // by construction (replay filled exactly [base, end), and every append
+  // lands in both under this lock). The records [first, end) become one
+  // batch: one CRC, one write, one fsync. The encoder reads them in order,
+  // pass after pass, so a cursor walks the runs and rewinds to the run
+  // holding `first` when a pass starts over.
+  const std::vector<Run>& runs = partition.runs;
+  size_t start = runs.size() - 1;
+  while (runs[start].base > first) {
+    --start;
+  }
+  size_t at = start;
   partition.log->AppendBatch(
-      partition.index.size() - first, [&partition, first](size_t i) {
-        const IndexEntry& entry = partition.index[first + i];
-        return storage::BatchRecord{
-            entry.key, entry.timestamp_ms,
-            std::span<const uint8_t>(entry.payload, entry.payload_len)};
+      partition.end - first, [&runs, first, start, &at](size_t i) {
+        const uint64_t offset = first + i;
+        if (offset < runs[at].base) {
+          at = start;
+        }
+        while (offset >= runs[at].base + runs[at].count) {
+          ++at;
+        }
+        const RecordView view = RecordOf(runs[at], offset - runs[at].base);
+        return storage::BatchRecord{view.key, view.timestamp_ms,
+                                    view.bytes()};
       });
 }
 
@@ -127,9 +190,9 @@ uint64_t Topic::Append(uint64_t key, std::span<const uint8_t> payload,
   uint64_t offset;
   {
     std::lock_guard<std::mutex> lock(partition.mu);
-    offset = partition.base + partition.index.size();
+    offset = partition.end;
     AppendToMemory(partition, key, payload, timestamp_ms);
-    SpillLocked(partition, partition.index.size() - 1);
+    SpillLocked(partition, offset);
   }
   records_in_.fetch_add(1, std::memory_order_relaxed);
   bytes_in_.fetch_add(payload.size(), std::memory_order_relaxed);
@@ -147,8 +210,7 @@ void Topic::AppendBatch(std::vector<ProduceRecord> records) {
   if (partitions_.size() == 1) {
     Partition& partition = partitions_[0];
     std::lock_guard<std::mutex> lock(partition.mu);
-    EnsureIndexCapacity(partition, records.size());
-    const size_t first = partition.index.size();
+    const uint64_t first = partition.end;
     for (const auto& record : records) {
       AppendToMemory(partition, record.key, record.payload,
                      record.timestamp_ms);
@@ -165,8 +227,7 @@ void Topic::AppendBatch(std::vector<ProduceRecord> records) {
       }
       Partition& partition = partitions_[p];
       std::lock_guard<std::mutex> lock(partition.mu);
-      EnsureIndexCapacity(partition, by_partition[p].size());
-      const size_t first = partition.index.size();
+      const uint64_t first = partition.end;
       for (size_t i : by_partition[p]) {
         AppendToMemory(partition, records[i].key, records[i].payload,
                        records[i].timestamp_ms);
@@ -189,8 +250,7 @@ void Topic::AppendViews(std::span<const ProduceView> records) {
   if (partitions_.size() == 1) {
     Partition& partition = partitions_[0];
     std::lock_guard<std::mutex> lock(partition.mu);
-    EnsureIndexCapacity(partition, records.size());
-    const size_t first = partition.index.size();
+    const uint64_t first = partition.end;
     for (const auto& record : records) {
       AppendToMemory(partition, record.key, record.payload,
                      record.timestamp_ms);
@@ -215,8 +275,7 @@ void Topic::AppendViews(std::span<const ProduceView> records) {
       }
       Partition& partition = partitions_[p];
       std::lock_guard<std::mutex> lock(partition.mu);
-      EnsureIndexCapacity(partition, counts[p]);
-      const size_t first = partition.index.size();
+      const uint64_t first = partition.end;
       for (size_t i = 0; i < records.size(); ++i) {
         if (routes[i] == p) {
           AppendToMemory(partition, records[i].key, records[i].payload,
@@ -230,14 +289,12 @@ void Topic::AppendViews(std::span<const ProduceView> records) {
   bytes_in_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
-void Topic::Reserve(size_t partition_index, size_t records,
-                    size_t payload_bytes) {
+void Topic::Reserve(size_t partition_index, size_t payload_bytes) {
   if (partition_index >= partitions_.size()) {
     throw std::out_of_range("Topic::Reserve: bad partition");
   }
   Partition& partition = partitions_[partition_index];
   std::lock_guard<std::mutex> lock(partition.mu);
-  EnsureIndexCapacity(partition, records);
   if (payload_bytes > 0 &&
       (partition.slabs.empty() ||
        partition.slabs.back().cap - partition.slabs.back().used <
@@ -257,17 +314,17 @@ std::vector<Record> Topic::Read(size_t partition_index, uint64_t offset,
   size_t bytes = 0;
   {
     std::lock_guard<std::mutex> lock(partition.mu);
-    const uint64_t end = partition.base + partition.index.size();
-    for (uint64_t i = std::max(offset, partition.base);
-         i < end && count < max_records; ++i, ++count) {
-      const IndexEntry& entry =
-          partition.index[static_cast<size_t>(i - partition.base)];
+    ForEachRecord(partition, offset, [&](const RecordView& view) {
+      if (count == max_records) {
+        return false;
+      }
       out.push_back(Record{
-          i, entry.timestamp_ms, entry.key,
-          std::vector<uint8_t>(entry.payload,
-                               entry.payload + entry.payload_len)});
-      bytes += entry.payload_len;
-    }
+          view.offset, view.timestamp_ms, view.key,
+          std::vector<uint8_t>(view.payload, view.payload + view.payload_len)});
+      ++count;
+      bytes += view.payload_len;
+      return true;
+    });
   }
   records_out_.fetch_add(count, std::memory_order_relaxed);
   bytes_out_.fetch_add(bytes, std::memory_order_relaxed);
@@ -285,18 +342,16 @@ void Topic::ReadViews(size_t partition_index, uint64_t offset,
   size_t bytes = 0;
   {
     std::lock_guard<std::mutex> lock(partition.mu);
-    const uint64_t end = partition.base + partition.index.size();
-    for (uint64_t i = std::max(offset, partition.base);
-         i < end && count < max_records; ++i, ++count) {
-      const IndexEntry& entry =
-          partition.index[static_cast<size_t>(i - partition.base)];
-      if (count > 0 && bytes + entry.payload_len > max_bytes) {
-        break;
+    ForEachRecord(partition, offset, [&](const RecordView& view) {
+      if (count == max_records ||
+          (count > 0 && bytes + view.payload_len > max_bytes)) {
+        return false;
       }
-      out.push_back(RecordView{i, entry.timestamp_ms, entry.key,
-                               entry.payload, entry.payload_len});
-      bytes += entry.payload_len;
-    }
+      out.push_back(view);
+      ++count;
+      bytes += view.payload_len;
+      return true;
+    });
   }
   records_out_.fetch_add(count, std::memory_order_relaxed);
   bytes_out_.fetch_add(bytes, std::memory_order_relaxed);
@@ -308,7 +363,7 @@ uint64_t Topic::EndOffset(size_t partition_index) const {
   }
   const Partition& partition = partitions_[partition_index];
   std::lock_guard<std::mutex> lock(partition.mu);
-  return partition.base + partition.index.size();
+  return partition.end;
 }
 
 void Topic::Release(size_t partition_index, uint64_t offset) {
@@ -317,20 +372,29 @@ void Topic::Release(size_t partition_index, uint64_t offset) {
   }
   Partition& partition = partitions_[partition_index];
   std::lock_guard<std::mutex> lock(partition.mu);
-  const uint64_t end = partition.base + partition.index.size();
-  offset = std::min(offset, end);
+  offset = std::min(offset, partition.end);
   if (offset <= partition.base) {
     return;
   }
-  const auto released_records =
-      static_cast<ptrdiff_t>(offset - partition.base);
-  partition.index.erase(partition.index.begin(),
-                        partition.index.begin() + released_records);
   partition.base = offset;
+  // Runs go whole while they end at or below the offset; the one it cuts
+  // keeps its tail.
+  std::vector<Run>& runs = partition.runs;
+  const auto kept = std::partition_point(
+      runs.begin(), runs.end(),
+      [offset](const Run& run) { return run.base + run.count <= offset; });
+  runs.erase(runs.begin(), kept);
+  if (!runs.empty() && runs.front().base < offset) {
+    Run& run = runs.front();
+    const uint64_t cut = offset - run.base;
+    run.base = offset;
+    run.payload += cut * run.width;
+    run.count -= static_cast<uint32_t>(cut);
+  }
   // Slabs fill in offset order, so the fully released ones are a prefix.
   // The most recently released become the spares.
   if (!partition.slabs.empty()) {
-    partition.slabs.back().end = end;
+    partition.slabs.back().end = partition.end;
   }
   size_t released = 0;
   while (released < partition.slabs.size() &&
@@ -359,8 +423,7 @@ size_t Topic::AdvanceWatermark(size_t partition_index, uint64_t offset) {
   }
   // Never trim past what exists — a watermark from a confused consumer must
   // not delete the active segment's future.
-  const uint64_t end = partition.base + partition.index.size();
-  return partition.log->TrimBelow(std::min(offset, end));
+  return partition.log->TrimBelow(std::min(offset, partition.end));
 }
 
 void Topic::SyncDurable() {
@@ -410,7 +473,9 @@ SlabStats Topic::slab_stats() const {
     for (const Slab& slab : partition.spares) {
       stats.allocated_bytes += slab.cap;
     }
-    stats.retained_records += partition.index.size();
+    stats.retained_records += partition.end - partition.base;
+    stats.index_runs += partition.runs.size();
+    stats.index_bytes += partition.runs.capacity() * sizeof(Run);
   }
   return stats;
 }

@@ -8,14 +8,24 @@
 //
 // Storage layout (zero-copy share path): each partition stores payload
 // bytes in append-only slabs — large heap chunks that are never moved —
-// plus a record index of {payload pointer, length, key, timestamp} entries.
+// plus a sparse index of runs. A run is records appended back to back into
+// one slab with one length and one timestamp, each keyed by its payload's
+// first 8 bytes (little-endian): the lane share layout, and the rule a
+// record batch uses to drop its key column. One 32-byte entry {base offset,
+// payload pointer, timestamp, width, count} indexes the whole run, and
+// record base + i is found by arithmetic. A record that fits no run starts
+// the next one; one keyed any other way is a one-record run whose key sits
+// in the slab, in the 8 bytes in front of its payload. So lane traffic
+// costs one entry per append call and slab, and any traffic at most one
+// entry per record.
+//
 // Producing copies the payload once into the slab; consuming via the view
 // API (ReadViews / transport::BusConsumer) returns pointers into the slabs,
 // so consumers decode records in place with no per-record vector. Slab
-// bytes are immutable once their index entry is published under the
-// partition lock, so a RecordView stays valid while producers keep
-// appending — until the partition's consumer releases its offset (Release,
-// reached through transport::MessageBus::Release), which recycles the
+// bytes are immutable once their run is published under the partition
+// lock, so a RecordView stays valid while producers keep appending — until
+// the partition's consumer releases its offset (Release, reached through
+// transport::MessageBus::Release), which drops the runs and recycles the
 // slabs below it. Only that consumer may release, and only what it has
 // finished.
 
@@ -81,15 +91,17 @@ struct TopicMetrics {
   uint64_t bytes_out = 0;
 };
 
-// Slab-storage occupancy across all partitions of a topic: how much payload
+// Storage occupancy across all partitions of a topic: how much payload
 // memory the topic holds (spare slabs kept for reuse included), how full the
-// live slabs are, and how many records are still in memory. Feeds the
-// metrics registry's broker collector.
+// live slabs are, how many records are still in memory, and what their run
+// index holds. Feeds the metrics registry's broker collector.
 struct SlabStats {
   uint64_t slabs = 0;
   uint64_t allocated_bytes = 0;
   uint64_t used_bytes = 0;
-  uint64_t retained_records = 0;  // index entries not yet released
+  uint64_t retained_records = 0;  // records not yet released
+  uint64_t index_runs = 0;        // run entries indexing them
+  uint64_t index_bytes = 0;       // run-index capacity, in bytes
 };
 
 // Opt-in durable spill: every append additionally lands in a
@@ -129,6 +141,8 @@ class Topic {
   static constexpr size_t kSlabChunkBytes = 256 * 1024;
   // Released slabs each partition keeps for reuse; Release frees the rest.
   static constexpr size_t kSpareSlabs = 2;
+  // One run-index entry, however many records its run holds.
+  static constexpr size_t kRunEntryBytes = 32;
 
   Topic(std::string name, size_t num_partitions);
   // Durable topic: appends spill through per-partition logs under
@@ -155,20 +169,19 @@ class Topic {
   }
 
   // Appends a whole batch, grouping records by partition so each partition
-  // lock is taken once per batch instead of once per record, with the
-  // per-partition index growth reserved up front. Relative order of records
-  // mapping to the same partition is preserved, so the resulting log is
-  // byte-identical to appending the batch one record at a time.
+  // lock is taken once per batch instead of once per record. Relative order
+  // of records mapping to the same partition is preserved, so the resulting
+  // log is byte-identical to appending the batch one record at a time.
   void AppendBatch(std::vector<ProduceRecord> records);
   // Zero-copy batch append: same ordering guarantees, payload bytes copied
   // once from the caller's spans into partition slabs.
   void AppendViews(std::span<const ProduceView> records);
 
-  // Pre-commits capacity in `partition`: index slots for `records` more
-  // entries and one contiguous slab run of `payload_bytes`. Appends within
-  // that budget then perform no heap allocation (allocation regression test
-  // and latency-sensitive producers).
-  void Reserve(size_t partition, size_t records, size_t payload_bytes);
+  // Pre-commits one contiguous slab run of `payload_bytes` in `partition`.
+  // Appends of lane records within that budget then extend one index run
+  // and perform no heap allocation (allocation regression test and
+  // latency-sensitive producers).
+  void Reserve(size_t partition, size_t payload_bytes);
 
   // Reads up to `max_records` records from `partition` starting at `offset`,
   // copying payloads (legacy path; tests and offline consumers).
@@ -192,13 +205,13 @@ class Topic {
   SlabStats slab_stats() const;
 
   // In-memory retention, the counterpart of AdvanceWatermark: drops the
-  // index entries of `partition` below `offset` (clamped to the end) and
-  // recycles every slab whose records all lie below it, keeping up to
-  // kSpareSlabs for later appends. Every view into the released records
-  // dangles from here on, so the caller must own every consumer of the
-  // partition and pass their low watermark. Offsets, EndOffset, metrics()
-  // and the durable log are unchanged; a read below the released offset
-  // starts at it.
+  // runs of `partition` below `offset` (clamped to the end), trims the one
+  // it cuts, and recycles every slab whose records all lie below it,
+  // keeping up to kSpareSlabs for later appends. Every view into the
+  // released records dangles from here on, so the caller must own every
+  // consumer of the partition and pass their low watermark. Offsets,
+  // EndOffset, metrics() and the durable log are unchanged; a read below
+  // the released offset starts at it.
   void Release(size_t partition, uint64_t offset);
 
   // --- Durable-spill surface (no-ops on a non-durable topic) -------------
@@ -223,37 +236,51 @@ class Topic {
     // next slab opens; Release sets the back slab's before reading it.
     uint64_t end = 0;
   };
-  struct IndexEntry {
+  // Records [base, base + count): payload i is the `width` bytes at
+  // payload + i * width in one slab, and its key is its first 8 bytes
+  // (little-endian) — or, for a one-record run with `key_in_slab`, the 8
+  // bytes in front of it.
+  struct Run {
+    uint64_t base = 0;
     const uint8_t* payload = nullptr;
-    uint32_t payload_len = 0;
     int64_t timestamp_ms = 0;
-    uint64_t key = 0;
+    uint32_t width = 0;
+    uint32_t count : 31 = 0;
+    uint32_t key_in_slab : 1 = 0;
   };
+  static_assert(sizeof(Run) == kRunEntryBytes);
+  static constexpr uint32_t kMaxRunRecords = (1u << 31) - 1;
   struct Partition {
     mutable std::mutex mu;
     std::vector<Slab> slabs;  // in record order; back() takes appends
     std::vector<Slab> spares;  // released slabs kept for reuse
-    std::vector<IndexEntry> index;
-    // Durable spill; null on a memory-only topic. `base` is the offset of
-    // index[0]: the log's base offset at recovery (non-zero when earlier
-    // segments were retention-trimmed before the restart), advanced by
-    // Release, so EndOffset == base + index.size() continues the numbering.
+    std::vector<Run> runs;     // the retained records [base, end)
+    // Durable spill; null on a memory-only topic. `base` starts at the
+    // log's base offset at recovery (non-zero when earlier segments were
+    // retention-trimmed before the restart) and Release advances it; `end`
+    // continues the numbering from there.
     std::unique_ptr<storage::PartitionLog> log;
     uint64_t base = 0;
+    uint64_t end = 0;
   };
 
   // All helpers require the partition lock to be held. AppendToMemory is
-  // the slab+index half (also the recovery replay path); SpillLocked writes
-  // the run index[first, end) to the partition log as one batch when a log
-  // is attached. OpenSlab appends a slab of at least `min_cap` bytes,
+  // the slab+index half (also the recovery replay path): it extends the
+  // back run or starts the next one. SpillLocked writes the records
+  // [first, end) to the partition log as one batch when a log is attached.
+  // ForEachRecord calls fn(view) for each record from `offset` on until fn
+  // returns false. OpenSlab appends a slab of at least `min_cap` bytes,
   // reusing a spare when one is large enough.
   static void OpenSlab(Partition& partition, size_t min_cap);
   static uint8_t* SlabAlloc(Partition& partition, size_t len);
-  static void EnsureIndexCapacity(Partition& partition, size_t additional);
   static void AppendToMemory(Partition& partition, uint64_t key,
                              std::span<const uint8_t> payload,
                              int64_t timestamp_ms);
-  static void SpillLocked(Partition& partition, size_t first);
+  static void SpillLocked(Partition& partition, uint64_t first);
+  static RecordView RecordOf(const Run& run, uint64_t i);
+  template <typename Fn>
+  static void ForEachRecord(const Partition& partition, uint64_t offset,
+                            const Fn& fn);
 
   std::string name_;
   bool durable_ = false;

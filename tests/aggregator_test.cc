@@ -19,9 +19,9 @@
 namespace privapprox::aggregator {
 namespace {
 
-core::Query MakeQuery() {
+core::Query MakeQuery(uint64_t query_id = 1) {
   return core::QueryBuilder()
-      .WithId(1)
+      .WithId(query_id)
       .WithSql("SELECT speed FROM vehicle")
       .WithAnswerFormat(core::AnswerFormat::UniformNumeric(0, 100, 10, true))
       .WithFrequencyMs(1000)
@@ -651,6 +651,27 @@ class FlakyBus final : public transport::MessageBus {
   int flaky_polls_ = 0;
 };
 
+// Ships `population` clients' answers to `query` through both proxies'
+// lanes and forwards them.
+void ShipAnswers(const core::Query& query, size_t population,
+                 proxy::Proxy& proxy0, proxy::Proxy& proxy1) {
+  for (size_t i = 0; i < population; ++i) {
+    client::Client c = MakeClient(i, static_cast<double>(i % 100));
+    c.Subscribe(query, NoNoiseParams());
+    const auto answer = c.AnswerQuery(5000);
+    for (size_t j = 0; j < 2; ++j) {
+      const crypto::MessageShare& share = answer->shares[j];
+      const std::vector<uint8_t> encoded = proxy::Proxy::EncodeShare(share);
+      const broker::ProduceView view{share.message_id, encoded, 5000};
+      (j == 0 ? proxy0 : proxy1)
+          .Receive(query.query_id,
+                   std::span<const broker::ProduceView>(&view, 1));
+    }
+  }
+  proxy0.ForwardLanes();
+  proxy1.ForwardLanes();
+}
+
 // 100 answers drained over a FlakyBus; with `fail`, the first Drain throws
 // and a second one finishes the job. Returns the fired results.
 std::vector<WindowedResult> RunOverFlakyBus(bool fail) {
@@ -669,22 +690,7 @@ std::vector<WindowedResult> RunOverFlakyBus(bool fail) {
   Aggregator agg(config, bus,
                  [&](const WindowedResult& r) { results.push_back(r); });
   agg.RegisterQuery(query, NoNoiseParams(), lane);
-  for (size_t i = 0; i < population; ++i) {
-    client::Client c = MakeClient(i, static_cast<double>(i % 100));
-    c.Subscribe(query, NoNoiseParams());
-    const auto answer = c.AnswerQuery(5000);
-    for (size_t j = 0; j < 2; ++j) {
-      const crypto::MessageShare& share = answer->shares[j];
-      const std::vector<uint8_t> encoded = proxy::Proxy::EncodeShare(share);
-      const broker::ProduceView view{share.message_id, encoded, 5000};
-      (j == 0 ? proxy0 : proxy1)
-          .Receive(query.query_id,
-                   std::span<const broker::ProduceView>(&view, 1));
-    }
-  }
-  proxy0.ForwardLanes();
-  proxy1.ForwardLanes();
-  uint64_t expect_consumed = 2 * population;
+  ShipAnswers(query, population, proxy0, proxy1);
   if (fail) {
     EXPECT_THROW(agg.Drain(), std::runtime_error);
     // Shard 0 committed source 1's first poll and shard 1 drained in full:
@@ -694,13 +700,40 @@ std::vector<WindowedResult> RunOverFlakyBus(bool fail) {
     EXPECT_EQ(agg.SourceOffsets()[1].second[0], 16u);
     EXPECT_EQ(agg.join_stats().joined, population - (in_p0 - 16));
     EXPECT_EQ(agg.pending_join_groups(), in_p0 - 16);
-    expect_consumed = in_p0 - 16;
   }
-  EXPECT_EQ(agg.Drain(), expect_consumed);
+  // The retry reports what the failed call consumed as well.
+  EXPECT_EQ(agg.Drain(), 2 * population);
   EXPECT_EQ(agg.join_stats().joined, population);
   EXPECT_EQ(agg.pending_join_groups(), 0u);
   agg.Flush();
   return results;
+}
+
+TEST(AggregatorTest, FailedDrainKeepsEveryLanesCountForTheRetry) {
+  // Lanes drain in QID order: query 1's lane drains in full, then query 2's
+  // second source throws. The retry reports both lanes' records.
+  const size_t population = 50;
+  broker::Broker broker;
+  transport::InProcessBus inner(broker);
+  proxy::Proxy proxy0(proxy::ProxyConfig{0, 2}, inner);
+  proxy::Proxy proxy1(proxy::ProxyConfig{1, 2}, inner);
+  const core::Query first = MakeQuery(1);
+  const core::Query second = MakeQuery(2);
+  const QueryLaneOptions first_lane = LaneOver(proxy0, proxy1, 1);
+  const QueryLaneOptions second_lane = LaneOver(proxy0, proxy1, 2);
+  FlakyBus bus(inner, second_lane.source_topics[1], /*fail=*/true);
+  AggregatorConfig config;
+  config.num_proxies = 2;
+  config.population = population;
+  Aggregator agg(config, bus, [](const WindowedResult&) {});
+  agg.RegisterQuery(first, NoNoiseParams(), first_lane);
+  agg.RegisterQuery(second, NoNoiseParams(), second_lane);
+  ShipAnswers(first, population, proxy0, proxy1);
+  ShipAnswers(second, population, proxy0, proxy1);
+  EXPECT_THROW(agg.Drain(), std::runtime_error);
+  EXPECT_EQ(agg.Drain(), 2 * 2 * population);
+  EXPECT_EQ(agg.Drain(), 0u);
+  EXPECT_EQ(agg.pending_join_groups(), 0u);
 }
 
 TEST(AggregatorTest, FailedPollLosesNoCommittedRecord) {

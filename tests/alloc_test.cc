@@ -91,12 +91,12 @@ TEST(AllocRegressionTest, SteadyStateSharePathIsAllocationFree) {
   broker::Broker broker;
   broker::Topic& topic = broker.CreateTopic("answers", 4);
   transport::InProcessBus bus(broker);
-  // Budget every partition for the whole run: Reserve pre-commits index
-  // slots and one contiguous slab run, making in-budget appends
-  // allocation-free.
+  // Budget every partition for the whole run: Reserve pre-commits one
+  // contiguous slab run, so every in-budget append extends the partition's
+  // one index run and allocates nothing.
   const size_t total_records = kAnswersPerEpoch * kNumShares * (kEpochs + 1);
   for (size_t p = 0; p < topic.num_partitions(); ++p) {
-    topic.Reserve(p, total_records, total_records * record_len);
+    topic.Reserve(p, total_records * record_len);
   }
   transport::BusConsumer consumer(bus, "answers");
 

@@ -5,9 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <random>
 #include <thread>
 
+#include <unistd.h>
+
 #include "broker/broker.h"
+#include "common/byte_order.h"
 #include "transport/inproc_bus.h"
 
 namespace privapprox::broker {
@@ -330,8 +335,8 @@ TEST(TopicTest, ReserveMakesAppendsAllocationFreeAndHarmless) {
   // exactly like unreserved appends, and over-reserving must not disturb
   // reads or offsets.
   Topic topic("t", 2);
-  topic.Reserve(0, 100, 4096);
-  topic.Reserve(1, 100, 4096);
+  topic.Reserve(0, 4096);
+  topic.Reserve(1, 4096);
   for (uint64_t key = 0; key < 50; ++key) {
     topic.Append(key, Payload({static_cast<uint8_t>(key)}), 0);
   }
@@ -342,7 +347,7 @@ TEST(TopicTest, ReserveMakesAppendsAllocationFreeAndHarmless) {
     total += views.size();
   }
   EXPECT_EQ(total, 50u);
-  EXPECT_THROW(topic.Reserve(9, 1, 1), std::out_of_range);
+  EXPECT_THROW(topic.Reserve(9, 1), std::out_of_range);
 }
 
 TEST(TopicTest, PartitionForKeyMatchesTopicPartitionOf) {
@@ -484,6 +489,341 @@ TEST(TopicTest, SlabBytesStayFlatOverAppendReleaseCycles) {
   EXPECT_EQ(topic.EndOffset(0), 90000u);
   EXPECT_LE(allocated_after_warmup,
             (1 + Topic::kSpareSlabs) * Topic::kSlabChunkBytes);
+}
+
+
+// --- Run index ------------------------------------------------------------
+
+// A record as a plain list entry: the model the run index must match.
+struct ModelRecord {
+  uint64_t key = 0;
+  int64_t timestamp_ms = 0;
+  std::vector<uint8_t> payload;
+};
+
+// Every record a topic was handed, per partition in offset order, and the
+// offset each partition has released below.
+class RecordModel {
+ public:
+  explicit RecordModel(size_t partitions)
+      : logs_(partitions), base_(partitions, 0) {}
+
+  void Append(const ModelRecord& record) {
+    logs_[PartitionForKey(record.key, logs_.size())].push_back(record);
+  }
+  void Release(size_t p, uint64_t offset) {
+    base_[p] = std::max(base_[p], std::min<uint64_t>(offset, logs_[p].size()));
+  }
+  // A reopened durable topic replays every record the log holds.
+  void Reopen() { std::fill(base_.begin(), base_.end(), 0); }
+
+  uint64_t base(size_t p) const { return base_[p]; }
+  uint64_t end(size_t p) const { return logs_[p].size(); }
+
+  // What ReadViews(p, offset, max_records, max_bytes) must return.
+  std::vector<RecordView> Expected(size_t p, uint64_t offset,
+                                   size_t max_records,
+                                   size_t max_bytes) const {
+    std::vector<RecordView> out;
+    size_t bytes = 0;
+    for (uint64_t i = std::max(offset, base_[p]);
+         i < logs_[p].size() && out.size() < max_records; ++i) {
+      const ModelRecord& record = logs_[p][i];
+      if (!out.empty() && bytes + record.payload.size() > max_bytes) {
+        break;
+      }
+      out.push_back(RecordView{i, record.timestamp_ms, record.key,
+                               record.payload.data(),
+                               static_cast<uint32_t>(record.payload.size())});
+      bytes += record.payload.size();
+    }
+    return out;
+  }
+
+  void CheckReadViews(const Topic& topic, size_t p, uint64_t offset,
+                      size_t max_records, size_t max_bytes) const {
+    std::vector<RecordView> got;
+    topic.ReadViews(p, offset, max_records, got, max_bytes);
+    ExpectRecords(got, Expected(p, offset, max_records, max_bytes));
+  }
+
+  void CheckRead(const Topic& topic, size_t p, uint64_t offset,
+                 size_t max_records) const {
+    const std::vector<Record> records = topic.Read(p, offset, max_records);
+    std::vector<RecordView> got;
+    for (const Record& r : records) {
+      got.push_back(RecordView{r.offset, r.timestamp_ms, r.key,
+                               r.payload.data(),
+                               static_cast<uint32_t>(r.payload.size())});
+    }
+    ExpectRecords(got, Expected(p, offset, max_records, SIZE_MAX));
+  }
+
+  // Every retained record, every EndOffset and the retained count.
+  void CheckAll(const Topic& topic) const {
+    uint64_t retained = 0;
+    for (size_t p = 0; p < logs_.size(); ++p) {
+      ASSERT_EQ(topic.EndOffset(p), end(p)) << "partition " << p;
+      CheckReadViews(topic, p, 0, SIZE_MAX, SIZE_MAX);
+      retained += end(p) - base_[p];
+    }
+    const SlabStats stats = topic.slab_stats();
+    ASSERT_EQ(stats.retained_records, retained);
+    ASSERT_LE(stats.index_runs, retained);
+    ASSERT_GE(stats.index_bytes, stats.index_runs * Topic::kRunEntryBytes);
+  }
+
+ private:
+  static void ExpectRecords(const std::vector<RecordView>& got,
+                            const std::vector<RecordView>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].offset, want[i].offset);
+      ASSERT_EQ(got[i].key, want[i].key) << "offset " << want[i].offset;
+      ASSERT_EQ(got[i].timestamp_ms, want[i].timestamp_ms);
+      ASSERT_TRUE(std::equal(got[i].bytes().begin(), got[i].bytes().end(),
+                             want[i].bytes().begin(), want[i].bytes().end()))
+          << "offset " << want[i].offset;
+    }
+  }
+
+  std::vector<std::vector<ModelRecord>> logs_;
+  std::vector<uint64_t> base_;
+};
+
+// A record of `len` random bytes. With `prefix_key` (and len >= 8) its key
+// is its first 8 bytes, as a lane share's MID is; otherwise its key is
+// random.
+ModelRecord RandomRecord(std::mt19937_64& rng, size_t len, bool prefix_key,
+                         int64_t timestamp_ms) {
+  ModelRecord record{rng(), timestamp_ms, std::vector<uint8_t>(len)};
+  for (uint8_t& byte : record.payload) {
+    byte = static_cast<uint8_t>(rng());
+  }
+  if (prefix_key && len >= 8) {
+    StoreLe<uint64_t>(record.payload.data(), record.key);
+  }
+  return record;
+}
+
+// One append call's records: mostly lane-like batches (one width and one
+// timestamp, prefix keys) with the occasional record that breaks the run
+// the way faults and deferrals do, or a mixed batch of every width and key
+// kind, or a record larger than a slab chunk.
+std::vector<ModelRecord> RandomBatch(std::mt19937_64& rng, int64_t now,
+                                     size_t max_lane_records) {
+  constexpr size_t kSmallWidths[] = {0, 1, 2, 5, 7, 8, 22};
+  std::vector<ModelRecord> batch;
+  const uint64_t kind = rng() % 10;
+  if (kind < 6) {
+    constexpr size_t kLaneWidths[] = {8, 22, 200};
+    const size_t width = kLaneWidths[rng() % 3];
+    const size_t n = 1 + rng() % max_lane_records;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t breaker = rng() % 50;
+      if (breaker == 0) {  // truncated by a fault
+        batch.push_back(RandomRecord(rng, rng() % width, true, now));
+      } else if (breaker == 1) {  // deferred from the previous epoch
+        batch.push_back(RandomRecord(rng, width, true, now - 1));
+      } else if (breaker == 2) {  // mis-keyed
+        batch.push_back(RandomRecord(rng, width, false, now));
+      } else {
+        batch.push_back(RandomRecord(rng, width, true, now));
+      }
+    }
+  } else if (kind < 9) {
+    const size_t n = 1 + rng() % 40;
+    for (size_t i = 0; i < n; ++i) {
+      batch.push_back(RandomRecord(rng, kSmallWidths[rng() % 7], rng() % 2,
+                                   now - static_cast<int64_t>(rng() % 2)));
+    }
+  } else {
+    batch.push_back(RandomRecord(rng, Topic::kSlabChunkBytes + 24, rng() % 2,
+                                 now));
+  }
+  return batch;
+}
+
+// Runs `steps` random appends, releases, reserves and reads against
+// `topic` and `model`, checking the whole topic after each step.
+void RunModelSequence(Topic& topic, RecordModel& model, std::mt19937_64& rng,
+                      int steps, size_t max_lane_records) {
+  const size_t partitions = topic.num_partitions();
+  for (int step = 0; step < steps; ++step) {
+    const int64_t now = 1000 * (1 + step / 4);  // a few calls per "epoch"
+    const uint64_t op = rng() % 100;
+    const size_t p = rng() % partitions;
+    // Offsets a little below the released base to a little past the end.
+    const uint64_t lo = model.base(p) > 3 ? model.base(p) - 3 : 0;
+    const uint64_t offset = lo + rng() % (model.end(p) - lo + 6);
+    if (op < 45) {
+      const std::vector<ModelRecord> batch =
+          RandomBatch(rng, now, max_lane_records);
+      if (op < 25) {
+        std::vector<ProduceView> views;
+        for (const ModelRecord& r : batch) {
+          views.push_back(ProduceView{r.key, r.payload, r.timestamp_ms});
+        }
+        topic.AppendViews(views);
+      } else if (op < 38) {
+        std::vector<ProduceRecord> records;
+        for (const ModelRecord& r : batch) {
+          records.push_back(ProduceRecord{r.key, r.payload, r.timestamp_ms});
+        }
+        topic.AppendBatch(std::move(records));
+      } else {
+        for (const ModelRecord& r : batch) {
+          topic.Append(r.key, r.payload, r.timestamp_ms);
+        }
+      }
+      for (const ModelRecord& r : batch) {
+        model.Append(r);
+      }
+    } else if (op < 62) {
+      topic.Release(p, offset);
+      model.Release(p, offset);
+    } else if (op < 65) {
+      // Opens a slab when the back one cannot take this much: the next
+      // append lands there, not behind the back run.
+      topic.Reserve(p, rng() % (2 * Topic::kSlabChunkBytes));
+    } else if (op < 85) {
+      const size_t max_records = rng() % 400;
+      const size_t max_bytes = rng() % 2 ? SIZE_MAX : rng() % 3000;
+      model.CheckReadViews(topic, p, offset, max_records, max_bytes);
+    } else {
+      model.CheckRead(topic, p, offset, rng() % 400);
+    }
+    ASSERT_NO_FATAL_FAILURE(model.CheckAll(topic)) << "step " << step;
+  }
+}
+
+TEST(TopicTest, RunIndexMatchesRecordModel) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    Topic topic("t", 3);
+    RecordModel model(3);
+    RunModelSequence(topic, model, rng, 300, 3000);
+  }
+  // Durable: a reopened topic replays its log through the append path and
+  // must serve every record the log holds; appends after the reopen
+  // continue the numbering.
+  struct ScratchDir {
+    std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("privapprox_run_index_" + std::to_string(::getpid()));
+    ~ScratchDir() { std::filesystem::remove_all(path); }
+  } dir;
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    SCOPED_TRACE("durable seed " + std::to_string(seed));
+    std::filesystem::remove_all(dir.path);
+    std::mt19937_64 rng(seed);
+    RecordModel model(2);
+    for (int life = 0; life < 3; ++life) {
+      Topic topic("t", 2, TopicDurability{dir.path, {}});
+      model.Reopen();
+      ASSERT_NO_FATAL_FAILURE(model.CheckAll(topic)) << "life " << life;
+      RunModelSequence(topic, model, rng, 60, 800);
+    }
+  }
+}
+
+TEST(TopicTest, LaneRunsCostOneEntryPerRun) {
+  // One AppendViews of 6,000 lane shares (fixed width, keyed by their MID
+  // prefix, one timestamp) indexes one run per partition per slab it
+  // touches, and a later call of the same epoch extends those runs.
+  for (const size_t width : {size_t{22}, size_t{200}}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    std::mt19937_64 rng(width);
+    Topic topic("lane", 4);
+    std::vector<ModelRecord> records;
+    for (int i = 0; i < 6000; ++i) {
+      records.push_back(RandomRecord(rng, width, true, 5000));
+    }
+    std::vector<ProduceView> views;
+    for (const ModelRecord& r : records) {
+      views.push_back(ProduceView{r.key, r.payload, r.timestamp_ms});
+    }
+    topic.AppendViews(views);
+    SlabStats stats = topic.slab_stats();
+    EXPECT_EQ(stats.retained_records, 6000u);
+    EXPECT_EQ(stats.index_runs, stats.slabs);
+    if (width == 22) {
+      EXPECT_EQ(stats.index_runs, topic.num_partitions());
+    } else {
+      EXPECT_GT(stats.slabs, topic.num_partitions());  // crossed chunks
+    }
+    EXPECT_LE(stats.index_bytes, 2 * stats.index_runs * Topic::kRunEntryBytes);
+    topic.AppendViews(views);  // same epoch: contiguous, same shape
+    stats = topic.slab_stats();
+    EXPECT_EQ(stats.index_runs, stats.slabs);
+    // A new epoch's timestamp starts new runs, one per partition.
+    for (ProduceView& view : views) {
+      view.timestamp_ms = 6000;
+    }
+    const uint64_t runs_before = stats.index_runs;
+    const uint64_t slabs_before = stats.slabs;
+    topic.AppendViews(views);
+    stats = topic.slab_stats();
+    EXPECT_EQ(stats.index_runs - runs_before,
+              topic.num_partitions() + (stats.slabs - slabs_before));
+    RecordModel model(4);
+    for (int copy = 0; copy < 3; ++copy) {
+      for (ModelRecord r : records) {
+        r.timestamp_ms = copy < 2 ? 5000 : 6000;
+        model.Append(r);
+      }
+    }
+    model.CheckAll(topic);
+  }
+}
+
+TEST(TopicTest, HostileRecordsCostNoMoreThanARecordIndex) {
+  // A producer can make every record break the run: vary the width or the
+  // timestamp, key records by something other than the payload prefix, or
+  // send payloads too short to hold a key. The index then holds one entry
+  // per record, no larger than a per-record index entry.
+  static_assert(Topic::kRunEntryBytes <= 32);
+  constexpr size_t kRecords = 1000;
+  for (int shape = 0; shape < 4; ++shape) {
+    SCOPED_TRACE("shape " + std::to_string(shape));
+    std::mt19937_64 rng(static_cast<uint64_t>(shape) + 7);
+    Topic topic("hostile", 1);
+    RecordModel model(1);
+    std::vector<ModelRecord> records;
+    for (size_t i = 0; i < kRecords; ++i) {
+      const auto ts = static_cast<int64_t>(i);
+      switch (shape) {
+        case 0:
+          records.push_back(RandomRecord(rng, 22 + i % 2, true, 0));
+          break;
+        case 1:
+          records.push_back(RandomRecord(rng, 22, true, ts));
+          break;
+        case 2:
+          records.push_back(RandomRecord(rng, 22, false, 0));
+          break;
+        default:
+          records.push_back(RandomRecord(rng, i % 8, true, 0));
+          break;
+      }
+      model.Append(records.back());
+    }
+    std::vector<ProduceView> views;
+    for (const ModelRecord& r : records) {
+      views.push_back(ProduceView{r.key, r.payload, r.timestamp_ms});
+    }
+    topic.AppendViews(views);
+    SlabStats stats = topic.slab_stats();
+    EXPECT_EQ(stats.index_runs, kRecords);
+    EXPECT_LE(stats.index_bytes, 2 * kRecords * Topic::kRunEntryBytes);
+    model.CheckAll(topic);
+    topic.Release(0, kRecords / 2);
+    model.Release(0, kRecords / 2);
+    stats = topic.slab_stats();
+    EXPECT_EQ(stats.index_runs, stats.retained_records);
+    model.CheckAll(topic);
+  }
 }
 
 }  // namespace

@@ -358,7 +358,7 @@ TEST(SocketDeploymentTest, ProxydMetricsExportLaneTopicGauges) {
   for (const std::string topic : {"proxy0.q7.in", "proxy0.q7.out"}) {
     for (const std::string family :
          {"privapprox_topic_slab_allocated_bytes",
-          "privapprox_topic_slab_used_bytes",
+          "privapprox_topic_slab_used_bytes", "privapprox_topic_index_bytes",
           "privapprox_topic_retained_records"}) {
       EXPECT_NE(text.find(family + "{topic=\"" + topic + "\"} "),
                 std::string::npos)
