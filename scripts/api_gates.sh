@@ -140,16 +140,18 @@ gate_streaming_runtime() {
 plant_streaming_runtime="bench/planted.cc|config.pipeline.mode = system::EpochPipelineMode::kStreaming;"
 
 # Compact client fleet: ClientFleet stores its clients contiguously, a
-# client's table keeps its rows in one vector, and a subscription is a QID,
-# the cohort's shared CompiledQuery and the client's RNG streams, kept in a
-# QID-sorted vector. A heap object per client, a deque-backed table or a
-# map node per subscription must not come back.
+# client's database keeps its tables in one vector, a table keeps its rows
+# at their natural width in one buffer of 16-byte Values, and a
+# subscription is a QID, the cohort's shared CompiledQuery and the client's
+# RNG streams, kept in a QID-sorted vector. A heap object per client, a
+# deque-backed table, a vector per row, a map node per table, the 40-byte
+# variant Value or a map node per subscription must not come back.
 gate_per_client_copies() {
   grep -rnE \
-    "unique_ptr<client::Client>|deque<TimestampedRow>|map<uint64_t, Subscription>" \
+    "unique_ptr<client::Client>|TimestampedRow|map<std::string, Table>|variant<int64_t, double, std::string>|map<uint64_t, Subscription>" \
     src tests bench examples
 }
-plant_per_client_copies="src/planted.cc|std::vector<std::unique_ptr<client::Client>> clients_;"
+plant_per_client_copies="src/localdb/planted.cc|std::map<std::string, Table> tables_;"
 
 # Records are framed in one place, the record-batch codec
 # (storage/record_batch.h): a Produce request, a Poll response and a log

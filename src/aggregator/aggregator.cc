@@ -53,6 +53,10 @@ Aggregator::Aggregator(AggregatorConfig config, transport::MessageBus& bus,
           "privapprox_agg_window_ns",
           "Window fire (de-bias + error estimation) latency in "
           "nanoseconds")),
+      evict_ns_(registry_.GetHistogram(
+          "privapprox_agg_evict_ns",
+          "Watermark join sweep latency in nanoseconds: one lane's "
+          "EvictStale over all its shards")),
       malformed_(registry_.GetCounter(
           "privapprox_malformed_dropped_total",
           "Records dropped as undecodable (truncated or mis-keyed share, "
@@ -406,8 +410,11 @@ void Aggregator::AdvanceLaneWatermark(Lane& lane, int64_t watermark_ms) {
   // Evictions run shard by shard in shard order; each MID lives in exactly
   // one shard, so the lane-side loss map and expired counter end up
   // identical for every shard count.
-  for (auto& shard : lane.shards) {
-    shard->joiner->EvictStale(watermark_ms);
+  {
+    const metrics::ScopedTimer timer(evict_ns_);
+    for (auto& shard : lane.shards) {
+      shard->joiner->EvictStale(watermark_ms);
+    }
   }
   FireWindows(lane, watermark_ms);
   if (config_.track_fault_losses) {

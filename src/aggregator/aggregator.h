@@ -287,6 +287,7 @@ class Aggregator {
   metrics::Histogram& decode_ns_;  // per shard poll+decode pass
   metrics::Histogram& join_ns_;    // per shard join feed pass
   metrics::Histogram& window_ns_;  // per fired window
+  metrics::Histogram& evict_ns_;   // per lane per watermark advance
   metrics::Counter& malformed_;
   ResultFn on_result_;
   AnswerTapFn answer_tap_;

@@ -6,33 +6,36 @@ namespace privapprox::localdb {
 
 Table& Database::CreateTable(const std::string& name,
                              std::vector<std::string> columns) {
-  const auto [it, inserted] =
-      tables_.emplace(name, Table(name, std::move(columns)));
-  if (!inserted) {
+  if (HasTable(name)) {
     throw std::invalid_argument("Database::CreateTable: table '" + name +
                                 "' already exists");
   }
-  return it->second;
+  return tables_.emplace_back(name, std::move(columns));
+}
+
+const Table* Database::Find(const std::string& name) const {
+  for (const Table& table : tables_) {
+    if (table.name() == name) {
+      return &table;
+    }
+  }
+  return nullptr;
 }
 
 bool Database::HasTable(const std::string& name) const {
-  return tables_.contains(name);
+  return Find(name) != nullptr;
 }
 
 Table& Database::GetTable(const std::string& name) {
-  const auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    throw std::invalid_argument("Database::GetTable: no table '" + name + "'");
-  }
-  return it->second;
+  return const_cast<Table&>(std::as_const(*this).GetTable(name));
 }
 
 const Table& Database::GetTable(const std::string& name) const {
-  const auto it = tables_.find(name);
-  if (it == tables_.end()) {
+  const Table* table = Find(name);
+  if (table == nullptr) {
     throw std::invalid_argument("Database::GetTable: no table '" + name + "'");
   }
-  return it->second;
+  return *table;
 }
 
 std::vector<Value> Database::Execute(const std::string& sql, int64_t from_ms,
@@ -45,15 +48,15 @@ std::vector<Value> Database::Execute(const std::string& sql, int64_t from_ms,
 }
 
 const Table& Database::TableFor(const QueryPlan& plan) const {
-  const auto it = tables_.find(plan.table());
-  if (it == tables_.end()) {
+  const Table* table = Find(plan.table());
+  if (table == nullptr) {
     throw SqlError("unknown table '" + plan.table() + "'");
   }
-  return it->second;
+  return *table;
 }
 
 void Database::EvictBefore(int64_t cutoff_ms) {
-  for (auto& [name, table] : tables_) {
+  for (Table& table : tables_) {
     table.EvictBefore(cutoff_ms);
   }
 }

@@ -2,13 +2,16 @@
 // point. This is the SQLite stand-in of the prototype (§5: "the query
 // answer module is used to execute the input query on the local user's
 // private data stored in SQLite").
+//
+// A client holds one or a few tables, so they sit in one flat vector,
+// found by a linear scan of their names, in creation order: no tree node
+// per table.
 
 #ifndef PRIVAPPROX_LOCALDB_DATABASE_H_
 #define PRIVAPPROX_LOCALDB_DATABASE_H_
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -21,11 +24,13 @@ namespace privapprox::localdb {
 
 class Database {
  public:
-  // Creates a table; throws if the name exists.
+  // Creates a table; throws if the name exists. The returned reference, and
+  // any from GetTable, may be invalidated by a later CreateTable.
   Table& CreateTable(const std::string& name,
                      std::vector<std::string> columns);
 
   bool HasTable(const std::string& name) const;
+  // Throws std::invalid_argument for an unknown table.
   Table& GetTable(const std::string& name);
   const Table& GetTable(const std::string& name) const;
 
@@ -55,8 +60,10 @@ class Database {
   };
 
   const Table& TableFor(const QueryPlan& plan) const;
+  // The table named `name`, or null.
+  const Table* Find(const std::string& name) const;
 
-  std::map<std::string, Table> tables_;
+  std::vector<Table> tables_;  // creation order
   // Single-entry plan cache for Execute; clients run their subscriptions'
   // own plans through Scan, so theirs stays empty.
   std::unique_ptr<CachedPlan> cached_;

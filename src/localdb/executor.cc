@@ -87,7 +87,7 @@ Truth Fold(Truth dominant, const Items& items, TruthOf truth_of) {
 }
 
 Truth Evaluate(const Predicate& predicate, const Table& table,
-               const Row& row) {
+               std::span<const Value> row) {
   const auto child = [&](const Predicate& c) {
     return Evaluate(c, table, row);
   };
@@ -130,11 +130,12 @@ Truth Evaluate(const Predicate& predicate, const Table& table,
 
 }  // namespace
 
-bool QueryPlan::Matches(const Table& table, const Row& row) const {
+bool QueryPlan::Matches(const Table& table,
+                        std::span<const Value> row) const {
   return where_ == nullptr || Evaluate(*where_, table, row) == Truth::kTrue;
 }
 
-void QueryPlan::Accumulate(Totals& totals, const Row& row,
+void QueryPlan::Accumulate(Totals& totals, std::span<const Value> row,
                            std::optional<size_t> column) const {
   if (aggregate_ != Aggregate::kCount) {
     const Value& value = row[*column];

@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,8 +53,8 @@ class QueryPlan {
   // Checks the table and resolves the selected column (nullopt for
   // COUNT(*)).
   std::optional<size_t> Bind(const Table& table) const;
-  bool Matches(const Table& table, const Row& row) const;
-  void Accumulate(Totals& totals, const Row& row,
+  bool Matches(const Table& table, std::span<const Value> row) const;
+  void Accumulate(Totals& totals, std::span<const Value> row,
                   std::optional<size_t> column) const;
   std::optional<Value> Result(const Totals& totals) const;
 
@@ -68,14 +69,18 @@ void QueryPlan::Scan(const Table& table, int64_t from_ms, int64_t to_ms,
                      Fn&& fn) const {
   const std::optional<size_t> column = Bind(table);
   Totals totals;
-  for (const TimestampedRow& row : table.rows()) {
-    if (row.timestamp_ms < from_ms || row.timestamp_ms >= to_ms ||
-        !Matches(table, row.values)) {
+  for (size_t i = 0, n = table.num_rows(); i < n; ++i) {
+    const int64_t timestamp_ms = table.timestamp(i);
+    if (timestamp_ms < from_ms || timestamp_ms >= to_ms) {
+      continue;
+    }
+    const std::span<const Value> row = table.row(i);
+    if (!Matches(table, row)) {
       continue;
     }
     if (aggregate_ != Aggregate::kNone) {
-      Accumulate(totals, row.values, column);
-    } else if (!fn(row.values[*column])) {
+      Accumulate(totals, row, column);
+    } else if (!fn(row[*column])) {
       return;
     }
   }

@@ -1,6 +1,7 @@
 #include "localdb/sql.h"
 
 #include <cctype>
+#include <charconv>
 #include <sstream>
 
 namespace privapprox::localdb {
@@ -17,9 +18,10 @@ enum class TokenKind {
 struct Token {
   TokenKind kind = TokenKind::kEnd;
   std::string text;
-  double number = 0.0;
+  double number = 0.0;  // a kNumber that is not an integer
   bool is_integer = false;
   size_t position = 0;
+  int64_t integer = 0;  // a kNumber that is an integer
 };
 
 class Lexer {
@@ -78,6 +80,16 @@ class Lexer {
     }
     Token token{TokenKind::kNumber, input_.substr(start, pos_ - start), 0.0,
                 is_integer, start};
+    if (is_integer) {
+      // Exactly, as SQLite reads an integer literal; one outside int64
+      // reads as a double (SQLite's REAL).
+      const char* end = token.text.data() + token.text.size();
+      if (std::from_chars(token.text.data(), end, token.integer).ec ==
+          std::errc()) {
+        return token;
+      }
+      token.is_integer = false;
+    }
     try {
       token.number = std::stod(token.text);
     } catch (const std::exception&) {
@@ -339,9 +351,8 @@ class Parser {
 
   Value ParseLiteral() {
     if (Current().kind == TokenKind::kNumber) {
-      Value value = Current().is_integer
-                        ? Value(static_cast<int64_t>(Current().number))
-                        : Value(Current().number);
+      Value value = Current().is_integer ? Value(Current().integer)
+                                         : Value(Current().number);
       Advance();
       return value;
     }

@@ -557,6 +557,25 @@ TEST(AggregatorTest, ShardMetricsAccountForEveryShare) {
   EXPECT_LT(imbalance, 3000);
 }
 
+TEST(AggregatorTest, WatermarkSweepIsTimedPerLane) {
+  // privapprox_agg_evict_ns observes each lane's join sweep once per
+  // watermark advance, whether or not a window fires.
+  metrics::Registry registry;
+  Harness harness(10, NoNoiseParams(), /*inverted=*/false,
+                  /*num_partitions=*/2, &registry);
+  core::Query second = MakeQuery(2);
+  harness.aggregator->RegisterQuery(
+      second, NoNoiseParams(),
+      LaneOver(harness.proxy0, harness.proxy1, second.query_id));
+  const metrics::Histogram& evict_ns =
+      registry.GetHistogram("privapprox_agg_evict_ns", "");
+  EXPECT_EQ(evict_ns.Count(), 0u);
+  for (const int64_t watermark : {5000, 10000, 20000}) {
+    harness.aggregator->AdvanceWatermark(watermark);
+  }
+  EXPECT_EQ(evict_ns.Count(), 6u);  // two lanes x three watermarks
+}
+
 TEST(AggregatorTest, LostMidWidensItsWindowOnce) {
   // Under fault tracking a MID reported lost counts once in the windows
   // holding its event time, however often it is reported, and a watermark

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -30,6 +31,8 @@
 #include <array>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -44,6 +47,7 @@
 #include "crypto/message.h"
 #include "crypto/xor_cipher.h"
 #include "deploy/result_wire.h"
+#include "localdb/database.h"
 #include "metrics/metrics.h"
 #include "proxy/proxy.h"
 #include "storage/partition_log.h"
@@ -431,8 +435,73 @@ TEST(AllocRegressionTest, FleetFootprintPerClient) {
   RecordProperty("allocs_per_client", std::to_string(allocs / kClients));
   EXPECT_LE(bytes, 4096 * kClients)
       << static_cast<double>(bytes) / kClients << " bytes per client";
-  EXPECT_LE(allocs, 16 * kClients)
+  EXPECT_LE(allocs, 12 * kClients)
       << static_cast<double>(allocs) / kClients << " allocations per client";
+}
+
+// Heap bytes in use by the allocator, across its arenas; nullopt when
+// mallinfo2 does not see this process's allocator (a sanitizer's).
+std::optional<size_t> HeapInUse() {
+  const size_t before = mallinfo2().uordblks;
+  std::vector<std::unique_ptr<std::array<uint8_t, 64>>> probe;
+  for (int i = 0; i < 256; ++i) {
+    probe.push_back(std::make_unique<std::array<uint8_t, 64>>());
+  }
+  const size_t after = mallinfo2().uordblks;
+  if (after < before + 256 * 64) {
+    return std::nullopt;
+  }
+  probe.clear();
+  return mallinfo2().uordblks;
+}
+
+// The heap a client's database keeps after perfbench's feed, per client:
+// every epoch one two-column reading goes into "vehicle" and readings
+// older than `window_epochs` are evicted. Measured as the allocator's
+// in-use delta over a fleet of databases, so a freed temporary (the Row a
+// reading arrives in) does not count, while the row buffer, the table slot
+// and allocator overhead do.
+std::optional<double> DatabaseKeptBytes(int64_t window_epochs) {
+  constexpr size_t kClients = 4000;
+  constexpr int64_t kPeriodMs = 1000;
+  std::vector<localdb::Database> dbs(kClients);
+  const std::optional<size_t> before = HeapInUse();
+  if (!before.has_value()) {
+    return std::nullopt;
+  }
+  for (int64_t epoch = 1; epoch <= 12; ++epoch) {
+    const int64_t now = epoch * kPeriodMs;
+    for (size_t i = 0; i < kClients; ++i) {
+      localdb::Database& db = dbs[i];
+      if (!db.HasTable("vehicle")) {
+        db.CreateTable("vehicle", {"speed", "load"});
+      }
+      db.GetTable("vehicle").Insert(
+          now - kPeriodMs / 2,
+          {localdb::Value(static_cast<double>((i + epoch) % 100)),
+           localdb::Value(static_cast<double>(i % 100))});
+      db.EvictBefore(now - window_epochs * kPeriodMs);
+    }
+  }
+  EXPECT_EQ(dbs.back().GetTable("vehicle").num_rows(),
+            static_cast<size_t>(window_epochs));
+  return static_cast<double>(mallinfo2().uordblks - *before) / kClients;
+}
+
+// A client's local table holds its readings at their natural width (a
+// timestamp and 16 bytes per cell, in one buffer) and shares its schema, so
+// the database keeps 416 -> ~160 bytes for one reading and 896 -> ~400 for
+// four.
+TEST(AllocRegressionTest, ClientDatabaseKeepsItsReadings) {
+  const std::optional<double> one = DatabaseKeptBytes(1);
+  const std::optional<double> four = DatabaseKeptBytes(4);
+  if (!one.has_value() || !four.has_value()) {
+    GTEST_SKIP() << "mallinfo2 does not track this allocator";
+  }
+  RecordProperty("one_reading_bytes", std::to_string(*one));
+  RecordProperty("four_readings_bytes", std::to_string(*four));
+  EXPECT_LE(*one, 200.0) << "bytes per client, one reading";
+  EXPECT_LE(*four, 450.0) << "bytes per client, four readings";
 }
 
 // An announcement whose bucket count claims 2^20 buckets, the most the

@@ -3,6 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <random>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "localdb/database.h"
 #include "localdb/executor.h"
 #include "localdb/sql.h"
@@ -42,6 +52,69 @@ TEST(ValueTest, AccessorsValidateType) {
   EXPECT_THROW(Value(1.0).AsString(), std::invalid_argument);
 }
 
+TEST(ValueTest, AsIntRejectsDoublesOutsideInt64) {
+  EXPECT_EQ(Value(-3.9).AsInt(), -3);
+  EXPECT_EQ(Value(-0x1p63).AsInt(), std::numeric_limits<int64_t>::min());
+  EXPECT_THROW(Value(0x1p63).AsInt(), std::invalid_argument);
+  EXPECT_THROW(Value(1e30).AsInt(), std::invalid_argument);
+  EXPECT_THROW(Value(-1e30).AsInt(), std::invalid_argument);
+  EXPECT_THROW(Value(std::numeric_limits<double>::infinity()).AsInt(),
+               std::invalid_argument);
+  EXPECT_THROW(Value(std::nan("")).AsInt(), std::invalid_argument);
+  EXPECT_THROW(Value("7").AsInt(), std::invalid_argument);
+}
+
+TEST(ValueTest, CopiesAcrossTags) {
+  const Value text("a string longer than the small-string buffer");
+  Value number(int64_t{42});
+  number = text;  // number -> string
+  EXPECT_EQ(number.AsString(), text.AsString());
+  number = Value(2.5);  // string -> number
+  EXPECT_DOUBLE_EQ(number.AsDouble(), 2.5);
+  Value other("short");
+  other = text;  // string -> string
+  EXPECT_EQ(other.AsString(), text.AsString());
+  Value copy(other);
+  other = Value(int64_t{1});
+  EXPECT_EQ(copy.AsString(), text.AsString());  // the copy owns its bytes
+  EXPECT_EQ(other.AsInt(), 1);
+}
+
+TEST(ValueTest, MovesAcrossTags) {
+  Value text("moved string value, heap-allocated by std::string");
+  Value target(int64_t{3});
+  target = std::move(text);  // number <- string
+  EXPECT_EQ(target.AsString(), "moved string value, heap-allocated by std::string");
+  // A moved-from value holds the integer 0 and stays usable.
+  EXPECT_TRUE(text.IsInt());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(text.AsInt(), 0);
+  text = Value("reused");
+  EXPECT_EQ(text.AsString(), "reused");
+  target = Value(7.5);  // string <- number
+  EXPECT_DOUBLE_EQ(target.AsDouble(), 7.5);
+  Value constructed(std::move(text));
+  EXPECT_EQ(constructed.AsString(), "reused");
+  EXPECT_EQ(text.Compare(Value(int64_t{0})), 0);  // NOLINT(bugprone-use-after-move)
+  Value number(9.25);
+  Value from_number(std::move(number));
+  EXPECT_DOUBLE_EQ(from_number.AsDouble(), 9.25);
+  EXPECT_EQ(number.AsInt(), 0);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(ValueTest, SelfAssignmentKeepsTheValue) {
+  Value text("self");
+  Value& alias = text;
+  text = alias;
+  EXPECT_EQ(text.AsString(), "self");
+  text = std::move(alias);
+  EXPECT_EQ(text.AsString(), "self");
+  Value number(int64_t{-5});
+  Value& number_alias = number;
+  number = number_alias;
+  number = std::move(number_alias);
+  EXPECT_EQ(number.AsInt(), -5);
+}
+
 // --------------------------------------------------------------------- Table
 
 TEST(TableTest, InsertAndRange) {
@@ -66,14 +139,14 @@ TEST(TableTest, EvictBeforeDropsOldRows) {
   // half, the buffer compacts. Either way the live rows stay in order.
   table.EvictBefore(2);
   EXPECT_EQ(table.num_rows(), 8u);
-  EXPECT_EQ(table.rows().front().timestamp_ms, 2);
+  EXPECT_EQ(table.timestamp(0), 2);
   table.EvictBefore(7);
   EXPECT_EQ(table.num_rows(), 3u);
-  EXPECT_EQ(table.rows().front().timestamp_ms, 7);
+  EXPECT_EQ(table.timestamp(0), 7);
   table.Insert(10, {Value(int64_t{10})});
   std::vector<int64_t> live;
-  for (const TimestampedRow& row : table.rows()) {
-    live.push_back(row.values[0].AsInt());
+  for (size_t i = 0; i < table.num_rows(); ++i) {
+    live.push_back(table.row(i)[0].AsInt());
   }
   EXPECT_EQ(live, (std::vector<int64_t>{7, 8, 9, 10}));
 }
@@ -86,10 +159,260 @@ TEST(TableTest, ValidatesConstruction) {
                std::invalid_argument);
 }
 
+TEST(TableTest, EqualSchemasAreSharedAcrossThreads) {
+  // Tables created with the same name and columns share one schema, on
+  // whichever thread they were created; alternating two schemas misses
+  // each thread's last-schema fast path every time.
+  constexpr int kThreads = 4;
+  constexpr int kTables = 50;
+  std::vector<std::vector<Table>> tables(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&tables, t] {
+      for (int i = 0; i < kTables; ++i) {
+        tables[t].push_back(i % 2 == 0 ? Table("vehicle", {"speed", "load"})
+                                       : Table("meter", {"kwh"}));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  const Table vehicle("vehicle", {"speed", "load"});
+  const Table meter("meter", {"kwh"});
+  const Table other("vehicle", {"speed"});
+  EXPECT_NE(&other.columns(), &vehicle.columns());
+  for (const std::vector<Table>& list : tables) {
+    for (size_t i = 0; i < list.size(); ++i) {
+      const Table& expected = i % 2 == 0 ? vehicle : meter;
+      EXPECT_EQ(&list[i].columns(), &expected.columns());
+      EXPECT_EQ(&list[i].name(), &expected.name());
+    }
+  }
+}
+
 TEST(TableTest, ColumnIndexLookup) {
   Table table("t", {"x", "y"});
   EXPECT_EQ(table.ColumnIndex("y").value(), 1u);
   EXPECT_FALSE(table.ColumnIndex("z").has_value());
+}
+
+// A Table checked against the plain row model it replaced: a vector of
+// (timestamp, row) pairs. Each step inserts a row or evicts, and after
+// every step the table must hold exactly the model's rows and answer every
+// query over them as the model does.
+class FlatTableModel {
+ public:
+  FlatTableModel(size_t width, uint64_t seed) : width_(width), rng_(seed) {
+    for (size_t c = 0; c < width; ++c) {
+      columns_.push_back("c" + std::to_string(c));
+    }
+  }
+
+  const std::vector<std::string>& columns() const { return columns_; }
+
+  void Insert(Table& table) {
+    next_ts_ += static_cast<int64_t>(rng_() % 3);  // repeats are allowed
+    Row row;
+    for (size_t c = 0; c < width_; ++c) {
+      row.push_back(RandomCell());
+    }
+    model_.emplace_back(next_ts_, row);
+    table.Insert(next_ts_, std::move(row));
+  }
+
+  void EvictBefore(Table& table, int64_t cutoff_ms) {
+    size_t evicted = 0;
+    while (evicted < model_.size() && model_[evicted].first < cutoff_ms) {
+      ++evicted;
+    }
+    model_.erase(model_.begin(), model_.begin() + static_cast<long>(evicted));
+    table.EvictBefore(cutoff_ms);
+  }
+
+  // A cutoff that evicts none, some, or all of the model's rows.
+  int64_t RandomCutoff() {
+    if (model_.empty()) {
+      return next_ts_;
+    }
+    switch (rng_() % 3) {
+      case 0:
+        return model_.front().first;  // none
+      case 1:
+        return model_[rng_() % model_.size()].first + 1;  // some
+      default:
+        return next_ts_ + 1;  // all
+    }
+  }
+
+  void ExpectMatches(const Table& table) {
+    ASSERT_EQ(table.num_rows(), model_.size());
+    for (size_t i = 0; i < model_.size(); ++i) {
+      ASSERT_EQ(table.timestamp(i), model_[i].first) << "row " << i;
+      const std::span<const Value> row = table.row(i);
+      ASSERT_EQ(row.size(), width_);
+      for (size_t c = 0; c < width_; ++c) {
+        ExpectSame(row[c], model_[i].second[c]);
+      }
+    }
+    for (int q = 0; q < 4; ++q) {
+      const int64_t from = RandomTime();
+      const int64_t to = RandomTime();
+      const size_t c = rng_() % width_;
+      ExpectQuery(table, "SELECT " + columns_[c] + " FROM t", c, std::nullopt,
+                  Aggregate::kNone, from, to);
+      const int64_t threshold = static_cast<int64_t>(rng_() % 100);
+      ExpectQuery(table,
+                  "SELECT " + columns_[c] + " FROM t WHERE c0 >= " +
+                      std::to_string(threshold),
+                  c, threshold, Aggregate::kNone, from, to);
+      for (const auto& [fn, aggregate] :
+           {std::pair{"SUM", Aggregate::kSum}, std::pair{"AVG", Aggregate::kAvg},
+            std::pair{"MIN", Aggregate::kMin}, std::pair{"MAX", Aggregate::kMax},
+            std::pair{"COUNT", Aggregate::kCount}}) {
+        ExpectQuery(table,
+                    std::string("SELECT ") + fn + "(" + columns_[c] + ") FROM t",
+                    c, std::nullopt, aggregate, from, to);
+      }
+    }
+  }
+
+ private:
+  Value RandomCell() {
+    switch (rng_() % 4) {
+      case 0:
+        return Value(static_cast<int64_t>(rng_() % 100));
+      case 1:
+        return Value("s" + std::to_string(rng_() % 100));
+      default:
+        return Value(static_cast<double>(rng_() % 1000) / 8.0);
+    }
+  }
+
+  int64_t RandomTime() {
+    return static_cast<int64_t>(rng_() % static_cast<uint64_t>(next_ts_ + 4)) -
+           2;
+  }
+
+  static void ExpectSame(const Value& actual, const Value& expected) {
+    ASSERT_EQ(actual.IsInt(), expected.IsInt());
+    ASSERT_EQ(actual.IsDouble(), expected.IsDouble());
+    ASSERT_EQ(actual.IsString(), expected.IsString());
+    EXPECT_EQ(actual.Compare(expected), 0)
+        << actual.ToString() << " != " << expected.ToString();
+  }
+
+  // The model's answer to SELECT [agg](column) FROM t [WHERE c0 >= min_c0]
+  // over [from, to); a non-numeric aggregate input throws SqlError.
+  void ExpectQuery(const Table& table, const std::string& sql, size_t column,
+                   std::optional<int64_t> min_c0, Aggregate aggregate,
+                   int64_t from, int64_t to) {
+    SCOPED_TRACE(sql + " over [" + std::to_string(from) + ", " +
+                 std::to_string(to) + ")");
+    std::vector<Value> selected;
+    bool non_numeric = false;
+    double sum = 0.0;
+    double min = std::numeric_limits<double>::infinity();
+    double max = -std::numeric_limits<double>::infinity();
+    for (const auto& [ts, row] : model_) {
+      if (ts < from || ts >= to) {
+        continue;
+      }
+      if (min_c0.has_value() &&
+          (row[0].IsString() || row[0].Compare(Value(*min_c0)) < 0)) {
+        continue;
+      }
+      selected.push_back(row[column]);
+      if (row[column].IsString()) {
+        non_numeric = true;
+      } else {
+        sum += row[column].AsDouble();
+        min = std::min(min, row[column].AsDouble());
+        max = std::max(max, row[column].AsDouble());
+      }
+    }
+    std::vector<Value> expected;
+    switch (aggregate) {
+      case Aggregate::kNone:
+        expected = selected;
+        break;
+      case Aggregate::kCount:
+        expected = {Value(static_cast<int64_t>(selected.size()))};
+        break;
+      default:
+        if (non_numeric) {
+          EXPECT_THROW(ExecuteSelect(ParseSql(sql), table, from, to), SqlError);
+          return;
+        }
+        if (!selected.empty()) {
+          const double n = static_cast<double>(selected.size());
+          expected = {Value(aggregate == Aggregate::kSum   ? sum
+                            : aggregate == Aggregate::kAvg ? sum / n
+                            : aggregate == Aggregate::kMin ? min
+                                                           : max)};
+        }
+        break;
+    }
+    const std::vector<Value> actual =
+        ExecuteSelect(ParseSql(sql), table, from, to);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (size_t i = 0; i < actual.size(); ++i) {
+      ExpectSame(actual[i], expected[i]);
+    }
+  }
+
+  size_t width_;
+  std::mt19937_64 rng_;
+  std::vector<std::string> columns_;
+  std::vector<std::pair<int64_t, Row>> model_;
+  int64_t next_ts_ = 0;
+};
+
+TEST(TableTest, FlatRowsMatchRowModel) {
+  for (size_t width = 1; width <= 3; ++width) {
+    // Seeded random walks: inserts outnumber evictions two to one.
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("width " + std::to_string(width) + ", seed " +
+                   std::to_string(seed));
+      FlatTableModel model(width, seed);
+      Table table("t", model.columns());
+      std::mt19937_64 steps(seed * 7919);
+      for (int step = 0; step < 150; ++step) {
+        if (steps() % 3 != 0) {
+          model.Insert(table);
+        } else {
+          model.EvictBefore(table, model.RandomCutoff());
+        }
+        model.ExpectMatches(table);
+      }
+    }
+    // Every compaction boundary: k of n rows evicted for every k <= n, on
+    // either side of 2k >= n, then a second round of inserts and evictions
+    // over the compacted (or not) buffer.
+    for (size_t n = 1; n <= 9; ++n) {
+      for (size_t k = 0; k <= n; ++k) {
+        SCOPED_TRACE("width " + std::to_string(width) + ", " +
+                     std::to_string(k) + " of " + std::to_string(n));
+        FlatTableModel model(width, n * 31 + k);
+        Table table("t", model.columns());
+        std::vector<int64_t> stamps;
+        for (size_t i = 0; i < n; ++i) {
+          model.Insert(table);
+          stamps.push_back(table.timestamp(table.num_rows() - 1));
+        }
+        // Evicting before the k-th stamp drops every row stamped earlier;
+        // with repeated stamps that can be fewer than k rows.
+        model.EvictBefore(table, k < n ? stamps[k] : stamps.back() + 1);
+        model.ExpectMatches(table);
+        for (size_t i = 0; i < n; ++i) {
+          model.Insert(table);
+        }
+        model.ExpectMatches(table);
+        model.EvictBefore(table, model.RandomCutoff());
+        model.ExpectMatches(table);
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------------- SQL parse
@@ -161,6 +484,44 @@ TEST(SqlParserTest, NumericLiterals) {
   EXPECT_TRUE(doubles.where.literal.IsDouble());
   const SelectStatement negatives = ParseSql("SELECT a FROM t WHERE a > -3");
   EXPECT_EQ(negatives.where.literal.AsInt(), -3);
+}
+
+TEST(SqlParserTest, IntegerLiteralsAreExact) {
+  EXPECT_EQ(ParseSql("SELECT a FROM t WHERE a = 9223372036854775807")
+                .where.literal.AsInt(),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(ParseSql("SELECT a FROM t WHERE a = -9223372036854775808")
+                .where.literal.AsInt(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(ParseSql("SELECT a FROM t WHERE a = 9007199254740993")
+                .where.literal.AsInt(),
+            int64_t{9007199254740993});  // 2^53 + 1: no double holds it
+}
+
+TEST(SqlParserTest, IntegerLiteralOutsideInt64ReadsAsDouble) {
+  // As SQLite reads it: REAL, not an int64 that wrapped.
+  const Value big = ParseSql(
+      "SELECT a FROM t WHERE a >= 99999999999999999999999").where.literal;
+  ASSERT_TRUE(big.IsDouble());
+  EXPECT_DOUBLE_EQ(big.AsDouble(), 1e23);
+  const Value small = ParseSql(
+      "SELECT a FROM t WHERE a > -9223372036854775809").where.literal;
+  ASSERT_TRUE(small.IsDouble());
+  EXPECT_DOUBLE_EQ(small.AsDouble(), -0x1p63);
+
+  Table table("vehicle", {"speed"});
+  table.Insert(0, {Value(int64_t{10})});
+  table.Insert(1, {Value(10.0)});
+  EXPECT_TRUE(ExecuteSelect(
+                  ParseSql("SELECT speed FROM vehicle WHERE speed >= "
+                           "99999999999999999999999"),
+                  table, INT64_MIN, INT64_MAX)
+                  .empty());
+  EXPECT_EQ(ExecuteSelect(ParseSql("SELECT speed FROM vehicle WHERE speed > "
+                                   "-99999999999999999999999"),
+                          table, INT64_MIN, INT64_MAX)
+                .size(),
+            2u);
 }
 
 TEST(SqlParserTest, SyntaxErrorsThrow) {

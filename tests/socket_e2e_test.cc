@@ -402,8 +402,8 @@ TEST(SocketDeploymentTest, DaemonsExportTheInProcessComponentFamilies) {
     EXPECT_TRUE(!client || Families(deployed.fleet).count(family) == 1)
         << family << " missing on the fleet driver";
   }
-  // 3 proxy families, 7 aggregator families, 3 client decision counters.
-  EXPECT_EQ(checked, 13u);
+  // 3 proxy families, 8 aggregator families, 3 client decision counters.
+  EXPECT_EQ(checked, 14u);
 
   uint64_t forwarded = 0;
   for (size_t j = 0; j < kProxies; ++j) {

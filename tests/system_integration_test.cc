@@ -61,6 +61,7 @@ TEST(SystemTest, MetricsExpositionCoversPipelineFamilies) {
         "privapprox_malformed_dropped_total", "privapprox_stage_ns",
         "privapprox_proxy_received_total", "privapprox_proxy_forwarded_total",
         "privapprox_agg_decode_ns", "privapprox_agg_join_ns",
+        "privapprox_agg_evict_ns",
         "privapprox_topic_records_in", "privapprox_topic_slab_used_bytes"}) {
     EXPECT_NE(text.find(family), std::string::npos) << family;
   }
