@@ -19,7 +19,7 @@ repo="$(dirname "$here")"
 GATES=(pre_span_first qid_less chacha_block flat_config compat_layer
        ofstream bus_triplets single_query hand_wired_metrics
        streaming_runtime per_client_copies per_record_framing window_fanout
-       shard_knob dead_knobs record_index)
+       shard_knob dead_knobs record_index one_driver)
 
 # Each gate_<name> runs its grep from the tree root; plant_<name> is
 # "<file>|<line>", a violation the self-test appends to that file.
@@ -209,6 +209,29 @@ gate_record_index() {
   grep -rnE "IndexEntry|EnsureIndexCapacity" src tests bench examples
 }
 plant_record_index="src/broker/planted.cc|std::vector<IndexEntry> index;"
+
+# One epoch driver: PrivApproxSystem and deploy::FleetDriver build their
+# deployment and hand it to system::EpochDriver, which runs every step
+# through the proxy and aggregator nodes' verbs. Neither may answer,
+# forward, drain or register a query itself, or send those verbs. The knobs
+# and entry points the merge left dead — the fleet driver's produce
+# chunking (TcpBusClient::Produce splits batches), the fault plan's standby
+# switch, the system's announcement and replay helpers, Proxy::HasLane,
+# Proxy::AnnounceQuery, Client::subscribed_query_ids, the transport's
+# PartitionForKey forwarder and the proxies' received counters — must not
+# come back anywhere.
+gate_one_driver() {
+  local status
+  grep -nE \
+    "\bAnswer\(|ForwardLanes\(|Drain\(|RegisterQuery\(|\"(forward_lanes|drain|register_query)\"" \
+    src/system/system.cc src/deploy/fleet_driver.cc
+  status=$?
+  [ "$status" -ne 1 ] && return "$status"
+  grep -rnE \
+    "produce_chunk_records|\.standby_proxies\b|DistributeAnnouncement|ReplayDeferredShares|HasLane\(|subscribed_query_ids|transport::PartitionForKey|AnnounceQuery|\"received_total\"|_received_total\{" \
+    src tests bench examples
+}
+plant_one_driver="src/deploy/planted.cc|config.produce_chunk_records = 2048;"
 
 # Runs one gate in directory $2; returns 0 on pass. Prints why it failed.
 run_gate() {

@@ -66,7 +66,7 @@ struct AggregatorConfig {
   // polls of distinct partitions (InProcessBus and TcpBusClient both take
   // them). Null drains the shards one after another.
   ThreadPool* pool = nullptr;
-  // Fault-loss accounting (wired by PrivApproxSystem when a FaultPlan is
+  // Fault-loss accounting (set by PrivApproxSystem when a FaultPlan is
   // configured). When true, MIDs reported lost by the fault injector
   // (NoteFaultLostMids) and incomplete MIDs expired from the join at the
   // watermark widen the confidence interval of every window containing
@@ -166,9 +166,10 @@ class Aggregator {
   std::vector<std::pair<std::string, std::vector<uint64_t>>> SourceOffsets()
       const;
 
-  // Fault-recovery input (requires track_fault_losses): the system reports
-  // the MIDs its injector knows can never join (dropped or corrupted
-  // shares, failed failovers) at the end of each epoch, per query. Each
+  // Fault-recovery input (requires track_fault_losses): the epoch driver
+  // reports the MIDs its injector knows can never join (dropped or
+  // corrupted shares) at the end of each epoch, per query, through the
+  // aggregator node's note_lost_mids verb. Each
   // (query, MID) is counted once — a later join-group expiry of the same
   // MID does not double-widen.
   void NoteFaultLostMids(uint64_t query_id, std::span<const uint64_t> mids,

@@ -83,15 +83,6 @@ void Client::OnAnnouncement(const std::vector<uint8_t>& announcement) {
   Subscribe(CompileAnnouncement(announcement));
 }
 
-std::vector<uint64_t> Client::subscribed_query_ids() const {
-  std::vector<uint64_t> ids;
-  ids.reserve(subs_.size());
-  for (const Subscription& sub : subs_) {
-    ids.push_back(sub.query_id);
-  }
-  return ids;
-}
-
 const Client::Subscription& Client::SingleSub(const char* caller) const {
   if (subs_.empty()) {
     throw std::logic_error(std::string(caller) + ": no subscription");

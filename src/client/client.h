@@ -108,9 +108,6 @@ class Client {
 
   bool subscribed() const { return !subs_.empty(); }
   size_t num_subscriptions() const { return subs_.size(); }
-  // Subscribed QIDs in ascending order — the slot layout AnswerSubscribedInto
-  // emits.
-  std::vector<uint64_t> subscribed_query_ids() const;
 
   // Single-subscription accessor; throws std::logic_error unless exactly one
   // query is installed. Kept for the single-query API surface.

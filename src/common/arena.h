@@ -8,9 +8,9 @@
 // calls, so a warmed arena performs no heap allocation at all in steady
 // state.
 //
-// PrivApproxSystem keeps one arena per client range it answers (one per
-// worker thread) and reuses it every epoch, so the steady-state footprint
-// is one arena per worker.
+// The epoch driver (system/epoch_driver.h) keeps one arena per client range
+// it answers (one per worker thread) and reuses it every epoch, so the
+// steady-state footprint is one arena per worker.
 
 #ifndef PRIVAPPROX_COMMON_ARENA_H_
 #define PRIVAPPROX_COMMON_ARENA_H_

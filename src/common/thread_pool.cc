@@ -47,15 +47,22 @@ void ThreadPool::ParallelFor(size_t count,
   }
   const size_t chunk = (count + num_chunks - 1) / num_chunks;
   std::vector<std::future<void>> futures;
-  futures.reserve(num_chunks);
-  for (size_t begin = 0; begin < count; begin += chunk) {
-    const size_t end = std::min(begin + chunk, count);
-    futures.push_back(Submit([&body, begin, end] { body(begin, end); }));
+  futures.reserve(num_chunks - 1);
+  size_t begin = 0;
+  for (; begin + chunk < count; begin += chunk) {
+    futures.push_back(
+        Submit([&body, begin, chunk] { body(begin, begin + chunk); }));
   }
-  // Wait for every chunk before rethrowing: chunks capture `body` by
-  // reference, so returning while any are still queued or running would let
-  // them race the caller's frame unwinding. The first exception wins.
+  // The caller runs the last chunk instead of idling until it is done. Wait
+  // for every chunk before rethrowing: chunks capture `body` by reference,
+  // so returning while any are still queued or running would let them race
+  // the caller's frame unwinding. The first exception wins.
   std::exception_ptr first_error;
+  try {
+    body(begin, count);
+  } catch (...) {
+    first_error = std::current_exception();
+  }
   for (auto& future : futures) {
     try {
       future.get();

@@ -29,8 +29,9 @@ class ThreadPool {
   std::future<void> Submit(std::function<void()> task);
 
   // Partitions [0, count) into contiguous chunks, runs `body(begin, end)` on
-  // the pool, and blocks until all chunks finish. Runs inline if the pool has
-  // one thread or count is small.
+  // the pool, and blocks until all chunks finish. The calling thread runs
+  // the last chunk itself; everything runs inline if the pool has one thread
+  // or count is 1.
   void ParallelFor(size_t count, const std::function<void(size_t, size_t)>& body);
 
   // Blocks until the queue is empty and all in-flight tasks are done.

@@ -2,35 +2,26 @@
 // client-side half of a socket deployment (proxy daemons + aggregator
 // daemon being the server side).
 //
-// The driver owns a system::ClientFleet — the module PrivApproxSystem also
-// answers through, which builds the clients, delivers announcements and
-// answers — and replays the system's sequence of operations over the wire:
+// The driver dials one TcpBusClient per daemon and hands them to a
+// system::EpochDriver — the driver PrivApproxSystem runs too — as the
+// endpoints of its proxy tier and aggregator: records are produced over
+// the bus, verbs sent with TcpBusClient::Control. So submission, parameter
+// updates, every epoch step, the watermark, flush and result take-out run
+// the same code in both deployments, and the daemons serve them with the
+// same nodes (system/proxy_node.h, system/aggregator_node.h) the
+// in-process system calls directly; the two deployments' results are
+// bit-identical (DESIGN.md §6j). With no worker pool the fleet is answered
+// as one range, in client-id order.
 //
-//   SubmitQuery   validate / verify / admit exactly like the in-process
-//                 system, then: ensure_lane on every proxy daemon,
-//                 register_query on the aggregator daemon, and last:
-//                 produce the announcement into every proxy's query.in
-//                 topic and forward_queries, then deliver each proxy's
-//                 query.out to its client cohort (client i learns from
-//                 proxy i mod n).
-//   RunEpoch      answer the whole fleet as one range in client-id order
-//                 (the order the in-process epoch appends at any worker
-//                 count), produce each (query, proxy) lane's shares in
-//                 that order, forward_lanes on every proxy, drain on the
-//                 aggregator — the in-process epoch's three steps.
-//
-// Both drivers answer through the same code, so every byte that reaches a
-// lane topic is produced in the same order with the same content as the
-// in-process run; the aggregator daemon runs the unchanged Aggregator over
-// those topics, so the two deployments' results are bit-identical
-// (DESIGN.md §6j).
+// What only this driver has: retention across the durable fleet, offset
+// snapshots, the daemons' remote /metrics, and control retries for the
+// chaos seams. Fault injection does not exist on this path.
 
 #ifndef PRIVAPPROX_DEPLOY_FLEET_DRIVER_H_
 #define PRIVAPPROX_DEPLOY_FLEET_DRIVER_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -38,12 +29,11 @@
 
 #include "aggregator/aggregator.h"
 #include "client/client.h"
-#include "common/arena.h"
 #include "core/budget_manager.h"
 #include "core/query.h"
 #include "deploy/endpoint.h"
 #include "metrics/metrics.h"
-#include "system/client_fleet.h"
+#include "system/epoch_driver.h"
 #include "transport/tcp_bus.h"
 
 namespace privapprox::deploy {
@@ -57,9 +47,6 @@ struct FleetDriverConfig {
   // Mirrors SystemConfig::budget so admission (and thus the announced
   // parameters) matches the in-process system.
   core::BudgetManagerConfig budget;
-  // Records per Produce frame on the share path. Bounds frame size well
-  // under the transport's 64 MiB cap; chunking never reorders records.
-  size_t produce_chunk_records = 2048;
   // Chaos hooks (crash-restart CI): run between RunEpoch's wire phases —
   // after every lane batch has been produced / acked, and right before the
   // aggregator drain. A hook typically kill -9s and restarts a daemon, so
@@ -89,22 +76,35 @@ class FleetDriver {
   FleetDriver(const FleetDriver&) = delete;
   FleetDriver& operator=(const FleetDriver&) = delete;
 
-  size_t num_clients() const { return clients_.size(); }
+  size_t num_clients() const { return config_.num_clients; }
   // The client's local database is the test/bench seam — fill it exactly
   // like the reference system's before answering.
-  client::Client& client(size_t index) { return clients_.client(index); }
+  client::Client& client(size_t index) {
+    return driver_->fleet().client(index);
+  }
 
   // Submission phase over the wire; returns the admitted (possibly
   // down-sampled) parameters, like PrivApproxSystem::SubmitQuery. A
   // refused or failed submission leaves every client unsubscribed.
   core::ExecutionParams SubmitQuery(const core::Query& query,
-                                    const core::ExecutionParams& params);
+                                    const core::ExecutionParams& params) {
+    return driver_->SubmitQuery(query, params);
+  }
+  // Re-tunes a submitted query, like PrivApproxSystem::UpdateParams.
+  core::ExecutionParams UpdateParams(uint64_t query_id,
+                                     const core::ExecutionParams& params) {
+    return driver_->UpdateParams(query_id, params);
+  }
 
   FleetEpochStats RunEpoch(int64_t now_ms);
 
-  void AdvanceWatermark(int64_t watermark_ms);
-  void Flush();
-  std::vector<aggregator::WindowedResult> TakeResults();
+  void AdvanceWatermark(int64_t watermark_ms) {
+    driver_->AdvanceWatermark(watermark_ms);
+  }
+  void Flush() { driver_->Flush(); }
+  std::vector<aggregator::WindowedResult> TakeResults() {
+    return driver_->TakeResults();
+  }
 
   // Retention sweep across the durable fleet: fetches the aggregator's
   // per-source consumed offsets (source_offsets), routes each topic's
@@ -123,17 +123,12 @@ class FleetDriver {
   // (the CI socket-smoke job uploads these as artifacts).
   std::string ProxyMetricsText(size_t proxy_index);
   std::string AggregatorMetricsText();
-  // The driver's own exposition: its client fleet's decision counters and
-  // its transport counters.
+  // The driver's own exposition: the epoch driver's families (epoch totals,
+  // stage histograms, per-query counters), its client fleet's decision
+  // counters and its transport counters.
   std::string MetricsText() { return registry_.RenderText(); }
 
  private:
-  struct ActiveQuery {
-    core::ExecutionParams params;
-    // lane_in_topics[j] = "proxy<j>.q<QID>.in", cached at submission.
-    std::vector<std::string> lane_in_topics;
-  };
-
   // Control with up to config_.control_retries retried attempts — absorbs
   // the single failed RPC a killed-and-restarted daemon costs its client.
   std::vector<uint8_t> ControlWithRetry(transport::TcpBusClient& bus,
@@ -142,12 +137,9 @@ class FleetDriver {
 
   FleetDriverConfig config_;
   metrics::Registry registry_;
-  core::PrivacyBudgetManager budget_manager_;
-  system::ClientFleet clients_;
   std::vector<std::unique_ptr<transport::TcpBusClient>> proxy_buses_;
   std::unique_ptr<transport::TcpBusClient> aggregator_bus_;
-  EpochArena arena_;
-  std::map<uint64_t, ActiveQuery> active_;  // ascending QID
+  std::unique_ptr<system::EpochDriver> driver_;
 };
 
 }  // namespace privapprox::deploy

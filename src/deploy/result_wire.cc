@@ -38,7 +38,12 @@ void CheckCount(const char* what, uint32_t count, size_t each,
 
 std::vector<uint8_t> SerializeResults(
     std::span<const aggregator::WindowedResult> results) {
+  size_t bytes = 4;
+  for (const aggregator::WindowedResult& result : results) {
+    bytes += kResultBytes + result.result.buckets.size() * kBucketBytes;
+  }
   std::vector<uint8_t> out;
+  out.reserve(bytes);
   transport::PutU32(static_cast<uint32_t>(results.size()), out);
   for (const aggregator::WindowedResult& result : results) {
     transport::PutU64(result.query_id, out);

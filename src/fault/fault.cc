@@ -52,10 +52,8 @@ void FaultPlan::Validate() const {
   }
 }
 
-FaultInjector::FaultInjector(FaultPlan plan, bool has_standby,
-                             metrics::Registry& registry)
+FaultInjector::FaultInjector(FaultPlan plan, metrics::Registry& registry)
     : plan_(plan),
-      has_standby_(has_standby),
       shares_dropped_(registry.GetCounter(
           "privapprox_fault_shares_dropped_total",
           "Shares dropped in transit by the fault injector")),
@@ -200,14 +198,10 @@ ShareOutcome FaultInjector::RouteShare(uint64_t query_id, uint64_t mid,
           static_cast<uint64_t>(plan_.retry.BackoffForAttempt(attempt)));
     }
   }
-  // Retries exhausted against the primary.
-  if (has_standby_) {
-    failovers_.Increment();
-    out.route = ShareRoute::kStandby;
-    return out;
-  }
-  NoteLostMid(query_id, mid);
-  out.route = ShareRoute::kLost;
+  // Retries exhausted against the primary. Only a plan that can time out
+  // gets here, and such a plan always has standbys.
+  failovers_.Increment();
+  out.route = ShareRoute::kStandby;
   return out;
 }
 

@@ -61,13 +61,14 @@ struct FaultPlan {
   double crash_point = 0.5;
 
   // --- Recovery ---------------------------------------------------------
-  client::RetryPolicy retry;    // bounded exponential backoff per share
-  bool standby_proxies = true;  // failover target once retries are exhausted
+  // Bounded exponential backoff per share; once retries are exhausted the
+  // share fails over to the proxy's standby.
+  client::RetryPolicy retry;
 
   void Validate() const;
 
-  // True when the plan can time a forward out (and thus needs standbys for
-  // failover to recover anything).
+  // True when the plan can time a forward out, and so needs the standby
+  // proxies the system then builds.
   bool CanTimeOut() const {
     return timeout_probability > 0.0 || crash_probability > 0.0;
   }
@@ -91,7 +92,7 @@ enum class ShareRoute {
   kPrimary,   // delivered to the proxy (possibly corrupted / duplicated)
   kStandby,   // retries exhausted; failed over to the standby proxy
   kDeferred,  // delayed past its epoch; deliver next epoch
-  kLost,      // dropped in transit, or retries exhausted with no standby
+  kLost,      // dropped in transit
 };
 
 struct ShareOutcome {
@@ -118,10 +119,9 @@ class FaultInjector {
   // Registers the privapprox_fault_* / privapprox_recovery_* families on
   // `registry`, which must outlive the injector. Their counters are relaxed
   // atomics, safe from concurrent answer shards.
-  FaultInjector(FaultPlan plan, bool has_standby, metrics::Registry& registry);
+  FaultInjector(FaultPlan plan, metrics::Registry& registry);
 
   const FaultPlan& plan() const { return plan_; }
-  bool has_standby() const { return has_standby_; }
 
   // Decides one share's fate and runs the client-side forward protocol
   // (retry with backoff, then failover). Deterministic per
@@ -159,7 +159,6 @@ class FaultInjector {
   void NoteLostMid(uint64_t query_id, uint64_t mid);
 
   FaultPlan plan_;
-  bool has_standby_;
   metrics::Counter& shares_dropped_;
   metrics::Counter& shares_corrupted_;
   metrics::Counter& shares_duplicated_;

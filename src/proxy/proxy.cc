@@ -1,16 +1,57 @@
 #include "proxy/proxy.h"
 
+#include <charconv>
 #include <stdexcept>
 
 namespace privapprox::proxy {
+
+std::string TopicPrefix(size_t proxy_index, bool standby) {
+  return (standby ? "standby" : "proxy") + std::to_string(proxy_index) + ".";
+}
+
+std::string LaneInTopic(size_t proxy_index, uint64_t query_id, bool standby) {
+  return TopicPrefix(proxy_index, standby) + "q" + std::to_string(query_id) +
+         ".in";
+}
+
+std::string LaneOutTopic(size_t proxy_index, uint64_t query_id) {
+  return TopicPrefix(proxy_index) + "q" + std::to_string(query_id) + ".out";
+}
+
+std::string QueryInTopic(size_t proxy_index, bool standby) {
+  return TopicPrefix(proxy_index, standby) + "query.in";
+}
+
+std::string QueryOutTopic(size_t proxy_index, bool standby) {
+  return TopicPrefix(proxy_index, standby) + "query.out";
+}
+
+uint64_t LaneInQueryId(size_t proxy_index, std::string_view topic) {
+  // "<prefix>q<digits>.in"; the announcement topics ("<prefix>query.in")
+  // share the "q", so only an all-digit ID counts.
+  const std::string prefix = TopicPrefix(proxy_index) + "q";
+  const std::string_view suffix = ".in";
+  if (topic.size() <= prefix.size() + suffix.size() ||
+      !topic.starts_with(prefix) || !topic.ends_with(suffix)) {
+    return 0;
+  }
+  const std::string_view digits = topic.substr(
+      prefix.size(), topic.size() - prefix.size() - suffix.size());
+  uint64_t query_id = 0;
+  const auto [end, error] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), query_id);
+  return error == std::errc() && end == digits.data() + digits.size()
+             ? query_id
+             : 0;
+}
 
 namespace {
 
 // A primary counts under privapprox_proxy_*, a standby (whose lanes feed its
 // primary's outbound topics) under privapprox_standby_*.
 std::string Family(const ProxyConfig& config, const char* what) {
-  return std::string(config.out_prefix.empty() ? "privapprox_proxy_"
-                                               : "privapprox_standby_") +
+  return std::string(config.standby ? "privapprox_standby_"
+                                    : "privapprox_proxy_") +
          what;
 }
 
@@ -28,22 +69,14 @@ Proxy::Proxy(ProxyConfig config, transport::MessageBus& bus)
                           : nullptr),
       registry_(config_.registry != nullptr ? *config_.registry
                                             : *owned_registry_),
-      received_(registry_.GetCounter(
-          Family(config_, "received_total"),
-          "Records accepted into the proxy's inbound lane topics",
-          IndexLabel(config_))),
       forwarded_(registry_.GetCounter(
           Family(config_, "forwarded_total"),
           "Records the proxy moved inbound -> outbound", IndexLabel(config_))),
       forward_ns_(registry_.GetHistogram(
           Family(config_, "forward_ns"),
-          "Proxy forward pass latency in nanoseconds", IndexLabel(config_))) {
-  prefix_ = config_.topic_prefix.empty()
-                ? "proxy" + std::to_string(config_.proxy_index)
-                : config_.topic_prefix;
-  out_prefix_ = config_.out_prefix.empty() ? prefix_ : config_.out_prefix;
-  query_in_topic_ = prefix_ + ".query.in";
-  query_out_topic_ = prefix_ + ".query.out";
+          "Proxy forward pass latency in nanoseconds", IndexLabel(config_))),
+      query_in_topic_(QueryInTopic(config_.proxy_index, config_.standby)),
+      query_out_topic_(QueryOutTopic(config_.proxy_index, config_.standby)) {
   bus_.EnsureTopic(query_in_topic_, 1);
   bus_.EnsureTopic(query_out_topic_, 1);
   query_consumer_ =
@@ -57,18 +90,13 @@ void Proxy::EnsureLane(uint64_t query_id) {
   if (lanes_.count(query_id) != 0) {
     return;
   }
-  const std::string qid = std::to_string(query_id);
   Lane lane;
-  lane.in_topic = prefix_ + ".q" + qid + ".in";
-  lane.out_topic = out_prefix_ + ".q" + qid + ".out";
+  lane.in_topic = LaneInTopic(config_.proxy_index, query_id, config_.standby);
+  lane.out_topic = LaneOutTopic(config_.proxy_index, query_id);
   bus_.EnsureTopic(lane.in_topic, config_.num_partitions);
   bus_.EnsureTopic(lane.out_topic, config_.num_partitions);
   lane.consumer = std::make_unique<transport::BusConsumer>(bus_, lane.in_topic);
   lanes_.emplace(query_id, std::move(lane));
-}
-
-bool Proxy::HasLane(uint64_t query_id) const {
-  return lanes_.count(query_id) != 0;
 }
 
 std::vector<uint64_t> Proxy::lane_ids() const {
@@ -128,9 +156,7 @@ const std::string& Proxy::lane_out_topic(uint64_t query_id) const {
 
 void Proxy::Receive(uint64_t query_id,
                     std::span<const broker::ProduceView> records) {
-  const Lane& lane = GetLane(query_id, "Proxy::Receive");
-  bus_.Produce(lane.in_topic, records);
-  received_.Increment(records.size());
+  bus_.Produce(GetLane(query_id, "Proxy::Receive").in_topic, records);
 }
 
 uint64_t Proxy::ForwardPendingViews(transport::BusConsumer& consumer,
@@ -162,12 +188,6 @@ uint64_t Proxy::ForwardLanes() {
     lane.consumer->ReleaseConsumed();
   }
   return total;
-}
-
-void Proxy::AnnounceQuery(const std::vector<uint8_t>& announcement,
-                          int64_t timestamp_ms) {
-  const broker::ProduceView view{/*key=*/0, announcement, timestamp_ms};
-  bus_.Produce(query_in_topic_, std::span<const broker::ProduceView>(&view, 1));
 }
 
 uint64_t Proxy::ForwardQueries() {

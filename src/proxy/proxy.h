@@ -8,11 +8,12 @@
 // Fig 5b / Fig 8a measure.
 //
 // Share traffic runs over per-(query, proxy) *lanes* only. A lane is an
-// inbound/outbound topic pair named "<prefix>.q<QID>.in" / ".out", so a
+// inbound/outbound topic pair named "<prefix>q<QID>.in" / ".out", so a
 // record's topic implies its query — batches stay query-pure end to end and
 // the hot path never parses a QID out of a payload. Besides its lanes a
-// proxy owns one topic pair, "<prefix>.query.in"/".query.out", for query
-// announcements.
+// proxy owns one topic pair, "<prefix>query.in"/"query.out", for query
+// announcements. The free functions below are the one place these names
+// are decided; every other component asks them.
 //
 // Transport: the proxy speaks transport::MessageBus, never a broker
 // directly. In process that is an InProcessBus over the shared broker; in a
@@ -32,6 +33,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/message.h"
@@ -40,21 +42,34 @@
 
 namespace privapprox::proxy {
 
+// --- Topic names ----------------------------------------------------------
+// Every topic of primary proxy j starts with "proxy<j>.", every topic of
+// its standby (the fault layer's failover target) with "standby<j>.".
+std::string TopicPrefix(size_t proxy_index, bool standby = false);
+// Lane topics: "<prefix>q<QID>.in" / ".out". A standby's lane out-topic is
+// its primary's, so shares delivered via failover land in the per-query
+// streams the aggregator already joins and the n-source join is untouched.
+std::string LaneInTopic(size_t proxy_index, uint64_t query_id,
+                        bool standby = false);
+std::string LaneOutTopic(size_t proxy_index, uint64_t query_id);
+// Announcement topics: "<prefix>query.in" / "query.out".
+std::string QueryInTopic(size_t proxy_index, bool standby = false);
+std::string QueryOutTopic(size_t proxy_index, bool standby = false);
+// The QID of primary `proxy_index`'s lane in-topic `topic`, or 0 when
+// `topic` is not one (the announcement topics included).
+uint64_t LaneInQueryId(size_t proxy_index, std::string_view topic);
+
 struct ProxyConfig {
   size_t proxy_index = 0;
   size_t num_partitions = 4;  // Kafka brokers per proxy in the paper's setup
-  // Topic naming. Empty prefix = "proxy<index>". A standby proxy (fault
-  // failover target) uses its own prefix for its inbound and query topics.
-  std::string topic_prefix;
-  // Lane outbound naming: lane out topics are "<out_prefix>.q<QID>.out",
-  // empty = own prefix. A standby sets this to its primary's prefix, so
-  // shares delivered via failover land in the per-query streams the
-  // aggregator already joins and the n-source join is untouched.
-  std::string out_prefix;
+  // A standby proxy (fault failover target) names its inbound and query
+  // topics with the standby prefix and forwards into its primary's lane
+  // out-topics.
+  bool standby = false;
   // Where the proxy registers its families, labelled {proxy="<index>"}:
-  // privapprox_proxy_{received,forwarded}_total and
-  // privapprox_proxy_forward_ns — privapprox_standby_* for a standby (one
-  // with an out_prefix). Not owned; null = a registry private to the proxy.
+  // privapprox_proxy_forwarded_total and privapprox_proxy_forward_ns —
+  // privapprox_standby_* for a standby. Not owned; null = a registry
+  // private to the proxy.
   metrics::Registry* registry = nullptr;
 };
 
@@ -64,16 +79,13 @@ class Proxy {
   Proxy(ProxyConfig config, transport::MessageBus& bus);
 
   size_t index() const { return config_.proxy_index; }
-  const std::string& query_in_topic() const { return query_in_topic_; }
-  const std::string& query_out_topic() const { return query_out_topic_; }
 
   // Creates the per-query lane (topics + consumer) for `query_id` if it
   // does not exist yet. Topics are EnsureTopic'd so a standby whose lane
   // outbound is its primary's existing topic attaches rather than clashes.
-  // Called by the system at query submission for every proxy and standby.
+  // Called through the ensure_lane verb at query submission for every proxy
+  // and standby.
   void EnsureLane(uint64_t query_id);
-  bool HasLane(uint64_t query_id) const;
-  size_t num_lanes() const { return lanes_.size(); }
   std::vector<uint64_t> lane_ids() const;  // ascending
   const std::string& lane_in_topic(uint64_t query_id) const;
   const std::string& lane_out_topic(uint64_t query_id) const;
@@ -94,12 +106,11 @@ class Proxy {
   // has been forwarded).
   std::vector<uint64_t> LaneInOffsets(uint64_t query_id) const;
 
-  // Client-facing entry: enqueue a batch of pre-encoded shares (keyed by
-  // MID) into the query's lane, which must exist, in one produce call. The
-  // views (typically arena-backed ShareView records, in client-id order so
-  // topic contents stay byte-identical to per-record produce calls) only
-  // need to stay valid for the duration of the call — the topic copies
-  // each payload once into its slab.
+  // Produces a batch of pre-encoded shares (keyed by MID) into the query's
+  // lane in-topic, which must exist, in one produce call: what a client's
+  // produce to that topic does. The views only need to stay valid for the
+  // duration of the call — the topic copies each payload once into its
+  // slab.
   void Receive(uint64_t query_id, std::span<const broker::ProduceView> records);
 
   // Transmits all pending inbound records of every lane to its outbound
@@ -108,12 +119,10 @@ class Proxy {
   // included. Returns the number of records forwarded.
   uint64_t ForwardLanes();
 
-  // Query distribution (§3.1, submission phase): the aggregator publishes
+  // Query distribution (§3.1, submission phase): the driver produces
   // serialized query announcements into the proxy's query inbound topic;
   // ForwardQueries moves them to the client-facing outbound topic. Proxies
   // treat announcements as opaque bytes, exactly like answer shares.
-  void AnnounceQuery(const std::vector<uint8_t>& announcement,
-                     int64_t timestamp_ms);
   uint64_t ForwardQueries();
 
   // Serialization helpers shared with the aggregator side. DecodeShare is
@@ -175,11 +184,8 @@ class Proxy {
   // reference and the instruments registered on it.
   std::unique_ptr<metrics::Registry> owned_registry_;
   metrics::Registry& registry_;
-  metrics::Counter& received_;
   metrics::Counter& forwarded_;
   metrics::Histogram& forward_ns_;  // one observation per forward pass
-  std::string prefix_;
-  std::string out_prefix_;
   std::string query_in_topic_;
   std::string query_out_topic_;
   std::unique_ptr<transport::BusConsumer> query_consumer_;

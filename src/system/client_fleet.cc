@@ -70,9 +70,11 @@ AnsweredRange ClientFleet::Answer(size_t begin, size_t end, int64_t now_ms,
     }
   }
   // Client i's shares for its k-th subscription land in
-  // views[k * num_proxies + j], j = proxy index.
-  std::vector<crypto::ShareView> views(num_queries * num_proxies_);
-  std::vector<uint64_t> answered;
+  // views[k * num_proxies + j], j = proxy index. Both buffers are per-thread
+  // scratch, reused by every range the thread answers.
+  static thread_local std::vector<crypto::ShareView> views;
+  static thread_local std::vector<uint64_t> answered;
+  views.assign(num_queries * num_proxies_, crypto::ShareView{});
   for (size_t i = begin; i < end; ++i) {
     clients_[i].AnswerSubscribedInto(now_ms, arena, views, answered);
     size_t k = 0;

@@ -1,5 +1,5 @@
-// The client half of an epoch (paper §3.2 steps I-III, Fig 3), shared by
-// both epoch drivers.
+// The client half of an epoch (paper §3.2 steps I-III, Fig 3), owned by
+// the epoch driver both deployments run (system/epoch_driver.h).
 //
 // A ClientFleet owns the client::Client objects and is the one place that
 // (a) builds them from a seed, (b) hands each proxy's query announcement to
@@ -9,11 +9,11 @@
 // clients live contiguously, and each proxy's announcement is compiled once
 // and shared by its whole cohort, so a client costs its own data and RNG
 // streams and little else (DESIGN.md §6d).
-// PrivApproxSystem answers one contiguous range per worker on its pool;
-// deploy::FleetDriver answers its whole fleet as one range and produces the
-// batches over TCP. Because both drivers run this code,
-// every lane-topic byte of a TCP run equals the in-process run's by
-// construction (DESIGN.md §6j).
+// The driver answers one contiguous range per pool thread (the whole
+// fleet as one range without a pool) and produces the batches over its
+// proxy endpoints' buses. Because both deployments run this code, every
+// lane-topic byte of a TCP run equals the in-process run's by construction
+// (DESIGN.md §6j).
 
 #ifndef PRIVAPPROX_SYSTEM_CLIENT_FLEET_H_
 #define PRIVAPPROX_SYSTEM_CLIENT_FLEET_H_

@@ -5,11 +5,15 @@
 // then calls RunEpoch(now) once per answer period. Each epoch runs the full
 // pipeline — sampling/randomization/splitting at every client, transmission
 // through every proxy, join/decrypt/window at the aggregator — and window
-// results surface through the analyst callback once the event-time
-// watermark passes their end. The client half of every epoch — building
-// the clients, delivering announcements, answering and fault routing —
-// is a ClientFleet (system/client_fleet.h), the same module
-// deploy::FleetDriver answers through over TCP.
+// results surface once the event-time watermark passes their end.
+//
+// The system builds one broker with a ProxyNode per proxy (and per standby,
+// under a fault plan that can time a forward out) and an AggregatorNode
+// over it, and hands them to the system::EpochDriver that deploy::
+// FleetDriver also runs (system/epoch_driver.h, DESIGN.md §6c): every step
+// goes through the nodes' verbs, as it does over TCP to proxyd and
+// aggregatord. What the system adds is what the socket deployment lacks:
+// fault injection, the historical store and the timeline.
 //
 // Multi-query: one system hosts N concurrent queries over a single client
 // fleet, broker, proxy tier, and aggregator. Each submitted query gets its
@@ -26,20 +30,18 @@
 // cap is refused or down-sampled.
 //
 // Observability: the system owns a metrics::Registry and hands it to every
-// component it builds, each of which registers its own families; the
-// system adds its own totals, stage histograms, per-query counters and
-// broker gauges. Every instrument is always on, and EpochStats is a
-// per-epoch delta of the counters. The EpochTimeline trace is opt-in.
+// component it builds and to the driver, each of which registers its own
+// families; the system adds the broker gauges. Every instrument is always
+// on, and EpochStats is a per-epoch delta of the counters. The
+// EpochTimeline trace is opt-in.
 
 #ifndef PRIVAPPROX_SYSTEM_SYSTEM_H_
 #define PRIVAPPROX_SYSTEM_SYSTEM_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -47,7 +49,6 @@
 #include "aggregator/historical.h"
 #include "broker/broker.h"
 #include "client/client.h"
-#include "common/arena.h"
 #include "common/thread_pool.h"
 #include "core/budget.h"
 #include "core/budget_manager.h"
@@ -55,9 +56,10 @@
 #include "fault/fault.h"
 #include "metrics/metrics.h"
 #include "metrics/timeline.h"
-#include "proxy/proxy.h"
 #include "storage/partition_log.h"
-#include "system/client_fleet.h"
+#include "system/aggregator_node.h"
+#include "system/epoch_driver.h"
+#include "system/proxy_node.h"
 #include "transport/inproc_bus.h"
 
 namespace privapprox::system {
@@ -136,39 +138,15 @@ struct SystemConfig {
   std::optional<fault::FaultPlan> fault;
 };
 
-struct EpochStats {
-  // (client, query) pairs that passed the sampling coin this epoch. With
-  // one query this is exactly the classic "clients that participated".
-  size_t participants = 0;
-  uint64_t shares_sent = 0;  // client -> proxy messages
-  uint64_t shares_forwarded = 0;
-  uint64_t shares_consumed = 0;
-  // Records dropped this epoch because they failed to decode (truncated
-  // share or garbage plaintext after the join) — the aggregator counts
-  // them; this surfaces the per-epoch delta to RunEpoch callers.
-  uint64_t malformed_dropped = 0;
-  // Fault-injection and recovery deltas (all zero when SystemConfig::fault
-  // is unset). Per-epoch deltas of the privapprox_fault_* /
-  // privapprox_recovery_* registry counters.
-  uint64_t fault_shares_dropped = 0;
-  uint64_t fault_shares_corrupted = 0;
-  uint64_t fault_shares_duplicated = 0;
-  uint64_t fault_shares_delayed = 0;
-  uint64_t fault_forward_timeouts = 0;
-  uint64_t fault_proxy_crashes = 0;
-  uint64_t fault_lost_mids = 0;  // (QID, MID) pairs that can never join
-  uint64_t recovery_retries = 0;
-  uint64_t recovery_failovers = 0;
-  uint64_t recovery_late_delivered = 0;  // deferred shares replayed
-};
-
 class PrivApproxSystem {
  public:
   explicit PrivApproxSystem(SystemConfig config);
   ~PrivApproxSystem();
 
-  size_t num_clients() const { return clients_->size(); }
-  client::Client& client(size_t index) { return clients_->client(index); }
+  size_t num_clients() const { return config_.num_clients; }
+  client::Client& client(size_t index) {
+    return driver_->fleet().client(index);
+  }
 
   // Analyst entry point: converts the budget into execution parameters via
   // the initializer, runs privacy-budget admission, and distributes the
@@ -186,7 +164,9 @@ class PrivApproxSystem {
   // SystemConfig::budget, std::invalid_argument for a duplicate QID or
   // anything core::ValidateAnnouncement refuses.
   core::ExecutionParams SubmitQuery(const core::Query& query,
-                                    const core::ExecutionParams& params);
+                                    const core::ExecutionParams& params) {
+    return driver_->SubmitQuery(query, params);
+  }
 
   // Redistributes re-tuned execution parameters for one query (§5
   // feedback loop) without disturbing in-flight window state: the budget
@@ -194,34 +174,39 @@ class PrivApproxSystem {
   // client, and the query's estimator switches to the admitted (s, p, q).
   // Returns the admitted parameters.
   core::ExecutionParams UpdateParams(uint64_t query_id,
-                                     const core::ExecutionParams& params);
+                                     const core::ExecutionParams& params) {
+    return driver_->UpdateParams(query_id, params);
+  }
 
-  size_t num_queries() const { return active_.size(); }
-  // Registered QIDs in ascending order.
-  std::vector<uint64_t> query_ids() const;
-  // The admitted execution parameters a query currently runs with.
-  const core::ExecutionParams& query_params(uint64_t query_id) const;
-  core::PrivacyBudgetManager& budget_manager() { return budget_manager_; }
+  size_t num_queries() const { return driver_->queries().size(); }
+  core::PrivacyBudgetManager& budget_manager() {
+    return driver_->budget_manager();
+  }
 
-  // Runs one answering epoch at `now_ms`, driving every registered query:
-  // replay deferred shares, answer min(clients, workers) contiguous client
-  // ranges on the pool, then one pool task per proxy receives every range's
-  // lane records in range order and forwards them, then the aggregator
-  // drains. Results, topic contents and stats are bit-identical at every
-  // worker count. The returned stats are the epoch's delta of the
-  // registry's core pipeline counters.
+  // Runs one answering epoch at `now_ms`, driving every registered query
+  // (EpochDriver::RunEpoch): replay deferred shares, answer min(clients,
+  // workers) contiguous client ranges on the pool, one pool task per proxy
+  // produces every range's lane records in range order, one per proxy
+  // forwards them, then the aggregator drains. Results, topic contents and
+  // stats are bit-identical at every worker count. The returned stats are
+  // the epoch's delta of the registry's core pipeline counters.
   EpochStats RunEpoch(int64_t now_ms);
 
   // Advances the watermark on every query lane; fires completed windows
   // into results().
-  void AdvanceWatermark(int64_t watermark_ms);
-  // Fires everything pending (end of run), all queries.
-  void Flush();
-
-  const std::vector<aggregator::WindowedResult>& results() const {
-    return results_;
+  void AdvanceWatermark(int64_t watermark_ms) {
+    driver_->AdvanceWatermark(watermark_ms);
   }
-  std::vector<aggregator::WindowedResult> TakeResults();
+  // Fires everything pending (end of run), all queries.
+  void Flush() { driver_->Flush(); }
+
+  // Fired windows not yet taken.
+  const std::vector<aggregator::WindowedResult>& results() const {
+    return aggregator_node_->results();
+  }
+  std::vector<aggregator::WindowedResult> TakeResults() {
+    return driver_->TakeResults();
+  }
 
   // Bytes produced by clients into proxy inbound topics (all lanes, primary
   // and standby proxies) so far — the client->proxy network traffic of
@@ -249,28 +234,16 @@ class PrivApproxSystem {
   // The in-process transport every component speaks — the deterministic
   // counterpart of the daemons' TCP buses.
   transport::InProcessBus& bus() { return bus_; }
-  aggregator::Aggregator& aggregator() { return *aggregator_; }
+  aggregator::Aggregator& aggregator() {
+    return aggregator_node_->aggregator();
+  }
   size_t num_worker_threads() const { return pool_->num_threads(); }
 
  private:
-  // One registered query's system-side state.
-  struct ActiveQuery {
-    core::Query query;
-    core::ExecutionParams params;  // admitted (possibly down-sampled)
-    metrics::Counter& participants_total;  // {query="<QID>"}
-    metrics::Counter& shares_sent_total;
-  };
-
-  // Adds one answered range's per-query participant counts (ascending-QID
-  // order) to the per-query counters. Thread-safe.
-  void CountAnswered(std::span<const uint64_t> participants);
-  void ReplayDeferredShares();
-  // Publishes the announcement through every proxy's query topics and
-  // delivers it to the client fleet.
-  void DistributeAnnouncement(const core::Query& query,
-                              const core::ExecutionParams& params);
-  ActiveQuery& GetActive(uint64_t query_id, const char* caller);
-  const ActiveQuery& SingleActive(const char* caller) const;
+  // Builds proxy node j of a tier and its driver endpoint.
+  NodeEndpoint AddProxyNode(size_t index, bool standby,
+                            std::vector<std::unique_ptr<ProxyNode>>& tier);
+  const EpochDriver::ActiveQuery& SingleActive(const char* caller) const;
 
   SystemConfig config_;
   // Declared before every pipeline component: proxies, clients, and the
@@ -279,42 +252,23 @@ class PrivApproxSystem {
   // order).
   metrics::Registry registry_;
   metrics::EpochTimeline timeline_;
-  metrics::Counter& epochs_;
-  metrics::Counter& shares_forwarded_;  // primaries and standbys
-  metrics::Counter& shares_consumed_;
-  // privapprox_stage_ns, by stage.
-  struct StageHistograms {
-    metrics::Histogram& answer_shard;
-    metrics::Histogram& proxy_forward;
-    metrics::Histogram& agg_consume;
-    metrics::Histogram& epoch;
-  };
-  StageHistograms stage_ns_;
   broker::Broker broker_;
-  // The single in-process MessageBus all proxies, the aggregator, and
-  // announcement distribution run over (declared right after the broker it
-  // wraps, before every component holding a reference to it).
+  // The single in-process MessageBus every node and the driver run over
+  // (declared right after the broker it wraps, before every component
+  // holding a reference to it).
   transport::InProcessBus bus_{broker_};
   std::unique_ptr<ThreadPool> pool_;
-  // Share-encoding arenas, one per client range (min(clients, workers) of
-  // them), reused every epoch: range r's records live in arenas_[r] until
-  // the forward step has copied them into broker slabs.
-  std::vector<std::unique_ptr<EpochArena>> arenas_;
-  std::unique_ptr<ClientFleet> clients_;
-  std::vector<std::unique_ptr<proxy::Proxy>> proxies_;
   // Fault layer (null/empty unless SystemConfig::fault is set). Standby
   // proxy j shares primary j's outbound lane topics, so failover is
   // invisible to the aggregator's n-source join.
   std::unique_ptr<fault::FaultInjector> injector_;
-  std::vector<std::unique_ptr<proxy::Proxy>> standby_proxies_;
-  uint64_t epoch_index_ = 0;  // keys the per-epoch proxy crash draw
-  core::PrivacyBudgetManager budget_manager_;
-  std::unique_ptr<aggregator::Aggregator> aggregator_;
-  std::map<uint64_t, ActiveQuery> active_;  // QID -> query, ascending
-  std::vector<aggregator::WindowedResult> results_;
+  std::vector<std::unique_ptr<ProxyNode>> proxy_nodes_;
+  std::vector<std::unique_ptr<ProxyNode>> standby_nodes_;
   aggregator::ResponseStore historical_store_;
   std::unique_ptr<storage::PartitionLog> historical_log_;
   Xoshiro256 historical_rng_;
+  std::unique_ptr<AggregatorNode> aggregator_node_;
+  std::unique_ptr<EpochDriver> driver_;
 };
 
 }  // namespace privapprox::system

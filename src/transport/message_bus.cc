@@ -4,10 +4,6 @@
 
 namespace privapprox::transport {
 
-size_t PartitionForKey(uint64_t key, size_t num_partitions) {
-  return broker::PartitionForKey(key, num_partitions);
-}
-
 BusConsumer::BusConsumer(MessageBus& bus, std::string topic)
     : bus_(bus), topic_(std::move(topic)) {
   offsets_.assign(bus_.NumPartitions(topic_), 0);

@@ -87,12 +87,6 @@ class MessageBus {
                        std::span<const uint64_t> below) = 0;
 };
 
-// The partition a key maps to in a topic with `num_partitions` partitions —
-// the same splitmix hash broker::Topic applies on append, exposed so
-// transport-side producers and forwarders can compute per-partition counts
-// without holding the topic object.
-size_t PartitionForKey(uint64_t key, size_t num_partitions);
-
 // A polling consumer over one topic of a MessageBus: owns its per-partition
 // offsets (the explicit commit state of the contract) and reads partitions
 // round-robin.

@@ -508,8 +508,14 @@ size_t TcpBusClient::NumPartitions(const std::string& topic) {
 void TcpBusClient::Produce(const std::string& topic,
                            std::span<const broker::ProduceView> records) {
   std::lock_guard<std::mutex> lock(mu_);
-  BuildProduceRequest(topic, records, NewRequest());
-  CheckOk(Rpc());
+  // Splitting never reorders: each request appends after the previous one.
+  size_t begin = 0;
+  do {
+    const size_t len = std::min(kMaxProduceRecords, records.size() - begin);
+    BuildProduceRequest(topic, records.subspan(begin, len), NewRequest());
+    CheckOk(Rpc());
+    begin += len;
+  } while (begin < records.size());
 }
 
 size_t TcpBusClient::Poll(const std::string& topic, size_t partition,

@@ -150,6 +150,8 @@ class TcpBusClient final : public MessageBus {
 
   void EnsureTopic(const std::string& topic, size_t num_partitions) override;
   size_t NumPartitions(const std::string& topic) override;
+  // One request per kMaxProduceRecords records (wire.h), in order; an
+  // empty batch is still one request.
   void Produce(const std::string& topic,
                std::span<const broker::ProduceView> records) override;
   size_t Poll(const std::string& topic, size_t partition, uint64_t offset,

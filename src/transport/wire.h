@@ -51,6 +51,11 @@ inline constexpr uint8_t kWireError = 1;
 // Default poll response byte budget (payload bytes per round-trip).
 inline constexpr uint32_t kDefaultPollByteBudget = 1 << 20;
 
+// Most records one Produce request carries: TcpBusClient::Produce splits a
+// larger batch into requests of this many, in order, which keeps a large
+// fleet's lane batch far below the frame cap.
+inline constexpr size_t kMaxProduceRecords = 2048;
+
 // Largest partition count an EnsureTopic request may ask for. The server
 // builds every partition up front (plus a log directory each when durable),
 // so a peer's count is capped; the largest in-tree topic has 64.

@@ -548,6 +548,28 @@ TEST(AllocRegressionTest, HostileResultCountAllocatesLittle) {
   }
 }
 
+// A note_lost_mids payload whose MID count claims four billion MIDs and
+// carries one: the aggregator node must refuse the count before it sizes
+// anything by it (any peer on the daemon network can send verbs).
+TEST(AllocRegressionTest, HostileLostMidCountAllocatesLittle) {
+  broker::Broker broker;
+  transport::InProcessBus bus(broker);
+  metrics::Registry registry;
+  aggregator::AggregatorConfig config;
+  config.population = 100;
+  config.track_fault_losses = true;
+  system::AggregatorNode node(config, registry, bus);
+  std::vector<uint8_t> payload;
+  transport::PutU64(1, payload);     // QID
+  transport::PutU64(1000, payload);  // now
+  transport::PutU32(0xFFFFFFFFu, payload);
+  transport::PutU64(7, payload);
+  const uint64_t before = AllocCounter::Bytes();
+  EXPECT_THROW(node.HandleControl("note_lost_mids", payload),
+               std::invalid_argument);
+  EXPECT_LT(AllocCounter::Bytes() - before, 64u * 1024);
+}
+
 // A log whose newest segment ends in a torn 16-byte frame header claiming
 // a 60 MiB batch. Recovery truncates it like any torn tail, and bounds the
 // length by the bytes left in the segment before sizing a read buffer on

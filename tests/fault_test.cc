@@ -217,7 +217,6 @@ fault::FaultPlan ChaosPlan(uint64_t seed) {
   plan.crash_point = 0.5;
   plan.retry.max_attempts = 3;
   plan.retry.base_backoff_ms = 10.0;
-  plan.standby_proxies = true;
   return plan;
 }
 

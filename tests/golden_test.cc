@@ -161,7 +161,7 @@ uint64_t FleetDigest(bool with_faults, uint64_t* standby_records) {
     fault::FaultPlan plan = GoldenFaultPlan();
     plan.timeout_probability = 0.05;
     plan.crash_probability = 0.3;
-    injector.emplace(plan, /*has_standby=*/true, registry);
+    injector.emplace(plan, registry);
   }
   Fnv1a64 fnv;
   EpochArena arena;

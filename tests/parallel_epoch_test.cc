@@ -244,7 +244,6 @@ fault::FaultPlan SplitChaosPlan() {
   plan.delay_probability = 0.1;
   plan.timeout_probability = 0.2;
   plan.crash_probability = 0.3;
-  plan.standby_proxies = true;
   return plan;
 }
 

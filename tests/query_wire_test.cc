@@ -120,10 +120,13 @@ TEST(QueryDistributionTest, AnnouncementReachesClientThroughProxy) {
   transport::InProcessBus bus(b);
   proxy::Proxy proxy(proxy::ProxyConfig{0, 2}, bus);
   const QueryAnnouncement ann{MakeQuery(), MakeParams()};
-  proxy.AnnounceQuery(SerializeAnnouncement(ann), 0);
+  const std::vector<uint8_t> bytes = SerializeAnnouncement(ann);
+  const broker::ProduceView view{/*key=*/0, bytes, /*timestamp_ms=*/0};
+  bus.Produce(proxy::QueryInTopic(0),
+              std::span<const broker::ProduceView>(&view, 1));
   EXPECT_EQ(proxy.ForwardQueries(), 1u);
 
-  transport::BusConsumer consumer(bus, proxy.query_out_topic());
+  transport::BusConsumer consumer(bus, proxy::QueryOutTopic(0));
   std::vector<broker::RecordView> records;
   ASSERT_EQ(consumer.PollInto(4, records), 1u);
 

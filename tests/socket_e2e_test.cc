@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <random>
 #include <regex>
 #include <set>
@@ -118,6 +119,21 @@ core::ExecutionParams RandomizedParams() {
   return params;
 }
 
+// An UpdateParams call made right before epoch `epoch`.
+struct ParamsUpdate {
+  size_t epoch = 1;
+  uint64_t query_id = 0;
+  core::ExecutionParams params;
+};
+
+ParamsUpdate RetuneSpeedBeforeEpoch1() {
+  ParamsUpdate update;
+  update.query_id = SpeedQuery().query_id;
+  update.params.sampling_fraction = 0.7;
+  update.params.randomization = {0.9, 0.6};
+  return update;
+}
+
 void FillDatabase(localdb::Database& db, size_t client_index) {
   db.CreateTable("vehicle", {"speed", "fare"});
   db.GetTable("vehicle").Insert(
@@ -143,11 +159,13 @@ struct DeploymentMetrics {
 // (the restart tests need the disk state). With a restart spec, the chosen
 // daemon is destroyed and recreated — same port, same data dir — from the
 // after-produce seam of the spec's epoch, exactly where the chaos CI job
-// lands its kill -9.
+// lands its kill -9. With an update, the driver re-tunes that query right
+// before the update's epoch.
 std::vector<aggregator::WindowedResult> RunSocketDeployment(
     const std::vector<core::Query>& queries,
     RestartSpec restart = RestartSpec{}, bool force_durable = false,
-    DeploymentMetrics* metrics = nullptr) {
+    DeploymentMetrics* metrics = nullptr,
+    const std::optional<ParamsUpdate>& update = std::nullopt) {
   bool durable_env = false;
   const storage::FsyncPolicy env_policy = EnvFsyncPolicy(durable_env);
   const bool durable = durable_env || force_durable;
@@ -226,6 +244,9 @@ std::vector<aggregator::WindowedResult> RunSocketDeployment(
   }
   for (size_t e = 0; e < kEpochs; ++e) {
     current_epoch = e;
+    if (update.has_value() && update->epoch == e) {
+      fleet.UpdateParams(update->query_id, update->params);
+    }
     const FleetEpochStats stats =
         fleet.RunEpoch(static_cast<int64_t>(1000 * (e + 1)));
     if (restart.target == RestartSpec::kNone) {
@@ -257,7 +278,8 @@ std::vector<aggregator::WindowedResult> RunSocketDeployment(
 // default size, pinned bit-identical to one worker by parallel_epoch_test).
 std::vector<aggregator::WindowedResult> RunInProcessReference(
     const std::vector<core::Query>& queries,
-    std::string* metrics_text = nullptr) {
+    std::string* metrics_text = nullptr,
+    const std::optional<ParamsUpdate>& update = std::nullopt) {
   system::SystemConfig config;
   config.num_clients = kClients;
   config.num_proxies = kProxies;
@@ -270,6 +292,9 @@ std::vector<aggregator::WindowedResult> RunInProcessReference(
     sys.SubmitQuery(query, RandomizedParams());
   }
   for (size_t e = 0; e < kEpochs; ++e) {
+    if (update.has_value() && update->epoch == e) {
+      sys.UpdateParams(update->query_id, update->params);
+    }
     sys.RunEpoch(static_cast<int64_t>(1000 * (e + 1)));
   }
   sys.Flush();
@@ -292,6 +317,16 @@ std::set<std::string> Families(const std::string& text) {
   return families;
 }
 
+// The value of the sample `family{topic="<topic>"}` in a text exposition,
+// or -1 when it is missing.
+double TopicSample(const std::string& text, const std::string& family,
+                   const std::string& topic) {
+  const std::string key = family + "{topic=\"" + topic + "\"} ";
+  const size_t at = text.find(key);
+  return at == std::string::npos ? -1.0
+                                 : std::stod(text.substr(at + key.size()));
+}
+
 TEST(SocketDeploymentTest, SingleQueryMatchesInProcessBitForBit) {
   const std::vector<core::Query> queries = {SpeedQuery()};
   const std::vector<uint8_t> socket_wire =
@@ -300,6 +335,29 @@ TEST(SocketDeploymentTest, SingleQueryMatchesInProcessBitForBit) {
       SerializeResults(RunInProcessReference(queries));
   ASSERT_FALSE(socket_wire.empty());
   EXPECT_EQ(socket_wire, inproc_wire);
+}
+
+// A re-tuned query reaches both deployments through the same driver: the
+// fleet re-announces it through every proxyd and aggregatord's update_params
+// switches its estimator, so the result bytes — estimates under the new
+// (s, p, q), the other query's untouched — equal the in-process run's.
+TEST(SocketDeploymentTest, UpdateParamsMatchesInProcess) {
+  const std::vector<core::Query> queries = {SpeedQuery(), FareQuery()};
+  const ParamsUpdate update = RetuneSpeedBeforeEpoch1();
+  const std::vector<uint8_t> socket_wire = SerializeResults(RunSocketDeployment(
+      queries, RestartSpec{}, /*force_durable=*/false, nullptr, update));
+  const std::vector<aggregator::WindowedResult> inproc =
+      RunInProcessReference(queries, nullptr, update);
+  ASSERT_FALSE(inproc.empty());
+  EXPECT_EQ(socket_wire, SerializeResults(inproc));
+  // The update took effect: the re-tuned query reports its new s.
+  for (const aggregator::WindowedResult& result : inproc) {
+    EXPECT_EQ(result.result.sampling_fraction,
+              result.query_id == update.query_id
+                  ? update.params.sampling_fraction
+                  : RandomizedParams().sampling_fraction);
+  }
+  EXPECT_NE(socket_wire, SerializeResults(RunInProcessReference(queries)));
 }
 
 TEST(SocketDeploymentTest, MultiQueryMatchesInProcessPerQuery) {
@@ -402,8 +460,24 @@ TEST(SocketDeploymentTest, DaemonsExportTheInProcessComponentFamilies) {
     EXPECT_TRUE(!client || Families(deployed.fleet).count(family) == 1)
         << family << " missing on the fleet driver";
   }
-  // 3 proxy families, 8 aggregator families, 3 client decision counters.
-  EXPECT_EQ(checked, 14u);
+  // 2 proxy families, 8 aggregator families, 3 client decision counters.
+  EXPECT_EQ(checked, 13u);
+
+  // Every share a client sent arrives at its lane in-topic in both
+  // deployments, and each broker counts the arrivals.
+  for (size_t j = 0; j < kProxies; ++j) {
+    for (const core::Query& query : queries) {
+      const std::string topic = "proxy" + std::to_string(j) + ".q" +
+                                std::to_string(query.query_id) + ".in";
+      const double inproc_in =
+          TopicSample(inproc, "privapprox_topic_records_in", topic);
+      EXPECT_GT(inproc_in, 0.0) << topic;
+      EXPECT_EQ(TopicSample(deployed.proxyds[j],
+                            "privapprox_topic_records_in", topic),
+                inproc_in)
+          << topic;
+    }
+  }
 
   uint64_t forwarded = 0;
   for (size_t j = 0; j < kProxies; ++j) {
@@ -552,6 +626,26 @@ TEST(SocketRestartTest, AggregatorRestartMidEpochConvergesBitForBit) {
       RunSocketDeployment(queries, restart, /*force_durable=*/true));
   ASSERT_FALSE(reference.empty());
   EXPECT_EQ(interrupted, reference);
+}
+
+// An update is journaled like a registration: an aggregatord restarted after
+// it replays the register and then the update, so the recovered deployment
+// estimates under the new parameters, exactly as the uninterrupted run does.
+TEST(SocketRestartTest, AggregatorRestartAfterAnUpdateReplaysIt) {
+  const std::vector<core::Query> queries = {SpeedQuery(), FareQuery()};
+  const ParamsUpdate update = RetuneSpeedBeforeEpoch1();
+  const std::vector<uint8_t> reference = SerializeResults(RunSocketDeployment(
+      queries, RestartSpec{}, /*force_durable=*/true, nullptr, update));
+  RestartSpec restart;
+  restart.target = RestartSpec::kAggregator;
+  restart.epoch = 2;
+  const std::vector<uint8_t> interrupted = SerializeResults(
+      RunSocketDeployment(queries, restart, /*force_durable=*/true, nullptr,
+                          update));
+  ASSERT_FALSE(reference.empty());
+  EXPECT_EQ(interrupted, reference);
+  EXPECT_EQ(reference,
+            SerializeResults(RunInProcessReference(queries, nullptr, update)));
 }
 
 // aggregatord journals every announcement it accepts and re-registers the

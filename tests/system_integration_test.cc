@@ -59,7 +59,7 @@ TEST(SystemTest, MetricsExpositionCoversPipelineFamilies) {
         "privapprox_shares_sent_total", "privapprox_shares_forwarded_total",
         "privapprox_shares_consumed_total",
         "privapprox_malformed_dropped_total", "privapprox_stage_ns",
-        "privapprox_proxy_received_total", "privapprox_proxy_forwarded_total",
+        "privapprox_proxy_forwarded_total",
         "privapprox_agg_decode_ns", "privapprox_agg_join_ns",
         "privapprox_agg_evict_ns",
         "privapprox_topic_records_in", "privapprox_topic_slab_used_bytes"}) {
@@ -230,7 +230,6 @@ TEST(SystemTest, ClientToProxyBytesCountsStandbyTraffic) {
   const uint64_t bytes = run(std::nullopt, fault_free);
   fault::FaultPlan plan;
   plan.timeout_probability = 1.0;
-  plan.standby_proxies = true;
   EpochStats failed_over;
   const uint64_t failover_bytes = run(plan, failed_over);
   EXPECT_EQ(failed_over.recovery_failovers, 400u);

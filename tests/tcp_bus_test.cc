@@ -22,6 +22,7 @@
 #include "metrics/metrics.h"
 #include "storage/record_batch.h"
 #include "transport/frame.h"
+#include "transport/inproc_bus.h"
 #include "transport/message_bus.h"
 #include "transport/tcp_bus.h"
 #include "transport/wire.h"
@@ -360,6 +361,52 @@ TEST_F(TcpBusTest, LaneSharesCostTheirOwnBytesOnTheWire) {
     EXPECT_EQ(view.payload_len, kShareBytes);
     EXPECT_EQ(view.key, LoadLe<uint64_t>(view.payload));
     EXPECT_EQ(view.timestamp_ms, 5000);
+  }
+}
+
+// The transport bounds a request, not its caller: a 5,000-record Produce
+// goes out as requests of at most kMaxProduceRecords, in order, and the
+// server's topic ends up exactly as one in-process append of the batch.
+TEST_F(TcpBusTest, LargeProduceGoesOutInRequestsOfAtMost2048Records) {
+  StartServer();
+  TcpBusClientConfig config;
+  config.port = server_->port();
+  config.counters.frames_out = &registry_.GetCounter("client_frames_out", "");
+  TcpBusClient client(config);
+  client.EnsureTopic("t", 4);
+
+  constexpr size_t kRecords = 5000;
+  std::vector<uint8_t> payloads(kRecords * 12);
+  std::vector<broker::ProduceView> records;
+  for (size_t i = 0; i < kRecords; ++i) {
+    uint8_t* payload = payloads.data() + i * 12;
+    StoreLe<uint64_t>(payload, i * 0x9E3779B97F4A7C15ull);
+    StoreLe<uint32_t>(payload + 8, static_cast<uint32_t>(i));
+    records.push_back(broker::ProduceView{
+        i % 97, std::span<const uint8_t>(payload, 12),
+        static_cast<int64_t>(i / 100)});
+  }
+  const uint64_t before = Counter("client_frames_out");
+  client.Produce("t", records);
+  EXPECT_EQ(Counter("client_frames_out") - before, 3u);
+
+  broker::Broker reference;
+  reference.CreateTopic("t", 4);
+  InProcessBus reference_bus(reference);
+  reference_bus.Produce("t", records);
+  InProcessBus served(broker_);
+  for (size_t p = 0; p < 4; ++p) {
+    std::vector<broker::RecordView> got;
+    std::vector<broker::RecordView> want;
+    served.Poll("t", p, 0, kRecords, got);
+    reference_bus.Poll("t", p, 0, kRecords, want);
+    ASSERT_EQ(got.size(), want.size()) << "partition " << p;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].offset, want[i].offset);
+      EXPECT_EQ(got[i].key, want[i].key);
+      EXPECT_EQ(got[i].timestamp_ms, want[i].timestamp_ms);
+      EXPECT_TRUE(std::ranges::equal(got[i].bytes(), want[i].bytes()));
+    }
   }
 }
 

@@ -215,12 +215,12 @@ TEST_F(WireProtocolTest, EnsureProduceAndPollRoundTrip) {
       if (record.key == 1) {
         EXPECT_EQ(record.timestamp_ms, 10);
         EXPECT_EQ(record.payload, a);
-        EXPECT_EQ(PartitionForKey(1, 2), p);
+        EXPECT_EQ(broker::PartitionForKey(1, 2), p);
       } else {
         EXPECT_EQ(record.key, 2u);
         EXPECT_EQ(record.timestamp_ms, 20);
         EXPECT_EQ(record.payload, b);
-        EXPECT_EQ(PartitionForKey(2, 2), p);
+        EXPECT_EQ(broker::PartitionForKey(2, 2), p);
       }
       EXPECT_EQ(record.offset, 0u);
       ++found;
@@ -635,10 +635,6 @@ TEST(TopicRouterBusTest, RoutesByLongestPrefix) {
   EXPECT_THROW(router.Produce("unrouted.topic", {}), std::invalid_argument);
   EXPECT_THROW(router.Release("unrouted.topic", std::vector<uint64_t>{0}),
                std::invalid_argument);
-}
-
-TEST(PartitionForKeyTest, ZeroPartitionsClampsToZero) {
-  EXPECT_EQ(PartitionForKey(123, 0), 0u);
 }
 
 // --- result_wire: the serialization the socket e2e comparison rides on ---
