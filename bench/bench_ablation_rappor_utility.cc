@@ -48,7 +48,7 @@ double PrivApproxLoss(double epsilon, Xoshiro256& rng) {
 
 // RAPPOR loss at (approximately) the same one-time epsilon: fix the IRR at
 // the canonical (0.25, 0.75) and solve f by bisection.
-double RapporLossAtEpsilon(double epsilon, Xoshiro256& rng) {
+double RapporLossAtEpsilon(double epsilon) {
   baseline::RapporConfig config;
   config.num_bits = 32;
   config.num_hashes = 1;
@@ -108,7 +108,7 @@ int main() {
   Xoshiro256 rng(13);
   for (double epsilon : {0.5, 1.0, 2.0, 3.0}) {
     const double ours = PrivApproxLoss(epsilon, rng);
-    const double theirs = RapporLossAtEpsilon(epsilon, rng);
+    const double theirs = RapporLossAtEpsilon(epsilon);
     std::printf("%8.1f %17.3f%% %13.3f%% %7.1fx\n", epsilon, 100.0 * ours,
                 100.0 * theirs, theirs / ours);
   }

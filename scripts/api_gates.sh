@@ -19,7 +19,7 @@ repo="$(dirname "$here")"
 GATES=(pre_span_first qid_less chacha_block flat_config compat_layer
        ofstream bus_triplets single_query hand_wired_metrics
        streaming_runtime per_client_copies per_record_framing window_fanout
-       shard_knob dead_knobs record_index one_driver)
+       shard_knob dead_knobs record_index one_driver owning_paths)
 
 # Each gate_<name> runs its grep from the tree root; plant_<name> is
 # "<file>|<line>", a violation the self-test appends to that file.
@@ -232,6 +232,20 @@ gate_one_driver() {
     src tests bench examples
 }
 plant_one_driver="src/deploy/planted.cc|config.produce_chunk_records = 2048;"
+
+# One path per layer: a topic appends with AppendViews and reads with
+# ReadViews, routing by broker::PartitionForKey; a client subscribes with
+# Subscribe and answers every subscription in one AnswerSubscribedInto
+# pass. The owning record types, the topic's second partition function and
+# the single-subscription answer path with its shims must not come back.
+# PartitionLog::Append/AppendBatch and ResponseStore::Append are other
+# layers' calls and stay.
+gate_owning_paths() {
+  grep -rnE \
+    "\bProduceRecord\b|broker::Record\b|vector<Record>|struct Record\b|\bAnswerQuery\(|\bEpochAnswer\b|\bOnAnnouncement\(|\bPartitionOf\(|\bSingleSub\b" \
+    src tests bench examples
+}
+plant_owning_paths="tests/planted.cc|const auto answer = client.AnswerQuery(now);"
 
 # Runs one gate in directory $2; returns 0 on pass. Prints why it failed.
 run_gate() {

@@ -52,10 +52,6 @@ Topic::Topic(std::string name, size_t num_partitions,
   }
 }
 
-size_t Topic::PartitionOf(uint64_t key) const {
-  return static_cast<size_t>(Mix64(key) % partitions_.size());
-}
-
 void Topic::OpenSlab(Partition& partition, size_t min_cap) {
   if (!partition.slabs.empty()) {
     partition.slabs.back().end = partition.end;
@@ -184,61 +180,6 @@ void Topic::SpillLocked(Partition& partition, uint64_t first) {
       });
 }
 
-uint64_t Topic::Append(uint64_t key, std::span<const uint8_t> payload,
-                       int64_t timestamp_ms) {
-  Partition& partition = partitions_[PartitionOf(key)];
-  uint64_t offset;
-  {
-    std::lock_guard<std::mutex> lock(partition.mu);
-    offset = partition.end;
-    AppendToMemory(partition, key, payload, timestamp_ms);
-    SpillLocked(partition, offset);
-  }
-  records_in_.fetch_add(1, std::memory_order_relaxed);
-  bytes_in_.fetch_add(payload.size(), std::memory_order_relaxed);
-  return offset;
-}
-
-void Topic::AppendBatch(std::vector<ProduceRecord> records) {
-  if (records.empty()) {
-    return;
-  }
-  uint64_t bytes = 0;
-  for (const auto& record : records) {
-    bytes += record.payload.size();
-  }
-  if (partitions_.size() == 1) {
-    Partition& partition = partitions_[0];
-    std::lock_guard<std::mutex> lock(partition.mu);
-    const uint64_t first = partition.end;
-    for (const auto& record : records) {
-      AppendToMemory(partition, record.key, record.payload,
-                     record.timestamp_ms);
-    }
-    SpillLocked(partition, first);
-  } else {
-    std::vector<std::vector<size_t>> by_partition(partitions_.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-      by_partition[PartitionOf(records[i].key)].push_back(i);
-    }
-    for (size_t p = 0; p < partitions_.size(); ++p) {
-      if (by_partition[p].empty()) {
-        continue;
-      }
-      Partition& partition = partitions_[p];
-      std::lock_guard<std::mutex> lock(partition.mu);
-      const uint64_t first = partition.end;
-      for (size_t i : by_partition[p]) {
-        AppendToMemory(partition, records[i].key, records[i].payload,
-                       records[i].timestamp_ms);
-      }
-      SpillLocked(partition, first);
-    }
-  }
-  records_in_.fetch_add(records.size(), std::memory_order_relaxed);
-  bytes_in_.fetch_add(bytes, std::memory_order_relaxed);
-}
-
 void Topic::AppendViews(std::span<const ProduceView> records) {
   if (records.empty()) {
     return;
@@ -265,7 +206,8 @@ void Topic::AppendViews(std::span<const ProduceView> records) {
     routes.reserve(records.size());
     counts.assign(partitions_.size(), 0);
     for (const auto& record : records) {
-      const uint32_t p = static_cast<uint32_t>(PartitionOf(record.key));
+      const auto p = static_cast<uint32_t>(
+          PartitionForKey(record.key, partitions_.size()));
       routes.push_back(p);
       ++counts[p];
     }
@@ -301,34 +243,6 @@ void Topic::Reserve(size_t partition_index, size_t payload_bytes) {
            payload_bytes)) {
     OpenSlab(partition, payload_bytes);
   }
-}
-
-std::vector<Record> Topic::Read(size_t partition_index, uint64_t offset,
-                                size_t max_records) const {
-  if (partition_index >= partitions_.size()) {
-    throw std::out_of_range("Topic::Read: bad partition");
-  }
-  const Partition& partition = partitions_[partition_index];
-  std::vector<Record> out;
-  size_t count = 0;
-  size_t bytes = 0;
-  {
-    std::lock_guard<std::mutex> lock(partition.mu);
-    ForEachRecord(partition, offset, [&](const RecordView& view) {
-      if (count == max_records) {
-        return false;
-      }
-      out.push_back(Record{
-          view.offset, view.timestamp_ms, view.key,
-          std::vector<uint8_t>(view.payload, view.payload + view.payload_len)});
-      ++count;
-      bytes += view.payload_len;
-      return true;
-    });
-  }
-  records_out_.fetch_add(count, std::memory_order_relaxed);
-  bytes_out_.fetch_add(bytes, std::memory_order_relaxed);
-  return out;
 }
 
 void Topic::ReadViews(size_t partition_index, uint64_t offset,

@@ -19,15 +19,15 @@
 // costs one entry per append call and slab, and any traffic at most one
 // entry per record.
 //
-// Producing copies the payload once into the slab; consuming via the view
-// API (ReadViews / transport::BusConsumer) returns pointers into the slabs,
-// so consumers decode records in place with no per-record vector. Slab
-// bytes are immutable once their run is published under the partition
-// lock, so a RecordView stays valid while producers keep appending — until
-// the partition's consumer releases its offset (Release, reached through
-// transport::MessageBus::Release), which drops the runs and recycles the
-// slabs below it. Only that consumer may release, and only what it has
-// finished.
+// A topic has one append and one read: AppendViews copies each payload
+// once into the slab, and ReadViews (behind transport::BusConsumer) returns
+// pointers into the slabs, so consumers decode records in place with no
+// per-record vector. Slab bytes are immutable once their run is published
+// under the partition lock, so a RecordView stays valid while producers
+// keep appending — until the partition's consumer releases its offset
+// (Release, reached through transport::MessageBus::Release), which drops
+// the runs and recycles the slabs below it. Only that consumer may
+// release, and only what it has finished.
 
 #ifndef PRIVAPPROX_BROKER_TOPIC_H_
 #define PRIVAPPROX_BROKER_TOPIC_H_
@@ -45,14 +45,6 @@
 
 namespace privapprox::broker {
 
-// An owning record copy (legacy read path; tests and offline tools).
-struct Record {
-  uint64_t offset = 0;
-  int64_t timestamp_ms = 0;
-  uint64_t key = 0;
-  std::vector<uint8_t> payload;
-};
-
 // A non-owning view of one stored record: `payload` points into a partition
 // slab and is valid until the record's offset is released (Topic::Release).
 struct RecordView {
@@ -65,18 +57,10 @@ struct RecordView {
   std::span<const uint8_t> bytes() const { return {payload, payload_len}; }
 };
 
-// A record to be produced (no offset yet — the topic assigns it on append).
-// Batch producers build vectors of these so one lock acquisition per
-// partition covers the whole batch.
-struct ProduceRecord {
-  uint64_t key = 0;
-  std::vector<uint8_t> payload;
-  int64_t timestamp_ms = 0;
-};
-
-// Zero-copy produce: the payload span (typically arena- or slab-backed)
-// only needs to stay valid for the duration of the append call — the topic
-// copies it into its own slab.
+// A record to be produced (no offset yet — the topic assigns it on
+// append). The payload span (typically arena- or slab-backed) only needs to
+// stay valid for the duration of the append call — the topic copies it
+// into its own slab.
 struct ProduceView {
   uint64_t key = 0;
   std::span<const uint8_t> payload;
@@ -128,9 +112,9 @@ struct DurableStats {
 
 // The partition a key maps to in a topic with `num_partitions` partitions
 // (splitmix hash of the key; counts below 1 clamp to 1, matching the Topic
-// constructor). Exposed as a free function so transport-side producers can
-// compute per-partition record counts without holding the topic object —
-// the hash is part of the wire contract between processes.
+// constructor). The one partitioning decision: Topic::AppendViews routes by
+// it, and the aggregator's join shards are the partitions it places a MID
+// in, so the hash is part of the contract between processes.
 size_t PartitionForKey(uint64_t key, size_t num_partitions);
 
 class Topic {
@@ -157,24 +141,12 @@ class Topic {
   size_t num_partitions() const { return partitions_.size(); }
   bool durable() const { return durable_; }
 
-  // The partition a key maps to (splitmix hash of the key).
-  size_t PartitionOf(uint64_t key) const;
-
-  // Appends to the key's partition; returns the assigned offset.
-  uint64_t Append(uint64_t key, std::span<const uint8_t> payload,
-                  int64_t timestamp_ms);
-  uint64_t Append(uint64_t key, const std::vector<uint8_t>& payload,
-                  int64_t timestamp_ms) {
-    return Append(key, std::span<const uint8_t>(payload), timestamp_ms);
-  }
-
-  // Appends a whole batch, grouping records by partition so each partition
-  // lock is taken once per batch instead of once per record. Relative order
-  // of records mapping to the same partition is preserved, so the resulting
-  // log is byte-identical to appending the batch one record at a time.
-  void AppendBatch(std::vector<ProduceRecord> records);
-  // Zero-copy batch append: same ordering guarantees, payload bytes copied
-  // once from the caller's spans into partition slabs.
+  // Appends a batch, each record to partition PartitionForKey(key),
+  // grouping records by partition so each partition lock is taken once per
+  // call. Records of one partition keep their relative order, so the log is
+  // byte-identical to appending the batch one record at a time. Payload
+  // bytes are copied once from the caller's spans into partition slabs. An
+  // empty batch is a no-op.
   void AppendViews(std::span<const ProduceView> records);
 
   // Pre-commits one contiguous slab run of `payload_bytes` in `partition`.
@@ -183,14 +155,11 @@ class Topic {
   // latency-sensitive producers).
   void Reserve(size_t partition, size_t payload_bytes);
 
-  // Reads up to `max_records` records from `partition` starting at `offset`,
-  // copying payloads (legacy path; tests and offline consumers).
-  std::vector<Record> Read(size_t partition, uint64_t offset,
-                           size_t max_records) const;
-  // Zero-copy read: appends slab-backed views into `out`. Views stay valid
-  // until their offsets are released. Stops before the record that would
-  // take the payload bytes read past `max_bytes`, but always reads at least
-  // one record; metrics() counts only what was read.
+  // Reads up to `max_records` records of `partition` from `offset` on,
+  // appending slab-backed views into `out`. Views stay valid until their
+  // offsets are released. Stops before the record that would take the
+  // payload bytes read past `max_bytes`, but always reads at least one
+  // record; metrics() counts only what was read.
   void ReadViews(size_t partition, uint64_t offset, size_t max_records,
                  std::vector<RecordView>& out,
                  size_t max_bytes = SIZE_MAX) const;

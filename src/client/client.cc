@@ -79,45 +79,6 @@ void Client::Subscribe(const core::Query& query,
   Subscribe(CompileQuery(query, params));
 }
 
-void Client::OnAnnouncement(const std::vector<uint8_t>& announcement) {
-  Subscribe(CompileAnnouncement(announcement));
-}
-
-const Client::Subscription& Client::SingleSub(const char* caller) const {
-  if (subs_.empty()) {
-    throw std::logic_error(std::string(caller) + ": no subscription");
-  }
-  if (subs_.size() > 1) {
-    throw std::logic_error(std::string(caller) +
-                           ": multiple subscriptions; pass a query id");
-  }
-  return subs_.front();
-}
-
-Client::Subscription& Client::SingleSub(const char* caller) {
-  return const_cast<Subscription&>(
-      static_cast<const Client*>(this)->SingleSub(caller));
-}
-
-const core::Query& Client::query() const {
-  return SingleSub("Client::query").compiled->query;
-}
-
-const core::Query& Client::query(uint64_t query_id) const {
-  return Sub(query_id, "Client::query").compiled->query;
-}
-
-const Client::Subscription& Client::Sub(uint64_t query_id,
-                                        const char* caller) const {
-  for (const Subscription& sub : subs_) {
-    if (sub.query_id == query_id) {
-      return sub;
-    }
-  }
-  throw std::logic_error(std::string(caller) + ": not subscribed to query " +
-                         std::to_string(query_id));
-}
-
 BitVector Client::ComputeTruthful(const CompiledQuery& compiled,
                                   int64_t now_ms) const {
   const core::AnswerFormat& format = compiled.query.answer_format;
@@ -148,14 +109,14 @@ BitVector Client::ComputeTruthful(const CompiledQuery& compiled,
   return *truthful;
 }
 
-BitVector Client::TruthfulAnswer(int64_t now_ms) {
-  return ComputeTruthful(*SingleSub("Client::TruthfulAnswer").compiled,
-                         now_ms);
-}
-
 BitVector Client::TruthfulAnswer(uint64_t query_id, int64_t now_ms) {
-  return ComputeTruthful(*Sub(query_id, "Client::TruthfulAnswer").compiled,
-                         now_ms);
+  for (const Subscription& sub : subs_) {
+    if (sub.query_id == query_id) {
+      return ComputeTruthful(*sub.compiled, now_ms);
+    }
+  }
+  throw std::logic_error("Client::TruthfulAnswer: not subscribed to query " +
+                         std::to_string(query_id));
 }
 
 void Client::EncodeAnswerInto(Subscription& sub, int64_t now_ms,
@@ -168,26 +129,6 @@ void Client::EncodeAnswerInto(Subscription& sub, int64_t now_ms,
   const crypto::AnswerMessage message{
       sub.query_id, compiled.rr.RandomizeAnswer(truthful, sub.rr_rng)};
   sub.splitter.SplitMessageInto(message, arena, out);
-}
-
-std::optional<EpochAnswer> Client::AnswerQuery(int64_t now_ms) {
-  if (subs_.empty()) {
-    return std::nullopt;
-  }
-  Subscription& sub = SingleSub("Client::AnswerQuery");
-  const CompiledQuery& compiled = *sub.compiled;
-  // Step I: the sampling coin.
-  const double u = coin_rng_.NextDouble();
-  if (!(u < compiled.params.sampling_fraction)) {
-    return std::nullopt;
-  }
-  const BitVector truthful = ComputeTruthful(compiled, now_ms);
-  const crypto::AnswerMessage message{
-      sub.query_id, compiled.rr.RandomizeAnswer(truthful, sub.rr_rng)};
-  EpochAnswer answer;
-  answer.timestamp_ms = now_ms;
-  answer.shares = sub.splitter.Split(message.Serialize());
-  return answer;
 }
 
 void Client::AnswerSubscribedInto(int64_t now_ms, EpochArena& arena,

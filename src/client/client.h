@@ -53,12 +53,6 @@ struct ClientConfig {
   bool invert_answers = false;
 };
 
-// Everything a client ships for one query in one epoch: one share per proxy.
-struct EpochAnswer {
-  std::vector<crypto::MessageShare> shares;  // shares[i] goes to proxy i
-  int64_t timestamp_ms = 0;
-};
-
 // An announced query compiled for answering. Immutable once built, so one
 // instance is shared (read-only, from any thread) by every client it was
 // delivered to.
@@ -101,42 +95,26 @@ class Client {
   // anything CompileQuery refuses.
   void Subscribe(const core::Query& query, const core::ExecutionParams& params);
 
-  // Subscribe(CompileAnnouncement(announcement)): throws core::WireError on
-  // malformed bytes and std::invalid_argument on a query or parameters
-  // CompileQuery refuses.
-  void OnAnnouncement(const std::vector<uint8_t>& announcement);
-
   bool subscribed() const { return !subs_.empty(); }
   size_t num_subscriptions() const { return subs_.size(); }
 
-  // Single-subscription accessor; throws std::logic_error unless exactly one
-  // query is installed. Kept for the single-query API surface.
-  const core::Query& query() const;
-  const core::Query& query(uint64_t query_id) const;
-
-  // Runs one answering epoch at `now_ms` for a single-subscription client.
-  // Returns nullopt when the sampling coin says "do not participate" this
-  // epoch, or when no query is installed; throws std::logic_error with more
-  // than one subscription (use AnswerSubscribedInto). A client whose local
-  // query yields no rows still answers with an all-zero truthful vector
-  // (its non-participation must not be visible).
-  std::optional<EpochAnswer> AnswerQuery(int64_t now_ms);
-
-  // Multi-query epoch pass: answers every subscribed query with one shared
-  // sampling draw. `out` must hold num_subscriptions() * num_proxies slots;
-  // the shares for the k-th subscription (QIDs ascending) land in
-  // out[k * num_proxies + j], j = proxy index. `answered` is cleared and
-  // filled with the QIDs that participated this epoch — slots belonging to
-  // non-participating queries are left untouched. No-op with zero
-  // subscriptions (the sampling coin is not consumed).
+  // The epoch pass, the client's one answer path: answers every subscribed
+  // query with one shared sampling draw. `out` must hold
+  // num_subscriptions() * num_proxies slots; the shares for the k-th
+  // subscription (QIDs ascending) land in out[k * num_proxies + j], j =
+  // proxy index, each its full wire record in `arena`. `answered` is
+  // cleared and filled with the QIDs that participated this epoch — slots
+  // belonging to non-participating queries are left untouched. A client
+  // whose local query yields no rows still answers with an all-zero
+  // truthful vector (its non-participation must not be visible). No-op with
+  // zero subscriptions (the sampling coin is not consumed).
   void AnswerSubscribedInto(int64_t now_ms, EpochArena& arena,
                             std::span<crypto::ShareView> out,
                             std::vector<uint64_t>& answered);
 
-  // The truthful (pre-randomization) answer, for test/benchmark reference
-  // only — a real deployment never exposes this. The QID-less overload is
-  // the single-subscription shim.
-  BitVector TruthfulAnswer(int64_t now_ms);
+  // The truthful (pre-randomization) answer to query `query_id`, for
+  // test/benchmark reference only — a real deployment never exposes this.
+  // Throws std::logic_error when the client is not subscribed to it.
   BitVector TruthfulAnswer(uint64_t query_id, int64_t now_ms);
 
  private:
@@ -149,9 +127,6 @@ class Client {
     crypto::XorSplitter splitter;  // MID + pad material, per query
   };
 
-  const Subscription& SingleSub(const char* caller) const;
-  Subscription& SingleSub(const char* caller);
-  const Subscription& Sub(uint64_t query_id, const char* caller) const;
   // Bucketizes the first value the query's plan yields over its window
   // ending at `now_ms` — a scan that stops at the first matching row and
   // builds no vectors.

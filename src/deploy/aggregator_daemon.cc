@@ -12,27 +12,16 @@ AggregatorDaemon::AggregatorDaemon(AggregatorDaemonConfig config)
   if (config_.proxies.size() < 2) {
     throw std::invalid_argument("AggregatorDaemon: need at least two proxies");
   }
-  metrics::Counter* reconnects = &registry_.GetCounter(
-      "privapprox_transport_reconnects_total",
-      "Proxy-bus re-dials after the first established connection");
-  metrics::Counter* client_bytes_in = &registry_.GetCounter(
-      "privapprox_transport_bytes_in_total", "Bytes received from peers");
-  metrics::Counter* client_bytes_out = &registry_.GetCounter(
-      "privapprox_transport_bytes_out_total", "Bytes sent to peers");
-  metrics::Counter* client_frames_in = &registry_.GetCounter(
-      "privapprox_transport_frames_in_total", "Request frames received");
-  metrics::Counter* client_frames_out = &registry_.GetCounter(
-      "privapprox_transport_frames_out_total", "Response frames sent");
+  // The transport byte and frame families count this daemon's proxy-bus
+  // clients; its server counts only accepts, hang-ups and protocol errors.
+  const transport::TransportCounters counters =
+      transport::RegisterClientCounters(registry_);
   proxy_buses_.reserve(config_.proxies.size());
   for (size_t j = 0; j < config_.proxies.size(); ++j) {
     transport::TcpBusClientConfig client_config;
     client_config.host = config_.proxies[j].host;
     client_config.port = config_.proxies[j].port;
-    client_config.counters.reconnects = reconnects;
-    client_config.counters.bytes_in = client_bytes_in;
-    client_config.counters.bytes_out = client_bytes_out;
-    client_config.counters.frames_in = client_frames_in;
-    client_config.counters.frames_out = client_frames_out;
+    client_config.counters = counters;
     proxy_buses_.push_back(
         std::make_unique<transport::TcpBusClient>(client_config));
     router_.AddRoute(proxy::TopicPrefix(j), *proxy_buses_[j]);

@@ -1,7 +1,7 @@
 // privapprox_aggregatord: the PrivApprox aggregator as a standalone
 // process, dialing one TCP connection at each proxy daemon.
 //
-//   privapprox_aggregatord --port=9200 --proxy=127.0.0.1:9100 \
+//   privapprox_aggregatord --port=9200 --proxy=127.0.0.1:9100
 //       --proxy=127.0.0.1:9101 --population=600 [--confidence=0.95]
 //       [--host=127.0.0.1] [--invert] [--data-dir=DIR]
 //       [--fsync=never|on_rotate|every_n_records|always]

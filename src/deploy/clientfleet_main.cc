@@ -1,7 +1,7 @@
 // privapprox_clientfleet: drives a deterministic simulated client fleet
 // against running proxy/aggregator daemons over TCP.
 //
-//   privapprox_clientfleet --proxy=127.0.0.1:9100 --proxy=127.0.0.1:9101 \
+//   privapprox_clientfleet --proxy=127.0.0.1:9100 --proxy=127.0.0.1:9101
 //       --aggregator=127.0.0.1:9200 --clients=600 [--epochs=3] [--seed=42]
 //       [--compare-inproc] [--metrics-dir=DIR] [--results-out=FILE]
 //       [--retention] [--chaos-cmd=CMD] [--chaos-epoch=E]

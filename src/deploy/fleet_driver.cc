@@ -17,18 +17,8 @@ FleetDriver::FleetDriver(FleetDriverConfig config)
     throw std::invalid_argument("FleetDriver: need >= 2 proxies");
   }
 
-  transport::TransportCounters counters;
-  counters.reconnects = &registry_.GetCounter(
-      "privapprox_transport_reconnects_total",
-      "Daemon re-dials after the first established connection");
-  counters.bytes_in = &registry_.GetCounter(
-      "privapprox_transport_bytes_in_total", "Bytes received from daemons");
-  counters.bytes_out = &registry_.GetCounter(
-      "privapprox_transport_bytes_out_total", "Bytes sent to daemons");
-  counters.frames_in = &registry_.GetCounter(
-      "privapprox_transport_frames_in_total", "Response frames received");
-  counters.frames_out = &registry_.GetCounter(
-      "privapprox_transport_frames_out_total", "Request frames sent");
+  const transport::TransportCounters counters =
+      transport::RegisterClientCounters(registry_);
   const auto dial = [&counters](const Endpoint& endpoint) {
     transport::TcpBusClientConfig client_config;
     client_config.host = endpoint.host;

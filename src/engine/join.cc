@@ -136,11 +136,6 @@ void MidJoiner::ReleaseGroup(uint32_t group) {
   free_groups_.push_back(group);
 }
 
-void MidJoiner::Add(const crypto::MessageShare& share, int64_t timestamp_ms,
-                    size_t source) {
-  Add(share.message_id, share.payload, timestamp_ms, source);
-}
-
 void MidJoiner::Add(uint64_t message_id, std::span<const uint8_t> payload,
                     int64_t timestamp_ms, size_t source) {
   if (source >= expected_shares_) {

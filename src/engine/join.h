@@ -1,14 +1,15 @@
 // MID share join (paper §3.2.4).
 //
 // The aggregator receives n share streams — one per proxy — and joins shares
-// by message identifier. Each group holds one slot per source stream; when
-// all n slots of one MID are filled the shares are XOR-combined into the
-// original randomized message. Source slots make the join robust against
-// redelivery: the same share arriving twice from one proxy cannot
-// self-combine into garbage, it is counted as a duplicate. Replayed MIDs (a
-// malicious client re-answering to distort the result) are detected and
-// dropped; partial groups are evicted after a timeout so a share lost on one
-// proxy path cannot leak memory.
+// by message identifier. A share is a (MID, byte span) pair straight from
+// its decoded record, fed through the one Add. Each group holds one slot
+// per source stream; when all n slots of one MID are filled the shares are
+// XOR-combined into the original randomized message. Source slots make the
+// join robust against redelivery: the same share arriving twice from one
+// proxy cannot self-combine into garbage, it is counted as a duplicate.
+// Replayed MIDs (a malicious client re-answering to distort the result) are
+// detected and dropped; partial groups are evicted after a timeout so a
+// share lost on one proxy path cannot leak memory.
 //
 // Every MID the joiner knows — open groups and the remembered completed and
 // expired MIDs alike — lives in one open-addressing table of 24-byte entries
@@ -25,8 +26,6 @@
 #include <memory>
 #include <span>
 #include <vector>
-
-#include "crypto/message.h"
 
 namespace privapprox::engine {
 
@@ -76,19 +75,17 @@ class MidJoiner {
 
   void set_evict_fn(EvictFn fn) { evict_fn_ = std::move(fn); }
 
-  // Feeds one share from stream `source` (the proxy index, < n);
-  // `timestamp_ms` is the share's event time. Emits the joined plaintext as
-  // soon as every source slot of the MID is filled. Throws
-  // std::out_of_range for source >= n. A group whose shares disagree in
-  // length is counted in stats().malformed_dropped instead of emitted, and
-  // its MID is remembered like a joined one, so its replays are dropped.
-  void Add(const crypto::MessageShare& share, int64_t timestamp_ms,
-           size_t source);
-  // Span variant: `payload` only needs to stay valid for the call. A share
-  // that leaves its group open is copied into joiner-owned storage; the
-  // share that completes a group is XOR-combined straight from `payload`
-  // into the joiner's plaintext scratch, so callers may recycle the bytes
-  // (broker slabs, TCP client slabs) as soon as Add returns.
+  // Feeds share `payload` of MID `message_id` from stream `source` (the
+  // proxy index, < n); `timestamp_ms` is the share's event time. Emits the
+  // joined plaintext as soon as every source slot of the MID is filled.
+  // Throws std::out_of_range for source >= n. A group whose shares disagree
+  // in length is counted in stats().malformed_dropped instead of emitted,
+  // and its MID is remembered like a joined one, so its replays are
+  // dropped. `payload` only needs to stay valid for the call: a share that
+  // leaves its group open is copied into joiner-owned storage, and the share
+  // that completes a group is XOR-combined straight from `payload` into the
+  // joiner's plaintext scratch, so callers may recycle the bytes (broker
+  // slabs, TCP client slabs) as soon as Add returns.
   void Add(uint64_t message_id, std::span<const uint8_t> payload,
            int64_t timestamp_ms, size_t source);
 

@@ -25,6 +25,16 @@ namespace {
 // Room a receive buffer has free before each recv() (the buffers only grow).
 constexpr size_t kReadChunk = 64 * 1024;
 constexpr size_t kClientSlabChunk = 256 * 1024;
+// Queued-but-unsent response bytes per peer above which the server pauses
+// the peer's reads until its queue drains below them.
+constexpr size_t kMaxSendQueueBytes = 8u << 20;
+// A client dials up to kConnectAttempts times per (re)connect, each bounded
+// by kConnectTimeoutMs and kConnectBackoffMs apart, and gives up on a
+// socket read or write that stalls for kIoTimeoutMs.
+constexpr int kConnectAttempts = 40;
+constexpr int kConnectTimeoutMs = 5000;
+constexpr int kConnectBackoffMs = 25;
+constexpr int kIoTimeoutMs = 30000;
 
 void SetBlockingWithTimeout(int fd, int timeout_ms) {
   const int flags = fcntl(fd, F_GETFL, 0);
@@ -187,7 +197,7 @@ bool TcpBusServer::FlushPeer(Peer& peer) {
   }
   const size_t queued = peer.send.size() - peer.send_off;
   const bool want_write = queued > 0;
-  const bool pause_reads = queued > config_.max_send_queue_bytes;
+  const bool pause_reads = queued > kMaxSendQueueBytes;
   if (want_write != peer.want_write || pause_reads != peer.reads_paused) {
     peer.want_write = want_write;
     peer.reads_paused = pause_reads;
@@ -221,10 +231,8 @@ bool TcpBusServer::ReadPeer(Peer& peer) {
   // in place at the end of the send queue.
   size_t consumed = 0;
   for (;;) {
-    const auto decoded = TryDecodeFrame(
-        std::span<const uint8_t>(peer.recv.data() + consumed,
-                                 peer.recv_len - consumed),
-        config_.max_frame_bytes);
+    const auto decoded = TryDecodeFrame(std::span<const uint8_t>(
+        peer.recv.data() + consumed, peer.recv_len - consumed));
     if (decoded.status == FrameStatus::kNeedMore) {
       break;
     }
@@ -311,6 +319,22 @@ void TcpBusServer::Loop() {
 // --------------------------------------------------------------------------
 // TcpBusClient
 
+TransportCounters RegisterClientCounters(metrics::Registry& registry) {
+  TransportCounters counters;
+  counters.reconnects = &registry.GetCounter(
+      "privapprox_transport_reconnects_total",
+      "Daemon re-dials after the first established connection");
+  counters.bytes_in = &registry.GetCounter(
+      "privapprox_transport_bytes_in_total", "Bytes received from daemons");
+  counters.bytes_out = &registry.GetCounter(
+      "privapprox_transport_bytes_out_total", "Bytes sent to daemons");
+  counters.frames_in = &registry.GetCounter(
+      "privapprox_transport_frames_in_total", "Response frames received");
+  counters.frames_out = &registry.GetCounter(
+      "privapprox_transport_frames_out_total", "Request frames sent");
+  return counters;
+}
+
 TcpBusClient::TcpBusClient(TcpBusClientConfig config)
     : config_(std::move(config)) {}
 
@@ -335,11 +359,9 @@ void TcpBusClient::EnsureConnectedLocked() {
   }
   const sockaddr_in addr = MakeAddr(config_.host, config_.port);
   std::string last_error = "no attempt made";
-  for (int attempt = 0; attempt < std::max(1, config_.max_connect_attempts);
-       ++attempt) {
+  for (int attempt = 0; attempt < kConnectAttempts; ++attempt) {
     if (attempt > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(config_.connect_backoff_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(kConnectBackoffMs));
     }
     const int fd =
         socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -351,7 +373,7 @@ void TcpBusClient::EnsureConnectedLocked() {
                      sizeof(addr));
     if (rc < 0 && errno == EINPROGRESS) {
       pollfd pfd{fd, POLLOUT, 0};
-      rc = poll(&pfd, 1, config_.connect_timeout_ms);
+      rc = poll(&pfd, 1, kConnectTimeoutMs);
       if (rc > 0) {
         int err = 0;
         socklen_t len = sizeof(err);
@@ -373,7 +395,7 @@ void TcpBusClient::EnsureConnectedLocked() {
     }
     const int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    SetBlockingWithTimeout(fd, config_.io_timeout_ms);
+    SetBlockingWithTimeout(fd, kIoTimeoutMs);
     fd_ = fd;
     if (ever_connected_) {
       Bump(config_.counters.reconnects);
@@ -444,9 +466,8 @@ std::span<const uint8_t> TcpBusClient::Rpc() {
   // read whatever arrives until the header is in, then up to its end.
   size_t have = 0;
   for (;;) {
-    const auto decoded = TryDecodeFrame(
-        std::span<const uint8_t>(recv_.data(), have),
-        config_.max_frame_bytes);
+    const auto decoded =
+        TryDecodeFrame(std::span<const uint8_t>(recv_.data(), have));
     if (decoded.status == FrameStatus::kFrame) {
       Bump(config_.counters.frames_in);
       return decoded.payload;
@@ -523,7 +544,7 @@ size_t TcpBusClient::Poll(const std::string& topic, size_t partition,
                           std::vector<broker::RecordView>& out) {
   std::lock_guard<std::mutex> lock(mu_);
   BuildPollRequest(topic, partition, offset, max_records,
-                   config_.poll_byte_budget, NewRequest());
+                   kDefaultPollByteBudget, NewRequest());
   WireReader reader = CheckOk(Rpc());
   uint64_t next = reader.TakeU64();
   // Validated before anything is copied or sized by it; then the payload

@@ -4,19 +4,23 @@
 //
 // Server model (TcpBusServer): one event-loop thread, non-blocking
 // listen/accept, per-peer receive accumulation buffers and bounded send
-// queues. A peer whose queued response bytes exceed the cap has its reads
+// queues. A peer whose queued response bytes exceed 8 MiB has its reads
 // paused (EPOLLIN dropped from its interest set) until the queue drains —
 // backpressure by suspension, never by unbounded buffering. Framing errors
-// (oversized length prefix, CRC mismatch) quarantine the connection: it is
-// closed immediately and counted in protocol_errors; framing cannot
-// resynchronize mid-stream. Request semantics live in wire.h's
-// HandleRequest; the loop only moves bytes.
+// (a length prefix over kMaxFrameBytes, CRC mismatch) quarantine the
+// connection: it is closed immediately and counted in protocol_errors;
+// framing cannot resynchronize mid-stream. Request semantics live in
+// wire.h's HandleRequest; the loop only moves bytes.
 //
 // Client model (TcpBusClient): blocking, mutex-serialized request/response
 // — one in-flight RPC per connection, which is exactly the discipline
 // BusConsumer's offset-explicit polls need. Connecting is non-blocking with
-// a timeout and bounded retry/backoff (counted in reconnects); an I/O error
-// poisons the connection, throws, and the next call re-dials. A poll
+// a 5 s timeout and up to 40 attempts 25 ms apart, so a fleet driver may
+// start before its daemons finish binding; re-dials after the first
+// connection are counted in reconnects. A socket read or write that stalls
+// for 30 s, or any other I/O error, poisons the connection and throws, and
+// the next call re-dials. A poll asks for at most kDefaultPollByteBudget
+// payload bytes (the server packs at least one record regardless). A poll
 // response's payload block is copied into a client-owned slab with one
 // memcpy, so RecordViews stay valid until the owner calls ReleasePolled,
 // which recycles this side's copies; Release frees the records themselves
@@ -49,7 +53,8 @@
 namespace privapprox::transport {
 
 // Optional instruments, not owned (null = uninstrumented) — the metrics
-// house style. The daemons wire these to privapprox_transport_* families.
+// house style. They feed the privapprox_transport_* families: a client's
+// come from RegisterClientCounters, a daemon's server registers its own.
 struct TransportCounters {
   metrics::Counter* frames_in = nullptr;
   metrics::Counter* frames_out = nullptr;
@@ -62,13 +67,15 @@ struct TransportCounters {
                                             // first established connection
 };
 
+// Registers the families a TcpBusClient counts on `registry` and returns
+// them for TcpBusClientConfig::counters: re-dials, bytes, and frames from
+// the client's side (frames_in counts responses received, frames_out
+// requests sent). Every process that dials daemons calls this.
+TransportCounters RegisterClientCounters(metrics::Registry& registry);
+
 struct TcpBusServerConfig {
   std::string bind_host = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; read the bound port with port()
-  size_t max_frame_bytes = kMaxFrameBytes;
-  // Backpressure cap: queued-but-unsent response bytes per peer above which
-  // the peer's reads are paused until the queue drains below it.
-  size_t max_send_queue_bytes = 8u << 20;
   TransportCounters counters;
 };
 
@@ -127,16 +134,6 @@ class TcpBusServer {
 struct TcpBusClientConfig {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
-  int connect_timeout_ms = 5000;
-  int io_timeout_ms = 30000;
-  // Dial attempts per (re)connect, with linear backoff between them — lets
-  // a fleet driver start before its daemons finish binding.
-  int max_connect_attempts = 40;
-  int connect_backoff_ms = 25;
-  size_t max_frame_bytes = kMaxFrameBytes;
-  // Poll response byte budget per round-trip (server packs at least one
-  // record regardless, so progress is guaranteed).
-  uint32_t poll_byte_budget = kDefaultPollByteBudget;
   TransportCounters counters;
 };
 

@@ -48,7 +48,8 @@ enum class WireOp : uint8_t {
 inline constexpr uint8_t kWireOk = 0;
 inline constexpr uint8_t kWireError = 1;
 
-// Default poll response byte budget (payload bytes per round-trip).
+// Payload bytes a TcpBusClient poll asks for per round-trip; the server
+// packs at least one record regardless, so progress is guaranteed.
 inline constexpr uint32_t kDefaultPollByteBudget = 1 << 20;
 
 // Most records one Produce request carries: TcpBusClient::Produce splits a

@@ -11,6 +11,7 @@
 #include <cmath>
 
 #include "aggregator/historical.h"
+#include "answer_one.h"
 #include "broker/broker.h"
 #include "client/client.h"
 #include "proxy/proxy.h"
@@ -116,9 +117,9 @@ TEST(AggregatorTest, EndToEndExactWhenNoNoise) {
   for (size_t i = 0; i < population; ++i) {
     client::Client c = MakeClient(i, i < 30 ? 15.0 : 42.0);
     c.Subscribe(harness.query, NoNoiseParams());
-    const auto answer = c.AnswerQuery(5000);
-    ASSERT_TRUE(answer.has_value());
-    harness.Ship(answer->shares, answer->timestamp_ms);
+    const auto shares = AnswerOne(c, 5000);
+    ASSERT_FALSE(shares.empty());
+    harness.Ship(shares, 5000);
   }
   harness.Pump();
   harness.aggregator->AdvanceWatermark(10000);
@@ -139,9 +140,9 @@ TEST(AggregatorTest, ReleaseConsumedFreesOnlyWhatWasDrained) {
     for (uint64_t id = first; id < last; ++id) {
       client::Client c = MakeClient(id, 15.0);
       c.Subscribe(harness.query, NoNoiseParams());
-      const auto answer = c.AnswerQuery(5000);
-      ASSERT_TRUE(answer.has_value());
-      harness.Ship(answer->shares, answer->timestamp_ms);
+      const auto shares = AnswerOne(c, 5000);
+      ASSERT_FALSE(shares.empty());
+      harness.Ship(shares, 5000);
     }
   };
   const auto retained = [&](const proxy::Proxy& proxy) {
@@ -171,8 +172,7 @@ TEST(AggregatorTest, WindowsFireOnlyPastWatermark) {
   Harness harness(10, NoNoiseParams());
   client::Client c = MakeClient(0, 15.0);
   c.Subscribe(harness.query, NoNoiseParams());
-  const auto answer = c.AnswerQuery(5000);
-  harness.Ship(answer->shares, answer->timestamp_ms);
+  harness.Ship(AnswerOne(c, 5000), 5000);
   harness.Pump();
   harness.aggregator->AdvanceWatermark(9999);
   EXPECT_TRUE(harness.results.empty());
@@ -184,8 +184,7 @@ TEST(AggregatorTest, FlushFiresPendingWindows) {
   Harness harness(10, NoNoiseParams());
   client::Client c = MakeClient(0, 15.0);
   c.Subscribe(harness.query, NoNoiseParams());
-  const auto answer = c.AnswerQuery(5000);
-  harness.Ship(answer->shares, answer->timestamp_ms);
+  harness.Ship(AnswerOne(c, 5000), 5000);
   harness.Pump();
   harness.aggregator->Flush();
   EXPECT_EQ(harness.results.size(), 1u);
@@ -227,9 +226,8 @@ TEST(AggregatorTest, LostShareNeverJoins) {
   Harness harness(10, NoNoiseParams());
   client::Client c = MakeClient(0, 15.0);
   c.Subscribe(harness.query, NoNoiseParams());
-  const auto answer = c.AnswerQuery(5000);
   // Only proxy 0 receives its share; proxy 1's is lost.
-  harness.Send(harness.proxy0, answer->shares[0], 5000);
+  harness.Send(harness.proxy0, AnswerOne(c, 5000)[0], 5000);
   harness.Pump();
   EXPECT_EQ(harness.aggregator->join_stats().joined, 0u);
   harness.aggregator->AdvanceWatermark(100000);
@@ -249,8 +247,7 @@ TEST(AggregatorTest, DebiasesRandomizedAnswers) {
   for (size_t i = 0; i < population; ++i) {
     client::Client c = MakeClient(i, i < 1800 ? 15.0 : 42.0);  // 60% bucket 1
     c.Subscribe(harness.query, params);
-    const auto answer = c.AnswerQuery(5000);
-    harness.Ship(answer->shares, answer->timestamp_ms);
+    harness.Ship(AnswerOne(c, 5000), 5000);
   }
   harness.Pump();
   harness.aggregator->Flush();
@@ -279,8 +276,7 @@ TEST(AggregatorTest, InvertedModeRecoversYesCounts) {
       return cl;
     }();
     c.Subscribe(harness.query, NoNoiseParams());
-    const auto answer = c.AnswerQuery(5000);
-    harness.Ship(answer->shares, answer->timestamp_ms);
+    harness.Ship(AnswerOne(c, 5000), 5000);
   }
   harness.Pump();
   harness.aggregator->Flush();
@@ -390,10 +386,10 @@ TEST(AggregatorTest, MisKeyedRecordIsMalformed) {
   Harness harness(10, NoNoiseParams());
   client::Client c = MakeClient(0, 15.0);
   c.Subscribe(harness.query, NoNoiseParams());
-  const auto answer = c.AnswerQuery(5000);
-  ASSERT_TRUE(answer.has_value());
-  harness.Send(harness.proxy0, answer->shares[0], 5000);
-  const crypto::MessageShare& share = answer->shares[1];
+  const auto shares = AnswerOne(c, 5000);
+  ASSERT_FALSE(shares.empty());
+  harness.Send(harness.proxy0, shares[0], 5000);
+  const crypto::MessageShare& share = shares[1];
   const std::vector<uint8_t> encoded = proxy::Proxy::EncodeShare(share);
   const broker::ProduceView view{share.message_id + 1, encoded, 5000};
   harness.proxy1.Receive(harness.query.query_id,
@@ -437,9 +433,9 @@ ShardedRun RunSharded(size_t num_partitions) {
   const auto answer_of = [&](uint64_t id, int64_t ts) {
     client::Client c = MakeClient(id, id % 2 == 0 ? 15.0 : 42.0);
     c.Subscribe(harness.query, NoNoiseParams());
-    auto answer = c.AnswerQuery(ts);
-    EXPECT_TRUE(answer.has_value());
-    return std::move(answer->shares);
+    std::vector<crypto::MessageShare> shares = AnswerOne(c, ts);
+    EXPECT_FALSE(shares.empty());
+    return shares;
   };
   uint64_t missing_mid = 0;
   for (uint64_t i = 0; i < population; ++i) {
@@ -530,8 +526,7 @@ TEST(AggregatorTest, ShardMetricsAccountForEveryShare) {
   for (size_t i = 0; i < population; ++i) {
     client::Client c = MakeClient(i, 15.0);
     c.Subscribe(harness.query, NoNoiseParams());
-    const auto answer = c.AnswerQuery(5000);
-    harness.Ship(answer->shares, answer->timestamp_ms);
+    harness.Ship(AnswerOne(c, 5000), 5000);
   }
   harness.Pump();
   const std::string qid = std::to_string(harness.query.query_id);
@@ -585,8 +580,7 @@ TEST(AggregatorTest, LostMidWidensItsWindowOnce) {
                   /*track_fault_losses=*/true);
   client::Client c = MakeClient(0, 15.0);
   c.Subscribe(harness.query, NoNoiseParams());
-  const auto answer = c.AnswerQuery(5000);
-  harness.Ship(answer->shares, answer->timestamp_ms);
+  harness.Ship(AnswerOne(c, 5000), 5000);
   harness.Pump();
   const uint64_t lost[] = {77};
   harness.aggregator->NoteFaultLostMids(harness.query.query_id, lost, 5000);
@@ -612,8 +606,7 @@ TEST(AggregatorTest, AnswerTapGetsEachShardsDrainAsOneSpan) {
   for (size_t i = 0; i < population; ++i) {
     client::Client c = MakeClient(i, 15.0);
     c.Subscribe(harness.query, NoNoiseParams());
-    const auto answer = c.AnswerQuery(5000);
-    harness.Ship(answer->shares, answer->timestamp_ms);
+    harness.Ship(AnswerOne(c, 5000), 5000);
   }
   harness.Pump();
   ASSERT_EQ(spans.size(), 2u);
@@ -677,9 +670,9 @@ void ShipAnswers(const core::Query& query, size_t population,
   for (size_t i = 0; i < population; ++i) {
     client::Client c = MakeClient(i, static_cast<double>(i % 100));
     c.Subscribe(query, NoNoiseParams());
-    const auto answer = c.AnswerQuery(5000);
+    const auto shares = AnswerOne(c, 5000);
     for (size_t j = 0; j < 2; ++j) {
-      const crypto::MessageShare& share = answer->shares[j];
+      const crypto::MessageShare& share = shares[j];
       const std::vector<uint8_t> encoded = proxy::Proxy::EncodeShare(share);
       const broker::ProduceView view{share.message_id, encoded, 5000};
       (j == 0 ? proxy0 : proxy1)

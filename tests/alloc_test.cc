@@ -1,14 +1,11 @@
 // Allocation-count regression tests for the zero-copy share path.
 //
 // This binary links the counting allocator (common/alloc_counter.h), which
-// replaces global operator new/delete and counts every heap allocation. Two
-// levels of guarantee are pinned down:
+// replaces global operator new/delete and counts every heap allocation.
 //
-//   1. Strict zero: after one warm-up pass, the share hot path — arena
-//      encode -> slab append -> view poll -> view decode — performs no heap
-//      allocation at all in steady state.
-//   2. Relative: the view path allocates >= 90% less than the owning
-//      (vector-per-payload) path it replaced, measured in the same binary.
+// Strict zero: after one warm-up pass, the share hot path — arena encode ->
+// slab append -> view poll -> view decode — performs no heap allocation at
+// all in steady state.
 //
 // The epoch's per-epoch machinery (pool tasks, per-range lane batches,
 // fired results) allocates by design, but only per epoch: the whole-system
@@ -143,123 +140,6 @@ TEST(AllocRegressionTest, SteadyStateSharePathIsAllocationFree) {
       << kEpochs << " warm epochs";
   EXPECT_EQ(decoded.shares.size(), kAnswersPerEpoch * kNumShares);
   EXPECT_EQ(decoded.malformed, 0u);
-}
-
-// The pre-arena owning decode path, reimplemented locally as the comparison
-// baseline now that the production API is span-first: one owned vector per
-// payload, MID header stripped by erase, bytes moved into a MessageShare.
-struct OwnedDecodedBatch {
-  std::vector<crypto::MessageShare> shares;
-  uint64_t malformed = 0;
-};
-
-void DecodeOwnedBatch(std::vector<broker::Record> records,
-                      OwnedDecodedBatch& out) {
-  out.shares.reserve(out.shares.size() + records.size());
-  for (auto& record : records) {
-    if (record.payload.size() < 8) {
-      ++out.malformed;
-      continue;
-    }
-    crypto::MessageShare share;
-    for (int i = 0; i < 8; ++i) {
-      share.message_id |= static_cast<uint64_t>(record.payload[i]) << (8 * i);
-    }
-    record.payload.erase(record.payload.begin(), record.payload.begin() + 8);
-    share.payload = std::move(record.payload);
-    out.shares.push_back(std::move(share));
-  }
-}
-
-TEST(AllocRegressionTest, ViewPathAllocatesAtLeast90PercentLess) {
-  const crypto::AnswerMessage message = MakeMessage();
-
-  // Owning path: Split -> EncodeShare -> ProduceRecord batch -> owned Read
-  // -> DecodeOwnedBatch. This is what every epoch paid before the arena.
-  const auto run_owned = [&](broker::Topic& topic,
-                             std::vector<uint64_t>& offsets,
-                             crypto::XorSplitter& splitter) {
-    std::vector<broker::ProduceRecord> records;
-    for (size_t i = 0; i < kAnswersPerEpoch; ++i) {
-      const auto shares = splitter.Split(message.Serialize());
-      for (const crypto::MessageShare& share : shares) {
-        records.push_back(broker::ProduceRecord{
-            share.message_id, proxy::Proxy::EncodeShare(share), 100});
-      }
-    }
-    topic.AppendBatch(std::move(records));
-    OwnedDecodedBatch decoded;
-    for (size_t p = 0; p < offsets.size(); ++p) {
-      for (;;) {
-        std::vector<broker::Record> batch = topic.Read(p, offsets[p], 4096);
-        if (batch.empty()) {
-          break;
-        }
-        offsets[p] += batch.size();
-        DecodeOwnedBatch(std::move(batch), decoded);
-      }
-    }
-    return decoded.shares.size();
-  };
-
-  broker::Topic owned_topic("owned", 4);
-  std::vector<uint64_t> owned_offsets(owned_topic.num_partitions(), 0);
-  crypto::XorSplitter owned_splitter(kNumShares,
-                                     crypto::ChaCha20Rng::FromSeed(17, 5));
-  run_owned(owned_topic, owned_offsets, owned_splitter);  // warm-up
-  const uint64_t owned_before = AllocCounter::Count();
-  size_t owned_shares = 0;
-  for (size_t e = 0; e < kEpochs; ++e) {
-    owned_shares += run_owned(owned_topic, owned_offsets, owned_splitter);
-  }
-  const uint64_t owned_allocs = AllocCounter::Count() - owned_before;
-
-  // View path: same work, arena + slab views, reusing scratch, drained
-  // through the production transport stack (InProcessBus + BusConsumer).
-  broker::Broker view_broker;
-  broker::Topic& view_topic = view_broker.CreateTopic("views", 4);
-  transport::InProcessBus view_bus(view_broker);
-  transport::BusConsumer view_consumer(view_bus, "views");
-  crypto::XorSplitter view_splitter(kNumShares,
-                                    crypto::ChaCha20Rng::FromSeed(17, 5));
-  EpochArena arena;
-  std::vector<crypto::ShareView> views(kNumShares);
-  std::vector<broker::ProduceView> produce;
-  std::vector<broker::RecordView> polled;
-  proxy::Proxy::DecodedShares decoded;
-  const auto run_views = [&]() {
-    produce.clear();
-    for (size_t i = 0; i < kAnswersPerEpoch; ++i) {
-      view_splitter.SplitMessageInto(message, arena, views);
-      for (const crypto::ShareView& view : views) {
-        produce.push_back(
-            broker::ProduceView{view.message_id, view.bytes(), 100});
-      }
-    }
-    view_topic.AppendViews(produce);
-    polled.clear();
-    while (view_consumer.PollInto(4096, polled) != 0) {
-    }
-    decoded.Clear();
-    proxy::Proxy::DecodeShares(polled, decoded);
-    arena.Reset();
-  };
-  run_views();  // warm-up
-  const uint64_t view_before = AllocCounter::Count();
-  size_t view_shares = 0;
-  for (size_t e = 0; e < kEpochs; ++e) {
-    run_views();
-    view_shares += decoded.shares.size();
-  }
-  const uint64_t view_allocs = AllocCounter::Count() - view_before;
-
-  EXPECT_EQ(owned_shares, view_shares);
-  // The owning path allocates several times per share; the view path must
-  // cut that by at least 90%. (In steady state it is in fact zero — the
-  // strict test above — but slab growth for unreserved topics may allocate
-  // a handful of chunks here.)
-  EXPECT_LE(view_allocs * 10, owned_allocs)
-      << "owned=" << owned_allocs << " view=" << view_allocs;
 }
 
 core::Query AllocTestQuery(uint64_t id, const std::string& sql,

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "answer_one.h"
 #include "client/client.h"
 #include "crypto/xor_cipher.h"
 
@@ -44,14 +45,15 @@ TEST(ClientTest, RejectsTamperedQuery) {
 
 TEST(ClientTest, NoAnswerWithoutSubscription) {
   Client client(ClientConfig{});
-  EXPECT_FALSE(client.AnswerQuery(1000).has_value());
-  EXPECT_THROW(client.query(), std::logic_error);
+  EXPECT_TRUE(AnswerOne(client, 1000).empty());
+  EXPECT_EQ(client.num_subscriptions(), 0u);
+  EXPECT_THROW(client.TruthfulAnswer(1, 1000), std::logic_error);
 }
 
 TEST(ClientTest, TruthfulAnswerBucketizesLocalData) {
   Client client = MakeClientWithData(15.0);
   client.Subscribe(MakeQuery(), MakeParams());
-  const BitVector truthful = client.TruthfulAnswer(2000);
+  const BitVector truthful = client.TruthfulAnswer(1, 2000);
   EXPECT_EQ(truthful.PopCount(), 1u);
   EXPECT_TRUE(truthful.Get(1));  // 15.0 in [10, 20)
 }
@@ -60,9 +62,9 @@ TEST(ClientTest, MissingTableYieldsAllZeroAnswer) {
   Client client(ClientConfig{0, 2, 7});
   client.Subscribe(MakeQuery(), MakeParams());
   // No `vehicle` table exists: the client must still answer (all-zero).
-  const BitVector truthful = client.TruthfulAnswer(2000);
+  const BitVector truthful = client.TruthfulAnswer(1, 2000);
   EXPECT_EQ(truthful.PopCount(), 0u);
-  EXPECT_TRUE(client.AnswerQuery(2000).has_value());
+  EXPECT_FALSE(AnswerOne(client, 2000).empty());
 }
 
 core::Query FilteredSpeedQuery() {
@@ -85,10 +87,10 @@ TEST(ClientTest, WhereTypeMismatchSkipsTheRow) {
   table.Insert(1000, {localdb::Value("n/a")});
   table.Insert(1500, {localdb::Value(60.0)});
   client.Subscribe(FilteredSpeedQuery(), MakeParams());
-  const BitVector truthful = client.TruthfulAnswer(2000);
+  const BitVector truthful = client.TruthfulAnswer(1, 2000);
   EXPECT_EQ(truthful.PopCount(), 1u);
   EXPECT_TRUE(truthful.Get(6));  // 60.0 in [60, 70)
-  EXPECT_TRUE(client.AnswerQuery(2000).has_value());
+  EXPECT_FALSE(AnswerOne(client, 2000).empty());
 }
 
 TEST(ClientTest, WhereTypeMismatchOnlyRowAnswersAllZero) {
@@ -96,9 +98,9 @@ TEST(ClientTest, WhereTypeMismatchOnlyRowAnswersAllZero) {
   client.database().CreateTable("vehicle", {"speed"}).Insert(
       1000, {localdb::Value("n/a")});
   client.Subscribe(FilteredSpeedQuery(), MakeParams());
-  EXPECT_EQ(client.TruthfulAnswer(2000).PopCount(), 0u);
-  EXPECT_EQ(client.TruthfulAnswer(2000).size(), 11u);
-  EXPECT_TRUE(client.AnswerQuery(2000).has_value());
+  EXPECT_EQ(client.TruthfulAnswer(1, 2000).PopCount(), 0u);
+  EXPECT_EQ(client.TruthfulAnswer(1, 2000).size(), 11u);
+  EXPECT_FALSE(AnswerOne(client, 2000).empty());
 }
 
 TEST(ClientTest, UnparsableSqlAnswersAllZero) {
@@ -109,39 +111,36 @@ TEST(ClientTest, UnparsableSqlAnswersAllZero) {
   query.Sign();
   Client client = MakeClientWithData(15.0);
   client.Subscribe(query, MakeParams());
-  EXPECT_EQ(client.TruthfulAnswer(2000).PopCount(), 0u);
-  EXPECT_TRUE(client.AnswerQuery(2000).has_value());
+  EXPECT_EQ(client.TruthfulAnswer(1, 2000).PopCount(), 0u);
+  EXPECT_FALSE(AnswerOne(client, 2000).empty());
   // Re-subscribing with the fixed statement re-parses it.
   client.Subscribe(MakeQuery(), MakeParams());
-  EXPECT_TRUE(client.TruthfulAnswer(2000).Get(1));  // 15.0 in [10, 20)
+  EXPECT_TRUE(client.TruthfulAnswer(1, 2000).Get(1));  // 15.0 in [10, 20)
 }
 
 TEST(ClientTest, DataOutsideWindowIsIgnored) {
   Client client = MakeClientWithData(15.0);
   client.Subscribe(MakeQuery(), MakeParams());
   // Window is [now - 60s, now); the row at t=1000 is outside at now=100000.
-  EXPECT_EQ(client.TruthfulAnswer(100000).PopCount(), 0u);
+  EXPECT_EQ(client.TruthfulAnswer(1, 100000).PopCount(), 0u);
 }
 
 TEST(ClientTest, ProducesOneSharePerProxy) {
   Client client = MakeClientWithData(15.0);
   client.Subscribe(MakeQuery(), MakeParams(1.0, 1.0, 0.5));
-  const auto answer = client.AnswerQuery(2000);
-  ASSERT_TRUE(answer.has_value());
-  EXPECT_EQ(answer->shares.size(), 2u);
-  EXPECT_EQ(answer->timestamp_ms, 2000);
+  const auto shares = AnswerOne(client, 2000);
+  ASSERT_EQ(shares.size(), 2u);
   // All shares carry the same MID and equal-length payloads.
-  EXPECT_EQ(answer->shares[0].message_id, answer->shares[1].message_id);
-  EXPECT_EQ(answer->shares[0].payload.size(),
-            answer->shares[1].payload.size());
+  EXPECT_EQ(shares[0].message_id, shares[1].message_id);
+  EXPECT_EQ(shares[0].payload.size(), shares[1].payload.size());
 }
 
 TEST(ClientTest, SharesRecombineToTruthfulAnswerWhenP1) {
   Client client = MakeClientWithData(15.0);
   client.Subscribe(MakeQuery(), MakeParams(1.0, 1.0, 0.5));
-  const auto answer = client.AnswerQuery(2000);
-  ASSERT_TRUE(answer.has_value());
-  const auto plaintext = crypto::XorSplitter::Combine(answer->shares);
+  const auto shares = AnswerOne(client, 2000);
+  ASSERT_FALSE(shares.empty());
+  const auto plaintext = crypto::XorSplitter::Combine(shares);
   const auto message = crypto::AnswerMessage::Deserialize(plaintext);
   EXPECT_EQ(message.query_id, 1u);
   EXPECT_TRUE(message.answer.Get(1));
@@ -154,7 +153,7 @@ TEST(ClientTest, SamplingSkipsEpochs) {
   int participated = 0;
   const int epochs = 2000;
   for (int epoch = 0; epoch < epochs; ++epoch) {
-    if (client.AnswerQuery(2000 + epoch).has_value()) {
+    if (!AnswerOne(client, 2000 + epoch).empty()) {
       ++participated;
     }
   }
@@ -165,7 +164,7 @@ TEST(ClientTest, FullSamplingAlwaysParticipates) {
   Client client = MakeClientWithData(15.0);
   client.Subscribe(MakeQuery(), MakeParams(1.0));
   for (int epoch = 0; epoch < 50; ++epoch) {
-    EXPECT_TRUE(client.AnswerQuery(2000 + epoch).has_value());
+    EXPECT_FALSE(AnswerOne(client, 2000 + epoch).empty());
   }
 }
 
@@ -177,7 +176,7 @@ TEST(ClientTest, InvertedClientFlipsBits) {
   auto& table = client.database().CreateTable("vehicle", {"speed"});
   table.Insert(1000, {localdb::Value(15.0)});
   client.Subscribe(MakeQuery(), MakeParams());
-  const BitVector truthful = client.TruthfulAnswer(2000);
+  const BitVector truthful = client.TruthfulAnswer(1, 2000);
   EXPECT_EQ(truthful.PopCount(), 10u);  // 11 buckets, one flipped off
   EXPECT_FALSE(truthful.Get(1));
 }
@@ -187,10 +186,9 @@ TEST(ClientTest, ThreeProxyConfiguration) {
   auto& table = client.database().CreateTable("vehicle", {"speed"});
   table.Insert(1000, {localdb::Value(42.0)});
   client.Subscribe(MakeQuery(), MakeParams(1.0, 1.0, 0.5));
-  const auto answer = client.AnswerQuery(2000);
-  ASSERT_TRUE(answer.has_value());
-  EXPECT_EQ(answer->shares.size(), 3u);
-  const auto plaintext = crypto::XorSplitter::Combine(answer->shares);
+  const auto shares = AnswerOne(client, 2000, /*num_proxies=*/3);
+  ASSERT_EQ(shares.size(), 3u);
+  const auto plaintext = crypto::XorSplitter::Combine(shares);
   EXPECT_TRUE(crypto::AnswerMessage::Deserialize(plaintext).answer.Get(4));
 }
 
@@ -199,10 +197,10 @@ TEST(ClientTest, DistinctClientsProduceDistinctMids) {
   Client b = MakeClientWithData(15.0, /*id=*/2);
   a.Subscribe(MakeQuery(), MakeParams());
   b.Subscribe(MakeQuery(), MakeParams());
-  const auto answer_a = a.AnswerQuery(2000);
-  const auto answer_b = b.AnswerQuery(2000);
-  ASSERT_TRUE(answer_a.has_value() && answer_b.has_value());
-  EXPECT_NE(answer_a->shares[0].message_id, answer_b->shares[0].message_id);
+  const auto shares_a = AnswerOne(a, 2000);
+  const auto shares_b = AnswerOne(b, 2000);
+  ASSERT_FALSE(shares_a.empty() || shares_b.empty());
+  EXPECT_NE(shares_a[0].message_id, shares_b[0].message_id);
 }
 
 }  // namespace

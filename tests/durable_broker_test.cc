@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -31,7 +33,8 @@ namespace fs = std::filesystem;
 
 using broker::Broker;
 using broker::BrokerDurability;
-using broker::Record;
+using broker::ProduceView;
+using broker::RecordView;
 using broker::Topic;
 using broker::TopicDurability;
 
@@ -60,17 +63,29 @@ std::vector<uint8_t> Payload(uint64_t seed, size_t len) {
   return payload;
 }
 
-// Copy-read every record of every partition, in partition order.
-std::vector<Record> DumpTopic(const Topic& topic) {
-  std::vector<Record> all;
+// Every retained record of every partition, in partition order; the views
+// live as long as the topic.
+std::vector<RecordView> DumpTopic(const Topic& topic) {
+  std::vector<RecordView> all;
   for (size_t p = 0; p < topic.num_partitions(); ++p) {
     // Durable recovery can leave a non-zero base after retention trims;
-    // read from the first offset the topic still holds.
-    std::vector<Record> records =
-        topic.Read(p, /*offset=*/0, /*max_records=*/1 << 20);
-    all.insert(all.end(), records.begin(), records.end());
+    // the read starts at the first offset the topic still holds.
+    topic.ReadViews(p, /*offset=*/0, SIZE_MAX, all);
   }
   return all;
+}
+
+// One line per record (offset, key, timestamp, payload bytes), so one
+// incarnation of a topic can be compared with the next.
+std::string Describe(const std::vector<RecordView>& records) {
+  std::string out;
+  for (const RecordView& r : records) {
+    out += std::to_string(r.offset) + " " + std::to_string(r.key) + " " +
+           std::to_string(r.timestamp_ms) + " ";
+    out.append(reinterpret_cast<const char*>(r.payload), r.payload_len);
+    out += '\n';
+  }
+  return out;
 }
 
 TEST(DurableTopicTest, OffByDefault) {
@@ -87,32 +102,25 @@ TEST(DurableTopicTest, OffByDefault) {
 TEST(DurableTopicTest, ReopenRecoversIdenticalContents) {
   TempDir dir;
   const TopicDurability durability{dir.path(), {}};
-  std::vector<Record> written;
+  std::string written;
   {
     Topic topic("answers", 4, durability);
     ASSERT_TRUE(topic.durable());
     for (uint64_t key = 0; key < 40; ++key) {
-      topic.Append(key, Payload(key, 20 + key % 7),
-                   static_cast<int64_t>(1000 + key));
+      topic.AppendViews(std::array{ProduceView{
+          key, Payload(key, 20 + key % 7), static_cast<int64_t>(1000 + key)}});
     }
-    written = DumpTopic(topic);
-    ASSERT_EQ(written.size(), 40u);
+    ASSERT_EQ(DumpTopic(topic).size(), 40u);
+    written = Describe(DumpTopic(topic));
     EXPECT_GT(topic.durable_stats().bytes, 0u);
   }
 
   Topic topic("answers", 4, durability);
-  const std::vector<Record> recovered = DumpTopic(topic);
-  ASSERT_EQ(recovered.size(), written.size());
-  for (size_t i = 0; i < written.size(); ++i) {
-    EXPECT_EQ(recovered[i].offset, written[i].offset);
-    EXPECT_EQ(recovered[i].key, written[i].key);
-    EXPECT_EQ(recovered[i].timestamp_ms, written[i].timestamp_ms);
-    EXPECT_EQ(recovered[i].payload, written[i].payload);
-  }
+  EXPECT_EQ(Describe(DumpTopic(topic)), written);
   EXPECT_EQ(topic.durable_stats().recovered_records, 40u);
 
   // The recovered topic keeps accepting appends.
-  topic.Append(99, Payload(99, 8), 0);
+  topic.AppendViews(std::array{ProduceView{99, Payload(99, 8), 0}});
   EXPECT_EQ(DumpTopic(topic).size(), 41u);
 }
 
@@ -127,29 +135,23 @@ TEST(DurableTopicTest, AppendViewsSpillsOneBatchPerPartitionRun) {
   for (uint64_t key = 0; key < 60; ++key) {
     payloads.push_back(Payload(key, 22));
   }
-  std::vector<broker::ProduceView> views;
+  std::vector<ProduceView> views;
   for (uint64_t key = 0; key < 60; ++key) {
-    views.push_back(broker::ProduceView{key, payloads[key],
-                                        static_cast<int64_t>(key % 3)});
+    views.push_back(
+        ProduceView{key, payloads[key], static_cast<int64_t>(key % 3)});
   }
-  std::vector<Record> written;
+  std::string written;
   {
     Topic topic("lane", 3, durability);
     topic.AppendViews(views);
     EXPECT_EQ(topic.durable_stats().fsyncs, 3u);
     topic.AppendViews(std::span(views).first(1));
     EXPECT_EQ(topic.durable_stats().fsyncs, 4u);
-    written = DumpTopic(topic);
+    written = Describe(DumpTopic(topic));
   }
   Topic topic("lane", 3, durability);
-  const std::vector<Record> recovered = DumpTopic(topic);
-  ASSERT_EQ(recovered.size(), 61u);
-  for (size_t i = 0; i < written.size(); ++i) {
-    EXPECT_EQ(recovered[i].offset, written[i].offset);
-    EXPECT_EQ(recovered[i].key, written[i].key);
-    EXPECT_EQ(recovered[i].timestamp_ms, written[i].timestamp_ms);
-    EXPECT_EQ(recovered[i].payload, written[i].payload);
-  }
+  EXPECT_EQ(DumpTopic(topic).size(), 61u);
+  EXPECT_EQ(Describe(DumpTopic(topic)), written);
 }
 
 TEST(DurableTopicTest, EndOffsetContinuesAcrossReopen) {
@@ -159,7 +161,7 @@ TEST(DurableTopicTest, EndOffsetContinuesAcrossReopen) {
   {
     Topic topic("t", 3, durability);
     for (uint64_t key = 0; key < 30; ++key) {
-      topic.Append(key, Payload(key, 16), 0);
+      topic.AppendViews(std::array{ProduceView{key, Payload(key, 16), 0}});
     }
     for (size_t p = 0; p < 3; ++p) {
       ends.push_back(topic.EndOffset(p));
@@ -188,7 +190,7 @@ TEST(DurableTopicTest, WatermarkTrimsDiskKeepsMemory) {
   {
     Topic topic("t", kOnePartition, durability);
     for (uint64_t key = 0; key < 30; ++key) {
-      topic.Append(key, Payload(key, 40), 0);
+      topic.AppendViews(std::array{ProduceView{key, Payload(key, 40), 0}});
     }
     end = topic.EndOffset(0);
     ASSERT_GT(topic.durable_stats().segments, 2u);
@@ -206,12 +208,14 @@ TEST(DurableTopicTest, WatermarkTrimsDiskKeepsMemory) {
   // Reopen: only the untrimmed tail comes back, at the right offsets.
   Topic topic("t", kOnePartition, durability);
   EXPECT_EQ(topic.EndOffset(0), end);
-  const std::vector<Record> tail = DumpTopic(topic);
+  const std::vector<RecordView> tail = DumpTopic(topic);
   ASSERT_FALSE(tail.empty());
   EXPECT_LT(tail.size(), 30u);
   EXPECT_EQ(tail.back().offset, end - 1);
-  for (const Record& r : tail) {
-    EXPECT_EQ(r.payload, Payload(r.key, 40));
+  for (const RecordView& r : tail) {
+    const std::vector<uint8_t> expected = Payload(r.key, 40);
+    EXPECT_TRUE(std::equal(r.bytes().begin(), r.bytes().end(),
+                           expected.begin(), expected.end()));
   }
 }
 
@@ -220,13 +224,14 @@ TEST(DurableTopicTest, ReopenAfterReleaseReplaysEveryRecord) {
   // topic serves the released records again, at their original offsets.
   TempDir dir;
   const TopicDurability durability{dir.path(), {}};
-  std::vector<Record> written;
+  std::string written;
   {
     Topic topic("t", 3, durability);
     for (uint64_t key = 0; key < 60; ++key) {
-      topic.Append(key, Payload(key, 12), static_cast<int64_t>(key));
+      topic.AppendViews(std::array{
+          ProduceView{key, Payload(key, 12), static_cast<int64_t>(key)}});
     }
-    written = DumpTopic(topic);
+    written = Describe(DumpTopic(topic));
     for (size_t p = 0; p < topic.num_partitions(); ++p) {
       topic.Release(p, topic.EndOffset(p));
     }
@@ -234,14 +239,8 @@ TEST(DurableTopicTest, ReopenAfterReleaseReplaysEveryRecord) {
     EXPECT_EQ(topic.slab_stats().retained_records, 0u);
   }
   Topic topic("t", 3, durability);
-  const std::vector<Record> replayed = DumpTopic(topic);
-  ASSERT_EQ(replayed.size(), written.size());
-  for (size_t i = 0; i < written.size(); ++i) {
-    EXPECT_EQ(replayed[i].offset, written[i].offset);
-    EXPECT_EQ(replayed[i].key, written[i].key);
-    EXPECT_EQ(replayed[i].timestamp_ms, written[i].timestamp_ms);
-    EXPECT_EQ(replayed[i].payload, written[i].payload);
-  }
+  EXPECT_EQ(DumpTopic(topic).size(), 60u);
+  EXPECT_EQ(Describe(DumpTopic(topic)), written);
 }
 
 // ----------------------------------------------------------------- broker
@@ -269,10 +268,10 @@ TEST(DurableBrokerTest, RecoverTopicsRebuildsNamesAndPartitions) {
     Topic& b = broker.CreateTopic("proxy0.q7.out", 2);
     Topic& c = broker.CreateTopic("announce", 1);
     for (uint64_t key = 0; key < 24; ++key) {
-      a.Append(key, Payload(key, 12), 0);
-      b.Append(key, Payload(key + 100, 12), 0);
+      a.AppendViews(std::array{ProduceView{key, Payload(key, 12), 0}});
+      b.AppendViews(std::array{ProduceView{key, Payload(key + 100, 12), 0}});
     }
-    c.Append(0, Payload(7, 64), 0);
+    c.AppendViews(std::array{ProduceView{0, Payload(7, 64), 0}});
   }
 
   Broker broker;

@@ -445,9 +445,7 @@ TEST(PaneWindowsTest, MatchesFoldingIntoEveryWindow) {
 // --------------------------------------------------------------------- join
 
 
-crypto::MessageShare Share(uint64_t mid, std::vector<uint8_t> payload) {
-  return crypto::MessageShare{mid, std::move(payload)};
-}
+using Bytes = std::vector<uint8_t>;
 
 TEST(MidJoinerTest, JoinsWhenAllSharesArrive) {
   std::vector<std::pair<uint64_t, std::vector<uint8_t>>> emitted;
@@ -455,9 +453,9 @@ TEST(MidJoinerTest, JoinsWhenAllSharesArrive) {
                    [&](uint64_t mid, std::vector<uint8_t> plaintext, int64_t) {
                      emitted.emplace_back(mid, std::move(plaintext));
                    });
-  joiner.Add(Share(7, {0xF0}), 10, /*source=*/0);
+  joiner.Add(7, Bytes{0xF0}, 10, /*source=*/0);
   EXPECT_TRUE(emitted.empty());
-  joiner.Add(Share(7, {0x0F}), 12, /*source=*/1);
+  joiner.Add(7, Bytes{0x0F}, 12, /*source=*/1);
   ASSERT_EQ(emitted.size(), 1u);
   EXPECT_EQ(emitted[0].first, 7u);
   EXPECT_EQ(emitted[0].second, std::vector<uint8_t>{0xFF});
@@ -500,8 +498,8 @@ TEST(MidJoinerTest, EmitsWithFirstSeenTimestamp) {
                    [&](uint64_t, std::vector<uint8_t>, int64_t ts) {
                      emitted_ts = ts;
                    });
-  joiner.Add(Share(1, {0}), 100, 0);
-  joiner.Add(Share(1, {0}), 250, 1);
+  joiner.Add(1, Bytes{0}, 100, 0);
+  joiner.Add(1, Bytes{0}, 250, 1);
   EXPECT_EQ(emitted_ts, 100);
 }
 
@@ -516,9 +514,9 @@ TEST(MidJoinerTest, ThreeWayJoinRoundTrip) {
                    });
   // Arrive out of order (the share's own source index still identifies the
   // stream it traveled on).
-  joiner.Add(shares[2], 1, 2);
-  joiner.Add(shares[0], 2, 0);
-  joiner.Add(shares[1], 3, 1);
+  joiner.Add(shares[2].message_id, shares[2].payload, 1, 2);
+  joiner.Add(shares[0].message_id, shares[0].payload, 2, 0);
+  joiner.Add(shares[1].message_id, shares[1].payload, 3, 1);
   EXPECT_EQ(recovered, plaintext);
 }
 
@@ -526,12 +524,12 @@ TEST(MidJoinerTest, ReplayedMidIsDropped) {
   int emitted = 0;
   MidJoiner joiner(2, 1000,
                    [&](uint64_t, std::vector<uint8_t>, int64_t) { ++emitted; });
-  joiner.Add(Share(5, {1}), 0, 0);
-  joiner.Add(Share(5, {2}), 0, 1);
+  joiner.Add(5, Bytes{1}, 0, 0);
+  joiner.Add(5, Bytes{2}, 0, 1);
   EXPECT_EQ(emitted, 1);
   // A malicious client replays the same MID to distort the count (§3.2.4).
-  joiner.Add(Share(5, {1}), 1, 0);
-  joiner.Add(Share(5, {2}), 1, 1);
+  joiner.Add(5, Bytes{1}, 1, 0);
+  joiner.Add(5, Bytes{2}, 1, 1);
   EXPECT_EQ(emitted, 1);
   EXPECT_EQ(joiner.stats().duplicates_dropped, 2u);
 }
@@ -540,7 +538,7 @@ TEST(MidJoinerTest, EvictsStalePartialGroups) {
   int emitted = 0;
   MidJoiner joiner(2, 100,
                    [&](uint64_t, std::vector<uint8_t>, int64_t) { ++emitted; });
-  joiner.Add(Share(9, {1}), 0, 0);  // second share never arrives
+  joiner.Add(9, Bytes{1}, 0, 0);  // second share never arrives
   EXPECT_EQ(joiner.pending_groups(), 1u);
   joiner.EvictStale(200);
   EXPECT_EQ(joiner.pending_groups(), 0u);
@@ -548,7 +546,7 @@ TEST(MidJoinerTest, EvictsStalePartialGroups) {
   // The straggler share is dropped as late — it must not start a fresh,
   // never-completable group (which would double-count the loss on the next
   // eviction pass).
-  joiner.Add(Share(9, {2}), 201, 1);
+  joiner.Add(9, Bytes{2}, 201, 1);
   EXPECT_EQ(emitted, 0);
   EXPECT_EQ(joiner.pending_groups(), 0u);
   EXPECT_EQ(joiner.stats().late_dropped, 1u);
@@ -561,14 +559,14 @@ TEST(MidJoinerTest, LastShareExactlyAtEvictionCutoffStillJoins) {
   int emitted = 0;
   MidJoiner joiner(2, 100,
                    [&](uint64_t, std::vector<uint8_t>, int64_t) { ++emitted; });
-  joiner.Add(Share(4, {0x0F}), 50, 0);
+  joiner.Add(4, Bytes{0x0F}, 50, 0);
   joiner.EvictStale(150);  // cutoff = 50: 50 < 50 is false -> keep waiting
   EXPECT_EQ(joiner.pending_groups(), 1u);
   EXPECT_EQ(joiner.stats().evicted_partial, 0u);
-  joiner.Add(Share(4, {0xF0}), 150, 1);
+  joiner.Add(4, Bytes{0xF0}, 150, 1);
   EXPECT_EQ(emitted, 1);
   // One more millisecond and it would have been evicted.
-  joiner.Add(Share(6, {1}), 50, 0);
+  joiner.Add(6, Bytes{1}, 50, 0);
   joiner.EvictStale(151);
   EXPECT_EQ(joiner.pending_groups(), 0u);
   EXPECT_EQ(joiner.stats().evicted_partial, 1u);
@@ -578,13 +576,13 @@ TEST(MidJoinerTest, DuplicateShareAfterExpiryIsLateDropped) {
   int emitted = 0;
   MidJoiner joiner(2, 100,
                    [&](uint64_t, std::vector<uint8_t>, int64_t) { ++emitted; });
-  joiner.Add(Share(8, {1}), 0, 0);
+  joiner.Add(8, Bytes{1}, 0, 0);
   joiner.EvictStale(200);
   EXPECT_EQ(joiner.stats().evicted_partial, 1u);
   // Even a redelivery of the share the group already had counts as late,
   // not as a same-slot duplicate — the group no longer exists.
-  joiner.Add(Share(8, {1}), 205, 0);
-  joiner.Add(Share(8, {2}), 206, 1);
+  joiner.Add(8, Bytes{1}, 205, 0);
+  joiner.Add(8, Bytes{2}, 206, 1);
   EXPECT_EQ(emitted, 0);
   EXPECT_EQ(joiner.pending_groups(), 0u);
   EXPECT_EQ(joiner.stats().late_dropped, 2u);
@@ -606,9 +604,9 @@ TEST(MidJoinerTest, RememberedMidSetsStayBoundedOverManyEpochs) {
     const int64_t now = epoch * 100;
     for (int i = 0; i < 10; ++i) {
       const uint64_t mid = next_mid++;
-      joiner.Add(Share(mid, {1}), now, 0);
+      joiner.Add(mid, Bytes{1}, now, 0);
       if (i % 2 == 0) {
-        joiner.Add(Share(mid, {2}), now, 1);  // completes
+        joiner.Add(mid, Bytes{2}, now, 1);  // completes
       }  // else: partial, expires at the watermark
     }
     joiner.EvictStale(now + 100);
@@ -634,12 +632,12 @@ TEST(MidJoinerTest, ReplayAfterPruneRestartsButReexpires) {
   int emitted = 0;
   MidJoiner joiner(2, 100,
                    [&](uint64_t, std::vector<uint8_t>, int64_t) { ++emitted; });
-  joiner.Add(Share(7, {1}), 0, 0);
-  joiner.Add(Share(7, {2}), 0, 1);
+  joiner.Add(7, Bytes{1}, 0, 0);
+  joiner.Add(7, Bytes{2}, 0, 1);
   EXPECT_EQ(emitted, 1);
   joiner.EvictStale(1000);  // prunes the completed-MID memory of 7
   EXPECT_EQ(joiner.remembered_mids(), 0u);
-  joiner.Add(Share(7, {1}), 1001, 0);  // ancient replay
+  joiner.Add(7, Bytes{1}, 1001, 0);  // ancient replay
   EXPECT_EQ(joiner.pending_groups(), 1u);
   joiner.EvictStale(2000);
   EXPECT_EQ(emitted, 1);
@@ -654,8 +652,8 @@ TEST(MidJoinerTest, EvictFnReportsMidAndFirstSeen) {
   joiner.set_evict_fn([&](uint64_t mid, int64_t first_seen_ms) {
     evicted.emplace_back(mid, first_seen_ms);
   });
-  joiner.Add(Share(11, {1}), 10, 0);
-  joiner.Add(Share(12, {2}), 20, 1);
+  joiner.Add(11, Bytes{1}, 10, 0);
+  joiner.Add(12, Bytes{2}, 20, 1);
   joiner.EvictStale(500);
   ASSERT_EQ(evicted.size(), 2u);
   std::sort(evicted.begin(), evicted.end());
@@ -671,7 +669,7 @@ TEST(MidJoinerTest, RejectsBadConfig) {
 
 TEST(MidJoinerTest, RejectsBadSource) {
   MidJoiner joiner(2, 1000, [](uint64_t, std::vector<uint8_t>, int64_t) {});
-  EXPECT_THROW(joiner.Add(Share(1, {0}), 0, 2), std::out_of_range);
+  EXPECT_THROW(joiner.Add(1, Bytes{0}, 0, 2), std::out_of_range);
 }
 
 TEST(MidJoinerTest, SameStreamRedeliveryCannotSelfJoin) {
@@ -684,11 +682,11 @@ TEST(MidJoinerTest, SameStreamRedeliveryCannotSelfJoin) {
                      ++emitted;
                      plaintext_out = std::move(plaintext);
                    });
-  joiner.Add(Share(3, {0xAA}), 0, 0);
-  joiner.Add(Share(3, {0xAA}), 1, 0);  // redelivery on stream 0
+  joiner.Add(3, Bytes{0xAA}, 0, 0);
+  joiner.Add(3, Bytes{0xAA}, 1, 0);  // redelivery on stream 0
   EXPECT_EQ(emitted, 0);
   EXPECT_EQ(joiner.stats().duplicates_dropped, 1u);
-  joiner.Add(Share(3, {0x55}), 2, 1);  // the real sibling
+  joiner.Add(3, Bytes{0x55}, 2, 1);  // the real sibling
   EXPECT_EQ(emitted, 1);
   EXPECT_EQ(plaintext_out, std::vector<uint8_t>{0xFF});
 }
@@ -707,10 +705,10 @@ TEST(MidJoinerTest, ManyInterleavedGroups) {
                    });
   // First shares of everyone, then second shares of everyone.
   for (const auto& shares : all) {
-    joiner.Add(shares[0], 0, 0);
+    joiner.Add(shares[0].message_id, shares[0].payload, 0, 0);
   }
   for (const auto& shares : all) {
-    joiner.Add(shares[1], 1, 1);
+    joiner.Add(shares[1].message_id, shares[1].payload, 1, 1);
   }
   EXPECT_EQ(emitted, 100u);
 }
@@ -724,18 +722,18 @@ TEST(MidJoinerTest, LengthMismatchIsDroppedAndRemembered) {
                    [&](uint64_t mid, std::vector<uint8_t>, int64_t) {
                      emitted.push_back(mid);
                    });
-  joiner.Add(Share(1, std::vector<uint8_t>(14, 0xAB)), 10, 0);
-  joiner.Add(Share(1, std::vector<uint8_t>(13, 0xCD)), 11, 1);
+  joiner.Add(1, std::vector<uint8_t>(14, 0xAB), 10, 0);
+  joiner.Add(1, std::vector<uint8_t>(13, 0xCD), 11, 1);
   EXPECT_TRUE(emitted.empty());
   EXPECT_EQ(joiner.stats().malformed_dropped, 1u);
   EXPECT_EQ(joiner.stats().joined, 0u);
   EXPECT_EQ(joiner.pending_groups(), 0u);
   EXPECT_EQ(joiner.remembered_mids(), 1u);
   // A replay of the broken MID is a duplicate; an honest neighbour joins.
-  joiner.Add(Share(1, std::vector<uint8_t>(14, 0xAB)), 12, 0);
+  joiner.Add(1, std::vector<uint8_t>(14, 0xAB), 12, 0);
   EXPECT_EQ(joiner.stats().duplicates_dropped, 1u);
-  joiner.Add(Share(2, {0x0F}), 12, 0);
-  joiner.Add(Share(2, {0xF0}), 13, 1);
+  joiner.Add(2, Bytes{0x0F}, 12, 0);
+  joiner.Add(2, Bytes{0xF0}, 13, 1);
   EXPECT_EQ(emitted, std::vector<uint64_t>{2});
   EXPECT_EQ(joiner.stats().malformed_dropped, 1u);
 }
@@ -958,12 +956,7 @@ TEST(MidJoinerDifferentialTest, MatchesReferenceOnSeededShareSequences) {
           byte = static_cast<uint8_t>(rng());
         }
         reference.Add(share.mid, payload, ts, share.source);
-        if (uniform(2) == 0) {
-          joiner.Add(share.mid, payload, ts, share.source);
-        } else {
-          joiner.Add(crypto::MessageShare{share.mid, payload}, ts,
-                     share.source);
-        }
+        joiner.Add(share.mid, payload, ts, share.source);
         if (first_seen_samples.size() < 64) {
           first_seen_samples.push_back(ts);
         } else {

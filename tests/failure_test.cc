@@ -8,6 +8,7 @@
 #include <filesystem>
 
 #include "aggregator/aggregator.h"
+#include "answer_one.h"
 #include "client/client.h"
 #include "proxy/proxy.h"
 #include "system/system.h"
@@ -103,10 +104,10 @@ TEST(FailureTest, RandomShareLossDegradesGracefully) {
   for (size_t i = 0; i < population; ++i) {
     client::Client c = MakeClient(i, 25.0);
     c.Subscribe(harness.query, ExactParams());
-    const auto answer = c.AnswerQuery(5000);
-    harness.Send(harness.proxy0, answer->shares[0], 5000);
+    const auto shares = AnswerOne(c, 5000);
+    harness.Send(harness.proxy0, shares[0], 5000);
     if (rng.NextBernoulli(0.8)) {
-      harness.Send(harness.proxy1, answer->shares[1], 5000);
+      harness.Send(harness.proxy1, shares[1], 5000);
       ++delivered;
     }
   }
@@ -132,8 +133,8 @@ TEST(FailureTest, TotalProxyOutageYieldsNoResultsNotGarbage) {
   for (size_t i = 0; i < population; ++i) {
     client::Client c = MakeClient(i, 25.0);
     c.Subscribe(harness.query, ExactParams());
-    const auto answer = c.AnswerQuery(5000);
-    harness.Send(harness.proxy0, answer->shares[0], 5000);
+    const auto shares = AnswerOne(c, 5000);
+    harness.Send(harness.proxy0, shares[0], 5000);
     // Proxy 1 is down: nothing arrives there.
   }
   harness.proxy0.ForwardLanes();
@@ -152,10 +153,10 @@ TEST(FailureTest, DuplicatedRecordsInTransitAreDropped) {
   for (size_t i = 0; i < population; ++i) {
     client::Client c = MakeClient(i, 25.0);
     c.Subscribe(harness.query, ExactParams());
-    const auto answer = c.AnswerQuery(5000);
+    const auto shares = AnswerOne(c, 5000);
     for (int copy = 0; copy < 2; ++copy) {
-      harness.Send(harness.proxy0, answer->shares[0], 5000);
-      harness.Send(harness.proxy1, answer->shares[1], 5000);
+      harness.Send(harness.proxy0, shares[0], 5000);
+      harness.Send(harness.proxy1, shares[1], 5000);
     }
   }
   harness.proxy0.ForwardLanes();
@@ -282,9 +283,9 @@ TEST(FailureTest, OutOfOrderArrivalJoinsItsWindow) {
   auto send_at = [&](uint64_t id, int64_t ts) {
     client::Client c = MakeClient(id, 25.0);
     c.Subscribe(harness.query, ExactParams());
-    const auto answer = c.AnswerQuery(ts);
-    harness.Send(harness.proxy0, answer->shares[0], ts);
-    harness.Send(harness.proxy1, answer->shares[1], ts);
+    const auto shares = AnswerOne(c, ts);
+    harness.Send(harness.proxy0, shares[0], ts);
+    harness.Send(harness.proxy1, shares[1], ts);
   };
   send_at(0, 9000);
   send_at(1, 12000);  // later epoch arrives before epoch-1 stragglers
@@ -312,9 +313,9 @@ TEST(FailureTest, OutOfRangeEventTimesAreMalformedNotWindows) {
     for (uint64_t i = 0; i < 3; ++i) {
       client::Client c = MakeClient(i, 25.0);
       c.Subscribe(harness.query, ExactParams());
-      const auto answer = c.AnswerQuery(5000);
-      harness.Send(harness.proxy0, answer->shares[0], stamps[i]);
-      harness.Send(harness.proxy1, answer->shares[1], stamps[i]);
+      const auto shares = AnswerOne(c, 5000);
+      harness.Send(harness.proxy0, shares[0], stamps[i]);
+      harness.Send(harness.proxy1, shares[1], stamps[i]);
     }
     harness.proxy0.ForwardLanes();
     harness.proxy1.ForwardLanes();

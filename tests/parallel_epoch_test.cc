@@ -302,11 +302,13 @@ SplitRun RunSplitScenario(size_t workers,
     const broker::Topic& topic = recovered.GetTopic(name);
     std::vector<std::string>& records = run.lanes[name];
     for (size_t p = 0; p < topic.num_partitions(); ++p) {
-      for (const broker::Record& record : topic.Read(p, 0, SIZE_MAX)) {
+      std::vector<broker::RecordView> views;
+      topic.ReadViews(p, 0, SIZE_MAX, views);
+      for (const broker::RecordView& record : views) {
         records.push_back(std::to_string(record.key) + "/" +
                           std::to_string(record.timestamp_ms) + "/" +
-                          std::string(record.payload.begin(),
-                                      record.payload.end()));
+                          std::string(record.bytes().begin(),
+                                      record.bytes().end()));
       }
     }
   }

@@ -131,10 +131,11 @@ TEST(QueryDistributionTest, AnnouncementReachesClientThroughProxy) {
   ASSERT_EQ(consumer.PollInto(4, records), 1u);
 
   client::Client client(client::ClientConfig{0, 2, 1});
-  const auto payload = records[0].bytes();
-  client.OnAnnouncement(std::vector<uint8_t>(payload.begin(), payload.end()));
-  EXPECT_TRUE(client.subscribed());
-  EXPECT_EQ(client.query().query_id, ann.query.query_id);
+  const auto compiled = client::CompileAnnouncement(records[0].bytes());
+  EXPECT_EQ(compiled->query.sql, ann.query.sql);
+  client.Subscribe(compiled);
+  EXPECT_EQ(client.num_subscriptions(), 1u);
+  EXPECT_NO_THROW(client.TruthfulAnswer(ann.query.query_id, 0));
 }
 
 TEST(QueryDistributionTest, ClientRejectsTamperedAnnouncement) {
@@ -146,21 +147,24 @@ TEST(QueryDistributionTest, ClientRejectsTamperedAnnouncement) {
                               needle.end());
   ASSERT_NE(it, bytes.end());
   *it ^= 0x01;
-  EXPECT_THROW(client.OnAnnouncement(bytes), std::invalid_argument);
+  EXPECT_THROW(client.Subscribe(client::CompileAnnouncement(bytes)),
+               std::invalid_argument);
   EXPECT_FALSE(client.subscribed());
 }
 
 TEST(QueryDistributionTest, ClientRejectsMalformedAnnouncement) {
   client::Client client(client::ClientConfig{0, 2, 1});
-  EXPECT_THROW(client.OnAnnouncement({0xDE, 0xAD}), WireError);
+  const std::vector<uint8_t> bytes = {0xDE, 0xAD};
+  EXPECT_THROW(client.Subscribe(client::CompileAnnouncement(bytes)), WireError);
 }
 
 TEST(QueryDistributionTest, ClientRejectsInvalidParams) {
   client::Client client(client::ClientConfig{0, 2, 1});
   QueryAnnouncement ann{MakeQuery(), MakeParams()};
   ann.params.sampling_fraction = 1.7;  // invalid
-  EXPECT_THROW(client.OnAnnouncement(SerializeAnnouncement(ann)),
-               std::invalid_argument);
+  EXPECT_THROW(
+      client.Subscribe(client::CompileAnnouncement(SerializeAnnouncement(ann))),
+      std::invalid_argument);
 }
 
 // A Query is a plain struct, so a correctly signed one can still carry a
@@ -184,7 +188,8 @@ TEST(QueryDistributionTest, ClientRejectsStructurallyInvalidQuery) {
   };
   client::Client client(client::ClientConfig{0, 2, 1});
   for (const std::vector<uint8_t>& bytes : refused) {
-    EXPECT_THROW(client.OnAnnouncement(bytes), std::invalid_argument);
+    EXPECT_THROW(client.Subscribe(client::CompileAnnouncement(bytes)),
+                 std::invalid_argument);
   }
   EXPECT_FALSE(client.subscribed());
 }

@@ -524,6 +524,53 @@ TEST(SocketDeploymentTest, TopicNamesCannotForgeMetricsLines) {
   proxyd.Stop();
 }
 
+// aggregatord's byte and frame families count its proxy-bus clients, so
+// their help speaks from the client's side: frames in are the proxyds'
+// responses, frames out aggregatord's requests, one each per round trip.
+TEST(SocketDeploymentTest, AggregatordTransportHelpDescribesItsProxyClients) {
+  std::vector<std::unique_ptr<ProxyDaemon>> proxyds;
+  AggregatorDaemonConfig config;
+  std::vector<uint8_t> qid;
+  transport::PutU64(SpeedQuery().query_id, qid);
+  for (size_t j = 0; j < kProxies; ++j) {
+    ProxyDaemonConfig proxy_config;
+    proxy_config.proxy_index = j;
+    proxyds.push_back(std::make_unique<ProxyDaemon>(proxy_config));
+    proxyds.back()->Start();
+    config.proxies.push_back(Endpoint{"127.0.0.1", proxyds.back()->port()});
+    transport::TcpBusClientConfig client_config;
+    client_config.port = proxyds.back()->port();
+    transport::TcpBusClient(client_config).Control("ensure_lane", qid);
+  }
+  config.population = kClients;
+  AggregatorDaemon aggregatord(config);
+  aggregatord.Start();
+  transport::TcpBusClientConfig client_config;
+  client_config.port = aggregatord.port();
+  transport::TcpBusClient(client_config)
+      .Control("register_query",
+               core::SerializeAnnouncement(
+                   core::QueryAnnouncement{SpeedQuery(), RandomizedParams()}));
+
+  const std::string text = aggregatord.MetricsText();
+  const std::string frames_in = "privapprox_transport_frames_in_total";
+  const std::string frames_out = "privapprox_transport_frames_out_total";
+  EXPECT_NE(text.find("# HELP " + frames_in + " Response frames received\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("# HELP " + frames_out + " Request frames sent\n"),
+            std::string::npos)
+      << text;
+  const auto sample = [&text](const std::string& family) {
+    const size_t at = text.find("\n" + family + " ");
+    return at == std::string::npos
+               ? -1.0
+               : std::stod(text.substr(at + family.size() + 2));
+  };
+  EXPECT_GT(sample(frames_in), 0.0) << text;
+  EXPECT_EQ(sample(frames_in), sample(frames_out)) << text;
+}
+
 TEST(SocketDeploymentTest, RerunningTheSocketDeploymentIsDeterministic) {
   const std::vector<core::Query> queries = {SpeedQuery()};
   EXPECT_EQ(SerializeResults(RunSocketDeployment(queries)),

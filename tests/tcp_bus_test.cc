@@ -595,7 +595,7 @@ TEST_F(TcpBusTest, ClientRequestFramesMatchEncodeFrame) {
   std::vector<uint8_t> produce;
   BuildProduceRequest("lane", records, produce);
   std::vector<uint8_t> poll;
-  BuildPollRequest("lane", 0, 5, 64, config.poll_byte_budget, poll);
+  BuildPollRequest("lane", 0, 5, 64, kDefaultPollByteBudget, poll);
   ASSERT_EQ(captured.size(), 2u);
   EXPECT_EQ(captured[0], Framed(produce));
   EXPECT_EQ(captured[1], Framed(poll));
