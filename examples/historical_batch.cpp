@@ -1,7 +1,9 @@
 // Historical analytics (paper §3.3.1): stream for several epochs while
-// teeing joined answers into the response store, then run batch queries
-// over past time ranges under different aggregator-side sampling budgets
-// (the "spot market" knob).
+// teeing joined answers into the broker's `historical` topic (one record per
+// answer, keyed by its QID), then run batch queries of that QID over past
+// time ranges under different aggregator-side sampling budgets (the "spot
+// market" knob). Set config.broker.data_dir and the topic survives a
+// restart like every other.
 //
 // Build & run:  ./build/examples/historical_batch
 
@@ -63,7 +65,8 @@ int main() {
               "bucket0 est", "bucket0 95% CI");
   for (const Case& c : cases) {
     const core::QueryResult result =
-        sys.RunHistorical(c.from, c.to, aggregator::BatchQueryBudget{c.budget});
+        sys.RunHistorical(query.query_id, c.from, c.to,
+                          aggregator::BatchQueryBudget{c.budget});
     const auto& est = result.buckets[0].estimate;
     std::printf("%-26s %12zu %14.1f [%7.1f,%8.1f]\n", c.label,
                 result.participants, est.value, est.Lower(), est.Upper());

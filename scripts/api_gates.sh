@@ -19,7 +19,7 @@ repo="$(dirname "$here")"
 GATES=(pre_span_first qid_less chacha_block flat_config compat_layer
        ofstream bus_triplets single_query hand_wired_metrics
        streaming_runtime per_client_copies per_record_framing window_fanout
-       shard_knob dead_knobs record_index one_driver owning_paths)
+       shard_knob dead_knobs record_index one_driver owning_paths one_store)
 
 # Each gate_<name> runs its grep from the tree root; plant_<name> is
 # "<file>|<line>", a violation the self-test appends to that file.
@@ -66,7 +66,7 @@ gate_flat_config() {
 plant_flat_config="tests/planted.cc|config.pipeline_mode = 1;"
 
 # Each of these had a replacement in the tree and was deleted: the
-# SegmentedAnswerLog (historical answers live in a PartitionLog),
+# SegmentedAnswerLog (historical answers are records of a broker topic),
 # engine::PullPipeline and the owning broker::Consumer
 # (transport::BusConsumer), SystemConfig::Resolved(), Proxy::ForwardParallel
 # (Forward) and Client::AnswerQueryInto (AnswerSubscribedInto).
@@ -78,10 +78,10 @@ gate_compat_layer() {
 plant_compat_layer="bench/planted.cc|storage::SegmentedAnswerLog log;"
 
 # Durability has exactly one on-disk format: storage::PartitionLog (topics,
-# the query journal, and the historical answer store). Topic/share data
-# written through a raw std::ofstream anywhere in the data plane would
-# bypass CRC framing, crash recovery, and the directory lock — if a layer
-# needs bytes on disk, it goes through src/storage.
+# the historical answer topic among them, and the query journal).
+# Topic/share data written through a raw std::ofstream anywhere in the data
+# plane would bypass CRC framing, crash recovery, and the directory lock —
+# if a layer needs bytes on disk, it goes through src/storage.
 gate_ofstream() {
   grep -rn "std::ofstream" \
     src/broker src/transport src/proxy src/aggregator src/engine \
@@ -238,14 +238,27 @@ plant_one_driver="src/deploy/planted.cc|config.produce_chunk_records = 2048;"
 # Subscribe and answers every subscription in one AnswerSubscribedInto
 # pass. The owning record types, the topic's second partition function and
 # the single-subscription answer path with its shims must not come back.
-# PartitionLog::Append/AppendBatch and ResponseStore::Append are other
-# layers' calls and stay.
+# PartitionLog::Append/AppendBatch are the storage layer's calls and stay.
 gate_owning_paths() {
   grep -rnE \
     "\bProduceRecord\b|broker::Record\b|vector<Record>|struct Record\b|\bAnswerQuery\(|\bEpochAnswer\b|\bOnAnnouncement\(|\bPartitionOf\(|\bSingleSub\b" \
     src tests bench examples
 }
 plant_owning_paths="tests/planted.cc|const auto answer = client.AnswerQuery(now);"
+
+# One record store: the broker. Historical answers are QID-keyed records of
+# its `historical` topic, durable when broker.data_dir is, so any registered
+# query answers RunHistorical(qid, ...). The in-memory ResponseStore, the
+# second historical log with its own record format and directory option,
+# the system's one-query rule, the construction-time query list, the
+# logging module and aggregatord's otherwise unused broker must not come
+# back.
+gate_one_store() {
+  grep -rnE \
+    "ResponseStore|AppendAnswers|LoadAnswers|historical\.dir|SingleActive|QuerySpec|common/logging\.h|LogWarning|SetLogLevel|control_broker_" \
+    src tests bench examples
+}
+plant_one_store="examples/planted.cc|config.historical.dir = \"/tmp/hist\";"
 
 # Runs one gate in directory $2; returns 0 on pass. Prints why it failed.
 run_gate() {

@@ -302,9 +302,14 @@ void Aggregator::MergeShardDeltas(Lane& lane) {
     lane.wrong_query_dropped += shard.wrong_query;
     shard.wrong_query = 0;
     if (answer_tap_ && !shard.tap.empty()) {
+      const size_t width = shard.tap_bytes.size() / shard.tap.size();
+      for (size_t i = 0; i < shard.tap.size(); ++i) {
+        shard.tap[i].payload = {shard.tap_bytes.data() + i * width, width};
+      }
       answer_tap_(shard.tap);
     }
     shard.tap.clear();
+    shard.tap_bytes.clear();
     shard.shares_total.Increment(shard.shares_fed);
     const engine::JoinStats& join = shard.joiner->stats();
     shard.joined_total.Increment(join.joined - shard.last_joined);
@@ -379,9 +384,11 @@ void Aggregator::OnJoinedShard(Lane& lane, Shard& shard,
     return;
   }
   if (answer_tap_) {
-    shard.tap.emplace_back(timestamp_ms,
-                           BitVector::FromBytes(message->answer_bytes,
-                                                message->answer_bits));
+    const size_t width = crypto::AnswerMessage::WireSize(num_buckets);
+    shard.tap_bytes.insert(shard.tap_bytes.end(), plaintext.begin(),
+                           plaintext.begin() + width);
+    shard.tap.push_back(broker::ProduceView{lane.query.query_id, {},
+                                            timestamp_ms});
   }
 }
 

@@ -99,10 +99,12 @@ class Aggregator {
  public:
   using ResultFn = std::function<void(const WindowedResult&)>;
   // Optional tee of every joined randomized answer (for historical
-  // analytics): the (timestamp, answer bit-vector) pairs one shard joined
-  // in one drain, in join order; shards follow in shard order.
+  // analytics): the answers one shard joined in one drain, in join order,
+  // as records keyed by QID whose payload is the joined message in
+  // AnswerMessage wire form (header and answer bytes, nothing trailing);
+  // shards follow in shard order. The payloads live until the call returns.
   using AnswerTapFn =
-      std::function<void(std::span<const std::pair<int64_t, BitVector>>)>;
+      std::function<void(std::span<const broker::ProduceView>)>;
 
   // Coordinator with no lanes yet; add queries with RegisterQuery. The bus
   // must outlive the aggregator: an InProcessBus over the broker in
@@ -216,7 +218,10 @@ class Aggregator {
     uint64_t wrong_query = 0;    // parsed answers for the wrong query/width
     uint64_t shares_fed = 0;     // shares fed to the joiner
     std::exception_ptr poll_error;  // the shard's first failed poll
-    std::vector<std::pair<int64_t, BitVector>> tap;  // buffered answer tap
+    // Buffered answer tap: one record per answer, whose payload is slice i
+    // of tap_bytes (a lane's answers all have one width), set at the merge.
+    std::vector<broker::ProduceView> tap;
+    std::vector<uint8_t> tap_bytes;
     // Lifetime counters for metrics deltas / imbalance:
     uint64_t last_joined = 0;    // joiner stats().joined at last merge
     uint64_t last_join_malformed = 0;  // ... and stats().malformed_dropped

@@ -1,10 +1,9 @@
 #include "common/simd_dispatch.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-
-#include "common/logging.h"
 
 namespace privapprox::simd {
 namespace {
@@ -77,20 +76,20 @@ Isa DecideActiveIsa() {
   if (env != nullptr && env[0] != '\0') {
     const std::optional<Isa> requested = ParseIsaName(env);
     if (!requested.has_value()) {
-      LogWarning() << "PRIVAPPROX_SIMD=" << env
-                   << " is not off|sse2|avx2|neon; auto-selecting";
+      std::fprintf(stderr,
+                   "PRIVAPPROX_SIMD=%s is not off|sse2|avx2|neon; "
+                   "auto-selecting\n",
+                   env);
     } else if (!IsaAvailable(*requested)) {
-      LogWarning() << "PRIVAPPROX_SIMD=" << env
-                   << " not available on this host/build; auto-selecting";
+      std::fprintf(stderr,
+                   "PRIVAPPROX_SIMD=%s not available on this host/build; "
+                   "auto-selecting\n",
+                   env);
     } else {
-      LogInfo() << "SIMD dispatch: " << IsaName(*requested)
-                << " (forced via PRIVAPPROX_SIMD)";
       return *requested;
     }
   }
-  const Isa best = BestAvailable();
-  LogInfo() << "SIMD dispatch: " << IsaName(best) << " (auto-selected)";
-  return best;
+  return BestAvailable();
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ AggregatorDaemon::AggregatorDaemon(AggregatorDaemonConfig config)
       "privapprox_transport_protocol_errors_total",
       "Connections quarantined for framing errors");
   server_ = std::make_unique<transport::TcpBusServer>(
-      server_config, control_broker_,
+      server_config, /*broker=*/nullptr,
       [this](const std::string& verb, std::span<const uint8_t> payload) {
         std::vector<uint8_t> reply = node_->HandleControl(verb, payload);
         if (verb == "drain") {

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "broker/broker.h"
 #include "deploy/endpoint.h"
 #include "metrics/metrics.h"
 #include "storage/partition_log.h"
@@ -65,9 +64,6 @@ class AggregatorDaemon {
  private:
   AggregatorDaemonConfig config_;
   metrics::Registry registry_;
-  // The control server fronts this (otherwise unused) broker — the daemon's
-  // topic traffic all flows through the proxy-bound TCP clients below.
-  broker::Broker control_broker_;
   std::vector<std::unique_ptr<transport::TcpBusClient>> proxy_buses_;
   transport::TopicRouterBus router_;
   std::unique_ptr<system::AggregatorNode> node_;

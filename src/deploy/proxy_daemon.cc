@@ -39,7 +39,7 @@ ProxyDaemon::ProxyDaemon(ProxyDaemonConfig config) : config_(std::move(config)) 
       "privapprox_transport_protocol_errors_total",
       "Connections quarantined for framing errors");
   server_ = std::make_unique<transport::TcpBusServer>(
-      server_config, broker_,
+      server_config, &broker_,
       [node = node_.get()](const std::string& verb,
                            std::span<const uint8_t> payload) {
         return node->HandleControl(verb, payload);

@@ -1,6 +1,6 @@
 // A generic record-oriented partition log — the durable half of a broker
-// topic partition, the aggregator daemon's query journal, and the
-// historical answer store (system/system.h, HistoricalOptions::dir).
+// topic partition (the historical answer store among them) and the
+// aggregator daemon's query journal.
 //
 // Records append to size-bounded segment files under one directory. Each
 // segment is named by the offset of its first record

@@ -17,11 +17,12 @@
 // column goes when every key equals its payload's first 8 bytes (LE); and
 // the timestamp column goes when every record has the first one's
 // timestamp. A lane share (MID-prefixed, one width per lane, one timestamp
-// per epoch) therefore costs its own bytes and nothing more, while any other
-// record (announcements, journal entries, historical answers, deferred
-// shares) still round-trips. A batch carries no length and no checksum of
-// its own: the frame around it (transport frame, log frame) has both, and
-// the batch must fill that frame exactly.
+// per epoch) or a historical answer (QID-prefixed, likewise) therefore
+// costs its own bytes and nothing more, while any other record
+// (announcements, journal entries, deferred shares) still round-trips. A
+// batch carries no length and no checksum of its own: the frame around it
+// (transport frame, log frame) has both, and the batch must fill that frame
+// exactly.
 //
 // The payload block is contiguous, so a reader copies every payload with
 // one memcpy and a log writes the whole batch with one write(2).

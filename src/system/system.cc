@@ -84,19 +84,10 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
   aggregator_node_ =
       std::make_unique<AggregatorNode>(agg_config, registry_, bus_);
   if (config_.historical.enabled) {
-    if (!config_.historical.dir.empty()) {
-      historical_log_ = std::make_unique<storage::PartitionLog>(
-          config_.historical.dir, storage::PartitionLogOptions{});
-    }
+    historical_ = &broker_.EnsureTopic("historical", 1);
     aggregator().set_answer_tap(
-        [this](std::span<const std::pair<int64_t, BitVector>> answers) {
-          if (historical_log_ != nullptr) {
-            storage::AppendAnswers(*historical_log_, answers);
-          } else {
-            for (const auto& [timestamp_ms, answer] : answers) {
-              historical_store_.Append(timestamp_ms, answer);
-            }
-          }
+        [topic = historical_](std::span<const broker::ProduceView> answers) {
+          topic->AppendViews(answers);
         });
   }
   driver_config.aggregator = [node = aggregator_node_.get()](
@@ -107,10 +98,6 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
 
   broker::AddBrokerCollector(registry_, broker_);
   driver_ = std::make_unique<EpochDriver>(std::move(driver_config), registry_);
-
-  for (const SystemConfig::QuerySpec& spec : config_.queries) {
-    SubmitQuery(spec.query, spec.params);
-  }
 }
 
 PrivApproxSystem::~PrivApproxSystem() = default;
@@ -141,21 +128,6 @@ core::ExecutionParams PrivApproxSystem::SubmitQuery(
   return SubmitQuery(query, params);
 }
 
-const EpochDriver::ActiveQuery& PrivApproxSystem::SingleActive(
-    const char* caller) const {
-  const auto& queries = driver_->queries();
-  if (queries.empty()) {
-    throw std::logic_error(std::string("PrivApproxSystem::") + caller +
-                           ": no active query");
-  }
-  if (queries.size() != 1) {
-    throw std::logic_error(std::string("PrivApproxSystem::") + caller +
-                           ": ambiguous with multiple queries; pass a "
-                           "query id");
-  }
-  return queries.begin()->second;
-}
-
 EpochStats PrivApproxSystem::RunEpoch(int64_t now_ms) {
   const uint64_t malformed_before = aggregator().malformed_dropped();
   EpochStats stats = driver_->RunEpoch(now_ms);
@@ -178,29 +150,22 @@ uint64_t PrivApproxSystem::ClientToProxyBytes() const {
 }
 
 core::QueryResult PrivApproxSystem::RunHistorical(
-    int64_t from_ms, int64_t to_ms,
+    uint64_t query_id, int64_t from_ms, int64_t to_ms,
     const aggregator::BatchQueryBudget& budget) {
-  if (!config_.historical.enabled) {
+  if (historical_ == nullptr) {
     throw std::logic_error(
         "PrivApproxSystem::RunHistorical: historical store disabled");
   }
-  // The historical store tees joined answers without a QID partition, so
-  // batch analytics only has well-defined semantics for a single query.
-  const EpochDriver::ActiveQuery& active = SingleActive("RunHistorical");
-  if (historical_log_ != nullptr) {
-    // Durable path: replay the requested range from disk.
-    const aggregator::ResponseStore store =
-        storage::LoadAnswers(*historical_log_, from_ms, to_ms);
-    const aggregator::HistoricalAnalytics analytics(
-        store, active.params, config_.num_clients, config_.confidence);
-    return analytics.Run(from_ms, to_ms, budget, historical_rng_,
-                         active.query.answer_format.num_buckets());
+  const auto it = driver_->queries().find(query_id);
+  if (it == driver_->queries().end()) {
+    throw std::invalid_argument(
+        "PrivApproxSystem::RunHistorical: unknown query id");
   }
+  const EpochDriver::ActiveQuery& active = it->second;
   const aggregator::HistoricalAnalytics analytics(
-      historical_store_, active.params, config_.num_clients,
-      config_.confidence);
-  return analytics.Run(from_ms, to_ms, budget, historical_rng_,
-                       active.query.answer_format.num_buckets());
+      *historical_, query_id, active.query.answer_format.num_buckets(),
+      active.params, config_.num_clients, config_.confidence);
+  return analytics.Run(from_ms, to_ms, budget, historical_rng_);
 }
 
 }  // namespace privapprox::system

@@ -13,7 +13,8 @@
 // FleetDriver also runs (system/epoch_driver.h, DESIGN.md §6c): every step
 // goes through the nodes' verbs, as it does over TCP to proxyd and
 // aggregatord. What the system adds is what the socket deployment lacks:
-// fault injection, the historical store and the timeline.
+// fault injection, the historical store (one more topic on its broker) and
+// the timeline.
 //
 // Multi-query: one system hosts N concurrent queries over a single client
 // fleet, broker, proxy tier, and aggregator. Each submitted query gets its
@@ -76,13 +77,11 @@ struct PipelineOptions {
 
 // Historical analytics store (§3.3.1).
 struct HistoricalOptions {
-  // Tee joined answers into the historical store.
+  // Tee joined answers into the broker's one-partition `historical` topic,
+  // one record per answer keyed by its QID (aggregator::Aggregator::
+  // AnswerTapFn). The topic is durable, and recovered at restart, exactly
+  // when BrokerOptions::data_dir makes every topic so.
   bool enabled = false;
-  // When non-empty (and the store is enabled), persist the historical store
-  // to a storage::PartitionLog under this directory — the HDFS stand-in —
-  // instead of keeping it only in memory (record format:
-  // storage/response_store.h). RunHistorical then reads back from disk.
-  std::string dir;
 };
 
 // Observability knobs (see the header comment).
@@ -111,14 +110,6 @@ struct SystemConfig {
   // Clients answer the inverted query (§3.3.2).
   bool invert_answers = false;
 
-  // Queries to register at construction, in order (equivalent to calling
-  // SubmitQuery for each right after the constructor). More can be
-  // submitted later; all run concurrently over the same fleet.
-  struct QuerySpec {
-    core::Query query;
-    core::ExecutionParams params;
-  };
-  std::vector<QuerySpec> queries;
   // Fleet-wide privacy-budget admission. The default cap is infinite, so
   // single-query configs and exact-mode tests admit unconditionally; set
   // budget.max_epsilon_zk to enforce composition across queries.
@@ -213,15 +204,16 @@ class PrivApproxSystem {
   // Fig 9a.
   uint64_t ClientToProxyBytes() const;
 
-  // Historical analytics over everything collected so far (§3.3.1);
-  // requires historical.enabled and exactly one registered query (the
-  // store is not QID-partitioned).
-  core::QueryResult RunHistorical(int64_t from_ms, int64_t to_ms,
+  // Historical analytics over query `query_id`'s stored answers stamped in
+  // [from_ms, to_ms) (§3.3.1), de-biased with the query's current
+  // parameters. Throws std::logic_error unless historical.enabled, and
+  // std::invalid_argument for a QID that is not registered.
+  core::QueryResult RunHistorical(uint64_t query_id, int64_t from_ms,
+                                  int64_t to_ms,
                                   const aggregator::BatchQueryBudget& budget);
 
   // --- Observability ----------------------------------------------------
   metrics::Registry& metrics_registry() { return registry_; }
-  metrics::EpochTimeline& timeline() { return timeline_; }
   // Prometheus-style text exposition of every registered family — the
   // `/metrics` dump (README quickstart).
   std::string MetricsText() { return registry_.RenderText(); }
@@ -243,7 +235,6 @@ class PrivApproxSystem {
   // Builds proxy node j of a tier and its driver endpoint.
   NodeEndpoint AddProxyNode(size_t index, bool standby,
                             std::vector<std::unique_ptr<ProxyNode>>& tier);
-  const EpochDriver::ActiveQuery& SingleActive(const char* caller) const;
 
   SystemConfig config_;
   // Declared before every pipeline component: proxies, clients, and the
@@ -264,8 +255,8 @@ class PrivApproxSystem {
   std::unique_ptr<fault::FaultInjector> injector_;
   std::vector<std::unique_ptr<ProxyNode>> proxy_nodes_;
   std::vector<std::unique_ptr<ProxyNode>> standby_nodes_;
-  aggregator::ResponseStore historical_store_;
-  std::unique_ptr<storage::PartitionLog> historical_log_;
+  // The broker's `historical` topic; null unless historical.enabled.
+  broker::Topic* historical_ = nullptr;
   Xoshiro256 historical_rng_;
   std::unique_ptr<AggregatorNode> aggregator_node_;
   std::unique_ptr<EpochDriver> driver_;

@@ -63,7 +63,7 @@ sockaddr_in MakeAddr(const std::string& host, uint16_t port) {
 // --------------------------------------------------------------------------
 // TcpBusServer
 
-TcpBusServer::TcpBusServer(TcpBusServerConfig config, broker::Broker& broker,
+TcpBusServer::TcpBusServer(TcpBusServerConfig config, broker::Broker* broker,
                            ControlHandler control)
     : config_(std::move(config)),
       broker_(broker),

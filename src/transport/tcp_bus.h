@@ -82,8 +82,9 @@ struct TcpBusServerConfig {
 class TcpBusServer {
  public:
   // Serves `broker` topic I/O; `control` handles daemon verbs (may be
-  // empty). Both must outlive the server.
-  TcpBusServer(TcpBusServerConfig config, broker::Broker& broker,
+  // empty). Both must outlive the server. A null `broker` serves control
+  // verbs only (HandleRequest).
+  TcpBusServer(TcpBusServerConfig config, broker::Broker* broker,
                ControlHandler control = {});
   ~TcpBusServer();
 
@@ -120,7 +121,7 @@ class TcpBusServer {
   void Bump(metrics::Counter* counter, uint64_t n = 1);
 
   TcpBusServerConfig config_;
-  broker::Broker& broker_;
+  broker::Broker* broker_;
   ControlHandler control_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;

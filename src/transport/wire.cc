@@ -219,7 +219,7 @@ void ServeRelease(broker::Broker& broker, WireReader& reader,
 
 }  // namespace
 
-uint8_t HandleRequest(broker::Broker& broker, const ControlHandler& control,
+uint8_t HandleRequest(broker::Broker* broker, const ControlHandler& control,
                       std::span<const uint8_t> request,
                       std::vector<uint8_t>& response) {
   const size_t start = response.size();
@@ -227,6 +227,9 @@ uint8_t HandleRequest(broker::Broker& broker, const ControlHandler& control,
   try {
     WireReader reader(request);
     op = reader.TakeU8();
+    if (broker == nullptr && static_cast<WireOp>(op) != WireOp::kControl) {
+      throw std::invalid_argument("wire: control verbs only");
+    }
     switch (static_cast<WireOp>(op)) {
       case WireOp::kEnsureTopic: {
         const std::string topic = reader.TakeString();
@@ -236,33 +239,33 @@ uint8_t HandleRequest(broker::Broker& broker, const ControlHandler& control,
               "wire: partition count " + std::to_string(partitions) +
               " above the limit of " + std::to_string(kMaxWirePartitions));
         }
-        broker.EnsureTopic(topic, partitions);
+        broker->EnsureTopic(topic, partitions);
         PutU8(kWireOk, response);
         break;
       }
       case WireOp::kProduce:
-        ServeProduce(broker, reader, response);
+        ServeProduce(*broker, reader, response);
         break;
       case WireOp::kPoll:
-        ServePoll(broker, reader, response);
+        ServePoll(*broker, reader, response);
         break;
       case WireOp::kEndOffset: {
         const std::string topic = reader.TakeString();
         const size_t partition = reader.TakeU32();
         PutU8(kWireOk, response);
-        PutU64(broker.GetTopic(topic).EndOffset(partition), response);
+        PutU64(broker->GetTopic(topic).EndOffset(partition), response);
         break;
       }
       case WireOp::kTopicMeta: {
         const std::string topic = reader.TakeString();
         PutU8(kWireOk, response);
         PutU32(static_cast<uint32_t>(
-                   broker.GetTopic(topic).num_partitions()),
+                   broker->GetTopic(topic).num_partitions()),
                response);
         break;
       }
       case WireOp::kRelease:
-        ServeRelease(broker, reader, response);
+        ServeRelease(*broker, reader, response);
         break;
       case WireOp::kControl: {
         const std::string verb = reader.TakeString();

@@ -125,10 +125,11 @@ using ControlHandler = std::function<std::vector<uint8_t>(
 // Decodes one request from `request`, executes it against `broker` (or
 // `control` for kControl), and appends the response body to `response`,
 // after whatever it already holds — the server appends straight into a
-// peer's send buffer. Never throws: every failure becomes a kWireError
-// response that replaces only this call's bytes. Returns the opcode served
-// (0 on an undecodable request).
-uint8_t HandleRequest(broker::Broker& broker, const ControlHandler& control,
+// peer's send buffer. A null `broker` serves control verbs only: every
+// topic opcode gets an error response. Never throws: every failure becomes
+// a kWireError response that replaces only this call's bytes. Returns the
+// opcode served (0 on an undecodable request).
+uint8_t HandleRequest(broker::Broker* broker, const ControlHandler& control,
                       std::span<const uint8_t> request,
                       std::vector<uint8_t>& response);
 

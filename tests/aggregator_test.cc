@@ -14,6 +14,7 @@
 #include "answer_one.h"
 #include "broker/broker.h"
 #include "client/client.h"
+#include "crypto/message.h"
 #include "proxy/proxy.h"
 #include "transport/inproc_bus.h"
 
@@ -425,9 +426,16 @@ ShardedRun RunSharded(size_t num_partitions) {
                   /*track_fault_losses=*/true);
   ShardedRun run;
   harness.aggregator->set_answer_tap(
-      [&](std::span<const std::pair<int64_t, BitVector>> answers) {
-        for (const auto& [ts, answer] : answers) {
-          run.tapped.emplace_back(ts, answer.ToString());
+      [&](std::span<const broker::ProduceView> answers) {
+        for (const broker::ProduceView& record : answers) {
+          EXPECT_EQ(record.key, harness.query.query_id);
+          const crypto::AnswerMessage message =
+              crypto::AnswerMessage::Deserialize(record.payload);
+          EXPECT_EQ(message.query_id, harness.query.query_id);
+          EXPECT_EQ(record.payload.size(),
+                    crypto::AnswerMessage::WireSize(message.answer.size()));
+          run.tapped.emplace_back(record.timestamp_ms,
+                                  message.answer.ToString());
         }
       });
   const auto answer_of = [&](uint64_t id, int64_t ts) {
@@ -593,15 +601,21 @@ TEST(AggregatorTest, LostMidWidensItsWindowOnce) {
 }
 
 TEST(AggregatorTest, AnswerTapGetsEachShardsDrainAsOneSpan) {
-  // The historical tee sees each shard's answers of one drain as one span,
-  // shards in shard order, so a durable store writes one batch per span.
+  // The historical tee sees each shard's answers of one drain as one span
+  // of QID-keyed records, shards in shard order, so a durable store writes
+  // one batch per span.
   const size_t population = 40;
   Harness harness(population, NoNoiseParams(), /*inverted=*/false,
                   /*num_partitions=*/2);
-  std::vector<std::vector<std::pair<int64_t, BitVector>>> spans;
+  std::vector<std::vector<std::pair<int64_t, crypto::AnswerMessage>>> spans;
   harness.aggregator->set_answer_tap(
-      [&](std::span<const std::pair<int64_t, BitVector>> answers) {
-        spans.emplace_back(answers.begin(), answers.end());
+      [&](std::span<const broker::ProduceView> answers) {
+        auto& span = spans.emplace_back();
+        for (const broker::ProduceView& record : answers) {
+          EXPECT_EQ(record.key, harness.query.query_id);
+          span.emplace_back(record.timestamp_ms,
+                            crypto::AnswerMessage::Deserialize(record.payload));
+        }
       });
   for (size_t i = 0; i < population; ++i) {
     client::Client c = MakeClient(i, 15.0);
@@ -612,9 +626,10 @@ TEST(AggregatorTest, AnswerTapGetsEachShardsDrainAsOneSpan) {
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].size() + spans[1].size(), population);
   for (const auto& span : spans) {
-    for (const auto& [ts, answer] : span) {
+    for (const auto& [ts, message] : span) {
       EXPECT_EQ(ts, 5000);
-      EXPECT_TRUE(answer.Get(1));  // 15 mph
+      EXPECT_EQ(message.query_id, harness.query.query_id);
+      EXPECT_TRUE(message.answer.Get(1));  // 15 mph
     }
   }
   harness.Pump();  // nothing new joined: no empty span
@@ -765,55 +780,53 @@ TEST(AggregatorTest, FailedPollLosesNoCommittedRecord) {
 
 // ------------------------------------------------------------- historical
 
-TEST(ResponseStoreTest, RangeQueries) {
-  ResponseStore store;
-  BitVector answer(3);
-  answer.Set(1, true);
-  for (int64_t ts = 0; ts < 100; ts += 10) {
-    store.Append(ts, answer);
-  }
-  EXPECT_EQ(store.size(), 10u);
-  EXPECT_EQ(store.Range(20, 50).size(), 3u);
-  EXPECT_EQ(store.Range(200, 300).size(), 0u);
+// Appends one answer to `store` as the historical tee does: keyed by its
+// QID, the payload the message in AnswerMessage wire form.
+void StoreAnswer(broker::Topic& store, uint64_t query_id, int64_t ts,
+                 const BitVector& answer) {
+  const std::vector<uint8_t> payload =
+      crypto::AnswerMessage{query_id, answer}.Serialize();
+  const broker::ProduceView record{query_id, payload, ts};
+  store.AppendViews({&record, 1});
 }
 
 TEST(HistoricalAnalyticsTest, FullBudgetMatchesStreamCounts) {
-  ResponseStore store;
+  broker::Topic store("historical", 1);
   BitVector yes(2), no(2);
   yes.Set(0, true);
   no.Set(1, true);
   for (int i = 0; i < 60; ++i) {
-    store.Append(i, yes);
+    StoreAnswer(store, 1, i, yes);
   }
   for (int i = 60; i < 100; ++i) {
-    store.Append(i, no);
+    StoreAnswer(store, 1, i, no);
   }
   core::ExecutionParams params;
   params.randomization = {1.0, 0.5};
-  HistoricalAnalytics analytics(store, params, /*population=*/100);
+  HistoricalAnalytics analytics(store, 1, 2, params, /*population=*/100);
   Xoshiro256 rng(1);
   const core::QueryResult result =
-      analytics.Run(0, 100, BatchQueryBudget{1.0}, rng, 2);
+      analytics.Run(0, 100, BatchQueryBudget{1.0}, rng);
   EXPECT_NEAR(result.buckets[0].estimate.value, 60.0, 1e-9);
   EXPECT_NEAR(result.buckets[1].estimate.value, 40.0, 1e-9);
 }
 
 TEST(HistoricalAnalyticsTest, SecondRoundSamplingStillUnbiased) {
-  ResponseStore store;
+  broker::Topic store("historical", 1);
   BitVector yes(1);
   yes.Set(0, true);
   for (int i = 0; i < 6000; ++i) {
-    store.Append(i, yes);
+    StoreAnswer(store, 1, i, yes);
   }
   for (int i = 6000; i < 10000; ++i) {
-    store.Append(i, BitVector(1));
+    StoreAnswer(store, 1, i, BitVector(1));
   }
   core::ExecutionParams params;
   params.randomization = {1.0, 0.5};
-  HistoricalAnalytics analytics(store, params, /*population=*/10000);
+  HistoricalAnalytics analytics(store, 1, 1, params, /*population=*/10000);
   Xoshiro256 rng(2);
   const core::QueryResult result =
-      analytics.Run(0, 10000, BatchQueryBudget{0.3}, rng, 1);
+      analytics.Run(0, 10000, BatchQueryBudget{0.3}, rng);
   // Estimate scaled back to population despite processing ~30%.
   EXPECT_NEAR(result.buckets[0].estimate.value, 6000.0, 400.0);
   EXPECT_LT(result.participants, 3600u);
@@ -821,29 +834,61 @@ TEST(HistoricalAnalyticsTest, SecondRoundSamplingStillUnbiased) {
 }
 
 TEST(HistoricalAnalyticsTest, TimeRangeRestrictsData) {
-  ResponseStore store;
+  broker::Topic store("historical", 1);
   BitVector yes(1);
   yes.Set(0, true);
   for (int i = 0; i < 100; ++i) {
-    store.Append(i, yes);
+    StoreAnswer(store, 1, i, yes);
   }
   core::ExecutionParams params;
   params.randomization = {1.0, 0.5};
-  HistoricalAnalytics analytics(store, params, 100);
+  HistoricalAnalytics analytics(store, 1, 1, params, 100);
   Xoshiro256 rng(3);
-  const core::QueryResult result =
-      analytics.Run(0, 50, BatchQueryBudget{1.0}, rng, 1);
-  EXPECT_EQ(result.participants, 50u);
+  EXPECT_EQ(analytics.Run(0, 50, BatchQueryBudget{1.0}, rng).participants,
+            50u);
+  EXPECT_EQ(analytics.Run(20, 50, BatchQueryBudget{1.0}, rng).participants,
+            30u);
+  EXPECT_EQ(analytics.Run(200, 300, BatchQueryBudget{1.0}, rng).participants,
+            0u);
+}
+
+TEST(HistoricalAnalyticsTest, DrawsOnlyForItsOwnQuery) {
+  // Query 1's second-round sample is the same whether or not query 2's
+  // records sit between its own. Its records of another width (an earlier
+  // query under QID 1) take their draw and are skipped.
+  BitVector yes(3), narrow(2);
+  yes.Set(1, true);
+  broker::Topic alone("historical", 1);
+  broker::Topic shared("historical", 1);
+  for (int i = 0; i < 2000; ++i) {
+    const BitVector& answer = i % 7 == 0 ? narrow : yes;
+    StoreAnswer(alone, 1, i, answer);
+    StoreAnswer(shared, 1, i, answer);
+    StoreAnswer(shared, 2, i, yes);
+  }
+  core::ExecutionParams params;
+  params.randomization = {1.0, 0.5};
+  const auto run = [&](const broker::Topic& store) {
+    Xoshiro256 rng(5);
+    return HistoricalAnalytics(store, 1, 3, params, 2000)
+        .Run(0, 2000, BatchQueryBudget{0.3}, rng);
+  };
+  const core::QueryResult a = run(alone);
+  const core::QueryResult b = run(shared);
+  EXPECT_EQ(b.participants, a.participants);
+  EXPECT_EQ(b.buckets[1].randomized_count, a.buckets[1].randomized_count);
+  EXPECT_GT(a.participants, 0u);
+  EXPECT_LT(a.participants, 2000u * 6 / 7 / 2);
 }
 
 TEST(HistoricalAnalyticsTest, RejectsBadBudget) {
-  ResponseStore store;
+  broker::Topic store("historical", 1);
   core::ExecutionParams params;
-  HistoricalAnalytics analytics(store, params, 10);
+  HistoricalAnalytics analytics(store, 1, 1, params, 10);
   Xoshiro256 rng(4);
-  EXPECT_THROW(analytics.Run(0, 10, BatchQueryBudget{0.0}, rng, 1),
+  EXPECT_THROW(analytics.Run(0, 10, BatchQueryBudget{0.0}, rng),
                std::invalid_argument);
-  EXPECT_THROW(analytics.Run(0, 10, BatchQueryBudget{1.5}, rng, 1),
+  EXPECT_THROW(analytics.Run(0, 10, BatchQueryBudget{1.5}, rng),
                std::invalid_argument);
 }
 

@@ -531,7 +531,7 @@ TEST(AllocRegressionTest, HostileProduceRequestAllocatesLittle) {
     request.insert(request.end(), batch.begin(), batch.end());
     response.clear();
     const uint64_t before = AllocCounter::Bytes();
-    transport::HandleRequest(broker, {}, request, response);
+    transport::HandleRequest(&broker, {}, request, response);
     EXPECT_LT(AllocCounter::Bytes() - before, 64u * 1024);
     ASSERT_FALSE(response.empty());
     EXPECT_EQ(response[0], transport::kWireError);

@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: RNG, bit vectors, histograms, the
-// thread pool, and logging.
+// thread pool, and SIMD dispatch.
 
 #include <gtest/gtest.h>
 
@@ -9,12 +9,10 @@
 #include <cstring>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "common/bitvector.h"
 #include "common/histogram.h"
-#include "common/logging.h"
 #include "common/rng.h"
 #include "common/simd_dispatch.h"
 #include "common/thread_pool.h"
@@ -413,35 +411,6 @@ TEST(ThreadPoolTest, ParallelForPropagatesException) {
   EXPECT_EQ(counter.load(), 10);
 }
 
-// ------------------------------------------------------------------- Logging
-
-TEST(LoggingTest, LevelGating) {
-  const LogLevel saved = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-  // Just exercise the paths; output goes to stderr.
-  LogDebug() << "hidden";
-  LogError() << "visible " << 42;
-  SetLogLevel(saved);
-}
-
-TEST(LoggingTest, FormatLogLineLayout) {
-  // "[ssssss.mmm] [LEVEL] message\n": zero-padded seconds, millisecond
-  // fraction, level tag, exactly one trailing newline.
-  EXPECT_EQ(FormatLogLine(LogLevel::kInfo, "hello", 0),
-            "[000000.000] [INFO] hello\n");
-  EXPECT_EQ(FormatLogLine(LogLevel::kError, "boom", 12'345'678'901LL),
-            "[000012.345] [ERROR] boom\n");
-  EXPECT_EQ(FormatLogLine(LogLevel::kWarning, "w", 999'999'999LL),
-            "[000000.999] [WARN] w\n");
-  EXPECT_EQ(FormatLogLine(LogLevel::kDebug, "", 1'000'000LL),
-            "[000000.001] [DEBUG] \n");
-  // Negative elapsed (clock origin race) clamps to zero instead of
-  // rendering garbage.
-  EXPECT_EQ(FormatLogLine(LogLevel::kInfo, "x", -5),
-            "[000000.000] [INFO] x\n");
-}
-
 // ------------------------------------------------------------ SIMD dispatch
 
 TEST(SimdDispatchTest, IsaNameParseRoundTrip) {
@@ -557,27 +526,6 @@ TEST(XorBytesTest, ForcingUnavailableIsaThrows) {
                  std::invalid_argument)
         << simd::IsaName(isa);
   }
-}
-
-TEST(LoggingTest, ConcurrentWritersDoNotCrash) {
-  // LogMessage writes each line with a single fwrite; hammer it from
-  // several threads (run under TSan in CI) to pin the no-shared-state
-  // claim. Output inspection is not practical here — the interleaving
-  // guarantee rests on POSIX stdio per-call locking.
-  const LogLevel saved = GetLogLevel();
-  SetLogLevel(LogLevel::kError);  // keep the suite's stderr quiet
-  std::vector<std::thread> writers;
-  for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([t] {
-      for (int i = 0; i < 200; ++i) {
-        LogDebug() << "writer " << t << " line " << i;  // gated off
-      }
-    });
-  }
-  for (auto& w : writers) {
-    w.join();
-  }
-  SetLogLevel(saved);
 }
 
 }  // namespace

@@ -348,7 +348,7 @@ TEST(FailureTest, DurableHistoricalSurvivesSystemRestart) {
   system::SystemConfig config;
   config.num_clients = 40;
   config.historical.enabled = true;
-  config.historical.dir = dir.string();
+  config.broker.data_dir = dir.string();
   // Two epochs ten seconds apart: every client reports 25 (bucket 2) in the
   // first and 55 (bucket 5) in the second. Each sub-range must read only
   // its own epoch, before and after the restart.
@@ -369,7 +369,7 @@ TEST(FailureTest, DurableHistoricalSurvivesSystemRestart) {
     sys.RunEpoch(15000);
     sys.Flush();
     for (const auto& [from, to] : ranges) {
-      live.push_back(sys.RunHistorical(from, to, full));
+      live.push_back(sys.RunHistorical(1, from, to, full));
     }
     EXPECT_EQ(live[0].participants, 40u);
     EXPECT_NEAR(live[0].buckets[2].estimate.value, 40.0, 1e-9);
@@ -378,7 +378,7 @@ TEST(FailureTest, DurableHistoricalSurvivesSystemRestart) {
     EXPECT_NEAR(live[1].buckets[2].estimate.value, 0.0, 1e-9);
     EXPECT_NEAR(live[1].buckets[5].estimate.value, 40.0, 1e-9);
     EXPECT_EQ(live[2].participants, 80u);
-  }  // "crash": the system object is gone; only the log directory remains
+  }  // "crash": the system object is gone; only the data directory remains
 
   // A fresh system over the same directory returns the same results.
   {
@@ -387,7 +387,7 @@ TEST(FailureTest, DurableHistoricalSurvivesSystemRestart) {
     for (size_t r = 0; r < ranges.size(); ++r) {
       SCOPED_TRACE(r);
       const core::QueryResult recovered =
-          sys.RunHistorical(ranges[r].first, ranges[r].second, full);
+          sys.RunHistorical(1, ranges[r].first, ranges[r].second, full);
       EXPECT_EQ(recovered.participants, live[r].participants);
       ASSERT_EQ(recovered.buckets.size(), live[r].buckets.size());
       for (size_t b = 0; b < recovered.buckets.size(); ++b) {

@@ -445,20 +445,19 @@ core::ExecutionParams TempChaosParams() {
   return params;
 }
 
-// Same schedule as RunScenario but the query set comes from config.queries
-// and every client carries both columns, so the speed-only, temp-only, and
-// joint runs see identical local databases.
+// Same schedule as RunScenario but the queries are submitted right after
+// construction and every client carries both columns, so the speed-only,
+// temp-only, and joint runs see identical local databases.
 RunSnapshot RunMultiChaosScenario(size_t workers,
                                   std::optional<fault::FaultPlan> plan,
                                   bool with_speed, bool with_temp) {
-  SystemConfig config = BaseConfig(workers, std::move(plan));
+  PrivApproxSystem sys(BaseConfig(workers, std::move(plan)));
   if (with_speed) {
-    config.queries.push_back({SpeedQuery(), SpeedChaosParams()});
+    sys.SubmitQuery(SpeedQuery(), SpeedChaosParams());
   }
   if (with_temp) {
-    config.queries.push_back({TempQuery(), TempChaosParams()});
+    sys.SubmitQuery(TempQuery(), TempChaosParams());
   }
-  PrivApproxSystem sys(config);
   for (size_t i = 0; i < kNumClients; ++i) {
     auto& db = sys.client(i).database();
     db.CreateTable("vehicle", {"speed", "temperature"});

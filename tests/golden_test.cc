@@ -8,10 +8,12 @@
 // share byte, a sampling decision, an estimate bit or an epoch counter
 // fails here. The workload mirrors perfbench's inproc_3q_faults: three
 // queries of 11, 81 and 11 buckets, the last one filtered by
-// `WHERE speed >= 50`, under its fault plan. The system digest includes
-// error bounds, whose Student-t and normal quantiles go through libm (log,
-// exp, erfc, lgamma); a libm that rounds one of those differently moves
-// that digest and no other.
+// `WHERE speed >= 50`, under its fault plan. The historical pin replays
+// examples/historical_batch instead: one query's batch results over the
+// stored answers, which pins the answer tap and the second sampling round.
+// The system and historical digests include error bounds, whose Student-t
+// and normal quantiles go through libm (log, exp, erfc, lgamma); a libm
+// that rounds one of those differently moves those two digests only.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +32,7 @@
 #include "system/client_fleet.h"
 #include "system/system.h"
 #include "transport/inproc_bus.h"
+#include "workload/taxi.h"
 
 namespace privapprox::system {
 namespace {
@@ -261,6 +264,63 @@ TEST(GoldenPinTest, SystemResultsUnderFaults) {
   }
   fnv.U64(sys.ClientToProxyBytes());
   EXPECT_EQ(fnv.digest(), 0xE876CCBB77AF2AC0ULL);
+}
+
+// examples/historical_batch's run: 1,500 taxi clients streaming 8 epochs
+// at one worker with the answer tap on, then its four batch queries — the
+// whole run at aggregator budgets 1.0, 0.3 and 0.1, and the first half at
+// 1.0. Every field of every result: counts, estimates, error bounds and the
+// raw randomized counts, so a changed second-round draw, a skipped or
+// extra stored answer, or a changed de-biasing moves the digest.
+TEST(GoldenPinTest, HistoricalBatchResults) {
+  constexpr size_t kTaxiClients = 1500;
+  constexpr int64_t kSlideMs = 10 * 1000;
+  constexpr int kEpochs = 8;
+  SystemConfig config;
+  config.num_clients = kTaxiClients;
+  config.seed = 33;
+  config.historical.enabled = true;
+  config.pipeline.num_worker_threads = 1;
+  PrivApproxSystem sys(config);
+  workload::TaxiGenerator generator(44);
+  const core::Query query =
+      workload::TaxiGenerator::MakeDistanceQuery(5, kSlideMs, kSlideMs);
+  core::ExecutionParams params;
+  params.sampling_fraction = 0.8;
+  params.randomization = {0.9, 0.3};
+  sys.SubmitQuery(query, params);
+  for (int epoch = 1; epoch <= kEpochs; ++epoch) {
+    const int64_t now = epoch * kSlideMs;
+    for (size_t i = 0; i < kTaxiClients; ++i) {
+      generator.PopulateClient(sys.client(i).database(), 1, now - kSlideMs,
+                               now);
+    }
+    sys.RunEpoch(now);
+    sys.AdvanceWatermark(now);
+  }
+  sys.Flush();
+  const int64_t end = (kEpochs + 1) * kSlideMs;
+  const int64_t half = kEpochs / 2 * kSlideMs + kSlideMs;
+  const std::pair<int64_t, double> cases[] = {
+      {end, 1.0}, {end, 0.3}, {end, 0.1}, {half, 1.0}};
+  Fnv1a64 fnv;
+  for (const auto& [to, budget] : cases) {
+    const core::QueryResult result = sys.RunHistorical(
+        query.query_id, 0, to, aggregator::BatchQueryBudget{budget});
+    fnv.U64(result.participants);
+    fnv.U64(result.population);
+    fnv.U64(result.lost_to_faults);
+    fnv.F64(result.confidence);
+    fnv.F64(result.sampling_fraction);
+    for (const core::BucketEstimate& bucket : result.buckets) {
+      fnv.F64(bucket.estimate.value);
+      fnv.F64(bucket.estimate.error);
+      fnv.F64(bucket.estimate.confidence);
+      fnv.U64(bucket.estimate.sample_size);
+      fnv.F64(bucket.randomized_count);
+    }
+  }
+  EXPECT_EQ(fnv.digest(), 0x6E9FF49815D9986AULL);
 }
 
 }  // namespace

@@ -275,9 +275,9 @@ SplitRun RunSplitScenario(size_t workers,
     core::ExecutionParams params;
     params.sampling_fraction = 0.6;
     params.randomization = {0.9, 0.6};
-    config.queries = {{SpeedQuery(), params}};
     config.fault = std::move(plan);
     PrivApproxSystem sys(config);
+    sys.SubmitQuery(SpeedQuery(), params);
     for (size_t i = 0; i < config.num_clients; ++i) {
       sys.client(i).database().CreateTable("vehicle", {"speed"});
     }
@@ -410,17 +410,25 @@ core::ExecutionParams TempParams() {
   return params;
 }
 
-// Runs the standard 3-epoch schedule with an arbitrary query set and
-// returns the full observable output.
-RunSnapshot RunMultiScenario(std::vector<SystemConfig::QuerySpec> queries,
+struct SubmittedQuery {
+  core::Query query;
+  core::ExecutionParams params;
+};
+
+// Runs the standard 3-epoch schedule with an arbitrary query set, submitted
+// in order right after construction, and returns the full observable
+// output.
+RunSnapshot RunMultiScenario(const std::vector<SubmittedQuery>& queries,
                              size_t num_worker_threads) {
   SystemConfig config;
   config.num_clients = 400;
   config.num_proxies = 3;
   config.seed = 99;
-  config.queries = std::move(queries);
   config.pipeline.num_worker_threads = num_worker_threads;
   PrivApproxSystem sys(config);
+  for (const SubmittedQuery& spec : queries) {
+    sys.SubmitQuery(spec.query, spec.params);
+  }
   for (size_t i = 0; i < config.num_clients; ++i) {
     auto& db = sys.client(i).database();
     db.CreateTable("vehicle", {"speed", "temperature"});
@@ -447,19 +455,20 @@ RunSnapshot RunMultiScenario(std::vector<SystemConfig::QuerySpec> queries,
   return snapshot;
 }
 
-// Anchor invariant: a multi-query run with exactly one query is observably
-// identical — results, per-epoch stats, every broker topic counter — to
-// the classic single-query SubmitQuery path.
+// Anchor invariant: a one-query run whose query arrives before any client
+// has a table is observably identical — results, per-epoch stats, every
+// broker topic counter — to the classic path, which submits it after.
 TEST(MultiQueryTest, OneQueryConfigListMatchesLegacySubmitExactly) {
   const RunSnapshot legacy = RunScenario(2);
-  // Same scenario, but the query arrives via the config's query list.
+  // Same scenario, but the query arrives right after construction, before
+  // any client has a table.
   SystemConfig config;
   config.num_clients = 400;
   config.num_proxies = 3;
   config.seed = 99;
-  config.queries = {{SpeedQuery(), SpeedParams()}};
   config.pipeline.num_worker_threads = 2;
   PrivApproxSystem sys(config);
+  sys.SubmitQuery(SpeedQuery(), SpeedParams());
   for (size_t i = 0; i < config.num_clients; ++i) {
     auto& db = sys.client(i).database();
     db.CreateTable("vehicle", {"speed"});
@@ -487,7 +496,7 @@ TEST(MultiQueryTest, OneQueryConfigListMatchesLegacySubmitExactly) {
 // With two concurrent queries the epoch must still be bit-identical to the
 // one-worker run at every worker count.
 TEST(MultiQueryTest, TwoQueryEpochMatchesOneWorkerAtEveryWorkerCount) {
-  const std::vector<SystemConfig::QuerySpec> queries = {
+  const std::vector<SubmittedQuery> queries = {
       {SpeedQuery(), SpeedParams()}, {TempQuery(), TempParams()}};
   const RunSnapshot sequential = RunMultiScenario(queries, 1);
   for (const size_t workers : {2u, 4u}) {
@@ -503,7 +512,7 @@ TEST(MultiQueryTest, TwoQueryEpochMatchesOneWorkerAtEveryWorkerCount) {
 TEST(MultiQueryTest, EachQueryMatchesItsIsolatedRun) {
   const RunSnapshot joint = RunMultiScenario(
       {{SpeedQuery(), SpeedParams()}, {TempQuery(), TempParams()}}, 2);
-  const std::vector<SystemConfig::QuerySpec> solos[] = {
+  const std::vector<SubmittedQuery> solos[] = {
       {{SpeedQuery(), SpeedParams()}}, {{TempQuery(), TempParams()}}};
   for (const auto& solo_spec : solos) {
     const uint64_t qid = solo_spec[0].query.query_id;

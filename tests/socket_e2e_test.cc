@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <random>
 #include <regex>
@@ -569,6 +570,51 @@ TEST(SocketDeploymentTest, AggregatordTransportHelpDescribesItsProxyClients) {
   };
   EXPECT_GT(sample(frames_in), 0.0) << text;
   EXPECT_EQ(sample(frames_in), sample(frames_out)) << text;
+}
+
+// aggregatord's port fronts no broker: every topic request gets an error
+// response, so a peer can neither create topics there nor append records
+// that nothing would read, and the connection keeps serving verbs.
+TEST(SocketDeploymentTest, AggregatordServesOnlyControlVerbs) {
+  std::vector<std::unique_ptr<ProxyDaemon>> proxyds;
+  AggregatorDaemonConfig config;
+  for (size_t j = 0; j < kProxies; ++j) {
+    ProxyDaemonConfig proxy_config;
+    proxy_config.proxy_index = j;
+    proxyds.push_back(std::make_unique<ProxyDaemon>(proxy_config));
+    proxyds.back()->Start();
+    config.proxies.push_back(Endpoint{"127.0.0.1", proxyds.back()->port()});
+  }
+  config.population = kClients;
+  AggregatorDaemon aggregatord(config);
+  aggregatord.Start();
+  transport::TcpBusClientConfig client_config;
+  client_config.port = aggregatord.port();
+  transport::TcpBusClient bus(client_config);
+  const std::vector<uint8_t> payload(16, 7);
+  const broker::ProduceView record{1, payload, 0};
+  std::vector<broker::RecordView> polled;
+  const uint64_t below[] = {1};
+  const std::pair<const char*, std::function<void()>> requests[] = {
+      {"EnsureTopic", [&] { bus.EnsureTopic("t", 1024); }},
+      {"Produce", [&] { bus.Produce("t", {&record, 1}); }},
+      {"Poll", [&] { bus.Poll("t", 0, 0, 16, polled); }},
+      {"EndOffset", [&] { bus.EndOffset("t", 0); }},
+      {"NumPartitions", [&] { bus.NumPartitions("t"); }},
+      {"Release", [&] { bus.Release("t", below); }}};
+  for (const auto& [name, request] : requests) {
+    SCOPED_TRACE(name);
+    try {
+      request();
+      ADD_FAILURE() << "aggregatord served a topic request";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("control verbs only"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_NO_THROW(bus.Control("ping"));
+  aggregatord.Stop();
 }
 
 TEST(SocketDeploymentTest, RerunningTheSocketDeploymentIsDeterministic) {

@@ -1,7 +1,8 @@
-// Tests for the durable historical answer log — answer records
-// (AppendAnswers / LoadAnswers) on a segmented PartitionLog: CRC32 vectors
-// and kernel identity, round-trips, segment rotation, time-range loads,
-// torn-tail recovery, and corruption detection.
+// Tests for the storage layer: CRC32 vectors and kernel identity, and the
+// segmented PartitionLog driven through Append/AppendBatch/Replay —
+// round-trips, segment rotation, reopening, torn-tail recovery, corruption
+// detection, the bytes of one batch of historical answers, and a durable
+// historical topic read back by HistoricalAnalytics.
 
 #include <gtest/gtest.h>
 
@@ -15,11 +16,12 @@
 
 #include <unistd.h>
 
-#include "common/simd_dispatch.h"
-#include "storage/crc32.h"
 #include "aggregator/historical.h"
+#include "broker/topic.h"
+#include "common/simd_dispatch.h"
+#include "crypto/message.h"
+#include "storage/crc32.h"
 #include "storage/partition_log.h"
-#include "storage/response_store.h"
 
 namespace privapprox::storage {
 namespace {
@@ -45,17 +47,29 @@ class TempDir {
   fs::path path_;
 };
 
-BitVector MakeAnswer(size_t bits, size_t set_bit) {
-  BitVector answer(bits);
-  answer.Set(set_bit, true);
-  return answer;
+// A `len`-byte payload whose every byte is `fill`.
+std::vector<uint8_t> Payload(size_t len, uint8_t fill) {
+  return std::vector<uint8_t>(len, fill);
 }
 
-// Appends one answer to `log` as a one-record batch.
-void AppendAnswer(PartitionLog& log, int64_t timestamp_ms,
-                  const BitVector& answer) {
-  const std::pair<int64_t, BitVector> one(timestamp_ms, answer);
-  AppendAnswers(log, std::span(&one, 1));
+// Appends `payload` to `log` as a one-record batch keyed by its timestamp.
+void AppendAt(PartitionLog& log, int64_t timestamp_ms,
+              const std::vector<uint8_t>& payload) {
+  log.Append(static_cast<uint64_t>(timestamp_ms), timestamp_ms, payload);
+}
+
+// Records of `log` stamped in [from_ms, to_ms).
+size_t CountInRange(const PartitionLog& log, int64_t from_ms, int64_t to_ms) {
+  size_t count = 0;
+  log.Replay([&](uint64_t, uint64_t, int64_t timestamp_ms,
+                 std::span<const uint8_t>) {
+    count += timestamp_ms >= from_ms && timestamp_ms < to_ms ? 1 : 0;
+  });
+  return count;
+}
+
+size_t CountAll(const PartitionLog& log) {
+  return CountInRange(log, INT64_MIN, INT64_MAX);
 }
 
 // ------------------------------------------------------------------ CRC32
@@ -230,24 +244,31 @@ TEST(SegmentLogTest, AppendAndLoadRoundTrip) {
   TempDir dir;
   PartitionLog log(dir.path(), PartitionLogOptions{});
   for (int64_t ts = 0; ts < 100; ++ts) {
-    AppendAnswer(log, ts, MakeAnswer(11, static_cast<size_t>(ts % 11)));
+    EXPECT_EQ(log.Append(static_cast<uint64_t>(ts) * 3, ts,
+                         Payload(1 + ts % 11, static_cast<uint8_t>(ts))),
+              static_cast<uint64_t>(ts));
   }
   EXPECT_EQ(log.end_offset(), 100u);
-  const ResponseStore store = LoadAnswers(log, INT64_MIN, INT64_MAX);
-  ASSERT_EQ(store.size(), 100u);
-  const auto range = store.Range(0, 100);
-  EXPECT_TRUE(range[42]->answer.Get(42 % 11));
-  EXPECT_EQ(range[42]->answer.size(), 11u);
+  uint64_t next = 0;
+  log.Replay([&](uint64_t offset, uint64_t key, int64_t timestamp_ms,
+                 std::span<const uint8_t> payload) {
+    EXPECT_EQ(offset, next++);
+    EXPECT_EQ(timestamp_ms, static_cast<int64_t>(offset));
+    EXPECT_EQ(key, offset * 3);
+    EXPECT_EQ(std::vector<uint8_t>(payload.begin(), payload.end()),
+              Payload(1 + offset % 11, static_cast<uint8_t>(offset)));
+  });
+  EXPECT_EQ(next, 100u);
 }
 
 TEST(SegmentLogTest, TimeRangeFilter) {
   TempDir dir;
   PartitionLog log(dir.path(), PartitionLogOptions{});
   for (int64_t ts = 0; ts < 50; ++ts) {
-    AppendAnswer(log, ts * 10, MakeAnswer(4, 0));
+    AppendAt(log, ts * 10, Payload(5, 1));
   }
-  EXPECT_EQ(LoadAnswers(log, 100, 200).size(), 10u);
-  EXPECT_EQ(LoadAnswers(log, 1000, 2000).size(), 0u);
+  EXPECT_EQ(CountInRange(log, 100, 200), 10u);
+  EXPECT_EQ(CountInRange(log, 1000, 2000), 0u);
 }
 
 TEST(SegmentLogTest, RotatesSegments) {
@@ -256,10 +277,10 @@ TEST(SegmentLogTest, RotatesSegments) {
   options.max_segment_bytes = 512;  // tiny: force rotation
   PartitionLog log(dir.path(), options);
   for (int64_t ts = 0; ts < 200; ++ts) {
-    AppendAnswer(log, ts, MakeAnswer(64, 1));
+    AppendAt(log, ts, Payload(12, 2));
   }
   EXPECT_GT(log.num_segments(), 3u);
-  EXPECT_EQ(LoadAnswers(log, INT64_MIN, INT64_MAX).size(), 200u);
+  EXPECT_EQ(CountAll(log), 200u);
 }
 
 TEST(SegmentLogTest, ReopenResumesAppending) {
@@ -267,16 +288,16 @@ TEST(SegmentLogTest, ReopenResumesAppending) {
   {
     PartitionLog log(dir.path(), PartitionLogOptions{});
     for (int64_t ts = 0; ts < 30; ++ts) {
-      AppendAnswer(log, ts, MakeAnswer(8, 2));
+      AppendAt(log, ts, Payload(5, 3));
     }
   }
   {
     PartitionLog log(dir.path(), PartitionLogOptions{});
     EXPECT_EQ(log.end_offset(), 30u);
     for (int64_t ts = 30; ts < 60; ++ts) {
-      AppendAnswer(log, ts, MakeAnswer(8, 2));
+      AppendAt(log, ts, Payload(5, 3));
     }
-    EXPECT_EQ(LoadAnswers(log, INT64_MIN, INT64_MAX).size(), 60u);
+    EXPECT_EQ(CountAll(log), 60u);
   }
 }
 
@@ -286,7 +307,7 @@ TEST(SegmentLogTest, RecoversFromTornTail) {
   {
     PartitionLog log(dir.path(), PartitionLogOptions{});
     for (int64_t ts = 0; ts < 10; ++ts) {
-      AppendAnswer(log, ts, MakeAnswer(16, 3));
+      AppendAt(log, ts, Payload(6, 4));
     }
     segment = dir.path() / "seg-00000000000000000000.log";
   }
@@ -296,8 +317,8 @@ TEST(SegmentLogTest, RecoversFromTornTail) {
   PartitionLog log(dir.path(), PartitionLogOptions{});
   EXPECT_EQ(log.end_offset(), 9u);  // last record truncated away
   // And the log is writable again.
-  AppendAnswer(log, 100, MakeAnswer(16, 3));
-  EXPECT_EQ(LoadAnswers(log, INT64_MIN, INT64_MAX).size(), 10u);
+  AppendAt(log, 100, Payload(6, 4));
+  EXPECT_EQ(CountAll(log), 10u);
 }
 
 TEST(SegmentLogTest, DetectsCorruptionInTornTailByCrc) {
@@ -306,7 +327,7 @@ TEST(SegmentLogTest, DetectsCorruptionInTornTailByCrc) {
   {
     PartitionLog log(dir.path(), PartitionLogOptions{});
     for (int64_t ts = 0; ts < 5; ++ts) {
-      AppendAnswer(log, ts, MakeAnswer(16, 1));
+      AppendAt(log, ts, Payload(6, 5));
     }
     segment = dir.path() / "seg-00000000000000000000.log";
   }
@@ -333,7 +354,7 @@ TEST(SegmentLogTest, RejectsCorruptionInSealedSegment) {
     options.max_segment_bytes = 256;
     PartitionLog log(dir.path(), options);
     for (int64_t ts = 0; ts < 100; ++ts) {
-      AppendAnswer(log, ts, MakeAnswer(64, 5));
+      AppendAt(log, ts, Payload(12, 6));
     }
     ASSERT_GT(log.num_segments(), 1u);
   }
@@ -353,35 +374,42 @@ TEST(SegmentLogTest, EmptyDirectoryIsValid) {
   TempDir dir;
   PartitionLog log(dir.path(), PartitionLogOptions{});
   EXPECT_EQ(log.end_offset(), 0u);
-  EXPECT_EQ(LoadAnswers(log, INT64_MIN, INT64_MAX).size(), 0u);
+  EXPECT_EQ(CountAll(log), 0u);
+}
+
+// One stored answer as the historical tee produces it: keyed by its QID,
+// the payload the message in AnswerMessage wire form.
+std::vector<uint8_t> AnswerRecord(uint64_t query_id, size_t bits,
+                                  size_t set_bit) {
+  BitVector answer(bits);
+  answer.Set(set_bit, true);
+  return crypto::AnswerMessage{query_id, answer}.Serialize();
 }
 
 TEST(SegmentLogTest, OneDrainOfAnswersIsOneBatch) {
-  // The aggregator hands the historical store one drain's answers at once.
-  // Equal widths and one epoch's timestamp: one frame and header, the width
-  // once, then an all-zero key and a payload per answer — 26 B per batch and
-  // 14 B per 11-bucket answer.
+  // A durable historical topic writes one drain's answers of a shard as one
+  // batch. Their key is their payload's QID prefix, their width and
+  // timestamp are one: one frame and header, the width once, then each
+  // payload alone — 26 B per batch and 14 B per 11-bucket answer.
   TempDir dir;
-  const std::vector<std::pair<int64_t, BitVector>> answers = {
-      {5000, MakeAnswer(11, 0)},
-      {5000, MakeAnswer(11, 9)},
-      {5000, MakeAnswer(11, 10)}};
+  const std::vector<std::vector<uint8_t>> answers = {
+      AnswerRecord(7, 11, 0), AnswerRecord(7, 11, 9), AnswerRecord(7, 11, 10)};
   {
     PartitionLog log(dir.path(), PartitionLogOptions{});
-    AppendAnswers(log, answers);
+    log.AppendBatch(answers.size(), [&](size_t i) {
+      return BatchRecord{7, 5000, answers[i]};
+    });
     EXPECT_EQ(log.end_offset(), 3u);
   }
   const std::vector<uint8_t> batch = {
-      0xB2, 0x01,                        // magic; fixed width
-      3,    0,    0, 0,                  // count
-      0x88, 0x13, 0, 0, 0, 0, 0, 0,      // base ts 5000
-      6,    0,    0, 0,                  // width: u32 bit count + 2 bytes
-      0,    0,    0, 0, 0, 0, 0, 0,      // keys
-      0,    0,    0, 0, 0, 0, 0, 0,
-      0,    0,    0, 0, 0, 0, 0, 0,
-      11,   0,    0, 0, 0x01, 0x00,      // payload block
-      11,   0,    0, 0, 0x00, 0x02,
-      11,   0,    0, 0, 0x00, 0x04};
+      0xB2, 0x03,                              // magic; fixed width, key
+                                               // in payload
+      3,    0,    0, 0,                        // count
+      0x88, 0x13, 0, 0, 0, 0, 0, 0,            // base ts 5000
+      14,   0,    0, 0,                        // width: header + 2 bytes
+      7, 0, 0, 0, 0, 0, 0, 0, 11, 0, 0, 0, 0x01, 0x00,  // payload block
+      7, 0, 0, 0, 0, 0, 0, 0, 11, 0, 0, 0, 0x00, 0x02,
+      7, 0, 0, 0, 0, 0, 0, 0, 11, 0, 0, 0, 0x00, 0x04};
   const uint32_t crc = Crc32(batch.data(), batch.size());
   std::vector<uint8_t> want = {static_cast<uint8_t>(batch.size()), 0, 0, 0};
   for (int i = 0; i < 4; ++i) {
@@ -396,35 +424,39 @@ TEST(SegmentLogTest, OneDrainOfAnswersIsOneBatch) {
   EXPECT_EQ(got, want);
 
   PartitionLog log(dir.path(), PartitionLogOptions{});
-  const ResponseStore store = LoadAnswers(log, INT64_MIN, INT64_MAX);
-  const auto loaded = store.Range(INT64_MIN, INT64_MAX);
-  ASSERT_EQ(loaded.size(), answers.size());
-  for (size_t i = 0; i < answers.size(); ++i) {
-    EXPECT_EQ(loaded[i]->timestamp_ms, answers[i].first);
-    EXPECT_EQ(loaded[i]->answer, answers[i].second);
-  }
+  size_t i = 0;
+  log.Replay([&](uint64_t, uint64_t key, int64_t timestamp_ms,
+                 std::span<const uint8_t> payload) {
+    ASSERT_LT(i, answers.size());
+    EXPECT_EQ(key, 7u);
+    EXPECT_EQ(timestamp_ms, 5000);
+    EXPECT_EQ(std::vector<uint8_t>(payload.begin(), payload.end()),
+              answers[i++]);
+  });
+  EXPECT_EQ(i, answers.size());
 }
 
 TEST(SegmentLogTest, BatchAnalyticsOverLoadedStore) {
-  // End-to-end: durable log -> LoadRange -> HistoricalAnalytics.
+  // End-to-end: a durable historical topic, recovered from its log by a
+  // fresh topic, read by HistoricalAnalytics.
   TempDir dir;
-  PartitionLog log(dir.path(), PartitionLogOptions{});
-  BitVector yes(2), no(2);
-  yes.Set(0, true);
-  no.Set(1, true);
-  for (int i = 0; i < 70; ++i) {
-    AppendAnswer(log, i, yes);
+  const broker::TopicDurability durability{dir.path(), {}};
+  {
+    broker::Topic store("historical", 1, durability);
+    for (int i = 0; i < 100; ++i) {
+      const std::vector<uint8_t> payload = AnswerRecord(1, 2, i < 70 ? 0 : 1);
+      const broker::ProduceView record{1, payload, i};
+      store.AppendViews({&record, 1});
+    }
   }
-  for (int i = 70; i < 100; ++i) {
-    AppendAnswer(log, i, no);
-  }
-  const ResponseStore store = LoadAnswers(log, 0, 100);
+  const broker::Topic store("historical", 1, durability);
   core::ExecutionParams params;
   params.randomization = {1.0, 0.5};
-  const aggregator::HistoricalAnalytics analytics(store, params, 100);
+  const aggregator::HistoricalAnalytics analytics(store, 1, 2, params, 100);
   Xoshiro256 rng(1);
   const core::QueryResult result =
-      analytics.Run(0, 100, aggregator::BatchQueryBudget{1.0}, rng, 2);
+      analytics.Run(0, 100, aggregator::BatchQueryBudget{1.0}, rng);
+  EXPECT_EQ(result.participants, 100u);
   EXPECT_NEAR(result.buckets[0].estimate.value, 70.0, 1e-9);
   EXPECT_NEAR(result.buckets[1].estimate.value, 30.0, 1e-9);
 }

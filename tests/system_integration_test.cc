@@ -304,10 +304,99 @@ TEST(SystemTest, HistoricalAnalyticsOverCollectedAnswers) {
   sys.RunEpoch(5000);
   sys.Flush();
   const core::QueryResult batch =
-      sys.RunHistorical(0, 10000, aggregator::BatchQueryBudget{1.0});
+      sys.RunHistorical(1, 0, 10000, aggregator::BatchQueryBudget{1.0});
   EXPECT_EQ(batch.participants, 100u);
   EXPECT_NEAR(batch.buckets[2].estimate.value, 70.0, 1e-9);
   EXPECT_NEAR(batch.buckets[5].estimate.value, 30.0, 1e-9);
+  // The store is the broker's `historical` topic, metered like every other:
+  // one 14-byte record (QID, bit count, two answer bytes) per answer.
+  const std::string text = sys.MetricsText();
+  for (const char* sample :
+       {"privapprox_topic_records_in{topic=\"historical\"} 100\n",
+        "privapprox_topic_bytes_in{topic=\"historical\"} 1400\n"}) {
+    EXPECT_NE(text.find(sample), std::string::npos) << sample;
+  }
+  EXPECT_THROW(
+      sys.RunHistorical(2, 0, 10000, aggregator::BatchQueryBudget{1.0}),
+      std::invalid_argument);
+}
+
+// Two queries of 11 and 81 buckets over one fleet, the tee on: streams 4
+// epochs, then returns every double of query `qid`'s batch results at
+// aggregator budgets 1.0 and 0.3 over the whole run.
+std::vector<double> TwoQueryHistoricalDoubles(bool with_narrow,
+                                              bool with_wide, uint64_t qid) {
+  constexpr size_t kClients = 300;
+  SystemConfig config;
+  config.num_clients = kClients;
+  config.seed = 21;
+  config.historical.enabled = true;
+  PrivApproxSystem sys(config);
+  core::ExecutionParams params;
+  params.sampling_fraction = 0.7;
+  params.randomization = {0.9, 0.4};
+  const auto query = [](uint64_t id, size_t buckets) {
+    return core::QueryBuilder()
+        .WithId(id)
+        .WithSql("SELECT speed FROM vehicle")
+        .WithAnswerFormat(
+            core::AnswerFormat::UniformNumeric(0, 100, buckets - 1, true))
+        .WithFrequencyMs(1000)
+        .WithWindowMs(10000)
+        .WithSlideMs(10000)
+        .Build();
+  };
+  if (with_narrow) {
+    sys.SubmitQuery(query(11, 11), params);
+  }
+  if (with_wide) {
+    sys.SubmitQuery(query(81, 81), params);
+  }
+  for (size_t i = 0; i < kClients; ++i) {
+    sys.client(i).database().CreateTable("vehicle", {"speed"});
+  }
+  for (int64_t epoch = 1; epoch <= 4; ++epoch) {
+    const int64_t now = epoch * 10000;
+    for (size_t i = 0; i < kClients; ++i) {
+      sys.client(i).database().GetTable("vehicle").Insert(
+          now - 500, {localdb::Value(static_cast<double>((i * 7 + epoch * 13) %
+                                                         100))});
+    }
+    sys.RunEpoch(now);
+    sys.AdvanceWatermark(now);
+  }
+  sys.Flush();
+  std::vector<double> doubles;
+  for (const double budget : {1.0, 0.3}) {
+    const core::QueryResult result = sys.RunHistorical(
+        qid, 0, 50000, aggregator::BatchQueryBudget{budget});
+    doubles.push_back(static_cast<double>(result.participants));
+    for (const auto& bucket : result.buckets) {
+      doubles.push_back(bucket.estimate.value);
+      doubles.push_back(bucket.estimate.error);
+      doubles.push_back(bucket.randomized_count);
+    }
+  }
+  return doubles;
+}
+
+TEST(SystemTest, EachQueryAnswersHistoricallyAsIfAlone) {
+  // The store is keyed by QID and the second round draws only for the
+  // requested query's records, so each query's batch results match, double
+  // for double, a system in which it ran alone.
+  for (const uint64_t qid : {11u, 81u}) {
+    SCOPED_TRACE("qid=" + std::to_string(qid));
+    const std::vector<double> joint =
+        TwoQueryHistoricalDoubles(true, true, qid);
+    const std::vector<double> alone =
+        TwoQueryHistoricalDoubles(qid == 11, qid == 81, qid);
+    ASSERT_EQ(joint.size(), 2 * (1 + 3 * qid));
+    EXPECT_GT(joint[0], 0.0);
+    ASSERT_EQ(joint.size(), alone.size());
+    for (size_t i = 0; i < joint.size(); ++i) {
+      EXPECT_EQ(joint[i], alone[i]) << "double " << i;
+    }
+  }
 }
 
 // examples/historical_batch's run: 1,500 taxi clients streaming 8 epochs
@@ -343,7 +432,7 @@ std::vector<double> HistoricalBatchDoubles(size_t workers) {
   std::vector<double> doubles;
   for (const double budget : {0.3, 0.1}) {
     const core::QueryResult result =
-        sys.RunHistorical(0, 90000, aggregator::BatchQueryBudget{budget});
+        sys.RunHistorical(5, 0, 90000, aggregator::BatchQueryBudget{budget});
     doubles.push_back(static_cast<double>(result.participants));
     for (const auto& bucket : result.buckets) {
       doubles.push_back(bucket.estimate.value);
@@ -374,7 +463,7 @@ TEST(SystemTest, HistoricalDisabledThrows) {
   config.num_clients = 2;
   PrivApproxSystem sys(config);
   sys.SubmitQuery(SpeedQuery(), ExactParams());
-  EXPECT_THROW(sys.RunHistorical(0, 1, aggregator::BatchQueryBudget{1.0}),
+  EXPECT_THROW(sys.RunHistorical(1, 0, 1, aggregator::BatchQueryBudget{1.0}),
                std::logic_error);
 }
 

@@ -172,7 +172,7 @@ class TcpBusTest : public ::testing::Test {
         &registry_.GetCounter("protocol_errors", "quarantined");
     config.counters.frames_in = &registry_.GetCounter("frames_in", "in");
     config.counters.frames_out = &registry_.GetCounter("frames_out", "out");
-    server_ = std::make_unique<TcpBusServer>(config, broker_,
+    server_ = std::make_unique<TcpBusServer>(config, &broker_,
                                              std::move(control));
     server_->Start();
   }
@@ -635,7 +635,7 @@ TEST_F(TcpBusTest, PipelinedRequestsAnswerIntactAndInOrderAcrossAnError) {
                                                              &meta};
   for (size_t i = 0; i < requests.size(); ++i) {
     std::vector<uint8_t> body;
-    HandleRequest(broker_, {}, *requests[i], body);
+    HandleRequest(&broker_, {}, *requests[i], body);
     EXPECT_EQ(responses[i], Framed(body)) << "response " << i;
   }
   ASSERT_GT(responses[1].size(), kFrameHeaderBytes);
@@ -657,7 +657,7 @@ TEST_F(TcpBusTest, ClientRedialsAfterServerRestartAndCountsIt) {
   server_.reset();
   TcpBusServerConfig config;
   config.port = port;
-  server_ = std::make_unique<TcpBusServer>(config, broker_);
+  server_ = std::make_unique<TcpBusServer>(config, &broker_);
   server_->Start();
 
   // The dead connection throws once, then the next call re-dials.

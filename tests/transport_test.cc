@@ -178,7 +178,7 @@ class WireProtocolTest : public ::testing::Test {
   // HandleRequest appends, so each call starts from an empty buffer.
   WireReader Call(const std::vector<uint8_t>& request) {
     response_.clear();
-    HandleRequest(broker_, control_, request, response_);
+    HandleRequest(&broker_, control_, request, response_);
     WireReader reader(response_);
     const uint8_t status = reader.TakeU8();
     if (status != kWireOk) {
@@ -358,10 +358,10 @@ TEST_F(WireProtocolTest, ResponsesFramedInPlaceMatchEncodeFrame) {
   std::vector<uint8_t> expected = in_place;
   for (const std::vector<uint8_t>* req : {&poll, &error, &poll}) {
     std::vector<uint8_t> body;
-    HandleRequest(broker_, control_, *req, body);
+    HandleRequest(&broker_, control_, *req, body);
     EncodeFrame(body, expected);
     const size_t start = BeginFrame(in_place);
-    HandleRequest(broker_, control_, *req, in_place);
+    HandleRequest(&broker_, control_, *req, in_place);
     SealFrame(in_place, start);
   }
   EXPECT_EQ(in_place, expected);
@@ -518,7 +518,7 @@ TEST_F(WireProtocolTest, ReleaseRefusalsAreErrorResponsesAndServingGoesOn) {
            {&wrong_count, "1 offsets for topic 't' of 2 partitions"},
            {&truncated, "truncated"}}) {
     const size_t start = stream.size();
-    EXPECT_EQ(HandleRequest(broker_, control_, *request, stream),
+    EXPECT_EQ(HandleRequest(&broker_, control_, *request, stream),
               static_cast<uint8_t>(WireOp::kRelease));
     WireReader reader(std::span<const uint8_t>(stream).subspan(start));
     EXPECT_EQ(reader.TakeU8(), kWireError);
@@ -528,7 +528,7 @@ TEST_F(WireProtocolTest, ReleaseRefusalsAreErrorResponsesAndServingGoesOn) {
     EXPECT_EQ(Retained(broker_, "t"), 20u) << "a refusal released records";
   }
   const size_t start = stream.size();
-  HandleRequest(broker_, control_, release, stream);
+  HandleRequest(&broker_, control_, release, stream);
   EXPECT_EQ(stream.size(), start + 1);
   EXPECT_EQ(stream.back(), kWireOk);
   EXPECT_EQ(Retained(broker_, "t"), 0u);
