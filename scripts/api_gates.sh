@@ -19,7 +19,8 @@ repo="$(dirname "$here")"
 GATES=(pre_span_first qid_less chacha_block flat_config compat_layer
        ofstream bus_triplets single_query hand_wired_metrics
        streaming_runtime per_client_copies per_record_framing window_fanout
-       shard_knob dead_knobs record_index one_driver owning_paths one_store)
+       shard_knob dead_knobs record_index one_driver owning_paths one_store
+       one_proxy_tier)
 
 # Each gate_<name> runs its grep from the tree root; plant_<name> is
 # "<file>|<line>", a violation the self-test appends to that file.
@@ -259,6 +260,16 @@ gate_one_store() {
     src tests bench examples
 }
 plant_one_store="examples/planted.cc|config.historical.dir = \"/tmp/hist\";"
+
+# One proxy tier: a share whose retries run out fails over into its own
+# proxy's lane in-topic, after the epoch's other records, as a Kafka
+# producer reaches a partition's new leader. The standby proxies with their
+# own topics, config flag and metric families, and the plan predicate that
+# built them, must not come back.
+gate_one_proxy_tier() {
+  grep -rniE "standby|CanTimeOut" src tests bench examples
+}
+plant_one_proxy_tier="src/proxy/planted.cc|proxy_config.standby = true;"
 
 # Runs one gate in directory $2; returns 0 on pass. Prints why it failed.
 run_gate() {

@@ -54,9 +54,9 @@ class Broker {
 
   // Returns the topic, creating it if absent. An existing topic must have
   // the same partition count (std::invalid_argument otherwise). Used where
-  // two producers legitimately share one topic — a standby proxy routes
-  // into its primary's outbound topic so the aggregator's n-source join is
-  // untouched by failover.
+  // a topic may already exist: a restarted proxy attaches to the lanes its
+  // broker recovered, and the epoch driver attaches to the announcement
+  // topic a proxy created.
   Topic& EnsureTopic(const std::string& name, size_t num_partitions);
 
   bool HasTopic(const std::string& name) const;

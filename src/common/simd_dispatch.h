@@ -44,7 +44,7 @@ std::vector<Isa> AvailableIsas();
 // The ISA the dispatched entry points use: the PRIVAPPROX_SIMD override if
 // it names an available ISA (an unavailable request logs a warning and
 // falls back), otherwise the best available one. Decided once, on first
-// call, and logged at kInfo.
+// call; the system exports it as the privapprox_simd_isa gauge.
 Isa ActiveIsa();
 
 }  // namespace privapprox::simd

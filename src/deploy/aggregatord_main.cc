@@ -15,32 +15,22 @@
 // Each query lane joins in one shard per partition of the proxies' lane
 // topics (proxyd's --partitions, which must agree across the proxies).
 // Prints "listening <host>:<port>" once ready, then serves until
-// SIGINT/SIGTERM.
+// SIGINT/SIGTERM. An unknown flag or a malformed or out-of-range value
+// prints the usage line and exits 2.
 
-#include <cerrno>
-#include <csignal>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <semaphore.h>
+#include <exception>
+#include <stdexcept>
 #include <string>
 
 #include "deploy/aggregator_daemon.h"
+#include "deploy/endpoint.h"
 
 namespace {
-
-sem_t g_stop_sem;
-
-void HandleSignal(int) { sem_post(&g_stop_sem); }
-
-bool ParseFlag(const char* arg, const char* name, std::string& value) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (std::strncmp(arg, prefix.c_str(), prefix.size()) != 0) {
-    return false;
-  }
-  value = arg + prefix.size();
-  return true;
-}
 
 int Usage() {
   std::fprintf(stderr,
@@ -54,32 +44,48 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using privapprox::deploy::ParseFlag;
+  using privapprox::deploy::ParseWholeNumber;
   privapprox::deploy::AggregatorDaemonConfig config;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (ParseFlag(argv[i], "port", value)) {
-      config.port = static_cast<uint16_t>(std::stoul(value));
-    } else if (ParseFlag(argv[i], "proxy", value)) {
-      config.proxies.push_back(privapprox::deploy::Endpoint::Parse(value));
-    } else if (ParseFlag(argv[i], "population", value)) {
-      config.population = std::stoul(value);
-    } else if (ParseFlag(argv[i], "confidence", value)) {
-      config.confidence = std::stod(value);
-    } else if (ParseFlag(argv[i], "host", value)) {
-      config.bind_host = value;
-    } else if (ParseFlag(argv[i], "data-dir", value)) {
-      config.data_dir = value;
-    } else if (ParseFlag(argv[i], "fsync", value)) {
-      config.log.fsync = privapprox::storage::ParseFsyncPolicy(value);
-    } else if (ParseFlag(argv[i], "fsync-every-n", value)) {
-      config.log.fsync_every_n = std::stoull(value);
-    } else if (ParseFlag(argv[i], "segment-bytes", value)) {
-      config.log.max_segment_bytes = std::stoull(value);
-    } else if (std::strcmp(argv[i], "--invert") == 0) {
-      config.answers_inverted = true;
-    } else {
-      return Usage();
+  int i = 1;
+  try {
+    for (; i < argc; ++i) {
+      std::string value;
+      if (ParseFlag(argv[i], "port", value)) {
+        // 0 binds an ephemeral port.
+        config.port = static_cast<uint16_t>(ParseWholeNumber(value, 0, 65535));
+      } else if (ParseFlag(argv[i], "proxy", value)) {
+        config.proxies.push_back(privapprox::deploy::Endpoint::Parse(value));
+      } else if (ParseFlag(argv[i], "population", value)) {
+        config.population = ParseWholeNumber(value, 1);
+      } else if (ParseFlag(argv[i], "confidence", value)) {
+        const char* const end = value.data() + value.size();
+        const auto [stop, error] =
+            std::from_chars(value.data(), end, config.confidence);
+        if (error != std::errc() || stop != end ||
+            !std::isfinite(config.confidence)) {
+          throw std::invalid_argument("want a finite number");
+        }
+      } else if (ParseFlag(argv[i], "host", value)) {
+        config.bind_host = value;
+      } else if (ParseFlag(argv[i], "data-dir", value)) {
+        config.data_dir = value;
+      } else if (ParseFlag(argv[i], "fsync", value)) {
+        config.log.fsync = privapprox::storage::ParseFsyncPolicy(value);
+      } else if (ParseFlag(argv[i], "fsync-every-n", value)) {
+        config.log.fsync_every_n = ParseWholeNumber(value);
+      } else if (ParseFlag(argv[i], "segment-bytes", value)) {
+        config.log.max_segment_bytes = ParseWholeNumber(value);
+      } else if (std::strcmp(argv[i], "--invert") == 0) {
+        config.answers_inverted = true;
+      } else {
+        return Usage();
+      }
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "privapprox_aggregatord: %s: %s\n", argv[i],
+                 e.what());
+    return Usage();
   }
   if (config.proxies.size() < 2 || config.population == 0) {
     return Usage();
@@ -87,14 +93,7 @@ int main(int argc, char** argv) {
   try {
     privapprox::deploy::AggregatorDaemon daemon(config);
     daemon.Start();
-    std::printf("listening %s:%u\n", config.bind_host.c_str(),
-                static_cast<unsigned>(daemon.port()));
-    std::fflush(stdout);
-    sem_init(&g_stop_sem, 0, 0);
-    std::signal(SIGINT, HandleSignal);
-    std::signal(SIGTERM, HandleSignal);
-    while (sem_wait(&g_stop_sem) != 0 && errno == EINTR) {
-    }
+    privapprox::deploy::ServeUntilSignal(config.bind_host, daemon.port());
     daemon.Stop();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "privapprox_aggregatord: %s\n", e.what());

@@ -24,7 +24,8 @@
 // (result_wire serialization covers every IEEE-754 bit); exit status 1 on
 // any mismatch — this is the CI socket-smoke gate. --metrics-dir writes
 // each daemon's /metrics dump (fetched over the control channel) plus the
-// fleet's own transport counters as artifact files.
+// fleet's own transport counters as artifact files. An unknown flag or a
+// malformed or out-of-range value prints the usage line and exits 2.
 
 #include <chrono>
 #include <cstdio>
@@ -37,6 +38,7 @@
 #include <vector>
 
 #include "core/query.h"
+#include "deploy/endpoint.h"
 #include "deploy/fleet_driver.h"
 #include "deploy/result_wire.h"
 #include "localdb/database.h"
@@ -48,6 +50,8 @@ using privapprox::deploy::Endpoint;
 using privapprox::deploy::FleetDriver;
 using privapprox::deploy::FleetDriverConfig;
 using privapprox::deploy::FleetEpochStats;
+using privapprox::deploy::ParseFlag;
+using privapprox::deploy::ParseWholeNumber;
 
 privapprox::core::Query SpeedQuery() {
   return privapprox::core::QueryBuilder()
@@ -75,15 +79,6 @@ void FillDatabase(privapprox::localdb::Database& db, size_t client_index) {
   db.GetTable("vehicle").Insert(
       500, {privapprox::localdb::Value(
                static_cast<double>((client_index * 7) % 100))});
-}
-
-bool ParseFlag(const char* arg, const char* name, std::string& value) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (std::strncmp(arg, prefix.c_str(), prefix.size()) != 0) {
-    return false;
-  }
-  value = arg + prefix.size();
-  return true;
 }
 
 int Usage() {
@@ -117,35 +112,42 @@ int main(int argc, char** argv) {
   std::string chaos_cmd;
   std::string chaos_point = "after_produce";
   size_t chaos_epoch = 0;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (ParseFlag(argv[i], "proxy", value)) {
-      config.proxies.push_back(Endpoint::Parse(value));
-    } else if (ParseFlag(argv[i], "aggregator", value)) {
-      config.aggregator = Endpoint::Parse(value);
-    } else if (ParseFlag(argv[i], "clients", value)) {
-      config.num_clients = std::stoul(value);
-    } else if (ParseFlag(argv[i], "epochs", value)) {
-      epochs = std::stoul(value);
-    } else if (ParseFlag(argv[i], "seed", value)) {
-      config.seed = std::stoull(value);
-    } else if (ParseFlag(argv[i], "metrics-dir", value)) {
-      metrics_dir = value;
-    } else if (ParseFlag(argv[i], "results-out", value)) {
-      results_out = value;
-    } else if (ParseFlag(argv[i], "chaos-cmd", value)) {
-      chaos_cmd = value;
-    } else if (ParseFlag(argv[i], "chaos-epoch", value)) {
-      chaos_epoch = std::stoul(value);
-    } else if (ParseFlag(argv[i], "chaos-point", value)) {
-      chaos_point = value;
-    } else if (std::strcmp(argv[i], "--retention") == 0) {
-      retention = true;
-    } else if (std::strcmp(argv[i], "--compare-inproc") == 0) {
-      compare_inproc = true;
-    } else {
-      return Usage();
+  int i = 1;
+  try {
+    for (; i < argc; ++i) {
+      std::string value;
+      if (ParseFlag(argv[i], "proxy", value)) {
+        config.proxies.push_back(Endpoint::Parse(value));
+      } else if (ParseFlag(argv[i], "aggregator", value)) {
+        config.aggregator = Endpoint::Parse(value);
+      } else if (ParseFlag(argv[i], "clients", value)) {
+        config.num_clients = ParseWholeNumber(value, 1);
+      } else if (ParseFlag(argv[i], "epochs", value)) {
+        epochs = ParseWholeNumber(value);
+      } else if (ParseFlag(argv[i], "seed", value)) {
+        config.seed = ParseWholeNumber(value);
+      } else if (ParseFlag(argv[i], "metrics-dir", value)) {
+        metrics_dir = value;
+      } else if (ParseFlag(argv[i], "results-out", value)) {
+        results_out = value;
+      } else if (ParseFlag(argv[i], "chaos-cmd", value)) {
+        chaos_cmd = value;
+      } else if (ParseFlag(argv[i], "chaos-epoch", value)) {
+        chaos_epoch = ParseWholeNumber(value);
+      } else if (ParseFlag(argv[i], "chaos-point", value)) {
+        chaos_point = value;
+      } else if (std::strcmp(argv[i], "--retention") == 0) {
+        retention = true;
+      } else if (std::strcmp(argv[i], "--compare-inproc") == 0) {
+        compare_inproc = true;
+      } else {
+        return Usage();
+      }
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "privapprox_clientfleet: %s: %s\n", argv[i],
+                 e.what());
+    return Usage();
   }
   if (config.proxies.size() < 2 || config.aggregator.port == 0 ||
       config.num_clients == 0) {

@@ -11,32 +11,19 @@
 // "listening" line prints.
 //
 // Prints "listening <host>:<port>" once ready (the socket-smoke harness
-// waits for this line), then serves until SIGINT/SIGTERM.
+// waits for this line), then serves until SIGINT/SIGTERM. An unknown flag
+// or a malformed or out-of-range value prints the usage line and exits 2.
 
-#include <cerrno>
-#include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <semaphore.h>
+#include <exception>
 #include <string>
 
+#include "deploy/endpoint.h"
 #include "deploy/proxy_daemon.h"
+#include "transport/wire.h"
 
 namespace {
-
-sem_t g_stop_sem;
-
-void HandleSignal(int) { sem_post(&g_stop_sem); }
-
-bool ParseFlag(const char* arg, const char* name, std::string& value) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (std::strncmp(arg, prefix.c_str(), prefix.size()) != 0) {
-    return false;
-  }
-  value = arg + prefix.size();
-  return true;
-}
 
 int Usage() {
   std::fprintf(stderr,
@@ -49,40 +36,44 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using privapprox::deploy::ParseFlag;
+  using privapprox::deploy::ParseWholeNumber;
   privapprox::deploy::ProxyDaemonConfig config;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (ParseFlag(argv[i], "index", value)) {
-      config.proxy_index = std::stoul(value);
-    } else if (ParseFlag(argv[i], "port", value)) {
-      config.port = static_cast<uint16_t>(std::stoul(value));
-    } else if (ParseFlag(argv[i], "host", value)) {
-      config.bind_host = value;
-    } else if (ParseFlag(argv[i], "partitions", value)) {
-      config.num_partitions = std::stoul(value);
-    } else if (ParseFlag(argv[i], "data-dir", value)) {
-      config.data_dir = value;
-    } else if (ParseFlag(argv[i], "fsync", value)) {
-      config.log.fsync = privapprox::storage::ParseFsyncPolicy(value);
-    } else if (ParseFlag(argv[i], "fsync-every-n", value)) {
-      config.log.fsync_every_n = std::stoull(value);
-    } else if (ParseFlag(argv[i], "segment-bytes", value)) {
-      config.log.max_segment_bytes = std::stoull(value);
-    } else {
-      return Usage();
+  int i = 1;
+  try {
+    for (; i < argc; ++i) {
+      std::string value;
+      if (ParseFlag(argv[i], "index", value)) {
+        config.proxy_index = ParseWholeNumber(value);
+      } else if (ParseFlag(argv[i], "port", value)) {
+        // 0 binds an ephemeral port.
+        config.port = static_cast<uint16_t>(ParseWholeNumber(value, 0, 65535));
+      } else if (ParseFlag(argv[i], "host", value)) {
+        config.bind_host = value;
+      } else if (ParseFlag(argv[i], "partitions", value)) {
+        // The most partitions a peer may ask for over the wire.
+        config.num_partitions = ParseWholeNumber(
+            value, 1, privapprox::transport::kMaxWirePartitions);
+      } else if (ParseFlag(argv[i], "data-dir", value)) {
+        config.data_dir = value;
+      } else if (ParseFlag(argv[i], "fsync", value)) {
+        config.log.fsync = privapprox::storage::ParseFsyncPolicy(value);
+      } else if (ParseFlag(argv[i], "fsync-every-n", value)) {
+        config.log.fsync_every_n = ParseWholeNumber(value);
+      } else if (ParseFlag(argv[i], "segment-bytes", value)) {
+        config.log.max_segment_bytes = ParseWholeNumber(value);
+      } else {
+        return Usage();
+      }
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "privapprox_proxyd: %s: %s\n", argv[i], e.what());
+    return Usage();
   }
   try {
     privapprox::deploy::ProxyDaemon daemon(config);
     daemon.Start();
-    std::printf("listening %s:%u\n", config.bind_host.c_str(),
-                static_cast<unsigned>(daemon.port()));
-    std::fflush(stdout);
-    sem_init(&g_stop_sem, 0, 0);
-    std::signal(SIGINT, HandleSignal);
-    std::signal(SIGTERM, HandleSignal);
-    while (sem_wait(&g_stop_sem) != 0 && errno == EINTR) {
-    }
+    privapprox::deploy::ServeUntilSignal(config.bind_host, daemon.port());
     daemon.Stop();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "privapprox_proxyd: %s\n", e.what());

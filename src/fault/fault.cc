@@ -80,8 +80,8 @@ FaultInjector::FaultInjector(FaultPlan plan, metrics::Registry& registry)
           "Forward attempts retried after a timeout")),
       failovers_(registry.GetCounter(
           "privapprox_recovery_failovers_total",
-          "Shares delivered via a standby proxy after retries were "
-          "exhausted")),
+          "Shares that failed over to their proxy's lane after retries "
+          "were exhausted")),
       late_delivered_(registry.GetCounter(
           "privapprox_recovery_late_delivered_total",
           "Deferred shares replayed at the start of a later epoch")),
@@ -198,10 +198,9 @@ ShareOutcome FaultInjector::RouteShare(uint64_t query_id, uint64_t mid,
           static_cast<uint64_t>(plan_.retry.BackoffForAttempt(attempt)));
     }
   }
-  // Retries exhausted against the primary. Only a plan that can time out
-  // gets here, and such a plan always has standbys.
+  // Retries exhausted.
   failovers_.Increment();
-  out.route = ShareRoute::kStandby;
+  out.route = ShareRoute::kFailover;
   return out;
 }
 

@@ -19,9 +19,11 @@
 //
 // Recovery is modeled client-side: a forward that times out is retried with
 // bounded exponential backoff (client::RetryPolicy; backoff is simulated
-// virtual time, observed into a histogram, never slept) and fails over to
-// the proxy's standby once retries are exhausted. A delay-fated share
-// misses its epoch and is delivered at the start of the next one.
+// virtual time, observed into a histogram, never slept) and fails over
+// once retries are exhausted, as a Kafka producer reaches a partition's
+// new leader: the share still lands in its own proxy's lane, after the
+// epoch's other records. A delay-fated share misses its epoch and is
+// delivered at the start of the next one.
 
 #ifndef PRIVAPPROX_FAULT_FAULT_H_
 #define PRIVAPPROX_FAULT_FAULT_H_
@@ -62,16 +64,10 @@ struct FaultPlan {
 
   // --- Recovery ---------------------------------------------------------
   // Bounded exponential backoff per share; once retries are exhausted the
-  // share fails over to the proxy's standby.
+  // share fails over.
   client::RetryPolicy retry;
 
   void Validate() const;
-
-  // True when the plan can time a forward out, and so needs the standby
-  // proxies the system then builds.
-  bool CanTimeOut() const {
-    return timeout_probability > 0.0 || crash_probability > 0.0;
-  }
 };
 
 // Running totals of everything an injector counted: the values of its
@@ -83,14 +79,14 @@ struct FaultTotals {
   uint64_t crashes = 0;    // proxy-epochs down
   uint64_t lost = 0;       // distinct (QID, MID) pairs that cannot join
   uint64_t retries = 0;    // forward attempts retried
-  uint64_t failovers = 0;  // shares delivered via standby
+  uint64_t failovers = 0;  // shares delivered after retries ran out
   uint64_t late = 0;       // deferred shares delivered
 };
 
 // Where one share ends up after injection + client-side recovery.
 enum class ShareRoute {
-  kPrimary,   // delivered to the proxy (possibly corrupted / duplicated)
-  kStandby,   // retries exhausted; failed over to the standby proxy
+  kPrimary,   // delivered within its retries (maybe corrupted/duplicated)
+  kFailover,  // retries exhausted; lands after the epoch's other records
   kDeferred,  // delayed past its epoch; deliver next epoch
   kLost,      // dropped in transit
 };

@@ -5,25 +5,24 @@
 
 namespace privapprox::proxy {
 
-std::string TopicPrefix(size_t proxy_index, bool standby) {
-  return (standby ? "standby" : "proxy") + std::to_string(proxy_index) + ".";
+std::string TopicPrefix(size_t proxy_index) {
+  return "proxy" + std::to_string(proxy_index) + ".";
 }
 
-std::string LaneInTopic(size_t proxy_index, uint64_t query_id, bool standby) {
-  return TopicPrefix(proxy_index, standby) + "q" + std::to_string(query_id) +
-         ".in";
+std::string LaneInTopic(size_t proxy_index, uint64_t query_id) {
+  return TopicPrefix(proxy_index) + "q" + std::to_string(query_id) + ".in";
 }
 
 std::string LaneOutTopic(size_t proxy_index, uint64_t query_id) {
   return TopicPrefix(proxy_index) + "q" + std::to_string(query_id) + ".out";
 }
 
-std::string QueryInTopic(size_t proxy_index, bool standby) {
-  return TopicPrefix(proxy_index, standby) + "query.in";
+std::string QueryInTopic(size_t proxy_index) {
+  return TopicPrefix(proxy_index) + "query.in";
 }
 
-std::string QueryOutTopic(size_t proxy_index, bool standby) {
-  return TopicPrefix(proxy_index, standby) + "query.out";
+std::string QueryOutTopic(size_t proxy_index) {
+  return TopicPrefix(proxy_index) + "query.out";
 }
 
 uint64_t LaneInQueryId(size_t proxy_index, std::string_view topic) {
@@ -47,14 +46,6 @@ uint64_t LaneInQueryId(size_t proxy_index, std::string_view topic) {
 
 namespace {
 
-// A primary counts under privapprox_proxy_*, a standby (whose lanes feed its
-// primary's outbound topics) under privapprox_standby_*.
-std::string Family(const ProxyConfig& config, const char* what) {
-  return std::string(config.standby ? "privapprox_standby_"
-                                    : "privapprox_proxy_") +
-         what;
-}
-
 metrics::Labels IndexLabel(const ProxyConfig& config) {
   return {{"proxy", std::to_string(config.proxy_index)}};
 }
@@ -70,13 +61,13 @@ Proxy::Proxy(ProxyConfig config, transport::MessageBus& bus)
       registry_(config_.registry != nullptr ? *config_.registry
                                             : *owned_registry_),
       forwarded_(registry_.GetCounter(
-          Family(config_, "forwarded_total"),
+          "privapprox_proxy_forwarded_total",
           "Records the proxy moved inbound -> outbound", IndexLabel(config_))),
       forward_ns_(registry_.GetHistogram(
-          Family(config_, "forward_ns"),
+          "privapprox_proxy_forward_ns",
           "Proxy forward pass latency in nanoseconds", IndexLabel(config_))),
-      query_in_topic_(QueryInTopic(config_.proxy_index, config_.standby)),
-      query_out_topic_(QueryOutTopic(config_.proxy_index, config_.standby)) {
+      query_in_topic_(QueryInTopic(config_.proxy_index)),
+      query_out_topic_(QueryOutTopic(config_.proxy_index)) {
   bus_.EnsureTopic(query_in_topic_, 1);
   bus_.EnsureTopic(query_out_topic_, 1);
   query_consumer_ =
@@ -91,7 +82,7 @@ void Proxy::EnsureLane(uint64_t query_id) {
     return;
   }
   Lane lane;
-  lane.in_topic = LaneInTopic(config_.proxy_index, query_id, config_.standby);
+  lane.in_topic = LaneInTopic(config_.proxy_index, query_id);
   lane.out_topic = LaneOutTopic(config_.proxy_index, query_id);
   bus_.EnsureTopic(lane.in_topic, config_.num_partitions);
   bus_.EnsureTopic(lane.out_topic, config_.num_partitions);

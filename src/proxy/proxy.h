@@ -43,33 +43,24 @@
 namespace privapprox::proxy {
 
 // --- Topic names ----------------------------------------------------------
-// Every topic of primary proxy j starts with "proxy<j>.", every topic of
-// its standby (the fault layer's failover target) with "standby<j>.".
-std::string TopicPrefix(size_t proxy_index, bool standby = false);
-// Lane topics: "<prefix>q<QID>.in" / ".out". A standby's lane out-topic is
-// its primary's, so shares delivered via failover land in the per-query
-// streams the aggregator already joins and the n-source join is untouched.
-std::string LaneInTopic(size_t proxy_index, uint64_t query_id,
-                        bool standby = false);
+// Every topic of proxy j starts with "proxy<j>.".
+std::string TopicPrefix(size_t proxy_index);
+// Lane topics: "<prefix>q<QID>.in" / ".out".
+std::string LaneInTopic(size_t proxy_index, uint64_t query_id);
 std::string LaneOutTopic(size_t proxy_index, uint64_t query_id);
 // Announcement topics: "<prefix>query.in" / "query.out".
-std::string QueryInTopic(size_t proxy_index, bool standby = false);
-std::string QueryOutTopic(size_t proxy_index, bool standby = false);
-// The QID of primary `proxy_index`'s lane in-topic `topic`, or 0 when
+std::string QueryInTopic(size_t proxy_index);
+std::string QueryOutTopic(size_t proxy_index);
+// The QID of proxy `proxy_index`'s lane in-topic `topic`, or 0 when
 // `topic` is not one (the announcement topics included).
 uint64_t LaneInQueryId(size_t proxy_index, std::string_view topic);
 
 struct ProxyConfig {
   size_t proxy_index = 0;
   size_t num_partitions = 4;  // Kafka brokers per proxy in the paper's setup
-  // A standby proxy (fault failover target) names its inbound and query
-  // topics with the standby prefix and forwards into its primary's lane
-  // out-topics.
-  bool standby = false;
   // Where the proxy registers its families, labelled {proxy="<index>"}:
-  // privapprox_proxy_forwarded_total and privapprox_proxy_forward_ns —
-  // privapprox_standby_* for a standby. Not owned; null = a registry
-  // private to the proxy.
+  // privapprox_proxy_forwarded_total and privapprox_proxy_forward_ns. Not
+  // owned; null = a registry private to the proxy.
   metrics::Registry* registry = nullptr;
 };
 
@@ -81,10 +72,9 @@ class Proxy {
   size_t index() const { return config_.proxy_index; }
 
   // Creates the per-query lane (topics + consumer) for `query_id` if it
-  // does not exist yet. Topics are EnsureTopic'd so a standby whose lane
-  // outbound is its primary's existing topic attaches rather than clashes.
-  // Called through the ensure_lane verb at query submission for every proxy
-  // and standby.
+  // does not exist yet. Topics are EnsureTopic'd so a restarted proxy
+  // attaches to the lanes its broker recovered. Called through the
+  // ensure_lane verb at query submission for every proxy.
   void EnsureLane(uint64_t query_id);
   std::vector<uint64_t> lane_ids() const;  // ascending
   const std::string& lane_in_topic(uint64_t query_id) const;
@@ -115,8 +105,8 @@ class Proxy {
 
   // Transmits all pending inbound records of every lane to its outbound
   // topic, lanes in ascending-QID order, and releases each inbound topic
-  // below the forward offsets: the proxy is its only consumer, standbys
-  // included. Returns the number of records forwarded.
+  // below the forward offsets: the proxy is its only consumer. Returns the
+  // number of records forwarded.
   uint64_t ForwardLanes();
 
   // Query distribution (§3.1, submission phase): the driver produces

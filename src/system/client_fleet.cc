@@ -109,8 +109,8 @@ AnsweredRange ClientFleet::Answer(size_t begin, size_t end, int64_t now_ms,
             outcome.corrupt_to != SIZE_MAX ? record.first(outcome.corrupt_to)
                                            : record;
         std::vector<broker::ProduceView>& dest =
-            outcome.route == fault::ShareRoute::kStandby ? lane.standby
-                                                         : lane.records;
+            outcome.route == fault::ShareRoute::kFailover ? lane.failover
+                                                          : lane.records;
         dest.push_back(broker::ProduceView{view.message_id, payload, now_ms});
         if (outcome.duplicate) {
           dest.push_back(

@@ -33,11 +33,12 @@
 namespace privapprox::system {
 
 // One (proxy, query) lane's share records from an answered client range,
-// in client-id order: the records bound for the primary proxy, and the ones
-// the fault injector failed over to its standby (empty without one).
+// in client-id order: the ones delivered within their retries, and the
+// ones the fault injector failed over once their retries ran out (empty
+// without an injector). Both go to the same lane in-topic, failovers last.
 struct LaneRecords {
   std::vector<broker::ProduceView> records;
-  std::vector<broker::ProduceView> standby;
+  std::vector<broker::ProduceView> failover;
 };
 
 // A client range's answers. lanes[j][k] holds proxy j's records for the
@@ -81,7 +82,7 @@ class ClientFleet {
   // `arena`. With an injector, each share takes the route it decides
   // (keyed by `epoch` for proxy crashes): lost shares vanish, deferred ones
   // are parked in the injector, corrupted ones are truncated, failed-over
-  // ones land in the standby list, duplicates appear twice. Counts the
+  // ones land in the failover list, duplicates appear twice. Counts the
   // range's decisions once. Thread-safe across disjoint ranges.
   AnsweredRange Answer(size_t begin, size_t end, int64_t now_ms,
                        std::span<const uint64_t> qids, EpochArena& arena,

@@ -24,11 +24,12 @@ metrics::Histogram& StageHistogram(metrics::Registry& registry,
       {{"stage", stage}});
 }
 
-// A lane batch a range left empty costs no produce (and over TCP no frame).
-void Produce(transport::MessageBus& bus, const std::string& topic,
-             std::span<const broker::ProduceView> batch) {
+// A lane batch a range left empty costs no topic name and no produce (and
+// over TCP no frame).
+void ProduceLane(transport::MessageBus& bus, size_t proxy, uint64_t qid,
+                 std::span<const broker::ProduceView> batch) {
   if (!batch.empty()) {
-    bus.Produce(topic, batch);
+    bus.Produce(proxy::LaneInTopic(proxy, qid), batch);
   }
 }
 
@@ -68,10 +69,8 @@ void EpochDriver::Distribute(const core::Query& query,
                              const char* aggregator_verb) {
   std::vector<uint8_t> qid;
   transport::PutU64(query.query_id, qid);
-  for (const auto* tier : {&config_.proxies, &config_.standbys}) {
-    for (const NodeEndpoint& node : *tier) {
-      node.control("ensure_lane", qid);
-    }
+  for (const NodeEndpoint& node : config_.proxies) {
+    node.control("ensure_lane", qid);
   }
   const std::vector<uint8_t> announcement =
       core::SerializeAnnouncement(core::QueryAnnouncement{query, params});
@@ -201,7 +200,6 @@ EpochStats EpochDriver::RunEpoch(int64_t now_ms) {
   }
   fault::FaultInjector* const injector = config_.injector;
   const size_t num_proxies = config_.proxies.size();
-  const bool standbys = !config_.standbys.empty();
   const uint64_t participants_before = clients_.participants();
   const uint64_t forwarded_before = shares_forwarded_.Value();
   const uint64_t consumed_before = shares_consumed_.Value();
@@ -238,23 +236,19 @@ EpochStats EpochDriver::RunEpoch(int64_t now_ms) {
     });
 
     // Produce: one task per proxy appends every range's records to its
-    // lanes in range order (client-id order at any range split), then its
-    // standby's.
+    // lanes in range order (client-id order at any range split), then
+    // every range's failed-over records in range order. A per-range
+    // interleave would make the lane bytes depend on the split.
     ForEach(num_proxies, [&](size_t j) {
       const metrics::ScopedTimer proxy_timer(stage_ns_.proxy_forward);
       const metrics::EpochTimeline::Span proxy_span(timeline_,
                                                     "proxy_forward");
-      for (const AnsweredRange& range : ranges_) {
-        for (size_t k = 0; k < qids_.size(); ++k) {
-          Produce(*config_.proxies[j].bus, proxy::LaneInTopic(j, qids_[k]),
-                  range.lanes[j][k].records);
-        }
-      }
-      for (const AnsweredRange& range : ranges_) {
-        for (size_t k = 0; standbys && k < qids_.size(); ++k) {
-          Produce(*config_.standbys[j].bus,
-                  proxy::LaneInTopic(j, qids_[k], /*standby=*/true),
-                  range.lanes[j][k].standby);
+      for (const auto list : {&LaneRecords::records, &LaneRecords::failover}) {
+        for (const AnsweredRange& range : ranges_) {
+          for (size_t k = 0; k < qids_.size(); ++k) {
+            ProduceLane(*config_.proxies[j].bus, j, qids_[k],
+                        range.lanes[j][k].*list);
+          }
         }
       }
     });
@@ -264,18 +258,12 @@ EpochStats EpochDriver::RunEpoch(int64_t now_ms) {
       config_.after_produce_hook();
     }
 
-    // Forward: standby j appends to primary j's lane out-topics, so it
-    // forwards in the same task, after the primary.
     ForEach(num_proxies, [&](size_t j) {
       const metrics::ScopedTimer proxy_timer(stage_ns_.proxy_forward);
       const metrics::EpochTimeline::Span proxy_span(timeline_,
                                                     "proxy_forward");
-      for (const auto* tier : {&config_.proxies, &config_.standbys}) {
-        if (j < tier->size()) {
-          shares_forwarded_.Increment(transport::WireReader(
-              (*tier)[j].control("forward_lanes", {})).TakeU64());
-        }
-      }
+      shares_forwarded_.Increment(transport::WireReader(
+          config_.proxies[j].control("forward_lanes", {})).TakeU64());
     });
     if (config_.before_drain_hook) {
       config_.before_drain_hook();

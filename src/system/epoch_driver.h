@@ -9,9 +9,9 @@
 // flush and result take-out the same way for both, so a TCP run's lane
 // topics and results are bit-identical to the in-process run's by
 // construction (§6j). During an epoch only pool task j touches proxy j's
-// and standby j's endpoints, so each node's verbs run on one thread at a
-// time. The driver registers the epoch totals, privapprox_stage_ns and the
-// per-query counters on the registry it is handed.
+// endpoint, so each node's verbs run on one thread at a time. The driver
+// registers the epoch totals, privapprox_stage_ns and the per-query
+// counters on the registry it is handed.
 
 #ifndef PRIVAPPROX_SYSTEM_EPOCH_DRIVER_H_
 #define PRIVAPPROX_SYSTEM_EPOCH_DRIVER_H_
@@ -73,8 +73,7 @@ struct EpochDriverConfig {
   uint64_t seed = 42;
   bool invert_answers = false;
   core::BudgetManagerConfig budget;
-  std::vector<NodeEndpoint> proxies;   // one per proxy index
-  std::vector<NodeEndpoint> standbys;  // empty, or one per proxy index
+  std::vector<NodeEndpoint> proxies;  // one per proxy index
   transport::ControlHandler aggregator;
   // Optional, not owned. Without a pool the fleet is one client range.
   ThreadPool* pool = nullptr;
@@ -153,7 +152,7 @@ class EpochDriver {
   metrics::EpochTimeline own_timeline_;  // disabled, for config without one
   metrics::EpochTimeline& timeline_;
   metrics::Counter& epochs_;
-  metrics::Counter& shares_forwarded_;  // primaries and standbys
+  metrics::Counter& shares_forwarded_;
   metrics::Counter& shares_consumed_;
   // privapprox_stage_ns, by stage.
   struct StageHistograms {

@@ -54,21 +54,11 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
   driver_config.pool = pool_.get();
   driver_config.timeline = &timeline_;
   for (size_t i = 0; i < config_.num_proxies; ++i) {
-    driver_config.proxies.push_back(
-        AddProxyNode(i, /*standby=*/false, proxy_nodes_));
+    driver_config.proxies.push_back(AddProxyNode(i));
   }
   if (config_.fault.has_value()) {
-    const fault::FaultPlan& plan = *config_.fault;
-    plan.Validate();
-    // Standbys exist only for plans that can time a forward out — an
-    // always-reachable plan must not alter the broker topic set.
-    if (plan.CanTimeOut()) {
-      for (size_t i = 0; i < config_.num_proxies; ++i) {
-        driver_config.standbys.push_back(
-            AddProxyNode(i, /*standby=*/true, standby_nodes_));
-      }
-    }
-    injector_ = std::make_unique<fault::FaultInjector>(plan, registry_);
+    injector_ =
+        std::make_unique<fault::FaultInjector>(*config_.fault, registry_);
     driver_config.injector = injector_.get();
   }
 
@@ -102,18 +92,15 @@ PrivApproxSystem::PrivApproxSystem(SystemConfig config)
 
 PrivApproxSystem::~PrivApproxSystem() = default;
 
-NodeEndpoint PrivApproxSystem::AddProxyNode(
-    size_t index, bool standby,
-    std::vector<std::unique_ptr<ProxyNode>>& tier) {
+NodeEndpoint PrivApproxSystem::AddProxyNode(size_t index) {
   proxy::ProxyConfig proxy_config;
   proxy_config.proxy_index = index;
   proxy_config.num_partitions = 4;
-  proxy_config.standby = standby;
-  tier.push_back(
+  proxy_nodes_.push_back(
       std::make_unique<ProxyNode>(proxy_config, registry_, bus_, broker_));
   return NodeEndpoint{
-      &bus_, [node = tier.back().get()](const std::string& verb,
-                                         std::span<const uint8_t> payload) {
+      &bus_, [node = proxy_nodes_.back().get()](
+                 const std::string& verb, std::span<const uint8_t> payload) {
         return node->HandleControl(verb, payload);
       }};
 }
@@ -137,13 +124,10 @@ EpochStats PrivApproxSystem::RunEpoch(int64_t now_ms) {
 
 uint64_t PrivApproxSystem::ClientToProxyBytes() const {
   uint64_t bytes = 0;
-  for (const auto* tier : {&proxy_nodes_, &standby_nodes_}) {
-    for (const auto& node : *tier) {
-      for (const uint64_t qid : driver_->query_ids()) {
-        bytes += broker_.GetTopic(node->proxy().lane_in_topic(qid))
-                     .metrics()
-                     .bytes_in;
-      }
+  for (const auto& node : proxy_nodes_) {
+    for (const uint64_t qid : driver_->query_ids()) {
+      bytes +=
+          broker_.GetTopic(node->proxy().lane_in_topic(qid)).metrics().bytes_in;
     }
   }
   return bytes;

@@ -7,12 +7,11 @@
 // through every proxy, join/decrypt/window at the aggregator — and window
 // results surface once the event-time watermark passes their end.
 //
-// The system builds one broker with a ProxyNode per proxy (and per standby,
-// under a fault plan that can time a forward out) and an AggregatorNode
-// over it, and hands them to the system::EpochDriver that deploy::
-// FleetDriver also runs (system/epoch_driver.h, DESIGN.md §6c): every step
-// goes through the nodes' verbs, as it does over TCP to proxyd and
-// aggregatord. What the system adds is what the socket deployment lacks:
+// The system builds one broker with a ProxyNode per proxy and an
+// AggregatorNode over it, and hands them to the system::EpochDriver that
+// deploy::FleetDriver also runs (system/epoch_driver.h, DESIGN.md §6c):
+// every step goes through the nodes' verbs, as it does over TCP to proxyd
+// and aggregatord. What the system adds is what the socket deployment lacks:
 // fault injection, the historical store (one more topic on its broker) and
 // the timeline.
 //
@@ -199,9 +198,9 @@ class PrivApproxSystem {
     return driver_->TakeResults();
   }
 
-  // Bytes produced by clients into proxy inbound topics (all lanes, primary
-  // and standby proxies) so far — the client->proxy network traffic of
-  // Fig 9a.
+  // Bytes produced by clients into proxy lane in-topics (all lanes,
+  // failed-over shares included) so far — the client->proxy network
+  // traffic of Fig 9a.
   uint64_t ClientToProxyBytes() const;
 
   // Historical analytics over query `query_id`'s stored answers stamped in
@@ -232,9 +231,8 @@ class PrivApproxSystem {
   size_t num_worker_threads() const { return pool_->num_threads(); }
 
  private:
-  // Builds proxy node j of a tier and its driver endpoint.
-  NodeEndpoint AddProxyNode(size_t index, bool standby,
-                            std::vector<std::unique_ptr<ProxyNode>>& tier);
+  // Builds proxy node `index` and its driver endpoint.
+  NodeEndpoint AddProxyNode(size_t index);
 
   SystemConfig config_;
   // Declared before every pipeline component: proxies, clients, and the
@@ -249,12 +247,9 @@ class PrivApproxSystem {
   // holding a reference to it).
   transport::InProcessBus bus_{broker_};
   std::unique_ptr<ThreadPool> pool_;
-  // Fault layer (null/empty unless SystemConfig::fault is set). Standby
-  // proxy j shares primary j's outbound lane topics, so failover is
-  // invisible to the aggregator's n-source join.
+  // Fault layer (null unless SystemConfig::fault is set).
   std::unique_ptr<fault::FaultInjector> injector_;
   std::vector<std::unique_ptr<ProxyNode>> proxy_nodes_;
-  std::vector<std::unique_ptr<ProxyNode>> standby_nodes_;
   // The broker's `historical` topic; null unless historical.enabled.
   broker::Topic* historical_ = nullptr;
   Xoshiro256 historical_rng_;

@@ -49,8 +49,9 @@ class MessageBus {
   virtual ~MessageBus() = default;
 
   // Creates the topic if absent. An existing topic must have the same
-  // partition count (std::invalid_argument otherwise) — two producers may
-  // legitimately share one topic (standby-proxy failover).
+  // partition count (std::invalid_argument otherwise), so a caller can
+  // attach to a topic that may already exist: a restarted proxy to its
+  // recovered lanes, the epoch driver to a proxy's announcement topic.
   virtual void EnsureTopic(const std::string& topic, size_t num_partitions) = 0;
 
   // Partition count of an existing topic; throws std::invalid_argument for

@@ -316,7 +316,7 @@ TEST(DurableBrokerTest, TopicNamesCannotEscapeDataDir) {
   EXPECT_FALSE(fs::exists(dir.path() / "absolute"));
   // The names the system itself uses still work.
   broker.EnsureTopic("proxy0.q7.in", 2);
-  broker.EnsureTopic("standby1.query.out", 1);
+  broker.EnsureTopic("proxy1.query.out", 1);
   EXPECT_TRUE(fs::is_directory(data_dir / "proxy0.q7.in"));
 }
 

@@ -170,8 +170,8 @@ TEST(FaultTest, ZeroPlanIsBitIdenticalToNoPlan) {
   for (const size_t workers : {1u, 4u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     const RunSnapshot without = RunScenario(workers, std::nullopt);
-    // All probabilities default to zero: the injector routes every share to
-    // its primary untouched and no standby proxies are created.
+    // All probabilities default to zero: the injector delivers every share
+    // at its first attempt, untouched.
     const RunSnapshot with_zero = RunScenario(workers, fault::FaultPlan{});
 
     ExpectResultsIdentical(without, with_zero);
@@ -179,8 +179,7 @@ TEST(FaultTest, ZeroPlanIsBitIdenticalToNoPlan) {
     for (size_t e = 0; e < without.epochs.size(); ++e) {
       ExpectEpochStatsEqual(without.epochs[e], with_zero.epochs[e]);
     }
-    // Identical topic set (no standby topics) and identical byte counters
-    // in both directions.
+    // Identical topic set and identical byte counters in both directions.
     ASSERT_EQ(without.topic_names, with_zero.topic_names);
     for (size_t t = 0; t < without.topic_metrics.size(); ++t) {
       EXPECT_EQ(without.topic_metrics[t].records_in,

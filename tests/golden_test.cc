@@ -8,12 +8,14 @@
 // share byte, a sampling decision, an estimate bit or an epoch counter
 // fails here. The workload mirrors perfbench's inproc_3q_faults: three
 // queries of 11, 81 and 11 buckets, the last one filtered by
-// `WHERE speed >= 50`, under its fault plan. The historical pin replays
-// examples/historical_batch instead: one query's batch results over the
-// stored answers, which pins the answer tap and the second sampling round.
-// The system and historical digests include error bounds, whose Student-t
-// and normal quantiles go through libm (log, exp, erfc, lgamma); a libm
-// that rounds one of those differently moves those two digests only.
+// `WHERE speed >= 50`, under its fault plan; the failover pin adds forward
+// timeouts and proxy crashes to it, so shares fail over. The historical pin
+// replays examples/historical_batch instead: one query's batch results over
+// the stored answers, which pins the answer tap and the second sampling
+// round. The system and historical digests include error bounds, whose
+// Student-t and normal quantiles go through libm (log, exp, erfc, lgamma);
+// a libm that rounds one of those differently moves those three digests
+// only.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +31,7 @@
 #include "core/query_wire.h"
 #include "fault/fault.h"
 #include "metrics/metrics.h"
+#include "proxy/proxy.h"
 #include "system/client_fleet.h"
 #include "system/system.h"
 #include "transport/inproc_bus.h"
@@ -132,11 +135,11 @@ void HashRecords(Fnv1a64& fnv, const std::vector<broker::ProduceView>& recs) {
   }
 }
 
-// A fleet answered directly for 3 epochs: every lane's primary and standby
-// records in order, and the per-query participant counts. With faults the
-// plan also crashes proxies and times forwards out, so shares fail over to
-// the standby lists.
-uint64_t FleetDigest(bool with_faults, uint64_t* standby_records) {
+// A fleet answered directly for 3 epochs: every lane's delivered and
+// failed-over records in order, and the per-query participant counts. With
+// faults the plan also crashes proxies and times forwards out, so shares
+// fail over to the failover lists.
+uint64_t FleetDigest(bool with_faults, uint64_t* failover_records) {
   metrics::Registry registry;
   broker::Broker broker;
   transport::InProcessBus bus(broker);
@@ -179,8 +182,8 @@ uint64_t FleetDigest(bool with_faults, uint64_t* standby_records) {
     for (const std::vector<LaneRecords>& lanes : range.lanes) {
       for (const LaneRecords& lane : lanes) {
         HashRecords(fnv, lane.records);
-        HashRecords(fnv, lane.standby);
-        *standby_records += lane.standby.size();
+        HashRecords(fnv, lane.failover);
+        *failover_records += lane.failover.size();
       }
     }
     for (const uint64_t participants : range.participants) {
@@ -192,17 +195,17 @@ uint64_t FleetDigest(bool with_faults, uint64_t* standby_records) {
 }
 
 TEST(GoldenPinTest, FleetLanesWithoutFaults) {
-  uint64_t standby = 0;
-  EXPECT_EQ(FleetDigest(/*with_faults=*/false, &standby),
+  uint64_t failover = 0;
+  EXPECT_EQ(FleetDigest(/*with_faults=*/false, &failover),
             0xEF2E5FB38D580C3CULL);
-  EXPECT_EQ(standby, 0u);
+  EXPECT_EQ(failover, 0u);
 }
 
 TEST(GoldenPinTest, FleetLanesUnderFaults) {
-  uint64_t standby = 0;
-  EXPECT_EQ(FleetDigest(/*with_faults=*/true, &standby),
+  uint64_t failover = 0;
+  EXPECT_EQ(FleetDigest(/*with_faults=*/true, &failover),
             0x17DB085582F5869DULL);
-  EXPECT_GT(standby, 0u);
+  EXPECT_GT(failover, 0u);
 }
 
 void HashStats(Fnv1a64& fnv, const EpochStats& s) {
@@ -264,6 +267,83 @@ TEST(GoldenPinTest, SystemResultsUnderFaults) {
   }
   fnv.U64(sys.ClientToProxyBytes());
   EXPECT_EQ(fnv.digest(), 0xE876CCBB77AF2AC0ULL);
+}
+
+// The same system under a plan that also times forwards out and crashes
+// proxies, so shares fail over, with the answer tap on and no re-tune:
+// every EpochStats field, every result (with its fault losses and
+// randomized counts), the client -> proxy bytes, what each lane out-topic
+// took in, and every historical record in order.
+TEST(GoldenPinTest, SystemResultsUnderFailover) {
+  SystemConfig config;
+  config.num_clients = kClients;
+  config.num_proxies = kProxies;
+  config.seed = kSeed;
+  config.pipeline.num_worker_threads = 1;
+  config.historical.enabled = true;
+  fault::FaultPlan plan = GoldenFaultPlan();
+  plan.timeout_probability = 0.05;
+  plan.crash_probability = 0.3;
+  config.fault = plan;
+  PrivApproxSystem sys(config);
+  for (size_t i = 0; i < kClients; ++i) {
+    Feed(sys.client(i).database(), i, 0);
+  }
+  std::vector<uint64_t> qids;
+  for (const core::Query& query : GoldenQueries()) {
+    sys.SubmitQuery(query, TableThreeParams());
+    qids.push_back(query.query_id);
+  }
+  Fnv1a64 fnv;
+  uint64_t failovers = 0;
+  for (int64_t epoch = 1; epoch <= 8; ++epoch) {
+    for (size_t i = 0; i < kClients; ++i) {
+      Feed(sys.client(i).database(), i, epoch);
+    }
+    const EpochStats stats = sys.RunEpoch(epoch * kPeriodMs);
+    HashStats(fnv, stats);
+    failovers += stats.recovery_failovers;
+    sys.AdvanceWatermark((epoch - 1) * kPeriodMs);
+  }
+  EXPECT_GT(failovers, 0u);
+  sys.Flush();
+  const std::vector<aggregator::WindowedResult> results = sys.TakeResults();
+  ASSERT_GT(results.size(), 0u);
+  for (const aggregator::WindowedResult& r : results) {
+    fnv.U64(r.query_id);
+    fnv.I64(r.window.start_ms);
+    fnv.I64(r.window.end_ms);
+    fnv.U64(r.result.participants);
+    fnv.U64(r.result.lost_to_faults);
+    for (const core::BucketEstimate& bucket : r.result.buckets) {
+      fnv.F64(bucket.estimate.value);
+      fnv.F64(bucket.estimate.error);
+      fnv.F64(bucket.randomized_count);
+    }
+  }
+  fnv.U64(sys.ClientToProxyBytes());
+  for (size_t j = 0; j < kProxies; ++j) {
+    for (const uint64_t qid : qids) {
+      const broker::TopicMetrics& lane =
+          sys.broker().GetTopic(proxy::LaneOutTopic(j, qid)).metrics();
+      fnv.U64(lane.records_in);
+      fnv.U64(lane.bytes_in);
+    }
+  }
+  const broker::Topic& historical = sys.broker().GetTopic("historical");
+  std::vector<broker::RecordView> views;
+  for (uint64_t offset = 0; offset < historical.EndOffset(0);
+       offset = views.back().offset + 1) {
+    views.clear();
+    historical.ReadViews(0, offset, 4096, views);
+    for (const broker::RecordView& record : views) {
+      fnv.U64(record.key);
+      fnv.I64(record.timestamp_ms);
+      fnv.U64(record.payload_len);
+      fnv.Bytes(record.payload, record.payload_len);
+    }
+  }
+  EXPECT_EQ(fnv.digest(), 0xDB85BB2B02B44A22ULL);
 }
 
 // examples/historical_batch's run: 1,500 taxi clients streaming 8 epochs

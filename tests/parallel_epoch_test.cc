@@ -345,8 +345,9 @@ TEST(ParallelEpochTest, RangeSplitEdgesMatchOneWorker) {
     ASSERT_FALSE(oracle.lanes.empty());
     ASSERT_GT(oracle.results.size(), 0u);
     if (chaos) {
-      // The plan reroutes and defers shares, so the standby lanes and the
-      // next-epoch replay are part of what the splits must agree on.
+      // The plan fails shares over and defers them, so the failovers'
+      // place in each lane and the next-epoch replay are part of what the
+      // splits must agree on.
       uint64_t failovers = 0;
       uint64_t late = 0;
       for (const EpochStats& stats : oracle.epochs) {

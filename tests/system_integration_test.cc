@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "core/privacy.h"
+#include "proxy/proxy.h"
 #include "system/system.h"
 #include "workload/electricity.h"
 #include "workload/taxi.h"
@@ -202,12 +203,19 @@ TEST(SystemTest, SamplingReducesParticipantsAndTraffic) {
   EXPECT_LT(sampled.ClientToProxyBytes(), full.ClientToProxyBytes());
 }
 
-// Client -> proxy traffic counts every share a client sent, whichever proxy
-// tier took it: when every forward to a primary times out, all shares fail
-// over to the standbys, and the uplink bytes equal the fault-free run's.
-TEST(SystemTest, ClientToProxyBytesCountsStandbyTraffic) {
-  const auto run = [](std::optional<fault::FaultPlan> plan,
-                      EpochStats& stats) {
+// Client -> proxy traffic counts every share a client sent, failed over or
+// not: when every forward times out, all shares fail over into their own
+// proxy's lanes, so the run has the fault-free run's topics, lane in-topic
+// records and uplink bytes, and the proxies' forwarded counters count them.
+TEST(SystemTest, ClientToProxyBytesCountsFailedOverShares) {
+  struct Run {
+    EpochStats stats;
+    uint64_t bytes = 0;
+    std::vector<std::string> topics;
+    std::vector<uint64_t> lane_in_records;  // one per proxy
+    uint64_t proxy_forwarded = 0;  // privapprox_proxy_forwarded_total, summed
+  };
+  const auto run = [](std::optional<fault::FaultPlan> plan) {
     SystemConfig config;
     config.num_clients = 200;
     config.seed = 5;
@@ -217,24 +225,38 @@ TEST(SystemTest, ClientToProxyBytesCountsStandbyTraffic) {
       LoadSpeed(sys, i, 25.0);
     }
     sys.SubmitQuery(SpeedQuery(), ExactParams());
-    stats = sys.RunEpoch(5000);
+    Run out;
+    out.stats = sys.RunEpoch(5000);
     sys.Flush();
     const std::vector<aggregator::WindowedResult> results = sys.TakeResults();
     EXPECT_EQ(results.size(), 1u);
     if (!results.empty()) {
       EXPECT_EQ(results[0].result.participants, config.num_clients);
     }
-    return sys.ClientToProxyBytes();
+    out.bytes = sys.ClientToProxyBytes();
+    out.topics = sys.broker().TopicNames();
+    for (size_t j = 0; j < config.num_proxies; ++j) {
+      out.lane_in_records.push_back(
+          sys.broker().GetTopic(proxy::LaneInTopic(j, 1)).metrics().records_in);
+      out.proxy_forwarded +=
+          sys.metrics_registry()
+              .GetCounter("privapprox_proxy_forwarded_total", "",
+                          {{"proxy", std::to_string(j)}})
+              .Value();
+    }
+    return out;
   };
-  EpochStats fault_free;
-  const uint64_t bytes = run(std::nullopt, fault_free);
+  const Run fault_free = run(std::nullopt);
   fault::FaultPlan plan;
   plan.timeout_probability = 1.0;
-  EpochStats failed_over;
-  const uint64_t failover_bytes = run(plan, failed_over);
-  EXPECT_EQ(failed_over.recovery_failovers, 400u);
-  EXPECT_GT(bytes, 0u);
-  EXPECT_EQ(failover_bytes, bytes);
+  const Run failed_over = run(plan);
+  EXPECT_EQ(failed_over.stats.recovery_failovers, 400u);
+  EXPECT_GT(fault_free.bytes, 0u);
+  EXPECT_EQ(failed_over.bytes, fault_free.bytes);
+  EXPECT_EQ(failed_over.topics, fault_free.topics);
+  EXPECT_EQ(failed_over.lane_in_records, fault_free.lane_in_records);
+  EXPECT_EQ(failed_over.proxy_forwarded, failed_over.stats.shares_forwarded);
+  EXPECT_EQ(failed_over.stats.shares_forwarded, 400u);
 }
 
 TEST(SystemTest, BudgetPathChoosesParamsAndRuns) {
